@@ -125,7 +125,10 @@ def ingest_market_document(doc) -> dict:
         except (TypeError, ValueError) as exc:
             raise MarketFileError(f"{where}.payoffs", str(exc))
         agents.append(Agent(gamma, endowment))
-    market = Market(space, tuple(agents))
+    try:
+        market = Market(space, tuple(agents))
+    except ValueError as exc:
+        raise MarketFileError("agents", str(exc))
 
     basket = None
     if doc.get("securities"):

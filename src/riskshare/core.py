@@ -2,13 +2,18 @@
 
 Everything downstream (sharing rules, equilibrium prices, Nash games) is a
 function of first and second moments only, so random variables are stored as
-payoff vectors over a finite state space with exact moment computation.
+payoff vectors over a finite state space, and a market keeps its endowments
+as one n x m payoff matrix. The engines are array formulas over that matrix.
+Every covariance goes through `cross_cov`, which centers its arguments
+before multiplying them (the two-pass algorithm), so moments stay accurate
+when a payoff carries a cash amount far larger than its spread.
 All objects are immutable after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +72,10 @@ class ProbSpace:
     def constant(self, value: float) -> "Rv":
         return Rv(self, np.full(self.n_states, float(value)))
 
+    def rvs(self, rows) -> list["Rv"]:
+        """One random variable per payoff row."""
+        return [Rv(self, row) for row in rows]
+
 
 @dataclass(frozen=True, eq=False)
 class Rv:
@@ -118,11 +127,27 @@ def mean(x: Rv) -> float:
     return float(x.space.probs @ x.payoffs)
 
 
+def centered(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Payoff rows (state axis last) minus their means under p."""
+    return x - (x @ p)[..., None]
+
+
+def cross_cov(p: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Covariances of payoff rows, each centered first (two-pass).
+
+    Broadcasts over the leading axes like elementwise arithmetic: equal
+    shapes pair row i of x with row i of y, a single row is paired with
+    every row, and x[:, None] against y gives the full cross-covariance
+    matrix.
+    """
+    xc = centered(p, x)
+    return (xc * (xc if y is x else centered(p, y))) @ p
+
+
 def cov(x: Rv, y: Rv) -> float:
-    """Covariance E[xy] - E[x]E[y]; raises on a space mismatch."""
+    """Covariance of two random variables; raises on a space mismatch."""
     x._check_space(y)
-    p = x.space.probs
-    return float(p @ (x.payoffs * y.payoffs) - (p @ x.payoffs) * (p @ y.payoffs))
+    return float(cross_cov(x.space.probs, x.payoffs, y.payoffs))
 
 
 def var(x: Rv) -> float:
@@ -178,13 +203,15 @@ class Market:
         gammas = np.array([a.gamma for a in agents])
         gammas.flags.writeable = False
         object.__setattr__(self, "gammas", gammas)
-        # harmonic aggregate sits strictly below every individual gamma for
-        # n >= 2, which keeps every gamma_i^2 - gamma^2 denominator positive
+        # for n >= 2, exactly, 0 < g < every gamma_i and sum (g/gamma_i)^2 < 1,
+        # which keep the gamma_i^2 - g^2 and Nash denominators positive; in
+        # floating point both fail when one gamma dwarfs another
         g = self.aggregate_gamma
-        assert 0.0 < g < gammas.min()
-        # sum of (g / gamma_i) is exactly 1 with every term in (0, 1), so the
-        # Nash denominator 1 - sum (g/gamma_i)^2 is positive as well
-        assert 1.0 - np.sum((g / gammas) ** 2) > 0.0
+        if not (0.0 < g < gammas.min() and 1.0 - np.sum((g / gammas) ** 2) > 0.0):
+            raise ValueError(
+                f"risk aversions {gammas.tolist()} are too disparate: their "
+                f"harmonic aggregate {g!r} does not lie strictly below each of them"
+            )
 
     @property
     def n(self) -> int:
@@ -194,24 +221,24 @@ class Market:
     def aggregate_gamma(self) -> float:
         return float(1.0 / np.sum(1.0 / self.gammas))
 
-    def gamma_excluding(self, i: int) -> float:
-        """Harmonic aggregate of all risk aversions except agent i's."""
-        mask = np.arange(self.n) != i
-        return float(1.0 / np.sum(1.0 / self.gammas[mask]))
+    def gamma_excluding(self, i):
+        """Harmonic aggregate of all risk aversions but agent i's; i may be an array."""
+        inv = 1.0 / self.gammas
+        return 1.0 / (inv.sum() - inv[i])
+
+    @cached_property
+    def payoffs(self) -> np.ndarray:
+        """The n x m endowment matrix, row i agent i's payoffs (read-only)."""
+        endow = np.stack([a.endowment.payoffs for a in self.agents])
+        endow.flags.writeable = False
+        return endow
 
     @property
     def total_endowment(self) -> Rv:
-        total = np.zeros(self.space.n_states)
-        for a in self.agents:
-            total = total + a.endowment.payoffs
-        return Rv(self.space, total)
+        return Rv(self.space, self.payoffs.sum(axis=0))
 
     def endowment_excluding(self, i: int) -> Rv:
-        total = np.zeros(self.space.n_states)
-        for j, a in enumerate(self.agents):
-            if j != i:
-                total = total + a.endowment.payoffs
-        return Rv(self.space, total)
+        return Rv(self.space, np.delete(self.payoffs, i, axis=0).sum(axis=0))
 
     def endowments(self) -> list[Rv]:
         return [a.endowment for a in self.agents]
@@ -235,15 +262,12 @@ class SecurityBasket:
         securities = tuple(self.securities)
         if len(securities) < 1:
             raise ValueError("basket needs at least one security")
-        space = securities[0].space
         for s in securities[1:]:
             securities[0]._check_space(s)
-        k = len(securities)
-        mu = np.array([mean(s) for s in securities])
-        V = np.empty((k, k))
-        for a in range(k):
-            for b in range(a, k):
-                V[a, b] = V[b, a] = cov(securities[a], securities[b])
+        object.__setattr__(self, "securities", securities)
+        p = self.space.probs
+        mu = self.payoffs @ p
+        V = cross_cov(p, self.payoffs[:, None], self.payoffs)
         svals = np.linalg.svd(V, compute_uv=False)
         if svals[-1] <= SV_RATIO_MIN * svals[0]:
             raise SingularCovarianceError(
@@ -251,7 +275,6 @@ class SecurityBasket:
             )
         for arr in (mu, V):
             arr.flags.writeable = False
-        object.__setattr__(self, "securities", securities)
         object.__setattr__(self, "mean_vector", mu)
         object.__setattr__(self, "cov_matrix", V)
         inv = np.linalg.inv(V)
@@ -266,18 +289,52 @@ class SecurityBasket:
     def space(self) -> ProbSpace:
         return self.securities[0].space
 
+    @cached_property
+    def payoffs(self) -> np.ndarray:
+        """The k x m payoff matrix, row j security j's payoffs (read-only)."""
+        rows = np.stack([s.payoffs for s in self.securities])
+        rows.flags.writeable = False
+        return rows
+
     def portfolio(self, quantities) -> Rv:
         """Payoff of holding `quantities[j]` units of each security."""
-        q = np.asarray(quantities, dtype=float)
-        payoffs = np.zeros(self.space.n_states)
-        for qj, s in zip(q, self.securities):
-            payoffs = payoffs + qj * s.payoffs
-        return Rv(self.space, payoffs)
+        return Rv(self.space, np.asarray(quantities, dtype=float) @ self.payoffs)
 
 
 def cov_vector(basket: SecurityBasket, x: Rv) -> np.ndarray:
     """Vector of covariances of each basket security with x."""
-    return np.array([cov(s, x) for s in basket.securities])
+    basket.securities[0]._check_space(x)
+    return cross_cov(basket.space.probs, basket.payoffs, x.payoffs)
+
+
+def mv_utilities(market: Market, rows: np.ndarray) -> np.ndarray:
+    """E[X_i] - gamma_i Var[X_i]: each agent's utility of holding payoff row X_i."""
+    p = market.space.probs
+    return rows @ p - market.gammas * cross_cov(p, rows, rows)
+
+
+@dataclass(frozen=True, eq=False)
+class DemandSchedule:
+    """Linear mean-variance demand, identified by (gamma, covariance vector).
+
+    Evaluates to ((E[C] - p) / (2 gamma) - c) . Var^{-1}[C]; affine in p.
+    """
+
+    gamma: float
+    c: np.ndarray
+
+    def __post_init__(self):
+        if self.gamma <= 0.0:
+            raise ValueError("gamma must be positive")
+        c = np.asarray(self.c, dtype=float).copy()
+        c.flags.writeable = False
+        object.__setattr__(self, "c", c)
+
+    def quantities(self, basket: SecurityBasket, p) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
+        return (
+            (basket.mean_vector - p) / (2.0 * self.gamma) - self.c
+        ) @ basket.cov_inverse
 
 
 def demand(
@@ -288,12 +345,9 @@ def demand(
 ) -> np.ndarray:
     """Quantity vector maximizing U(a.C + endowment) - a.p at price p.
 
-    Closed form: ((E[C] - p) / (2 gamma) - Cov(C, endowment)) . Var^{-1}[C].
+    Closed form: ((E[C] - p) / (2 gamma) - Cov(C, endowment)) . Var^{-1}[C],
+    the schedule of the endowment's covariance vector evaluated at p.
     """
-    if agent_gamma <= 0.0:
-        raise ValueError("risk aversion must be positive")
-    p = np.asarray(p, dtype=float)
-    rhs = (basket.mean_vector - p) / (2.0 * agent_gamma) - cov_vector(
-        basket, endowment
+    return DemandSchedule(agent_gamma, cov_vector(basket, endowment)).quantities(
+        basket, p
     )
-    return rhs @ basket.cov_inverse

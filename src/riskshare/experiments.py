@@ -167,12 +167,7 @@ def price_allocation_convergence(
         capm = capm_equilibrium(market, basket)
         nash = nash_price(market, basket)
         price_gap = float(np.linalg.norm(capm.prices - nash.price))
-        alloc_gap = float(
-            max(
-                np.linalg.norm(capm.allocation[i] - nash.allocation[i])
-                for i in range(n)
-            )
-        )
+        alloc_gap = float(np.linalg.norm(capm.allocation - nash.allocation, axis=1).max())
         rows.append((n, price_gap, alloc_gap))
     final_price = rows[-1][1]
     return Table(

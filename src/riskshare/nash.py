@@ -8,13 +8,25 @@ best-response system. All comparisons against the Pareto benchmark
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Market, Rv, SecurityBasket, cov, cov_vector, mean, mv_utility, var
-from .pareto import capm_equilibrium, optimal_sharing
-from .strategic import DemandSchedule, reported_utility
+from .core import (
+    DemandSchedule,
+    Market,
+    Rv,
+    SecurityBasket,
+    centered,
+    cov,
+    cov_vector,
+    cross_cov,
+    mean,
+    mv_utilities,
+    var,
+)
+from .pareto import capm_equilibrium, optimal_sharing, sharing_gain
+from .strategic import percentage_responses, profile_utilities
 
 
 class ConvergenceError(RuntimeError):
@@ -49,13 +61,18 @@ class NashPriceOutcome:
 def nash_aggregate_endowment(market: Market) -> Rv:
     """Aggregate shared endowment at the Nash fixed point of the reports."""
     g = market.aggregate_gamma
+    endow = market.payoffs
     denom = 1.0 - float(np.sum((g / market.gammas) ** 2))
-    assert denom > 0.0
-    weighted = np.zeros(market.space.n_states)
-    for a in market.agents:
-        weighted = weighted + a.endowment.payoffs / a.gamma
-    numer = market.total_endowment.payoffs - g * weighted
+    numer = endow.sum(axis=0) - g * (endow / market.gammas[:, None]).sum(axis=0)
     return Rv(market.space, numer / denom)
+
+
+def _nash_reports(market: Market) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Payoff rows of the Nash reports and contracts, and their aggregate."""
+    share = (market.aggregate_gamma / market.gammas)[:, None]
+    aggregate = nash_aggregate_endowment(market).payoffs
+    reported = (1.0 - share) * market.payoffs + share**2 * aggregate
+    return reported, share * aggregate - reported, aggregate
 
 
 def nash_endowment(market: Market) -> NashEndowmentOutcome:
@@ -63,35 +80,18 @@ def nash_endowment(market: Market) -> NashEndowmentOutcome:
 
     B*_i = gamma_i/(gamma_i + gamma_{-i}) E_i
            + (gamma_{-i}/(gamma_i + gamma_{-i}))^2 * aggregate,
+    where gamma_{-i}/(gamma_i + gamma_{-i}) = gamma/gamma_i;
     the contract received is (gamma/gamma_i) * aggregate - B*_i, and the
     inefficiency is sum gamma_i Var[E_i - B*_i] - gamma Var[E - aggregate].
     """
-    g = market.aggregate_gamma
-    aggregate = nash_aggregate_endowment(market)
-    reported: list[Rv] = []
-    contracts: list[Rv] = []
-    for i, a in enumerate(market.agents):
-        gmi = market.gamma_excluding(i)
-        b = (a.gamma / (a.gamma + gmi)) * a.endowment + (
-            gmi / (a.gamma + gmi)
-        ) ** 2 * aggregate
-        reported.append(b)
-        contracts.append((g / a.gamma) * aggregate - b)
-    ineff = sum(
-        a.gamma * var(a.endowment - b) for a, b in zip(market.agents, reported)
-    ) - g * var(market.total_endowment - aggregate)
-    gains = np.array(
-        [
-            reported_utility(market, i, reported[i], others=reported)
-            - mv_utility(market.agents[i].gamma, market.agents[i].endowment)
-            for i in range(market.n)
-        ]
-    )
+    reported, contracts, aggregate = _nash_reports(market)
+    gains = profile_utilities(market, reported) - mv_utilities(market, market.payoffs)
     return NashEndowmentOutcome(
-        reported=reported,
-        aggregate=aggregate,
-        contracts=contracts,
-        inefficiency=float(ineff),
+        reported=market.space.rvs(reported),
+        aggregate=Rv(market.space, aggregate),
+        contracts=market.space.rvs(contracts),
+        # the gain still available from pooling what the reports hold back
+        inefficiency=sharing_gain(market, market.payoffs - reported),
         per_agent_gain=gains,
     )
 
@@ -172,21 +172,15 @@ def table1_report(market: Market) -> list[Table1Row]:
 
 
 def percentage_best_response(
-    market: Market, i: int, b: np.ndarray, kappa: float
-) -> float:
-    """Clamped best percentage of agent i against reported multiples b."""
-    g = market.aggregate_gamma
-    gi = market.agents[i].gamma
-    ei = market.agents[i].endowment
-    vei = var(ei)
-    if vei <= 0.0:
+    market: Market, b: np.ndarray, kappa: float
+) -> np.ndarray:
+    """Clamped best percentage of every agent against reported multiples b."""
+    p = market.space.probs
+    endow = market.payoffs
+    if np.any(cross_cov(p, endow, endow) <= 0.0):
         raise ValueError("percentage game needs non-constant endowments")
-    rest = np.zeros(market.space.n_states)
-    for j, a in enumerate(market.agents):
-        if j != i:
-            rest = rest + b[j] * a.endowment.payoffs
-    raw = gi / (gi + g) + g**2 / (gi**2 - g**2) * cov(ei, Rv(market.space, rest)) / vei
-    return float(min(max(0.0, raw), kappa))
+    reports = np.asarray(b, dtype=float)[:, None] * centered(p, endow)
+    return np.minimum(percentage_responses(market, reports), kappa)
 
 
 def nash_percentage(
@@ -211,9 +205,7 @@ def nash_percentage(
     converged = False
     iterations = max_iter
     for it in range(1, max_iter + 1):
-        br = np.array(
-            [percentage_best_response(market, i, b, kappa) for i in range(market.n)]
-        )
+        br = percentage_best_response(market, b, kappa)
         b_next = (1.0 - damping) * b + damping * br
         if np.max(np.abs(b_next - b)) < tol:
             b = b_next
@@ -222,9 +214,7 @@ def nash_percentage(
             break
         b = b_next
     # report the residual of the undamped system, not the damped step size
-    br = np.array(
-        [percentage_best_response(market, i, b, kappa) for i in range(market.n)]
-    )
+    br = percentage_best_response(market, b, kappa)
     residual = float(np.max(np.abs(b - br)))
     if residual > 1e-10:
         converged = False
@@ -242,16 +232,8 @@ def percentage_game_gains(
     market: Market, outcome: NashPercentageOutcome
 ) -> np.ndarray:
     """Per-agent utility gain over no trade at the percentage equilibrium."""
-    reports = [
-        float(bi) * a.endowment for bi, a in zip(outcome.b_star, market.agents)
-    ]
-    return np.array(
-        [
-            reported_utility(market, i, reports[i], others=reports)
-            - mv_utility(market.agents[i].gamma, market.agents[i].endowment)
-            for i in range(market.n)
-        ]
-    )
+    reports = outcome.b_star[:, None] * centered(market.space.probs, market.payoffs)
+    return profile_utilities(market, reports) - mv_utilities(market, market.payoffs)
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +247,18 @@ def nash_price(market: Market, basket: SecurityBasket) -> NashPriceOutcome:
     schedule carries the covariance vector of their endowment-game report and
     the allocation is Cov(C, C*_i(B*_i)) . Var^{-1}[C].
     """
-    endgame = nash_endowment(market)
-    p_hat = basket.mean_vector - 2.0 * market.aggregate_gamma * cov_vector(
-        basket, endgame.aggregate
+    p = market.space.probs
+    securities = basket.payoffs
+    reported, contracts, aggregate = _nash_reports(market)
+    p_hat = basket.mean_vector - 2.0 * market.aggregate_gamma * cross_cov(
+        p, securities, aggregate
     )
     schedules = [
-        DemandSchedule(a.gamma, cov_vector(basket, b))
-        for a, b in zip(market.agents, endgame.reported)
+        DemandSchedule(g, c)
+        for g, c in zip(market.gammas, cross_cov(p, reported[:, None], securities))
     ]
-    allocation = np.stack(
-        [cov_vector(basket, c) @ basket.cov_inverse for c in endgame.contracts]
-    )
-    pressure = cov_vector(basket, market.total_endowment - endgame.aggregate)
+    allocation = cross_cov(p, contracts[:, None], securities) @ basket.cov_inverse
+    pressure = cross_cov(p, securities, market.payoffs.sum(axis=0) - aggregate)
     return NashPriceOutcome(
         price=p_hat, schedules=schedules, allocation=allocation, pressure=pressure
     )
@@ -334,26 +316,19 @@ def nash_vs_pareto_utilities(
     """
     capm = capm_equilibrium(market, basket)
     nash = nash_price(market, basket)
-
-    def trade_utility(i: int, quantities: np.ndarray, price: np.ndarray) -> float:
-        position = market.agents[i].endowment + basket.portfolio(quantities)
-        return mv_utility(market.agents[i].gamma, position) - float(
-            quantities @ price
-        )
-
-    pareto_u = np.array(
-        [trade_utility(i, capm.allocation[i], capm.prices) for i in range(market.n)]
+    endow = market.payoffs
+    pareto_u = mv_utilities(market, endow + capm.allocation @ basket.payoffs) - (
+        capm.allocation @ capm.prices
     )
-    nash_u = np.array(
-        [trade_utility(i, nash.allocation[i], nash.price) for i in range(market.n)]
+    nash_u = mv_utilities(market, endow + nash.allocation @ basket.payoffs) - (
+        nash.allocation @ nash.price
     )
     decrease = float(pareto_u.sum() - nash_u.sum())
-    V = basket.cov_matrix
-    closed = 0.0
-    for i, a in enumerate(market.agents):
-        zh, z = nash.allocation[i], capm.allocation[i]
-        h = cov_vector(basket, a.endowment)
-        closed += a.gamma * (zh - z) @ (V @ (zh + z) + 2.0 * h)
+    zh, z = nash.allocation, capm.allocation
+    h = cross_cov(market.space.probs, endow[:, None], basket.payoffs)
+    closed = market.gammas @ np.sum(
+        (zh - z) * ((zh + z) @ basket.cov_matrix + 2.0 * h), axis=1
+    )
     agent1_closed = None
     if market.n == 2 and basket.k == 1 and abs(basket.cov_matrix[0, 0] - 1.0) < 1e-12:
         g1, g2 = market.gammas
@@ -381,16 +356,14 @@ def excess_return_check(market: Market, basket: SecurityBasket, x: Rv) -> float:
     Requires every endowment and x to lie in span{1, C_1..C_k} and both
     prices to be nonzero.
     """
-    space = market.space
-    design = np.column_stack(
-        [np.ones(space.n_states)] + [s.payoffs for s in basket.securities]
-    )
-    for label, payoff in [("x", x.payoffs)] + [
-        (f"endowment {i}", a.endowment.payoffs) for i, a in enumerate(market.agents)
-    ]:
-        coef, *_ = np.linalg.lstsq(design, payoff, rcond=None)
-        if not np.allclose(design @ coef, payoff, atol=1e-8):
-            raise ValueError(f"{label} is not in the span of {{1, C_1..C_k}}")
+    design = np.vstack([np.ones(market.space.n_states), basket.payoffs]).T
+    targets = np.vstack([x.payoffs, market.payoffs]).T
+    coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    outside = ~np.isclose(design @ coef, targets, atol=1e-8).all(axis=0)
+    if outside.any():
+        k = int(np.argmax(outside))
+        label = "x" if k == 0 else f"endowment {k - 1}"
+        raise ValueError(f"{label} is not in the span of {{1, C_1..C_k}}")
     m = nash_aggregate_endowment(market)
     g = market.aggregate_gamma
 

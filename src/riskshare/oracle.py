@@ -12,7 +12,7 @@ An orthogonal probe is kept in the tests rather than assumed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -20,6 +20,15 @@ from scipy.optimize import minimize
 from .core import Market, Rv, SecurityBasket, cov, mean, mv_utility, var
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _combine(basis, coefficients) -> Rv:
+    """The payoff sum_j coefficients[j] basis[j]."""
+    space = basis[0].space
+    payoffs = np.zeros(space.n_states)
+    for c, b in zip(coefficients, basis):
+        payoffs = payoffs + float(c) * b.payoffs
+    return Rv(space, payoffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,11 +60,7 @@ class CoefficientSearchSpec:
         object.__setattr__(self, "bounds", bounds)
 
     def combine(self, coefficients) -> Rv:
-        space = self.basis[0].space
-        payoffs = np.zeros(space.n_states)
-        for c, b in zip(coefficients, self.basis):
-            payoffs = payoffs + float(c) * b.payoffs
-        return Rv(space, payoffs)
+        return _combine(self.basis, coefficients)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,14 +270,6 @@ def _quadratic_step(market: Market, i: int, reports, basis) -> Rv:
     coef = -np.linalg.pinv(hess) @ grad
     best = _combine(basis, coef)
     return best - mean(best)
-
-
-def _combine(basis, coefficients) -> Rv:
-    space = basis[0].space
-    payoffs = np.zeros(space.n_states)
-    for c, b in zip(coefficients, basis):
-        payoffs = payoffs + float(c) * b.payoffs
-    return Rv(space, payoffs)
 
 
 def best_response_dynamics(

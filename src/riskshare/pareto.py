@@ -14,16 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    SV_RATIO_MIN,
     Market,
     Rv,
     SecurityBasket,
     SingularCovarianceError,
-    cov,
     cov_vector,
-    mean,
-    mv_utility,
-    var,
+    cross_cov,
+    mv_utilities,
 )
 
 
@@ -58,19 +55,32 @@ def sharing_weights(market: Market) -> np.ndarray:
     return w
 
 
+def _contract_rows(market: Market) -> np.ndarray:
+    """Payoff rows of the optimal contracts, C*_i = sum_j weights[i, j] E_j."""
+    return sharing_weights(market) @ market.payoffs
+
+
 def optimal_sharing(market: Market) -> ParetoSharing:
     """Unique (up to constants) sum-of-utilities maximizing zero-sum contracts."""
-    w = sharing_weights(market)
-    endow = np.stack([a.endowment.payoffs for a in market.agents])
-    contracts = [Rv(market.space, row @ endow) for row in w]
-    return ParetoSharing(contracts=contracts, weights=w)
+    return ParetoSharing(
+        contracts=market.space.rvs(_contract_rows(market)),
+        weights=sharing_weights(market),
+    )
 
 
 def aggregate_gain(market: Market) -> float:
     """Maximized aggregate utility gain from the optimal sharing transaction."""
-    g = market.aggregate_gamma
-    total = sum(a.gamma * var(a.endowment) for a in market.agents)
-    return float(total - g * var(market.total_endowment))
+    return sharing_gain(market, market.payoffs)
+
+
+def sharing_gain(market: Market, rows: np.ndarray) -> float:
+    """Gain sum_i gamma_i Var[X_i] - gamma Var[sum_i X_i] of pooling payoff rows X_i."""
+    p = market.space.probs
+    total = rows.sum(axis=0)
+    return float(
+        market.gammas @ cross_cov(p, rows, rows)
+        - market.aggregate_gamma * cross_cov(p, total, total)
+    )
 
 
 def capm_equilibrium(market: Market, basket: SecurityBasket) -> CapmEquilibrium:
@@ -82,24 +92,15 @@ def capm_equilibrium(market: Market, basket: SecurityBasket) -> CapmEquilibrium:
     """
     g = market.aggregate_gamma
     prices = basket.mean_vector - 2.0 * g * cov_vector(basket, market.total_endowment)
-    sharing = optimal_sharing(market)
-    allocation = np.stack(
-        [cov_vector(basket, c) @ basket.cov_inverse for c in sharing.contracts]
+    exposure = cross_cov(
+        market.space.probs, _contract_rows(market)[:, None], basket.payoffs
     )
-    base = np.array([mv_utility(a.gamma, a.endowment) for a in market.agents])
-    gains = np.array(
-        [
-            market.agents[i].gamma
-            * cov_vector(basket, sharing.contracts[i])
-            @ basket.cov_inverse
-            @ cov_vector(basket, sharing.contracts[i])
-            for i in range(market.n)
-        ]
-    )
+    allocation = exposure @ basket.cov_inverse
+    gains = market.gammas * np.sum(allocation * exposure, axis=1)
     return CapmEquilibrium(
         prices=prices,
         allocation=allocation,
-        utility_levels=base + gains,
+        utility_levels=mv_utilities(market, market.payoffs) + gains,
         gains=gains,
     )
 
@@ -111,32 +112,25 @@ def endowment_prices(market: Market) -> np.ndarray:
     collinear endowments pass an explicit reduced basket to
     `capm_equilibrium` instead.
     """
-    endow = market.endowments()
-    n = market.n
-    V = np.empty((n, n))
-    for a in range(n):
-        for b in range(a, n):
-            V[a, b] = V[b, a] = cov(endow[a], endow[b])
-    svals = np.linalg.svd(V, compute_uv=False)
-    if svals[-1] <= SV_RATIO_MIN * svals[0]:
+    try:
+        basket = SecurityBasket(tuple(market.endowments()))
+    except SingularCovarianceError as exc:
         raise SingularCovarianceError(
             "endowment covariance matrix Var[E] is singular; "
             "price a reduced basket explicitly instead"
-        )
-    g = market.aggregate_gamma
-    mu = np.array([mean(e) for e in endow])
-    return mu - 2.0 * g * (np.ones(n) @ V)
+        ) from exc
+    return capm_equilibrium(market, basket).prices
+
+
+def _pareto_gains(market: Market) -> np.ndarray:
+    """gamma_i Var[C*_i], each agent's gain from the optimal sharing transaction."""
+    rows = _contract_rows(market)
+    return market.gammas * cross_cov(market.space.probs, rows, rows)
 
 
 def optimal_utility_levels(market: Market) -> np.ndarray:
     """Per-agent utility level after the optimal sharing transaction."""
-    sharing = optimal_sharing(market)
-    return np.array(
-        [
-            a.gamma * var(c) + mv_utility(a.gamma, a.endowment)
-            for a, c in zip(market.agents, sharing.contracts)
-        ]
-    )
+    return _pareto_gains(market) + mv_utilities(market, market.payoffs)
 
 
 def constrained_loss(
@@ -145,13 +139,10 @@ def constrained_loss(
     """Utility each agent forgoes when sharing only through `basket`.
 
     Loss_i = gamma_i (Var[C*_i] - Cov(C,C*_i) Var^{-1}[C] Cov(C,C*_i)) >= 0,
-    zero exactly when the optimal contract lies in span{1, C_1..C_k}.
+    zero exactly when the optimal contract lies in span{1, C_1..C_k}; the
+    subtracted term is agent i's gain in the basket equilibrium.
     """
-    sharing = optimal_sharing(market)
-    losses = np.empty(market.n)
-    for i, (agent, c) in enumerate(zip(market.agents, sharing.contracts)):
-        cv = cov_vector(basket, c)
-        losses[i] = agent.gamma * (var(c) - cv @ basket.cov_inverse @ cv)
+    losses = _pareto_gains(market) - capm_equilibrium(market, basket).gains
     return losses, float(losses.sum())
 
 

@@ -15,39 +15,17 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    DemandSchedule,
     Market,
     Rv,
     SecurityBasket,
-    cov,
+    centered,
     cov_vector,
-    mean,
+    cross_cov,
+    mv_utilities,
     mv_utility,
     var,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class DemandSchedule:
-    """Linear mean-variance demand, identified by (gamma, covariance vector).
-
-    Evaluates to ((E[C] - p) / (2 gamma) - c) . Var^{-1}[C]; affine in p.
-    """
-
-    gamma: float
-    c: np.ndarray
-
-    def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        c = np.asarray(self.c, dtype=float).copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
-
-    def quantities(self, basket: SecurityBasket, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return (
-            (basket.mean_vector - p) / (2.0 * self.gamma) - self.c
-        ) @ basket.cov_inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,19 +38,48 @@ class ResponseReport:
 
 
 def truthful_schedules(market: Market, basket: SecurityBasket) -> list[DemandSchedule]:
-    return [
-        DemandSchedule(a.gamma, cov_vector(basket, a.endowment))
-        for a in market.agents
-    ]
+    exposure = cross_cov(market.space.probs, market.payoffs[:, None], basket.payoffs)
+    return [DemandSchedule(g, c) for g, c in zip(market.gammas, exposure)]
 
 
-def _reports_or_truthful(market: Market, others: Sequence[Rv] | None) -> list[Rv]:
+def _response_coefficients(market: Market) -> tuple[np.ndarray, np.ndarray]:
+    """Per-agent weights of a best report against the others' reports.
+
+    gamma_i/(gamma_i + gamma) on the agent's own endowment and
+    gamma^2/(gamma_i^2 - gamma^2) on the sum of the other agents' reports.
+    """
+    g = market.aggregate_gamma
+    gammas = market.gammas
+    return gammas / (gammas + g), g**2 / (gammas**2 - g**2)
+
+
+def _report_rows(market: Market, others: Sequence[Rv] | None) -> np.ndarray:
     if others is None:
-        return market.endowments()
-    others = list(others)
-    if len(others) != market.n:
+        return market.payoffs.copy()
+    rows = np.stack([r.payoffs for r in others])
+    if len(rows) != market.n:
         raise ValueError("reports must be a full-length profile (slot i is ignored)")
-    return others
+    return rows
+
+
+def profile_utilities(market: Market, reports: np.ndarray) -> np.ndarray:
+    """Utility of every agent when the mechanism shares the report profile.
+
+    `reports` is an n x m payoff matrix, row i agent i's report, while each
+    agent's real exposure stays their true endowment. With A the sum of the
+    reports, agent i receives the sharing-rule contract
+    c_i = (gamma/gamma_i) A - R_i and pays its price E[c_i] - 2 gamma Cov(A, c_i):
+    U_i = E[E_i] - gamma_i Var[E_i + c_i] + 2 gamma Cov(A, c_i).
+    Cash in a report is priced at par, so only the centered reports matter.
+    """
+    p = market.space.probs
+    g = market.aggregate_gamma
+    rows = centered(p, reports)
+    aggregate = rows.sum(axis=0)
+    contracts = (g / market.gammas)[:, None] * aggregate - rows
+    return mv_utilities(market, market.payoffs + contracts) + 2.0 * g * cross_cov(
+        p, aggregate, contracts
+    )
 
 
 def reported_utility(
@@ -85,28 +92,11 @@ def reported_utility(
 
     The mechanism prices and allocates the *reported* endowments (b in slot i,
     `others` elsewhere, truthful by default) while agent i's real exposure
-    stays their true endowment. Composes the sharing-rule contract with the
-    accumulated cash transfer.
+    stays their true endowment; see `profile_utilities`.
     """
-    reports = _reports_or_truthful(market, others)
-    reports[i] = b
-    g = market.aggregate_gamma
-    gi = market.agents[i].gamma
-    aggregate = reports[0]
-    for r in reports[1:]:
-        aggregate = aggregate + r
-
-    weights = np.full(market.n, g / gi)
-    weights[i] = (g - gi) / gi
-    prices = np.array(
-        [mean(r) - 2.0 * g * cov(aggregate, r) for r in reports]
-    )
-    contract = Rv(
-        market.space,
-        sum(w * r.payoffs for w, r in zip(weights, reports)),
-    )
-    cash_paid = float(weights @ prices)
-    return mv_utility(gi, market.agents[i].endowment + contract) - cash_paid
+    reports = _report_rows(market, others)
+    reports[i] = b.payoffs
+    return float(profile_utilities(market, reports)[i])
 
 
 def best_endowment_response(
@@ -119,17 +109,30 @@ def best_endowment_response(
     B*_i = gamma_i/(gamma_i + gamma) E_i + gamma^2/(gamma_i^2 - gamma^2) R_{-i}
     where R_{-i} is the sum of the other agents' reports.
     """
-    reports = _reports_or_truthful(market, others)
-    g = market.aggregate_gamma
-    gi = market.agents[i].gamma
-    rest = Rv(
-        market.space,
-        sum(r.payoffs for j, r in enumerate(reports) if j != i),
-    )
-    b = (gi / (gi + g)) * market.agents[i].endowment + (
-        g**2 / (gi**2 - g**2)
-    ) * rest
-    return b - mean(b)
+    rest = np.delete(_report_rows(market, others), i, axis=0).sum(axis=0)
+    own, other = _response_coefficients(market)
+    b = own[i] * market.payoffs[i] + other[i] * rest
+    return Rv(market.space, centered(market.space.probs, b))
+
+
+def percentage_responses(market: Market, reports: np.ndarray) -> np.ndarray:
+    """Best nonnegative multiple of each agent's true endowment to report.
+
+    Agent i responds to the other rows of the n x m report matrix `reports`:
+    b*_i = max(0, gamma_i/(gamma_i+gamma)
+               + gamma^2/(gamma_i^2-gamma^2) * Cov(E_i, R_{-i}) / Var[E_i]),
+    the covariance ratio being rho(E_i, R_{-i}) sqrt(Var[R_{-i}]/Var[E_i]).
+    Callers check Var[E_i] > 0 for the agents whose response they use.
+    """
+    p = market.space.probs
+    endow = market.payoffs
+    rows = centered(p, reports)
+    own, other = _response_coefficients(market)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = cross_cov(p, endow, rows.sum(axis=0) - rows) / cross_cov(
+            p, endow, endow
+        )
+    return np.maximum(0.0, own + other * ratio)
 
 
 def best_percentage_response(
@@ -137,25 +140,10 @@ def best_percentage_response(
     i: int,
     others: Sequence[Rv] | None = None,
 ) -> float:
-    """Optimal nonnegative multiple of agent i's true endowment to report.
-
-    b*_i = max(0, gamma_i/(gamma_i+gamma)
-               + gamma^2/(gamma_i^2-gamma^2) * Cov(E_i, R_{-i}) / Var[E_i]),
-    the covariance ratio being rho(E_i, R_{-i}) sqrt(Var[R_{-i}]/Var[E_i]).
-    """
-    reports = _reports_or_truthful(market, others)
-    g = market.aggregate_gamma
-    gi = market.agents[i].gamma
-    ei = market.agents[i].endowment
-    vei = var(ei)
-    if vei <= 0.0:
+    """Optimal nonnegative multiple of agent i's true endowment to report."""
+    if var(market.agents[i].endowment) <= 0.0:
         raise ValueError("best percentage response needs a non-constant endowment")
-    rest = Rv(
-        market.space,
-        sum(r.payoffs for j, r in enumerate(reports) if j != i),
-    )
-    raw = gi / (gi + g) + g**2 / (gi**2 - g**2) * cov(ei, rest) / vei
-    return max(0.0, float(raw))
+    return float(percentage_responses(market, _report_rows(market, others))[i])
 
 
 def best_price_response(
@@ -166,6 +154,8 @@ def best_price_response(
 ) -> np.ndarray:
     """Clearing price most preferable for agent i, others bidding truthfully.
 
+    It is the clearing price of agent i's best demand, the schedule of the
+    best endowment report B*_i, against the truthful others:
     p_hat_i = E[C] - 2 gamma Cov(C, gamma_i/(gamma_i+gamma) E_i
                                    + gamma_i^2/(gamma_i^2-gamma^2) E_{-i}).
 
@@ -184,12 +174,7 @@ def best_price_response(
                 "best_price_response only accepts the truthful schedules of "
                 "the other agents"
             )
-    g = market.aggregate_gamma
-    gi = market.agents[i].gamma
-    effective = (gi / (gi + g)) * market.agents[i].endowment + (
-        gi**2 / (gi**2 - g**2)
-    ) * market.endowment_excluding(i)
-    return basket.mean_vector - 2.0 * g * cov_vector(basket, effective)
+    return clearing_price(basket, [best_demand_response(market, i, basket), *schedules])
 
 
 def best_demand_response(

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from riskshare.cli import (
@@ -61,6 +60,22 @@ class TestValidation:
     def test_capm_needs_securities(self, tmp_path, capsys):
         path = write_market(tmp_path, securities=[])
         assert main(["capm", "--market", str(path)]) == EXIT_VALIDATION
+
+    def test_disparate_gammas_addressed(self, tmp_path, capsys):
+        # the harmonic aggregate of (1e-20, 1) rounds to 1e-20 itself
+        path = write_market(
+            tmp_path,
+            agents=[
+                {"gamma": 1e-20, "payoffs": [1.0, -1.0, 0.5]},
+                {"gamma": 1.0, "payoffs": [-0.5, 1.5, -1.0]},
+            ],
+        )
+        for command in ("pareto", "nash"):
+            assert main([command, "--market", str(path)]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("validation error: agents: risk aversions")
+            assert "1e-20" in err
+            assert "Traceback" not in err
 
 
 class TestCommands:

@@ -7,7 +7,6 @@ from riskshare.core import (
     ProbSpace,
     SecurityBasket,
     cov,
-    demand,
     equal_up_to_constants,
     var,
 )
@@ -25,7 +24,13 @@ from riskshare.nash import (
     price_best_response_general,
     table1_report,
 )
-from riskshare.pareto import capm_equilibrium, optimal_sharing
+from riskshare.pareto import (
+    aggregate_gain,
+    capm_equilibrium,
+    endowment_prices,
+    optimal_sharing,
+    optimal_utility_levels,
+)
 from riskshare.strategic import best_endowment_response, reported_utility
 
 from conftest import make_basket, make_market
@@ -178,9 +183,8 @@ class TestNashPercentage:
             )
             out = nash_percentage(m)
             assert out.converged
-            for i in range(m.n):
-                br = percentage_best_response(m, i, out.b_star, out.kappa)
-                assert abs(out.b_star[i] - br) < 1e-10
+            br = percentage_best_response(m, out.b_star, out.kappa)
+            assert np.max(np.abs(out.b_star - br)) < 1e-10
 
     def test_non_convergence_reported(self):
         m = correlated_pair_market(1.0, 1.0, 1.0, 4.0, 0.8)
@@ -352,3 +356,56 @@ class TestExcessReturn:
         x = m.space.rv(rng.normal(size=5))
         with pytest.raises(ValueError):
             excess_return_check(m, basket, x)
+
+
+class TestCashShift:
+    """A cash shift of one endowment changes only the cash it carries."""
+
+    SHIFT = 1e8
+
+    @staticmethod
+    def _outputs(market, basket, cash):
+        p = market.space.probs
+
+        def centered(rvs):
+            return np.array([r.payoffs - p @ r.payoffs for r in rvs])
+
+        sharing = optimal_sharing(market)
+        capm = capm_equilibrium(market, basket)
+        nash = nash_endowment(market)
+        percentage = nash_percentage(market)
+        price = nash_price(market, basket)
+        return {
+            "contracts": centered(sharing.contracts),
+            "aggregate_gain": aggregate_gain(market),
+            "endowment_prices": endowment_prices(market) - cash,
+            "utility_levels": optimal_utility_levels(market) - cash,
+            "capm_prices": capm.prices,
+            "capm_allocation": capm.allocation,
+            "capm_utility_levels": capm.utility_levels - cash,
+            "capm_gains": capm.gains,
+            "reported": centered(nash.reported),
+            "aggregate": centered([nash.aggregate]),
+            "nash_contracts": centered(nash.contracts),
+            "inefficiency": nash.inefficiency,
+            "nash_gain": nash.per_agent_gain,
+            "b_star": percentage.b_star,
+            "percentage_gain": percentage_game_gains(market, percentage),
+            "price": price.price,
+            "schedules": np.array([s.c for s in price.schedules]),
+            "price_allocation": price.allocation,
+            "pressure": price.pressure,
+        }
+
+    def test_readme_market_shifted_by_1e8(self):
+        space = ProbSpace([0.3, 0.3, 0.4])
+        e1, e2 = space.rv([1.0, -1.0, 0.5]), space.rv([-0.5, 1.5, -1.0])
+        basket = SecurityBasket((space.rv([1.0, 0.0, -1.0]),))
+        base = Market(space, (Agent(1.0, e1), Agent(2.0, e2)))
+        shifted = Market(space, (Agent(1.0, e1 + self.SHIFT), Agent(2.0, e2)))
+        want = self._outputs(base, basket, np.zeros(2))
+        got = self._outputs(shifted, basket, np.array([self.SHIFT, 0.0]))
+        for key in want:
+            assert np.all(
+                np.abs(got[key] - want[key]) <= 1e-6 * (1.0 + np.abs(want[key]))
+            ), key

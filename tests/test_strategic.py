@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskshare.core import cov_vector, mv_utility, var
+from riskshare.core import mv_utility, var
 from riskshare.pareto import capm_equilibrium, optimal_sharing
 from riskshare.strategic import (
     best_demand_response,
