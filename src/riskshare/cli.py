@@ -5,7 +5,8 @@ field order, an echo of the ingested market (so a report can be re-run
 bit-for-bit) and the tolerances in force. Experiment output is CSV.
 
 Exit codes: 0 success, 2 validation error, 3 numerical precondition
-violation, 4 non-convergence.
+violation (including a result that overflows to NaN or infinity), 4
+non-convergence.
 """
 
 from __future__ import annotations
@@ -201,7 +202,15 @@ def _report(command: str, loaded: dict, results: dict) -> str:
         "market": loaded["echo"],
         "results": _jsonable(results),
     }
-    return json.dumps(body, indent=2)
+    try:
+        return json.dumps(body, indent=2, allow_nan=False)
+    except ValueError:
+        # the echoed market is finite by validation, so the overflow is in
+        # the results; NaN and Infinity are not JSON
+        raise FloatingPointError(
+            "results: a result is not finite; the market's payoffs or risk "
+            "aversions are too large for double precision"
+        ) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -391,7 +400,7 @@ def main(argv=None) -> int:
     except MarketFileError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SingularCovarianceError as exc:
+    except (SingularCovarianceError, FloatingPointError) as exc:
         print(f"numerical precondition violated: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ConvergenceError as exc:

@@ -217,7 +217,7 @@ class Market:
     def n(self) -> int:
         return len(self.agents)
 
-    @property
+    @cached_property
     def aggregate_gamma(self) -> float:
         return float(1.0 / np.sum(1.0 / self.gammas))
 

@@ -2,33 +2,43 @@
 
 Everything here recomputes optima by generic numeric search built directly on
 the moment primitives, without importing any closed-form engine code. The
-searches are slow and deliberately so: they exist to disagree loudly when a
-closed form is wrong, not to be fast.
+searches stay brute force (line searches, grids, Nelder-Mead, finite
+differences) because they exist to disagree loudly when a closed form is
+wrong. Their objectives are evaluated on payoff arrays: a report profile is
+one n x m matrix whose row i a search overwrites in place, and every moment
+goes through `core.cross_cov`.
 
 Best responses live in the span of the basis payoffs (the objective strictly
 worsens in any orthogonal direction), so searches run over span coefficients.
-An orthogonal probe is kept in the tests rather than assumed here.
+An orthogonal probe is kept in the tests rather than assumed here. The
+best-response dynamics search over an orthonormal basis of the centered
+endowments' span, so their Newton step stays well conditioned when the
+endowments are linearly dependent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import Market, Rv, SecurityBasket, cov, mean, mv_utility, var
+from .core import SV_RATIO_MIN, Market, Rv, SecurityBasket, centered, cross_cov
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _combine(basis, coefficients) -> Rv:
-    """The payoff sum_j coefficients[j] basis[j]."""
-    space = basis[0].space
-    payoffs = np.zeros(space.n_states)
-    for c, b in zip(coefficients, basis):
-        payoffs = payoffs + float(c) * b.payoffs
-    return Rv(space, payoffs)
+def _rows(reports) -> np.ndarray:
+    """A report profile as an n x m payoff matrix (arrays pass through)."""
+    if isinstance(reports, np.ndarray):
+        return reports
+    return np.stack([r.payoffs for r in reports])
+
+
+def _mv_value(gamma: float, probs: np.ndarray, x: np.ndarray):
+    """E[x] - gamma Var[x] of a payoff row."""
+    return x @ probs - gamma * cross_cov(probs, x, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +69,15 @@ class CoefficientSearchSpec:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "bounds", bounds)
 
+    @cached_property
+    def payoffs(self) -> np.ndarray:
+        """The basis as a k x m payoff matrix."""
+        return np.stack([b.payoffs for b in self.basis])
+
     def combine(self, coefficients) -> Rv:
-        return _combine(self.basis, coefficients)
+        """The payoff sum_j coefficients[j] basis[j]."""
+        coefficients = np.asarray(coefficients, dtype=float)
+        return Rv(self.basis[0].space, coefficients @ self.payoffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,18 +90,19 @@ class SearchResult:
 def deviation_gain(market: Market, i: int, reports) -> float:
     """Agent i's utility when the sharing mechanism runs on `reports`.
 
-    Composed from the mechanism's definition only: the aggregate of reports
-    is reshared, agent i receives (gamma/gamma_i) aggregate - report_i, and
+    `reports` is a list of n `Rv` or the equal n x m payoff matrix. Composed
+    from the mechanism's definition only: the aggregate of reports is
+    reshared, agent i receives (gamma/gamma_i) aggregate - report_i, and
     pays its market price E[.] - 2 gamma Cov(., aggregate).
     """
+    reports = _rows(reports)
+    p = market.space.probs
     g = market.aggregate_gamma
-    gi = market.agents[i].gamma
-    aggregate = reports[0]
-    for r in reports[1:]:
-        aggregate = aggregate + r
+    gi = market.gammas[i]
+    aggregate = reports.sum(axis=0)
     contract = (g / gi) * aggregate - reports[i]
-    cash = mean(contract) - 2.0 * g * cov(contract, aggregate)
-    return mv_utility(gi, market.agents[i].endowment + contract) - cash
+    cash = contract @ p - 2.0 * g * cross_cov(p, contract, aggregate)
+    return float(_mv_value(gi, p, market.payoffs[i] + contract) - cash)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -184,13 +202,11 @@ def argmax_reported_utility(
     `others` is a full-length profile of the other agents' reports (slot i is
     ignored); by default everyone else reports truthfully.
     """
-    if others is None:
-        others = market.endowments()
-    others = list(others)
+    reports = np.array(market.payoffs if others is None else _rows(others))
+    basis = spec.payoffs
 
     def objective(coefficients):
-        reports = list(others)
-        reports[i] = spec.combine(coefficients)
+        reports[i] = coefficients @ basis
         return deviation_gain(market, i, reports)
 
     return _coordinate_ascent(objective, spec)
@@ -207,11 +223,11 @@ def argmax_demand(
     p = np.asarray(p, dtype=float)
     if spec is None:
         spec = CoefficientSearchSpec(basis=basket.securities)
+    probs = basket.space.probs
 
     def objective(a):
-        return mv_utility(agent_gamma, basket.portfolio(a) + endowment) - float(
-            np.asarray(a) @ p
-        )
+        x = a @ basket.payoffs + endowment.payoffs
+        return float(_mv_value(agent_gamma, probs, x) - a @ p)
 
     # coarse grid passes per coordinate localize the basin; the line-search
     # ascent then refines from there over the full box
@@ -239,37 +255,51 @@ class DynamicsResult:
     converged: bool
 
 
-def _quadratic_step(market: Market, i: int, reports, basis) -> Rv:
+def _span_basis(market: Market) -> np.ndarray:
+    """Orthonormal basis (rows) of the centered endowments' span.
+
+    Orthonormal under the probability inner product E[xy]: the rows are the
+    right singular vectors of centered * sqrt(p) with a singular value above
+    the relative floor SV_RATIO_MIN, divided back by sqrt(p). Dropping the
+    others discards the directions along which dependent endowments cancel.
+    """
+    root = np.sqrt(market.space.probs)
+    _, svals, vt = np.linalg.svd(
+        centered(market.space.probs, market.payoffs) * root, full_matrices=False
+    )
+    keep = svals > SV_RATIO_MIN * svals[0]
+    return vt[keep] / root
+
+
+def _quadratic_step(market: Market, i: int, reports: np.ndarray, basis) -> np.ndarray:
     """Exact single-agent best response via one Newton step on the gain.
 
     The gain is quadratic in the span coefficients, so a finite-difference
-    gradient and Hessian are exact and one solve lands on the optimum.
+    gradient and Hessian are exact and one solve lands on the optimum. The
+    step overwrites row i of `reports` with its trial points and returns the
+    centered best report, leaving row i for the caller to set.
     """
     n = len(basis)
+    unit = np.eye(n)
 
     def f(c):
-        trial = list(reports)
-        trial[i] = _combine(basis, c)
-        return deviation_gain(market, i, trial)
+        reports[i] = c @ basis
+        return deviation_gain(market, i, reports)
 
-    zero = np.zeros(n)
-    f0 = f(zero)
+    f0 = f(np.zeros(n))
     grad = np.empty(n)
     hess = np.empty((n, n))
     fe = np.empty(n)
     for a in range(n):
-        ea = np.eye(n)[a]
-        fe[a] = f(ea)
-        grad[a] = 0.5 * (fe[a] - f(-ea))
+        fe[a] = f(unit[a])
+        grad[a] = 0.5 * (fe[a] - f(-unit[a]))
     for a in range(n):
         for b in range(a, n):
-            ea, eb = np.eye(n)[a], np.eye(n)[b]
-            hess[a, b] = hess[b, a] = f(ea + eb) - fe[a] - fe[b] + f0
-    # pseudoinverse: dependent basis payoffs make the Hessian singular along
-    # directions that do not change the report at all
-    coef = -np.linalg.pinv(hess) @ grad
-    best = _combine(basis, coef)
-    return best - mean(best)
+            hess[a, b] = hess[b, a] = f(unit[a] + unit[b]) - fe[a] - fe[b] + f0
+    # on an orthonormal basis the Hessian is a negative multiple of the
+    # identity up to rounding, so a plain solve is well conditioned
+    coef = np.linalg.solve(hess, -grad)
+    return centered(market.space.probs, coef @ basis)
 
 
 def best_response_dynamics(
@@ -283,20 +313,21 @@ def best_response_dynamics(
     Convergence is an empirical observation, not a guarantee; a
     non-convergent trajectory is returned as data with `converged` false.
     """
-    if init is None:
-        init = market.endowments()
-    reports = [r - mean(r) for r in init]
-    basis = market.endowments()
-    trajectory = [list(reports)]
+    p = market.space.probs
+    reports = centered(p, market.payoffs if init is None else _rows(init))
+    basis = _span_basis(market)
+    trajectory = [market.space.rvs(reports)]
     converged = False
     rounds_run = rounds
     for r in range(1, rounds + 1):
         moved = 0.0
         for i in range(market.n):
+            previous = reports[i].copy()
             best = _quadratic_step(market, i, reports, basis)
-            moved = max(moved, var(best - reports[i]))
+            step = best - previous
+            moved = max(moved, float(cross_cov(p, step, step)))
             reports[i] = best
-        trajectory.append(list(reports))
+        trajectory.append(market.space.rvs(reports))
         if moved < tol**2:
             converged = True
             rounds_run = r
@@ -317,9 +348,10 @@ def clearing_utility(market: Market, i: int, basket: SecurityBasket, schedules, 
     quantities(basket, p).
     """
     p = np.asarray(p, dtype=float)
-    supplied = np.sum([s.quantities(basket, p) for s in schedules], axis=0)
-    position = market.agents[i].endowment - basket.portfolio(supplied)
-    return mv_utility(market.agents[i].gamma, position) + float(supplied @ p)
+    supplied = sum(s.quantities(basket, p) for s in schedules)
+    position = market.payoffs[i] - supplied @ basket.payoffs
+    utility = _mv_value(market.gammas[i], market.space.probs, position)
+    return float(utility + supplied @ p)
 
 
 def argmax_phi(

@@ -98,6 +98,38 @@ class TestCommands:
         assert main(["pareto", "--market", str(path)]) == EXIT_NUMERICAL
         assert "singular" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_payoff_never_reports_nan(self, tmp_path, capsys):
+        path = write_market(
+            tmp_path,
+            agents=[
+                {"gamma": 1.0, "payoffs": [1e200, -1.0, 0.5]},
+                {"gamma": 2.0, "payoffs": [-0.5, 1.5, -1.0]},
+            ],
+        )
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        for command in (
+            ["pareto"],
+            ["capm"],
+            ["nash", "--game", "endowment"],
+            ["nash", "--game", "percentage"],
+            ["nash", "--game", "price"],
+            ["best-response", "--game", "endowment"],
+            ["best-response", "--game", "percentage"],
+            ["best-response", "--game", "demand"],
+        ):
+            code = main(command + ["--market", str(path)])
+            out, err = capsys.readouterr()
+            assert code in (EXIT_OK, EXIT_NUMERICAL), command
+            assert "Traceback" not in err
+            if code == EXIT_OK:
+                json.loads(out, parse_constant=reject)
+            else:
+                assert err.startswith("numerical precondition violated: results:")
+
     def test_capm_success(self, tmp_path, capsys):
         path = write_market(tmp_path)
         assert main(["capm", "--market", str(path)]) == EXIT_OK

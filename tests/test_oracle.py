@@ -54,9 +54,12 @@ class TestStructuralIndependence:
             m = make_market(rng, m=4)
             i = int(rng.integers(m.n))
             reports = [m.space.rv(rng.normal(size=4)) for _ in range(m.n)]
-            assert deviation_gain(m, i, reports) == pytest.approx(
+            gain = deviation_gain(m, i, reports)
+            assert gain == pytest.approx(
                 reported_utility(m, i, reports[i], others=reports), abs=1e-10
             )
+            matrix = np.stack([r.payoffs for r in reports])
+            assert deviation_gain(m, i, matrix) == pytest.approx(gain, abs=1e-12)
 
 
 class TestSearchSpec:
@@ -187,13 +190,25 @@ class TestBestResponseDynamics:
             centered = diff - m.space.probs @ diff
             assert np.max(np.abs(centered)) < 1e-9
 
+    @pytest.mark.parametrize("n,m", [(2, 2), (4, 2), (4, 4)])
+    def test_dependent_endowments_reach_closed_form(self, n, m):
+        # n > m - 1: the centered endowments are linearly dependent
+        rng = np.random.default_rng(90)
+        for _ in range(10):
+            market = make_market(rng, n=n, m=m)
+            result = best_response_dynamics(market, rounds=20)
+            assert result.converged
+            out = nash_endowment(market)
+            for got, want in zip(result.trajectory[-1], out.reported):
+                diff = (got - want).payoffs
+                assert np.max(np.abs(diff - market.space.probs @ diff)) < 1e-9
+
     def test_random_markets_reach_closed_form(self):
         rng = np.random.default_rng(87)
         for _ in range(10):
             m = make_market(rng, n=3)
             result = best_response_dynamics(m, rounds=500)
-            if not result.converged:
-                continue  # divergence is data, not an error
+            assert result.converged
             out = nash_endowment(m)
             for i in range(m.n):
                 assert var(result.trajectory[-1][i] - out.reported[i]) < 1e-16
