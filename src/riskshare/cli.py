@@ -2,11 +2,14 @@
 
 Market files are JSON with a versioned schema; reports are JSON with a stable
 field order, an echo of the ingested market (so a report can be re-run
-bit-for-bit) and the tolerances in force. Experiment output is CSV.
+bit-for-bit) and the tolerances in force. The only market-file parameters
+are the percentage game's `kappa` and `max_iter` (a cap on its active-set
+solves); `--seed` is read by the `experiment` command only, whose output
+is CSV.
 
 Exit codes: 0 success, 2 validation error, 3 numerical precondition
 violation (including a result that overflows to NaN or infinity), 4
-non-convergence.
+non-convergence of the percentage-game solve within `max_iter` solves.
 """
 
 from __future__ import annotations
@@ -57,13 +60,7 @@ EXIT_NO_CONVERGENCE = 4
 
 SCHEMA_VERSION = 1
 
-DEFAULT_PARAMETERS = {
-    "kappa": 10.0,
-    "damping": 0.5,
-    "tol": 1e-12,
-    "max_iter": 10000,
-    "seed": 0,
-}
+DEFAULT_PARAMETERS = {"kappa": 10.0, "max_iter": 10000}
 
 
 class MarketFileError(ValueError):
@@ -281,7 +278,6 @@ def cmd_best_response(loaded: dict, agent: int, mode: str) -> dict:
 
 def cmd_nash(loaded: dict, game: str) -> dict:
     market, basket = loaded["market"], loaded["basket"]
-    params = loaded["parameters"]
     if game == "endowment":
         outcome = nash_endowment(market)
         results = {
@@ -304,18 +300,14 @@ def cmd_nash(loaded: dict, game: str) -> dict:
             ]
         return results
     if game == "percentage":
-        outcome = nash_percentage(
-            market,
-            kappa=params["kappa"],
-            damping=params["damping"],
-            tol=params["tol"],
-            max_iter=params["max_iter"],
-        )
+        # the market-file parameters are the solver's keywords
+        outcome = nash_percentage(market, **loaded["parameters"])
         return {
             "b_star": outcome.b_star,
             "kappa": outcome.kappa,
             "iterations": outcome.iterations,
             "converged": outcome.converged,
+            "residual": outcome.residual,
             "per_agent_gain": percentage_game_gains(market, outcome),
         }
     if game == "price":
@@ -365,9 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment id: decay, decay-homogeneous, "
                              "convergence, figure1..figure4")
     parser.add_argument("--kappa", type=float, help="percentage-game upper bound")
-    parser.add_argument("--damping", type=float, help="fixed-point damping factor")
-    parser.add_argument("--tol", type=float, help="fixed-point tolerance")
-    parser.add_argument("--seed", type=int, help="seed for randomized experiments")
+    parser.add_argument("--seed", type=int, help="seed of the experiment command")
     parser.add_argument("--out", help="write the report to this path")
     return parser
 
@@ -382,20 +372,21 @@ def main(argv=None) -> int:
         if not args.market:
             raise MarketFileError("market", "a --market file is required")
         loaded = load_market_file(args.market)
-        for key in ("kappa", "damping", "tol", "seed"):
-            value = getattr(args, key)
-            if value is not None:
-                loaded["parameters"][key] = value
-                loaded["echo"]["parameters"][key] = value
-        if args.command == "pareto":
-            results = cmd_pareto(loaded)
-        elif args.command == "capm":
-            results = cmd_capm(loaded)
-        elif args.command == "best-response":
-            results = cmd_best_response(loaded, args.agent, args.game)
-        else:
-            results = cmd_nash(loaded, args.game)
-        _emit(_report(args.command, loaded, results), args.out)
+        if args.kappa is not None:
+            loaded["parameters"]["kappa"] = args.kappa  # the echo shares this dict
+        # an overflow is not printed as a numpy warning: _report turns a
+        # non-finite result into exit 3
+        with np.errstate(all="ignore"):
+            if args.command == "pareto":
+                results = cmd_pareto(loaded)
+            elif args.command == "capm":
+                results = cmd_capm(loaded)
+            elif args.command == "best-response":
+                results = cmd_best_response(loaded, args.agent, args.game)
+            else:
+                results = cmd_nash(loaded, args.game)
+            report = _report(args.command, loaded, results)
+        _emit(report, args.out)
         return EXIT_OK
     except MarketFileError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

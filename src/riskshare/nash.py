@@ -1,9 +1,10 @@
 """Nash equilibria of the three risk-sharing games and comparison metrics.
 
 Closed forms exist for the endowment game and the price-demand game; the
-percentage game is solved by damped fixed-point iteration on the clamped
-best-response system. All comparisons against the Pareto benchmark
-(inefficiency, price pressure, per-agent gains) are computed here.
+percentage game, whose clamped best responses are affine in the others'
+reports, is solved exactly as a box-constrained linear complementarity
+problem. All comparisons against the Pareto benchmark (inefficiency, price
+pressure, per-agent gains) are computed here.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from .core import (
     var,
 )
 from .pareto import capm_equilibrium, optimal_sharing, sharing_gain
-from .strategic import percentage_responses, profile_utilities
+from .strategic import _response_coefficients, percentage_responses, profile_utilities
 
 
 class ConvergenceError(RuntimeError):
-    """The percentage-game iteration did not converge within max_iter."""
+    """The percentage-game solve did not converge within max_iter solves."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +47,9 @@ class NashEndowmentOutcome:
 class NashPercentageOutcome:
     b_star: np.ndarray
     kappa: float
-    iterations: int
+    iterations: int  # active-set solves
     converged: bool
+    residual: float  # max |b - BR(b)|
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,48 +186,45 @@ def percentage_best_response(
 
 
 def nash_percentage(
-    market: Market,
-    kappa: float = 10.0,
-    damping: float = 0.5,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
-    raise_on_failure: bool = True,
+    market: Market, kappa: float = 10.0, max_iter: int = 10000, raise_on_failure: bool = True
 ) -> NashPercentageOutcome:
-    """Damped fixed-point iteration b <- (1-l) b + l clamp(BR(b), 0, kappa).
+    """Exact percentage-game equilibrium by an active-set solve.
 
-    Damping keeps the iteration from oscillating when endowment correlations
-    are large. Non-convergence raises (or is flagged when
+    b = BR(b) = clamp(own + M b, 0, kappa), with M_ij = other_i Cov(E_i, E_j)
+    / Var[E_i] off the diagonal, is a box-constrained linear complementarity
+    problem (Cottle, Pang & Stone 1992). From b = 1, split the agents by
+    own + M b into those at 0, at kappa (U) and free (F), solve
+    (I - M_FF) b_F = own_F + kappa M_FU 1, and repeat until the split holds,
+    at most `max_iter` solves. Non-convergence raises (or is flagged when
     `raise_on_failure` is false); it is never silent.
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must be in (0, 1]")
-    b = np.ones(market.n)
-    converged = False
-    iterations = max_iter
-    for it in range(1, max_iter + 1):
-        br = percentage_best_response(market, b, kappa)
-        b_next = (1.0 - damping) * b + damping * br
-        if np.max(np.abs(b_next - b)) < tol:
-            b = b_next
-            converged = True
-            iterations = it
+    covariance = cross_cov(market.space.probs, market.payoffs[:, None], market.payoffs)
+    if np.any(np.diag(covariance) <= 0.0):
+        raise ValueError("percentage game needs non-constant endowments")
+    own, other = _response_coefficients(market)
+    coupling = (other / np.diag(covariance))[:, None] * covariance
+    np.fill_diagonal(coupling, 0.0)
+    b, split, iterations = np.ones(market.n), None, 0
+    while iterations < max_iter:
+        new_split = np.digitize(own + coupling @ b, (0.0, kappa), right=True)
+        if np.array_equal(new_split, split):
             break
-        b = b_next
-    # report the residual of the undamped system, not the damped step size
-    br = percentage_best_response(market, b, kappa)
-    residual = float(np.max(np.abs(b - br)))
-    if residual > 1e-10:
-        converged = False
+        split, iterations, free = new_split, iterations + 1, new_split == 1
+        b = np.where(split == 2, kappa, 0.0)  # split: 0 at zero, 1 free, 2 at kappa
+        b[free] = np.linalg.solve(
+            np.eye(free.sum()) - coupling[np.ix_(free, free)],
+            own[free] + coupling[free] @ b,
+        )
+    residual = float(np.max(np.abs(b - percentage_best_response(market, b, kappa))))
+    converged = residual <= 1e-10
     if not converged and raise_on_failure:
         raise ConvergenceError(
             f"percentage game did not converge: residual {residual:.3e} "
-            f"after {iterations} iterations"
+            f"after {iterations} active-set solves"
         )
-    return NashPercentageOutcome(
-        b_star=b, kappa=kappa, iterations=iterations, converged=converged
-    )
+    return NashPercentageOutcome(b, kappa, iterations, converged, residual)
 
 
 def percentage_game_gains(

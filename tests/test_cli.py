@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -9,6 +10,7 @@ from riskshare.cli import (
     EXIT_VALIDATION,
     main,
 )
+from riskshare.experiments import correlated_pair_market
 
 
 def write_market(tmp_path, name="market.json", **overrides):
@@ -57,6 +59,15 @@ class TestValidation:
         assert main(["pareto", "--market", str(path)]) == EXIT_VALIDATION
         assert "parameters.bogus" in capsys.readouterr().err
 
+    def test_removed_solver_knobs(self, tmp_path, capsys):
+        for name in ("damping", "tol", "seed"):
+            path = write_market(tmp_path, parameters={name: 1})
+            assert main(["nash", "--market", str(path)]) == EXIT_VALIDATION
+            assert f"parameters.{name}: unknown parameter" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main(["nash", "--damping", "0.5", "--market", str(path)])
+        assert exited.value.code == EXIT_VALIDATION
+
     def test_capm_needs_securities(self, tmp_path, capsys):
         path = write_market(tmp_path, securities=[])
         assert main(["capm", "--market", str(path)]) == EXIT_VALIDATION
@@ -98,7 +109,6 @@ class TestCommands:
         assert main(["pareto", "--market", str(path)]) == EXIT_NUMERICAL
         assert "singular" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_payoff_never_reports_nan(self, tmp_path, capsys):
         path = write_market(
             tmp_path,
@@ -121,14 +131,19 @@ class TestCommands:
             ["best-response", "--game", "percentage"],
             ["best-response", "--game", "demand"],
         ):
-            code = main(command + ["--market", str(path)])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(command + ["--market", str(path)])
             out, err = capsys.readouterr()
             assert code in (EXIT_OK, EXIT_NUMERICAL), command
             assert "Traceback" not in err
+            assert not caught, command
             if code == EXIT_OK:
                 json.loads(out, parse_constant=reject)
+                assert err == ""
             else:
                 assert err.startswith("numerical precondition violated: results:")
+                assert err.count("\n") == 1, command
 
     def test_capm_success(self, tmp_path, capsys):
         path = write_market(tmp_path)
@@ -171,7 +186,17 @@ class TestCommands:
         assert len(report["results"]["b_star"]) == 2
 
     def test_nash_percentage_non_convergence_exit_4(self, tmp_path):
-        path = write_market(tmp_path, parameters={"max_iter": 1})
+        # agent 0 starts clamped at zero and is free after the first solve
+        pair = correlated_pair_market(1.0, 1.0, 1.0, 10.0, -0.8)
+        path = write_market(
+            tmp_path,
+            probs=pair.space.probs.tolist(),
+            agents=[
+                {"gamma": a.gamma, "payoffs": a.endowment.payoffs.tolist()}
+                for a in pair.agents
+            ],
+            parameters={"max_iter": 1},
+        )
         assert main(
             ["nash", "--market", str(path), "--game", "percentage"]
         ) == EXIT_NO_CONVERGENCE

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskshare.core import (
     Agent,
@@ -10,7 +12,7 @@ from riskshare.core import (
     equal_up_to_constants,
     var,
 )
-from riskshare.experiments import correlated_pair_market
+from riskshare.experiments import AgentSequenceSpec, agent_pool, correlated_pair_market
 from riskshare.nash import (
     ConvergenceError,
     excess_return_check,
@@ -187,18 +189,58 @@ class TestNashPercentage:
             assert np.max(np.abs(out.b_star - br)) < 1e-10
 
     def test_non_convergence_reported(self):
-        m = correlated_pair_market(1.0, 1.0, 1.0, 4.0, 0.8)
+        # agent 0 starts clamped at zero and is free after the first solve
+        m = correlated_pair_market(1.0, 1.0, 1.0, 10.0, -0.8)
         with pytest.raises(ConvergenceError):
-            nash_percentage(m, max_iter=2)
-        out = nash_percentage(m, max_iter=2, raise_on_failure=False)
+            nash_percentage(m, max_iter=1)
+        out = nash_percentage(m, max_iter=1, raise_on_failure=False)
         assert not out.converged
 
     def test_parameter_validation(self):
         m = correlated_pair_market(1.0, 1.0, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             nash_percentage(m, kappa=0.0)
-        with pytest.raises(ValueError):
-            nash_percentage(m, damping=0.0)
+
+    @pytest.mark.parametrize("states", [6, 50])
+    def test_growing_market_prefixes(self, states):
+        spec = AgentSequenceSpec(sizes=(100,), n_states=states, seed=1)
+        space, agents = agent_pool(spec, homogeneous=False)
+        p = space.probs
+        for n in (5, 10, 20, 50, 100):
+            out = nash_percentage(Market(space, tuple(agents[:n])))
+            assert out.converged
+            # the clamped best responses in plain numpy, from centered moments
+            gammas = np.array([a.gamma for a in agents[:n]])
+            endow = np.array([a.endowment.payoffs for a in agents[:n]])
+            endow = endow - (endow @ p)[:, None]
+            covariance = (endow * p) @ endow.T
+            var_i = np.diag(covariance)
+            g = 1.0 / np.sum(1.0 / gammas)
+            others = covariance @ out.b_star - var_i * out.b_star
+            raw = gammas / (gammas + g) + g**2 / (gammas**2 - g**2) * others / var_i
+            residual = np.max(np.abs(out.b_star - np.clip(raw, 0.0, out.kappa)))
+            assert residual <= 1e-12, n
+            assert out.residual == pytest.approx(residual, abs=1e-14)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+        st.integers(3, 8),
+        st.floats(-1e8, 1e8),
+        st.floats(-3.0, 6.0),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_invariant_to_cash_shift_and_scale(self, seed, n, states, cash, k):
+        rng = np.random.default_rng(seed)
+        market = make_market(rng, n=n, m=states)
+        space, agents = market.space, market.agents
+        shifted = list(agents)
+        shifted[0] = Agent(agents[0].gamma, agents[0].endowment + cash)
+        scaled = [Agent(a.gamma, 10.0**k * a.endowment) for a in agents]
+        want = nash_percentage(market).b_star
+        for variant in (shifted, scaled):
+            got = nash_percentage(Market(space, tuple(variant))).b_star
+            assert np.all(np.abs(got - want) <= 1e-6 * (1.0 + np.abs(want)))
 
     def test_gains_relative_to_no_trade(self):
         m = correlated_pair_market(1.0, 1.0, 1.0, 4.0, -0.3)
