@@ -1,11 +1,12 @@
 """Command-line entry point: market-file ingestion and report emission.
 
 Market files are JSON with a versioned schema; reports are JSON with a stable
-field order, an echo of the ingested market (so a report can be re-run
-bit-for-bit) and the tolerances in force. The only market-file parameters
-are the percentage game's `kappa` and `max_iter` (a cap on its active-set
-solves); `--seed` is read by the `experiment` command only, whose output
-is CSV.
+field order and an echo of the ingested market, so a report can be re-run
+bit-for-bit. A report's results are the engine's outcome type, serialized
+field by field in declaration order, plus the keys the type lacks. The only
+market-file parameters are the percentage game's `kappa` (a finite positive
+number) and `max_iter` (an integer cap on its active-set solves, at least
+1); `--seed` is read by the `experiment` command only, whose output is CSV.
 
 Exit codes: 0 success, 2 validation error, 3 numerical precondition
 violation (including a result that overflows to NaN or infinity), 4
@@ -17,11 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from .core import (
-    ABS_TOL,
     Agent,
     Market,
     ProbSpace,
@@ -74,6 +75,17 @@ class MarketFileError(ValueError):
 def _require(condition: bool, field: str, message: str) -> None:
     if not condition:
         raise MarketFileError(field, message)
+
+
+def _kappa(value, field: str) -> float:
+    """`value` as a finite positive float.
+
+    JSON's true and false are not numbers here, NaN fails both comparisons,
+    and an integer literal beyond the float range fails the upper one.
+    """
+    _require(type(value) in (int, float) and 0 < value <= sys.float_info.max,
+             field, "must be a finite positive number")
+    return float(value)
 
 
 def load_market_file(path: str) -> dict:
@@ -138,8 +150,8 @@ def ingest_market_document(doc) -> dict:
                 raise MarketFileError(f"securities[{idx}]", str(exc))
         try:
             basket = SecurityBasket(tuple(securities))
-        except SingularCovarianceError:
-            raise
+        except SingularCovarianceError as exc:
+            raise SingularCovarianceError(f"securities: {exc}") from None
         except ValueError as exc:
             raise MarketFileError("securities", str(exc))
 
@@ -147,11 +159,14 @@ def ingest_market_document(doc) -> dict:
     params_doc = doc.get("parameters") or {}
     _require(isinstance(params_doc, dict), "parameters", "must be an object")
     for key, value in params_doc.items():
-        _require(key in DEFAULT_PARAMETERS, f"parameters.{key}", "unknown parameter")
-        try:
-            parameters[key] = type(DEFAULT_PARAMETERS[key])(value)
-        except (TypeError, ValueError):
-            raise MarketFileError(f"parameters.{key}", "wrong type")
+        where = f"parameters.{key}"
+        _require(key in DEFAULT_PARAMETERS, where, "unknown parameter")
+        if key == "kappa":
+            parameters[key] = _kappa(value, where)
+        else:
+            _require(type(value) is int and value >= 1, where,
+                     "must be an integer of at least 1")
+            parameters[key] = value
 
     echo = {
         "schema": SCHEMA_VERSION,
@@ -172,6 +187,11 @@ def ingest_market_document(doc) -> dict:
 # Serialization helpers
 
 
+def _fields(outcome) -> dict:
+    """An outcome dataclass's fields by name, in declaration order."""
+    return {f.name: getattr(outcome, f.name) for f in fields(outcome)}
+
+
 def _jsonable(value):
     if isinstance(value, Rv):
         return [float(x) for x in value.payoffs]
@@ -189,13 +209,14 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
+    if is_dataclass(value):  # after Rv, itself a dataclass
+        return _jsonable(_fields(value))
     return value
 
 
 def _report(command: str, loaded: dict, results: dict) -> str:
     body = {
         "command": command,
-        "tolerances": {"abs_tol": ABS_TOL},
         "market": loaded["echo"],
         "results": _jsonable(results),
     }
@@ -226,10 +247,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_pareto(loaded: dict) -> dict:
     market = loaded["market"]
-    sharing = optimal_sharing(market)
     return {
-        "contracts": sharing.contracts,
-        "weights": sharing.weights,
+        **_fields(optimal_sharing(market)),
         "endowment_prices": endowment_prices(market),
         "utility_levels": optimal_utility_levels(market),
         "aggregate_gain": aggregate_gain(market),
@@ -239,13 +258,9 @@ def cmd_pareto(loaded: dict) -> dict:
 def cmd_capm(loaded: dict) -> dict:
     market, basket = loaded["market"], loaded["basket"]
     _require(basket is not None, "securities", "command capm needs securities")
-    eq = capm_equilibrium(market, basket)
     losses, total_loss = constrained_loss(market, basket)
     return {
-        "prices": eq.prices,
-        "allocation": eq.allocation,
-        "utility_levels": eq.utility_levels,
-        "gains": eq.gains,
+        **_fields(capm_equilibrium(market, basket)),
         "constrained_loss": losses,
         "constrained_loss_total": total_loss,
     }
@@ -264,61 +279,26 @@ def cmd_best_response(loaded: dict, agent: int, mode: str) -> dict:
         report = demand_response_report(market, agent, basket)
     else:
         raise MarketFileError("game", f"unknown best-response mode {mode!r}")
-    response = report.response
-    if mode == "demand":
-        response = {"gamma": response.gamma, "c": response.c}
-    return {
-        "agent": agent,
-        "mode": mode,
-        "response": response,
-        "utility_before": report.utility_before,
-        "utility_after": report.utility_after,
-    }
+    return {"agent": agent, "mode": mode, **_fields(report)}
 
 
 def cmd_nash(loaded: dict, game: str) -> dict:
     market, basket = loaded["market"], loaded["basket"]
     if game == "endowment":
-        outcome = nash_endowment(market)
-        results = {
-            "reported": outcome.reported,
-            "aggregate": outcome.aggregate,
-            "contracts": outcome.contracts,
-            "inefficiency": outcome.inefficiency,
-            "per_agent_gain": outcome.per_agent_gain,
-        }
+        results = _fields(nash_endowment(market))
         if market.n == 2:
-            results["table1"] = [
-                {
-                    "row": r.name,
-                    "pareto_engine": r.pareto_engine,
-                    "pareto_closed": r.pareto_closed,
-                    "nash_engine": r.nash_engine,
-                    "nash_closed": r.nash_closed,
-                }
-                for r in table1_report(market)
-            ]
+            results["table1"] = table1_report(market)
         return results
     if game == "percentage":
         # the market-file parameters are the solver's keywords
         outcome = nash_percentage(market, **loaded["parameters"])
         return {
-            "b_star": outcome.b_star,
-            "kappa": outcome.kappa,
-            "iterations": outcome.iterations,
-            "converged": outcome.converged,
-            "residual": outcome.residual,
+            **_fields(outcome),
             "per_agent_gain": percentage_game_gains(market, outcome),
         }
     if game == "price":
         _require(basket is not None, "securities", "price game needs securities")
-        outcome = nash_price(market, basket)
-        return {
-            "price": outcome.price,
-            "schedules": [{"gamma": s.gamma, "c": s.c} for s in outcome.schedules],
-            "allocation": outcome.allocation,
-            "pressure": outcome.pressure,
-        }
+        return _fields(nash_price(market, basket))
     raise MarketFileError("game", f"unknown nash game {game!r}")
 
 
@@ -373,7 +353,8 @@ def main(argv=None) -> int:
             raise MarketFileError("market", "a --market file is required")
         loaded = load_market_file(args.market)
         if args.kappa is not None:
-            loaded["parameters"]["kappa"] = args.kappa  # the echo shares this dict
+            # the echo shares this dict
+            loaded["parameters"]["kappa"] = _kappa(args.kappa, "--kappa")
         # an overflow is not printed as a numpy warning: _report turns a
         # non-finite result into exit 3
         with np.errstate(all="ignore"):

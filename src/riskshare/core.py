@@ -19,7 +19,6 @@ import numpy as np
 
 # Tolerances used across the package.
 PROB_SUM_TOL = 1e-12
-ABS_TOL = 1e-9
 # Two payoffs are "equal up to constants" when the variance of their
 # difference is below this (centered versions coincide).
 CONST_VAR_TOL = 1e-18

@@ -20,7 +20,6 @@ from .core import (
     SecurityBasket,
     centered,
     cov,
-    cov_vector,
     cross_cov,
     mean,
     mv_utilities,
@@ -104,7 +103,7 @@ def nash_endowment(market: Market) -> NashEndowmentOutcome:
 
 @dataclass(frozen=True, eq=False)
 class Table1Row:
-    name: str
+    row: str
     pareto_engine: object
     pareto_closed: object
     nash_engine: object
@@ -198,8 +197,8 @@ def nash_percentage(
     at most `max_iter` solves. Non-convergence raises (or is flagged when
     `raise_on_failure` is false); it is never silent.
     """
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
+    if not (np.isfinite(kappa) and kappa > 0.0):
+        raise ValueError("kappa must be finite and positive")
     covariance = cross_cov(market.space.probs, market.payoffs[:, None], market.payoffs)
     if np.any(np.diag(covariance) <= 0.0):
         raise ValueError("percentage game needs non-constant endowments")
@@ -261,32 +260,6 @@ def nash_price(market: Market, basket: SecurityBasket) -> NashPriceOutcome:
     return NashPriceOutcome(
         price=p_hat, schedules=schedules, allocation=allocation, pressure=pressure
     )
-
-
-def price_best_response_general(
-    market: Market,
-    i: int,
-    basket: SecurityBasket,
-    other_schedules: list[DemandSchedule],
-) -> np.ndarray:
-    """Agent i's preferred clearing price against arbitrary schedules.
-
-    First-order condition of the price objective: with gamma_o the harmonic
-    aggregate of the others' gammas and cbar the sum of their covariance
-    vectors,
-    E[C] - p = 2 (gamma_i gamma_o h_i + gamma_o (gamma_i + gamma_o) cbar)
-               / (2 gamma_o + gamma_i),
-    h_i = Cov(C, E_i). Reduces to the truthful-schedule closed form when the
-    others bid truthfully.
-    """
-    if len(other_schedules) != market.n - 1:
-        raise ValueError("need one schedule per other agent")
-    gi = market.agents[i].gamma
-    go = 1.0 / sum(1.0 / s.gamma for s in other_schedules)
-    cbar = np.sum([s.c for s in other_schedules], axis=0)
-    h = cov_vector(basket, market.agents[i].endowment)
-    gap = 2.0 * (gi * go * h + go * (gi + go) * cbar) / (2.0 * go + gi)
-    return basket.mean_vector - gap
 
 
 @dataclass(frozen=True, eq=False)

@@ -152,29 +152,26 @@ def best_price_response(
     basket: SecurityBasket,
     other_schedules: Sequence[DemandSchedule],
 ) -> np.ndarray:
-    """Clearing price most preferable for agent i, others bidding truthfully.
+    """Clearing price most preferable for agent i against the others' schedules.
 
-    It is the clearing price of agent i's best demand, the schedule of the
-    best endowment report B*_i, against the truthful others:
+    First-order condition of `price_objective`: with gamma_o the harmonic
+    aggregate of the others' gammas, cbar the sum of their covariance
+    vectors and h_i = Cov(C, E_i),
+    E[C] - p_hat_i = 2 (gamma_i gamma_o h_i + gamma_o (gamma_i + gamma_o) cbar)
+                     / (gamma_i + 2 gamma_o).
+    The schedules may be any. Against truthful ones it reads
     p_hat_i = E[C] - 2 gamma Cov(C, gamma_i/(gamma_i+gamma) E_i
-                                   + gamma_i^2/(gamma_i^2-gamma^2) E_{-i}).
-
-    Only truthful `other_schedules` are accepted here; the iterated game with
-    arbitrary schedules lives in the nash module.
+                                   + gamma_i^2/(gamma_i^2-gamma^2) E_{-i}),
+    the clearing price of agent i's best demand response.
     """
-    schedules = list(other_schedules)
-    if len(schedules) != market.n - 1:
+    if len(other_schedules) != market.n - 1:
         raise ValueError("need one schedule per other agent")
-    truthful = [s for j, s in enumerate(truthful_schedules(market, basket)) if j != i]
-    for given, want in zip(schedules, truthful):
-        if abs(given.gamma - want.gamma) > 1e-9 or not np.allclose(
-            given.c, want.c, atol=1e-9
-        ):
-            raise ValueError(
-                "best_price_response only accepts the truthful schedules of "
-                "the other agents"
-            )
-    return clearing_price(basket, [best_demand_response(market, i, basket), *schedules])
+    gi = market.agents[i].gamma
+    go = 1.0 / sum(1.0 / s.gamma for s in other_schedules)
+    cbar = np.sum([s.c for s in other_schedules], axis=0)
+    h = cov_vector(basket, market.agents[i].endowment)
+    gap = 2.0 * (gi * go * h + go * (gi + go) * cbar) / (gi + 2.0 * go)
+    return basket.mean_vector - gap
 
 
 def best_demand_response(

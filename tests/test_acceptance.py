@@ -142,7 +142,7 @@ def test_criterion_04_table1_regression():
     signs = []
     for g1 in np.linspace(0.4, 1.0, 61):
         m = Market(space, (Agent(float(g1), e1), Agent(1.0, e2)))
-        rows = {r.name: r for r in table1_report(m)}
+        rows = {r.row: r for r in table1_report(m)}
         delta = rows["gain_of_utility"].nash_engine - rows["gain_of_utility"].pareto_engine
         assert np.sign(delta) == np.sign(2.0 / 3.0 - g1)
         signs.append(np.sign(delta))

@@ -68,6 +68,38 @@ class TestValidation:
             main(["nash", "--damping", "0.5", "--market", str(path)])
         assert exited.value.code == EXIT_VALIDATION
 
+    def test_parameter_values_validated(self, tmp_path, capsys):
+        # raw JSON text: non-finite, out-of-range, fractional and non-number values
+        bad = {
+            "kappa": ["NaN", "Infinity", "-Infinity", "1e400", '"nan"', "-1", "0",
+                      "true", "null"],
+            "max_iter": ["2.7", "true", "0", "-5", '"10"', "1e3", "null"],
+        }
+        for name, values in bad.items():
+            for raw in values:
+                path = write_market(tmp_path, parameters={name: "RAW"})
+                path.write_text(path.read_text().replace('"RAW"', raw))
+                for command in (["pareto"], ["nash", "--game", "percentage"]):
+                    assert main(command + ["--market", str(path)]) == EXIT_VALIDATION
+                    err = capsys.readouterr().err
+                    assert err.startswith(f"validation error: parameters.{name}: "), raw
+        path = write_market(tmp_path)
+        for raw in ("nan", "inf", "-1", "0"):
+            assert main(["nash", "--game", "percentage", "--kappa", raw,
+                         "--market", str(path)]) == EXIT_VALIDATION
+            assert capsys.readouterr().err.startswith("validation error: --kappa: ")
+        path = write_market(tmp_path, parameters={"kappa": 2, "max_iter": 3})
+        assert main(["nash", "--game", "percentage", "--market", str(path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["market"]["parameters"] == {"kappa": 2.0, "max_iter": 3}
+
+    def test_singular_basket_addressed(self, tmp_path, capsys):
+        path = write_market(tmp_path, securities=[[1.0, 0.0, -1.0], [2.0, 0.0, -2.0]])
+        for command in (["pareto"], ["nash", "--game", "price"]):
+            assert main(command + ["--market", str(path)]) == EXIT_NUMERICAL
+            err = capsys.readouterr().err
+            assert err.startswith("numerical precondition violated: securities: ")
+
     def test_capm_needs_securities(self, tmp_path, capsys):
         path = write_market(tmp_path, securities=[])
         assert main(["capm", "--market", str(path)]) == EXIT_VALIDATION
@@ -207,6 +239,48 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert len(report["results"]["pressure"]) == 1
         assert len(report["results"]["schedules"]) == 2
+
+    def test_report_schema(self, tmp_path, capsys):
+        # the ordered keys of every report; results follow the engines'
+        # outcome types field by field
+        response = ["agent", "mode", "response", "utility_before", "utility_after"]
+        expected = {
+            ("pareto",): ["contracts", "weights", "endowment_prices",
+                          "utility_levels", "aggregate_gain"],
+            ("capm",): ["prices", "allocation", "utility_levels", "gains",
+                        "constrained_loss", "constrained_loss_total"],
+            ("best-response", "--game", "endowment"): response,
+            ("best-response", "--game", "percentage"): response,
+            ("best-response", "--game", "demand"): response,
+            ("nash", "--game", "endowment"): ["reported", "aggregate", "contracts",
+                                              "inefficiency", "per_agent_gain",
+                                              "table1"],
+            ("nash", "--game", "percentage"): ["b_star", "kappa", "iterations",
+                                               "converged", "residual",
+                                               "per_agent_gain"],
+            ("nash", "--game", "price"): ["price", "schedules", "allocation",
+                                          "pressure"],
+        }
+        path = write_market(tmp_path)
+        for command, keys in expected.items():
+            assert main(list(command) + ["--market", str(path)]) == EXIT_OK
+            report = json.loads(capsys.readouterr().out)
+            assert list(report) == ["command", "market", "results"]
+            results = report["results"]
+            assert list(results) == keys, command
+            if command[-1] == "demand":
+                assert list(results["response"]) == ["gamma", "c"]
+            if command[-1] == "price":
+                assert [list(s) for s in results["schedules"]] == [["gamma", "c"]] * 2
+        assert main(["nash", "--market", str(path)]) == EXIT_OK
+        table = json.loads(capsys.readouterr().out)["results"]["table1"]
+        assert [list(r) for r in table] == [
+            ["row", "pareto_engine", "pareto_closed", "nash_engine", "nash_closed"]
+        ] * 5
+        assert [r["row"] for r in table] == [
+            "aggregate_shared_endowment", "reported_endowment", "purchased_contract",
+            "gain_of_utility", "inefficiency",
+        ]
 
     def test_out_flag_writes_file(self, tmp_path):
         path = write_market(tmp_path)

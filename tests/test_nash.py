@@ -23,7 +23,6 @@ from riskshare.nash import (
     nash_vs_pareto_utilities,
     percentage_best_response,
     percentage_game_gains,
-    price_best_response_general,
     table1_report,
 )
 from riskshare.pareto import (
@@ -33,7 +32,11 @@ from riskshare.pareto import (
     optimal_sharing,
     optimal_utility_levels,
 )
-from riskshare.strategic import best_endowment_response, reported_utility
+from riskshare.strategic import (
+    best_endowment_response,
+    best_price_response,
+    reported_utility,
+)
 
 from conftest import make_basket, make_market
 
@@ -128,7 +131,7 @@ class TestTable1:
             table1_report(m)
 
     def test_symmetric_rows(self, symmetric_market):
-        rows = {r.name: r for r in table1_report(symmetric_market)}
+        rows = {r.row: r for r in table1_report(symmetric_market)}
         assert rows["gain_of_utility"].pareto_engine == pytest.approx(1.0)
         assert rows["gain_of_utility"].nash_engine == pytest.approx(0.75)
         assert rows["inefficiency"].nash_engine == pytest.approx(0.5)
@@ -154,7 +157,7 @@ class TestTable1:
     def test_equal_gammas_gain_ratio(self):
         rng = np.random.default_rng(58)
         m = make_market(rng, n=2, homogeneous=True)
-        rows = {r.name: r for r in table1_report(m)}
+        rows = {r.row: r for r in table1_report(m)}
         gain = rows["gain_of_utility"]
         assert gain.nash_engine == pytest.approx(0.75 * gain.pareto_engine)
 
@@ -198,8 +201,9 @@ class TestNashPercentage:
 
     def test_parameter_validation(self):
         m = correlated_pair_market(1.0, 1.0, 1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            nash_percentage(m, kappa=0.0)
+        for kappa in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                nash_percentage(m, kappa=kappa)
 
     @pytest.mark.parametrize("states", [6, 50])
     def test_growing_market_prefixes(self, states):
@@ -279,7 +283,7 @@ class TestNashPrice:
             out = nash_price(m, basket)
             for i in range(m.n):
                 others = [s for j, s in enumerate(out.schedules) if j != i]
-                br = price_best_response_general(m, i, basket, others)
+                br = best_price_response(m, i, basket, others)
                 assert np.allclose(br, out.price, atol=1e-9)
 
     def test_pressure_drives_price_gap(self):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskshare.core import mv_utility, var
+from riskshare.core import DemandSchedule, mv_utility, var
+from riskshare.oracle import argmax_phi
 from riskshare.pareto import capm_equilibrium, optimal_sharing
 from riskshare.strategic import (
     best_demand_response,
@@ -128,14 +129,27 @@ class TestBestPercentageResponse:
 
 
 class TestBestPriceResponse:
-    def test_rejects_untruthful_schedules(self):
+    def test_matches_search_against_untruthful_schedules(self):
+        # the others misstate both their risk aversions and their exposures
         rng = np.random.default_rng(36)
-        m = make_market(rng, n=2, m=4)
-        basket = make_basket(rng, m.space, k=1)
-        schedules = truthful_schedules(m, basket)
-        bent = [type(s)(s.gamma, s.c + 0.5) for s in schedules[1:]]
-        with pytest.raises(ValueError):
-            best_price_response(m, 0, basket, bent)
+        for k in (1, 2):
+            for _ in range(4):
+                m = make_market(rng, m=4)
+                basket = make_basket(rng, m.space, k=k)
+                i = int(rng.integers(m.n))
+                others = [
+                    DemandSchedule(
+                        s.gamma * rng.uniform(0.5, 2.0),
+                        s.c + rng.normal(scale=0.5, size=k),
+                    )
+                    for j, s in enumerate(truthful_schedules(m, basket))
+                    if j != i
+                ]
+                assert np.allclose(
+                    best_price_response(m, i, basket, others),
+                    argmax_phi(m, i, basket, others),
+                    atol=1e-6,
+                )
 
     def test_maximizes_clearing_utility(self):
         rng = np.random.default_rng(37)
