@@ -3,7 +3,9 @@
 Market files are JSON with a versioned schema; reports are JSON with a stable
 field order and an echo of the ingested market, so a report can be re-run
 bit-for-bit. A report's results are the engine's outcome type, serialized
-field by field in declaration order, plus the keys the type lacks. The only
+field by field in declaration order, plus the keys the type lacks. Every
+gamma, probability and payoff is a finite JSON number, never a boolean or a
+string, and a rejected one is addressed by its index. The only
 market-file parameters are the percentage game's `kappa` (a finite positive
 number) and `max_iter` (an integer cap on its active-set solves, at least
 1); `--seed` is read by the `experiment` command only, whose output is CSV.
@@ -49,6 +51,7 @@ from .pareto import (
     optimal_utility_levels,
 )
 from .strategic import (
+    ConstantEndowmentError,
     demand_response_report,
     endowment_response_report,
     percentage_response_report,
@@ -77,15 +80,31 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise MarketFileError(field, message)
 
 
-def _kappa(value, field: str) -> float:
-    """`value` as a finite positive float.
+def _finite(value) -> bool:
+    """Whether `value` is a JSON number within the float range.
 
     JSON's true and false are not numbers here, NaN fails both comparisons,
-    and an integer literal beyond the float range fails the upper one.
+    and a literal beyond the float range (1e400 parses as inf, a long integer
+    stays an int) fails one.
     """
-    _require(type(value) in (int, float) and 0 < value <= sys.float_info.max,
-             field, "must be a finite positive number")
+    top = sys.float_info.max
+    return type(value) in (int, float) and -top <= value <= top
+
+
+def _number(value, field: str, positive: bool = False) -> float:
+    """`value` as a finite float, positive if asked."""
+    _require(_finite(value) and (value > 0 or not positive), field,
+             f"must be a finite {'positive ' if positive else ''}number")
     return float(value)
+
+
+def _numbers(values, field: str) -> np.ndarray:
+    """A JSON array of finite numbers; a bad entry is addressed by its index."""
+    _require(isinstance(values, list), field, "must be an array of numbers")
+    for j, v in enumerate(values):
+        if not _finite(v):
+            raise MarketFileError(f"{field}[{j}]", "must be a finite number")
+    return np.array(values, dtype=float)
 
 
 def load_market_file(path: str) -> dict:
@@ -109,11 +128,11 @@ def ingest_market_document(doc) -> dict:
     _require(doc.get("schema") == SCHEMA_VERSION, "schema",
              f"unsupported schema version {doc.get('schema')!r}, expected {SCHEMA_VERSION}")
 
-    probs = doc.get("probs")
-    _require(isinstance(probs, list) and probs, "probs", "must be a non-empty array")
+    probs = _numbers(doc.get("probs"), "probs")
+    _require(probs.size > 0, "probs", "must be a non-empty array")
     try:
-        space = ProbSpace(np.asarray(probs, dtype=float))
-    except (TypeError, ValueError) as exc:
+        space = ProbSpace(probs)
+    except ValueError as exc:
         raise MarketFileError("probs", str(exc))
 
     agents_doc = doc.get("agents")
@@ -125,14 +144,11 @@ def ingest_market_document(doc) -> dict:
         _require(isinstance(a, dict), where, "must be an object")
         _require("gamma" in a, f"{where}.gamma", "missing")
         _require("payoffs" in a, f"{where}.payoffs", "missing")
+        gamma = _number(a["gamma"], f"{where}.gamma", positive=True)
+        payoffs = _numbers(a["payoffs"], f"{where}.payoffs")
         try:
-            gamma = float(a["gamma"])
-        except (TypeError, ValueError):
-            raise MarketFileError(f"{where}.gamma", "must be a number")
-        _require(gamma > 0.0, f"{where}.gamma", "must be positive")
-        try:
-            endowment = Rv(space, np.asarray(a["payoffs"], dtype=float))
-        except (TypeError, ValueError) as exc:
+            endowment = Rv(space, payoffs)
+        except ValueError as exc:
             raise MarketFileError(f"{where}.payoffs", str(exc))
         agents.append(Agent(gamma, endowment))
     try:
@@ -142,12 +158,15 @@ def ingest_market_document(doc) -> dict:
 
     basket = None
     if doc.get("securities"):
+        _require(isinstance(doc["securities"], list), "securities", "must be an array")
         securities = []
         for idx, payoffs in enumerate(doc["securities"]):
+            where = f"securities[{idx}]"
+            payoffs = _numbers(payoffs, where)
             try:
-                securities.append(Rv(space, np.asarray(payoffs, dtype=float)))
-            except (TypeError, ValueError) as exc:
-                raise MarketFileError(f"securities[{idx}]", str(exc))
+                securities.append(Rv(space, payoffs))
+            except ValueError as exc:
+                raise MarketFileError(where, str(exc))
         try:
             basket = SecurityBasket(tuple(securities))
         except SingularCovarianceError as exc:
@@ -162,7 +181,7 @@ def ingest_market_document(doc) -> dict:
         where = f"parameters.{key}"
         _require(key in DEFAULT_PARAMETERS, where, "unknown parameter")
         if key == "kappa":
-            parameters[key] = _kappa(value, where)
+            parameters[key] = _number(value, where, positive=True)
         else:
             _require(type(value) is int and value >= 1, where,
                      "must be an integer of at least 1")
@@ -354,7 +373,7 @@ def main(argv=None) -> int:
         loaded = load_market_file(args.market)
         if args.kappa is not None:
             # the echo shares this dict
-            loaded["parameters"]["kappa"] = _kappa(args.kappa, "--kappa")
+            loaded["parameters"]["kappa"] = _number(args.kappa, "--kappa", positive=True)
         # an overflow is not printed as a numpy warning: _report turns a
         # non-finite result into exit 3
         with np.errstate(all="ignore"):
@@ -371,6 +390,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     except MarketFileError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ConstantEndowmentError as exc:
+        print(f"validation error: agents[{exc.agent}].payoffs: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SingularCovarianceError, FloatingPointError) as exc:
         print(f"numerical precondition violated: {exc}", file=sys.stderr)

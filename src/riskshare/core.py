@@ -3,10 +3,11 @@
 Everything downstream (sharing rules, equilibrium prices, Nash games) is a
 function of first and second moments only, so random variables are stored as
 payoff vectors over a finite state space, and a market keeps its endowments
-as one n x m payoff matrix. The engines are array formulas over that matrix.
-Every covariance goes through `cross_cov`, which centers its arguments
-before multiplying them (the two-pass algorithm), so moments stay accurate
-when a payoff carries a cash amount far larger than its spread.
+as one n x m payoff matrix. A market owns its moments: the means, the exactly
+centered endowments, their covariance matrix `gram` and their `exposures` to
+a security basket, which owns its own. The engines read only these and add
+cash (the means) last, so a cash shift of an endowment, however large, moves
+nothing else. `cross_cov` (two-pass) serves `Rv` moments and the oracle.
 All objects are immutable after construction.
 """
 
@@ -107,10 +108,7 @@ class Rv:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Rv):
-            self._check_space(other)
-            return Rv(self.space, self.payoffs - other.payoffs)
-        return Rv(self.space, self.payoffs - float(other))
+        return self + (-other)
 
     def __neg__(self):
         return Rv(self.space, -self.payoffs)
@@ -134,13 +132,24 @@ def centered(p: np.ndarray, x: np.ndarray) -> np.ndarray:
 def cross_cov(p: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Covariances of payoff rows, each centered first (two-pass).
 
-    Broadcasts over the leading axes like elementwise arithmetic: equal
-    shapes pair row i of x with row i of y, a single row is paired with
-    every row, and x[:, None] against y gives the full cross-covariance
-    matrix.
+    Equal shapes pair row i of x with row i of y; a single row is paired
+    with every row.
     """
     xc = centered(p, x)
     return (xc * (xc if y is x else centered(p, y))) @ p
+
+
+def _two_pass(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means and exactly centered rows of a payoff matrix, both read-only.
+
+    Corrected two-pass (Chan, Golub & LeVeque 1983; Higham 2002, 1.9): the
+    second centering removes the first mean's rounding, eps times the cash.
+    """
+    residual = centered(p, x)
+    means, rows = x @ p + residual @ p, centered(p, residual)
+    for arr in (means, rows):
+        arr.flags.writeable = False
+    return means, rows
 
 
 def cov(x: Rv, y: Rv) -> float:
@@ -156,6 +165,11 @@ def var(x: Rv) -> float:
 def equal_up_to_constants(x: Rv, y: Rv, tol: float = CONST_VAR_TOL) -> bool:
     """Whether x and y differ only by a cash amount."""
     return var(x - y) < tol
+
+
+def pricing(gamma, expectation, covariance):
+    """The pricing functional E[X] - 2 gamma Cov(X, M), M the shared aggregate."""
+    return expectation - 2.0 * gamma * covariance
 
 
 def mv_utility(agent_gamma: float, x: Rv) -> float:
@@ -184,24 +198,28 @@ class Market:
     space: ProbSpace
     agents: tuple[Agent, ...]
 
-    # derived, filled in __post_init__
+    # derived, filled in __post_init__ (read-only arrays)
     gammas: np.ndarray = field(init=False)
+    payoffs: np.ndarray = field(init=False)  # n x m, row i agent i's payoffs
+    means: np.ndarray = field(init=False)  # E[E_i]
+    centered: np.ndarray = field(init=False)  # the rows E_i - E[E_i], exactly
 
     def __post_init__(self):
         agents = tuple(self.agents)
         if len(agents) < 2:
             raise ValueError("a market needs at least two agents")
-        for k, agent in enumerate(agents):
-            if agent.endowment.space is not self.space and not np.array_equal(
-                agent.endowment.space.probs, self.space.probs
-            ):
+        for k, space in enumerate(a.endowment.space for a in agents):
+            if space is not self.space and not np.array_equal(space.probs, self.space.probs):
                 raise SpaceMismatchError(
-                    f"endowment of agent {k} is not on the market's space"
-                )
-        object.__setattr__(self, "agents", agents)
+                    f"endowment of agent {k} is not on the market's space")
         gammas = np.array([a.gamma for a in agents])
-        gammas.flags.writeable = False
-        object.__setattr__(self, "gammas", gammas)
+        payoffs = np.stack([a.endowment.payoffs for a in agents])
+        for arr in (gammas, payoffs):
+            arr.flags.writeable = False
+        means, rows = _two_pass(self.space.probs, payoffs)
+        for name, value in (("agents", agents), ("gammas", gammas), ("payoffs", payoffs),
+                            ("means", means), ("centered", rows)):
+            object.__setattr__(self, name, value)
         # for n >= 2, exactly, 0 < g < every gamma_i and sum (g/gamma_i)^2 < 1,
         # which keep the gamma_i^2 - g^2 and Nash denominators positive; in
         # floating point both fail when one gamma dwarfs another
@@ -226,11 +244,19 @@ class Market:
         return 1.0 / (inv.sum() - inv[i])
 
     @cached_property
-    def payoffs(self) -> np.ndarray:
-        """The n x m endowment matrix, row i agent i's payoffs (read-only)."""
-        endow = np.stack([a.endowment.payoffs for a in self.agents])
-        endow.flags.writeable = False
-        return endow
+    def gram(self) -> np.ndarray:
+        """The n x n endowment covariance matrix, Cov(E_i, E_j)."""
+        gram = (self.centered * self.space.probs) @ self.centered.T
+        gram.flags.writeable = False
+        return gram
+
+    def exposures(self, basket: "SecurityBasket") -> np.ndarray:
+        """The n x k covariances Cov(E_i, C_j) of endowments and securities."""
+        return (self.centered * self.space.probs) @ basket.centered.T
+
+    def combine(self, linear) -> np.ndarray:
+        """A linear map of endowment rows, applied to the centered rows, cash last."""
+        return linear(self.centered) + linear(self.means[:, None])  # means as a column
 
     @property
     def total_endowment(self) -> Rv:
@@ -253,7 +279,10 @@ class SecurityBasket:
 
     securities: tuple[Rv, ...]
 
+    # derived, filled in __post_init__ (read-only arrays)
+    payoffs: np.ndarray = field(init=False)  # k x m, row j security j's payoffs
     mean_vector: np.ndarray = field(init=False)
+    centered: np.ndarray = field(init=False)
     cov_matrix: np.ndarray = field(init=False)
     cov_inverse: np.ndarray = field(init=False)
 
@@ -263,22 +292,22 @@ class SecurityBasket:
             raise ValueError("basket needs at least one security")
         for s in securities[1:]:
             securities[0]._check_space(s)
-        object.__setattr__(self, "securities", securities)
-        p = self.space.probs
-        mu = self.payoffs @ p
-        V = cross_cov(p, self.payoffs[:, None], self.payoffs)
+        p = securities[0].space.probs
+        payoffs = np.stack([s.payoffs for s in securities])
+        mu, rows = _two_pass(p, payoffs)
+        V = (rows * p) @ rows.T
         svals = np.linalg.svd(V, compute_uv=False)
         if svals[-1] <= SV_RATIO_MIN * svals[0]:
             raise SingularCovarianceError(
                 "covariance matrix of the security basket is singular"
             )
-        for arr in (mu, V):
-            arr.flags.writeable = False
-        object.__setattr__(self, "mean_vector", mu)
-        object.__setattr__(self, "cov_matrix", V)
         inv = np.linalg.inv(V)
-        inv.flags.writeable = False
-        object.__setattr__(self, "cov_inverse", inv)
+        for arr in (payoffs, V, inv):
+            arr.flags.writeable = False
+        for name, value in (("securities", securities), ("payoffs", payoffs),
+                            ("mean_vector", mu), ("centered", rows),
+                            ("cov_matrix", V), ("cov_inverse", inv)):
+            object.__setattr__(self, name, value)
 
     @property
     def k(self) -> int:
@@ -287,13 +316,6 @@ class SecurityBasket:
     @property
     def space(self) -> ProbSpace:
         return self.securities[0].space
-
-    @cached_property
-    def payoffs(self) -> np.ndarray:
-        """The k x m payoff matrix, row j security j's payoffs (read-only)."""
-        rows = np.stack([s.payoffs for s in self.securities])
-        rows.flags.writeable = False
-        return rows
 
     def portfolio(self, quantities) -> Rv:
         """Payoff of holding `quantities[j]` units of each security."""
@@ -306,10 +328,16 @@ def cov_vector(basket: SecurityBasket, x: Rv) -> np.ndarray:
     return cross_cov(basket.space.probs, basket.payoffs, x.payoffs)
 
 
-def mv_utilities(market: Market, rows: np.ndarray) -> np.ndarray:
-    """E[X_i] - gamma_i Var[X_i]: each agent's utility of holding payoff row X_i."""
-    p = market.space.probs
-    return rows @ p - market.gammas * cross_cov(p, rows, rows)
+def holding_utilities(market: Market, basket: SecurityBasket, z, prices) -> np.ndarray:
+    """E[E_i] + z_i.(E[C] - p) - gamma_i Var[E_i + z_i.C], agent i buying z_i of C."""
+    traded = z * (2.0 * market.exposures(basket) + z @ basket.cov_matrix)
+    var = np.diag(market.gram) + traded.sum(axis=-1)  # Var[E_i + z_i.C]
+    return market.means + z @ (basket.mean_vector - prices) - market.gammas * var
+
+
+def autarky_utilities(market: Market) -> np.ndarray:
+    """E[E_i] - gamma_i Var[E_i]: each agent's utility of keeping their endowment."""
+    return market.means - market.gammas * np.diag(market.gram)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,15 +18,14 @@ from .core import (
     Market,
     Rv,
     SecurityBasket,
-    centered,
     cov,
-    cross_cov,
+    holding_utilities,
     mean,
-    mv_utilities,
+    pricing,
     var,
 )
-from .pareto import capm_equilibrium, optimal_sharing, sharing_gain
-from .strategic import _response_coefficients, percentage_responses, profile_utilities
+from .pareto import _pareto_gains, capm_equilibrium, optimal_sharing, report_gains
+from .strategic import _response_coefficients, endowment_variances
 
 
 class ConvergenceError(RuntimeError):
@@ -59,21 +58,29 @@ class NashPriceOutcome:
     pressure: np.ndarray  # Cov(C_j, E - aggregate reported endowment)
 
 
+def _nash_reports(market: Market):
+    """Shares s_i = gamma/gamma_i, aggregate weights w, and the report and contract maps.
+
+    The Nash aggregate is M = w . E, w_i = (1 - s_i) / (1 - sum_j s_j^2); the
+    reports B*_i = (1 - s_i) E_i + s_i^2 M and contracts s_i M - B*_i are
+    linear maps of endowment rows, or of their covariances with a basket.
+    """
+    share = market.aggregate_gamma / market.gammas
+    weights = (1.0 - share) / (1.0 - share @ share)
+
+    def reported(x):
+        return (1.0 - share)[:, None] * x + (share**2)[:, None] * (weights @ x)
+
+    def contracts(x):
+        return share[:, None] * (weights @ x) - reported(x)
+
+    return share, weights, reported, contracts
+
+
 def nash_aggregate_endowment(market: Market) -> Rv:
     """Aggregate shared endowment at the Nash fixed point of the reports."""
-    g = market.aggregate_gamma
-    endow = market.payoffs
-    denom = 1.0 - float(np.sum((g / market.gammas) ** 2))
-    numer = endow.sum(axis=0) - g * (endow / market.gammas[:, None]).sum(axis=0)
-    return Rv(market.space, numer / denom)
-
-
-def _nash_reports(market: Market) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Payoff rows of the Nash reports and contracts, and their aggregate."""
-    share = (market.aggregate_gamma / market.gammas)[:, None]
-    aggregate = nash_aggregate_endowment(market).payoffs
-    reported = (1.0 - share) * market.payoffs + share**2 * aggregate
-    return reported, share * aggregate - reported, aggregate
+    weights = _nash_reports(market)[1]
+    return Rv(market.space, market.combine(lambda x: weights @ x))
 
 
 def nash_endowment(market: Market) -> NashEndowmentOutcome:
@@ -85,15 +92,21 @@ def nash_endowment(market: Market) -> NashEndowmentOutcome:
     the contract received is (gamma/gamma_i) * aggregate - B*_i, and the
     inefficiency is sum gamma_i Var[E_i - B*_i] - gamma Var[E - aggregate].
     """
-    reported, contracts, aggregate = _nash_reports(market)
-    gains = profile_utilities(market, reported) - mv_utilities(market, market.payoffs)
+    share, weights, reported, contracts = _nash_reports(market)
+    # the risk reports hold back, E_i - B*_i = s_i (E_i - s_i M), sums to pooled . E
+    cross = market.gram @ weights  # Cov(E_i, M)
+    pooled = share - (share @ share) * weights
+    var_m = weights @ cross
+    withheld = share**2 * (np.diag(market.gram) - share * (2.0 * cross - share * var_m))
     return NashEndowmentOutcome(
-        reported=market.space.rvs(reported),
-        aggregate=Rv(market.space, aggregate),
-        contracts=market.space.rvs(contracts),
+        reported=market.space.rvs(market.combine(reported)),
+        aggregate=nash_aggregate_endowment(market),
+        contracts=market.space.rvs(market.combine(contracts)),
         # the gain still available from pooling what the reports hold back
-        inefficiency=sharing_gain(market, market.payoffs - reported),
-        per_agent_gain=gains,
+        inefficiency=float(
+            market.gammas @ withheld - market.aggregate_gamma * pooled @ market.gram @ pooled
+        ),
+        per_agent_gain=report_gains(market, 1.0 - share, share**2),
     )
 
 
@@ -125,9 +138,9 @@ def table1_report(market: Market) -> list[Table1Row]:
     sharing = optimal_sharing(market)
     nash = nash_endowment(market)
     diff = (g1 / (g1 + g2)) * e1 - (g2 / (g1 + g2)) * e2
-
-    pareto_gain_engine = g1 * var(sharing.contracts[0])
-    rows = [
+    weights = np.array([g1, -g2]) / (g1 + g2)
+    spread = float(weights @ market.gram @ weights)  # Var[diff]
+    return [
         Table1Row(
             "aggregate_shared_endowment",
             market.total_endowment,
@@ -152,36 +165,37 @@ def table1_report(market: Market) -> list[Table1Row]:
         ),
         Table1Row(
             "gain_of_utility",
-            pareto_gain_engine,
-            g1 * var(diff),
+            float(_pareto_gains(market)[0]),
+            g1 * spread,
             float(nash.per_agent_gain[0]),
-            (g1 + 2 * g2) / 4.0 * var(diff),
+            (g1 + 2 * g2) / 4.0 * spread,
         ),
         Table1Row(
             "inefficiency",
             0.0,
             0.0,
             nash.inefficiency,
-            var(0.5 * (g1 * e1 - g2 * e2)) / (g1 + g2),
+            (g1 + g2) / 4.0 * spread,
         ),
     ]
-    return rows
 
 
 # ---------------------------------------------------------------------------
 # Percentage game
 
 
-def percentage_best_response(
-    market: Market, b: np.ndarray, kappa: float
-) -> np.ndarray:
+def _percentage_coupling(market: Market) -> tuple[np.ndarray, np.ndarray]:
+    """own and M_ij = other_i Cov(E_i, E_j) / Var[E_i], i != j: BR(b) = clamp(own + M b)."""
+    own, other = _response_coefficients(market)
+    coupling = (other / endowment_variances(market))[:, None] * market.gram
+    np.fill_diagonal(coupling, 0.0)
+    return own, coupling
+
+
+def percentage_best_response(market: Market, b: np.ndarray, kappa: float) -> np.ndarray:
     """Clamped best percentage of every agent against reported multiples b."""
-    p = market.space.probs
-    endow = market.payoffs
-    if np.any(cross_cov(p, endow, endow) <= 0.0):
-        raise ValueError("percentage game needs non-constant endowments")
-    reports = np.asarray(b, dtype=float)[:, None] * centered(p, endow)
-    return np.minimum(percentage_responses(market, reports), kappa)
+    own, coupling = _percentage_coupling(market)
+    return np.clip(own + coupling @ np.asarray(b, dtype=float), 0.0, kappa)
 
 
 def nash_percentage(
@@ -199,12 +213,7 @@ def nash_percentage(
     """
     if not (np.isfinite(kappa) and kappa > 0.0):
         raise ValueError("kappa must be finite and positive")
-    covariance = cross_cov(market.space.probs, market.payoffs[:, None], market.payoffs)
-    if np.any(np.diag(covariance) <= 0.0):
-        raise ValueError("percentage game needs non-constant endowments")
-    own, other = _response_coefficients(market)
-    coupling = (other / np.diag(covariance))[:, None] * covariance
-    np.fill_diagonal(coupling, 0.0)
+    own, coupling = _percentage_coupling(market)
     b, split, iterations = np.ones(market.n), None, 0
     while iterations < max_iter:
         new_split = np.digitize(own + coupling @ b, (0.0, kappa), right=True)
@@ -226,12 +235,9 @@ def nash_percentage(
     return NashPercentageOutcome(b, kappa, iterations, converged, residual)
 
 
-def percentage_game_gains(
-    market: Market, outcome: NashPercentageOutcome
-) -> np.ndarray:
+def percentage_game_gains(market: Market, outcome: NashPercentageOutcome) -> np.ndarray:
     """Per-agent utility gain over no trade at the percentage equilibrium."""
-    reports = outcome.b_star[:, None] * centered(market.space.probs, market.payoffs)
-    return profile_utilities(market, reports) - mv_utilities(market, market.payoffs)
+    return report_gains(market, outcome.b_star, np.zeros(market.n))
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +251,14 @@ def nash_price(market: Market, basket: SecurityBasket) -> NashPriceOutcome:
     schedule carries the covariance vector of their endowment-game report and
     the allocation is Cov(C, C*_i(B*_i)) . Var^{-1}[C].
     """
-    p = market.space.probs
-    securities = basket.payoffs
-    reported, contracts, aggregate = _nash_reports(market)
-    p_hat = basket.mean_vector - 2.0 * market.aggregate_gamma * cross_cov(
-        p, securities, aggregate
-    )
-    schedules = [
-        DemandSchedule(g, c)
-        for g, c in zip(market.gammas, cross_cov(p, reported[:, None], securities))
-    ]
-    allocation = cross_cov(p, contracts[:, None], securities) @ basket.cov_inverse
-    pressure = cross_cov(p, securities, market.payoffs.sum(axis=0) - aggregate)
+    _, weights, reported, contracts = _nash_reports(market)
+    exposures = market.exposures(basket)
+    aggregate = weights @ exposures  # Cov(C, M)
     return NashPriceOutcome(
-        price=p_hat, schedules=schedules, allocation=allocation, pressure=pressure
+        price=pricing(market.aggregate_gamma, basket.mean_vector, aggregate),
+        schedules=[DemandSchedule(*s) for s in zip(market.gammas, reported(exposures))],
+        allocation=contracts(exposures) @ basket.cov_inverse,
+        pressure=exposures.sum(axis=0) - aggregate,
     )
 
 
@@ -288,18 +288,12 @@ def nash_vs_pareto_utilities(
     """
     capm = capm_equilibrium(market, basket)
     nash = nash_price(market, basket)
-    endow = market.payoffs
-    pareto_u = mv_utilities(market, endow + capm.allocation @ basket.payoffs) - (
-        capm.allocation @ capm.prices
-    )
-    nash_u = mv_utilities(market, endow + nash.allocation @ basket.payoffs) - (
-        nash.allocation @ nash.price
-    )
-    decrease = float(pareto_u.sum() - nash_u.sum())
+    pareto_u = holding_utilities(market, basket, capm.allocation, capm.prices)
+    nash_u = holding_utilities(market, basket, nash.allocation, nash.price)
+    decrease = float(np.sum(pareto_u - nash_u))
     zh, z = nash.allocation, capm.allocation
-    h = cross_cov(market.space.probs, endow[:, None], basket.payoffs)
     closed = market.gammas @ np.sum(
-        (zh - z) * ((zh + z) @ basket.cov_matrix + 2.0 * h), axis=1
+        (zh - z) * ((zh + z) @ basket.cov_matrix + 2.0 * market.exposures(basket)), axis=1
     )
     agent1_closed = None
     if market.n == 2 and basket.k == 1 and abs(basket.cov_matrix[0, 0] - 1.0) < 1e-12:
@@ -337,12 +331,7 @@ def excess_return_check(market: Market, basket: SecurityBasket, x: Rv) -> float:
         label = "x" if k == 0 else f"endowment {k - 1}"
         raise ValueError(f"{label} is not in the span of {{1, C_1..C_k}}")
     m = nash_aggregate_endowment(market)
-    g = market.aggregate_gamma
-
-    def price(y: Rv) -> float:
-        return mean(y) - 2.0 * g * cov(y, m)
-
-    px, pm = price(x), price(m)
+    px, pm = (pricing(market.aggregate_gamma, mean(y), cov(y, m)) for y in (x, m))
     if abs(px) < 1e-12 or abs(pm) < 1e-12:
         raise ValueError("zero equilibrium price; returns are undefined")
     rx = (1.0 / px) * x - 1.0

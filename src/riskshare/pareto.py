@@ -3,8 +3,10 @@
 The optimal sharing rule, the price-allocation equilibrium for an arbitrary
 basket, endowment prices, per-agent utility levels and the utility losses of
 constrained sharing all have closed forms under mean-variance preferences.
-Contracts are returned with the canonical zero-constant normalization (no
-cash added), resolving the "up to constants" freedom.
+Gains are quadratic forms in the market's covariance matrix, allocations
+linear maps of its exposures. Of the freedom "up to constants", contracts
+keep the constants W @ means: C*_i = sum_j weights[i, j] E_j, cash included.
+The constants sum to zero across agents, and no gain or price reads them.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from .core import (
     Rv,
     SecurityBasket,
     SingularCovarianceError,
-    cov_vector,
-    cross_cov,
-    mv_utilities,
+    autarky_utilities,
+    pricing,
 )
 
 
@@ -48,39 +49,46 @@ class CapmEquilibrium:
 
 
 def sharing_weights(market: Market) -> np.ndarray:
-    g = market.aggregate_gamma
-    n = market.n
-    w = np.tile((g / market.gammas)[:, None], (1, n))
-    np.fill_diagonal(w, (g - market.gammas) / market.gammas)
-    return w
+    share = market.aggregate_gamma / market.gammas
+    return np.tile(share[:, None], (1, market.n)) - np.eye(market.n)
 
 
-def _contract_rows(market: Market) -> np.ndarray:
-    """Payoff rows of the optimal contracts, C*_i = sum_j weights[i, j] E_j."""
-    return sharing_weights(market) @ market.payoffs
+def _contracts(market: Market):
+    """C*_i = (gamma/gamma_i) sum_j E_j - E_i, a linear map of endowment rows in O(nm)."""
+    share = market.aggregate_gamma / market.gammas
+    return lambda x: share[:, None] * x.sum(axis=0) - x
 
 
 def optimal_sharing(market: Market) -> ParetoSharing:
     """Unique (up to constants) sum-of-utilities maximizing zero-sum contracts."""
     return ParetoSharing(
-        contracts=market.space.rvs(_contract_rows(market)),
+        contracts=market.space.rvs(market.combine(_contracts(market))),
         weights=sharing_weights(market),
     )
 
 
 def aggregate_gain(market: Market) -> float:
-    """Maximized aggregate utility gain from the optimal sharing transaction."""
-    return sharing_gain(market, market.payoffs)
+    """Maximized aggregate utility gain, sum_i gamma_i Var[E_i] - gamma Var[sum_i E_i]."""
+    gram = market.gram
+    return float(market.gammas @ np.diag(gram) - market.aggregate_gamma * gram.sum())
 
 
-def sharing_gain(market: Market, rows: np.ndarray) -> float:
-    """Gain sum_i gamma_i Var[X_i] - gamma Var[sum_i X_i] of pooling payoff rows X_i."""
-    p = market.space.probs
-    total = rows.sum(axis=0)
-    return float(
-        market.gammas @ cross_cov(p, rows, rows)
-        - market.aggregate_gamma * cross_cov(p, total, total)
-    )
+def report_gains(market: Market, own: np.ndarray, share: np.ndarray) -> np.ndarray:
+    """Each agent's gain when the sharing rule runs on reports R_i = own_i E_i + share_i A.
+
+    With A = sum_i R_i = w . E, w = own / (1 - sum share), agent i receives
+    c_i = (gamma/gamma_i) A - R_i at price E[c_i] - 2 gamma Cov(A, c_i) and
+    gains 2 gamma Cov(A, c_i) - gamma_i (Var[E_i + c_i] - Var[E_i]): quadratic
+    forms in the covariance matrix. Truthful reports give the Pareto gains.
+    """
+    g = market.aggregate_gamma
+    variances = np.diag(market.gram)
+    weights = own / (1.0 - np.sum(share))
+    cross = market.gram @ weights  # Cov(E_i, A)
+    var_a = weights @ cross
+    take, keep = g / market.gammas - share, 1.0 - own  # E_i + c_i = keep_i E_i + take_i A
+    var_kept = keep * (keep * variances + 2.0 * take * cross) + take**2 * var_a
+    return 2.0 * g * (take * var_a - own * cross) - market.gammas * (var_kept - variances)
 
 
 def capm_equilibrium(market: Market, basket: SecurityBasket) -> CapmEquilibrium:
@@ -91,16 +99,15 @@ def capm_equilibrium(market: Market, basket: SecurityBasket) -> CapmEquilibrium:
     Cov(C, C*_i) . Var^{-1}[C].
     """
     g = market.aggregate_gamma
-    prices = basket.mean_vector - 2.0 * g * cov_vector(basket, market.total_endowment)
-    exposure = cross_cov(
-        market.space.probs, _contract_rows(market)[:, None], basket.payoffs
-    )
+    exposures = market.exposures(basket)
+    total = exposures.sum(axis=0)  # Cov(C, sum_i E_i)
+    exposure = _contracts(market)(exposures)  # Cov(C*_i, C)
     allocation = exposure @ basket.cov_inverse
     gains = market.gammas * np.sum(allocation * exposure, axis=1)
     return CapmEquilibrium(
-        prices=prices,
+        prices=pricing(g, basket.mean_vector, total),
         allocation=allocation,
-        utility_levels=mv_utilities(market, market.payoffs) + gains,
+        utility_levels=autarky_utilities(market) + gains,
         gains=gains,
     )
 
@@ -113,24 +120,23 @@ def endowment_prices(market: Market) -> np.ndarray:
     `capm_equilibrium` instead.
     """
     try:
-        basket = SecurityBasket(tuple(market.endowments()))
+        SecurityBasket(tuple(market.endowments()))
     except SingularCovarianceError as exc:
         raise SingularCovarianceError(
             "endowment covariance matrix Var[E] is singular; "
             "price a reduced basket explicitly instead"
         ) from exc
-    return capm_equilibrium(market, basket).prices
+    return pricing(market.aggregate_gamma, market.means, market.gram.sum(axis=0))
 
 
 def _pareto_gains(market: Market) -> np.ndarray:
     """gamma_i Var[C*_i], each agent's gain from the optimal sharing transaction."""
-    rows = _contract_rows(market)
-    return market.gammas * cross_cov(market.space.probs, rows, rows)
+    return report_gains(market, np.ones(market.n), np.zeros(market.n))
 
 
 def optimal_utility_levels(market: Market) -> np.ndarray:
     """Per-agent utility level after the optimal sharing transaction."""
-    return _pareto_gains(market) + mv_utilities(market, market.payoffs)
+    return autarky_utilities(market) + _pareto_gains(market)
 
 
 def constrained_loss(
@@ -152,7 +158,4 @@ def reservation_prices(market: Market, basket: SecurityBasket, i: int) -> np.nda
     E[C] - 2 gamma_i Cov(C, E_i); at these prices the agent is indifferent
     between trading and not trading the basket.
     """
-    agent = market.agents[i]
-    return basket.mean_vector - 2.0 * agent.gamma * cov_vector(
-        basket, agent.endowment
-    )
+    return pricing(market.gammas[i], basket.mean_vector, market.exposures(basket)[i])

@@ -19,12 +19,11 @@ from .core import (
     Market,
     Rv,
     SecurityBasket,
+    autarky_utilities,
     centered,
-    cov_vector,
     cross_cov,
-    mv_utilities,
-    mv_utility,
-    var,
+    holding_utilities,
+    pricing,
 )
 
 
@@ -37,9 +36,25 @@ class ResponseReport:
     utility_after: float
 
 
+class ConstantEndowmentError(ValueError):
+    """The percentage game met a riskless endowment: no multiple of it changes anything."""
+
+    def __init__(self, agent: int):
+        self.agent = agent
+        super().__init__("the percentage game needs a non-constant endowment")
+
+
+def endowment_variances(market: Market, agents=None) -> np.ndarray:
+    """Var[E_i] from the covariance matrix, checked positive for `agents` (default all)."""
+    variances = np.diag(market.gram)
+    for k in np.flatnonzero(variances <= 0.0):
+        if agents is None or k in agents:
+            raise ConstantEndowmentError(int(k))
+    return variances
+
+
 def truthful_schedules(market: Market, basket: SecurityBasket) -> list[DemandSchedule]:
-    exposure = cross_cov(market.space.probs, market.payoffs[:, None], basket.payoffs)
-    return [DemandSchedule(g, c) for g, c in zip(market.gammas, exposure)]
+    return [DemandSchedule(g, c) for g, c in zip(market.gammas, market.exposures(basket))]
 
 
 def _response_coefficients(market: Market) -> tuple[np.ndarray, np.ndarray]:
@@ -54,32 +69,13 @@ def _response_coefficients(market: Market) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _report_rows(market: Market, others: Sequence[Rv] | None) -> np.ndarray:
+    """Centered report rows: the true endowments, or the `others` profile."""
     if others is None:
-        return market.payoffs.copy()
+        return market.centered.copy()
     rows = np.stack([r.payoffs for r in others])
     if len(rows) != market.n:
         raise ValueError("reports must be a full-length profile (slot i is ignored)")
-    return rows
-
-
-def profile_utilities(market: Market, reports: np.ndarray) -> np.ndarray:
-    """Utility of every agent when the mechanism shares the report profile.
-
-    `reports` is an n x m payoff matrix, row i agent i's report, while each
-    agent's real exposure stays their true endowment. With A the sum of the
-    reports, agent i receives the sharing-rule contract
-    c_i = (gamma/gamma_i) A - R_i and pays its price E[c_i] - 2 gamma Cov(A, c_i):
-    U_i = E[E_i] - gamma_i Var[E_i + c_i] + 2 gamma Cov(A, c_i).
-    Cash in a report is priced at par, so only the centered reports matter.
-    """
-    p = market.space.probs
-    g = market.aggregate_gamma
-    rows = centered(p, reports)
-    aggregate = rows.sum(axis=0)
-    contracts = (g / market.gammas)[:, None] * aggregate - rows
-    return mv_utilities(market, market.payoffs + contracts) + 2.0 * g * cross_cov(
-        p, aggregate, contracts
-    )
+    return centered(market.space.probs, rows)
 
 
 def reported_utility(
@@ -92,11 +88,22 @@ def reported_utility(
 
     The mechanism prices and allocates the *reported* endowments (b in slot i,
     `others` elsewhere, truthful by default) while agent i's real exposure
-    stays their true endowment; see `profile_utilities`.
+    stays their true endowment. With A the sum of the reports, agent i
+    receives the sharing-rule contract c_i = (gamma/gamma_i) A - R_i and pays
+    its price E[c_i] - 2 gamma Cov(A, c_i):
+    U_i = E[E_i] - gamma_i Var[E_i + c_i] + 2 gamma Cov(A, c_i).
+    Cash in a report is priced at par, so only the centered reports matter;
+    reports may leave the endowments' span, so their moments come from rows.
     """
+    p = market.space.probs
+    g = market.aggregate_gamma
     reports = _report_rows(market, others)
-    reports[i] = b.payoffs
-    return float(profile_utilities(market, reports)[i])
+    reports[i] = centered(p, b.payoffs)
+    aggregate = reports.sum(axis=0)
+    c = (g / market.gammas[i]) * aggregate - reports[i]
+    spread = 2.0 * cross_cov(p, market.centered[i], c) + cross_cov(p, c, c)
+    gain = 2.0 * g * cross_cov(p, aggregate, c) - market.gammas[i] * spread
+    return float(autarky_utilities(market)[i] + gain)
 
 
 def best_endowment_response(
@@ -111,39 +118,20 @@ def best_endowment_response(
     """
     rest = np.delete(_report_rows(market, others), i, axis=0).sum(axis=0)
     own, other = _response_coefficients(market)
-    b = own[i] * market.payoffs[i] + other[i] * rest
+    b = own[i] * market.centered[i] + other[i] * rest
     return Rv(market.space, centered(market.space.probs, b))
 
 
-def percentage_responses(market: Market, reports: np.ndarray) -> np.ndarray:
-    """Best nonnegative multiple of each agent's true endowment to report.
+def best_percentage_response(market: Market, i: int) -> float:
+    """Optimal nonnegative multiple of agent i's true endowment to report.
 
-    Agent i responds to the other rows of the n x m report matrix `reports`:
     b*_i = max(0, gamma_i/(gamma_i+gamma)
-               + gamma^2/(gamma_i^2-gamma^2) * Cov(E_i, R_{-i}) / Var[E_i]),
-    the covariance ratio being rho(E_i, R_{-i}) sqrt(Var[R_{-i}]/Var[E_i]).
-    Callers check Var[E_i] > 0 for the agents whose response they use.
+               + gamma^2/(gamma_i^2-gamma^2) * Cov(E_i, E_{-i}) / Var[E_i]),
+    the covariance ratio being rho(E_i, E_{-i}) sqrt(Var[E_{-i}]/Var[E_i]).
     """
-    p = market.space.probs
-    endow = market.payoffs
-    rows = centered(p, reports)
+    variance = endowment_variances(market, (i,))[i]
     own, other = _response_coefficients(market)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = cross_cov(p, endow, rows.sum(axis=0) - rows) / cross_cov(
-            p, endow, endow
-        )
-    return np.maximum(0.0, own + other * ratio)
-
-
-def best_percentage_response(
-    market: Market,
-    i: int,
-    others: Sequence[Rv] | None = None,
-) -> float:
-    """Optimal nonnegative multiple of agent i's true endowment to report."""
-    if var(market.agents[i].endowment) <= 0.0:
-        raise ValueError("best percentage response needs a non-constant endowment")
-    return float(percentage_responses(market, _report_rows(market, others))[i])
+    return float(max(0.0, own[i] + other[i] * (market.gram[i].sum() - variance) / variance))
 
 
 def best_price_response(
@@ -169,7 +157,7 @@ def best_price_response(
     gi = market.agents[i].gamma
     go = 1.0 / sum(1.0 / s.gamma for s in other_schedules)
     cbar = np.sum([s.c for s in other_schedules], axis=0)
-    h = cov_vector(basket, market.agents[i].endowment)
+    h = market.exposures(basket)[i]
     gap = 2.0 * (gi * go * h + go * (gi + go) * cbar) / (gi + 2.0 * go)
     return basket.mean_vector - gap
 
@@ -182,16 +170,16 @@ def best_demand_response(
     Same linear family as the truthful demand, with the covariance vector
     taken against the best endowment response instead of the true endowment.
     """
-    b = best_endowment_response(market, i)
-    return DemandSchedule(market.agents[i].gamma, cov_vector(basket, b))
+    exposures = market.exposures(basket)
+    own, other = _response_coefficients(market)
+    c = own[i] * exposures[i] + other[i] * (exposures.sum(axis=0) - exposures[i])
+    return DemandSchedule(market.gammas[i], c)
 
 
 def clearing_price(basket: SecurityBasket, schedules: Sequence[DemandSchedule]) -> np.ndarray:
     """Price at which the given demand schedules sum to zero."""
-    inv_gammas = np.array([1.0 / s.gamma for s in schedules])
-    g = 1.0 / inv_gammas.sum()
-    total_c = np.sum([s.c for s in schedules], axis=0)
-    return basket.mean_vector - 2.0 * g * total_c
+    g = 1.0 / np.sum([1.0 / s.gamma for s in schedules])
+    return pricing(g, basket.mean_vector, np.sum([s.c for s in schedules], axis=0))
 
 
 def price_objective(
@@ -207,31 +195,23 @@ def price_objective(
     agents' schedules; agent i absorbs the residual supply.
     """
     p = np.asarray(p, dtype=float)
-    supplied = np.sum(
-        [s.quantities(basket, p) for s in other_schedules], axis=0
-    )
-    position = market.agents[i].endowment - basket.portfolio(supplied)
-    return mv_utility(market.agents[i].gamma, position) + float(supplied @ p)
+    supplied = np.sum([s.quantities(basket, p) for s in other_schedules], axis=0)
+    return float(holding_utilities(market, basket, -supplied, p)[i])
+
+
+def _response_report(market: Market, i: int, response, report: Rv) -> ResponseReport:
+    truthful = reported_utility(market, i, market.agents[i].endowment)
+    return ResponseReport(response, truthful, reported_utility(market, i, report))
 
 
 def endowment_response_report(market: Market, i: int) -> ResponseReport:
     best = best_endowment_response(market, i)
-    return ResponseReport(
-        response=best,
-        utility_before=reported_utility(market, i, market.agents[i].endowment),
-        utility_after=reported_utility(market, i, best),
-    )
+    return _response_report(market, i, best, best)
 
 
 def percentage_response_report(market: Market, i: int) -> ResponseReport:
     best = best_percentage_response(market, i)
-    return ResponseReport(
-        response=best,
-        utility_before=reported_utility(market, i, market.agents[i].endowment),
-        utility_after=reported_utility(
-            market, i, best * market.agents[i].endowment
-        ),
-    )
+    return _response_report(market, i, best, market.space.rv(best * market.centered[i]))
 
 
 def demand_response_report(

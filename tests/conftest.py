@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from riskshare.core import Agent, Market, ProbSpace, SecurityBasket, SingularCovarianceError
+
+# property tests draw the same examples on every run, with no time limit
+settings.register_profile("riskshare", derandomize=True, deadline=None)
+settings.load_profile("riskshare")
 
 
 def make_space(rng, m):

@@ -1,13 +1,22 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskshare.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    _jsonable,
+    cmd_best_response,
+    cmd_capm,
+    cmd_nash,
+    cmd_pareto,
+    ingest_market_document,
     main,
 )
 from riskshare.experiments import correlated_pair_market
@@ -92,6 +101,59 @@ class TestValidation:
         assert main(["nash", "--game", "percentage", "--market", str(path)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["market"]["parameters"] == {"kappa": 2.0, "max_iter": 3}
+
+    @pytest.mark.parametrize("field,raw", [
+        ("agents[0].gamma", '"1"'),
+        ("agents[0].gamma", "true"),
+        ("agents[0].gamma", "Infinity"),
+        ("agents[0].gamma", "1e400"),
+        ("agents[0].gamma", "NaN"),
+        ("agents[0].gamma", "null"),
+        ("probs[0]", '"0.3"'),
+        ("probs[0]", "false"),
+        ("agents[0].payoffs[0]", '"1"'),
+        ("agents[0].payoffs[0]", "true"),
+        ("agents[0].payoffs[0]", "-1e400"),
+        ("agents[0].payoffs[0]", "[1.0]"),
+        ("securities[0][0]", '"1"'),
+        ("securities[0][0]", "true"),
+        ("securities[0][0]", "Infinity"),
+    ])
+    def test_strict_numbers(self, tmp_path, capsys, field, raw):
+        # raw JSON text in place of one number; each must exit 2 addressed
+        doc = {
+            "probs": ["RAW", 0.3, 0.4] if field == "probs[0]" else [0.3, 0.3, 0.4],
+            "agents": [
+                {"gamma": "RAW" if field.endswith("gamma") else 1.0,
+                 "payoffs": ["RAW" if "payoffs" in field else 1.0, -1.0, 0.5]},
+                {"gamma": 2.0, "payoffs": [-0.5, 1.5, -1.0]},
+            ],
+            "securities": [["RAW" if field.startswith("securities") else 1.0, 0.0, -1.0]],
+        }
+        path = write_market(tmp_path, **doc)
+        path.write_text(path.read_text().replace('"RAW"', raw))
+        for command in (["pareto"], ["capm"]):
+            assert main(command + ["--market", str(path)]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith(f"validation error: {field}: "), err
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["nash", "--game", "percentage"],
+        ["best-response", "--game", "percentage", "--agent", "1"],
+    ])
+    def test_constant_endowment_addressed(self, tmp_path, capsys, command):
+        path = write_market(
+            tmp_path,
+            agents=[
+                {"gamma": 1.0, "payoffs": [1.0, -1.0, 0.5]},
+                {"gamma": 2.0, "payoffs": [0.25, 0.25, 0.25]},
+            ],
+        )
+        assert main(command + ["--market", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: agents[1].payoffs: "), err
+        assert "non-constant" in err
 
     def test_singular_basket_addressed(self, tmp_path, capsys):
         path = write_market(tmp_path, securities=[[1.0, 0.0, -1.0], [2.0, 0.0, -2.0]])
@@ -288,6 +350,110 @@ class TestCommands:
         assert main(["pareto", "--market", str(path), "--out", str(out)]) == EXIT_OK
         report = json.loads(out.read_text())
         assert report["command"] == "pareto"
+
+
+def _flat(value, path=""):
+    """Numeric leaves of a report by path; lists of objects are indexed."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _flat(v, f"{path}.{key}" if path else key)
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        for j, v in enumerate(value):
+            yield from _flat(v, f"{path}[{j}]")
+    elif not isinstance(value, str):
+        yield path, np.asarray(value, dtype=float)
+
+
+def _cash(gammas, agent, c):
+    """Cash each field carries when agent 0's endowment is shifted by c.
+
+    Contracts keep the constants of their weights on the endowments; the
+    Nash reports, contracts and aggregate are linear in the endowments.
+    Every field not named here is cash-free.
+    """
+    g = 1.0 / np.sum(1.0 / gammas)
+    share = g / gammas
+    alpha = (1.0 - share) / (1.0 - share @ share)  # Nash aggregate weights
+    first = np.eye(len(gammas))[0]
+    reported = ((1.0 - share) * first + share**2 * alpha[0]) * c
+    contracts = share * alpha[0] * c - reported
+    own = c if agent == 0 else 0.0
+    cash = {
+        "pareto.contracts": (share - first)[:, None] * c,
+        "pareto.endowment_prices": first * c,
+        "pareto.utility_levels": first * c,
+        "capm.utility_levels": first * c,
+        "nash endowment.reported": reported[:, None],
+        "nash endowment.aggregate": alpha[0] * c,
+        "nash endowment.contracts": contracts[:, None],
+    }
+    for mode in ("endowment", "percentage", "demand"):
+        cash[f"best-response {mode}.utility_before"] = own
+        cash[f"best-response {mode}.utility_after"] = own
+    if len(gammas) == 2:
+        g1, g2 = gammas
+        half = g1 / (g1 + g2)
+        rows = [  # pareto engine and closed form, nash engine and closed form
+            (c, c, alpha[0] * c, g1 / (2.0 * g) * c),
+            (c, c, reported[0], (2.0 * g1 + g2) / (2.0 * (g1 + g2)) * c),
+            ((share[0] - 1.0) * c, -half * c, contracts[0], -0.5 * half * c),
+        ]
+        for j, cells in enumerate(rows):
+            for col, x in zip(("pareto_engine", "pareto_closed", "nash_engine",
+                               "nash_closed"), cells):
+                cash[f"nash endowment.table1[{j}].{col}"] = x
+    return cash
+
+
+class TestCashShift:
+    """Shifting an endowment by cash moves only the fields that carry cash."""
+
+    @staticmethod
+    def _results(doc, agent):
+        loaded = ingest_market_document(doc)
+        results = {"pareto": cmd_pareto(loaded), "capm": cmd_capm(loaded)}
+        for mode in ("endowment", "percentage", "demand"):
+            results[f"best-response {mode}"] = cmd_best_response(loaded, agent, mode)
+        for game in ("endowment", "percentage", "price"):
+            results[f"nash {game}"] = cmd_nash(loaded, game)
+        return dict(_flat(_jsonable(results)))
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.integers(0, 3),
+        st.integers(1, 2),
+        st.integers(0, 40),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=200)
+    def test_exact_shift_of_dyadic_market(self, seed, n, extra, k, j, agent):
+        # dyadic payoffs (k/1024) and gammas: adding 2^j to agent 0's payoffs
+        # is exact, so any gap is the algorithm's fault
+        rng = np.random.default_rng(seed)
+        m, agent = n + 1 + extra, agent % n
+        gammas = rng.integers(1, 17, size=n) / 8.0
+        payoffs = rng.integers(-2048, 2049, size=(n, m)) / 1024.0
+        doc = {
+            "schema": 1,
+            "probs": rng.dirichlet(np.ones(m) * 5.0).tolist(),
+            "agents": [{"gamma": g, "payoffs": e}
+                       for g, e in zip(gammas.tolist(), payoffs.tolist())],
+            "securities": (rng.integers(-2048, 2049, size=(k, m)) / 1024.0).tolist(),
+        }
+        base = self._results(doc, agent)
+        c = 2.0**j
+        doc["agents"][0]["payoffs"] = (payoffs[0] + c).tolist()
+        shifted = self._results(doc, agent)
+        cash = _cash(gammas, agent, c)
+        assert list(shifted) == list(base)
+        for path, x in base.items():
+            y = shifted[path]
+            if path in cash:
+                gap, scale = np.abs(y - cash[path] - x), np.abs(y)
+            else:
+                gap, scale = np.abs(y - x), np.abs(x)
+            assert np.all(gap <= 1e-12 * (1.0 + scale)), (path, np.max(gap))
 
 
 class TestRoundTrip:

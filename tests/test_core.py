@@ -85,7 +85,7 @@ class TestMoments:
         assert var(x) == pytest.approx(cov(x, x))
 
     @given(payoff_lists, payoff_lists, st.floats(-5, 5), st.floats(-5, 5))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_cov_bilinear(self, a, b, s, t):
         m = min(len(a), len(b))
         sp = _space(m)
@@ -95,7 +95,7 @@ class TestMoments:
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     @given(payoff_lists, st.floats(-5, 5))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_utility_cash_shift(self, a, c):
         sp = _space(len(a))
         x = sp.rv(a)
@@ -149,6 +149,30 @@ class TestMarket:
         sp = _space(2)
         with pytest.raises(ValueError):
             Agent(0.0, sp.rv([1, 2]))
+
+
+class TestMarketMoments:
+    @pytest.mark.parametrize("scale", [1.0, 1e12])
+    @pytest.mark.parametrize("n,m", [(3, 8), (4, 4), (6, 3)])
+    def test_against_two_pass_reference(self, n, m, scale):
+        # m <= n leaves the endowment covariance matrix rank-deficient
+        rng = np.random.default_rng(10 * n + m)
+        space = ProbSpace(rng.dirichlet(np.ones(m) * 5.0))
+        endow = scale * rng.normal(size=(n, m))
+        market = Market(space, tuple(
+            Agent(float(g), space.rv(e)) for g, e in zip(rng.uniform(0.5, 2.0, n), endow)
+        ))
+        basket = SecurityBasket(tuple(space.rvs(scale * rng.normal(size=(2, m)))))
+        # plain numpy: weighted means, centered once, weighted products
+        rows = np.vstack([endow, basket.payoffs])
+        ref = np.cov(rows, aweights=space.probs, bias=True)
+        tol = 1e-12 * np.abs(ref).max()
+        np.testing.assert_allclose(market.gram, ref[:n, :n], rtol=0, atol=tol)
+        np.testing.assert_allclose(market.exposures(basket), ref[:n, n:], rtol=0, atol=tol)
+        np.testing.assert_allclose(basket.cov_matrix, ref[n:, n:], rtol=0, atol=tol)
+        np.testing.assert_allclose(market.means, endow @ space.probs, rtol=1e-12,
+                                   atol=1e-12 * scale)
+        assert np.linalg.matrix_rank(market.gram) == min(n, m - 1)
 
 
 class TestSecurityBasket:

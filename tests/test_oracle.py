@@ -48,6 +48,15 @@ class TestStructuralIndependence:
         assert "core" in imported
         assert not imported & {"pareto", "strategic", "nash", "experiments", "cli"}
 
+    def test_own_moments(self):
+        # the oracle computes its moments from payoff rows through cross_cov,
+        # never from the market's cached matrices that the engines read
+        tree = ast.parse(pathlib.Path(oracle_module.__file__).read_text())
+        attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert not attributes & {"gram", "exposures", "means", "centered"}
+        assert "cross_cov" in names
+
     def test_gain_matches_mechanism_utility(self):
         rng = np.random.default_rng(80)
         for _ in range(10):

@@ -42,7 +42,7 @@ class TestReportedUtility:
         assert reported_utility(symmetric_market, 0, half) == pytest.approx(5.0 / 16.0)
 
     @given(st.floats(-3, 3), st.floats(-100, 100))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_cash_shift_invariance(self, scale, shift):
         rng = np.random.default_rng(31)
         m = make_market(rng, n=2, m=3)
