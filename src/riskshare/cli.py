@@ -266,12 +266,15 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_pareto(loaded: dict) -> dict:
     market = loaded["market"]
-    return {
-        **_fields(optimal_sharing(market)),
-        "endowment_prices": endowment_prices(market),
-        "utility_levels": optimal_utility_levels(market),
-        "aggregate_gain": aggregate_gain(market),
-    }
+    try:
+        return {
+            **_fields(optimal_sharing(market)),
+            "endowment_prices": endowment_prices(market),
+            "utility_levels": optimal_utility_levels(market),
+            "aggregate_gain": aggregate_gain(market),
+        }
+    except SingularCovarianceError as exc:  # Var[E], tested by endowment_prices
+        raise SingularCovarianceError(f"agents: {exc}") from None
 
 
 def cmd_capm(loaded: dict) -> dict:

@@ -23,7 +23,8 @@ PROB_SUM_TOL = 1e-12
 # Two payoffs are "equal up to constants" when the variance of their
 # difference is below this (centered versions coincide).
 CONST_VAR_TOL = 1e-18
-# Relative singular-value floor for covariance matrices of tradeable baskets.
+# Relative singular-value floor below which a covariance matrix (a basket's
+# Var[C], the endowments' Var[E]) counts as singular.
 SV_RATIO_MIN = 1e-10
 
 
@@ -152,6 +153,14 @@ def _two_pass(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return means, rows
 
 
+def require_invertible(cov_matrix: np.ndarray, message: str) -> None:
+    """Raise SingularCovarianceError(message) unless every singular value of
+    the covariance matrix exceeds SV_RATIO_MIN times the largest."""
+    svals = np.linalg.svd(cov_matrix, compute_uv=False)
+    if svals[-1] <= SV_RATIO_MIN * svals[0]:
+        raise SingularCovarianceError(message)
+
+
 def cov(x: Rv, y: Rv) -> float:
     """Covariance of two random variables; raises on a space mismatch."""
     x._check_space(y)
@@ -238,11 +247,6 @@ class Market:
     def aggregate_gamma(self) -> float:
         return float(1.0 / np.sum(1.0 / self.gammas))
 
-    def gamma_excluding(self, i):
-        """Harmonic aggregate of all risk aversions but agent i's; i may be an array."""
-        inv = 1.0 / self.gammas
-        return 1.0 / (inv.sum() - inv[i])
-
     @cached_property
     def gram(self) -> np.ndarray:
         """The n x n endowment covariance matrix, Cov(E_i, E_j)."""
@@ -296,11 +300,7 @@ class SecurityBasket:
         payoffs = np.stack([s.payoffs for s in securities])
         mu, rows = _two_pass(p, payoffs)
         V = (rows * p) @ rows.T
-        svals = np.linalg.svd(V, compute_uv=False)
-        if svals[-1] <= SV_RATIO_MIN * svals[0]:
-            raise SingularCovarianceError(
-                "covariance matrix of the security basket is singular"
-            )
+        require_invertible(V, "covariance matrix of the security basket is singular")
         inv = np.linalg.inv(V)
         for arr in (payoffs, V, inv):
             arr.flags.writeable = False

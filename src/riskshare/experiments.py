@@ -22,7 +22,7 @@ from .nash import (
     nash_price,
     percentage_game_gains,
 )
-from .pareto import capm_equilibrium, optimal_sharing
+from .pareto import capm_equilibrium, mechanism_gains
 
 DEFAULT_SIZES = (2, 5, 10, 20, 50, 100, 200)
 # A growing-market table's verdict is pass when its value at the largest
@@ -244,8 +244,7 @@ def _gain_figure(variance_ratio: float, rho_values, gamma1_values) -> Table:
             )
             outcome = nash_percentage(market)
             nash_gain = float(percentage_game_gains(market, outcome)[0])
-            sharing = optimal_sharing(market)
-            pareto_gain = float(g1) * var(sharing.contracts[0])
+            pareto_gain = float(mechanism_gains(market, market.centered)[0])
             rows.append(
                 (float(rho), float(g1), nash_gain, pareto_gain, nash_gain - pareto_gain)
             )

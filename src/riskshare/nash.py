@@ -3,8 +3,10 @@
 Closed forms exist for the endowment game and the price-demand game; the
 percentage game, whose clamped best responses are affine in the others'
 reports, is solved exactly as a box-constrained linear complementarity
-problem. All comparisons against the Pareto benchmark (inefficiency, price
-pressure, per-agent gains) are computed here.
+problem. The reports then run through `pareto`'s one sharing mechanism:
+contracts are its `sharing_rule`, per-agent gains its `mechanism_gains` and
+the inefficiency the `pooling_gain` of what the reports hold back. Price
+pressure and the Pareto-vs-Nash utility comparison are computed here too.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from .core import (
     pricing,
     var,
 )
-from .pareto import _pareto_gains, capm_equilibrium, optimal_sharing, report_gains
+from .pareto import (
+    capm_equilibrium,
+    mechanism_gains,
+    optimal_sharing,
+    pooling_gain,
+    sharing_rule,
+)
 from .strategic import _response_coefficients, endowment_variances
 
 
@@ -59,11 +67,12 @@ class NashPriceOutcome:
 
 
 def _nash_reports(market: Market):
-    """Shares s_i = gamma/gamma_i, aggregate weights w, and the report and contract maps.
+    """Aggregate weights w and the report map of the endowment game.
 
-    The Nash aggregate is M = w . E, w_i = (1 - s_i) / (1 - sum_j s_j^2); the
-    reports B*_i = (1 - s_i) E_i + s_i^2 M and contracts s_i M - B*_i are
-    linear maps of endowment rows, or of their covariances with a basket.
+    With shares s_i = gamma/gamma_i, the Nash aggregate is M = w . E,
+    w_i = (1 - s_i) / (1 - sum_j s_j^2), and the reports B*_i = (1 - s_i) E_i
+    + s_i^2 M are a linear map of endowment rows, or of their covariances
+    with a basket.
     """
     share = market.aggregate_gamma / market.gammas
     weights = (1.0 - share) / (1.0 - share @ share)
@@ -71,15 +80,12 @@ def _nash_reports(market: Market):
     def reported(x):
         return (1.0 - share)[:, None] * x + (share**2)[:, None] * (weights @ x)
 
-    def contracts(x):
-        return share[:, None] * (weights @ x) - reported(x)
-
-    return share, weights, reported, contracts
+    return weights, reported
 
 
 def nash_aggregate_endowment(market: Market) -> Rv:
     """Aggregate shared endowment at the Nash fixed point of the reports."""
-    weights = _nash_reports(market)[1]
+    weights = _nash_reports(market)[0]
     return Rv(market.space, market.combine(lambda x: weights @ x))
 
 
@@ -90,23 +96,18 @@ def nash_endowment(market: Market) -> NashEndowmentOutcome:
            + (gamma_{-i}/(gamma_i + gamma_{-i}))^2 * aggregate,
     where gamma_{-i}/(gamma_i + gamma_{-i}) = gamma/gamma_i;
     the contract received is (gamma/gamma_i) * aggregate - B*_i, and the
-    inefficiency is sum gamma_i Var[E_i - B*_i] - gamma Var[E - aggregate].
+    inefficiency, the gain still available from pooling what the reports
+    hold back, is sum gamma_i Var[E_i - B*_i] - gamma Var[E - aggregate].
     """
-    share, weights, reported, contracts = _nash_reports(market)
-    # the risk reports hold back, E_i - B*_i = s_i (E_i - s_i M), sums to pooled . E
-    cross = market.gram @ weights  # Cov(E_i, M)
-    pooled = share - (share @ share) * weights
-    var_m = weights @ cross
-    withheld = share**2 * (np.diag(market.gram) - share * (2.0 * cross - share * var_m))
+    reported = _nash_reports(market)[1]
+    rule = sharing_rule(market)
+    reports = reported(market.centered)
     return NashEndowmentOutcome(
         reported=market.space.rvs(market.combine(reported)),
         aggregate=nash_aggregate_endowment(market),
-        contracts=market.space.rvs(market.combine(contracts)),
-        # the gain still available from pooling what the reports hold back
-        inefficiency=float(
-            market.gammas @ withheld - market.aggregate_gamma * pooled @ market.gram @ pooled
-        ),
-        per_agent_gain=report_gains(market, 1.0 - share, share**2),
+        contracts=market.space.rvs(market.combine(lambda x: rule(reported(x)))),
+        inefficiency=pooling_gain(market, market.centered - reports),
+        per_agent_gain=mechanism_gains(market, reports),
     )
 
 
@@ -165,7 +166,7 @@ def table1_report(market: Market) -> list[Table1Row]:
         ),
         Table1Row(
             "gain_of_utility",
-            float(_pareto_gains(market)[0]),
+            float(mechanism_gains(market, market.centered)[0]),
             g1 * spread,
             float(nash.per_agent_gain[0]),
             (g1 + 2 * g2) / 4.0 * spread,
@@ -237,7 +238,7 @@ def nash_percentage(
 
 def percentage_game_gains(market: Market, outcome: NashPercentageOutcome) -> np.ndarray:
     """Per-agent utility gain over no trade at the percentage equilibrium."""
-    return report_gains(market, outcome.b_star, np.zeros(market.n))
+    return mechanism_gains(market, outcome.b_star[:, None] * market.centered)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +252,13 @@ def nash_price(market: Market, basket: SecurityBasket) -> NashPriceOutcome:
     schedule carries the covariance vector of their endowment-game report and
     the allocation is Cov(C, C*_i(B*_i)) . Var^{-1}[C].
     """
-    _, weights, reported, contracts = _nash_reports(market)
+    weights, reported = _nash_reports(market)
     exposures = market.exposures(basket)
     aggregate = weights @ exposures  # Cov(C, M)
     return NashPriceOutcome(
         price=pricing(market.aggregate_gamma, basket.mean_vector, aggregate),
         schedules=[DemandSchedule(*s) for s in zip(market.gammas, reported(exposures))],
-        allocation=contracts(exposures) @ basket.cov_inverse,
+        allocation=sharing_rule(market)(reported(exposures)) @ basket.cov_inverse,
         pressure=exposures.sum(axis=0) - aggregate,
     )
 
@@ -320,7 +321,10 @@ def excess_return_check(market: Market, basket: SecurityBasket, x: Rv) -> float:
     Returns |LHS - RHS| where R_Y = Y / pi(Y) - 1 and
     pi(Y) = E[Y] - 2 gamma Cov(Y, M) is the Nash pricing functional.
     Requires every endowment and x to lie in span{1, C_1..C_k} and both
-    prices to be nonzero.
+    prices to be nonzero. Both sides equal 2 gamma Cov(X, M) / pi(X) for any
+    M with pi(X), pi(M) != 0 and Var[M] > 0, so the residual is rounding
+    noise whatever M is: the check guards `core.pricing` and the return
+    algebra, not the Nash aggregate.
     """
     design = np.vstack([np.ones(market.space.n_states), basket.payoffs]).T
     targets = np.vstack([x.payoffs, market.payoffs]).T

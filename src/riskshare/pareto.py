@@ -1,12 +1,15 @@
-"""Pareto-optimal risk sharing and competitive (CAPM) security pricing.
+"""The sharing mechanism, Pareto-optimal sharing and competitive (CAPM) pricing.
 
-The optimal sharing rule, the price-allocation equilibrium for an arbitrary
-basket, endowment prices, per-agent utility levels and the utility losses of
-constrained sharing all have closed forms under mean-variance preferences.
-Gains are quadratic forms in the market's covariance matrix, allocations
-linear maps of its exposures. Of the freedom "up to constants", contracts
-keep the constants W @ means: C*_i = sum_j weights[i, j] E_j, cash included.
-The constants sum to zero across agents, and no gain or price reads them.
+The mechanism is stated here once. Agents report centered payoff rows R;
+agent i receives c_i = (gamma/gamma_i) sum_j R_j - R_i (`sharing_rule`) at
+the price E[c_i] - 2 gamma Cov(c_i, sum_j R_j) and so gains
+`mechanism_gains`; `pooling_gain` is the gain left in pooling any rows.
+Pareto sharing runs the mechanism on the true endowments, the Nash games
+(`nash`) and a single deviator (`strategic`) on their reports. Basket prices
+and allocations are linear maps of the market's exposures. Of the freedom
+"up to constants", contracts keep the constants W @ means:
+C*_i = sum_j weights[i, j] E_j, cash included. The constants sum to zero
+across agents, and no gain or price reads them.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from .core import (
     Market,
     Rv,
     SecurityBasket,
-    SingularCovarianceError,
     autarky_utilities,
     pricing,
+    require_invertible,
 )
 
 
@@ -48,47 +51,50 @@ class CapmEquilibrium:
     gains: np.ndarray
 
 
-def sharing_weights(market: Market) -> np.ndarray:
-    share = market.aggregate_gamma / market.gammas
-    return np.tile(share[:, None], (1, market.n)) - np.eye(market.n)
-
-
-def _contracts(market: Market):
-    """C*_i = (gamma/gamma_i) sum_j E_j - E_i, a linear map of endowment rows in O(nm)."""
+def sharing_rule(market: Market):
+    """x -> (gamma/gamma_i) sum_j x_j - x_i: the contracts for report rows x, in O(nm)."""
     share = market.aggregate_gamma / market.gammas
     return lambda x: share[:, None] * x.sum(axis=0) - x
+
+
+def sharing_weights(market: Market) -> np.ndarray:
+    return sharing_rule(market)(np.eye(market.n))
+
+
+def mechanism_gains(market: Market, reports: np.ndarray) -> np.ndarray:
+    """Each agent's utility gain when the sharing rule runs on centered report rows.
+
+    With A = sum_j R_j, agent i keeps their true endowment E_i, receives
+    c_i = (gamma/gamma_i) A - R_i and pays its price E[c_i] - 2 gamma Cov(A, c_i):
+    gain_i = 2 gamma Cov(A, c_i) - gamma_i (2 Cov(E_i, c_i) + Var[c_i]),
+    each covariance a p-weighted product of centered rows. Truthful reports,
+    `market.centered`, give the Pareto gains gamma_i Var[C*_i].
+    """
+    contracts = sharing_rule(market)(reports)
+    weighted = contracts * market.space.probs
+    with_aggregate = weighted @ reports.sum(axis=0)  # Cov(A, c_i)
+    spread = np.sum(weighted * (2.0 * market.centered + contracts), axis=1)
+    return 2.0 * market.aggregate_gamma * with_aggregate - market.gammas * spread
+
+
+def pooling_gain(market: Market, rows: np.ndarray) -> float:
+    """sum_i gamma_i Var[X_i] - gamma Var[sum_i X_i]: the gain of pooling centered rows X."""
+    p = market.space.probs
+    total = rows.sum(axis=0)
+    return float(market.gammas @ (rows**2 @ p) - market.aggregate_gamma * (total**2 @ p))
 
 
 def optimal_sharing(market: Market) -> ParetoSharing:
     """Unique (up to constants) sum-of-utilities maximizing zero-sum contracts."""
     return ParetoSharing(
-        contracts=market.space.rvs(market.combine(_contracts(market))),
+        contracts=market.space.rvs(market.combine(sharing_rule(market))),
         weights=sharing_weights(market),
     )
 
 
 def aggregate_gain(market: Market) -> float:
     """Maximized aggregate utility gain, sum_i gamma_i Var[E_i] - gamma Var[sum_i E_i]."""
-    gram = market.gram
-    return float(market.gammas @ np.diag(gram) - market.aggregate_gamma * gram.sum())
-
-
-def report_gains(market: Market, own: np.ndarray, share: np.ndarray) -> np.ndarray:
-    """Each agent's gain when the sharing rule runs on reports R_i = own_i E_i + share_i A.
-
-    With A = sum_i R_i = w . E, w = own / (1 - sum share), agent i receives
-    c_i = (gamma/gamma_i) A - R_i at price E[c_i] - 2 gamma Cov(A, c_i) and
-    gains 2 gamma Cov(A, c_i) - gamma_i (Var[E_i + c_i] - Var[E_i]): quadratic
-    forms in the covariance matrix. Truthful reports give the Pareto gains.
-    """
-    g = market.aggregate_gamma
-    variances = np.diag(market.gram)
-    weights = own / (1.0 - np.sum(share))
-    cross = market.gram @ weights  # Cov(E_i, A)
-    var_a = weights @ cross
-    take, keep = g / market.gammas - share, 1.0 - own  # E_i + c_i = keep_i E_i + take_i A
-    var_kept = keep * (keep * variances + 2.0 * take * cross) + take**2 * var_a
-    return 2.0 * g * (take * var_a - own * cross) - market.gammas * (var_kept - variances)
+    return pooling_gain(market, market.centered)
 
 
 def capm_equilibrium(market: Market, basket: SecurityBasket) -> CapmEquilibrium:
@@ -101,7 +107,7 @@ def capm_equilibrium(market: Market, basket: SecurityBasket) -> CapmEquilibrium:
     g = market.aggregate_gamma
     exposures = market.exposures(basket)
     total = exposures.sum(axis=0)  # Cov(C, sum_i E_i)
-    exposure = _contracts(market)(exposures)  # Cov(C*_i, C)
+    exposure = sharing_rule(market)(exposures)  # Cov(C*_i, C)
     allocation = exposure @ basket.cov_inverse
     gains = market.gammas * np.sum(allocation * exposure, axis=1)
     return CapmEquilibrium(
@@ -119,24 +125,17 @@ def endowment_prices(market: Market) -> np.ndarray:
     collinear endowments pass an explicit reduced basket to
     `capm_equilibrium` instead.
     """
-    try:
-        SecurityBasket(tuple(market.endowments()))
-    except SingularCovarianceError as exc:
-        raise SingularCovarianceError(
-            "endowment covariance matrix Var[E] is singular; "
-            "price a reduced basket explicitly instead"
-        ) from exc
+    require_invertible(
+        market.gram,
+        "endowment covariance matrix Var[E] is singular; "
+        "price a reduced basket explicitly instead",
+    )
     return pricing(market.aggregate_gamma, market.means, market.gram.sum(axis=0))
-
-
-def _pareto_gains(market: Market) -> np.ndarray:
-    """gamma_i Var[C*_i], each agent's gain from the optimal sharing transaction."""
-    return report_gains(market, np.ones(market.n), np.zeros(market.n))
 
 
 def optimal_utility_levels(market: Market) -> np.ndarray:
     """Per-agent utility level after the optimal sharing transaction."""
-    return autarky_utilities(market) + _pareto_gains(market)
+    return autarky_utilities(market) + mechanism_gains(market, market.centered)
 
 
 def constrained_loss(
@@ -148,7 +147,7 @@ def constrained_loss(
     zero exactly when the optimal contract lies in span{1, C_1..C_k}; the
     subtracted term is agent i's gain in the basket equilibrium.
     """
-    losses = _pareto_gains(market) - capm_equilibrium(market, basket).gains
+    losses = mechanism_gains(market, market.centered) - capm_equilibrium(market, basket).gains
     return losses, float(losses.sum())
 
 

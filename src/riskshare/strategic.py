@@ -2,9 +2,11 @@
 
 One agent learns what the others are going to share (their reported
 endowments, or their demand schedules) and reports whatever maximizes their
-own utility once the sharing mechanism is applied. Best responses are
-returned zero-mean normalized; the deviator's utility is invariant to cash
-shifts of the report, so nothing is lost.
+own utility once the sharing mechanism is applied; the utility of any report
+is the autarky utility plus the agent's `pareto.mechanism_gains` on the
+report profile. Best responses are returned zero-mean normalized; the
+deviator's utility is invariant to cash shifts of the report, so nothing is
+lost.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from .core import (
     SecurityBasket,
     autarky_utilities,
     centered,
-    cross_cov,
     holding_utilities,
     pricing,
 )
+from .pareto import mechanism_gains
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,22 +90,13 @@ def reported_utility(
 
     The mechanism prices and allocates the *reported* endowments (b in slot i,
     `others` elsewhere, truthful by default) while agent i's real exposure
-    stays their true endowment. With A the sum of the reports, agent i
-    receives the sharing-rule contract c_i = (gamma/gamma_i) A - R_i and pays
-    its price E[c_i] - 2 gamma Cov(A, c_i):
-    U_i = E[E_i] - gamma_i Var[E_i + c_i] + 2 gamma Cov(A, c_i).
-    Cash in a report is priced at par, so only the centered reports matter;
-    reports may leave the endowments' span, so their moments come from rows.
+    stays their true endowment: U_i is agent i's autarky utility plus their
+    `mechanism_gains` on the report profile. Cash in a report is priced at
+    par, so only the centered reports matter.
     """
-    p = market.space.probs
-    g = market.aggregate_gamma
     reports = _report_rows(market, others)
-    reports[i] = centered(p, b.payoffs)
-    aggregate = reports.sum(axis=0)
-    c = (g / market.gammas[i]) * aggregate - reports[i]
-    spread = 2.0 * cross_cov(p, market.centered[i], c) + cross_cov(p, c, c)
-    gain = 2.0 * g * cross_cov(p, aggregate, c) - market.gammas[i] * spread
-    return float(autarky_utilities(market)[i] + gain)
+    reports[i] = centered(market.space.probs, b.payoffs)
+    return float(autarky_utilities(market)[i] + mechanism_gains(market, reports)[i])
 
 
 def best_endowment_response(

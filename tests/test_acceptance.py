@@ -222,7 +222,12 @@ def test_criterion_06_percentage_game_limits():
 
 
 def test_criterion_07_capm_beta_identity():
-    """Excess-return identity residual below 1e-12 across random markets."""
+    """Excess-return identity residual below 1e-12 across random markets.
+
+    The identity holds for any aggregate M with nonzero prices and Var[M] > 0,
+    so this guards `core.pricing` and the return algebra, not the Nash
+    aggregate.
+    """
     rng = np.random.default_rng(105)
     for _ in range(20):
         m_states = int(rng.integers(3, 6))

@@ -162,6 +162,18 @@ class TestValidation:
             err = capsys.readouterr().err
             assert err.startswith("numerical precondition violated: securities: ")
 
+    def test_singular_endowments_addressed(self, tmp_path, capsys):
+        # three endowments on three states span at most two centered directions
+        path = write_market(tmp_path, agents=[
+            {"gamma": 1.0, "payoffs": [1.0, -1.0, 0.5]},
+            {"gamma": 2.0, "payoffs": [-0.5, 1.5, -1.0]},
+            {"gamma": 1.5, "payoffs": [0.0, 2.0, 0.25]},
+        ])
+        assert main(["pareto", "--market", str(path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical precondition violated: agents: endowment "
+                              "covariance matrix Var[E] is singular; "), err
+
     def test_capm_needs_securities(self, tmp_path, capsys):
         path = write_market(tmp_path, securities=[])
         assert main(["capm", "--market", str(path)]) == EXIT_VALIDATION

@@ -122,18 +122,8 @@ class TestMarket:
             m = make_market(rng)
             assert 0.0 < m.aggregate_gamma < m.gammas.min()
             assert 1.0 - np.sum((m.aggregate_gamma / m.gammas) ** 2) > 0.0
-
-    def test_gamma_excluding(self):
         sp = _space(2)
-        m = Market(
-            sp,
-            (
-                Agent(1.0, sp.rv([1, 0])),
-                Agent(2.0, sp.rv([0, 1])),
-                Agent(4.0, sp.rv([1, 1])),
-            ),
-        )
-        assert m.gamma_excluding(0) == pytest.approx(1.0 / (1 / 2 + 1 / 4))
+        m = Market(sp, tuple(Agent(g, sp.rv([1, 0])) for g in (1.0, 2.0, 4.0)))
         assert m.aggregate_gamma == pytest.approx(1.0 / (1 + 1 / 2 + 1 / 4))
 
     def test_total_endowment(self):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskshare.core import (
     SingularCovarianceError,
+    centered,
     cov,
     demand,
     mean,
@@ -14,11 +17,14 @@ from riskshare.pareto import (
     capm_equilibrium,
     constrained_loss,
     endowment_prices,
+    mechanism_gains,
     optimal_sharing,
     optimal_utility_levels,
+    pooling_gain,
     reservation_prices,
     sharing_weights,
 )
+from riskshare.nash import nash_endowment
 
 from conftest import make_basket, make_market
 
@@ -187,3 +193,25 @@ class TestReservationPrices:
             assert np.allclose(
                 demand(a.gamma, a.endowment, basket, p0), 0.0, atol=1e-10
             )
+
+
+class TestWelfareIdentity:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(2, 8))
+    @settings(max_examples=200)
+    def test_gains_plus_unpooled_risk_is_aggregate_gain(self, seed, n, m):
+        # contract prices net to zero across the pool, so for any reports R
+        # the mechanism's gains and the gain left in pooling E - R add up to
+        # the aggregate gain
+        rng = np.random.default_rng(seed)
+        market = make_market(rng, n=n, m=m)
+        # in-span mixtures of the endowments plus rows off their span
+        raw = rng.normal(size=(n, n)) @ market.centered + rng.normal(size=(n, m))
+        reports = centered(market.space.probs, raw)
+        gains = mechanism_gains(market, reports)
+        unpooled = pooling_gain(market, market.centered - reports)
+        total = aggregate_gain(market)
+        scale = np.abs(gains).sum() + abs(unpooled) + abs(total)
+        assert abs(gains.sum() + unpooled - total) <= 1e-12 * (1.0 + scale)
+        nash = nash_endowment(market)
+        gap = nash.inefficiency - (total - nash.per_agent_gain.sum())
+        assert abs(gap) <= 1e-12 * (1.0 + np.abs(nash.per_agent_gain).sum() + total)
