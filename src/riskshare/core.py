@@ -154,10 +154,11 @@ def _two_pass(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def require_invertible(cov_matrix: np.ndarray, message: str) -> None:
-    """Raise SingularCovarianceError(message) unless every singular value of
-    the covariance matrix exceeds SV_RATIO_MIN times the largest."""
-    svals = np.linalg.svd(cov_matrix, compute_uv=False)
-    if svals[-1] <= SV_RATIO_MIN * svals[0]:
+    """Raise SingularCovarianceError(message) unless every eigenvalue of the
+    covariance matrix exceeds SV_RATIO_MIN times the largest (a
+    rounding-negative smallest eigenvalue counts as singular)."""
+    eigenvalues = np.linalg.eigvalsh(cov_matrix)
+    if eigenvalues[0] <= SV_RATIO_MIN * eigenvalues[-1]:
         raise SingularCovarianceError(message)
 
 
@@ -266,9 +267,6 @@ class Market:
     def total_endowment(self) -> Rv:
         return Rv(self.space, self.payoffs.sum(axis=0))
 
-    def endowment_excluding(self, i: int) -> Rv:
-        return Rv(self.space, np.delete(self.payoffs, i, axis=0).sum(axis=0))
-
     def endowments(self) -> list[Rv]:
         return [a.endowment for a in self.agents]
 
@@ -316,10 +314,6 @@ class SecurityBasket:
     @property
     def space(self) -> ProbSpace:
         return self.securities[0].space
-
-    def portfolio(self, quantities) -> Rv:
-        """Payoff of holding `quantities[j]` units of each security."""
-        return Rv(self.space, np.asarray(quantities, dtype=float) @ self.payoffs)
 
 
 def cov_vector(basket: SecurityBasket, x: Rv) -> np.ndarray:

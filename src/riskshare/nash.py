@@ -200,7 +200,7 @@ def percentage_best_response(market: Market, b: np.ndarray, kappa: float) -> np.
 
 
 def nash_percentage(
-    market: Market, kappa: float = 10.0, max_iter: int = 10000, raise_on_failure: bool = True
+    market: Market, kappa: float = 10.0, max_iter: int = 10000
 ) -> NashPercentageOutcome:
     """Exact percentage-game equilibrium by an active-set solve.
 
@@ -209,8 +209,7 @@ def nash_percentage(
     problem (Cottle, Pang & Stone 1992). From b = 1, split the agents by
     own + M b into those at 0, at kappa (U) and free (F), solve
     (I - M_FF) b_F = own_F + kappa M_FU 1, and repeat until the split holds,
-    at most `max_iter` solves. Non-convergence raises (or is flagged when
-    `raise_on_failure` is false); it is never silent.
+    at most `max_iter` solves. Non-convergence raises ConvergenceError.
     """
     if not (np.isfinite(kappa) and kappa > 0.0):
         raise ValueError("kappa must be finite and positive")
@@ -228,7 +227,7 @@ def nash_percentage(
         )
     residual = float(np.max(np.abs(b - percentage_best_response(market, b, kappa))))
     converged = residual <= 1e-10
-    if not converged and raise_on_failure:
+    if not converged:
         raise ConvergenceError(
             f"percentage game did not converge: residual {residual:.3e} "
             f"after {iterations} active-set solves"

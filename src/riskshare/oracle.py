@@ -1,12 +1,17 @@
 """Brute-force verifiers for the closed-form engines.
 
-Everything here recomputes optima by generic numeric search built directly on
-the moment primitives, without importing any closed-form engine code. The
-searches stay brute force (line searches, grids, Nelder-Mead, finite
-differences) because they exist to disagree loudly when a closed form is
-wrong. Their objectives are evaluated on payoff arrays: a report profile is
-one n x m matrix whose row i a search overwrites in place, and every moment
-goes through `core.cross_cov`.
+Everything here recomputes optima by numeric search built directly on the
+moment primitives, without importing any closed-form engine code. Every
+objective is a mean-variance utility E[X] - gamma Var[X] of a payoff that is
+affine in the searched report coefficients, basket position or clearing
+price, so it is a concave quadratic in them. One derivative-free search,
+`_quadratic_argmax`, serves all of them: central differences with unit steps
+give the exact gradient and Hessian of a quadratic, and one Newton step lands
+on the optimum. It raises when the measured curvature is not concave, so a
+wrong objective disagrees loudly instead of returning a saddle point. The
+objectives are evaluated on payoff arrays: a report profile is one n x m
+matrix whose row i a search overwrites in place, and every moment goes
+through `core.cross_cov`.
 
 Best responses live in the span of the basis payoffs (the objective strictly
 worsens in any orthogonal direction), so searches run over span coefficients.
@@ -22,11 +27,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import SV_RATIO_MIN, Market, Rv, SecurityBasket, centered, cross_cov
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# curvatures within this fraction of the largest are flat (rounding noise)
+_CURVATURE_FLOOR = 1e-10
 
 
 def _rows(reports) -> np.ndarray:
@@ -41,33 +46,46 @@ def _mv_value(gamma: float, probs: np.ndarray, x: np.ndarray):
     return x @ probs - gamma * cross_cov(probs, x, x)
 
 
+def _quadratic_argmax(f, center) -> np.ndarray:
+    """Maximizer of a concave quadratic f by one Newton step from `center`.
+
+    Central differences with unit steps give the exact gradient and Hessian
+    of a quadratic. Axes of negative curvature take the Newton step; flat
+    axes (within a relative `_CURVATURE_FLOOR`, as a dependent basis gives)
+    are left at the center, so the step is the minimum-norm maximizer. A
+    positive curvature beyond the floor raises ValueError.
+    """
+    center = np.asarray(center, dtype=float)
+    unit = np.eye(center.size)
+    f0 = f(center)
+    fe = np.array([f(center + u) for u in unit])
+    grad = 0.5 * (fe - np.array([f(center - u) for u in unit]))
+    hess = np.empty((center.size, center.size))
+    for a in range(center.size):
+        for b in range(a, center.size):
+            hess[a, b] = hess[b, a] = f(center + unit[a] + unit[b]) - fe[a] - fe[b] + f0
+    curvatures, axes = np.linalg.eigh(hess)
+    floor = _CURVATURE_FLOOR * np.abs(curvatures).max()
+    if curvatures[-1] > floor:
+        raise ValueError(
+            f"objective is not concave: curvature {curvatures[-1]:.3e} "
+            f"exceeds the floor {floor:.3e}"
+        )
+    keep = curvatures < -floor
+    return center + axes[:, keep] @ ((axes[:, keep].T @ grad) / -curvatures[keep])
+
+
 @dataclass(frozen=True, eq=False)
 class CoefficientSearchSpec:
-    """Search box and refinement control for span-coefficient optimization."""
+    """The basis payoffs a span-coefficient search runs over."""
 
     basis: tuple[Rv, ...]
-    bounds: tuple[tuple[float, float], ...] = ()
-    sweeps: int = 60
-    tol: float = 1e-8
-    grid_points: int = 17
-    refinement_depth: int = 3
 
     def __post_init__(self):
         basis = tuple(self.basis)
         if not basis:
             raise ValueError("search basis must be non-empty")
-        bounds = tuple(tuple(map(float, b)) for b in self.bounds)
-        if not bounds:
-            bounds = tuple((-10.0, 10.0) for _ in basis)
-        if len(bounds) != len(basis):
-            raise ValueError("need one bound interval per basis element")
-        for lo, hi in bounds:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ValueError("bounds must be finite non-empty intervals")
-        if self.refinement_depth < 1:
-            raise ValueError("refinement depth must be at least 1")
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "bounds", bounds)
 
     @cached_property
     def payoffs(self) -> np.ndarray:
@@ -84,7 +102,6 @@ class CoefficientSearchSpec:
 class SearchResult:
     coefficients: np.ndarray
     value: float
-    at_bound: bool
 
 
 def deviation_gain(market: Market, i: int, reports) -> float:
@@ -105,90 +122,17 @@ def deviation_gain(market: Market, i: int, reports) -> float:
     return float(_mv_value(gi, p, market.payoffs[i] + contract) - cash)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer of a unimodal scalar function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _report_gain(market: Market, i: int, reports: np.ndarray, basis: np.ndarray):
+    """Agent i's gain as a function of its report's coefficients on `basis`.
 
-
-def _box_clip_range(x, d, bounds) -> float:
-    """Largest t >= 0 keeping x + t d inside the box (capped at 50)."""
-    t_max = 50.0
-    for xj, dj, (lo, hi) in zip(x, d, bounds):
-        if dj > 0.0:
-            t_max = min(t_max, (hi - xj) / dj)
-        elif dj < 0.0:
-            t_max = min(t_max, (lo - xj) / dj)
-    return max(t_max, 0.0)
-
-
-def _line_max(objective, x, d, bounds, tol):
-    """Golden-section maximize along x + t d, t confined to the box."""
-    norm = float(np.linalg.norm(d))
-    if norm == 0.0:
-        return x
-    t_lo = -_box_clip_range(x, -d, bounds)
-    t_hi = _box_clip_range(x, d, bounds)
-    if t_hi <= t_lo:
-        return x
-    t = _golden_max(lambda t: objective(x + t * d), t_lo, t_hi, tol / norm)
-    return x + t * d
-
-
-def _coordinate_ascent(
-    objective, spec: CoefficientSearchSpec, start=None
-) -> SearchResult:
-    """Derivative-free ascent by golden-section line searches.
-
-    Coordinate-descent cycles augmented with each cycle's displacement
-    direction (Powell's conjugate-direction scheme); the extra directions
-    remove the zigzagging plain coordinate descent exhibits on correlated
-    quadratics and make it terminate in a handful of cycles there.
+    Each evaluation overwrites row i of `reports` with the trial report.
     """
-    n = len(spec.bounds)
-    if start is None:
-        x = np.array([0.5 * (lo + hi) for lo, hi in spec.bounds])
-    else:
-        x = np.asarray(start, dtype=float).copy()
-    directions = [np.eye(n)[j] for j in range(n)]
-    for _ in range(spec.sweeps):
-        x0 = x.copy()
-        f_before = objective(x)
-        best_gain, best_idx = -np.inf, 0
-        for idx, d in enumerate(directions):
-            f_at = objective(x)
-            x = _line_max(objective, x, d, spec.bounds, spec.tol)
-            gain = objective(x) - f_at
-            if gain > best_gain:
-                best_gain, best_idx = gain, idx
-        displacement = x - x0
-        cycle_gain = objective(x) - f_before
-        if (
-            float(np.max(np.abs(displacement))) < spec.tol
-            or cycle_gain < 1e-15 * (1.0 + abs(f_before))
-        ):
-            break
-        norm = float(np.linalg.norm(displacement))
-        if norm > 0.0:
-            x = _line_max(objective, x, displacement, spec.bounds, spec.tol)
-            directions[best_idx] = displacement / norm
-    at_bound = any(
-        min(x[j] - lo, hi - x[j]) < 10.0 * spec.tol
-        for j, (lo, hi) in enumerate(spec.bounds)
-    )
-    return SearchResult(coefficients=x, value=float(objective(x)), at_bound=at_bound)
+
+    def gain(coefficients):
+        reports[i] = coefficients @ basis
+        return deviation_gain(market, i, reports)
+
+    return gain
 
 
 def argmax_reported_utility(
@@ -203,13 +147,9 @@ def argmax_reported_utility(
     ignored); by default everyone else reports truthfully.
     """
     reports = np.array(market.payoffs if others is None else _rows(others))
-    basis = spec.payoffs
-
-    def objective(coefficients):
-        reports[i] = coefficients @ basis
-        return deviation_gain(market, i, reports)
-
-    return _coordinate_ascent(objective, spec)
+    gain = _report_gain(market, i, reports, spec.payoffs)
+    coefficients = _quadratic_argmax(gain, np.zeros(len(spec.basis)))
+    return SearchResult(coefficients=coefficients, value=gain(coefficients))
 
 
 def argmax_demand(
@@ -217,31 +157,16 @@ def argmax_demand(
     endowment: Rv,
     basket: SecurityBasket,
     p,
-    spec: CoefficientSearchSpec | None = None,
 ) -> np.ndarray:
-    """Grid-plus-refinement maximizer of U(a.C + endowment) - a.p over a."""
+    """Maximizer of U(a.C + endowment) - a.p over positions a."""
     p = np.asarray(p, dtype=float)
-    if spec is None:
-        spec = CoefficientSearchSpec(basis=basket.securities)
     probs = basket.space.probs
 
     def objective(a):
         x = a @ basket.payoffs + endowment.payoffs
         return float(_mv_value(agent_gamma, probs, x) - a @ p)
 
-    # coarse grid passes per coordinate localize the basin; the line-search
-    # ascent then refines from there over the full box
-    x = np.array([0.5 * (lo + hi) for lo, hi in spec.bounds])
-    for _ in range(spec.refinement_depth):
-        for j, (lo, hi) in enumerate(spec.bounds):
-            grid = np.linspace(lo, hi, spec.grid_points)
-            vals = []
-            for t in grid:
-                y = x.copy()
-                y[j] = t
-                vals.append(objective(y))
-            x[j] = grid[int(np.argmax(vals))]
-    return _coordinate_ascent(objective, spec, start=x).coefficients
+    return _quadratic_argmax(objective, np.zeros(basket.k))
 
 
 # ---------------------------------------------------------------------------
@@ -271,37 +196,6 @@ def _span_basis(market: Market) -> np.ndarray:
     return vt[keep] / root
 
 
-def _quadratic_step(market: Market, i: int, reports: np.ndarray, basis) -> np.ndarray:
-    """Exact single-agent best response via one Newton step on the gain.
-
-    The gain is quadratic in the span coefficients, so a finite-difference
-    gradient and Hessian are exact and one solve lands on the optimum. The
-    step overwrites row i of `reports` with its trial points and returns the
-    centered best report, leaving row i for the caller to set.
-    """
-    n = len(basis)
-    unit = np.eye(n)
-
-    def f(c):
-        reports[i] = c @ basis
-        return deviation_gain(market, i, reports)
-
-    f0 = f(np.zeros(n))
-    grad = np.empty(n)
-    hess = np.empty((n, n))
-    fe = np.empty(n)
-    for a in range(n):
-        fe[a] = f(unit[a])
-        grad[a] = 0.5 * (fe[a] - f(-unit[a]))
-    for a in range(n):
-        for b in range(a, n):
-            hess[a, b] = hess[b, a] = f(unit[a] + unit[b]) - fe[a] - fe[b] + f0
-    # on an orthonormal basis the Hessian is a negative multiple of the
-    # identity up to rounding, so a plain solve is well conditioned
-    coef = np.linalg.solve(hess, -grad)
-    return centered(market.space.probs, coef @ basis)
-
-
 def best_response_dynamics(
     market: Market,
     init=None,
@@ -310,6 +204,7 @@ def best_response_dynamics(
 ) -> DynamicsResult:
     """Round-robin best-response iteration on the reported endowments.
 
+    Each agent in turn takes its exact best response on the span basis.
     Convergence is an empirical observation, not a guarantee; a
     non-convergent trajectory is returned as data with `converged` false.
     """
@@ -323,7 +218,8 @@ def best_response_dynamics(
         moved = 0.0
         for i in range(market.n):
             previous = reports[i].copy()
-            best = _quadratic_step(market, i, reports, basis)
+            gain = _report_gain(market, i, reports, basis)
+            best = centered(p, _quadratic_argmax(gain, np.zeros(len(basis))) @ basis)
             step = best - previous
             moved = max(moved, float(cross_cov(p, step, step)))
             reports[i] = best
@@ -359,25 +255,11 @@ def argmax_phi(
     i: int,
     basket: SecurityBasket,
     schedules,
-    starts: int = 5,
-    seed: int = 0,
 ) -> np.ndarray:
-    """Multistart Nelder-Mead maximizer of the clearing utility over prices."""
-    rng = np.random.default_rng(seed)
-    center = basket.mean_vector
+    """Maximizer of the clearing utility over prices, searched from the
+    securities' means."""
 
-    def negative(p):
-        return -clearing_utility(market, i, basket, schedules, p)
+    def objective(p):
+        return clearing_utility(market, i, basket, schedules, p)
 
-    best_p, best_v = None, np.inf
-    for s in range(starts):
-        x0 = center if s == 0 else center + rng.normal(scale=1.0, size=basket.k)
-        res = minimize(
-            negative,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 20000},
-        )
-        if res.fun < best_v:
-            best_v, best_p = res.fun, res.x
-    return np.asarray(best_p)
+    return _quadratic_argmax(objective, basket.mean_vector)

@@ -151,7 +151,7 @@ def test_criterion_04_table1_regression():
 
 
 def test_criterion_05_oracle_equivalence():
-    """Closed forms match brute-force searches on 100 instances each."""
+    """Closed forms match brute-force searches to 1e-9 on 100 instances each."""
     rng = np.random.default_rng(104)
     for _ in range(100):
         m = make_market(rng, n=int(rng.integers(2, 5)), m=int(rng.integers(2, 7)))
@@ -161,7 +161,7 @@ def test_criterion_05_oracle_equivalence():
         found = spec.combine(res.coefficients)
         diff = found - best_endowment_response(m, i)
         centered = diff.payoffs - m.space.probs @ diff.payoffs
-        assert np.max(np.abs(centered)) < 1e-6
+        assert np.max(np.abs(centered)) < 1e-9
 
     done = 0
     while done < 100:
@@ -175,7 +175,8 @@ def test_criterion_05_oracle_equivalence():
         assert np.allclose(
             argmax_demand(m.agents[0].gamma, m.agents[0].endowment, basket, p),
             a,
-            atol=1e-6,
+            rtol=0.0,
+            atol=1e-9,
         )
         done += 1
 
@@ -188,7 +189,8 @@ def test_criterion_05_oracle_equivalence():
         assert np.allclose(
             argmax_phi(m, i, basket, others),
             best_price_response(m, i, basket, others),
-            atol=1e-6,
+            rtol=0.0,
+            atol=1e-9,
         )
 
     for _ in range(100):
@@ -199,8 +201,8 @@ def test_criterion_05_oracle_equivalence():
         for i in range(m.n):
             diff = result.trajectory[-1][i] - out.reported[i]
             centered = diff.payoffs - m.space.probs @ diff.payoffs
-            assert np.max(np.abs(centered)) < 1e-6
-    _verdict(5, "oracle equivalence on 100 randomized instances per operation")
+            assert np.max(np.abs(centered)) < 1e-9
+    _verdict(5, "oracle equivalence at 1e-9 on 100 randomized instances per operation")
 
 
 def test_criterion_06_percentage_game_limits():

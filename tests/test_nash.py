@@ -93,7 +93,8 @@ class TestNashEndowment:
             sharing = optimal_sharing(m)
             assert var(out.aggregate - m.total_endowment) < 1e-18
             for i, a in enumerate(m.agents):
-                want = (1.0 / n**2) * m.endowment_excluding(i) + (
+                others = m.total_endowment - a.endowment
+                want = (1.0 / n**2) * others + (
                     (n * (n - 1) + 1) / n**2
                 ) * a.endowment
                 assert var(out.reported[i] - want) < 1e-18
@@ -196,8 +197,6 @@ class TestNashPercentage:
         m = correlated_pair_market(1.0, 1.0, 1.0, 10.0, -0.8)
         with pytest.raises(ConvergenceError):
             nash_percentage(m, max_iter=1)
-        out = nash_percentage(m, max_iter=1, raise_on_failure=False)
-        assert not out.converged
 
     def test_parameter_validation(self):
         m = correlated_pair_market(1.0, 1.0, 1.0, 1.0, 0.0)

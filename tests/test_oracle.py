@@ -1,5 +1,7 @@
 import ast
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +59,18 @@ class TestStructuralIndependence:
         assert not attributes & {"gram", "exposures", "means", "centered"}
         assert "cross_cov" in names
 
+    def test_imports_without_scipy(self):
+        # numpy is the only runtime dependency
+        code = (
+            "import sys; sys.modules['scipy'] = None; "
+            "import riskshare, riskshare.oracle, riskshare.cli"
+        )
+        src = pathlib.Path(oracle_module.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_gain_matches_mechanism_utility(self):
         rng = np.random.default_rng(80)
         for _ in range(10):
@@ -73,16 +87,8 @@ class TestStructuralIndependence:
 
 class TestSearchSpec:
     def test_validation(self):
-        sp = ProbSpace([0.5, 0.5])
-        e = sp.rv([1.0, -1.0])
         with pytest.raises(ValueError):
             CoefficientSearchSpec(basis=())
-        with pytest.raises(ValueError):
-            CoefficientSearchSpec(basis=(e,), bounds=((0.0, 0.0),))
-        with pytest.raises(ValueError):
-            CoefficientSearchSpec(basis=(e,), refinement_depth=0)
-        with pytest.raises(ValueError):
-            CoefficientSearchSpec(basis=(e,), bounds=((0.0, 1.0), (0.0, 1.0)))
 
 
 class TestArgmaxReportedUtility:
@@ -95,8 +101,7 @@ class TestArgmaxReportedUtility:
         )
         spec = CoefficientSearchSpec(basis=tuple(m.endowments()))
         res = argmax_reported_utility(m, 0, spec)
-        assert res.coefficients == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-6)
-        assert not res.at_bound
+        assert res.coefficients == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-9)
 
     def test_matches_closed_form_on_random_markets(self):
         rng = np.random.default_rng(82)
@@ -120,7 +125,12 @@ class TestArgmaxReportedUtility:
         )
         spec = CoefficientSearchSpec(basis=tuple(m.endowments()))
         res = argmax_reported_utility(m, 0, spec)
-        assert res.coefficients == pytest.approx([1.0, 0.0], abs=1e-4)
+        # gamma_0 / (gamma_0 + g) and g^2 / (gamma_0^2 - g^2) tend to 1 and 0;
+        # at gamma_0 = 1e9 the first is still 1e-9 short of 1
+        g = m.aggregate_gamma
+        assert res.coefficients == pytest.approx(
+            [1e9 / (1e9 + g), g**2 / (1e18 - g**2)], abs=1e-9
+        )
 
     def test_orthogonal_direction_unused(self):
         rng = np.random.default_rng(84)
@@ -142,21 +152,8 @@ class TestArgmaxReportedUtility:
             assert abs(cov(probe, e)) < 1e-12
         spec = CoefficientSearchSpec(basis=tuple(m.endowments()) + (probe,))
         res = argmax_reported_utility(m, 0, spec)
-        assert abs(res.coefficients[-1]) < 1e-5
+        assert abs(res.coefficients[-1]) < 1e-9
         assert var(spec.combine(res.coefficients) - best_endowment_response(m, 0)) < 1e-12
-
-    def test_bound_hit_reported(self):
-        sp = ProbSpace([0.5, 0.5])
-        m = Market(
-            sp,
-            (Agent(1.0, sp.rv([1.0, -1.0])), Agent(1.0, sp.rv([-1.0, 1.0]))),
-        )
-        spec = CoefficientSearchSpec(
-            basis=(m.agents[0].endowment,), bounds=((0.4, 10.0),)
-        )
-        res = argmax_reported_utility(m, 0, spec)
-        assert res.at_bound
-        assert res.coefficients[0] == pytest.approx(0.4, abs=1e-6)
 
 
 class TestArgmaxDemand:
@@ -172,8 +169,16 @@ class TestArgmaxDemand:
             if np.abs(a).max() > 9.0:
                 continue
             found = argmax_demand(m.agents[0].gamma, m.agents[0].endowment, basket, p)
-            assert np.allclose(found, a, atol=1e-6)
+            assert np.allclose(found, a, rtol=0.0, atol=1e-9)
             done += 1
+
+    def test_convex_objective_raises(self):
+        # with a negative gamma the objective is convex: no maximizer
+        rng = np.random.default_rng(91)
+        m = make_market(rng, m=5)
+        basket = make_basket(rng, m.space, k=2)
+        with pytest.raises(ValueError, match="not concave"):
+            argmax_demand(-1.0, m.agents[0].endowment, basket, basket.mean_vector)
 
 
 class TestBestResponseDynamics:
@@ -236,7 +241,7 @@ class TestArgmaxPhi:
             ]
             found = argmax_phi(m, i, basket, others)
             want = best_price_response(m, i, basket, others)
-            assert np.allclose(found, want, atol=1e-6)
+            assert np.allclose(found, want, rtol=0.0, atol=1e-9)
 
     def test_clearing_utility_definition(self):
         rng = np.random.default_rng(89)

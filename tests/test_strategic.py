@@ -81,7 +81,7 @@ class TestBestEndowmentResponse:
             b = best_endowment_response(m, i)
             want = (a.gamma / (a.gamma + g)) * a.endowment + (
                 g**2 / (a.gamma**2 - g**2)
-            ) * m.endowment_excluding(i)
+            ) * (m.total_endowment - a.endowment)
             diff = (b - want).payoffs
             centered = diff - m.space.probs @ diff
             assert np.max(np.abs(centered)) < 1e-12
