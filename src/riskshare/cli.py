@@ -18,6 +18,7 @@ non-convergence of the percentage-game solve within `max_iter` solves.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields, is_dataclass
@@ -341,6 +342,7 @@ def cmd_experiment(experiment: str, seed: int) -> str:
 # Dispatch
 
 
+@functools.cache  # parsing leaves the parser unchanged, so main reuses one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riskshare",

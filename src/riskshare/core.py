@@ -8,7 +8,9 @@ centered endowments, their covariance matrix `gram` and their `exposures` to
 a security basket, which owns its own. The engines read only these and add
 cash (the means) last, so a cash shift of an endowment, however large, moves
 nothing else. `cross_cov` (two-pass) serves `Rv` moments and the oracle.
-All objects are immutable after construction.
+All objects are immutable after construction. `ProbSpace.rvs` builds many
+random variables at once: it copies and validates one payoff matrix, marks
+it read-only and hands each `Rv` a read-only view of its row.
 """
 
 from __future__ import annotations
@@ -74,8 +76,23 @@ class ProbSpace:
         return Rv(self, np.full(self.n_states, float(value)))
 
     def rvs(self, rows) -> list["Rv"]:
-        """One random variable per payoff row."""
-        return [Rv(self, row) for row in rows]
+        """One random variable per payoff row.
+
+        A 2-D input of width n_states is copied once into a read-only float
+        matrix, checked for finiteness once, and each `Rv` holds a read-only
+        view of its row. Any other input is built row by row, so it fails
+        exactly as `Rv(space, row)` does.
+        """
+        try:
+            matrix = np.array(rows, dtype=float)
+        except (TypeError, ValueError):  # ragged or non-numeric rows
+            matrix = None
+        if matrix is None or matrix.ndim != 2 or matrix.shape[1] != self.n_states:
+            return [Rv(self, row) for row in rows]
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("payoffs contains non-finite entries")
+        matrix.flags.writeable = False
+        return [Rv._trusted(self, row) for row in matrix]
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +110,14 @@ class Rv:
                 f"space dimension {self.space.n_states}"
             )
         object.__setattr__(self, "payoffs", payoffs)
+
+    @classmethod
+    def _trusted(cls, space: ProbSpace, payoffs: np.ndarray) -> "Rv":
+        """An Rv of an already validated, read-only payoff row, not copied."""
+        rv = object.__new__(cls)
+        object.__setattr__(rv, "space", space)
+        object.__setattr__(rv, "payoffs", payoffs)
+        return rv
 
     def _check_space(self, other: "Rv") -> None:
         if other.space is not self.space and not np.array_equal(

@@ -35,7 +35,7 @@ class AgentSequenceSpec:
     """Bounded agent pool for growing-market experiments.
 
     Endowments are capped at L2 norm `m_bound` and risk aversions confined to
-    [gamma_low, gamma_high]; both bounds are re-checked on every emission.
+    [gamma_low, gamma_high]; both bounds are re-checked on every pool emitted.
     """
 
     m_bound: float = 1.0
@@ -77,37 +77,35 @@ class Table:
         return np.array([row[j] for row in self.rows], dtype=float)
 
 
-def _l2_norm(x: Rv) -> float:
-    return float(np.sqrt(x.space.probs @ x.payoffs**2))
-
-
-def _check_bounds(spec: AgentSequenceSpec, agent: Agent) -> Agent:
-    norm = _l2_norm(agent.endowment)
-    if norm > spec.m_bound * (1.0 + 1e-12):
-        raise RuntimeError(f"generator emitted endowment with norm {norm}")
-    if not spec.gamma_low <= agent.gamma <= spec.gamma_high:
-        raise RuntimeError(f"generator emitted gamma {agent.gamma} out of bounds")
-    return agent
-
-
 def agent_pool(
     spec: AgentSequenceSpec, homogeneous: bool
 ) -> tuple[ProbSpace, list[Agent]]:
-    """Seeded pool of max(sizes) agents; markets use its prefixes."""
+    """Seeded pool of max(sizes) agents; markets use its prefixes.
+
+    Each agent draws its payoffs, then (heterogeneous pools) its risk
+    aversion, so a pool's agents are the prefix of any larger pool's. Each
+    draw is scaled to L2 norm `m_bound`.
+    """
     rng = np.random.default_rng(spec.seed)
     space = ProbSpace(np.full(spec.n_states, 1.0 / spec.n_states))
-    count = max(spec.sizes)
+    p = space.probs
     gamma_h = float(np.sqrt(spec.gamma_low * spec.gamma_high))
-    agents = []
-    for _ in range(count):
-        payoffs = rng.normal(size=spec.n_states)
-        e = Rv(space, payoffs)
-        e = (spec.m_bound / _l2_norm(e)) * e
-        gamma = gamma_h if homogeneous else float(
-            rng.uniform(spec.gamma_low, spec.gamma_high)
-        )
-        agents.append(_check_bounds(spec, Agent(gamma, e)))
-    return space, agents
+    draws, gammas = [], []
+    for _ in range(max(spec.sizes)):
+        draws.append(rng.normal(size=spec.n_states))
+        gammas.append(gamma_h if homogeneous else float(
+            rng.uniform(spec.gamma_low, spec.gamma_high)))
+    # one dot product per draw: a matrix-vector product sums in another order,
+    # which would move the payoffs' last bits and so the experiment tables
+    norms = np.sqrt([p @ x**2 for x in draws])
+    payoffs = np.array(draws) * (spec.m_bound / norms)[:, None]
+    emitted = np.sqrt(payoffs**2 @ p).max()
+    if emitted > spec.m_bound * (1.0 + 1e-12):
+        raise RuntimeError(f"generator emitted endowment with norm {emitted}")
+    if not spec.gamma_low <= min(gammas) <= max(gammas) <= spec.gamma_high:
+        raise RuntimeError(f"generator emitted gamma out of [{spec.gamma_low}, "
+                           f"{spec.gamma_high}]")
+    return space, [Agent(g, e) for g, e in zip(gammas, space.rvs(payoffs))]
 
 
 def _prefix_market(space: ProbSpace, agents: list[Agent], n: int) -> Market:

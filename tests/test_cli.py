@@ -12,6 +12,7 @@ from riskshare.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     _jsonable,
+    build_parser,
     cmd_best_response,
     cmd_capm,
     cmd_nash,
@@ -362,6 +363,21 @@ class TestCommands:
         assert main(["pareto", "--market", str(path), "--out", str(out)]) == EXIT_OK
         report = json.loads(out.read_text())
         assert report["command"] == "pareto"
+
+    def test_parser_reused_after_usage_error(self, tmp_path, capsys):
+        path = write_market(tmp_path)
+        argv = ["best-response", "--agent", "1", "--market", str(path)]
+        build_parser.cache_clear()
+        assert main(argv) == EXIT_OK
+        fresh = capsys.readouterr()
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exited:
+            main(["best-response", "--agent", "x", "--market", str(path)])
+        assert exited.value.code == EXIT_VALIDATION
+        assert "--agent" in capsys.readouterr().err
+        assert main(argv) == EXIT_OK
+        assert build_parser() is parser
+        assert capsys.readouterr() == fresh
 
 
 def _flat(value, path=""):

@@ -47,6 +47,50 @@ class TestProbSpace:
         assert var(c) == pytest.approx(0.0)
 
 
+class TestRvs:
+    @pytest.mark.parametrize("scale", [1.0, 1e12])
+    def test_matches_single_construction(self, scale):
+        space = _space(7)
+        rows = scale * np.random.default_rng(11).normal(size=(5, 7))
+        batch = space.rvs(rows)
+        assert len(batch) == 5
+        for x, row in zip(batch, rows):
+            assert x.space is space
+            assert x.payoffs.tobytes() == Rv(space, row).payoffs.tobytes()
+
+    def test_payoffs_read_only_and_copied(self):
+        space = _space(3)
+        rows = np.arange(6.0).reshape(2, 3)
+        batch = space.rvs(rows)
+        for x in batch:
+            with pytest.raises(ValueError):
+                x.payoffs[0] = 5.0
+            with pytest.raises(ValueError):
+                x.payoffs.flags.writeable = True
+        rows[:] = -1.0
+        assert [x.payoffs.tolist() for x in batch] == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
+    def test_non_finite_rejected(self):
+        rows = np.ones((3, 4))
+        rows[2, 1] = np.inf
+        with pytest.raises(ValueError, match="^payoffs contains non-finite entries$"):
+            _space(4).rvs(rows)
+
+    @pytest.mark.parametrize("rows,bad", [
+        (np.ones((2, 2)), 0),  # too narrow
+        (np.ones((2, 4)), 0),  # too wide
+        ([[1.0, 2.0, 3.0], [1.0, 2.0]], 1),  # ragged
+        (np.ones((2, 3, 3)), 0),  # a row is not one-dimensional
+    ])
+    def test_wrong_shape_fails_as_rv(self, rows, bad):
+        space = _space(3)
+        with pytest.raises(ValueError) as single:
+            Rv(space, rows[bad])
+        with pytest.raises(type(single.value)) as batch:
+            space.rvs(rows)
+        assert str(batch.value) == str(single.value)
+
+
 class TestRv:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

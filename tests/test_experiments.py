@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riskshare.core import cov, mean, var
+from riskshare.core import Agent, Rv, cov, mean, var
 from riskshare.experiments import (
     AgentSequenceSpec,
     agent_pool,
@@ -32,6 +32,24 @@ class TestAgentSequenceSpec:
             norm = np.sqrt(space.probs @ a.endowment.payoffs**2)
             assert norm <= spec.m_bound * (1.0 + 1e-12)
             assert spec.gamma_low <= a.gamma <= spec.gamma_high
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    @pytest.mark.parametrize("m", [3, 6, 50])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_pool_matches_per_agent_draws(self, seed, m, homogeneous):
+        # the pool as built one agent at a time: payoffs drawn, rescaled to
+        # norm m_bound, then (heterogeneous) the risk aversion drawn
+        spec = AgentSequenceSpec(sizes=(2, 30), n_states=m, seed=seed)
+        space, agents = agent_pool(spec, homogeneous)
+        rng = np.random.default_rng(seed)
+        for agent in agents:
+            e = Rv(space, rng.normal(size=m))
+            e = (spec.m_bound / float(np.sqrt(space.probs @ e.payoffs**2))) * e
+            gamma = (float(np.sqrt(spec.gamma_low * spec.gamma_high)) if homogeneous
+                     else float(rng.uniform(spec.gamma_low, spec.gamma_high)))
+            expected = Agent(gamma, e)
+            assert agent.gamma == expected.gamma
+            assert agent.endowment.payoffs.tobytes() == expected.endowment.payoffs.tobytes()
 
     def test_deterministic_under_seed(self):
         spec = AgentSequenceSpec(sizes=(2, 5), seed=9)
