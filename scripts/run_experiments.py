@@ -7,12 +7,14 @@ Usage: python scripts/run_experiments.py [output_dir] [--seed N]
 import argparse
 import pathlib
 
-from riskshare.experiments import (
-    AgentSequenceSpec,
-    figure_data,
-    inefficiency_decay,
-    price_allocation_convergence,
-)
+from riskshare.experiments import EXPERIMENTS, AgentSequenceSpec
+
+# a table's file is named after its experiment id, except these
+FILE_NAMES = {
+    "decay": "inefficiency_decay_heterogeneous",
+    "decay-homogeneous": "inefficiency_decay_homogeneous",
+    "convergence": "price_allocation_convergence",
+}
 
 
 def main() -> None:
@@ -24,20 +26,9 @@ def main() -> None:
     out = pathlib.Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = AgentSequenceSpec(seed=args.seed)
-
-    tables = {
-        "inefficiency_decay_heterogeneous.csv": inefficiency_decay(spec),
-        "inefficiency_decay_homogeneous.csv": inefficiency_decay(
-            spec, homogeneous=True
-        ),
-        "price_allocation_convergence.csv": price_allocation_convergence(spec),
-    }
-    for fid in (1, 2, 3, 4):
-        tables[f"figure{fid}.csv"] = figure_data(fid)
-
-    for name, table in tables.items():
-        path = out / name
-        path.write_text(table.to_csv())
+    for experiment, run in EXPERIMENTS.items():
+        path = out / f"{FILE_NAMES.get(experiment, experiment)}.csv"
+        path.write_text(run(spec).to_csv())
         print(f"wrote {path}")
 
 

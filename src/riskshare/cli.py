@@ -2,17 +2,25 @@
 
 Market files are JSON with a versioned schema; reports are JSON with a stable
 field order and an echo of the ingested market, so a report can be re-run
-bit-for-bit. A report's results are the engine's outcome type, serialized
-field by field in declaration order, plus the keys the type lacks. Every
-gamma, probability and payoff is a finite JSON number, never a boolean or a
-string, and a rejected one is addressed by its index. The only
-market-file parameters are the percentage game's `kappa` (a finite positive
-number) and `max_iter` (an integer cap on its active-set solves, at least
-1); `--seed` is read by the `experiment` command only, whose output is CSV.
+bit-for-bit. A report's results are the engine's outcome type, field by field
+in declaration order, plus the keys the type lacks; `json.dumps` serializes
+them, and its `default` hook converts only what json cannot: random
+variables, arrays, numpy scalars and dataclasses. Every gamma, probability
+and payoff is a finite JSON number, never a boolean or a string, and a
+rejected one is addressed by its index. The only market-file parameters are
+the percentage game's `kappa` (a finite positive number) and `max_iter` (an
+integer cap on its active-set solves, at least 1). `--seed`, a non-negative
+integer, is read by the `experiment` command only, which looks the id up in
+`experiments.EXPERIMENTS` and prints CSV.
 
 Exit codes: 0 success, 2 validation error, 3 numerical precondition
-violation (including a result that overflows to NaN or infinity), 4
-non-convergence of the percentage-game solve within `max_iter` solves.
+violation, 4 non-convergence of the percentage-game solve within `max_iter`
+solves. A failure is one stderr line addressed to a field, except through
+`main`'s last catch-all of ValueError and LinAlgError. Ingestion and the
+commands trap floating-point overflow, invalid operations and division by
+zero: in the market that exits 2 addressed to `agents`, in the basket 3
+addressed to `securities`, and in a command, like a result that is not
+finite, 3 addressed to `results`.
 """
 
 from __future__ import annotations
@@ -33,8 +41,7 @@ from .core import (
     SecurityBasket,
     SingularCovarianceError,
 )
-from .experiments import AgentSequenceSpec, figure_data, inefficiency_decay, \
-    price_allocation_convergence
+from .experiments import EXPERIMENTS, AgentSequenceSpec
 from .nash import (
     ConvergenceError,
     nash_endowment,
@@ -133,7 +140,7 @@ def ingest_market_document(doc) -> dict:
     _require(probs.size > 0, "probs", "must be a non-empty array")
     try:
         space = ProbSpace(probs)
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise MarketFileError("probs", str(exc))
 
     agents_doc = doc.get("agents")
@@ -154,7 +161,7 @@ def ingest_market_document(doc) -> dict:
         agents.append(Agent(gamma, endowment))
     try:
         market = Market(space, tuple(agents))
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise MarketFileError("agents", str(exc))
 
     basket = None
@@ -170,8 +177,8 @@ def ingest_market_document(doc) -> dict:
                 raise MarketFileError(where, str(exc))
         try:
             basket = SecurityBasket(tuple(securities))
-        except SingularCovarianceError as exc:
-            raise SingularCovarianceError(f"securities: {exc}") from None
+        except (SingularCovarianceError, FloatingPointError) as exc:
+            raise type(exc)(f"securities: {exc}") from None
         except ValueError as exc:
             raise MarketFileError("securities", str(exc))
 
@@ -212,43 +219,30 @@ def _fields(outcome) -> dict:
     return {f.name: getattr(outcome, f.name) for f in fields(outcome)}
 
 
-def _jsonable(value):
+def _encode(value):
+    """What json cannot serialize itself: random variables, arrays, numpy
+    scalars and outcome dataclasses."""
     if isinstance(value, Rv):
-        return [float(x) for x in value.payoffs]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()] if value.ndim > 1 else [
-            float(v) for v in value
-        ]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return value.payoffs.tolist()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()  # a numpy scalar's tolist is its item
     if is_dataclass(value):  # after Rv, itself a dataclass
-        return _jsonable(_fields(value))
-    return value
+        return _fields(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+# for a floating-point error in a command or a non-finite value in a report,
+# which is a result: the echoed market is finite by validation
+RESULTS_NOT_FINITE = ("results: a result is not finite; the market's payoffs or "
+                      "risk aversions are too large for double precision")
 
 
 def _report(command: str, loaded: dict, results: dict) -> str:
-    body = {
-        "command": command,
-        "market": loaded["echo"],
-        "results": _jsonable(results),
-    }
+    body = {"command": command, "market": loaded["echo"], "results": results}
     try:
-        return json.dumps(body, indent=2, allow_nan=False)
-    except ValueError:
-        # the echoed market is finite by validation, so the overflow is in
-        # the results; NaN and Infinity are not JSON
-        raise FloatingPointError(
-            "results: a result is not finite; the market's payoffs or risk "
-            "aversions are too large for double precision"
-        ) from None
+        return json.dumps(body, indent=2, allow_nan=False, default=_encode)
+    except ValueError:  # NaN and Infinity are not JSON
+        raise FloatingPointError(RESULTS_NOT_FINITE) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -326,16 +320,10 @@ def cmd_nash(loaded: dict, game: str) -> dict:
 
 
 def cmd_experiment(experiment: str, seed: int) -> str:
-    spec = AgentSequenceSpec(seed=seed)
-    if experiment == "decay":
-        return inefficiency_decay(spec).to_csv()
-    if experiment == "decay-homogeneous":
-        return inefficiency_decay(spec, homogeneous=True).to_csv()
-    if experiment == "convergence":
-        return price_allocation_convergence(spec).to_csv()
-    if experiment in {"figure1", "figure2", "figure3", "figure4"}:
-        return figure_data(int(experiment[-1])).to_csv()
-    raise MarketFileError("experiment", f"unknown experiment {experiment!r}")
+    _require(experiment in EXPERIMENTS, "experiment",
+             f"unknown experiment {experiment!r}")
+    _require(seed >= 0, "--seed", "must be a non-negative integer")
+    return EXPERIMENTS[experiment](AgentSequenceSpec(seed=seed)).to_csv()
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="game or response mode: endowment, percentage, "
                              "demand or price")
     parser.add_argument("--experiment", default="decay",
-                        help="experiment id: decay, decay-homogeneous, "
-                             "convergence, figure1..figure4")
+                        help=f"experiment id: {', '.join(EXPERIMENTS)}")
     parser.add_argument("--kappa", type=float, help="percentage-game upper bound")
-    parser.add_argument("--seed", type=int, help="seed of the experiment command")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the experiment command")
     parser.add_argument("--out", help="write the report to this path")
     return parser
 
@@ -369,27 +357,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "experiment":
-            seed = args.seed if args.seed is not None else 0
-            _emit(cmd_experiment(args.experiment, seed), args.out)
-            return EXIT_OK
-        if not args.market:
-            raise MarketFileError("market", "a --market file is required")
-        loaded = load_market_file(args.market)
-        if args.kappa is not None:
-            # the echo shares this dict
-            loaded["parameters"]["kappa"] = _number(args.kappa, "--kappa", positive=True)
-        # an overflow is not printed as a numpy warning: _report turns a
-        # non-finite result into exit 3
-        with np.errstate(all="ignore"):
-            if args.command == "pareto":
-                results = cmd_pareto(loaded)
-            elif args.command == "capm":
-                results = cmd_capm(loaded)
-            elif args.command == "best-response":
-                results = cmd_best_response(loaded, args.agent, args.game)
-            else:
-                results = cmd_nash(loaded, args.game)
+        # an overflow, invalid operation or division by zero raises where it
+        # happens instead of printing a numpy warning; underflow is harmless
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            if args.command == "experiment":
+                _emit(cmd_experiment(args.experiment, args.seed), args.out)
+                return EXIT_OK
+            if not args.market:
+                raise MarketFileError("market", "a --market file is required")
+            loaded = load_market_file(args.market)
+            if args.kappa is not None:
+                # the echo shares this dict
+                loaded["parameters"]["kappa"] = _number(args.kappa, "--kappa",
+                                                        positive=True)
+            try:
+                if args.command == "pareto":
+                    results = cmd_pareto(loaded)
+                elif args.command == "capm":
+                    results = cmd_capm(loaded)
+                elif args.command == "best-response":
+                    results = cmd_best_response(loaded, args.agent, args.game)
+                else:
+                    results = cmd_nash(loaded, args.game)
+            except FloatingPointError:
+                raise FloatingPointError(RESULTS_NOT_FINITE) from None
             report = _report(args.command, loaded, results)
         _emit(report, args.out)
         return EXIT_OK
@@ -403,7 +394,7 @@ def main(argv=None) -> int:
         print(f"numerical precondition violated: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
+        print(f"non-convergence: parameters.max_iter: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

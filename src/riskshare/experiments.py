@@ -1,15 +1,18 @@
 """Asymptotic experiments and figure-data generation.
 
-Growing-market experiments draw a single seeded pool of agents and use its
-prefixes, so the decay tables are nested (and therefore smooth in n) and
-fully reproducible. Figure grids realize arbitrary variance/correlation
-targets with a three-state construction, since every quantity in the model
-depends on the endowments only through first and second moments.
+Both growing-market tables come from `_growing_markets`: it draws one seeded
+pool of agents, measures each prefix market, so the tables are nested (and
+therefore smooth in n) and fully reproducible, and reads the verdict from
+the largest. Figure grids realize arbitrary variance/correlation targets
+with a three-state construction, since every quantity in the model depends
+on the endowments only through first and second moments. `EXPERIMENTS`
+maps each standard experiment id to its table, for the CLI and the script.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -77,6 +80,10 @@ class Table:
         return np.array([row[j] for row in self.rows], dtype=float)
 
 
+def _uniform_space(spec: AgentSequenceSpec) -> ProbSpace:
+    return ProbSpace(np.full(spec.n_states, 1.0 / spec.n_states))
+
+
 def agent_pool(
     spec: AgentSequenceSpec, homogeneous: bool
 ) -> tuple[ProbSpace, list[Agent]]:
@@ -87,7 +94,7 @@ def agent_pool(
     draw is scaled to L2 norm `m_bound`.
     """
     rng = np.random.default_rng(spec.seed)
-    space = ProbSpace(np.full(spec.n_states, 1.0 / spec.n_states))
+    space = _uniform_space(spec)
     p = space.probs
     gamma_h = float(np.sqrt(spec.gamma_low * spec.gamma_high))
     draws, gammas = [], []
@@ -108,28 +115,32 @@ def agent_pool(
     return space, [Agent(g, e) for g, e in zip(gammas, space.rvs(payoffs))]
 
 
-def _prefix_market(space: ProbSpace, agents: list[Agent], n: int) -> Market:
-    return Market(space, tuple(agents[:n]))
+def _growing_markets(
+    spec: AgentSequenceSpec, homogeneous: bool, columns: tuple[str, ...], measure
+) -> Table:
+    """One row (n, *measure(market)) per size, on the prefix markets of one pool.
 
-
-def inefficiency_decay(spec: AgentSequenceSpec, homogeneous: bool = False) -> Table:
-    """Risk-sharing inefficiency of the endowment game along growing markets."""
+    The verdict is pass when the first measured value at the largest market
+    is below VERDICT_THRESHOLD.
+    """
     space, agents = agent_pool(spec, homogeneous)
-    rows = []
-    for n in spec.sizes:
-        market = _prefix_market(space, agents, n)
-        rows.append((n, nash_endowment(market).inefficiency))
-    final = rows[-1][1]
+    rows = [(n, *measure(Market(space, tuple(agents[:n])))) for n in spec.sizes]
     return Table(
-        columns=("n", "inefficiency"),
+        columns=("n", *columns),
         rows=rows,
         metadata={
             "seed": spec.seed,
             "homogeneous": homogeneous,
             "threshold": VERDICT_THRESHOLD,
-            "verdict": "pass" if final < VERDICT_THRESHOLD else "fail",
+            "verdict": "pass" if rows[-1][1] < VERDICT_THRESHOLD else "fail",
         },
     )
+
+
+def inefficiency_decay(spec: AgentSequenceSpec, homogeneous: bool = False) -> Table:
+    """Risk-sharing inefficiency of the endowment game along growing markets."""
+    return _growing_markets(spec, homogeneous, ("inefficiency",),
+                            lambda market: (nash_endowment(market).inefficiency,))
 
 
 def homogeneous_inefficiency_closed_form(market: Market) -> float:
@@ -149,35 +160,21 @@ def price_allocation_convergence(
     `basket_family` maps a market size to the basket traded at that size; by
     default one fixed seeded security is used throughout.
     """
-    space, agents = agent_pool(spec, homogeneous)
     if basket_family is None:
-        rng = np.random.default_rng(spec.seed + 1)
-        security = Rv(space, rng.normal(size=spec.n_states))
-        fixed = SecurityBasket((security,))
+        security = np.random.default_rng(spec.seed + 1).normal(size=spec.n_states)
+        fixed = SecurityBasket((Rv(_uniform_space(spec), security),))
 
         def basket_family(n):
             return fixed
 
-    rows = []
-    for n in spec.sizes:
-        market = _prefix_market(space, agents, n)
-        basket = basket_family(n)
+    def gaps(market):
+        basket = basket_family(market.n)
         capm = capm_equilibrium(market, basket)
         nash = nash_price(market, basket)
-        price_gap = float(np.linalg.norm(capm.prices - nash.price))
-        alloc_gap = float(np.linalg.norm(capm.allocation - nash.allocation, axis=1).max())
-        rows.append((n, price_gap, alloc_gap))
-    final_price = rows[-1][1]
-    return Table(
-        columns=("n", "price_gap", "allocation_gap"),
-        rows=rows,
-        metadata={
-            "seed": spec.seed,
-            "homogeneous": homogeneous,
-            "threshold": VERDICT_THRESHOLD,
-            "verdict": "pass" if final_price < VERDICT_THRESHOLD else "fail",
-        },
-    )
+        return (float(np.linalg.norm(capm.prices - nash.price)),
+                float(np.linalg.norm(capm.allocation - nash.allocation, axis=1).max()))
+
+    return _growing_markets(spec, homogeneous, ("price_gap", "allocation_gap"), gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +275,13 @@ def figure_data(
     if figure_id == 4:
         return _gain_figure(0.1, rho_values, gamma1_values)
     raise ValueError("figure id must be 1, 2, 3 or 4")
+
+
+# Every standard experiment by id, as a function of the agent-pool spec (the
+# figure grids do not read it).
+EXPERIMENTS = {
+    "decay": inefficiency_decay,
+    "decay-homogeneous": functools.partial(inefficiency_decay, homogeneous=True),
+    "convergence": price_allocation_convergence,
+    **{f"figure{k}": lambda spec, k=k: figure_data(k) for k in (1, 2, 3, 4)},
+}

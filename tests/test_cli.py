@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+import random
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +15,7 @@ from riskshare.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
-    _jsonable,
+    _encode,
     build_parser,
     cmd_best_response,
     cmd_capm,
@@ -444,7 +448,7 @@ class TestCashShift:
             results[f"best-response {mode}"] = cmd_best_response(loaded, agent, mode)
         for game in ("endowment", "percentage", "price"):
             results[f"nash {game}"] = cmd_nash(loaded, game)
-        return dict(_flat(_jsonable(results)))
+        return dict(_flat(json.loads(json.dumps(results, default=_encode))))
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -522,3 +526,178 @@ class TestExperimentCommand:
         first = capsys.readouterr().out
         assert main(["experiment", "--experiment", "decay", "--seed", "11"]) == EXIT_OK
         assert first == capsys.readouterr().out
+
+    def test_negative_seed_addressed(self, capsys):
+        assert main(["experiment", "--seed", "-1"]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "validation error: --seed: must be a non-negative integer\n"
+
+
+COMMANDS = (
+    ["pareto"],
+    ["capm"],
+    ["nash", "--game", "endowment"],
+    ["nash", "--game", "percentage"],
+    ["nash", "--game", "price"],
+    ["best-response", "--game", "endowment"],
+    ["best-response", "--game", "percentage"],
+    ["best-response", "--game", "demand"],
+)
+
+# one stderr line, addressed to a field
+ADDRESSED = re.compile(r"(validation error|numerical precondition violated|"
+                       r"non-convergence): [\w.\[\]-]+: [^\n]*\n")
+
+
+def _run(argv):
+    """main's exit code, stdout and stderr, failing on any warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+class TestFloatingPointAddressed:
+    """An overflow ends in one addressed line, never in a numpy warning."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_overflowing_security(self, tmp_path, command):
+        path = write_market(tmp_path, securities=[[1e200, 0.0, -1e200]])
+        code, out, err = _run(list(command) + ["--market", str(path)])
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("numerical precondition violated: securities: "), err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subnormal_gamma(self, tmp_path, command):
+        path = write_market(tmp_path, agents=[
+            {"gamma": 1e-320, "payoffs": [1.0, -1.0, 0.5]},
+            {"gamma": 2.0, "payoffs": [-0.5, 1.5, -1.0]},
+        ])
+        code, out, err = _run(list(command) + ["--market", str(path)])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("validation error: agents: "), err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["pareto"], ["nash", "--game", "percentage"]])
+    def test_overflowing_moments(self, tmp_path, command):
+        # Var[E] overflows: pareto's eigenvalues used to fail to converge, and
+        # the percentage solve to end with residual nan
+        path = write_market(tmp_path, agents=[
+            {"gamma": 1.0, "payoffs": [1e200, 0.0, 0.0]},
+            {"gamma": 2.0, "payoffs": [0.0, 1e200, 0.0]},
+            {"gamma": 1.5, "payoffs": [1.0, -1.0, 0.5]},
+        ])
+        code, out, err = _run(command + ["--market", str(path)])
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("numerical precondition violated: results: "), err
+        assert err.count("\n") == 1
+
+    def test_non_convergence_addressed(self, tmp_path):
+        pair = correlated_pair_market(1.0, 1.0, 1.0, 10.0, -0.8)
+        path = write_market(
+            tmp_path,
+            probs=pair.space.probs.tolist(),
+            agents=[
+                {"gamma": a.gamma, "payoffs": a.endowment.payoffs.tolist()}
+                for a in pair.agents
+            ],
+            parameters={"max_iter": 1},
+        )
+        code, out, err = _run(["nash", "--game", "percentage", "--market", str(path)])
+        assert code == EXIT_NO_CONVERGENCE
+        assert err.startswith("non-convergence: parameters.max_iter: "), err
+        assert err.count("\n") == 1
+
+
+JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=2),
+              st.sampled_from([float("nan"), float("inf"), -float("inf")])),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(
+        st.sampled_from(["gamma", "payoffs", "kappa", "x"]), inner, max_size=2),
+    max_leaves=4,
+)
+# a positive number of magnitude 1e-300 to 1e300
+MAGNITUDES = st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+                       st.floats(0.1, 9.9), st.integers(-300, 300))
+_MISSING = object()
+
+
+def _present(parts):
+    """A dict's or a list's parts without those left out."""
+    if isinstance(parts, dict):
+        return {k: v for k, v in parts.items() if v is not _MISSING}
+    return [x for x in parts if x is not _MISSING]
+
+
+@st.composite
+def market_documents(draw):
+    """Market documents from a grammar: mostly well formed, with any part
+    replaced by junk, nested, emptied or left out."""
+
+    # the shape is drawn uniformly: hypothesis favours small integers, which
+    # would break nearly every document at its first field
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def maybe(value):
+        # a valid value, or (one time in thirty) junk, nesting or absence
+        broken = rnd.randrange(90)
+        if broken == 0:
+            return draw(JUNK)
+        if broken == 1:
+            return [value]
+        return _MISSING if broken == 2 else value
+
+    def payoffs():
+        # O(1) payoffs or payoffs of one magnitude from 1e-300 to 1e300
+        scale = 10.0 ** draw(st.one_of(st.just(0), st.integers(-300, 300)))
+        row = [x * scale for x in draw(st.lists(st.floats(-9.9, 9.9), min_size=m,
+                                                max_size=m))]
+        if draw(st.booleans()):  # an exact power-of-two cash shift
+            row = [x + 2.0 ** draw(st.integers(0, 60)) for x in row]
+        return maybe(row)
+
+    n, m = rnd.choice([1, 2, 2, 2, 3, 3, 3, 4, 4]), rnd.choice([0, 1, 2, 3, 4, 5, 6, 7])
+    weights = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    agents = []
+    for _ in range(n):
+        gamma = draw(MAGNITUDES) if rnd.random() < 0.2 else rnd.choice([0.5, 1.0, 2.0])
+        agents.append(maybe(_present({"gamma": maybe(gamma), "payoffs": payoffs()})))
+    parameters = {"kappa": maybe(draw(MAGNITUDES)),
+                  "max_iter": maybe(draw(st.sampled_from([10000, 1, 2, 0])))}
+    doc = {
+        "schema": maybe(1),
+        "probs": maybe([w / sum(weights) for w in weights]),
+        "agents": maybe(_present(agents)),
+        "securities": maybe(_present([payoffs() for _ in range(rnd.randrange(3))])),
+        "parameters": maybe(_present(parameters)),
+    }
+    return _present(doc)
+
+
+@given(market_documents(), st.integers(-1, 4))
+@settings(max_examples=150)
+def test_every_input_ends_in_a_documented_exit(tmp_path_factory, doc, agent):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    for command in COMMANDS:
+        argv = list(command) + ["--agent", str(agent), "--market", str(path)]
+        code, out, err = _run(argv)
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_NO_CONVERGENCE)
+        if code == EXIT_OK:
+            json.loads(out, parse_constant=_reject)
+            assert err == ""
+        else:
+            assert out == ""
+            assert ADDRESSED.fullmatch(err), (argv, err)
