@@ -1,26 +1,29 @@
 """Command-line entry point: market-file ingestion and report emission.
 
-Market files are JSON with a versioned schema; reports are JSON with a stable
-field order and an echo of the ingested market, so a report can be re-run
-bit-for-bit. A report's results are the engine's outcome type, field by field
-in declaration order, plus the keys the type lacks; `json.dumps` serializes
-them, and its `default` hook converts only what json cannot: random
-variables, arrays, numpy scalars and dataclasses. Every gamma, probability
-and payoff is a finite JSON number, never a boolean or a string, and a
-rejected one is addressed by its index. The only market-file parameters are
-the percentage game's `kappa` (a finite positive number) and `max_iter` (an
-integer cap on its active-set solves, at least 1). `--seed`, a non-negative
-integer, is read by the `experiment` command only, which looks the id up in
-`experiments.EXPERIMENTS` and prints CSV.
+Market files are JSON whose `schema` is the integer 1; reports are JSON with a
+stable field order and an echo of the ingested market, so a report can be
+re-run bit-for-bit. A report's results are the engine's outcome type, field
+by field in declaration order, plus the keys the type lacks; the echo holds
+the ingested probabilities, endowments and securities themselves. `json.dumps`
+serializes both, and its `default` hook converts only what json cannot:
+random variables, arrays, numpy scalars and dataclasses. Every gamma,
+probability and payoff is a finite JSON number, never a boolean or a string,
+and a rejected one is addressed by its index. `securities` and `parameters`
+are optional; present, they must be an array (empty: no basket) and an object
+(empty: the defaults). The only parameters are the percentage game's `kappa`
+(a finite positive number) and `max_iter` (an integer cap on its active-set
+solves, at least 1). `--seed`, a non-negative integer, is read by the
+`experiment` command only, which looks the id up in `experiments.EXPERIMENTS`
+and prints CSV. A report or table goes to stdout, or to `--out`.
 
-Exit codes: 0 success, 2 validation error, 3 numerical precondition
-violation, 4 non-convergence of the percentage-game solve within `max_iter`
-solves. A failure is one stderr line addressed to a field, except through
-`main`'s last catch-all of ValueError and LinAlgError. Ingestion and the
-commands trap floating-point overflow, invalid operations and division by
-zero: in the market that exits 2 addressed to `agents`, in the basket 3
-addressed to `securities`, and in a command, like a result that is not
-finite, 3 addressed to `results`.
+Exit codes: 0 success, 2 validation error (also an `--out` that cannot be
+written), 3 numerical precondition violation, 4 non-convergence of the
+percentage-game solve within `max_iter` solves. A failure is one stderr line
+addressed to a field, except through `main`'s last catch-all of ValueError
+and LinAlgError. Ingestion and the commands trap floating-point overflow,
+invalid operations and division by zero: in the market that exits 2
+addressed to `agents`, in the basket 3 addressed to `securities`, and in a
+command, like a result that is not finite, 3 addressed to `results`.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ def load_market_file(path: str) -> dict:
     """Parse and validate a market file into engine objects.
 
     Returns a dict with keys market, basket (or None), parameters, and the
-    raw document for echoing.
+    echo of the ingested market.
     """
     try:
         with open(path) as fh:
@@ -133,8 +136,9 @@ def load_market_file(path: str) -> dict:
 
 def ingest_market_document(doc) -> dict:
     _require(isinstance(doc, dict), "document", "must be a JSON object")
-    _require(doc.get("schema") == SCHEMA_VERSION, "schema",
-             f"unsupported schema version {doc.get('schema')!r}, expected {SCHEMA_VERSION}")
+    schema = doc.get("schema")
+    _require(type(schema) is int and schema == SCHEMA_VERSION, "schema",
+             f"unsupported schema version {schema!r}, expected {SCHEMA_VERSION}")
 
     probs = _numbers(doc.get("probs"), "probs")
     _require(probs.size > 0, "probs", "must be a non-empty array")
@@ -165,10 +169,11 @@ def ingest_market_document(doc) -> dict:
         raise MarketFileError("agents", str(exc))
 
     basket = None
-    if doc.get("securities"):
-        _require(isinstance(doc["securities"], list), "securities", "must be an array")
+    securities_doc = doc.get("securities", [])
+    _require(isinstance(securities_doc, list), "securities", "must be an array")
+    if securities_doc:
         securities = []
-        for idx, payoffs in enumerate(doc["securities"]):
+        for idx, payoffs in enumerate(securities_doc):
             where = f"securities[{idx}]"
             payoffs = _numbers(payoffs, where)
             try:
@@ -183,7 +188,7 @@ def ingest_market_document(doc) -> dict:
             raise MarketFileError("securities", str(exc))
 
     parameters = dict(DEFAULT_PARAMETERS)
-    params_doc = doc.get("parameters") or {}
+    params_doc = doc.get("parameters", {})
     _require(isinstance(params_doc, dict), "parameters", "must be an object")
     for key, value in params_doc.items():
         where = f"parameters.{key}"
@@ -197,14 +202,9 @@ def ingest_market_document(doc) -> dict:
 
     echo = {
         "schema": SCHEMA_VERSION,
-        "probs": [float(p) for p in space.probs],
-        "agents": [
-            {"gamma": a.gamma, "payoffs": [float(x) for x in a.endowment.payoffs]}
-            for a in agents
-        ],
-        "securities": [
-            [float(x) for x in s.payoffs] for s in (basket.securities if basket else [])
-        ],
+        "probs": space.probs,
+        "agents": [{"gamma": a.gamma, "payoffs": a.endowment} for a in agents],
+        "securities": basket.securities if basket else [],
         "parameters": parameters,
     }
     return {"market": market, "basket": basket, "parameters": parameters, "echo": echo}
@@ -246,13 +246,14 @@ def _report(command: str, loaded: dict, results: dict) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
+    if not out:
         print(text)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise MarketFileError("--out", str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "demand or price")
     parser.add_argument("--experiment", default="decay",
                         help=f"experiment id: {', '.join(EXPERIMENTS)}")
-    parser.add_argument("--kappa", type=float, help="percentage-game upper bound")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed of the experiment command")
     parser.add_argument("--out", help="write the report to this path")
@@ -366,10 +366,6 @@ def main(argv=None) -> int:
             if not args.market:
                 raise MarketFileError("market", "a --market file is required")
             loaded = load_market_file(args.market)
-            if args.kappa is not None:
-                # the echo shares this dict
-                loaded["parameters"]["kappa"] = _number(args.kappa, "--kappa",
-                                                        positive=True)
             try:
                 if args.command == "pareto":
                     results = cmd_pareto(loaded)

@@ -1,12 +1,14 @@
 """Asymptotic experiments and figure-data generation.
 
 Both growing-market tables come from `_growing_markets`: it draws one seeded
-pool of agents, measures each prefix market, so the tables are nested (and
-therefore smooth in n) and fully reproducible, and reads the verdict from
-the largest. Figure grids realize arbitrary variance/correlation targets
-with a three-state construction, since every quantity in the model depends
-on the endowments only through first and second moments. `EXPERIMENTS`
-maps each standard experiment id to its table, for the CLI and the script.
+pool of agents within the paper's bounds (ENDOWMENT_NORM, GAMMA_RANGE),
+measures each prefix market, so the tables are nested (and therefore smooth
+in n) and fully reproducible, and reads the verdict from the largest. The
+figures are fixed grids (RHO_GRID, GAMMA1_GRID) whose variance/correlation
+targets a three-state construction realizes, since every quantity in the
+model depends on the endowments only through first and second moments.
+`FIGURES` maps each figure to its builder, and `EXPERIMENTS` each standard
+experiment id to its table, for the CLI and the script.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .nash import (
 from .pareto import capm_equilibrium, mechanism_gains
 
 DEFAULT_SIZES = (2, 5, 10, 20, 50, 100, 200)
+# The paper's boundedness assumptions for the decay results: every endowment
+# has L2 norm ENDOWMENT_NORM, and every risk aversion lies in GAMMA_RANGE.
+ENDOWMENT_NORM = 1.0
+GAMMA_RANGE = (0.5, 2.0)
 # A growing-market table's verdict is pass when its value at the largest
 # market (inefficiency or price gap) is below this.
 VERDICT_THRESHOLD = 1e-2
@@ -35,24 +41,16 @@ VERDICT_THRESHOLD = 1e-2
 
 @dataclass(frozen=True, eq=False)
 class AgentSequenceSpec:
-    """Bounded agent pool for growing-market experiments.
+    """Market sizes, states and seed of a growing-market experiment's pool.
 
-    Endowments are capped at L2 norm `m_bound` and risk aversions confined to
-    [gamma_low, gamma_high]; both bounds are re-checked on every pool emitted.
+    The pool's bounds are the module's ENDOWMENT_NORM and GAMMA_RANGE.
     """
 
-    m_bound: float = 1.0
-    gamma_low: float = 0.5
-    gamma_high: float = 2.0
     sizes: tuple[int, ...] = DEFAULT_SIZES
     n_states: int = 6
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.gamma_low <= self.gamma_high:
-            raise ValueError("need 0 < gamma_low <= gamma_high")
-        if self.m_bound <= 0.0:
-            raise ValueError("endowment norm bound must be positive")
         if min(self.sizes) < 2:
             raise ValueError("market sizes must be at least 2")
         object.__setattr__(self, "sizes", tuple(sorted(self.sizes)))
@@ -91,27 +89,27 @@ def agent_pool(
 
     Each agent draws its payoffs, then (heterogeneous pools) its risk
     aversion, so a pool's agents are the prefix of any larger pool's. Each
-    draw is scaled to L2 norm `m_bound`.
+    draw is scaled to L2 norm ENDOWMENT_NORM; both bounds are re-checked on
+    every pool emitted.
     """
     rng = np.random.default_rng(spec.seed)
     space = _uniform_space(spec)
     p = space.probs
-    gamma_h = float(np.sqrt(spec.gamma_low * spec.gamma_high))
+    low, high = GAMMA_RANGE
+    gamma_h = float(np.sqrt(low * high))
     draws, gammas = [], []
     for _ in range(max(spec.sizes)):
         draws.append(rng.normal(size=spec.n_states))
-        gammas.append(gamma_h if homogeneous else float(
-            rng.uniform(spec.gamma_low, spec.gamma_high)))
+        gammas.append(gamma_h if homogeneous else float(rng.uniform(low, high)))
     # one dot product per draw: a matrix-vector product sums in another order,
     # which would move the payoffs' last bits and so the experiment tables
     norms = np.sqrt([p @ x**2 for x in draws])
-    payoffs = np.array(draws) * (spec.m_bound / norms)[:, None]
+    payoffs = np.array(draws) * (ENDOWMENT_NORM / norms)[:, None]
     emitted = np.sqrt(payoffs**2 @ p).max()
-    if emitted > spec.m_bound * (1.0 + 1e-12):
+    if emitted > ENDOWMENT_NORM * (1.0 + 1e-12):
         raise RuntimeError(f"generator emitted endowment with norm {emitted}")
-    if not spec.gamma_low <= min(gammas) <= max(gammas) <= spec.gamma_high:
-        raise RuntimeError(f"generator emitted gamma out of [{spec.gamma_low}, "
-                           f"{spec.gamma_high}]")
+    if not low <= min(gammas) <= max(gammas) <= high:
+        raise RuntimeError(f"generator emitted gamma out of [{low}, {high}]")
     return space, [Agent(g, e) for g, e in zip(gammas, space.rvs(payoffs))]
 
 
@@ -217,9 +215,13 @@ def correlated_pair_market(
     )
 
 
-def _percentage_figure(variance_ratio: float, rho_values) -> Table:
+RHO_GRID = np.linspace(-1.0, 1.0, 21)
+GAMMA1_GRID = np.linspace(0.2, 3.0, 15)
+
+
+def _percentage_figure(variance_ratio: float) -> Table:
     rows = []
-    for rho in rho_values:
+    for rho in RHO_GRID:
         market = correlated_pair_market(1.0, 1.0, 1.0, variance_ratio, float(rho))
         outcome = nash_percentage(market)
         rows.append((float(rho), float(outcome.b_star[0]), float(outcome.b_star[1])))
@@ -230,13 +232,11 @@ def _percentage_figure(variance_ratio: float, rho_values) -> Table:
     )
 
 
-def _gain_figure(variance_ratio: float, rho_values, gamma1_values) -> Table:
+def _gain_figure(variance_ratio: float) -> Table:
     rows = []
-    for rho in rho_values:
-        for g1 in gamma1_values:
-            market = correlated_pair_market(
-                float(g1), 1.0, 1.0, variance_ratio, float(rho)
-            )
+    for rho in RHO_GRID:
+        for g1 in GAMMA1_GRID:
+            market = correlated_pair_market(float(g1), 1.0, 1.0, variance_ratio, float(rho))
             outcome = nash_percentage(market)
             nash_gain = float(percentage_game_gains(market, outcome)[0])
             pareto_gain = float(mechanism_gains(market, market.centered)[0])
@@ -250,31 +250,24 @@ def _gain_figure(variance_ratio: float, rho_values, gamma1_values) -> Table:
     )
 
 
-def figure_data(
-    figure_id: int,
-    rho_values=None,
-    gamma1_values=None,
-) -> Table:
+# Each figure's table builder and its variance ratio Var[E_2] / Var[E_1].
+FIGURES = {1: (_percentage_figure, 10.0), 2: (_percentage_figure, 0.1),
+           3: (_gain_figure, 10.0), 4: (_gain_figure, 0.1)}
+
+
+def figure_data(figure_id: int) -> Table:
     """Grid data behind the four standard figures.
 
-    1, 2: equilibrium percentages versus correlation for equal risk aversions,
-    with the second endowment ten times riskier (1) or ten times safer (2).
+    1, 2: equilibrium percentages versus correlation (RHO_GRID) for equal
+    risk aversions, with the second endowment ten times riskier (1) or ten
+    times safer (2).
     3, 4: agent 1's percentage-game gain against the unconstrained sharing
-    gain over a (rho, gamma_1) grid, same two variance ratios.
+    gain over the (RHO_GRID, GAMMA1_GRID) grid, same two variance ratios.
     """
-    if rho_values is None:
-        rho_values = np.linspace(-1.0, 1.0, 21)
-    if gamma1_values is None:
-        gamma1_values = np.linspace(0.2, 3.0, 15)
-    if figure_id == 1:
-        return _percentage_figure(10.0, rho_values)
-    if figure_id == 2:
-        return _percentage_figure(0.1, rho_values)
-    if figure_id == 3:
-        return _gain_figure(10.0, rho_values, gamma1_values)
-    if figure_id == 4:
-        return _gain_figure(0.1, rho_values, gamma1_values)
-    raise ValueError("figure id must be 1, 2, 3 or 4")
+    if figure_id not in FIGURES:
+        raise ValueError("figure id must be 1, 2, 3 or 4")
+    build, variance_ratio = FIGURES[figure_id]
+    return build(variance_ratio)
 
 
 # Every standard experiment by id, as a function of the agent-pool spec (the
@@ -283,5 +276,5 @@ EXPERIMENTS = {
     "decay": inefficiency_decay,
     "decay-homogeneous": functools.partial(inefficiency_decay, homogeneous=True),
     "convergence": price_allocation_convergence,
-    **{f"figure{k}": lambda spec, k=k: figure_data(k) for k in (1, 2, 3, 4)},
+    **{f"figure{k}": lambda spec, k=k: figure_data(k) for k in FIGURES},
 }

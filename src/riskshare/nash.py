@@ -155,7 +155,7 @@ def table1_report(market: Market) -> list[Table1Row]:
             e1,
             nash.reported[0],
             ((2 * g1 + g2) / (2 * (g1 + g2))) * e1
-            + (g2**2 / (2 * g1 * (g1 + g2))) * e2,
+            + ((g2 / g1) * g2 / (2 * (g1 + g2))) * e2,
         ),
         Table1Row(
             "purchased_contract",
@@ -314,25 +314,16 @@ def nash_vs_pareto_utilities(
 # Excess-return pricing identity
 
 
-def excess_return_check(market: Market, basket: SecurityBasket, x: Rv) -> float:
+def excess_return_check(market: Market, x: Rv) -> float:
     """Residual of E[R_X] = beta(X, M) E[R_M] with M the reported aggregate.
 
     Returns |LHS - RHS| where R_Y = Y / pi(Y) - 1 and
-    pi(Y) = E[Y] - 2 gamma Cov(Y, M) is the Nash pricing functional.
-    Requires every endowment and x to lie in span{1, C_1..C_k} and both
-    prices to be nonzero. Both sides equal 2 gamma Cov(X, M) / pi(X) for any
-    M with pi(X), pi(M) != 0 and Var[M] > 0, so the residual is rounding
-    noise whatever M is: the check guards `core.pricing` and the return
-    algebra, not the Nash aggregate.
+    pi(Y) = E[Y] - 2 gamma Cov(Y, M) is the Nash pricing functional. Both
+    prices must be nonzero and M must be risky. Both sides equal
+    2 gamma Cov(X, M) / pi(X) for any X and any such M, so the residual is
+    rounding noise whatever M is: the check guards `core.pricing` and the
+    return algebra, not the Nash aggregate.
     """
-    design = np.vstack([np.ones(market.space.n_states), basket.payoffs]).T
-    targets = np.vstack([x.payoffs, market.payoffs]).T
-    coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    outside = ~np.isclose(design @ coef, targets, atol=1e-8).all(axis=0)
-    if outside.any():
-        k = int(np.argmax(outside))
-        label = "x" if k == 0 else f"endowment {k - 1}"
-        raise ValueError(f"{label} is not in the span of {{1, C_1..C_k}}")
     m = nash_aggregate_endowment(market)
     px, pm = (pricing(market.aggregate_gamma, mean(y), cov(y, m)) for y in (x, m))
     if abs(px) < 1e-12 or abs(pm) < 1e-12:

@@ -32,6 +32,8 @@ from .core import SV_RATIO_MIN, Market, Rv, SecurityBasket, centered, cross_cov
 
 # curvatures within this fraction of the largest are flat (rounding noise)
 _CURVATURE_FLOOR = 1e-10
+# the dynamics converge in a round whose report steps all have a smaller std
+_DYNAMICS_TOL = 1e-12
 
 
 def _rows(reports) -> np.ndarray:
@@ -136,17 +138,11 @@ def _report_gain(market: Market, i: int, reports: np.ndarray, basis: np.ndarray)
 
 
 def argmax_reported_utility(
-    market: Market,
-    i: int,
-    spec: CoefficientSearchSpec,
-    others=None,
+    market: Market, i: int, spec: CoefficientSearchSpec
 ) -> SearchResult:
-    """Numerically best report of agent i, as coefficients on `spec.basis`.
-
-    `others` is a full-length profile of the other agents' reports (slot i is
-    ignored); by default everyone else reports truthfully.
-    """
-    reports = np.array(market.payoffs if others is None else _rows(others))
+    """Numerically best report of agent i, as coefficients on `spec.basis`,
+    while every other agent reports truthfully."""
+    reports = np.array(market.payoffs)
     gain = _report_gain(market, i, reports, spec.payoffs)
     coefficients = _quadratic_argmax(gain, np.zeros(len(spec.basis)))
     return SearchResult(coefficients=coefficients, value=gain(coefficients))
@@ -200,7 +196,6 @@ def best_response_dynamics(
     market: Market,
     init=None,
     rounds: int = 200,
-    tol: float = 1e-12,
 ) -> DynamicsResult:
     """Round-robin best-response iteration on the reported endowments.
 
@@ -224,7 +219,7 @@ def best_response_dynamics(
             moved = max(moved, float(cross_cov(p, step, step)))
             reports[i] = best
         trajectory.append(market.space.rvs(reports))
-        if moved < tol**2:
+        if moved < _DYNAMICS_TOL**2:
             converged = True
             rounds_run = r
             break

@@ -33,7 +33,7 @@ from .pareto import mechanism_gains
 class ResponseReport:
     """A best response together with the utility it secures."""
 
-    response: object  # Rv, float percentage or price vector
+    response: object  # Rv, float percentage or DemandSchedule
     utility_before: float
     utility_after: float
 
@@ -63,11 +63,13 @@ def _response_coefficients(market: Market) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent weights of a best report against the others' reports.
 
     gamma_i/(gamma_i + gamma) on the agent's own endowment and
-    gamma^2/(gamma_i^2 - gamma^2) on the sum of the other agents' reports.
+    gamma^2/(gamma_i^2 - gamma^2) = s_i^2/(1 - s_i^2), s_i = gamma/gamma_i, on
+    the sum of the other agents' reports; the ratio form cannot overflow.
     """
     g = market.aggregate_gamma
     gammas = market.gammas
-    return gammas / (gammas + g), g**2 / (gammas**2 - g**2)
+    share = g / gammas
+    return gammas / (gammas + g), share**2 / (1.0 - share**2)
 
 
 def _report_rows(market: Market, others: Sequence[Rv] | None) -> np.ndarray:

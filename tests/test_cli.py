@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskshare.cli import (
@@ -68,6 +68,55 @@ class TestValidation:
         assert main(["pareto", "--market", str(path)]) == EXIT_VALIDATION
         assert "schema" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["true", "1.0"])
+    def test_schema_is_the_integer_one(self, tmp_path, raw):
+        path = write_market(tmp_path, schema="RAW")
+        path.write_text(path.read_text().replace('"RAW"', raw))
+        code, out, err = _run(["pareto", "--market", str(path)])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("validation error: schema: "), err
+
+    @pytest.mark.parametrize("field,raw", [
+        ("securities", "false"),
+        ("securities", "0"),
+        ("securities", '""'),
+        ("securities", "{}"),
+        ("securities", "null"),
+        ("parameters", "0"),
+        ("parameters", "[]"),
+        ("parameters", "false"),
+        ("parameters", "null"),
+    ])
+    def test_present_optional_field_is_typed(self, tmp_path, field, raw):
+        # a falsy value is present, not absent
+        path = write_market(tmp_path, **{field: "RAW"})
+        path.write_text(path.read_text().replace('"RAW"', raw))
+        code, out, err = _run(["pareto", "--market", str(path)])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith(f"validation error: {field}: "), err
+
+    def test_empty_optional_fields_mean_none(self, tmp_path, capsys):
+        path = write_market(tmp_path, securities=[], parameters={})
+        assert main(["pareto", "--market", str(path)]) == EXIT_OK
+        echo = json.loads(capsys.readouterr().out)["market"]
+        assert echo["securities"] == []
+        assert echo["parameters"] == {"kappa": 10.0, "max_iter": 10000}
+
+    @pytest.mark.parametrize("command", [["pareto"], ["experiment", "--experiment",
+                                                      "figure1"]])
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_out_addressed(self, tmp_path, command, target):
+        argv = command + ["--out", str(tmp_path / target)]
+        if command[0] == "pareto":
+            argv += ["--market", str(write_market(tmp_path))]
+        code, out, err = _run(argv)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("validation error: --out: "), err
+        assert err.count("\n") == 1
+
     def test_unknown_parameter(self, tmp_path, capsys):
         path = write_market(tmp_path, parameters={"bogus": 1})
         assert main(["pareto", "--market", str(path)]) == EXIT_VALIDATION
@@ -97,11 +146,6 @@ class TestValidation:
                     assert main(command + ["--market", str(path)]) == EXIT_VALIDATION
                     err = capsys.readouterr().err
                     assert err.startswith(f"validation error: parameters.{name}: "), raw
-        path = write_market(tmp_path)
-        for raw in ("nan", "inf", "-1", "0"):
-            assert main(["nash", "--game", "percentage", "--kappa", raw,
-                         "--market", str(path)]) == EXIT_VALIDATION
-            assert capsys.readouterr().err.startswith("validation error: --kappa: ")
         path = write_market(tmp_path, parameters={"kappa": 2, "max_iter": 3})
         assert main(["nash", "--game", "percentage", "--market", str(path)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
@@ -486,6 +530,115 @@ class TestCashShift:
             else:
                 gap, scale = np.abs(y - x), np.abs(x)
             assert np.all(gap <= 1e-12 * (1.0 + scale)), (path, np.max(gap))
+
+
+# The power d of 2^k by which each report field scales when every payoff and
+# security is multiplied by 2^k and every gamma by 2^-k, by the field's path
+# without list indices: payoffs, prices and utilities scale once, gammas
+# inversely, covariances with a security twice, and quantities, shares and
+# percentages not at all.
+UNIT_POWERS = {
+    "market.schema": 0,
+    "market.probs": 0,
+    "market.agents.gamma": -1,
+    "market.agents.payoffs": 1,
+    "market.securities": 1,
+    "market.parameters.kappa": 0,
+    "market.parameters.max_iter": 0,
+    **{f"pareto.{key}": d for key, d in (
+        ("contracts", 1), ("weights", 0), ("endowment_prices", 1),
+        ("utility_levels", 1), ("aggregate_gain", 1))},
+    **{f"capm.{key}": d for key, d in (
+        ("prices", 1), ("allocation", 0), ("utility_levels", 1), ("gains", 1),
+        ("constrained_loss", 1), ("constrained_loss_total", 1))},
+    **{f"best-response {mode}.{key}": d
+       for mode in ("endowment", "percentage", "demand")
+       for key, d in (("agent", 0), ("utility_before", 1), ("utility_after", 1))},
+    "best-response endowment.response": 1,
+    "best-response percentage.response": 0,
+    "best-response demand.response.gamma": -1,
+    "best-response demand.response.c": 2,
+    **{f"nash endowment.{key}": d for key, d in (
+        ("reported", 1), ("aggregate", 1), ("contracts", 1), ("inefficiency", 1),
+        ("per_agent_gain", 1))},
+    **{f"nash endowment.table1.{col}": 1 for col in (
+        "pareto_engine", "pareto_closed", "nash_engine", "nash_closed")},
+    **{f"nash percentage.{key}": d for key, d in (
+        ("b_star", 0), ("kappa", 0), ("iterations", 0), ("converged", 0),
+        ("residual", 0), ("per_agent_gain", 1))},
+    **{f"nash price.{key}": d for key, d in (
+        ("price", 1), ("schedules.gamma", -1), ("schedules.c", 2),
+        ("allocation", 0), ("pressure", 2))},
+}
+
+# a market on which libm's pow once broke exact scaling at k = 7
+POW_MARKET = {
+    "schema": 1,
+    "probs": [5 / 14, 3 / 14, 2 / 14, 1 / 14, 3 / 14],
+    "agents": [
+        {"gamma": 0.9375, "payoffs": [5.0625, 6.25, -1.640625, -1.765625, 4.546875]},
+        {"gamma": 0.625, "payoffs": [-7.796875, -4.671875, 7.984375, -0.90625, 7.28125]},
+    ],
+    "securities": [[2.84375, -3.796875, -4.859375, 2.171875, 2.5]],
+}
+
+
+@st.composite
+def dyadic_markets(draw):
+    """Markets whose gammas, payoffs and securities are dyadic rationals."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 4))
+    m = n + 1 + draw(st.integers(0, 2))
+    gammas = rng.integers(1, 33, size=n) / 16.0
+    payoffs = rng.integers(-512, 513, size=(n, m)) / 64.0
+    securities = rng.integers(-512, 513, size=(draw(st.integers(1, 2)), m)) / 64.0
+    return {
+        "schema": 1,
+        "probs": rng.dirichlet(np.ones(m) * 5.0).tolist(),
+        "agents": [{"gamma": g, "payoffs": e}
+                   for g, e in zip(gammas.tolist(), payoffs.tolist())],
+        "securities": securities.tolist(),
+    }
+
+
+class TestUnitScaling:
+    """Payoffs times 2^k and gammas times 2^-k scale every field exactly."""
+
+    @staticmethod
+    def _reports(path, doc, agent):
+        path.write_text(json.dumps(doc))
+        reports = {}
+        for command in COMMANDS:
+            name = " ".join(c for c in command if c != "--game")
+            code, out, _ = _run(list(command) + ["--agent", str(agent),
+                                                 "--market", str(path)])
+            reports[name] = code, json.loads(out) if code == EXIT_OK else None
+        return reports
+
+    @given(dyadic_markets(), st.integers(-30, 30), st.integers(0, 3))
+    @example(POW_MARKET, 7, 0)
+    @settings(max_examples=100)
+    def test_exact_unit_scaling(self, tmp_path_factory, doc, k, agent):
+        path = tmp_path_factory.getbasetemp() / "scaled.json"
+        agent %= len(doc["agents"])
+        base = self._reports(path, doc, agent)
+        c = 2.0**k
+        scaled_doc = {
+            **doc,
+            "agents": [{"gamma": a["gamma"] / c, "payoffs": [x * c for x in a["payoffs"]]}
+                       for a in doc["agents"]],
+            "securities": [[x * c for x in s] for s in doc["securities"]],
+        }
+        scaled = self._reports(path, scaled_doc, agent)
+        for name, (code, report) in base.items():
+            assert scaled[name][0] == code, name
+            if code != EXIT_OK:
+                continue
+            fields = dict(_flat(scaled[name][1]))
+            for where, x in _flat(report):
+                key = re.sub(r"\[\d+\]", "", where).replace("results", name)
+                want = x * 2.0 ** (UNIT_POWERS[key] * k)
+                assert fields[where].tobytes() == want.tobytes(), (name, where, k)
 
 
 class TestRoundTrip:

@@ -3,6 +3,8 @@ import pytest
 
 from riskshare.core import Agent, Rv, cov, mean, var
 from riskshare.experiments import (
+    ENDOWMENT_NORM,
+    GAMMA_RANGE,
     AgentSequenceSpec,
     agent_pool,
     correlated_pair_market,
@@ -17,12 +19,6 @@ from riskshare.nash import nash_endowment
 class TestAgentSequenceSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            AgentSequenceSpec(gamma_low=0.0)
-        with pytest.raises(ValueError):
-            AgentSequenceSpec(gamma_low=2.0, gamma_high=1.0)
-        with pytest.raises(ValueError):
-            AgentSequenceSpec(m_bound=0.0)
-        with pytest.raises(ValueError):
             AgentSequenceSpec(sizes=(1, 2))
 
     def test_pool_respects_bounds(self):
@@ -30,23 +26,23 @@ class TestAgentSequenceSpec:
         space, agents = agent_pool(spec, homogeneous=False)
         for a in agents:
             norm = np.sqrt(space.probs @ a.endowment.payoffs**2)
-            assert norm <= spec.m_bound * (1.0 + 1e-12)
-            assert spec.gamma_low <= a.gamma <= spec.gamma_high
+            assert norm <= ENDOWMENT_NORM * (1.0 + 1e-12)
+            assert GAMMA_RANGE[0] <= a.gamma <= GAMMA_RANGE[1]
 
     @pytest.mark.parametrize("homogeneous", [False, True])
     @pytest.mark.parametrize("m", [3, 6, 50])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_pool_matches_per_agent_draws(self, seed, m, homogeneous):
         # the pool as built one agent at a time: payoffs drawn, rescaled to
-        # norm m_bound, then (heterogeneous) the risk aversion drawn
+        # norm ENDOWMENT_NORM, then (heterogeneous) the risk aversion drawn
         spec = AgentSequenceSpec(sizes=(2, 30), n_states=m, seed=seed)
         space, agents = agent_pool(spec, homogeneous)
         rng = np.random.default_rng(seed)
         for agent in agents:
             e = Rv(space, rng.normal(size=m))
-            e = (spec.m_bound / float(np.sqrt(space.probs @ e.payoffs**2))) * e
-            gamma = (float(np.sqrt(spec.gamma_low * spec.gamma_high)) if homogeneous
-                     else float(rng.uniform(spec.gamma_low, spec.gamma_high)))
+            e = (ENDOWMENT_NORM / float(np.sqrt(space.probs @ e.payoffs**2))) * e
+            gamma = (float(np.sqrt(GAMMA_RANGE[0] * GAMMA_RANGE[1])) if homogeneous
+                     else float(rng.uniform(*GAMMA_RANGE)))
             expected = Agent(gamma, e)
             assert agent.gamma == expected.gamma
             assert agent.endowment.payoffs.tobytes() == expected.endowment.payoffs.tobytes()
@@ -125,17 +121,15 @@ class TestFigureData:
             figure_data(5)
 
     def test_percentage_figure_shape(self):
-        table = figure_data(1, rho_values=np.linspace(-0.8, 0.8, 5))
+        table = figure_data(1)
         assert table.columns == ("rho", "b1", "b2")
-        assert len(table.rows) == 5
+        assert len(table.rows) == 21
 
     def test_gain_figure_shape(self):
-        table = figure_data(
-            3, rho_values=np.linspace(-0.5, 0.5, 3), gamma1_values=[0.5, 1.0]
-        )
+        table = figure_data(3)
         assert table.columns == ("rho", "gamma1", "nash_gain", "pareto_gain",
                                  "difference")
-        assert len(table.rows) == 6
+        assert len(table.rows) == 315
 
     def test_equal_variance_full_correlation_is_trivial_case(self):
         # only here does the aggregate reported endowment equal the true one
