@@ -18,12 +18,13 @@ and prints CSV. A report or table goes to stdout, or to `--out`.
 
 Exit codes: 0 success, 2 validation error (also an `--out` that cannot be
 written), 3 numerical precondition violation, 4 non-convergence of the
-percentage-game solve within `max_iter` solves. A failure is one stderr line
-addressed to a field, except through `main`'s last catch-all of ValueError
-and LinAlgError. Ingestion and the commands trap floating-point overflow,
-invalid operations and division by zero: in the market that exits 2
-addressed to `agents`, in the basket 3 addressed to `securities`, and in a
-command, like a result that is not finite, 3 addressed to `results`.
+percentage-game solve within `max_iter` solves. A failure is one `Failure`,
+raised where its field is known, which `main` prints as one stderr line
+addressed to that field (`file` for a file that is not UTF-8 JSON). Ingestion
+and the commands trap floating-point overflow, invalid operations and
+division by zero: in the market that exits 2 addressed to `agents`, in the
+basket 3 addressed to `securities`, and in a command, like a result that is
+not finite, 3 addressed to `results`.
 """
 
 from __future__ import annotations
@@ -77,18 +78,25 @@ SCHEMA_VERSION = 1
 
 DEFAULT_PARAMETERS = {"kappa": 10.0, "max_iter": 10000}
 
+PREFIXES = {
+    EXIT_VALIDATION: "validation error",
+    EXIT_NUMERICAL: "numerical precondition violated",
+    EXIT_NO_CONVERGENCE: "non-convergence",
+}
 
-class MarketFileError(ValueError):
-    """Validation failure, carrying the offending field's address."""
 
-    def __init__(self, field: str, message: str):
-        self.field = field
+class Failure(Exception):
+    """A failed run: its exit code and a message addressed to the offending
+    field. Not a ValueError, so that no `except ValueError` re-wraps it."""
+
+    def __init__(self, field: str, message: object, code: int = EXIT_VALIDATION):
+        self.code = code
         super().__init__(f"{field}: {message}")
 
 
 def _require(condition: bool, field: str, message: str) -> None:
     if not condition:
-        raise MarketFileError(field, message)
+        raise Failure(field, message)
 
 
 def _finite(value) -> bool:
@@ -114,8 +122,16 @@ def _numbers(values, field: str) -> np.ndarray:
     _require(isinstance(values, list), field, "must be an array of numbers")
     for j, v in enumerate(values):
         if not _finite(v):
-            raise MarketFileError(f"{field}[{j}]", "must be a finite number")
+            raise Failure(f"{field}[{j}]", "must be a finite number")
     return np.array(values, dtype=float)
+
+
+def _payoffs(space: ProbSpace, values, field: str) -> Rv:
+    """A payoff row of finite numbers, one per state of `space`."""
+    try:
+        return Rv(space, _numbers(values, field))
+    except ValueError as exc:  # a length other than the number of states
+        raise Failure(field, exc) from None
 
 
 def load_market_file(path: str) -> dict:
@@ -128,9 +144,10 @@ def load_market_file(path: str) -> dict:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise MarketFileError("file", str(exc))
-    except json.JSONDecodeError as exc:
-        raise MarketFileError("file", f"not valid JSON: {exc}")
+        raise Failure("file", exc) from None
+    # malformed, not UTF-8, an integer beyond the digit limit, or nested too deep
+    except (ValueError, RecursionError) as exc:
+        raise Failure("file", f"not valid JSON: {exc}") from None
     return ingest_market_document(doc)
 
 
@@ -145,7 +162,7 @@ def ingest_market_document(doc) -> dict:
     try:
         space = ProbSpace(probs)
     except (ValueError, FloatingPointError) as exc:
-        raise MarketFileError("probs", str(exc))
+        raise Failure("probs", exc) from None
 
     agents_doc = doc.get("agents")
     _require(isinstance(agents_doc, list) and len(agents_doc) >= 2,
@@ -157,35 +174,22 @@ def ingest_market_document(doc) -> dict:
         _require("gamma" in a, f"{where}.gamma", "missing")
         _require("payoffs" in a, f"{where}.payoffs", "missing")
         gamma = _number(a["gamma"], f"{where}.gamma", positive=True)
-        payoffs = _numbers(a["payoffs"], f"{where}.payoffs")
-        try:
-            endowment = Rv(space, payoffs)
-        except ValueError as exc:
-            raise MarketFileError(f"{where}.payoffs", str(exc))
-        agents.append(Agent(gamma, endowment))
+        agents.append(Agent(gamma, _payoffs(space, a["payoffs"], f"{where}.payoffs")))
     try:
         market = Market(space, tuple(agents))
     except (ValueError, FloatingPointError) as exc:
-        raise MarketFileError("agents", str(exc))
+        raise Failure("agents", exc) from None
 
     basket = None
     securities_doc = doc.get("securities", [])
     _require(isinstance(securities_doc, list), "securities", "must be an array")
     if securities_doc:
-        securities = []
-        for idx, payoffs in enumerate(securities_doc):
-            where = f"securities[{idx}]"
-            payoffs = _numbers(payoffs, where)
-            try:
-                securities.append(Rv(space, payoffs))
-            except ValueError as exc:
-                raise MarketFileError(where, str(exc))
+        securities = tuple(_payoffs(space, payoffs, f"securities[{idx}]")
+                           for idx, payoffs in enumerate(securities_doc))
         try:
-            basket = SecurityBasket(tuple(securities))
+            basket = SecurityBasket(securities)
         except (SingularCovarianceError, FloatingPointError) as exc:
-            raise type(exc)(f"securities: {exc}") from None
-        except ValueError as exc:
-            raise MarketFileError("securities", str(exc))
+            raise Failure("securities", exc, EXIT_NUMERICAL) from None
 
     parameters = dict(DEFAULT_PARAMETERS)
     params_doc = doc.get("parameters", {})
@@ -233,7 +237,7 @@ def _encode(value):
 
 # for a floating-point error in a command or a non-finite value in a report,
 # which is a result: the echoed market is finite by validation
-RESULTS_NOT_FINITE = ("results: a result is not finite; the market's payoffs or "
+RESULTS_NOT_FINITE = ("a result is not finite; the market's payoffs or "
                       "risk aversions are too large for double precision")
 
 
@@ -242,7 +246,7 @@ def _report(command: str, loaded: dict, results: dict) -> str:
     try:
         return json.dumps(body, indent=2, allow_nan=False, default=_encode)
     except ValueError:  # NaN and Infinity are not JSON
-        raise FloatingPointError(RESULTS_NOT_FINITE) from None
+        raise Failure("results", RESULTS_NOT_FINITE, EXIT_NUMERICAL) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -253,7 +257,7 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     except OSError as exc:
-        raise MarketFileError("--out", str(exc)) from None
+        raise Failure("--out", exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +274,7 @@ def cmd_pareto(loaded: dict) -> dict:
             "aggregate_gain": aggregate_gain(market),
         }
     except SingularCovarianceError as exc:  # Var[E], tested by endowment_prices
-        raise SingularCovarianceError(f"agents: {exc}") from None
+        raise Failure("agents", exc, EXIT_NUMERICAL) from None
 
 
 def cmd_capm(loaded: dict) -> dict:
@@ -296,7 +300,7 @@ def cmd_best_response(loaded: dict, agent: int, mode: str) -> dict:
                  "demand best response needs securities")
         report = demand_response_report(market, agent, basket)
     else:
-        raise MarketFileError("game", f"unknown best-response mode {mode!r}")
+        raise Failure("game", f"unknown best-response mode {mode!r}")
     return {"agent": agent, "mode": mode, **_fields(report)}
 
 
@@ -308,8 +312,10 @@ def cmd_nash(loaded: dict, game: str) -> dict:
             results["table1"] = table1_report(market)
         return results
     if game == "percentage":
-        # the market-file parameters are the solver's keywords
-        outcome = nash_percentage(market, **loaded["parameters"])
+        try:  # the market-file parameters are the solver's keywords
+            outcome = nash_percentage(market, **loaded["parameters"])
+        except ConvergenceError as exc:
+            raise Failure("parameters.max_iter", exc, EXIT_NO_CONVERGENCE) from None
         return {
             **_fields(outcome),
             "per_agent_gain": percentage_game_gains(market, outcome),
@@ -317,7 +323,23 @@ def cmd_nash(loaded: dict, game: str) -> dict:
     if game == "price":
         _require(basket is not None, "securities", "price game needs securities")
         return _fields(nash_price(market, basket))
-    raise MarketFileError("game", f"unknown nash game {game!r}")
+    raise Failure("game", f"unknown nash game {game!r}")
+
+
+def _results(args, loaded: dict) -> dict:
+    """The results of the market command `args` names."""
+    try:
+        if args.command == "pareto":
+            return cmd_pareto(loaded)
+        if args.command == "capm":
+            return cmd_capm(loaded)
+        if args.command == "best-response":
+            return cmd_best_response(loaded, args.agent, args.game)
+        return cmd_nash(loaded, args.game)
+    except FloatingPointError:
+        raise Failure("results", RESULTS_NOT_FINITE, EXIT_NUMERICAL) from None
+    except ConstantEndowmentError as exc:  # the percentage game and response
+        raise Failure(f"agents[{exc.agent}].payoffs", exc) from None
 
 
 def cmd_experiment(experiment: str, seed: int) -> str:
@@ -361,40 +383,16 @@ def main(argv=None) -> int:
         # happens instead of printing a numpy warning; underflow is harmless
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
             if args.command == "experiment":
-                _emit(cmd_experiment(args.experiment, args.seed), args.out)
-                return EXIT_OK
-            if not args.market:
-                raise MarketFileError("market", "a --market file is required")
-            loaded = load_market_file(args.market)
-            try:
-                if args.command == "pareto":
-                    results = cmd_pareto(loaded)
-                elif args.command == "capm":
-                    results = cmd_capm(loaded)
-                elif args.command == "best-response":
-                    results = cmd_best_response(loaded, args.agent, args.game)
-                else:
-                    results = cmd_nash(loaded, args.game)
-            except FloatingPointError:
-                raise FloatingPointError(RESULTS_NOT_FINITE) from None
-            report = _report(args.command, loaded, results)
-        _emit(report, args.out)
+                text = cmd_experiment(args.experiment, args.seed)
+            else:
+                _require(bool(args.market), "market", "a --market file is required")
+                loaded = load_market_file(args.market)
+                text = _report(args.command, loaded, _results(args, loaded))
+        _emit(text, args.out)
         return EXIT_OK
-    except MarketFileError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ConstantEndowmentError as exc:
-        print(f"validation error: agents[{exc.agent}].payoffs: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (SingularCovarianceError, FloatingPointError) as exc:
-        print(f"numerical precondition violated: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ConvergenceError as exc:
-        print(f"non-convergence: parameters.max_iter: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except Failure as exc:
+        print(f"{PREFIXES[exc.code]}: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

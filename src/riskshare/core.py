@@ -4,17 +4,19 @@ Everything downstream (sharing rules, equilibrium prices, Nash games) is a
 function of first and second moments only, so random variables are stored as
 payoff vectors over a finite state space, and a market keeps its endowments
 as one n x m payoff matrix. A market owns its moments: the means, the exactly
-centered endowments, their covariance matrix `gram` and their `exposures` to
-a security basket, which owns its own. The engines read only these and add
-cash (the means) last, so a cash shift of an endowment, however large, moves
-nothing else. `cross_cov` (two-pass) serves `Rv` moments and the oracle.
-All objects are immutable after construction. `ProbSpace.rvs` builds many
-random variables at once: it copies and validates one payoff matrix, marks
-it read-only and hands each `Rv` a read-only view of its row.
+centered endowments, their `variances`, their covariance matrix `gram` and
+their `exposures` to a security basket, which owns its own. The engines read
+only these and add cash (the means) last, so a cash shift of an endowment,
+however large, moves nothing else. `cross_cov` (two-pass) serves `Rv` moments
+and the oracle. All objects are immutable after construction.
+`ProbSpace.rvs` builds many random variables at once: it copies and
+validates one payoff matrix, marks it read-only and hands each `Rv` a
+read-only view of its row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -222,7 +224,7 @@ class Agent:
     endowment: Rv
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma <= 0.0:
+        if not math.isfinite(self.gamma) or self.gamma <= 0.0:
             raise ValueError(f"gamma must be a positive number, got {self.gamma!r}")
 
 
@@ -272,6 +274,17 @@ class Market:
     @cached_property
     def aggregate_gamma(self) -> float:
         return float(1.0 / np.sum(1.0 / self.gammas))
+
+    @cached_property
+    def variances(self) -> np.ndarray:
+        """Var[E_i], in O(nm): the diagonal of `gram` without the n x n matrix.
+
+        Each term is (E_i p) E_i, as in `gram`: squaring first would overflow
+        for deviations near 1.3e154 whose variance is finite.
+        """
+        variances = (self.centered * self.space.probs * self.centered).sum(axis=1)
+        variances.flags.writeable = False
+        return variances
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -350,13 +363,13 @@ def cov_vector(basket: SecurityBasket, x: Rv) -> np.ndarray:
 def holding_utilities(market: Market, basket: SecurityBasket, z, prices) -> np.ndarray:
     """E[E_i] + z_i.(E[C] - p) - gamma_i Var[E_i + z_i.C], agent i buying z_i of C."""
     traded = z * (2.0 * market.exposures(basket) + z @ basket.cov_matrix)
-    var = np.diag(market.gram) + traded.sum(axis=-1)  # Var[E_i + z_i.C]
+    var = market.variances + traded.sum(axis=-1)  # Var[E_i + z_i.C]
     return market.means + z @ (basket.mean_vector - prices) - market.gammas * var
 
 
 def autarky_utilities(market: Market) -> np.ndarray:
     """E[E_i] - gamma_i Var[E_i]: each agent's utility of keeping their endowment."""
-    return market.means - market.gammas * np.diag(market.gram)
+    return market.means - market.gammas * market.variances
 
 
 @dataclass(frozen=True, eq=False)

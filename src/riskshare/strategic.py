@@ -47,8 +47,8 @@ class ConstantEndowmentError(ValueError):
 
 
 def endowment_variances(market: Market, agents=None) -> np.ndarray:
-    """Var[E_i] from the covariance matrix, checked positive for `agents` (default all)."""
-    variances = np.diag(market.gram)
+    """Var[E_i], checked positive for `agents` (default all)."""
+    variances = market.variances
     for k in np.flatnonzero(variances <= 0.0):
         if agents is None or k in agents:
             raise ConstantEndowmentError(int(k))

@@ -52,6 +52,23 @@ class TestValidation:
     def test_nonexistent_file(self, capsys):
         assert main(["pareto", "--market", "/no/such/file.json"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("kind", ["not-utf8", "long-integer", "deep-nesting"])
+    def test_unreadable_file_addressed(self, tmp_path, kind):
+        path = write_market(tmp_path)
+        path.write_bytes({
+            "not-utf8": b"\xff\xfe" + path.read_bytes(),
+            "long-integer": b'{"schema": 1, "probs": [' + b"7" * 5000 + b"]}",
+            "deep-nesting": b"[" * 10**5,
+        }[kind])
+        code, out, err = _run(["pareto", "--market", str(path)])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert ADDRESSED.fullmatch(err), err
+        # without an integer digit limit the long literal parses, and the
+        # number is rejected by its index
+        fields = ("file", "probs[0]") if kind == "long-integer" else ("file",)
+        assert err.split(": ")[1] in fields, err
+
     def test_bad_gamma_addressed(self, tmp_path, capsys):
         path = write_market(
             tmp_path,

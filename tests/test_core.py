@@ -205,6 +205,25 @@ class TestMarketMoments:
                                    atol=1e-12 * scale)
         assert np.linalg.matrix_rank(market.gram) == min(n, m - 1)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e12])
+    def test_variances_are_the_gram_diagonal(self, scale):
+        rng = np.random.default_rng(7)
+        market = make_market(rng, n=5, m=4)
+        market = Market(market.space, tuple(
+            Agent(a.gamma, a.endowment * scale + 2.0**40) for a in market.agents))
+        diagonal = np.diag(market.gram)
+        np.testing.assert_allclose(market.variances, diagonal, rtol=1e-15, atol=0)
+        assert not market.variances.flags.writeable
+
+    def test_variances_where_squares_overflow(self):
+        # a deviation of 1.5e154 squares past the float range; weighted by
+        # its probability first, it does not
+        space = ProbSpace(np.array([0.3, 0.3, 0.4]))
+        market = Market(space, (Agent(1.0, space.rv([1.5e154, -1.5e154, 0.0])),
+                                Agent(2.0, space.rv([-0.5, 1.5, -1.0]))))
+        with np.errstate(over="raise"):
+            assert market.variances[0] == pytest.approx(0.6 * 1.5e154 * 1.5e154, rel=1e-15)
+
 
 class TestSecurityBasket:
     def test_rejects_collinear(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,21 @@ class TestCapm:
         basket = make_basket(rng, m.space, k=2)
         eq = capm_equilibrium(m, basket)
         assert np.all(eq.gains >= -1e-12)
+
+    def test_no_n_by_n_intermediate(self):
+        # an n x n float matrix is 128 MB at n = 4000; the per-agent arrays
+        # the basket equilibrium and the utility levels need are under 1 MB
+        rng = np.random.default_rng(24)
+        m = make_market(rng, n=4000, m=6)
+        basket = make_basket(rng, m.space, k=2)
+        tracemalloc.start()
+        try:
+            capm_equilibrium(m, basket)
+            optimal_utility_levels(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
 
     def test_price_depends_on_covariance_with_total(self):
         rng = np.random.default_rng(19)
