@@ -18,7 +18,8 @@ and prints CSV. A report or table goes to stdout, or to `--out`.
 
 Exit codes: 0 success, 2 validation error (also an `--out` that cannot be
 written), 3 numerical precondition violation, 4 non-convergence of the
-percentage-game solve within `max_iter` solves. A failure is one `Failure`,
+percentage-game solve (addressed to `parameters.max_iter` when the solve
+hit that limit, else to `agents`). A failure is one `Failure`,
 raised where its field is known, which `main` prints as one stderr line
 addressed to that field (`file` for a file that is not UTF-8 JSON). Ingestion
 and the commands trap floating-point overflow, invalid operations and
@@ -314,8 +315,9 @@ def cmd_nash(loaded: dict, game: str) -> dict:
     if game == "percentage":
         try:  # the market-file parameters are the solver's keywords
             outcome = nash_percentage(market, **loaded["parameters"])
-        except ConvergenceError as exc:
-            raise Failure("parameters.max_iter", exc, EXIT_NO_CONVERGENCE) from None
+        except ConvergenceError as exc:  # a stable active set: max_iter is not the cause
+            field = "agents" if exc.stable else "parameters.max_iter"
+            raise Failure(field, exc, EXIT_NO_CONVERGENCE) from None
         return {
             **_fields(outcome),
             "per_agent_gain": percentage_game_gains(market, outcome),

@@ -11,7 +11,9 @@ however large, moves nothing else. `cross_cov` (two-pass) serves `Rv` moments
 and the oracle. All objects are immutable after construction.
 `ProbSpace.rvs` builds many random variables at once: it copies and
 validates one payoff matrix, marks it read-only and hands each `Rv` a
-read-only view of its row.
+read-only view of its row; `demand_schedules` does the same for demand
+schedules. A market is built from agents or, with no object per agent, from
+its arrays (`Market.from_arrays`).
 """
 
 from __future__ import annotations
@@ -228,52 +230,84 @@ class Agent:
             raise ValueError(f"gamma must be a positive number, got {self.gamma!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Market:
-    """n >= 2 mean-variance agents sharing one probability space."""
+    """n >= 2 mean-variance agents sharing one probability space.
+
+    Built from agents, `Market(space, agents)`, or from arrays,
+    `Market.from_arrays(space, gammas, payoffs)`. Both run one validation of
+    the arrays; a market built from arrays builds its `agents` on first read.
+    """
 
     space: ProbSpace
-    agents: tuple[Agent, ...]
+    # read-only arrays
+    gammas: np.ndarray
+    payoffs: np.ndarray  # n x m, row i agent i's payoffs
+    means: np.ndarray  # E[E_i]
+    centered: np.ndarray  # the rows E_i - E[E_i], exactly
 
-    # derived, filled in __post_init__ (read-only arrays)
-    gammas: np.ndarray = field(init=False)
-    payoffs: np.ndarray = field(init=False)  # n x m, row i agent i's payoffs
-    means: np.ndarray = field(init=False)  # E[E_i]
-    centered: np.ndarray = field(init=False)  # the rows E_i - E[E_i], exactly
-
-    def __post_init__(self):
-        agents = tuple(self.agents)
-        if len(agents) < 2:
-            raise ValueError("a market needs at least two agents")
-        for k, space in enumerate(a.endowment.space for a in agents):
-            if space is not self.space and not np.array_equal(space.probs, self.space.probs):
+    def __init__(self, space: ProbSpace, agents):
+        agents = tuple(agents)
+        for k, a in enumerate(agents):
+            if a.endowment.space is not space and not np.array_equal(
+                    a.endowment.space.probs, space.probs):
                 raise SpaceMismatchError(
                     f"endowment of agent {k} is not on the market's space")
-        gammas = np.array([a.gamma for a in agents])
-        payoffs = np.stack([a.endowment.payoffs for a in agents])
+        self._set_arrays(space, [a.gamma for a in agents],
+                         [a.endowment.payoffs for a in agents])
+        self.__dict__["agents"] = agents  # the cached value of `agents`
+
+    @classmethod
+    def from_arrays(cls, space: ProbSpace, gammas, payoffs) -> "Market":
+        """A market of risk aversions `gammas` and an n x m payoff matrix."""
+        market = object.__new__(cls)
+        market._set_arrays(space, gammas, payoffs)
+        return market
+
+    def _set_arrays(self, space: ProbSpace, gammas, payoffs) -> None:
+        """Validate read-only copies of the arrays and derive the moments."""
+        gammas = np.array(gammas, dtype=float)
+        payoffs = np.array(payoffs, dtype=float)
+        if gammas.ndim != 1 or gammas.size < 2:
+            raise ValueError("a market needs at least two agents")
+        low = gammas.min()
+        if not (low > 0.0 and gammas.max() < np.inf):  # a NaN fails both
+            bad = gammas[~(gammas > 0.0) | ~(gammas < np.inf)][0]
+            raise ValueError(f"gamma must be a positive number, got {float(bad)!r}")
+        if payoffs.shape != (gammas.size, space.n_states):
+            raise SpaceMismatchError(
+                f"payoffs of shape {payoffs.shape} are not one row per agent "
+                f"and one column per state of the market's space")
+        if not np.isfinite(payoffs).all():
+            raise ValueError("payoffs contains non-finite entries")
         for arr in (gammas, payoffs):
             arr.flags.writeable = False
-        means, rows = _two_pass(self.space.probs, payoffs)
-        for name, value in (("agents", agents), ("gammas", gammas), ("payoffs", payoffs),
+        means, rows = _two_pass(space.probs, payoffs)
+        for name, value in (("space", space), ("gammas", gammas), ("payoffs", payoffs),
                             ("means", means), ("centered", rows)):
             object.__setattr__(self, name, value)
         # for n >= 2, exactly, 0 < g < every gamma_i and sum (g/gamma_i)^2 < 1,
         # which keep the gamma_i^2 - g^2 and Nash denominators positive; in
         # floating point both fail when one gamma dwarfs another
         g = self.aggregate_gamma
-        if not (0.0 < g < gammas.min() and 1.0 - np.sum((g / gammas) ** 2) > 0.0):
+        if not (0.0 < g < low and 1.0 - ((g / gammas) ** 2).sum() > 0.0):
             raise ValueError(
                 f"risk aversions {gammas.tolist()} are too disparate: their "
                 f"harmonic aggregate {g!r} does not lie strictly below each of them"
             )
 
+    @cached_property
+    def agents(self) -> tuple[Agent, ...]:
+        rvs = self.space.rvs(self.payoffs)
+        return tuple(Agent(float(g), e) for g, e in zip(self.gammas, rvs))
+
     @property
     def n(self) -> int:
-        return len(self.agents)
+        return self.gammas.size
 
     @cached_property
     def aggregate_gamma(self) -> float:
-        return float(1.0 / np.sum(1.0 / self.gammas))
+        return float(1.0 / (1.0 / self.gammas).sum())
 
     @cached_property
     def variances(self) -> np.ndarray:
@@ -389,11 +423,27 @@ class DemandSchedule:
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
 
+    @classmethod
+    def _trusted(cls, gamma: float, c: np.ndarray) -> "DemandSchedule":
+        """A schedule of a validated gamma and a read-only row, not copied."""
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "gamma", gamma)
+        object.__setattr__(schedule, "c", c)
+        return schedule
+
     def quantities(self, basket: SecurityBasket, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         return (
             (basket.mean_vector - p) / (2.0 * self.gamma) - self.c
         ) @ basket.cov_inverse
+
+
+def demand_schedules(market: Market, rows: np.ndarray) -> list[DemandSchedule]:
+    """One schedule per agent, of their gamma and their row of an n x k
+    covariance matrix. `rows` is marked read-only and each schedule holds a
+    view of its row, as `ProbSpace.rvs` does for random variables."""
+    rows.flags.writeable = False
+    return [DemandSchedule._trusted(g, c) for g, c in zip(market.gammas, rows)]
 
 
 def demand(

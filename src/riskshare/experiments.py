@@ -1,12 +1,15 @@
 """Asymptotic experiments and figure-data generation.
 
 Both growing-market tables come from `_growing_markets`: it draws one seeded
-pool of agents within the paper's bounds (ENDOWMENT_NORM, GAMMA_RANGE),
-measures each prefix market, so the tables are nested (and therefore smooth
-in n) and fully reproducible, and reads the verdict from the largest. The
-figures are fixed grids (RHO_GRID, GAMMA1_GRID) whose variance/correlation
-targets a three-state construction realizes, since every quantity in the
-model depends on the endowments only through first and second moments.
+pool within the paper's bounds (ENDOWMENT_NORM, GAMMA_RANGE) as arrays, risk
+aversions and an n x m payoff matrix, measures each prefix market, built by
+`Market.from_arrays` on row slices, so the tables are nested (and therefore
+smooth in n) and fully reproducible, and reads the verdict from the largest.
+No table row builds an object per agent; `agent_pool` wraps the same draw in
+agents for callers that want them. The figures are fixed grids (RHO_GRID,
+GAMMA1_GRID) whose variance/correlation targets a three-state construction
+realizes, since every quantity in the model depends on the endowments only
+through first and second moments.
 `FIGURES` maps each figure to its builder, and `EXPERIMENTS` each standard
 experiment id to its table, for the CLI and the script.
 """
@@ -20,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Agent, Market, ProbSpace, Rv, SecurityBasket, var
+from .core import Agent, Market, ProbSpace, Rv, SecurityBasket
 from .nash import (
-    nash_endowment,
+    nash_inefficiency,
     nash_percentage,
     nash_price,
     percentage_game_gains,
@@ -82,6 +85,42 @@ def _uniform_space(spec: AgentSequenceSpec) -> ProbSpace:
     return ProbSpace(np.full(spec.n_states, 1.0 / spec.n_states))
 
 
+def _draw_pool(
+    spec: AgentSequenceSpec, homogeneous: bool
+) -> tuple[ProbSpace, np.ndarray, np.ndarray]:
+    """The space, risk aversions and n x m payoffs of `agent_pool`, read-only.
+
+    A homogeneous pool draws all payoffs at once, the same stream as one
+    draw per agent; a heterogeneous one interleaves each agent's payoffs and
+    risk aversion, so its draws stay per agent.
+    """
+    rng = np.random.default_rng(spec.seed)
+    space = _uniform_space(spec)
+    p = space.probs
+    low, high = GAMMA_RANGE
+    count = max(spec.sizes)
+    if homogeneous:
+        draws = rng.normal(size=(count, spec.n_states))
+        gammas = np.full(count, np.sqrt(low * high))
+    else:
+        draws, gammas = np.empty((count, spec.n_states)), np.empty(count)
+        for k in range(count):
+            draws[k] = rng.normal(size=spec.n_states)
+            gammas[k] = rng.uniform(low, high)
+    # one dot product per draw: a matrix-vector product sums in another order,
+    # which would move the payoffs' last bits and so the experiment tables
+    norms = np.sqrt([p @ x**2 for x in draws])
+    payoffs = draws * (ENDOWMENT_NORM / norms)[:, None]
+    emitted = np.sqrt(payoffs**2 @ p).max()
+    if emitted > ENDOWMENT_NORM * (1.0 + 1e-12):
+        raise RuntimeError(f"generator emitted endowment with norm {emitted}")
+    if not low <= gammas.min() <= gammas.max() <= high:
+        raise RuntimeError(f"generator emitted gamma out of [{low}, {high}]")
+    for arr in (gammas, payoffs):
+        arr.flags.writeable = False
+    return space, gammas, payoffs
+
+
 def agent_pool(
     spec: AgentSequenceSpec, homogeneous: bool
 ) -> tuple[ProbSpace, list[Agent]]:
@@ -92,25 +131,8 @@ def agent_pool(
     draw is scaled to L2 norm ENDOWMENT_NORM; both bounds are re-checked on
     every pool emitted.
     """
-    rng = np.random.default_rng(spec.seed)
-    space = _uniform_space(spec)
-    p = space.probs
-    low, high = GAMMA_RANGE
-    gamma_h = float(np.sqrt(low * high))
-    draws, gammas = [], []
-    for _ in range(max(spec.sizes)):
-        draws.append(rng.normal(size=spec.n_states))
-        gammas.append(gamma_h if homogeneous else float(rng.uniform(low, high)))
-    # one dot product per draw: a matrix-vector product sums in another order,
-    # which would move the payoffs' last bits and so the experiment tables
-    norms = np.sqrt([p @ x**2 for x in draws])
-    payoffs = np.array(draws) * (ENDOWMENT_NORM / norms)[:, None]
-    emitted = np.sqrt(payoffs**2 @ p).max()
-    if emitted > ENDOWMENT_NORM * (1.0 + 1e-12):
-        raise RuntimeError(f"generator emitted endowment with norm {emitted}")
-    if not low <= min(gammas) <= max(gammas) <= high:
-        raise RuntimeError(f"generator emitted gamma out of [{low}, {high}]")
-    return space, [Agent(g, e) for g, e in zip(gammas, space.rvs(payoffs))]
+    space, gammas, payoffs = _draw_pool(spec, homogeneous)
+    return space, [Agent(float(g), e) for g, e in zip(gammas, space.rvs(payoffs))]
 
 
 def _growing_markets(
@@ -121,8 +143,9 @@ def _growing_markets(
     The verdict is pass when the first measured value at the largest market
     is below VERDICT_THRESHOLD.
     """
-    space, agents = agent_pool(spec, homogeneous)
-    rows = [(n, *measure(Market(space, tuple(agents[:n])))) for n in spec.sizes]
+    space, gammas, payoffs = _draw_pool(spec, homogeneous)
+    rows = [(n, *measure(Market.from_arrays(space, gammas[:n], payoffs[:n])))
+            for n in spec.sizes]
     return Table(
         columns=("n", *columns),
         rows=rows,
@@ -138,14 +161,15 @@ def _growing_markets(
 def inefficiency_decay(spec: AgentSequenceSpec, homogeneous: bool = False) -> Table:
     """Risk-sharing inefficiency of the endowment game along growing markets."""
     return _growing_markets(spec, homogeneous, ("inefficiency",),
-                            lambda market: (nash_endowment(market).inefficiency,))
+                            lambda market: (nash_inefficiency(market),))
 
 
 def homogeneous_inefficiency_closed_form(market: Market) -> float:
     """(1/n^2)(sum Var[E_i] - Var[E]/n); valid for equal risk aversions."""
     n = market.n
-    total = sum(var(a.endowment) for a in market.agents)
-    return (total - var(market.total_endowment) / n) / n**2
+    total = market.centered.sum(axis=0)  # E - E[E]
+    total_var = (total * market.space.probs) @ total
+    return float(market.variances.sum() - total_var / n) / n**2
 
 
 def price_allocation_convergence(

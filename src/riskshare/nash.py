@@ -21,6 +21,7 @@ from .core import (
     Rv,
     SecurityBasket,
     cov,
+    demand_schedules,
     holding_utilities,
     mean,
     pricing,
@@ -37,7 +38,21 @@ from .strategic import _response_coefficients, endowment_variances
 
 
 class ConvergenceError(RuntimeError):
-    """The percentage-game solve did not converge within max_iter solves."""
+    """The percentage-game solve ended with too large a residual.
+
+    `stable` tells the cause: false, the active set still changed at max_iter
+    solves; true, it was stable and the final solve itself was inaccurate.
+    """
+
+    def __init__(self, message: str, stable: bool):
+        self.stable = stable
+        super().__init__(message)
+
+
+# The percentage solve is accepted when max |b - BR(b)| <= RESIDUAL_TOL
+# (1 + max |b|): relative, because at |b| near 1e12 one ulp of b exceeds any
+# absolute tolerance this small.
+RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,14 +116,20 @@ def nash_endowment(market: Market) -> NashEndowmentOutcome:
     """
     reported = _nash_reports(market)[1]
     rule = sharing_rule(market)
-    reports = reported(market.centered)
     return NashEndowmentOutcome(
         reported=market.space.rvs(market.combine(reported)),
         aggregate=nash_aggregate_endowment(market),
         contracts=market.space.rvs(market.combine(lambda x: rule(reported(x)))),
-        inefficiency=pooling_gain(market, market.centered - reports),
-        per_agent_gain=mechanism_gains(market, reports),
+        inefficiency=nash_inefficiency(market),
+        per_agent_gain=mechanism_gains(market, reported(market.centered)),
     )
+
+
+def nash_inefficiency(market: Market) -> float:
+    """The endowment game's inefficiency: the `pooling_gain` of what the Nash
+    reports hold back, sum gamma_i Var[E_i - B*_i] - gamma Var[E - aggregate]."""
+    reported = _nash_reports(market)[1]
+    return pooling_gain(market, market.centered - reported(market.centered))
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +230,17 @@ def nash_percentage(
     problem (Cottle, Pang & Stone 1992). From b = 1, split the agents by
     own + M b into those at 0, at kappa (U) and free (F), solve
     (I - M_FF) b_F = own_F + kappa M_FU 1, and repeat until the split holds,
-    at most `max_iter` solves. Non-convergence raises ConvergenceError.
+    at most `max_iter` solves. A residual max |b - BR(b)| above RESIDUAL_TOL
+    (1 + max |b|) raises ConvergenceError.
     """
     if not (np.isfinite(kappa) and kappa > 0.0):
         raise ValueError("kappa must be finite and positive")
     own, coupling = _percentage_coupling(market)
-    b, split, iterations = np.ones(market.n), None, 0
+    b, split, iterations, stable = np.ones(market.n), None, 0, False
     while iterations < max_iter:
         new_split = np.digitize(own + coupling @ b, (0.0, kappa), right=True)
-        if np.array_equal(new_split, split):
+        stable = np.array_equal(new_split, split)
+        if stable:
             break
         split, iterations, free = new_split, iterations + 1, new_split == 1
         b = np.where(split == 2, kappa, 0.0)  # split: 0 at zero, 1 free, 2 at kappa
@@ -226,12 +249,14 @@ def nash_percentage(
             own[free] + coupling[free] @ b,
         )
     residual = float(np.max(np.abs(b - percentage_best_response(market, b, kappa))))
-    converged = residual <= 1e-10
+    tolerance = RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b))))
+    converged = residual <= tolerance
     if not converged:
-        raise ConvergenceError(
-            f"percentage game did not converge: residual {residual:.3e} "
-            f"after {iterations} active-set solves"
-        )
+        cause = (f"the active set is stable after {iterations} solves, so the solve of "
+                 f"the free agents is too ill-conditioned" if stable else
+                 f"the active set still changed after {iterations} solves, the max_iter limit")
+        raise ConvergenceError(f"percentage game did not converge: residual "
+                               f"{residual:.3e} exceeds {tolerance:.3e}; {cause}", stable)
     return NashPercentageOutcome(b, kappa, iterations, converged, residual)
 
 
@@ -254,10 +279,11 @@ def nash_price(market: Market, basket: SecurityBasket) -> NashPriceOutcome:
     weights, reported = _nash_reports(market)
     exposures = market.exposures(basket)
     aggregate = weights @ exposures  # Cov(C, M)
+    exposures_reported = reported(exposures)
     return NashPriceOutcome(
         price=pricing(market.aggregate_gamma, basket.mean_vector, aggregate),
-        schedules=[DemandSchedule(*s) for s in zip(market.gammas, reported(exposures))],
-        allocation=sharing_rule(market)(reported(exposures)) @ basket.cov_inverse,
+        schedules=demand_schedules(market, exposures_reported),
+        allocation=sharing_rule(market)(exposures_reported) @ basket.cov_inverse,
         pressure=exposures.sum(axis=0) - aggregate,
     )
 

@@ -23,6 +23,7 @@ from .core import (
     SecurityBasket,
     autarky_utilities,
     centered,
+    demand_schedules,
     holding_utilities,
     pricing,
 )
@@ -56,7 +57,7 @@ def endowment_variances(market: Market, agents=None) -> np.ndarray:
 
 
 def truthful_schedules(market: Market, basket: SecurityBasket) -> list[DemandSchedule]:
-    return [DemandSchedule(g, c) for g, c in zip(market.gammas, market.exposures(basket))]
+    return demand_schedules(market, market.exposures(basket))
 
 
 def _response_coefficients(market: Market) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +127,9 @@ def best_percentage_response(market: Market, i: int) -> float:
     """
     variance = endowment_variances(market, (i,))[i]
     own, other = _response_coefficients(market)
-    return float(max(0.0, own[i] + other[i] * (market.gram[i].sum() - variance) / variance))
+    rows = market.centered
+    covariance = (rows[i] * market.space.probs) @ rows.sum(axis=0)  # Cov(E_i, E)
+    return float(max(0.0, own[i] + other[i] * (covariance - variance) / variance))
 
 
 def best_price_response(
@@ -149,7 +152,7 @@ def best_price_response(
     """
     if len(other_schedules) != market.n - 1:
         raise ValueError("need one schedule per other agent")
-    gi = market.agents[i].gamma
+    gi = market.gammas[i]
     go = 1.0 / sum(1.0 / s.gamma for s in other_schedules)
     cbar = np.sum([s.c for s in other_schedules], axis=0)
     h = market.exposures(basket)[i]

@@ -24,6 +24,7 @@ from riskshare.cli import (
     ingest_market_document,
     main,
 )
+from riskshare import nash
 from riskshare.experiments import correlated_pair_market
 
 
@@ -372,6 +373,27 @@ class TestCommands:
         assert main(
             ["nash", "--market", str(path), "--game", "percentage"]
         ) == EXIT_NO_CONVERGENCE
+
+    def test_nash_percentage_stable_non_convergence_addressed_to_agents(
+            self, tmp_path, monkeypatch):
+        # b*_0 is about 9.3e12, accepted at a residual of one ulp of b; when
+        # no residual is accepted, the stable active set is not blamed on
+        # max_iter
+        path = write_market(
+            tmp_path,
+            probs=[0.25, 0.25, 0.5],
+            agents=[{"gamma": 1.0, "payoffs": [2.0**-45, -2.0**-45, 2.0**-46]},
+                    {"gamma": 1.0, "payoffs": [1.0, -1.0, 0.75]}],
+            parameters={"kappa": 1e15},
+        )
+        argv = ["nash", "--game", "percentage", "--market", str(path)]
+        code, out, err = _run(argv)
+        assert code == EXIT_OK, err
+        monkeypatch.setattr(nash, "RESIDUAL_TOL", -1.0)  # rejects any residual
+        code, out, err = _run(argv)
+        assert code == EXIT_NO_CONVERGENCE
+        assert err.startswith("non-convergence: agents: "), err
+        assert "max_iter" not in err
 
     def test_nash_price_includes_pressure(self, tmp_path, capsys):
         path = write_market(tmp_path)

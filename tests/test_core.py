@@ -182,6 +182,72 @@ class TestMarket:
             Agent(0.0, sp.rv([1, 2]))
 
 
+class TestMarketFromArrays:
+    ARRAYS = ("gammas", "payoffs", "means", "centered", "variances", "gram")
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (5, 6), (40, 50)])
+    def test_matches_market_of_agents(self, n, m):
+        rng = np.random.default_rng(n + m)
+        space = ProbSpace(rng.dirichlet(np.ones(m) * 5.0))
+        gammas = rng.uniform(0.5, 2.0, n)
+        payoffs = rng.normal(size=(n, m)) + 2.0**30
+        of_agents = Market(space, tuple(
+            Agent(float(g), space.rv(e)) for g, e in zip(gammas, payoffs)))
+        of_arrays = Market.from_arrays(space, gammas, payoffs)
+        assert of_arrays.n == of_agents.n == n
+        assert of_arrays.aggregate_gamma == of_agents.aggregate_gamma
+        for name in self.ARRAYS:
+            want, got = getattr(of_agents, name), getattr(of_arrays, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name
+        # the agents are derived on first read, equal to the ones given
+        assert "agents" not in vars(of_arrays)
+        assert len(of_arrays.agents) == n
+        for got, want in zip(of_arrays.agents, of_agents.agents):
+            assert type(got.gamma) is float and got.gamma == want.gamma
+            assert got.endowment.space is space
+            assert got.endowment.payoffs.tobytes() == want.endowment.payoffs.tobytes()
+        assert of_arrays.agents is of_arrays.agents
+
+    def test_copies_its_inputs(self):
+        space = _space(3)
+        gammas, payoffs = np.array([1.0, 2.0]), np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 1.0]])
+        market = Market.from_arrays(space, gammas, payoffs)
+        gammas[0], payoffs[0, 0] = 5.0, 9.0
+        assert market.gammas[0] == 1.0 and market.payoffs[0, 0] == 1.0
+
+    @pytest.mark.parametrize("gammas,match", [
+        ([1.0], "at least two agents"),
+        ([0.0, 1.0], "gamma must be a positive number, got 0.0"),
+        ([-1.0, 1.0], "gamma must be a positive number, got -1.0"),
+        ([1.0, float("inf")], "gamma must be a positive number, got inf"),
+        ([1.0, float("nan")], "gamma must be a positive number, got nan"),
+        ([1e-20, 1.0], "too disparate"),
+    ])
+    def test_same_errors_as_market_of_agents(self, gammas, match):
+        space = _space(2)
+        payoffs = np.array([[1.0, -1.0], [0.5, 2.0]])[:len(gammas)]
+        with pytest.raises(ValueError, match=match):
+            Market.from_arrays(space, gammas, payoffs)
+        with pytest.raises(ValueError, match=match):
+            Market(space, tuple(Agent(g, space.rv(e)) for g, e in zip(gammas, payoffs)))
+
+    def test_shape_mismatch(self):
+        space, other = _space(2), _space(3)
+        with pytest.raises(SpaceMismatchError):
+            Market.from_arrays(space, [1.0, 2.0], np.ones((2, 3)))
+        with pytest.raises(SpaceMismatchError):
+            Market(space, (Agent(1.0, space.rv([1.0, 0.0])),
+                           Agent(2.0, other.rv([1.0, 0.0, 2.0]))))
+        with pytest.raises(ValueError, match="one row per agent"):
+            Market.from_arrays(space, [1.0, 2.0, 3.0], np.ones((2, 2)))
+
+    def test_rejects_non_finite_payoffs(self):
+        space = _space(2)
+        with pytest.raises(ValueError, match="non-finite"):
+            Market.from_arrays(space, [1.0, 2.0], [[1.0, float("nan")], [0.0, 1.0]])
+
+
 class TestMarketMoments:
     @pytest.mark.parametrize("scale", [1.0, 1e12])
     @pytest.mark.parametrize("n,m", [(3, 8), (4, 4), (6, 3)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riskshare.core import Agent, Rv, cov, mean, var
+from riskshare.core import Agent, Market, ProbSpace, Rv, SecurityBasket, cov, mean, var
 from riskshare.experiments import (
     ENDOWMENT_NORM,
     GAMMA_RANGE,
@@ -13,7 +13,8 @@ from riskshare.experiments import (
     inefficiency_decay,
     price_allocation_convergence,
 )
-from riskshare.nash import nash_endowment
+from riskshare.nash import nash_endowment, nash_price
+from riskshare.pareto import capm_equilibrium
 
 
 class TestAgentSequenceSpec:
@@ -59,8 +60,6 @@ class TestInefficiencyDecay:
         spec = AgentSequenceSpec(sizes=(2, 5, 10, 20), seed=1)
         space, agents = agent_pool(spec, homogeneous=True)
         table = inefficiency_decay(spec, homogeneous=True)
-        from riskshare.core import Market
-
         for (n, value) in table.rows:
             market = Market(space, tuple(agents[:n]))
             assert value == pytest.approx(
@@ -89,6 +88,61 @@ class TestPriceAllocationConvergence:
         spec = AgentSequenceSpec(sizes=(2, 10, 50), seed=5)
         gaps = price_allocation_convergence(spec).column("price_gap")
         assert gaps[-1] < gaps[0]
+
+
+class TestGrowingMarketsOnArrays:
+    """The tables run on arrays; each row equals the one built from agents."""
+
+    SIZES = (2, 5, 10, 20, 50, 100, 200, 500, 1000)
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    @pytest.mark.parametrize("m", [6, 50])
+    def test_rows_match_markets_of_agents(self, m, homogeneous):
+        seed = 3
+        spec = AgentSequenceSpec(sizes=self.SIZES, n_states=m, seed=seed)
+        decay = inefficiency_decay(spec, homogeneous)
+        convergence = price_allocation_convergence(spec, homogeneous=homogeneous)
+        space, agents = agent_pool(spec, homogeneous)
+        basket = SecurityBasket(
+            (Rv(space, np.random.default_rng(seed + 1).normal(size=m)),))
+        for n, decay_row, convergence_row in zip(self.SIZES, decay.rows, convergence.rows):
+            market = Market(space, tuple(agents[:n]))
+            capm, nash = capm_equilibrium(market, basket), nash_price(market, basket)
+            want = (
+                (n, nash_endowment(market).inefficiency),
+                (n, float(np.linalg.norm(capm.prices - nash.price)),
+                 float(np.linalg.norm(capm.allocation - nash.allocation, axis=1).max())),
+            )
+            for got, expected in zip((decay_row, convergence_row), want):
+                assert got[0] == n
+                assert [float(x).hex() for x in got[1:]] == \
+                    [float(x).hex() for x in expected[1:]], n
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_decay_builds_no_per_agent_object(self, monkeypatch, homogeneous):
+        built = []
+
+        def counting(init):
+            def wrapped(self, *args, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+            return wrapped
+
+        trusted = Rv._trusted.__func__
+        monkeypatch.setattr(Agent, "__init__", counting(Agent.__init__))
+        monkeypatch.setattr(Rv, "__init__", counting(Rv.__init__))
+        monkeypatch.setattr(Rv, "_trusted", classmethod(
+            lambda cls, *args: built.append("Rv._trusted") or trusted(cls, *args)))
+        spec = AgentSequenceSpec(sizes=(10, 2000), seed=1)
+        table = inefficiency_decay(spec, homogeneous)
+        assert [row[0] for row in table.rows] == [10, 2000]
+        # the homogeneous closed form reads the market's arrays only
+        payoffs = np.random.default_rng(2).normal(size=(2000, 6))
+        market = Market.from_arrays(ProbSpace(np.full(6, 1.0 / 6)), np.ones(2000), payoffs)
+        homogeneous_inefficiency_closed_form(market)
+        assert built == []
+        agent_pool(AgentSequenceSpec(sizes=(3,)), homogeneous)  # the patches count
+        assert len(built) == 6
 
 
 class TestCorrelatedPairMarket:

@@ -12,6 +12,7 @@ from riskshare.core import (
     equal_up_to_constants,
     var,
 )
+from riskshare import nash
 from riskshare.experiments import AgentSequenceSpec, agent_pool, correlated_pair_market
 from riskshare.nash import (
     ConvergenceError,
@@ -198,6 +199,35 @@ class TestNashPercentage:
         with pytest.raises(ConvergenceError):
             nash_percentage(m, max_iter=1)
 
+    @staticmethod
+    def _large_b_market():
+        # agent 0's endowment is 2^-45 times the scale of agent 1's, so b*_0
+        # is about 9.3e12, where one ulp of b (2^-9) exceeds 1e-10
+        space = ProbSpace(np.array([0.25, 0.25, 0.5]))
+        return Market(space, (Agent(1.0, space.rv(np.array([1.0, -1.0, 0.5]) * 2.0**-45)),
+                              Agent(1.0, space.rv([1.0, -1.0, 0.75]))))
+
+    def test_relative_acceptance_at_large_b(self):
+        m = self._large_b_market()
+        out = nash_percentage(m, kappa=1e15)
+        assert 9e12 < out.b_star[0] < 1e13
+        assert out.iterations == 1
+        br = percentage_best_response(m, out.b_star, out.kappa)
+        assert np.max(np.abs(out.b_star - br)) == out.residual
+        assert out.residual <= 1e-10 * (1.0 + np.max(np.abs(out.b_star)))
+
+    def test_non_convergence_names_its_cause(self, monkeypatch):
+        with pytest.raises(ConvergenceError, match="max_iter") as cap:
+            nash_percentage(correlated_pair_market(1.0, 1.0, 1.0, 10.0, -0.8), max_iter=1)
+        assert not cap.value.stable
+        # a stable active set whose residual is too large is not a max_iter
+        # failure; a negative tolerance rejects any residual, even 0
+        monkeypatch.setattr(nash, "RESIDUAL_TOL", -1.0)
+        with pytest.raises(ConvergenceError, match="active set is stable") as cap:
+            nash_percentage(self._large_b_market(), kappa=1e15)
+        assert cap.value.stable
+        assert "max_iter" not in str(cap.value)
+
     def test_parameter_validation(self):
         m = correlated_pair_market(1.0, 1.0, 1.0, 1.0, 0.0)
         for kappa in (0.0, float("nan"), float("inf")):
@@ -268,6 +298,16 @@ class TestNashPrice:
             out = nash_price(m, basket)
             total = sum(s.quantities(basket, out.price) for s in out.schedules)
             assert np.allclose(total, 0.0, atol=1e-9)
+
+    def test_schedules_view_one_read_only_matrix(self):
+        rng = np.random.default_rng(64)
+        m = make_market(rng, n=4, m=5)
+        out = nash_price(m, make_basket(rng, m.space, k=2))
+        rows = out.schedules[0].c.base
+        assert rows.shape == (4, 2) and not rows.flags.writeable
+        for i, s in enumerate(out.schedules):
+            assert s.c.base is rows and s.gamma == m.gammas[i]
+            np.testing.assert_array_equal(s.c, rows[i])
 
     def test_allocation_is_cleared_demand(self):
         rng = np.random.default_rng(61)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from riskshare.core import DemandSchedule, mv_utility, var
 from riskshare.oracle import argmax_phi
 from riskshare.pareto import capm_equilibrium, optimal_sharing
 from riskshare.strategic import (
+    _response_coefficients,
     best_demand_response,
     best_endowment_response,
     best_percentage_response,
@@ -115,6 +118,23 @@ class TestBestPercentageResponse:
         # strongly negative correlation with a much riskier counterpart
         m = correlated_pair_market(1.0, 1.0, 1.0, 25.0, -0.9)
         assert best_percentage_response(m, 0) == 0.0
+
+    def test_no_n_by_n_intermediate(self):
+        # Cov(E_i, E_{-i}) is one O(m) product with the column total; the
+        # n x n covariance matrix would be 128 MB at n = 4000
+        rng = np.random.default_rng(36)
+        m = make_market(rng, n=4000, m=6)
+        tracemalloc.start()
+        try:
+            b = best_percentage_response(m, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+        others = m.gram[17].sum() - m.gram[17, 17]
+        own, other = _response_coefficients(m)
+        want = max(0.0, own[17] + other[17] * others / m.variances[17])
+        assert b == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_best_among_scalar_reports(self):
         rng = np.random.default_rng(35)
