@@ -251,12 +251,14 @@ def _report(command: str, loaded: dict, results: dict) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    # both sinks get the same bytes: the text, ending in exactly one newline
+    text = text if text.endswith("\n") else text + "\n"
     if not out:
-        print(text)
+        sys.stdout.write(text)
         return
     try:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     except OSError as exc:
         raise Failure("--out", exc) from None
 

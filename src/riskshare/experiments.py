@@ -54,8 +54,14 @@ class AgentSequenceSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.sizes) < 2:
-            raise ValueError("market sizes must be at least 2")
+        def is_count(value):
+            return isinstance(value, int) and not isinstance(value, bool) and value >= 2
+
+        if not (isinstance(self.sizes, tuple) and self.sizes
+                and all(map(is_count, self.sizes))):
+            raise ValueError("sizes must be a non-empty tuple of integers of at least 2")
+        if not is_count(self.n_states):
+            raise ValueError("n_states must be an integer of at least 2")
         object.__setattr__(self, "sizes", tuple(sorted(self.sizes)))
 
 
@@ -90,9 +96,13 @@ def _draw_pool(
 ) -> tuple[ProbSpace, np.ndarray, np.ndarray]:
     """The space, risk aversions and n x m payoffs of `agent_pool`, read-only.
 
-    A homogeneous pool draws all payoffs at once, the same stream as one
-    draw per agent; a heterogeneous one interleaves each agent's payoffs and
-    risk aversion, so its draws stay per agent.
+    The bits are those of one `rng.normal(size=m)` and (heterogeneous pools)
+    one `rng.uniform(*GAMMA_RANGE)` per agent. A homogeneous pool draws all
+    payoffs at once, the same stream. A heterogeneous one interleaves each
+    agent's payoffs and risk aversion, so only its draws from the stream stay
+    per agent: each fills its row of one matrix in place, the risk aversions
+    are scaled from the uniform draws in one step, and the norms of all rows
+    are one row-wise dot product.
     """
     rng = np.random.default_rng(spec.seed)
     space = _uniform_space(spec)
@@ -103,13 +113,18 @@ def _draw_pool(
         draws = rng.normal(size=(count, spec.n_states))
         gammas = np.full(count, np.sqrt(low * high))
     else:
-        draws, gammas = np.empty((count, spec.n_states)), np.empty(count)
-        for k in range(count):
-            draws[k] = rng.normal(size=spec.n_states)
-            gammas[k] = rng.uniform(low, high)
-    # one dot product per draw: a matrix-vector product sums in another order,
-    # which would move the payoffs' last bits and so the experiment tables
-    norms = np.sqrt([p @ x**2 for x in draws])
+        draws, u = np.empty((count, spec.n_states)), np.empty(count)
+        for k, row in enumerate(draws):
+            rng.standard_normal(out=row)
+            u[k] = rng.random()
+        # normal(0, 1) is 0.0 + 1.0 * standard_normal, which turns -0.0 into
+        # 0.0; uniform(low, high) is low + (high - low) * random()
+        draws += 0.0
+        gammas = low + (high - low) * u
+    # vecdot runs the same inner dot as one `p @ x**2` per row, so it sums in
+    # the same order; a matrix-vector product sums in another, which would
+    # move the payoffs' last bits and so the experiment tables
+    norms = np.sqrt(np.vecdot(draws**2, p))
     payoffs = draws * (ENDOWMENT_NORM / norms)[:, None]
     emitted = np.sqrt(payoffs**2 @ p).max()
     if emitted > ENDOWMENT_NORM * (1.0 + 1e-12):

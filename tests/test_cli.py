@@ -451,6 +451,16 @@ class TestCommands:
         report = json.loads(out.read_text())
         assert report["command"] == "pareto"
 
+    @pytest.mark.parametrize("command", [["pareto"], ["experiment", "--experiment", "figure1"]])
+    def test_stdout_bytes_equal_out_bytes(self, tmp_path, capsysbinary, command):
+        argv = command + ["--market", str(write_market(tmp_path))]
+        out = tmp_path / "out.txt"
+        assert main(argv) == EXIT_OK
+        printed = capsysbinary.readouterr().out
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert printed == out.read_bytes()
+        assert printed.endswith(b"\n") and not printed.endswith(b"\n\n")
+
     def test_parser_reused_after_usage_error(self, tmp_path, capsys):
         path = write_market(tmp_path)
         argv = ["best-response", "--agent", "1", "--market", str(path)]

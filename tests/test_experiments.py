@@ -22,6 +22,14 @@ class TestAgentSequenceSpec:
         with pytest.raises(ValueError):
             AgentSequenceSpec(sizes=(1, 2))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_states", 1), ("n_states", 0), ("n_states", 2.5), ("n_states", True),
+        ("sizes", ()), ("sizes", (2, 5.5)), ("sizes", (2, True)), ("sizes", [2, 5]),
+    ])
+    def test_invalid_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            AgentSequenceSpec(**{field: value})
+
     def test_pool_respects_bounds(self):
         spec = AgentSequenceSpec(sizes=(2, 5, 10), seed=5)
         space, agents = agent_pool(spec, homogeneous=False)
@@ -31,12 +39,17 @@ class TestAgentSequenceSpec:
             assert GAMMA_RANGE[0] <= a.gamma <= GAMMA_RANGE[1]
 
     @pytest.mark.parametrize("homogeneous", [False, True])
-    @pytest.mark.parametrize("m", [3, 6, 50])
+    # m spans the blocking of the row-wise dot kernel; one pool has 1000 agents
+    @pytest.mark.parametrize(
+        "m, count",
+        [pytest.param(m, 30, id=str(m)) for m in (3, 6, 50, 2, 7, 16, 17, 33, 64, 65, 257)]
+        + [pytest.param(6, 1000, id="6-1000")],
+    )
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_pool_matches_per_agent_draws(self, seed, m, homogeneous):
+    def test_pool_matches_per_agent_draws(self, seed, m, count, homogeneous):
         # the pool as built one agent at a time: payoffs drawn, rescaled to
         # norm ENDOWMENT_NORM, then (heterogeneous) the risk aversion drawn
-        spec = AgentSequenceSpec(sizes=(2, 30), n_states=m, seed=seed)
+        spec = AgentSequenceSpec(sizes=(2, count), n_states=m, seed=seed)
         space, agents = agent_pool(spec, homogeneous)
         rng = np.random.default_rng(seed)
         for agent in agents:
