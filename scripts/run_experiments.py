@@ -22,10 +22,13 @@ def main() -> None:
     parser.add_argument("output_dir", nargs="?", default="experiment_output")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    try:
+        spec = AgentSequenceSpec(seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     out = pathlib.Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = AgentSequenceSpec(seed=args.seed)
     for experiment, run in EXPERIMENTS.items():
         path = out / f"{FILE_NAMES.get(experiment, experiment)}.csv"
         path.write_text(run(spec).to_csv())

@@ -62,6 +62,7 @@ from .pareto import (
     endowment_prices,
     optimal_sharing,
     optimal_utility_levels,
+    sharing_weights,
 )
 from .strategic import (
     ConstantEndowmentError,
@@ -272,6 +273,7 @@ def cmd_pareto(loaded: dict) -> dict:
     try:
         return {
             **_fields(optimal_sharing(market)),
+            "weights": sharing_weights(market),
             "endowment_prices": endowment_prices(market),
             "utility_levels": optimal_utility_levels(market),
             "aggregate_gain": aggregate_gain(market),

@@ -7,7 +7,9 @@ as one n x m payoff matrix. A market owns its moments: the means, the exactly
 centered endowments, their `variances`, their covariance matrix `gram` and
 their `exposures` to a security basket, which owns its own. The engines read
 only these and add cash (the means) last, so a cash shift of an endowment,
-however large, moves nothing else. `cross_cov` (two-pass) serves `Rv` moments
+however large, moves nothing else. Every engine but `endowment_prices` and
+the two-agent table works on the centered rows in O(nm) and never reads the
+n x n `gram`. `cross_cov` (two-pass) serves `Rv` moments
 and the oracle. All objects are immutable after construction.
 `ProbSpace.rvs` builds many random variables at once: it copies and
 validates one payoff matrix, marks it read-only and hands each `Rv` a
@@ -322,7 +324,12 @@ class Market:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """The n x n endowment covariance matrix, Cov(E_i, E_j)."""
+        """The n x n endowment covariance matrix, Cov(E_i, E_j).
+
+        Only `pareto.endowment_prices` (which must invert it) and the
+        two-agent `nash.table1_report` read it; every other engine works on
+        `centered` and `variances`, so a large market never builds it.
+        """
         gram = (self.centered * self.space.probs) @ self.centered.T
         gram.flags.writeable = False
         return gram

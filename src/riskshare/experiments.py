@@ -54,14 +54,15 @@ class AgentSequenceSpec:
     seed: int = 0
 
     def __post_init__(self):
-        def is_count(value):
-            return isinstance(value, int) and not isinstance(value, bool) and value >= 2
+        def is_count(value, low=2):
+            return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
         if not (isinstance(self.sizes, tuple) and self.sizes
                 and all(map(is_count, self.sizes))):
             raise ValueError("sizes must be a non-empty tuple of integers of at least 2")
-        if not is_count(self.n_states):
-            raise ValueError("n_states must be an integer of at least 2")
+        for name, low in (("n_states", 2), ("seed", 0)):
+            if not is_count(getattr(self, name), low):
+                raise ValueError(f"{name} must be an integer of at least {low}")
         object.__setattr__(self, "sizes", tuple(sorted(self.sizes)))
 
 

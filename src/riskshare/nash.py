@@ -34,7 +34,7 @@ from .pareto import (
     pooling_gain,
     sharing_rule,
 )
-from .strategic import _response_coefficients, endowment_variances
+from .strategic import endowment_variances, percentage_responses
 
 
 class ConvergenceError(RuntimeError):
@@ -206,58 +206,61 @@ def table1_report(market: Market) -> list[Table1Row]:
 # Percentage game
 
 
-def _percentage_coupling(market: Market) -> tuple[np.ndarray, np.ndarray]:
-    """own and M_ij = other_i Cov(E_i, E_j) / Var[E_i], i != j: BR(b) = clamp(own + M b)."""
-    own, other = _response_coefficients(market)
-    coupling = (other / endowment_variances(market))[:, None] * market.gram
-    np.fill_diagonal(coupling, 0.0)
-    return own, coupling
-
-
 def percentage_best_response(market: Market, b: np.ndarray, kappa: float) -> np.ndarray:
     """Clamped best percentage of every agent against reported multiples b."""
-    own, coupling = _percentage_coupling(market)
-    return np.clip(own + coupling @ np.asarray(b, dtype=float), 0.0, kappa)
+    return np.clip(percentage_responses(market, b), 0.0, kappa)
 
 
 def nash_percentage(
     market: Market, kappa: float = 10.0, max_iter: int = 10000
 ) -> NashPercentageOutcome:
-    """Exact percentage-game equilibrium by an active-set solve.
+    """Exact percentage-game equilibrium by an active-set solve, in O(nm) memory.
 
-    b = BR(b) = clamp(own + M b, 0, kappa), with M_ij = other_i Cov(E_i, E_j)
-    / Var[E_i] off the diagonal, is a box-constrained linear complementarity
-    problem (Cottle, Pang & Stone 1992). From b = 1, split the agents by
-    own + M b into those at 0, at kappa (U) and free (F), solve
-    (I - M_FF) b_F = own_F + kappa M_FU 1, and repeat until the split holds,
-    at most `max_iter` solves. A residual max |b - BR(b)| above RESIDUAL_TOL
-    (1 + max |b|) raises ConvergenceError.
+    b = BR(b) = clamp(R(b), 0, kappa), with R the affine
+    `strategic.percentage_responses`, is a box-constrained linear
+    complementarity problem (Cottle, Pang & Stone 1992). From b = 1, split the
+    agents by R(b) into those at 0, at kappa and free (F), solve for b_F with
+    the others at their bounds, and repeat until the split holds, at most
+    `max_iter` solves. Times 1 - s_i^2, s = gamma/gamma_i, a free agent's
+    condition b_i = R_i(b) is the endowment game's report rule on multiples of
+    E_i, b_i = 1 - s_i + s_i^2 Cov(sum_j b_j E_j, E_i) / Var[E_i]. So with
+    L = centered * sqrt(p) and w = s^2 / Var[E],
+    (I - diag(w_F) L_F L_F^T) b_F = (1 - s_F^2) R_F(b with b_F = 0),
+    solved by Woodbury (Golub & Van Loan, section 2.1.4) through the m x m
+    matrix I - L_F^T diag(w_F) L_F. It is symmetric with eigenvalues in
+    [1 - sum_F s_i^2, 1], positive since `Market` requires sum_i s_i^2 < 1.
+    Near that bound, when one gamma_i dwarfs the others, the solve loses
+    digits, so once the split holds one step of iterative refinement against
+    R follows. A residual max |b - BR(b)| above RESIDUAL_TOL (1 + max |b|)
+    raises ConvergenceError.
     """
     if not (np.isfinite(kappa) and kappa > 0.0):
         raise ValueError("kappa must be finite and positive")
-    own, coupling = _percentage_coupling(market)
+    share = market.aggregate_gamma / market.gammas
+    rows = market.centered * np.sqrt(market.space.probs)  # L
+    scaled = (share**2 / endowment_variances(market))[:, None] * rows  # diag(w) L
     b, split, iterations, stable = np.ones(market.n), None, 0, False
-    while iterations < max_iter:
-        new_split = np.digitize(own + coupling @ b, (0.0, kappa), right=True)
+    while iterations < max_iter and not stable:
+        responses = percentage_responses(market, b)
+        new_split = np.digitize(responses, (0.0, kappa), right=True)
         stable = np.array_equal(new_split, split)
-        if stable:
-            break
-        split, iterations, free = new_split, iterations + 1, new_split == 1
-        b = np.where(split == 2, kappa, 0.0)  # split: 0 at zero, 1 free, 2 at kappa
-        b[free] = np.linalg.solve(
-            np.eye(free.sum()) - coupling[np.ix_(free, free)],
-            own[free] + coupling[free] @ b,
-        )
+        if not stable:  # a new active set: solve from b_F = 0
+            split, iterations, free = new_split, iterations + 1, new_split == 1
+            b = np.where(split == 2, kappa, 0.0)  # split: 0 at zero, 1 free, 2 at kappa
+            responses = percentage_responses(market, b)
+            inner = np.eye(rows.shape[1]) - rows[free].T @ scaled[free]
+        # the solve, or, once the split holds, one step of refinement
+        gap = ((1.0 - share**2) * (responses - b))[free]
+        b[free] += gap + scaled[free] @ np.linalg.solve(inner, rows[free].T @ gap)
     residual = float(np.max(np.abs(b - percentage_best_response(market, b, kappa))))
     tolerance = RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b))))
-    converged = residual <= tolerance
-    if not converged:
+    if not residual <= tolerance:  # also when the residual is NaN
         cause = (f"the active set is stable after {iterations} solves, so the solve of "
                  f"the free agents is too ill-conditioned" if stable else
                  f"the active set still changed after {iterations} solves, the max_iter limit")
         raise ConvergenceError(f"percentage game did not converge: residual "
                                f"{residual:.3e} exceeds {tolerance:.3e}; {cause}", stable)
-    return NashPercentageOutcome(b, kappa, iterations, converged, residual)
+    return NashPercentageOutcome(b, kappa, iterations, True, residual)
 
 
 def percentage_game_gains(market: Market, outcome: NashPercentageOutcome) -> np.ndarray:

@@ -6,10 +6,11 @@ the price E[c_i] - 2 gamma Cov(c_i, sum_j R_j) and so gains
 `mechanism_gains`; `pooling_gain` is the gain left in pooling any rows.
 Pareto sharing runs the mechanism on the true endowments, the Nash games
 (`nash`) and a single deviator (`strategic`) on their reports. Basket prices
-and allocations are linear maps of the market's exposures. Of the freedom
-"up to constants", contracts keep the constants W @ means:
-C*_i = sum_j weights[i, j] E_j, cash included. The constants sum to zero
-across agents, and no gain or price reads them.
+and allocations are linear maps of the market's exposures, and every engine
+here but `endowment_prices` works on the centered rows in O(nm), building no
+n x n array. Of the freedom "up to constants", contracts keep the constants
+W @ means: C*_i = sum_j W_ij E_j, cash included, with W = `sharing_weights`.
+The constants sum to zero across agents, and no gain or price reads them.
 """
 
 from __future__ import annotations
@@ -30,15 +31,9 @@ from .core import (
 
 @dataclass(frozen=True, eq=False)
 class ParetoSharing:
-    """Optimal contracts C*_i and the allocation weights on the endowments.
-
-    `weights[i, j]` is the number of units of endowment j that agent i holds
-    in the sharing transaction: (gamma - gamma_i)/gamma_i on the diagonal and
-    gamma/gamma_i off it.
-    """
+    """Optimal contracts C*_i; their weights on the endowments are `sharing_weights`."""
 
     contracts: list[Rv]
-    weights: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +53,12 @@ def sharing_rule(market: Market):
 
 
 def sharing_weights(market: Market) -> np.ndarray:
+    """The n x n weights of the contracts on the endowments, C*_i = sum_j W_ij E_j.
+
+    W_ij is the number of units of endowment j that agent i holds in the
+    sharing transaction: (gamma - gamma_i)/gamma_i on the diagonal and
+    gamma/gamma_i off it. No engine reads it; the pareto report prints it.
+    """
     return sharing_rule(market)(np.eye(market.n))
 
 
@@ -86,10 +87,7 @@ def pooling_gain(market: Market, rows: np.ndarray) -> float:
 
 def optimal_sharing(market: Market) -> ParetoSharing:
     """Unique (up to constants) sum-of-utilities maximizing zero-sum contracts."""
-    return ParetoSharing(
-        contracts=market.space.rvs(market.combine(sharing_rule(market))),
-        weights=sharing_weights(market),
-    )
+    return ParetoSharing(market.space.rvs(market.combine(sharing_rule(market))))
 
 
 def aggregate_gain(market: Market) -> float:

@@ -50,7 +50,7 @@ class ConstantEndowmentError(ValueError):
 def endowment_variances(market: Market, agents=None) -> np.ndarray:
     """Var[E_i], checked positive for `agents` (default all)."""
     variances = market.variances
-    for k in np.flatnonzero(variances <= 0.0):
+    for k in (variances <= 0.0).nonzero()[0]:
         if agents is None or k in agents:
             raise ConstantEndowmentError(int(k))
     return variances
@@ -130,6 +130,23 @@ def best_percentage_response(market: Market, i: int) -> float:
     rows = market.centered
     covariance = (rows[i] * market.space.probs) @ rows.sum(axis=0)  # Cov(E_i, E)
     return float(max(0.0, own[i] + other[i] * (covariance - variance) / variance))
+
+
+def percentage_responses(market: Market, b: np.ndarray) -> np.ndarray:
+    """Every agent's unclamped best multiple against the others' multiples b.
+
+    own_i + other_i (Cov(E_i, sum_j b_j E_j) / Var[E_i] - b_i), the terms of
+    `best_percentage_response` with b in place of 1, in O(nm); every variance
+    must be positive. Taking b_i back out of the ratio cancels when b_i E_i
+    dominates the sum, and other_i = s_i^2/(1 - s_i^2), s_i = gamma/gamma_i,
+    multiplies the lost digits. Since sum_i s_i^2 < 1, at most one agent has
+    other_i > 1, and for that agent the sum leaves b_i E_i out instead.
+    """
+    own, other = _response_coefficients(market)
+    rows, alone = market.centered, other > 1.0
+    sums = np.array([b, np.where(alone, 0.0, b)]) @ rows  # sum_j b_j E_j, and without `alone`
+    ratios = (rows * market.space.probs) @ sums.T / endowment_variances(market)[:, None]
+    return own + other * np.where(alone, ratios[:, 1], ratios[:, 0] - b)
 
 
 def best_price_response(

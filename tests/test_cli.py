@@ -222,6 +222,21 @@ class TestValidation:
         assert err.startswith("validation error: agents[1].payoffs: "), err
         assert "non-constant" in err
 
+    def test_percentage_response_ignores_other_riskless_agents(self, tmp_path, capsys):
+        # the single-deviator response checks only its own agent's variance
+        path = write_market(
+            tmp_path,
+            agents=[
+                {"gamma": 1.0, "payoffs": [1.0, -1.0, 0.5]},
+                {"gamma": 2.0, "payoffs": [0.25, 0.25, 0.25]},
+            ],
+        )
+        command = ["best-response", "--game", "percentage", "--agent", "0"]
+        assert main(command + ["--market", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["results"]["response"] >= 0.0
+
     def test_singular_basket_addressed(self, tmp_path, capsys):
         path = write_market(tmp_path, securities=[[1.0, 0.0, -1.0], [2.0, 0.0, -2.0]])
         for command in (["pareto"], ["nash", "--game", "price"]):

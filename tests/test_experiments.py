@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -25,10 +30,27 @@ class TestAgentSequenceSpec:
     @pytest.mark.parametrize("field, value", [
         ("n_states", 1), ("n_states", 0), ("n_states", 2.5), ("n_states", True),
         ("sizes", ()), ("sizes", (2, 5.5)), ("sizes", (2, True)), ("sizes", [2, 5]),
+        ("seed", -1), ("seed", 1.5), ("seed", True),
     ])
     def test_invalid_field_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             AgentSequenceSpec(**{field: value})
+
+    def test_script_rejects_negative_seed(self, tmp_path):
+        # argparse's usage and one error line, exit 2; no traceback, no output
+        root = pathlib.Path(__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_experiments.py"),
+             str(tmp_path / "out"), "--seed", "-1"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert done.returncode == 2, done.stderr
+        errors = [line for line in done.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1, done.stderr
+        assert errors[0].endswith("error: seed must be an integer of at least 0")
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_pool_respects_bounds(self):
         spec = AgentSequenceSpec(sizes=(2, 5, 10), seed=5)

@@ -1,3 +1,6 @@
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from riskshare.core import (
     equal_up_to_constants,
     var,
 )
-from riskshare import nash
+from riskshare import nash, pareto, strategic
 from riskshare.experiments import AgentSequenceSpec, agent_pool, correlated_pair_market
 from riskshare.nash import (
     ConvergenceError,
@@ -255,6 +258,51 @@ class TestNashPercentage:
             assert residual <= 1e-12, n
             assert out.residual == pytest.approx(residual, abs=1e-14)
 
+    @pytest.mark.parametrize("states", [6, 50])
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_large_markets_match_dense_residual(self, n, states):
+        # the clamped best responses of test_growing_market_prefixes, in plain
+        # numpy with the dense n x n covariance matrix, at sizes beyond it
+        spec = AgentSequenceSpec(sizes=(n,), n_states=states, seed=1)
+        space, agents = agent_pool(spec, homogeneous=False)
+        out = nash_percentage(Market(space, tuple(agents)))
+        p = space.probs
+        gammas = np.array([a.gamma for a in agents])
+        endow = np.array([a.endowment.payoffs for a in agents])
+        endow = endow - (endow @ p)[:, None]
+        covariance = (endow * p) @ endow.T
+        var_i = np.diag(covariance)
+        g = 1.0 / np.sum(1.0 / gammas)
+        others = covariance @ out.b_star - var_i * out.b_star
+        raw = gammas / (gammas + g) + g**2 / (gammas**2 - g**2) * others / var_i
+        residual = np.max(np.abs(out.b_star - np.clip(raw, 0.0, out.kappa)))
+        assert residual <= 1e-12
+        assert out.residual == pytest.approx(residual, abs=1e-14)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_dominant_risk_tolerance(self, seed):
+        # gamma_0 = 1e-7 makes s_0 = gamma/gamma_0 within 1e-7 of 1, so
+        # other_0 = s_0^2/(1 - s_0^2) is near 5e6 and b*_0 near kappa: the
+        # response of agent 0 must not take b_0 E_0 back out of the total,
+        # and the m x m matrix has an eigenvalue near 1 - s_0^2
+        rng = np.random.default_rng(seed)
+        space = ProbSpace(rng.dirichlet(np.ones(5) * 5.0))
+        gammas = np.array([1e-7, *rng.uniform(0.5, 2.0, 2)])
+        payoffs = rng.normal(size=(3, 5)) * np.exp(rng.uniform(-4.0, 4.0, 3))[:, None]
+        market = Market.from_arrays(space, gammas, payoffs)
+        out = nash_percentage(market, kappa=1e6)
+        # the clamped best responses with the dense coupling, diagonal zero
+        p = space.probs
+        endow = payoffs - (payoffs @ p)[:, None]
+        covariance = (endow * p) @ endow.T
+        var_i = np.diag(covariance).copy()
+        np.fill_diagonal(covariance, 0.0)
+        share = (1.0 / np.sum(1.0 / gammas)) / gammas
+        raw = 1.0 / (1.0 + share) + share**2 / (1.0 - share**2) * (
+            covariance @ out.b_star) / var_i
+        residual = np.max(np.abs(out.b_star - np.clip(raw, 0.0, out.kappa)))
+        assert residual <= 1e-10 * (1.0 + np.max(out.b_star)), residual
+
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(2, 6),
@@ -494,3 +542,81 @@ class TestCashShift:
             assert np.all(
                 np.abs(got[key] - want[key]) <= 1e-6 * (1.0 + np.abs(want[key]))
             ), key
+
+
+def _other_schedules(market, basket):
+    schedules = strategic.truthful_schedules(market, basket)
+    return schedules[:17] + schedules[18:]
+
+
+# Every public engine of pareto, strategic and nash, called on one market and
+# one basket; agent 17 deviates where an agent is named. Left out are
+# endowment_prices, which inverts Var[E], table1_report, for two agents only,
+# and sharing_weights, the n x n weights that the pareto report prints.
+ENGINES = {
+    "sharing_rule": lambda m, c: pareto.sharing_rule(m)(m.centered),
+    "mechanism_gains": lambda m, c: pareto.mechanism_gains(m, m.centered),
+    "pooling_gain": lambda m, c: pareto.pooling_gain(m, m.centered),
+    "optimal_sharing": lambda m, c: pareto.optimal_sharing(m),
+    "aggregate_gain": lambda m, c: pareto.aggregate_gain(m),
+    "capm_equilibrium": lambda m, c: pareto.capm_equilibrium(m, c),
+    "optimal_utility_levels": lambda m, c: pareto.optimal_utility_levels(m),
+    "constrained_loss": lambda m, c: pareto.constrained_loss(m, c),
+    "reservation_prices": lambda m, c: pareto.reservation_prices(m, c, 17),
+    "endowment_variances": lambda m, c: strategic.endowment_variances(m),
+    "truthful_schedules": lambda m, c: strategic.truthful_schedules(m, c),
+    "reported_utility": lambda m, c: strategic.reported_utility(
+        m, 17, m.agents[17].endowment),
+    "best_endowment_response": lambda m, c: strategic.best_endowment_response(m, 17),
+    "best_percentage_response": lambda m, c: strategic.best_percentage_response(m, 17),
+    "percentage_responses": lambda m, c: strategic.percentage_responses(m, np.ones(m.n)),
+    "best_price_response": lambda m, c: strategic.best_price_response(
+        m, 17, c, _other_schedules(m, c)),
+    "best_demand_response": lambda m, c: strategic.best_demand_response(m, 17, c),
+    "clearing_price": lambda m, c: strategic.clearing_price(
+        c, strategic.truthful_schedules(m, c)),
+    "price_objective": lambda m, c: strategic.price_objective(
+        m, 17, c, _other_schedules(m, c), c.mean_vector),
+    "endowment_response_report": lambda m, c: strategic.endowment_response_report(m, 17),
+    "percentage_response_report": lambda m, c: strategic.percentage_response_report(m, 17),
+    "demand_response_report": lambda m, c: strategic.demand_response_report(m, 17, c),
+    "nash_aggregate_endowment": lambda m, c: nash.nash_aggregate_endowment(m),
+    "nash_endowment": lambda m, c: nash.nash_endowment(m),
+    "nash_inefficiency": lambda m, c: nash.nash_inefficiency(m),
+    "percentage_best_response": lambda m, c: nash.percentage_best_response(
+        m, np.ones(m.n), 10.0),
+    "nash_percentage": lambda m, c: nash.nash_percentage(m),
+    "percentage_game_gains": lambda m, c: nash.percentage_game_gains(
+        m, nash.nash_percentage(m)),
+    "nash_price": lambda m, c: nash.nash_price(m, c),
+    "nash_vs_pareto_utilities": lambda m, c: nash.nash_vs_pareto_utilities(m, c),
+    "excess_return_check": lambda m, c: nash.excess_return_check(m, c.securities[0]),
+}
+N_BY_N = {"endowment_prices", "table1_report", "sharing_weights"}
+
+
+class TestNoNByN:
+    def test_every_public_engine_listed(self):
+        public = {
+            name for module in (pareto, strategic, nash)
+            for name, obj in vars(module).items()
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__
+            and not name.startswith("_")
+        }
+        assert public == set(ENGINES) | N_BY_N
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_no_n_by_n_intermediate(self, engine):
+        # an n x n float matrix is 128 MB at n = 4000; the engines work on the
+        # n x m centered rows and per-agent vectors, and never read Market.gram
+        rng = np.random.default_rng(25)
+        m = make_market(rng, n=4000, m=6)
+        basket = make_basket(rng, m.space, k=2)
+        tracemalloc.start()
+        try:
+            ENGINES[engine](m, basket)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+        assert "gram" not in vars(m)
