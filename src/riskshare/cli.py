@@ -270,16 +270,17 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_pareto(loaded: dict) -> dict:
     market = loaded["market"]
-    try:
-        return {
-            **_fields(optimal_sharing(market)),
-            "weights": sharing_weights(market),
-            "endowment_prices": endowment_prices(market),
-            "utility_levels": optimal_utility_levels(market),
-            "aggregate_gain": aggregate_gain(market),
-        }
+    try:  # the prices test Var[E] before the n x n weights are built
+        sharing, prices = optimal_sharing(market), endowment_prices(market)
     except SingularCovarianceError as exc:  # Var[E], tested by endowment_prices
         raise Failure("agents", exc, EXIT_NUMERICAL) from None
+    return {
+        **_fields(sharing),
+        "weights": sharing_weights(market),
+        "endowment_prices": prices,
+        "utility_levels": optimal_utility_levels(market),
+        "aggregate_gain": aggregate_gain(market),
+    }
 
 
 def cmd_capm(loaded: dict) -> dict:

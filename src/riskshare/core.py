@@ -4,13 +4,14 @@ Everything downstream (sharing rules, equilibrium prices, Nash games) is a
 function of first and second moments only, so random variables are stored as
 payoff vectors over a finite state space, and a market keeps its endowments
 as one n x m payoff matrix. A market owns its moments: the means, the exactly
-centered endowments, their `variances`, their covariance matrix `gram` and
-their `exposures` to a security basket, which owns its own. The engines read
-only these and add cash (the means) last, so a cash shift of an endowment,
-however large, moves nothing else. Every engine but `endowment_prices` and
-the two-agent table works on the centered rows in O(nm) and never reads the
-n x n `gram`. `cross_cov` (two-pass) serves `Rv` moments
-and the oracle. All objects are immutable after construction.
+centered endowments, their `variances` and their `exposures` to a security
+basket, which owns its own. The engines read only these and add cash (the
+means) last, so a cash shift of an endowment, however large, moves nothing
+else. No engine builds the n x n covariance matrix Var[E]: every engine works
+on the centered rows in O(nm), and `require_invertible` rejects n >= m
+endowments by rank before any product is formed. `cross_cov` (two-pass)
+serves `Rv` moments and the oracle. All objects are immutable after
+construction.
 `ProbSpace.rvs` builds many random variables at once: it copies and
 validates one payoff matrix, marks it read-only and hands each `Rv` a
 read-only view of its row; `demand_schedules` does the same for demand
@@ -31,7 +32,7 @@ PROB_SUM_TOL = 1e-12
 # Two payoffs are "equal up to constants" when the variance of their
 # difference is below this (centered versions coincide).
 CONST_VAR_TOL = 1e-18
-# Relative singular-value floor below which a covariance matrix (a basket's
+# Relative eigenvalue floor below which a covariance matrix (a basket's
 # Var[C], the endowments' Var[E]) counts as singular.
 SV_RATIO_MIN = 1e-10
 
@@ -184,13 +185,22 @@ def _two_pass(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return means, rows
 
 
-def require_invertible(cov_matrix: np.ndarray, message: str) -> None:
-    """Raise SingularCovarianceError(message) unless every eigenvalue of the
-    covariance matrix exceeds SV_RATIO_MIN times the largest (a
-    rounding-negative smallest eigenvalue counts as singular)."""
+def require_invertible(p: np.ndarray, rows: np.ndarray, message: str) -> np.ndarray:
+    """The k x k covariance matrix of k centered rows, required invertible.
+
+    Raises SingularCovarianceError(message) by rank when k >= m, the number
+    of states: centered rows span at most m - 1 dimensions, so no product is
+    formed. Otherwise it raises unless every eigenvalue of the matrix exceeds
+    SV_RATIO_MIN times the largest (a rounding-negative smallest eigenvalue
+    counts as singular).
+    """
+    if rows.shape[0] >= p.size:
+        raise SingularCovarianceError(message)
+    cov_matrix = (rows * p) @ rows.T
     eigenvalues = np.linalg.eigvalsh(cov_matrix)
     if eigenvalues[0] <= SV_RATIO_MIN * eigenvalues[-1]:
         raise SingularCovarianceError(message)
+    return cov_matrix
 
 
 def cov(x: Rv, y: Rv) -> float:
@@ -313,26 +323,15 @@ class Market:
 
     @cached_property
     def variances(self) -> np.ndarray:
-        """Var[E_i], in O(nm): the diagonal of `gram` without the n x n matrix.
+        """Var[E_i], in O(nm), with no n x n covariance matrix.
 
-        Each term is (E_i p) E_i, as in `gram`: squaring first would overflow
-        for deviations near 1.3e154 whose variance is finite.
+        Each term is (E_i p) E_i, as in every covariance product here:
+        squaring first would overflow for deviations near 1.3e154 whose
+        variance is finite.
         """
         variances = (self.centered * self.space.probs * self.centered).sum(axis=1)
         variances.flags.writeable = False
         return variances
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """The n x n endowment covariance matrix, Cov(E_i, E_j).
-
-        Only `pareto.endowment_prices` (which must invert it) and the
-        two-agent `nash.table1_report` read it; every other engine works on
-        `centered` and `variances`, so a large market never builds it.
-        """
-        gram = (self.centered * self.space.probs) @ self.centered.T
-        gram.flags.writeable = False
-        return gram
 
     def exposures(self, basket: "SecurityBasket") -> np.ndarray:
         """The n x k covariances Cov(E_i, C_j) of endowments and securities."""
@@ -376,8 +375,7 @@ class SecurityBasket:
         p = securities[0].space.probs
         payoffs = np.stack([s.payoffs for s in securities])
         mu, rows = _two_pass(p, payoffs)
-        V = (rows * p) @ rows.T
-        require_invertible(V, "covariance matrix of the security basket is singular")
+        V = require_invertible(p, rows, "covariance matrix of the security basket is singular")
         inv = np.linalg.inv(V)
         for arr in (payoffs, V, inv):
             arr.flags.writeable = False

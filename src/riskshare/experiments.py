@@ -181,11 +181,16 @@ def inefficiency_decay(spec: AgentSequenceSpec, homogeneous: bool = False) -> Ta
 
 
 def homogeneous_inefficiency_closed_form(market: Market) -> float:
-    """(1/n^2)(sum Var[E_i] - Var[E]/n); valid for equal risk aversions."""
-    n = market.n
+    """(g/n^2)(sum Var[E_i] - Var[E]/n) for agents of one risk aversion g.
+
+    Raises ValueError when the risk aversions are not all equal.
+    """
+    g, n = market.gammas[0], market.n
+    if np.any(market.gammas != g):
+        raise ValueError("the closed form needs equal risk aversions")
     total = market.centered.sum(axis=0)  # E - E[E]
     total_var = (total * market.space.probs) @ total
-    return float(market.variances.sum() - total_var / n) / n**2
+    return float(g * (market.variances.sum() - total_var / n)) / n**2
 
 
 def price_allocation_convergence(

@@ -150,6 +150,8 @@ def table1_report(market: Market) -> list[Table1Row]:
 
     Each cell is computed twice: by the general engines and by the two-agent
     closed forms, so the caller can regression-check one against the other.
+    The closed-form gains scale Var[diff], taken on one centered row, the
+    weights (gamma_1, -gamma_2)/(gamma_1 + gamma_2) of the endowments.
     """
     if market.n != 2:
         raise ValueError("the comparison table is defined for two agents only")
@@ -160,8 +162,8 @@ def table1_report(market: Market) -> list[Table1Row]:
     sharing = optimal_sharing(market)
     nash = nash_endowment(market)
     diff = (g1 / (g1 + g2)) * e1 - (g2 / (g1 + g2)) * e2
-    weights = np.array([g1, -g2]) / (g1 + g2)
-    spread = float(weights @ market.gram @ weights)  # Var[diff]
+    row = (np.array([g1, -g2]) / (g1 + g2)) @ market.centered  # diff, centered
+    spread = float((row * market.space.probs) @ row)  # Var[diff]
     return [
         Table1Row(
             "aggregate_shared_endowment",

@@ -7,8 +7,9 @@ the price E[c_i] - 2 gamma Cov(c_i, sum_j R_j) and so gains
 Pareto sharing runs the mechanism on the true endowments, the Nash games
 (`nash`) and a single deviator (`strategic`) on their reports. Basket prices
 and allocations are linear maps of the market's exposures, and every engine
-here but `endowment_prices` works on the centered rows in O(nm), building no
-n x n array. Of the freedom "up to constants", contracts keep the constants
+here works on the centered rows in O(nm), building no n x n covariance;
+only `sharing_weights` returns an n x n array, because that array is its
+output. Of the freedom "up to constants", contracts keep the constants
 W @ means: C*_i = sum_j W_ij E_j, cash included, with W = `sharing_weights`.
 The constants sum to zero across agents, and no gain or price reads them.
 """
@@ -119,16 +120,17 @@ def capm_equilibrium(market: Market, basket: SecurityBasket) -> CapmEquilibrium:
 def endowment_prices(market: Market) -> np.ndarray:
     """Equilibrium prices of the agents' own endowments (complete market).
 
-    Requires the endowments' covariance matrix to be non-singular; with
-    collinear endowments pass an explicit reduced basket to
-    `capm_equilibrium` instead.
+    Requires the endowments' covariance matrix Var[E] to be non-singular,
+    which n >= m endowments never are; with collinear endowments pass an
+    explicit reduced basket to `capm_equilibrium` instead. Var[E] is formed
+    only for n < m, to test it; the prices need only Cov(E_i, E), one O(nm)
+    product with the column total of the centered rows.
     """
-    require_invertible(
-        market.gram,
-        "endowment covariance matrix Var[E] is singular; "
-        "price a reduced basket explicitly instead",
-    )
-    return pricing(market.aggregate_gamma, market.means, market.gram.sum(axis=0))
+    market.variances  # an overflow in them raises before the verdict
+    p, rows = market.space.probs, market.centered
+    require_invertible(p, rows, "endowment covariance matrix Var[E] is singular; "
+                       "price a reduced basket explicitly instead")
+    return pricing(market.aggregate_gamma, market.means, (rows * p) @ rows.sum(axis=0))
 
 
 def optimal_utility_levels(market: Market) -> np.ndarray:

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from riskshare.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    Failure,
     _encode,
     build_parser,
     cmd_best_response,
@@ -22,6 +24,7 @@ from riskshare.cli import (
     cmd_nash,
     cmd_pareto,
     ingest_market_document,
+    load_market_file,
     main,
 )
 from riskshare import nash
@@ -296,6 +299,32 @@ class TestCommands:
         )
         assert main(["pareto", "--market", str(path)]) == EXIT_NUMERICAL
         assert "singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [4000, 20_000])
+    def test_pareto_large_market_exits_before_n_by_n(self, tmp_path, capsys, n):
+        # n >= m endowments are singular by rank: the command exits 3 before
+        # it builds one n x n array (the weights or Var[E]), which would take
+        # 128 MB at n = 4000 and 3.2 GB at n = 2e4. The load is left out of
+        # the trace: at n = 2e4 its JSON objects alone take about 23 MB.
+        rng = np.random.default_rng(28)
+        agents = [{"gamma": float(g), "payoffs": row.tolist()}
+                  for g, row in zip(rng.uniform(0.5, 2.0, n), rng.normal(size=(n, 6)))]
+        path = write_market(tmp_path, probs=[1.0 / 6] * 6, agents=agents, securities=[])
+        loaded = load_market_file(str(path))
+        tracemalloc.start()
+        try:
+            with pytest.raises(Failure, match=r"^agents: endowment covariance matrix "
+                                              r"Var\[E\] is singular; "):
+                cmd_pareto(loaded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+        assert "gram" not in vars(loaded["market"])
+        assert main(["pareto", "--market", str(path)]) == EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("numerical precondition violated: agents: "), err
 
     def test_overflowing_payoff_never_reports_nan(self, tmp_path, capsys):
         path = write_market(

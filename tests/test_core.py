@@ -17,6 +17,7 @@ from riskshare.core import (
     equal_up_to_constants,
     mean,
     mv_utility,
+    require_invertible,
     var,
 )
 
@@ -183,7 +184,9 @@ class TestMarket:
 
 
 class TestMarketFromArrays:
-    ARRAYS = ("gammas", "payoffs", "means", "centered", "variances", "gram")
+    # every second moment is a product of `centered`, so equal bits there
+    # give equal covariances
+    ARRAYS = ("gammas", "payoffs", "means", "centered", "variances")
 
     @pytest.mark.parametrize("n,m", [(2, 3), (5, 6), (40, 50)])
     def test_matches_market_of_agents(self, n, m):
@@ -264,12 +267,22 @@ class TestMarketMoments:
         rows = np.vstack([endow, basket.payoffs])
         ref = np.cov(rows, aweights=space.probs, bias=True)
         tol = 1e-12 * np.abs(ref).max()
-        np.testing.assert_allclose(market.gram, ref[:n, :n], rtol=0, atol=tol)
+        gram = (market.centered * space.probs) @ market.centered.T
+        np.testing.assert_allclose(gram, ref[:n, :n], rtol=0, atol=tol)
+        np.testing.assert_allclose(market.variances, np.diag(ref[:n, :n]), rtol=0, atol=tol)
         np.testing.assert_allclose(market.exposures(basket), ref[:n, n:], rtol=0, atol=tol)
         np.testing.assert_allclose(basket.cov_matrix, ref[n:, n:], rtol=0, atol=tol)
         np.testing.assert_allclose(market.means, endow @ space.probs, rtol=1e-12,
                                    atol=1e-12 * scale)
-        assert np.linalg.matrix_rank(market.gram) == min(n, m - 1)
+        # n >= m centered rows are singular by rank, before any product is
+        # formed; below that the helper returns the same product
+        assert np.linalg.matrix_rank(gram) == min(n, m - 1)
+        if n >= m:
+            with pytest.raises(SingularCovarianceError, match="rank"):
+                require_invertible(space.probs, market.centered, "rank")
+        else:
+            got = require_invertible(space.probs, market.centered, "rank")
+            assert got.tobytes() == gram.tobytes()
 
     @pytest.mark.parametrize("scale", [1.0, 1e12])
     def test_variances_are_the_gram_diagonal(self, scale):
@@ -277,7 +290,7 @@ class TestMarketMoments:
         market = make_market(rng, n=5, m=4)
         market = Market(market.space, tuple(
             Agent(a.gamma, a.endowment * scale + 2.0**40) for a in market.agents))
-        diagonal = np.diag(market.gram)
+        diagonal = np.diag((market.centered * market.space.probs) @ market.centered.T)
         np.testing.assert_allclose(market.variances, diagonal, rtol=1e-15, atol=0)
         assert not market.variances.flags.writeable
 
@@ -302,6 +315,15 @@ class TestSecurityBasket:
         sp = _space(3)
         with pytest.raises(SingularCovarianceError):
             SecurityBasket((sp.constant(1.0),))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_rejects_as_many_securities_as_states(self, k):
+        # k centered rows on 3 states span at most 2 dimensions: singular by
+        # rank, before any covariance is formed
+        rng = np.random.default_rng(k)
+        sp = _space(3)
+        with pytest.raises(SingularCovarianceError):
+            SecurityBasket(tuple(sp.rvs(rng.normal(size=(k, 3)))))
 
     def test_cov_inverse(self):
         rng = np.random.default_rng(4)

@@ -18,7 +18,7 @@ from riskshare.experiments import (
     inefficiency_decay,
     price_allocation_convergence,
 )
-from riskshare.nash import nash_endowment, nash_price
+from riskshare.nash import nash_endowment, nash_inefficiency, nash_price
 from riskshare.pareto import capm_equilibrium
 
 
@@ -100,6 +100,22 @@ class TestInefficiencyDecay:
             assert value == pytest.approx(
                 homogeneous_inefficiency_closed_form(market), abs=1e-12
             )
+
+    @pytest.mark.parametrize("g", [0.25, 3.0])
+    def test_closed_form_scales_with_the_risk_aversion(self, g):
+        # the inefficiency is proportional to the common risk aversion g; the
+        # homogeneous pool's g is 1, where a missing factor does not show
+        rng = np.random.default_rng(40)
+        market = Market.from_arrays(ProbSpace(np.full(6, 1.0 / 6)), np.full(20, g),
+                                    rng.normal(size=(20, 6)))
+        assert homogeneous_inefficiency_closed_form(market) == pytest.approx(
+            nash_inefficiency(market), rel=1e-12)
+
+    def test_closed_form_needs_equal_risk_aversions(self):
+        market = Market.from_arrays(ProbSpace(np.full(3, 1.0 / 3)), [1.0, 2.0],
+                                    [[1.0, 0.0, -1.0], [0.5, -1.0, 0.5]])
+        with pytest.raises(ValueError, match="equal risk aversions"):
+            homogeneous_inefficiency_closed_form(market)
 
     def test_decreasing_trend(self):
         spec = AgentSequenceSpec(sizes=(2, 5, 10, 20, 50), seed=2)

@@ -11,6 +11,7 @@ from riskshare.core import (
     Market,
     ProbSpace,
     SecurityBasket,
+    SingularCovarianceError,
     cov,
     equal_up_to_constants,
     var,
@@ -549,11 +550,17 @@ def _other_schedules(market, basket):
     return schedules[:17] + schedules[18:]
 
 
+def _singular_endowment_prices(m, c):
+    with pytest.raises(SingularCovarianceError):  # n >= m: singular by rank
+        pareto.endowment_prices(m)
+
+
 # Every public engine of pareto, strategic and nash, called on one market and
 # one basket; agent 17 deviates where an agent is named. Left out are
-# endowment_prices, which inverts Var[E], table1_report, for two agents only,
-# and sharing_weights, the n x n weights that the pareto report prints.
+# table1_report, for two agents only, and sharing_weights, the n x n weights
+# that the pareto report prints.
 ENGINES = {
+    "endowment_prices": _singular_endowment_prices,
     "sharing_rule": lambda m, c: pareto.sharing_rule(m)(m.centered),
     "mechanism_gains": lambda m, c: pareto.mechanism_gains(m, m.centered),
     "pooling_gain": lambda m, c: pareto.pooling_gain(m, m.centered),
@@ -592,7 +599,7 @@ ENGINES = {
     "nash_vs_pareto_utilities": lambda m, c: nash.nash_vs_pareto_utilities(m, c),
     "excess_return_check": lambda m, c: nash.excess_return_check(m, c.securities[0]),
 }
-N_BY_N = {"endowment_prices", "table1_report", "sharing_weights"}
+N_BY_N = {"table1_report", "sharing_weights"}
 
 
 class TestNoNByN:
@@ -608,7 +615,7 @@ class TestNoNByN:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_no_n_by_n_intermediate(self, engine):
         # an n x n float matrix is 128 MB at n = 4000; the engines work on the
-        # n x m centered rows and per-agent vectors, and never read Market.gram
+        # n x m centered rows and per-agent vectors, and never build Var[E]
         rng = np.random.default_rng(25)
         m = make_market(rng, n=4000, m=6)
         basket = make_basket(rng, m.space, k=2)

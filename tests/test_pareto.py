@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskshare.core import (
+    Market,
     SingularCovarianceError,
     centered,
     cov,
@@ -28,7 +29,7 @@ from riskshare.pareto import (
 )
 from riskshare.nash import nash_endowment
 
-from conftest import make_basket, make_market
+from conftest import make_basket, make_market, make_space
 
 
 class TestOptimalSharing:
@@ -167,6 +168,22 @@ class TestEndowmentPrices:
     def test_singular_raises(self, symmetric_market):
         with pytest.raises(SingularCovarianceError):
             endowment_prices(symmetric_market)
+
+    def test_singular_by_rank_without_n_by_n(self):
+        # n >= m endowments are singular by rank; Var[E] would take 3.2 GB at
+        # n = 2e4 (test_nash.py's TestNoNByN gates n = 4000)
+        rng, n = np.random.default_rng(26), 20_000
+        m = Market.from_arrays(make_space(rng, 6), rng.uniform(0.5, 2.0, n),
+                               rng.normal(size=(n, 6)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SingularCovarianceError, match=r"Var\[E\] is singular"):
+                endowment_prices(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+        assert "gram" not in vars(m)
 
     def test_matches_capm_on_endowment_basket(self):
         rng = np.random.default_rng(20)

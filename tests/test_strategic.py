@@ -131,7 +131,8 @@ class TestBestPercentageResponse:
         finally:
             tracemalloc.stop()
         assert peak < 16e6, peak
-        others = m.gram[17].sum() - m.gram[17, 17]
+        row = (m.centered[17] * m.space.probs) @ m.centered.T  # Cov(E_17, E_j)
+        others = row.sum() - row[17]
         own, other = _response_coefficients(m)
         want = max(0.0, own[17] + other[17] * others / m.variances[17])
         assert b == pytest.approx(want, rel=1e-12, abs=1e-12)
