@@ -8,7 +8,11 @@ the ingested probabilities, endowments and securities themselves. `json.dumps`
 serializes both, and its `default` hook converts only what json cannot:
 random variables, arrays, numpy scalars and dataclasses. Every gamma,
 probability and payoff is a finite JSON number, never a boolean or a string,
-and a rejected one is addressed by its index. `securities` and `parameters`
+and a rejected one is addressed by its index. Ingestion validates each value
+where it reads it, in file order, and builds the market once from the
+validated risk aversions and payoff rows with `Market.from_arrays`, and the
+basket from one `ProbSpace.rvs` batch: no object per agent is built, and the
+echo serializes the same rows. `securities` and `parameters`
 are optional; present, they must be an array (empty: no basket) and an object
 (empty: the defaults). The only parameters are the percentage game's `kappa`
 (a finite positive number) and `max_iter` (an integer cap on its active-set
@@ -39,7 +43,6 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 
 from .core import (
-    Agent,
     Market,
     ProbSpace,
     Rv,
@@ -128,12 +131,12 @@ def _numbers(values, field: str) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _payoffs(space: ProbSpace, values, field: str) -> Rv:
+def _payoffs(space: ProbSpace, values, field: str) -> np.ndarray:
     """A payoff row of finite numbers, one per state of `space`."""
-    try:
-        return Rv(space, _numbers(values, field))
-    except ValueError as exc:  # a length other than the number of states
-        raise Failure(field, exc) from None
+    row = _numbers(values, field)
+    _require(row.size == space.n_states, field, f"payoff length {row.size} does "
+             f"not match space dimension {space.n_states}")
+    return row
 
 
 def load_market_file(path: str) -> dict:
@@ -169,16 +172,16 @@ def ingest_market_document(doc) -> dict:
     agents_doc = doc.get("agents")
     _require(isinstance(agents_doc, list) and len(agents_doc) >= 2,
              "agents", "must be an array of at least two agents")
-    agents = []
+    gammas, rows = [], []
     for idx, a in enumerate(agents_doc):
         where = f"agents[{idx}]"
         _require(isinstance(a, dict), where, "must be an object")
         _require("gamma" in a, f"{where}.gamma", "missing")
         _require("payoffs" in a, f"{where}.payoffs", "missing")
-        gamma = _number(a["gamma"], f"{where}.gamma", positive=True)
-        agents.append(Agent(gamma, _payoffs(space, a["payoffs"], f"{where}.payoffs")))
+        gammas.append(_number(a["gamma"], f"{where}.gamma", positive=True))
+        rows.append(_payoffs(space, a["payoffs"], f"{where}.payoffs"))
     try:
-        market = Market(space, tuple(agents))
+        market = Market.from_arrays(space, gammas, rows)
     except (ValueError, FloatingPointError) as exc:
         raise Failure("agents", exc) from None
 
@@ -186,10 +189,10 @@ def ingest_market_document(doc) -> dict:
     securities_doc = doc.get("securities", [])
     _require(isinstance(securities_doc, list), "securities", "must be an array")
     if securities_doc:
-        securities = tuple(_payoffs(space, payoffs, f"securities[{idx}]")
-                           for idx, payoffs in enumerate(securities_doc))
+        securities = [_payoffs(space, payoffs, f"securities[{idx}]")
+                      for idx, payoffs in enumerate(securities_doc)]
         try:
-            basket = SecurityBasket(securities)
+            basket = SecurityBasket(space.rvs(securities))
         except (SingularCovarianceError, FloatingPointError) as exc:
             raise Failure("securities", exc, EXIT_NUMERICAL) from None
 
@@ -209,7 +212,7 @@ def ingest_market_document(doc) -> dict:
     echo = {
         "schema": SCHEMA_VERSION,
         "probs": space.probs,
-        "agents": [{"gamma": a.gamma, "payoffs": a.endowment} for a in agents],
+        "agents": [{"gamma": g, "payoffs": row} for g, row in zip(gammas, rows)],
         "securities": basket.securities if basket else [],
         "parameters": parameters,
     }

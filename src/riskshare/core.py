@@ -16,7 +16,10 @@ construction.
 validates one payoff matrix, marks it read-only and hands each `Rv` a
 read-only view of its row; `demand_schedules` does the same for demand
 schedules. A market is built from agents or, with no object per agent, from
-its arrays (`Market.from_arrays`).
+its arrays (`Market.from_arrays`). The CLI and the experiments build every
+market from arrays, and no engine reads `Market.agents` or
+`Market.endowments()`: those per-agent objects are built only for a caller
+that asks for them.
 """
 
 from __future__ import annotations
@@ -249,6 +252,8 @@ class Market:
     Built from agents, `Market(space, agents)`, or from arrays,
     `Market.from_arrays(space, gammas, payoffs)`. Both run one validation of
     the arrays; a market built from arrays builds its `agents` on first read.
+    The CLI and the experiments build from arrays, and no engine reads
+    `agents` or `endowments()`, so on those paths neither is ever built.
     """
 
     space: ProbSpace

@@ -9,7 +9,9 @@ No table row builds an object per agent; `agent_pool` wraps the same draw in
 agents for callers that want them. The figures are fixed grids (RHO_GRID,
 GAMMA1_GRID) whose variance/correlation targets a three-state construction
 realizes, since every quantity in the model depends on the endowments only
-through first and second moments.
+through first and second moments; `correlated_pair_market` builds each grid
+point's market from its two payoff rows with `Market.from_arrays`, so no
+figure builds an object per agent either.
 `FIGURES` maps each figure to its builder, and `EXPERIMENTS` each standard
 experiment id to its table, for the CLI and the script.
 """
@@ -254,10 +256,7 @@ def correlated_pair_market(
     u, w = basis
     e1 = np.sqrt(var1) * u
     e2 = np.sqrt(var2) * (rho * u + np.sqrt(max(0.0, 1.0 - rho**2)) * w)
-    return Market(
-        space,
-        (Agent(gamma1, Rv(space, e1)), Agent(gamma2, Rv(space, e2))),
-    )
+    return Market.from_arrays(space, (gamma1, gamma2), (e1, e2))
 
 
 RHO_GRID = np.linspace(-1.0, 1.0, 21)

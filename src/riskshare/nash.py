@@ -156,7 +156,7 @@ def table1_report(market: Market) -> list[Table1Row]:
     if market.n != 2:
         raise ValueError("the comparison table is defined for two agents only")
     g1, g2 = market.gammas
-    e1, e2 = market.endowments()
+    e1, e2 = market.space.rvs(market.payoffs)
     g = market.aggregate_gamma
 
     sharing = optimal_sharing(market)

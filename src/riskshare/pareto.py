@@ -80,10 +80,16 @@ def mechanism_gains(market: Market, reports: np.ndarray) -> np.ndarray:
 
 
 def pooling_gain(market: Market, rows: np.ndarray) -> float:
-    """sum_i gamma_i Var[X_i] - gamma Var[sum_i X_i]: the gain of pooling centered rows X."""
+    """sum_i gamma_i Var[X_i] - gamma Var[sum_i X_i]: the gain of pooling centered rows X.
+
+    Each variance weights by p before it squares, (X_i p) X_i, as
+    `Market.variances` does: a deviation near 1e154 in a state of small
+    probability would overflow when squared although its variance is finite.
+    """
     p = market.space.probs
     total = rows.sum(axis=0)
-    return float(market.gammas @ (rows**2 @ p) - market.aggregate_gamma * (total**2 @ p))
+    return float(market.gammas @ np.vecdot(rows * p, rows)
+                 - market.aggregate_gamma * ((total * p) @ total))
 
 
 def optimal_sharing(market: Market) -> ParetoSharing:

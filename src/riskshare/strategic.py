@@ -215,7 +215,7 @@ def price_objective(
 
 
 def _response_report(market: Market, i: int, response, report: Rv) -> ResponseReport:
-    truthful = reported_utility(market, i, market.agents[i].endowment)
+    truthful = reported_utility(market, i, market.space.rv(market.payoffs[i]))
     return ResponseReport(response, truthful, reported_utility(market, i, report))
 
 

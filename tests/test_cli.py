@@ -27,7 +27,7 @@ from riskshare.cli import (
     load_market_file,
     main,
 )
-from riskshare import nash
+from riskshare import cli, core, nash
 from riskshare.experiments import correlated_pair_market
 
 
@@ -117,6 +117,20 @@ class TestValidation:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err.startswith(f"validation error: {field}: "), err
+
+    @pytest.mark.parametrize("overrides,line", [
+        ({"agents": [{"gamma": 1.0, "payoffs": [1.0, -1.0, 0.5]},
+                     {"gamma": 2.0, "payoffs": [-0.5, 1.5]}]},
+         "agents[1].payoffs: payoff length 2 does not match space dimension 3"),
+        ({"securities": [[1.0, 0.0, -1.0, 2.0]]},
+         "securities[0]: payoff length 4 does not match space dimension 3"),
+    ], ids=["agents", "securities"])
+    def test_payoff_length_addressed(self, tmp_path, overrides, line):
+        path = write_market(tmp_path, **overrides)
+        for command in (["pareto"], ["nash", "--game", "price"]):
+            code, out, err = _run(command + ["--market", str(path)])
+            assert (code, out) == (EXIT_VALIDATION, "")
+            assert err == f"validation error: {line}\n"
 
     def test_empty_optional_fields_mean_none(self, tmp_path, capsys):
         path = write_market(tmp_path, securities=[], parameters={})
@@ -326,6 +340,28 @@ class TestCommands:
         assert out == "" and err.count("\n") == 1, err
         assert err.startswith("numerical precondition violated: agents: "), err
 
+    def test_pareto_deviation_near_sqrt_of_float_max(self, tmp_path):
+        # a deviation of 2e154 in a state of probability 0.01 squares past the
+        # float range, but its p-weighted square, and every result, is finite
+        scale = 1e153
+        probs = np.array([0.01, 0.33, 0.33, 0.33])
+        gammas = np.array([1.0, 2.0, 1.5])
+        payoffs = scale * np.array([[20.0, 1.0, -2.0, 0.5],
+                                    [-15.0, 2.0, 1.0, -1.0],
+                                    [5.0, -1.0, 1.5, 2.0]])
+        path = write_market(
+            tmp_path, probs=probs.tolist(), securities=[],
+            agents=[{"gamma": g, "payoffs": row.tolist()}
+                    for g, row in zip(gammas.tolist(), payoffs)])
+        code, out, err = _run(["pareto", "--market", str(path)])
+        assert (code, err) == (EXIT_OK, "")
+        rows = payoffs - (payoffs @ probs)[:, None]
+        total = rows.sum(axis=0)
+        want = (gammas @ ((rows * probs) * rows).sum(axis=1)
+                - ((total * probs) * total).sum() / (1.0 / gammas).sum())
+        got = json.loads(out)["results"]["aggregate_gain"]
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
     def test_overflowing_payoff_never_reports_nan(self, tmp_path, capsys):
         path = write_market(
             tmp_path,
@@ -519,6 +555,34 @@ class TestCommands:
         assert main(argv) == EXIT_OK
         assert build_parser() is parser
         assert capsys.readouterr() == fresh
+
+
+class TestNoObjectPerAgent:
+    def test_commands_build_no_agent(self, tmp_path, monkeypatch):
+        # ingest builds the market from arrays, and no command reads its
+        # per-agent objects: not one Agent is constructed in eight runs
+        built = []
+        post_init = core.Agent.__post_init__
+        monkeypatch.setattr(core.Agent, "__post_init__",
+                            lambda agent: built.append(1) or post_init(agent))
+        loaded = []
+
+        def ingest(doc, ingest=cli.ingest_market_document):
+            loaded.append(ingest(doc))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "ingest_market_document", ingest)
+        rng = np.random.default_rng(29)
+        agents = [{"gamma": float(g), "payoffs": row.tolist()}
+                  for g, row in zip(rng.uniform(0.5, 2.0, 1000), rng.normal(size=(1000, 6)))]
+        path = write_market(tmp_path, probs=[1.0 / 6] * 6, agents=agents,
+                            securities=[rng.normal(size=6).tolist()])
+        codes = [_run(list(command) + ["--market", str(path)])[0] for command in COMMANDS]
+        # 1000 endowments on 6 states are singular by rank, so pareto exits 3
+        assert codes == [EXIT_NUMERICAL] + [EXIT_OK] * 7
+        assert len(loaded) == len(COMMANDS)
+        assert built == []
+        assert not any("agents" in vars(entry["market"]) for entry in loaded)
 
 
 def _flat(value, path=""):

@@ -573,7 +573,7 @@ ENGINES = {
     "endowment_variances": lambda m, c: strategic.endowment_variances(m),
     "truthful_schedules": lambda m, c: strategic.truthful_schedules(m, c),
     "reported_utility": lambda m, c: strategic.reported_utility(
-        m, 17, m.agents[17].endowment),
+        m, 17, m.space.rv(m.payoffs[17])),
     "best_endowment_response": lambda m, c: strategic.best_endowment_response(m, 17),
     "best_percentage_response": lambda m, c: strategic.best_percentage_response(m, 17),
     "percentage_responses": lambda m, c: strategic.percentage_responses(m, np.ones(m.n)),
@@ -615,9 +615,11 @@ class TestNoNByN:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_no_n_by_n_intermediate(self, engine):
         # an n x n float matrix is 128 MB at n = 4000; the engines work on the
-        # n x m centered rows and per-agent vectors, and never build Var[E]
+        # n x m centered rows and per-agent vectors, never build Var[E], and
+        # never build the per-agent objects of a market built from arrays
         rng = np.random.default_rng(25)
-        m = make_market(rng, n=4000, m=6)
+        drawn = make_market(rng, n=4000, m=6)
+        m = Market.from_arrays(drawn.space, drawn.gammas, drawn.payoffs)
         basket = make_basket(rng, m.space, k=2)
         tracemalloc.start()
         try:
@@ -627,3 +629,4 @@ class TestNoNByN:
             tracemalloc.stop()
         assert peak < 16e6, peak
         assert "gram" not in vars(m)
+        assert "agents" not in vars(m)
