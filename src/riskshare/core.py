@@ -9,9 +9,9 @@ basket, which owns its own. The engines read only these and add cash (the
 means) last, so a cash shift of an endowment, however large, moves nothing
 else. No engine builds the n x n covariance matrix Var[E]: every engine works
 on the centered rows in O(nm), and `require_invertible` rejects n >= m
-endowments by rank before any product is formed. `cross_cov` (two-pass)
-serves `Rv` moments and the oracle. All objects are immutable after
-construction.
+endowments by rank before any product is formed. `cross_cov` (two-pass,
+weighting before it squares) serves `Rv` moments and the oracle. All objects
+are immutable after construction.
 `ProbSpace.rvs` builds many random variables at once: it copies and
 validates one payoff matrix, marks it read-only and hands each `Rv` a
 read-only view of its row; `demand_schedules` does the same for demand
@@ -168,11 +168,12 @@ def centered(p: np.ndarray, x: np.ndarray) -> np.ndarray:
 def cross_cov(p: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Covariances of payoff rows, each centered first (two-pass).
 
-    Equal shapes pair row i of x with row i of y; a single row is paired
-    with every row.
+    Rows pair by broadcasting: equal shapes pair row i of x with row i of y,
+    and a single row is paired with every row. Each product weights by p
+    before it squares, (X p) Y, so no finite variance overflows in a square.
     """
     xc = centered(p, x)
-    return (xc * (xc if y is x else centered(p, y))) @ p
+    return np.vecdot(xc * p, xc if y is x else centered(p, y))
 
 
 def _two_pass(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

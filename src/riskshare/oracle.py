@@ -9,9 +9,11 @@ price, so it is a concave quadratic in them. One derivative-free search,
 give the exact gradient and Hessian of a quadratic, and one Newton step lands
 on the optimum. It raises when the measured curvature is not concave, so a
 wrong objective disagrees loudly instead of returning a saddle point. The
-objectives are evaluated on payoff arrays: a report profile is one n x m
-matrix whose row i a search overwrites in place, and every moment goes
-through `core.cross_cov`.
+search evaluates its whole stencil of q = 1 + 2k + k(k+1)/2 points in one
+call, so every objective takes a stack of points and returns one value per
+point. The objectives are evaluated on payoff arrays: a report search
+evaluates a q x n x m stack of profiles, each the n x m profile with row i
+replaced by a trial report, and every moment goes through `core.cross_cov`.
 
 Best responses live in the span of the basis payoffs (the objective strictly
 worsens in any orthogonal direction), so searches run over span coefficients.
@@ -24,7 +26,7 @@ endowments are linearly dependent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -43,29 +45,50 @@ def _rows(reports) -> np.ndarray:
     return np.stack([r.payoffs for r in reports])
 
 
+def _value(values):
+    """A float for one point, the array of values for a stack of points."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 def _mv_value(gamma: float, probs: np.ndarray, x: np.ndarray):
-    """E[x] - gamma Var[x] of a payoff row."""
+    """E[x] - gamma Var[x] of each payoff row (state axis last)."""
     return x @ probs - gamma * cross_cov(probs, x, x)
+
+
+@cache
+def _stencil(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit-step stencil offsets in k dimensions and its Hessian pairs.
+
+    The q = 1 + 2k + k(k+1)/2 rows are 0, +e_a, -e_a and e_a + e_b for the
+    pairs a <= b that are returned with them. Read-only, built once per k.
+    """
+    unit = np.eye(k)
+    a, b = np.triu_indices(k)
+    offsets = np.concatenate([np.zeros((1, k)), unit, -unit, unit[a] + unit[b]])
+    for arr in (offsets, a, b):
+        arr.flags.writeable = False
+    return offsets, a, b
 
 
 def _quadratic_argmax(f, center) -> np.ndarray:
     """Maximizer of a concave quadratic f by one Newton step from `center`.
 
     Central differences with unit steps give the exact gradient and Hessian
-    of a quadratic. Axes of negative curvature take the Newton step; flat
-    axes (within a relative `_CURVATURE_FLOOR`, as a dependent basis gives)
-    are left at the center, so the step is the minimum-norm maximizer. A
-    positive curvature beyond the floor raises ValueError.
+    of a quadratic. f is called once, on the q x k stack of stencil points
+    (`_stencil`), and returns their q values; a report objective thus holds
+    q x n x m floats at once. Axes of negative curvature take the Newton
+    step; flat axes (within a relative `_CURVATURE_FLOOR`, as a dependent
+    basis gives) are left at the center, so the step is the minimum-norm
+    maximizer. A positive curvature beyond the floor raises ValueError.
     """
     center = np.asarray(center, dtype=float)
-    unit = np.eye(center.size)
-    f0 = f(center)
-    fe = np.array([f(center + u) for u in unit])
-    grad = 0.5 * (fe - np.array([f(center - u) for u in unit]))
-    hess = np.empty((center.size, center.size))
-    for a in range(center.size):
-        for b in range(a, center.size):
-            hess[a, b] = hess[b, a] = f(center + unit[a] + unit[b]) - fe[a] - fe[b] + f0
+    k = center.size
+    offsets, a, b = _stencil(k)
+    values = f(center + offsets)
+    f0, fe, fm = values[0], values[1 : k + 1], values[k + 1 : 2 * k + 1]
+    grad = 0.5 * (fe - fm)
+    hess = np.empty((k, k))
+    hess[a, b] = hess[b, a] = values[2 * k + 1 :] - fe[a] - fe[b] + f0
     curvatures, axes = np.linalg.eigh(hess)
     floor = _CURVATURE_FLOOR * np.abs(curvatures).max()
     if curvatures[-1] > floor:
@@ -106,33 +129,37 @@ class SearchResult:
     value: float
 
 
-def deviation_gain(market: Market, i: int, reports) -> float:
+def deviation_gain(market: Market, i: int, reports):
     """Agent i's utility when the sharing mechanism runs on `reports`.
 
-    `reports` is a list of n `Rv` or the equal n x m payoff matrix. Composed
-    from the mechanism's definition only: the aggregate of reports is
-    reshared, agent i receives (gamma/gamma_i) aggregate - report_i, and
-    pays its market price E[.] - 2 gamma Cov(., aggregate).
+    `reports` is a list of n `Rv`, the equal n x m payoff matrix (a float is
+    returned) or a q x n x m stack of profiles (q values). Composed from the
+    mechanism's definition only: the aggregate of reports is reshared, agent
+    i receives (gamma/gamma_i) aggregate - report_i, and pays its market
+    price E[.] - 2 gamma Cov(., aggregate).
     """
     reports = _rows(reports)
     p = market.space.probs
     g = market.aggregate_gamma
     gi = market.gammas[i]
-    aggregate = reports.sum(axis=0)
-    contract = (g / gi) * aggregate - reports[i]
+    aggregate = reports.sum(axis=-2)
+    contract = (g / gi) * aggregate - reports[..., i, :]
     cash = contract @ p - 2.0 * g * cross_cov(p, contract, aggregate)
-    return float(_mv_value(gi, p, market.payoffs[i] + contract) - cash)
+    return _value(_mv_value(gi, p, market.payoffs[i] + contract) - cash)
 
 
 def _report_gain(market: Market, i: int, reports: np.ndarray, basis: np.ndarray):
     """Agent i's gain as a function of its report's coefficients on `basis`.
 
-    Each evaluation overwrites row i of `reports` with the trial report.
+    A stack of coefficient vectors gives the stack of profiles `reports`
+    with row i replaced by each trial report; `reports` is not written.
     """
 
     def gain(coefficients):
-        reports[i] = coefficients @ basis
-        return deviation_gain(market, i, reports)
+        trial = coefficients @ basis
+        profiles = np.broadcast_to(reports, trial.shape[:-1] + reports.shape).copy()
+        profiles[..., i, :] = trial
+        return deviation_gain(market, i, profiles)
 
     return gain
 
@@ -142,8 +169,7 @@ def argmax_reported_utility(
 ) -> SearchResult:
     """Numerically best report of agent i, as coefficients on `spec.basis`,
     while every other agent reports truthfully."""
-    reports = np.array(market.payoffs)
-    gain = _report_gain(market, i, reports, spec.payoffs)
+    gain = _report_gain(market, i, market.payoffs, spec.payoffs)
     coefficients = _quadratic_argmax(gain, np.zeros(len(spec.basis)))
     return SearchResult(coefficients=coefficients, value=gain(coefficients))
 
@@ -160,7 +186,7 @@ def argmax_demand(
 
     def objective(a):
         x = a @ basket.payoffs + endowment.payoffs
-        return float(_mv_value(agent_gamma, probs, x) - a @ p)
+        return _mv_value(agent_gamma, probs, x) - a @ p
 
     return _quadratic_argmax(objective, np.zeros(basket.k))
 
@@ -236,13 +262,14 @@ def clearing_utility(market: Market, i: int, basket: SecurityBasket, schedules, 
     """Agent i's utility absorbing the others' demand at price p.
 
     `schedules` are the other agents' demand schedules, any objects exposing
-    quantities(basket, p).
+    quantities(basket, p), affine in p. A price vector gives a float, a q x k
+    stack of prices q values.
     """
     p = np.asarray(p, dtype=float)
     supplied = sum(s.quantities(basket, p) for s in schedules)
     position = market.payoffs[i] - supplied @ basket.payoffs
     utility = _mv_value(market.gammas[i], market.space.probs, position)
-    return float(utility + supplied @ p)
+    return _value(utility + np.vecdot(supplied, p))
 
 
 def argmax_phi(

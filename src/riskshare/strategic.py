@@ -170,7 +170,7 @@ def best_price_response(
     if len(other_schedules) != market.n - 1:
         raise ValueError("need one schedule per other agent")
     gi = market.gammas[i]
-    go = 1.0 / sum(1.0 / s.gamma for s in other_schedules)
+    go = 1.0 / np.sum([1.0 / s.gamma for s in other_schedules])
     cbar = np.sum([s.c for s in other_schedules], axis=0)
     h = market.exposures(basket)[i]
     gap = 2.0 * (gi * go * h + go * (gi + go) * cbar) / (gi + 2.0 * go)

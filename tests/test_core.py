@@ -148,6 +148,15 @@ class TestMoments:
             mv_utility(1.3, x) + c, abs=1e-9
         )
 
+    def test_var_where_squares_overflow(self):
+        # the centered payoff 1.98e154 squares past the float range; weighted
+        # by its probability 0.01 first, it does not
+        space = ProbSpace(np.array([0.01, 0.33, 0.33, 0.33]))
+        x = space.rv([2e154, 0.0, 0.0, 0.0])
+        with np.errstate(over="raise"):
+            assert var(x) == pytest.approx(0.01 * 0.99 * 2e154 * 2e154, rel=1e-14)
+            assert cov(x, -x) == pytest.approx(-var(x), rel=1e-15)
+
     def test_equal_up_to_constants(self):
         sp = _space(3)
         x = sp.rv([1.0, 2.0, 3.0])

@@ -85,6 +85,92 @@ class TestStructuralIndependence:
             assert deviation_gain(m, i, matrix) == pytest.approx(gain, abs=1e-12)
 
 
+def _concave_quadratic(rng, k, flat=0):
+    """-(x - top) A (x - top) / 2 on stacks of points, A positive
+    semidefinite with `flat` zero eigenvalues, and the rotation whose last
+    `flat` columns span A's null space."""
+    axes, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    curvatures = rng.uniform(0.5, 3.0, size=k)
+    curvatures[k - flat:] = 0.0
+    hessian = (axes * curvatures) @ axes.T
+    top = rng.normal(size=k)
+
+    def f(x):
+        d = x - top
+        return -0.5 * np.vecdot(d @ hessian, d)
+
+    return f, top, axes
+
+
+def _counting(f):
+    def counted(x):
+        counted.calls += 1
+        return f(x)
+
+    counted.calls = 0
+    return counted
+
+
+class TestQuadraticArgmax:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_one_batched_call_lands_on_maximizer(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(5):
+            f, top, _ = _concave_quadratic(rng, k)
+            counted = _counting(f)
+            found = oracle_module._quadratic_argmax(counted, rng.normal(size=k))
+            assert counted.calls == 1
+            np.testing.assert_allclose(found, top, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_flat_axis_left_at_center(self, k):
+        rng = np.random.default_rng(110 + k)
+        f, top, axes = _concave_quadratic(rng, k, flat=1)
+        center = rng.normal(size=k)
+        found = oracle_module._quadratic_argmax(f, center)
+        flat = axes[:, -1]
+        assert abs((found - center) @ flat) < 1e-9
+        np.testing.assert_allclose(axes[:, :-1].T @ found, axes[:, :-1].T @ top,
+                                   rtol=0.0, atol=1e-9)
+
+    def test_convex_raises(self):
+        rng = np.random.default_rng(117)
+        f, _, _ = _concave_quadratic(rng, 3)
+        with pytest.raises(ValueError, match="not concave"):
+            oracle_module._quadratic_argmax(lambda x: -f(x), np.zeros(3))
+
+
+class TestBatchedObjectives:
+    def test_deviation_gain_stack_matches_profiles(self):
+        rng = np.random.default_rng(118)
+        for _ in range(5):
+            m = make_market(rng)
+            i = int(rng.integers(m.n))
+            stack = rng.normal(size=(7, m.n, m.space.n_states))
+            gains = deviation_gain(m, i, stack)
+            assert gains.shape == (7,)
+            for profile, gain in zip(stack, gains):
+                single = deviation_gain(m, i, profile)
+                assert type(single) is float
+                assert single == pytest.approx(gain, rel=0.0, abs=1e-12)
+            assert type(deviation_gain(m, i, m.endowments())) is float
+
+    def test_clearing_utility_stack_matches_rows(self):
+        rng = np.random.default_rng(119)
+        for _ in range(5):
+            m = make_market(rng, m=5)
+            basket = make_basket(rng, m.space, k=int(rng.integers(1, 4)))
+            i = int(rng.integers(m.n))
+            others = [s for j, s in enumerate(truthful_schedules(m, basket)) if j != i]
+            prices = basket.mean_vector + rng.normal(scale=0.3, size=(6, basket.k))
+            values = clearing_utility(m, i, basket, others, prices)
+            assert values.shape == (6,)
+            for p, value in zip(prices, values):
+                single = clearing_utility(m, i, basket, others, p)
+                assert type(single) is float
+                assert single == pytest.approx(value, rel=0.0, abs=1e-12)
+
+
 class TestSearchSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
