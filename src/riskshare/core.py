@@ -229,8 +229,8 @@ def pricing(gamma, expectation, covariance):
 
 def mv_utility(agent_gamma: float, x: Rv) -> float:
     """Mean-variance utility E[x] - gamma * Var[x]."""
-    if agent_gamma <= 0.0:
-        raise ValueError("risk aversion must be positive")
+    if not math.isfinite(agent_gamma) or agent_gamma <= 0.0:
+        raise ValueError(f"gamma must be a positive number, got {agent_gamma!r}")
     return mean(x) - agent_gamma * var(x)
 
 
@@ -422,17 +422,22 @@ class DemandSchedule:
     """Linear mean-variance demand, identified by (gamma, covariance vector).
 
     Evaluates to ((E[C] - p) / (2 gamma) - c) . Var^{-1}[C]; affine in p.
+    The others' demand enters the price game as their one `pooled` schedule.
     """
 
     gamma: float
     c: np.ndarray
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        c = np.asarray(self.c, dtype=float).copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
+        if not math.isfinite(self.gamma) or self.gamma <= 0.0:
+            raise ValueError(f"gamma must be a positive number, got {self.gamma!r}")
+        object.__setattr__(self, "c", _as_float_array(self.c, "c"))
+
+    @classmethod
+    def pooled(cls, schedules) -> "DemandSchedule":
+        """The schedule demanding their sum: harmonic aggregate gamma, summed c."""
+        gamma = 1.0 / np.sum([1.0 / s.gamma for s in schedules])
+        return cls(gamma, np.sum([s.c for s in schedules], axis=0))
 
     @classmethod
     def _trusted(cls, gamma: float, c: np.ndarray) -> "DemandSchedule":

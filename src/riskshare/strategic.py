@@ -1,12 +1,12 @@
 """Single-deviator strategies in the risk-sharing and security markets.
 
 One agent learns what the others are going to share (their reported
-endowments, or their demand schedules) and reports whatever maximizes their
-own utility once the sharing mechanism is applied; the utility of any report
-is the autarky utility plus the agent's `pareto.mechanism_gains` on the
-report profile. Best responses are returned zero-mean normalized; the
-deviator's utility is invariant to cash shifts of the report, so nothing is
-lost.
+endowments, or their demand schedules, which enter the price game as one
+pooled schedule) and reports whatever maximizes their own utility once the
+sharing mechanism is applied; the utility of any report is the autarky
+utility plus the agent's `pareto.mechanism_gains` on the report profile.
+Best responses are returned zero-mean normalized; the deviator's utility is
+invariant to cash shifts of the report, so nothing is lost.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .core import (
     SecurityBasket,
     autarky_utilities,
     centered,
+    cov_vector,
     demand_schedules,
     holding_utilities,
     pricing,
@@ -157,9 +158,8 @@ def best_price_response(
 ) -> np.ndarray:
     """Clearing price most preferable for agent i against the others' schedules.
 
-    First-order condition of `price_objective`: with gamma_o the harmonic
-    aggregate of the others' gammas, cbar the sum of their covariance
-    vectors and h_i = Cov(C, E_i),
+    First-order condition of `price_objective`: with gamma_o and cbar the
+    gamma and c of the others' pooled schedule and h_i = Cov(C, E_i),
     E[C] - p_hat_i = 2 (gamma_i gamma_o h_i + gamma_o (gamma_i + gamma_o) cbar)
                      / (gamma_i + 2 gamma_o).
     The schedules may be any. Against truthful ones it reads
@@ -169,9 +169,8 @@ def best_price_response(
     """
     if len(other_schedules) != market.n - 1:
         raise ValueError("need one schedule per other agent")
-    gi = market.gammas[i]
-    go = 1.0 / np.sum([1.0 / s.gamma for s in other_schedules])
-    cbar = np.sum([s.c for s in other_schedules], axis=0)
+    pool = DemandSchedule.pooled(other_schedules)
+    gi, go, cbar = market.gammas[i], pool.gamma, pool.c
     h = market.exposures(basket)[i]
     gap = 2.0 * (gi * go * h + go * (gi + go) * cbar) / (gi + 2.0 * go)
     return basket.mean_vector - gap
@@ -185,16 +184,14 @@ def best_demand_response(
     Same linear family as the truthful demand, with the covariance vector
     taken against the best endowment response instead of the true endowment.
     """
-    exposures = market.exposures(basket)
-    own, other = _response_coefficients(market)
-    c = own[i] * exposures[i] + other[i] * (exposures.sum(axis=0) - exposures[i])
-    return DemandSchedule(market.gammas[i], c)
+    best = best_endowment_response(market, i)
+    return DemandSchedule(market.gammas[i], cov_vector(basket, best))
 
 
 def clearing_price(basket: SecurityBasket, schedules: Sequence[DemandSchedule]) -> np.ndarray:
     """Price at which the given demand schedules sum to zero."""
-    g = 1.0 / np.sum([1.0 / s.gamma for s in schedules])
-    return pricing(g, basket.mean_vector, np.sum([s.c for s in schedules], axis=0))
+    pool = DemandSchedule.pooled(schedules)
+    return pricing(pool.gamma, basket.mean_vector, pool.c)
 
 
 def price_objective(
@@ -207,10 +204,10 @@ def price_objective(
     """Utility of agent i when the market clears at price p.
 
     phi_i(p) = U_i(E_i - sum_j Z_j(p) . C) + sum_j Z_j(p) . p over the other
-    agents' schedules; agent i absorbs the residual supply.
+    agents' schedules, summed as one pooled schedule; agent i absorbs the
+    residual supply.
     """
-    p = np.asarray(p, dtype=float)
-    supplied = np.sum([s.quantities(basket, p) for s in other_schedules], axis=0)
+    supplied = DemandSchedule.pooled(other_schedules).quantities(basket, p)
     return float(holding_utilities(market, basket, -supplied, p)[i])
 
 
@@ -232,14 +229,12 @@ def percentage_response_report(market: Market, i: int) -> ResponseReport:
 def demand_response_report(
     market: Market, i: int, basket: SecurityBasket
 ) -> ResponseReport:
-    schedules = truthful_schedules(market, basket)
-    p_star = clearing_price(basket, schedules)
-    others = [s for j, s in enumerate(schedules) if j != i]
-    before = price_objective(market, i, basket, others, p_star)
-    p_hat = best_price_response(market, i, basket, others)
-    after = price_objective(market, i, basket, others, p_hat)
-    return ResponseReport(
-        response=best_demand_response(market, i, basket),
-        utility_before=before,
-        utility_after=after,
-    )
+    others = truthful_schedules(market, basket)
+    truthful = others.pop(i)
+    pool = [DemandSchedule.pooled(others)]
+    best = best_demand_response(market, i, basket)
+    p_star = clearing_price(basket, pool + [truthful])
+    p_hat = clearing_price(basket, pool + [best])  # = best_price_response against `others`
+    before = price_objective(market, i, basket, pool, p_star)
+    after = price_objective(market, i, basket, pool, p_hat)
+    return ResponseReport(best, before, after)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from riskshare.core import (
     Agent,
+    DemandSchedule,
     Market,
     ProbSpace,
     Rv,
@@ -147,6 +148,11 @@ class TestMoments:
         assert mv_utility(1.3, x + c) == pytest.approx(
             mv_utility(1.3, x) + c, abs=1e-9
         )
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_utility_rejects_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be a positive number"):
+            mv_utility(gamma, _space(2).rv([1.0, -1.0]))
 
     def test_var_where_squares_overflow(self):
         # the centered payoff 1.98e154 squares past the float range; weighted
@@ -381,3 +387,32 @@ class TestDemand:
         best = objective(a)
         for _ in range(50):
             assert objective(a + rng.normal(scale=0.1, size=2)) <= best + 1e-12
+
+
+class TestDemandSchedule:
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_rejects_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be a positive number"):
+            DemandSchedule(gamma, [1.0])
+
+    @pytest.mark.parametrize("c, match", [
+        ([float("nan")], "c contains non-finite entries"),
+        ([1.0, float("inf")], "c contains non-finite entries"),
+        ([[1.0], [2.0]], "c must be one-dimensional"),
+    ])
+    def test_rejects_bad_c(self, c, match):
+        with pytest.raises(ValueError, match=match):
+            DemandSchedule(1.0, c)
+
+    def test_c_copied_and_read_only(self):
+        c = np.array([1.0, -2.0])
+        schedule = DemandSchedule(1.5, c)
+        c[0] = 7.0
+        assert schedule.c.tolist() == [1.0, -2.0]
+        assert not schedule.c.flags.writeable
+
+    def test_pooled_is_validated(self):
+        # a c sum that overflows where overflow does not raise
+        big = DemandSchedule(1.0, [1e308])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            DemandSchedule.pooled([big, big])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskshare.core import DemandSchedule, mv_utility, var
+from riskshare.core import DemandSchedule, holding_utilities, mv_utility, var
 from riskshare.oracle import argmax_phi
 from riskshare.pareto import capm_equilibrium, optimal_sharing
 from riskshare.strategic import (
@@ -172,6 +172,14 @@ class TestBestPriceResponse:
                     atol=1e-6,
                 )
 
+    def test_needs_one_schedule_per_other_agent(self):
+        # all n schedules, agent i's included, are one too many
+        rng = np.random.default_rng(43)
+        m = make_market(rng, n=3, m=4)
+        basket = make_basket(rng, m.space)
+        with pytest.raises(ValueError, match="need one schedule per other agent"):
+            best_price_response(m, 0, basket, truthful_schedules(m, basket))
+
     def test_maximizes_clearing_utility(self):
         rng = np.random.default_rng(37)
         for _ in range(5):
@@ -242,3 +250,69 @@ class TestResponseReports:
         basket = make_basket(rng, m.space, k=1)
         rep = demand_response_report(m, 0, basket)
         assert rep.utility_after >= rep.utility_before - 1e-12
+
+
+def _untruthful(rng, schedules):
+    """The schedules with misstated risk aversions and exposures."""
+    return [DemandSchedule(s.gamma * rng.uniform(0.5, 2.0),
+                           s.c + rng.normal(scale=0.5, size=s.c.size)) for s in schedules]
+
+
+class TestPooledSchedule:
+    def test_demand_is_the_sum_of_demands(self):
+        rng = np.random.default_rng(44)
+        for k in (1, 2):
+            for _ in range(5):
+                m = make_market(rng, n=int(rng.integers(2, 7)), m=4)
+                basket = make_basket(rng, m.space, k=k)
+                schedules = _untruthful(rng, truthful_schedules(m, basket))
+                p = basket.mean_vector + rng.normal(size=k)
+                pooled = DemandSchedule.pooled(schedules).quantities(basket, p)
+                summed = np.sum([s.quantities(basket, p) for s in schedules], axis=0)
+                assert np.all(np.abs(pooled - summed) <= 1e-12 * (1.0 + np.abs(summed)))
+
+    def test_report_matches_per_agent_sums(self):
+        # the report as it was stated schedule by schedule: the clearing price
+        # of all truthful schedules, the n - 1 others' demand summed one by
+        # one, the best price response and the best report's exposures
+        rng = np.random.default_rng(45)
+        for k in (1, 2):
+            for _ in range(5):
+                m = make_market(rng, n=int(rng.integers(2, 7)), m=5)
+                basket = make_basket(rng, m.space, k=k)
+                i = int(rng.integers(m.n))
+                schedules = truthful_schedules(m, basket)
+                others = [s for j, s in enumerate(schedules) if j != i]
+
+                def phi(p):
+                    supplied = np.sum([s.quantities(basket, p) for s in others], axis=0)
+                    return holding_utilities(m, basket, -supplied, p)[i]
+
+                g = 1.0 / np.sum([1.0 / s.gamma for s in schedules])
+                p_star = basket.mean_vector - 2.0 * g * np.sum([s.c for s in schedules], axis=0)
+                p_hat = best_price_response(m, i, basket, others)
+                exposures = m.exposures(basket)
+                own, other = _response_coefficients(m)
+                c = own[i] * exposures[i] + other[i] * (exposures.sum(axis=0) - exposures[i])
+                rep = demand_response_report(m, i, basket)
+                assert rep.response.gamma == m.gammas[i]
+                for got, want in ((rep.response.c, c), (rep.utility_before, phi(p_star)),
+                                  (rep.utility_after, phi(p_hat))):
+                    assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want)))
+
+    @pytest.mark.parametrize("n", [5, 2000])
+    def test_report_evaluates_demand_at_most_twice(self, n, monkeypatch):
+        # the others' demand is one pooled schedule, not one call per agent
+        rng = np.random.default_rng(46)
+        m = make_market(rng, n=n, m=6)
+        basket = make_basket(rng, m.space)
+        calls = []
+        quantities = DemandSchedule.quantities
+
+        def counted(self, basket, p):
+            calls.append(self)
+            return quantities(self, basket, p)
+
+        monkeypatch.setattr(DemandSchedule, "quantities", counted)
+        demand_response_report(m, 0, basket)
+        assert len(calls) <= 2
