@@ -16,10 +16,9 @@ are immutable after construction.
 validates one payoff matrix, marks it read-only and hands each `Rv` a
 read-only view of its row; `demand_schedules` does the same for demand
 schedules. A market is built from agents or, with no object per agent, from
-its arrays (`Market.from_arrays`). The CLI and the experiments build every
-market from arrays, and no engine reads `Market.agents` or
-`Market.endowments()`: those per-agent objects are built only for a caller
-that asks for them.
+its arrays (`Market.from_arrays`); only `Market.agents` builds `Agent`s from
+arrays, for a caller that reads it (`agent_pool`; no engine or CLI path).
+Two spaces agree as one object or by equal probabilities (`require_same_space`).
 """
 
 from __future__ import annotations
@@ -105,6 +104,13 @@ class ProbSpace:
         return [Rv._trusted(self, row) for row in matrix]
 
 
+def require_same_space(space: ProbSpace, other: ProbSpace, message: str) -> None:
+    """Raise SpaceMismatchError(message) unless `other` is `space` or has its probabilities."""
+    # positive finite probabilities are equal exactly when their bytes are
+    if other is not space and other.probs.tobytes() != space.probs.tobytes():
+        raise SpaceMismatchError(message)
+
+
 @dataclass(frozen=True, eq=False)
 class Rv:
     """Random variable: a payoff vector over a finite probability space."""
@@ -130,10 +136,7 @@ class Rv:
         return rv
 
     def _check_space(self, other: "Rv") -> None:
-        if other.space is not self.space and not np.array_equal(
-            other.space.probs, self.space.probs
-        ):
-            raise SpaceMismatchError("random variables live on different spaces")
+        require_same_space(self.space, other.space, "random variables live on different spaces")
 
     def __add__(self, other):
         if isinstance(other, Rv):
@@ -252,9 +255,8 @@ class Market:
 
     Built from agents, `Market(space, agents)`, or from arrays,
     `Market.from_arrays(space, gammas, payoffs)`. Both run one validation of
-    the arrays; a market built from arrays builds its `agents` on first read.
-    The CLI and the experiments build from arrays, and no engine reads
-    `agents` or `endowments()`, so on those paths neither is ever built.
+    the arrays; a market built from arrays builds its `agents` on first read,
+    and no engine reads `agents` or `endowments()`.
     """
 
     space: ProbSpace
@@ -267,10 +269,8 @@ class Market:
     def __init__(self, space: ProbSpace, agents):
         agents = tuple(agents)
         for k, a in enumerate(agents):
-            if a.endowment.space is not space and not np.array_equal(
-                    a.endowment.space.probs, space.probs):
-                raise SpaceMismatchError(
-                    f"endowment of agent {k} is not on the market's space")
+            require_same_space(space, a.endowment.space,
+                               f"endowment of agent {k} is not on the market's space")
         self._set_arrays(space, [a.gamma for a in agents],
                          [a.endowment.payoffs for a in agents])
         self.__dict__["agents"] = agents  # the cached value of `agents`
@@ -340,7 +340,9 @@ class Market:
         return variances
 
     def exposures(self, basket: "SecurityBasket") -> np.ndarray:
-        """The n x k covariances Cov(E_i, C_j) of endowments and securities."""
+        """The n x k covariances Cov(E_i, C_j) of endowments and securities;
+        every basket engine reads them, so a basket off the space raises here."""
+        require_same_space(self.space, basket.space, "basket is not on the market's space")
         return (self.centered * self.space.probs) @ basket.centered.T
 
     def combine(self, linear) -> np.ndarray:

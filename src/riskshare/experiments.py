@@ -5,15 +5,15 @@ pool within the paper's bounds (ENDOWMENT_NORM, GAMMA_RANGE) as arrays, risk
 aversions and an n x m payoff matrix, measures each prefix market, built by
 `Market.from_arrays` on row slices, so the tables are nested (and therefore
 smooth in n) and fully reproducible, and reads the verdict from the largest.
-No table row builds an object per agent; `agent_pool` wraps the same draw in
-agents for callers that want them. The figures are fixed grids (RHO_GRID,
-GAMMA1_GRID) whose variance/correlation targets a three-state construction
-realizes, since every quantity in the model depends on the endowments only
-through first and second moments; `correlated_pair_market` builds each grid
-point's market from its two payoff rows with `Market.from_arrays`, so no
-figure builds an object per agent either.
-`FIGURES` maps each figure to its builder, and `EXPERIMENTS` each standard
-experiment id to its table, for the CLI and the script.
+No table row builds an object per agent; `agent_pool` hands callers that
+want agents the `Market.agents` of the same draw. The figures are fixed grids
+whose variance/correlation targets a three-state construction realizes,
+since every quantity in the model depends on the endowments only through
+first and second moments; `correlated_pair_market` builds each grid point's
+market from arrays, so no figure builds an object per agent either. One
+loop, `_figure`, builds all four: `FIGURES` maps each figure to its variance
+ratio, gamma1 grid, columns and cells function. `EXPERIMENTS` maps each
+standard experiment id to its table, for the CLI and the script.
 """
 
 from __future__ import annotations
@@ -141,16 +141,16 @@ def _draw_pool(
 
 def agent_pool(
     spec: AgentSequenceSpec, homogeneous: bool
-) -> tuple[ProbSpace, list[Agent]]:
+) -> tuple[ProbSpace, tuple[Agent, ...]]:
     """Seeded pool of max(sizes) agents; markets use its prefixes.
 
     Each agent draws its payoffs, then (heterogeneous pools) its risk
     aversion, so a pool's agents are the prefix of any larger pool's. Each
     draw is scaled to L2 norm ENDOWMENT_NORM; both bounds are re-checked on
-    every pool emitted.
+    every pool emitted. The agents are the `Market.agents` of the whole pool.
     """
     space, gammas, payoffs = _draw_pool(spec, homogeneous)
-    return space, [Agent(float(g), e) for g, e in zip(gammas, space.rvs(payoffs))]
+    return space, Market.from_arrays(space, gammas, payoffs).agents
 
 
 def _growing_markets(
@@ -263,40 +263,35 @@ RHO_GRID = np.linspace(-1.0, 1.0, 21)
 GAMMA1_GRID = np.linspace(0.2, 3.0, 15)
 
 
-def _percentage_figure(variance_ratio: float) -> Table:
+def _figure(variance_ratio: float, gamma1_grid, columns: tuple[str, ...], cells) -> Table:
+    """One row (rho, *cells(market, its percentage equilibrium)) per grid point.
+
+    The market at (rho, gamma1) is `correlated_pair_market` of risk
+    aversions (gamma1, 1) and variances (1, variance_ratio).
+    """
     rows = []
     for rho in RHO_GRID:
-        market = correlated_pair_market(1.0, 1.0, 1.0, variance_ratio, float(rho))
-        outcome = nash_percentage(market)
-        rows.append((float(rho), float(outcome.b_star[0]), float(outcome.b_star[1])))
-    return Table(
-        columns=("rho", "b1", "b2"),
-        rows=rows,
-        metadata={"variance_ratio": variance_ratio},
-    )
-
-
-def _gain_figure(variance_ratio: float) -> Table:
-    rows = []
-    for rho in RHO_GRID:
-        for g1 in GAMMA1_GRID:
+        for g1 in gamma1_grid:
             market = correlated_pair_market(float(g1), 1.0, 1.0, variance_ratio, float(rho))
-            outcome = nash_percentage(market)
-            nash_gain = float(percentage_game_gains(market, outcome)[0])
-            pareto_gain = float(mechanism_gains(market, market.centered)[0])
-            rows.append(
-                (float(rho), float(g1), nash_gain, pareto_gain, nash_gain - pareto_gain)
-            )
-    return Table(
-        columns=("rho", "gamma1", "nash_gain", "pareto_gain", "difference"),
-        rows=rows,
-        metadata={"variance_ratio": variance_ratio},
-    )
+            rows.append((float(rho), *cells(market, nash_percentage(market))))
+    return Table(columns=("rho", *columns), rows=rows,
+                 metadata={"variance_ratio": variance_ratio})
 
 
-# Each figure's table builder and its variance ratio Var[E_2] / Var[E_1].
-FIGURES = {1: (_percentage_figure, 10.0), 2: (_percentage_figure, 0.1),
-           3: (_gain_figure, 10.0), 4: (_gain_figure, 0.1)}
+def _gains(market: Market, outcome) -> tuple[float, ...]:
+    """gamma1, agent 1's percentage-game and unconstrained gains, their difference."""
+    nash_gain = float(percentage_game_gains(market, outcome)[0])
+    pareto_gain = float(mechanism_gains(market, market.centered)[0])
+    return float(market.gammas[0]), nash_gain, pareto_gain, nash_gain - pareto_gain
+
+
+# Each figure's variance ratio Var[E_2] / Var[E_1], gamma1 grid, and the
+# columns after rho with the function of (market, equilibrium) that fills them.
+_PERCENTAGES = ((1.0,), ("b1", "b2"),
+                lambda market, outcome: tuple(map(float, outcome.b_star)))
+_GAINS = (GAMMA1_GRID, ("gamma1", "nash_gain", "pareto_gain", "difference"), _gains)
+FIGURES = {1: (10.0, *_PERCENTAGES), 2: (0.1, *_PERCENTAGES),
+           3: (10.0, *_GAINS), 4: (0.1, *_GAINS)}
 
 
 def figure_data(figure_id: int) -> Table:
@@ -310,8 +305,7 @@ def figure_data(figure_id: int) -> Table:
     """
     if figure_id not in FIGURES:
         raise ValueError("figure id must be 1, 2, 3 or 4")
-    build, variance_ratio = FIGURES[figure_id]
-    return build(variance_ratio)
+    return _figure(*FIGURES[figure_id])
 
 
 # Every standard experiment by id, as a function of the agent-pool spec (the

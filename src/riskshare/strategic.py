@@ -27,6 +27,7 @@ from .core import (
     demand_schedules,
     holding_utilities,
     pricing,
+    require_same_space,
 )
 from .pareto import mechanism_gains
 
@@ -78,6 +79,8 @@ def _report_rows(market: Market, others: Sequence[Rv] | None) -> np.ndarray:
     """Centered report rows: the true endowments, or the `others` profile."""
     if others is None:
         return market.centered.copy()
+    for r in others:
+        require_same_space(market.space, r.space, "reports are not on the market's space")
     rows = np.stack([r.payoffs for r in others])
     if len(rows) != market.n:
         raise ValueError("reports must be a full-length profile (slot i is ignored)")
@@ -98,6 +101,7 @@ def reported_utility(
     `mechanism_gains` on the report profile. Cash in a report is priced at
     par, so only the centered reports matter.
     """
+    require_same_space(market.space, b.space, "report b is not on the market's space")
     reports = _report_rows(market, others)
     reports[i] = centered(market.space.probs, b.payoffs)
     return float(autarky_utilities(market)[i] + mechanism_gains(market, reports)[i])

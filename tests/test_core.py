@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskshare import nash, pareto, strategic
 from riskshare.core import (
     Agent,
     DemandSchedule,
@@ -16,6 +17,7 @@ from riskshare.core import (
     cov_vector,
     demand,
     equal_up_to_constants,
+    holding_utilities,
     mean,
     mv_utility,
     require_invertible,
@@ -416,3 +418,80 @@ class TestDemandSchedule:
         big = DemandSchedule(1.0, [1e308])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             DemandSchedule.pooled([big, big])
+
+
+class TestForeignSpace:
+    """A basket or a report must live on the market's space: the same object,
+    or a space of equal probabilities. Any other raises SpaceMismatchError,
+    whether it has the market's number of states or not."""
+
+    PROBS = [0.3, 0.3, 0.4]
+    FOREIGN = [pytest.param([0.5, 0.25, 0.25], id="same-m"),
+               pytest.param([0.25, 0.25, 0.25, 0.25], id="other-m")]
+
+    # every entry point that reads a basket, as f(market, basket, others' schedules)
+    BASKET_CALLS = {
+        "capm_equilibrium": lambda m, b, s: pareto.capm_equilibrium(m, b).prices,
+        "constrained_loss": lambda m, b, s: pareto.constrained_loss(m, b)[0],
+        "reservation_prices": lambda m, b, s: pareto.reservation_prices(m, b, 0),
+        "holding_utilities": lambda m, b, s: holding_utilities(
+            m, b, np.full((m.n, 1), 0.5), np.array([0.1])),
+        "best_price_response": lambda m, b, s: strategic.best_price_response(m, 0, b, s),
+        "price_objective": lambda m, b, s: strategic.price_objective(
+            m, 0, b, s, np.array([0.1])),
+        "demand_response_report": lambda m, b, s: strategic.demand_response_report(
+            m, 0, b).utility_after,
+        "nash_price": lambda m, b, s: nash.nash_price(m, b).price,
+        "nash_vs_pareto_utilities": lambda m, b, s: nash.nash_vs_pareto_utilities(
+            m, b).nash_utilities,
+    }
+    # every entry point that takes report Rvs, as f(market, report on the tested space)
+    REPORT_CALLS = {
+        "reported_utility-b": lambda m, r: strategic.reported_utility(m, 0, r),
+        "reported_utility-others": lambda m, r: strategic.reported_utility(
+            m, 0, m.space.rv(m.centered[0]), others=[m.space.rv(m.centered[0]), r, r]),
+        "best_endowment_response-others": lambda m, r: strategic.best_endowment_response(
+            m, 0, others=[m.space.rv(m.centered[0]), m.space.rv(m.centered[1]), r]).payoffs,
+    }
+
+    def _market(self):
+        space = ProbSpace(np.array(self.PROBS))
+        payoffs = [[1.0, -1.0, 0.5], [-0.5, 1.5, -1.0], [0.2, 0.1, -0.4]]
+        market = Market.from_arrays(space, [1.0, 2.0, 1.5], payoffs)
+        own = SecurityBasket((space.rv([1.0, 0.0, -1.0]),))
+        return market, strategic.truthful_schedules(market, own)[1:]
+
+    @pytest.mark.parametrize("probs", FOREIGN)
+    @pytest.mark.parametrize("name", list(BASKET_CALLS))
+    def test_foreign_basket_raises(self, name, probs):
+        market, schedules = self._market()
+        foreign = ProbSpace(np.array(probs))
+        basket = SecurityBasket((foreign.rv(np.linspace(-1.0, 2.0, foreign.n_states)),))
+        with pytest.raises(SpaceMismatchError, match="basket"):
+            self.BASKET_CALLS[name](market, basket, schedules)
+
+    @pytest.mark.parametrize("probs", FOREIGN)
+    @pytest.mark.parametrize("name", list(REPORT_CALLS))
+    def test_foreign_report_raises(self, name, probs):
+        market, _ = self._market()
+        foreign = ProbSpace(np.array(probs))
+        with pytest.raises(SpaceMismatchError, match="report"):
+            self.REPORT_CALLS[name](market, foreign.rv(np.linspace(-1.0, 2.0, foreign.n_states)))
+
+    @pytest.mark.parametrize("name", list(BASKET_CALLS))
+    def test_twin_space_basket_is_the_market_space(self, name):
+        # a distinct ProbSpace of equal probabilities gives the same bits
+        market, schedules = self._market()
+        payoffs = [2.0, -1.0, 0.5]
+        own = SecurityBasket((market.space.rv(payoffs),))
+        twin = SecurityBasket((ProbSpace(np.array(self.PROBS)).rv(payoffs),))
+        call = self.BASKET_CALLS[name]
+        assert np.array_equal(call(market, twin, schedules), call(market, own, schedules))
+
+    @pytest.mark.parametrize("name", list(REPORT_CALLS))
+    def test_twin_space_report_is_the_market_space(self, name):
+        market, _ = self._market()
+        payoffs = [0.7, -0.2, 0.3]
+        twin = ProbSpace(np.array(self.PROBS)).rv(payoffs)
+        call = self.REPORT_CALLS[name]
+        assert np.array_equal(call(market, twin), call(market, market.space.rv(payoffs)))

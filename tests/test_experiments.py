@@ -18,8 +18,14 @@ from riskshare.experiments import (
     inefficiency_decay,
     price_allocation_convergence,
 )
-from riskshare.nash import nash_endowment, nash_inefficiency, nash_price
-from riskshare.pareto import capm_equilibrium
+from riskshare.nash import (
+    nash_endowment,
+    nash_inefficiency,
+    nash_percentage,
+    nash_price,
+    percentage_game_gains,
+)
+from riskshare.pareto import capm_equilibrium, mechanism_gains
 
 
 class TestAgentSequenceSpec:
@@ -229,6 +235,30 @@ class TestFigureData:
         table = figure_data(1)
         assert table.columns == ("rho", "b1", "b2")
         assert len(table.rows) == 21
+
+    @pytest.mark.parametrize("figure_id", [1, 2, 3, 4])
+    def test_rows_match_per_point_reconstruction(self, figure_id):
+        # each grid point rebuilt on its own, float for float: equal risk
+        # aversions and the percentages (figures 1, 2), or agent 1's
+        # percentage-game and unconstrained gains over a gamma1 grid (3, 4)
+        ratio = 10.0 if figure_id in (1, 3) else 0.1
+        rows = []
+        for rho in np.linspace(-1.0, 1.0, 21):
+            if figure_id in (1, 2):
+                market = correlated_pair_market(1.0, 1.0, 1.0, ratio, float(rho))
+                b = nash_percentage(market).b_star
+                rows.append((float(rho), float(b[0]), float(b[1])))
+                continue
+            for g1 in np.linspace(0.2, 3.0, 15):
+                market = correlated_pair_market(float(g1), 1.0, 1.0, ratio, float(rho))
+                nash_gain = float(percentage_game_gains(market, nash_percentage(market))[0])
+                pareto_gain = float(mechanism_gains(market, market.centered)[0])
+                rows.append((float(rho), float(g1), nash_gain, pareto_gain,
+                             nash_gain - pareto_gain))
+        table = figure_data(figure_id)
+        assert table.metadata == {"variance_ratio": ratio}
+        assert [[float(x).hex() for x in row] for row in table.rows] == \
+            [[x.hex() for x in row] for row in rows]
 
     def test_gain_figure_shape(self):
         table = figure_data(3)
