@@ -11,16 +11,20 @@ on the optimum. It raises when the measured curvature is not concave, so a
 wrong objective disagrees loudly instead of returning a saddle point. The
 search evaluates its whole stencil of q = 1 + 2k + k(k+1)/2 points in one
 call, so every objective takes a stack of points and returns one value per
-point. The objectives are evaluated on payoff arrays: a report search
-evaluates a q x n x m stack of profiles, each the n x m profile with row i
-replaced by a trial report, and every moment goes through `core.cross_cov`.
+point, and it takes the gradient and the Hessian from one product of those
+q values with the stencil's fixed weight matrix. The objectives are
+evaluated on payoff arrays: a report search evaluates a q x n x m stack of
+profiles, q copies of the n x m profile with row i replaced by each trial
+report, in one `deviation_gain` call, and every moment goes through
+`core.cross_cov`.
 
 Best responses live in the span of the basis payoffs (the objective strictly
 worsens in any orthogonal direction), so searches run over span coefficients.
 An orthogonal probe is kept in the tests rather than assumed here. The
 best-response dynamics search over an orthonormal basis of the centered
 endowments' span, so their Newton step stays well conditioned when the
-endowments are linearly dependent.
+endowments are linearly dependent. They center the profile, measure its
+largest step and record it once per round.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .core import SV_RATIO_MIN, Market, Rv, SecurityBasket, centered, cross_cov
+from .core import (
+    SV_RATIO_MIN, Market, Rv, SecurityBasket, centered, cross_cov, require_same_space,
+)
 
 # curvatures within this fraction of the largest are flat (rounding noise)
 _CURVATURE_FLOOR = 1e-10
@@ -56,18 +62,31 @@ def _mv_value(gamma: float, probs: np.ndarray, x: np.ndarray):
 
 
 @cache
-def _stencil(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit-step stencil offsets in k dimensions and its Hessian pairs.
+def _stencil(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-step stencil offsets in k dimensions and its derivative weights.
 
-    The q = 1 + 2k + k(k+1)/2 rows are 0, +e_a, -e_a and e_a + e_b for the
-    pairs a <= b that are returned with them. Read-only, built once per k.
+    The q = 1 + 2k + k(k+1)/2 offset rows are 0, +e_a, -e_a and e_a + e_b
+    for the pairs a <= b. The q x (k + k^2) weights turn the stencil's values
+    into the gradient (+-1/2 on the rows +-e_a) and the row-major k x k
+    Hessian (1, -1, -1, 1 on the rows e_a + e_b, e_a, e_b, 0 for both
+    entries (a, b) and (b, a); 1, -2, 1 on the diagonal). Read-only, built
+    once per k.
     """
     unit = np.eye(k)
     a, b = np.triu_indices(k)
     offsets = np.concatenate([np.zeros((1, k)), unit, -unit, unit[a] + unit[b]])
-    for arr in (offsets, a, b):
+    q = offsets.shape[0]
+    grad = 0.5 * offsets
+    grad[2 * k + 1 :] = 0.0
+    hess = np.zeros((q, k, k))
+    hess[0] = 1.0
+    hess[1 : k + 1] = -(unit[:, :, None] + unit[:, None, :])
+    pairs = np.arange(2 * k + 1, q)
+    hess[pairs, a, b] = hess[pairs, b, a] = 1.0
+    weights = np.concatenate([grad, hess.reshape(q, k * k)], axis=1)
+    for arr in (offsets, weights):
         arr.flags.writeable = False
-    return offsets, a, b
+    return offsets, weights
 
 
 def _quadratic_argmax(f, center) -> np.ndarray:
@@ -75,29 +94,29 @@ def _quadratic_argmax(f, center) -> np.ndarray:
 
     Central differences with unit steps give the exact gradient and Hessian
     of a quadratic. f is called once, on the q x k stack of stencil points
-    (`_stencil`), and returns their q values; a report objective thus holds
-    q x n x m floats at once. Axes of negative curvature take the Newton
-    step; flat axes (within a relative `_CURVATURE_FLOOR`, as a dependent
-    basis gives) are left at the center, so the step is the minimum-norm
-    maximizer. A positive curvature beyond the floor raises ValueError.
+    (`_stencil`), and returns their q values; one product with the stencil's
+    weights gives both derivatives. Axes of negative curvature take the
+    Newton step; flat axes (within a relative `_CURVATURE_FLOOR`, as a
+    dependent basis gives) are left at the center, so the step is the
+    minimum-norm maximizer. A positive curvature beyond the floor raises
+    ValueError.
     """
     center = np.asarray(center, dtype=float)
     k = center.size
-    offsets, a, b = _stencil(k)
-    values = f(center + offsets)
-    f0, fe, fm = values[0], values[1 : k + 1], values[k + 1 : 2 * k + 1]
-    grad = 0.5 * (fe - fm)
-    hess = np.empty((k, k))
-    hess[a, b] = hess[b, a] = values[2 * k + 1 :] - fe[a] - fe[b] + f0
+    offsets, weights = _stencil(k)
+    derivatives = f(center + offsets) @ weights
+    grad, hess = derivatives[:k], derivatives[k:].reshape(k, k)
     curvatures, axes = np.linalg.eigh(hess)
-    floor = _CURVATURE_FLOOR * np.abs(curvatures).max()
+    # eigh sorts ascending, so the largest magnitude is at one end
+    floor = _CURVATURE_FLOOR * max(-curvatures[0], curvatures[-1])
     if curvatures[-1] > floor:
         raise ValueError(
             f"objective is not concave: curvature {curvatures[-1]:.3e} "
             f"exceeds the floor {floor:.3e}"
         )
     keep = curvatures < -floor
-    return center + axes[:, keep] @ ((axes[:, keep].T @ grad) / -curvatures[keep])
+    steps = axes[:, keep]
+    return center + steps @ ((grad @ steps) / -curvatures[keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,13 +170,17 @@ def deviation_gain(market: Market, i: int, reports):
 def _report_gain(market: Market, i: int, reports: np.ndarray, basis: np.ndarray):
     """Agent i's gain as a function of its report's coefficients on `basis`.
 
-    A stack of coefficient vectors gives the stack of profiles `reports`
-    with row i replaced by each trial report; `reports` is not written.
+    A stack of q coefficient vectors gives q copies of the profile `reports`
+    with row i replaced by each trial report, evaluated in one
+    `deviation_gain` call; `reports` is not written.
     """
 
     def gain(coefficients):
         trial = coefficients @ basis
-        profiles = np.broadcast_to(reports, trial.shape[:-1] + reports.shape).copy()
+        if trial.ndim == 1:
+            profiles = reports.copy()
+        else:
+            profiles = np.repeat(reports[None], len(trial), axis=0)
         profiles[..., i, :] = trial
         return deviation_gain(market, i, profiles)
 
@@ -181,6 +204,7 @@ def argmax_demand(
     p,
 ) -> np.ndarray:
     """Maximizer of U(a.C + endowment) - a.p over positions a."""
+    require_same_space(endowment.space, basket.space, "basket is not on the endowment's space")
     p = np.asarray(p, dtype=float)
     probs = basket.space.probs
 
@@ -226,26 +250,28 @@ def best_response_dynamics(
     """Round-robin best-response iteration on the reported endowments.
 
     Each agent in turn takes its exact best response on the span basis.
-    Convergence is an empirical observation, not a guarantee; a
-    non-convergent trajectory is returned as data with `converged` false.
+    A round converges when no report moved by a standard deviation of
+    `_DYNAMICS_TOL` or more. Convergence is an empirical observation, not a
+    guarantee; a non-convergent trajectory is returned as data with
+    `converged` false.
     """
     p = market.space.probs
-    reports = centered(p, market.payoffs if init is None else _rows(init))
     basis = _span_basis(market)
+    origin = np.zeros(len(basis))
+    reports = centered(p, market.payoffs if init is None else _rows(init))
     trajectory = [market.space.rvs(reports)]
     converged = False
     rounds_run = rounds
     for r in range(1, rounds + 1):
-        moved = 0.0
+        previous = reports.copy()
         for i in range(market.n):
-            previous = reports[i].copy()
             gain = _report_gain(market, i, reports, basis)
-            best = centered(p, _quadratic_argmax(gain, np.zeros(len(basis))) @ basis)
-            step = best - previous
-            moved = max(moved, float(cross_cov(p, step, step)))
-            reports[i] = best
+            reports[i] = _quadratic_argmax(gain, origin) @ basis
+        # the basis rows are centered, so this removes rounding only
+        reports = centered(p, reports)
         trajectory.append(market.space.rvs(reports))
-        if moved < _DYNAMICS_TOL**2:
+        steps = reports - previous
+        if cross_cov(p, steps, steps).max() < _DYNAMICS_TOL**2:
             converged = True
             rounds_run = r
             break
@@ -280,6 +306,7 @@ def argmax_phi(
 ) -> np.ndarray:
     """Maximizer of the clearing utility over prices, searched from the
     securities' means."""
+    require_same_space(market.space, basket.space, "basket is not on the market's space")
 
     def objective(p):
         return clearing_utility(market, i, basket, schedules, p)

@@ -11,6 +11,8 @@ from riskshare.core import (
     Agent,
     Market,
     ProbSpace,
+    SecurityBasket,
+    SpaceMismatchError,
     cov,
     demand,
     mean,
@@ -103,12 +105,41 @@ def _concave_quadratic(rng, k, flat=0):
 
 
 def _counting(f):
-    def counted(x):
+    def counted(*args):
         counted.calls += 1
-        return f(x)
+        return f(*args)
 
     counted.calls = 0
     return counted
+
+
+def _mismatched_basket_market():
+    """A market on (0.3, 0.3, 0.4), the basket (1, 0, -1) on (0.5, 0.25,
+    0.25) and the same basket on the market's own space."""
+    space, other = ProbSpace([0.3, 0.3, 0.4]), ProbSpace([0.5, 0.25, 0.25])
+    market = Market(space, (Agent(1.0, space.rv([1.0, -1.0, 0.5])),
+                            Agent(2.0, space.rv([-0.5, 1.5, -1.0]))))
+    return (market, SecurityBasket((other.rv([1.0, 0.0, -1.0]),)),
+            SecurityBasket((space.rv([1.0, 0.0, -1.0]),)))
+
+
+class TestStencil:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_weights_give_exact_derivatives(self, k):
+        # a quadratic's values on the stencil around 0, times the weights,
+        # are its gradient and its row-major Hessian at 0
+        rng = np.random.default_rng(120 + k)
+        offsets, weights = oracle_module._stencil(k)
+        assert offsets.shape == (1 + 2 * k + k * (k + 1) // 2, k)
+        assert weights.shape == (offsets.shape[0], k + k * k)
+        assert not offsets.flags.writeable and not weights.flags.writeable
+        half = rng.normal(size=(k, k))
+        hessian, gradient = half + half.T, rng.normal(size=k)
+        values = 2.5 + offsets @ gradient + 0.5 * np.vecdot(offsets @ hessian, offsets)
+        derivatives = values @ weights
+        np.testing.assert_allclose(derivatives[:k], gradient, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(derivatives[k:].reshape(k, k), hessian,
+                                   rtol=0.0, atol=1e-13)
 
 
 class TestQuadraticArgmax:
@@ -218,6 +249,29 @@ class TestArgmaxReportedUtility:
             [1e9 / (1e9 + g), g**2 / (1e18 - g**2)], abs=1e-9
         )
 
+    def test_single_point_value_is_gain_at_found_profile(self):
+        # the returned value evaluates one profile, not a stack
+        rng = np.random.default_rng(92)
+        for _ in range(5):
+            m = make_market(rng)
+            i = int(rng.integers(m.n))
+            spec = CoefficientSearchSpec(basis=tuple(m.endowments()))
+            res = argmax_reported_utility(m, i, spec)
+            profile = m.payoffs.copy()
+            profile[i] = spec.combine(res.coefficients).payoffs
+            assert type(res.value) is float
+            assert res.value == deviation_gain(m, i, profile)
+
+    def test_two_objective_calls(self, monkeypatch):
+        # one for the whole stencil, one for the returned value, both through
+        # the module's deviation_gain
+        rng = np.random.default_rng(93)
+        m = make_market(rng)
+        counted = _counting(oracle_module.deviation_gain)
+        monkeypatch.setattr(oracle_module, "deviation_gain", counted)
+        argmax_reported_utility(m, 0, CoefficientSearchSpec(basis=tuple(m.endowments())))
+        assert counted.calls == 2
+
     def test_orthogonal_direction_unused(self):
         rng = np.random.default_rng(84)
         sp = ProbSpace(np.full(6, 1.0 / 6.0))
@@ -257,6 +311,16 @@ class TestArgmaxDemand:
             found = argmax_demand(m.agents[0].gamma, m.agents[0].endowment, basket, p)
             assert np.allclose(found, a, rtol=0.0, atol=1e-9)
             done += 1
+
+    def test_basket_on_another_space_raises(self):
+        market, foreign, own = _mismatched_basket_market()
+        endowment = market.endowments()[0]
+        with pytest.raises(SpaceMismatchError):
+            argmax_demand(1.0, endowment, foreign, own.mean_vector)
+        found = argmax_demand(1.0, endowment, own, own.mean_vector)
+        np.testing.assert_allclose(
+            found, demand(1.0, endowment, own, own.mean_vector), rtol=0.0, atol=1e-9
+        )
 
     def test_convex_objective_raises(self):
         # with a negative gamma the objective is convex: no maximizer
@@ -303,6 +367,35 @@ class TestBestResponseDynamics:
                 diff = (got - want).payoffs
                 assert np.max(np.abs(diff - market.space.probs @ diff)) < 1e-9
 
+    def test_pinned_rounds_and_profiles(self):
+        # the markets of the benchmark's oracle check and fifteen more: the
+        # round count is a fingerprint of the dynamics' arithmetic
+        rng = np.random.default_rng(104)
+        total = 0
+        for _ in range(60):
+            n, m = rng.integers(2, 5), rng.integers(2, 7)
+            market = make_market(rng, n=n, m=m)
+            result = best_response_dynamics(market)
+            assert result.converged
+            total += result.rounds_run
+            assert len(result.trajectory) == result.rounds_run + 1
+            p = market.space.probs
+            for got, want in zip(result.trajectory[-1], nash_endowment(market).reported):
+                diff = (got - want).payoffs
+                assert np.max(np.abs(diff - p @ diff)) < 1e-11
+        assert total == 733
+
+    def test_one_objective_call_per_step(self, monkeypatch):
+        rng = np.random.default_rng(94)
+        counted = _counting(oracle_module.deviation_gain)
+        monkeypatch.setattr(oracle_module, "deviation_gain", counted)
+        for _ in range(5):
+            market = make_market(rng)
+            counted.calls = 0
+            result = best_response_dynamics(market)
+            assert result.converged
+            assert counted.calls == market.n * result.rounds_run
+
     def test_random_markets_reach_closed_form(self):
         rng = np.random.default_rng(87)
         for _ in range(10):
@@ -328,6 +421,16 @@ class TestArgmaxPhi:
             found = argmax_phi(m, i, basket, others)
             want = best_price_response(m, i, basket, others)
             assert np.allclose(found, want, rtol=0.0, atol=1e-9)
+
+    def test_basket_on_another_space_raises(self):
+        market, foreign, own = _mismatched_basket_market()
+        others = truthful_schedules(market, own)[1:]
+        with pytest.raises(SpaceMismatchError):
+            argmax_phi(market, 0, foreign, others)
+        np.testing.assert_allclose(
+            argmax_phi(market, 0, own, others),
+            best_price_response(market, 0, own, others), rtol=0.0, atol=1e-9,
+        )
 
     def test_clearing_utility_definition(self):
         rng = np.random.default_rng(89)
