@@ -4,21 +4,27 @@ Market files are JSON whose `schema` is the integer 1; reports are JSON with a
 stable field order and an echo of the ingested market, so a report can be
 re-run bit-for-bit. A report's results are the engine's outcome type, field
 by field in declaration order, plus the keys the type lacks; the echo holds
-the ingested probabilities, endowments and securities themselves. `json.dumps`
-serializes both, and its `default` hook converts only what json cannot:
-random variables, arrays, numpy scalars and dataclasses. Every gamma,
-probability and payoff is a finite JSON number, never a boolean or a string,
-and a rejected one is addressed by its index. Ingestion validates each value
-where it reads it, in file order, and builds the market once from the
-validated risk aversions and payoff rows with `Market.from_arrays`, and the
-basket from one `ProbSpace.rvs` batch: no object per agent is built, and the
-echo serializes the same rows. `securities` and `parameters`
+the ingested probabilities, risk aversions, payoff rows and securities as the
+validated arrays themselves. One writer, `_dumps`, serializes both: it writes
+the bytes of `json.dumps(body, indent=2, allow_nan=False, default=_encode)`,
+but a float array, and so a random variable, in one join over its entries'
+`float.__repr__`, and it hands `_encode` only what json cannot write itself:
+numpy scalars other than float64, arrays of other dtypes and dataclasses.
+Every gamma, probability and payoff is a finite JSON number, never a boolean
+or a string, and a rejected one is addressed by its index. Ingestion
+validates each value where it reads it, in file order, an array of floats in
+one pass in C, and builds the market once from the validated risk aversions
+and payoff rows with `Market.from_arrays`, and the basket from one
+`ProbSpace.rvs` batch: no object per agent is built, and the echo serializes
+the market's own rows. `securities` and `parameters`
 are optional; present, they must be an array (empty: no basket) and an object
 (empty: the defaults). The only parameters are the percentage game's `kappa`
 (a finite positive number) and `max_iter` (an integer cap on its active-set
 solves, at least 1). `--seed`, a non-negative integer, is read by the
 `experiment` command only, which looks the id up in `experiments.EXPERIMENTS`
-and prints CSV. A report or table goes to stdout, or to `--out`.
+and prints CSV. A report or table goes to stdout, or to `--out`. `--profile`
+adds one stderr line of the wall time of each stage that ran (ingest, solve,
+encode, write) and changes no output byte.
 
 Exit codes: 0 success, 2 validation error (also an `--out` that cannot be
 written), 3 numerical precondition violation, 4 non-convergence of the
@@ -37,8 +43,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+import time
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -95,8 +104,12 @@ class Failure(Exception):
     field. Not a ValueError, so that no `except ValueError` re-wraps it."""
 
     def __init__(self, field: str, message: object, code: int = EXIT_VALIDATION):
-        self.code = code
+        self.field, self.message, self.code = field, message, code
         super().__init__(f"{field}: {message}")
+
+    def within(self, parent: str) -> "Failure":
+        """The same failure, its field read as a part of `parent`."""
+        return Failure(parent + self.field, self.message, self.code)
 
 
 def _require(condition: bool, field: str, message: str) -> None:
@@ -117,26 +130,58 @@ def _finite(value) -> bool:
 
 def _number(value, field: str, positive: bool = False) -> float:
     """`value` as a finite float, positive if asked."""
-    _require(_finite(value) and (value > 0 or not positive), field,
-             f"must be a finite {'positive ' if positive else ''}number")
+    if not (_finite(value) and (value > 0 or not positive)):
+        raise Failure(field, f"must be a finite {'positive ' if positive else ''}number")
     return float(value)
 
 
-def _numbers(values, field: str) -> np.ndarray:
-    """A JSON array of finite numbers; a bad entry is addressed by its index."""
+_FLOAT = {float}
+
+
+def _numbers(values, field: str) -> list:
+    """A JSON array of finite numbers, as read; a bad entry is addressed by
+    its index.
+
+    An array of floats alone is checked in C, by `math.isfinite` over it.
+    Any other goes entry by entry: an int is compared exactly (as a float it
+    could round into the range), and true is not a number.
+    """
     _require(isinstance(values, list), field, "must be an array of numbers")
-    for j, v in enumerate(values):
-        if not _finite(v):
-            raise Failure(f"{field}[{j}]", "must be a finite number")
-    return np.array(values, dtype=float)
+    if not (set(map(type, values)) <= _FLOAT and all(map(math.isfinite, values))):
+        for j, v in enumerate(values):
+            if not _finite(v):
+                raise Failure(f"{field}[{j}]", "must be a finite number")
+    return values
 
 
-def _payoffs(space: ProbSpace, values, field: str) -> np.ndarray:
+def _payoffs(space: ProbSpace, values, field: str = "") -> list:
     """A payoff row of finite numbers, one per state of `space`."""
     row = _numbers(values, field)
-    _require(row.size == space.n_states, field, f"payoff length {row.size} does "
-             f"not match space dimension {space.n_states}")
+    if len(row) != space.n_states:
+        raise Failure(field, f"payoff length {len(row)} does not match space "
+                             f"dimension {space.n_states}")
     return row
+
+
+def _entries(items: list, field: str, read) -> list:
+    """`read` of each entry of a JSON array, in order; a failure it raises is
+    addressed inside `field[i]`, which is formatted only then."""
+    out = []
+    for idx, item in enumerate(items):
+        try:
+            out.append(read(item))
+        except Failure as exc:
+            raise exc.within(f"{field}[{idx}]") from None
+    return out
+
+
+def _agent(space: ProbSpace, doc) -> tuple[float, list]:
+    """An agent object's gamma and payoff row, in that order."""
+    _require(isinstance(doc, dict), "", "must be an object")
+    _require("gamma" in doc, ".gamma", "missing")
+    _require("payoffs" in doc, ".payoffs", "missing")
+    return (_number(doc["gamma"], ".gamma", positive=True),
+            _payoffs(space, doc["payoffs"], ".payoffs"))
 
 
 def load_market_file(path: str) -> dict:
@@ -163,7 +208,7 @@ def ingest_market_document(doc) -> dict:
              f"unsupported schema version {schema!r}, expected {SCHEMA_VERSION}")
 
     probs = _numbers(doc.get("probs"), "probs")
-    _require(probs.size > 0, "probs", "must be a non-empty array")
+    _require(len(probs) > 0, "probs", "must be a non-empty array")
     try:
         space = ProbSpace(probs)
     except (ValueError, FloatingPointError) as exc:
@@ -172,14 +217,7 @@ def ingest_market_document(doc) -> dict:
     agents_doc = doc.get("agents")
     _require(isinstance(agents_doc, list) and len(agents_doc) >= 2,
              "agents", "must be an array of at least two agents")
-    gammas, rows = [], []
-    for idx, a in enumerate(agents_doc):
-        where = f"agents[{idx}]"
-        _require(isinstance(a, dict), where, "must be an object")
-        _require("gamma" in a, f"{where}.gamma", "missing")
-        _require("payoffs" in a, f"{where}.payoffs", "missing")
-        gammas.append(_number(a["gamma"], f"{where}.gamma", positive=True))
-        rows.append(_payoffs(space, a["payoffs"], f"{where}.payoffs"))
+    gammas, rows = zip(*_entries(agents_doc, "agents", functools.partial(_agent, space)))
     try:
         market = Market.from_arrays(space, gammas, rows)
     except (ValueError, FloatingPointError) as exc:
@@ -189,8 +227,8 @@ def ingest_market_document(doc) -> dict:
     securities_doc = doc.get("securities", [])
     _require(isinstance(securities_doc, list), "securities", "must be an array")
     if securities_doc:
-        securities = [_payoffs(space, payoffs, f"securities[{idx}]")
-                      for idx, payoffs in enumerate(securities_doc)]
+        securities = _entries(securities_doc, "securities",
+                              functools.partial(_payoffs, space))
         try:
             basket = SecurityBasket(space.rvs(securities))
         except (SingularCovarianceError, FloatingPointError) as exc:
@@ -212,20 +250,25 @@ def ingest_market_document(doc) -> dict:
     echo = {
         "schema": SCHEMA_VERSION,
         "probs": space.probs,
-        "agents": [{"gamma": g, "payoffs": row} for g, row in zip(gammas, rows)],
-        "securities": basket.securities if basket else [],
+        "agents": [{"gamma": g, "payoffs": row} for g, row in zip(gammas, market.payoffs)],
+        "securities": basket.payoffs if basket else [],
         "parameters": parameters,
     }
     return {"market": market, "basket": basket, "parameters": parameters, "echo": echo}
 
 
 # ---------------------------------------------------------------------------
-# Serialization helpers
+# Serialization
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 def _fields(outcome) -> dict:
     """An outcome dataclass's fields by name, in declaration order."""
-    return {f.name: getattr(outcome, f.name) for f in fields(outcome)}
+    return {name: getattr(outcome, name) for name in _field_names(type(outcome))}
 
 
 def _encode(value):
@@ -240,6 +283,81 @@ def _encode(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+# the types `_dumps` writes without an isinstance test (np.float64 is a
+# float), and json's own, in the order it tests a subclass of one
+_EXACT = {float, np.float64, str, dict, list, tuple, np.ndarray, Rv, int, bool,
+          type(None)}
+_BASES = (str, int, float, list, tuple, dict)
+_F8 = np.dtype(float)
+_RV = {Rv}
+
+
+def _floats(text: str) -> str:
+    """`float.__repr__` text of finite floats: only inf, -inf and nan hold an n."""
+    if "n" in text:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return text
+
+
+def _float_rows(rows: list, nl: str) -> str:
+    """Lists of floats as the entries of a JSON list; `nl` is their level."""
+    inner = nl + "  "
+    return ("," + nl).join(["[" + inner + ("," + inner).join(map(float.__repr__, row))
+                            + nl + "]" for row in rows])
+
+
+def _dumps(value, nl: str = "\n") -> str:
+    """`json.dumps(value, indent=2, allow_nan=False, default=_encode)`, byte
+    for byte; `nl` is the newline and indent of the level `value` is at.
+
+    A value is dispatched on its exact type, then by isinstance in json's
+    order (`_BASES`), and anything else goes through `_encode`, as json's
+    `default` would. A 1-D or 2-D float64 array, an `Rv` and a list of `Rv`s
+    (the rows of a matrix) are written with one join over their entries'
+    `float.__repr__`. A non-finite float raises ValueError. Every key in a
+    report is a str, so keys are written as strings only (any other key
+    raises TypeError).
+    """
+    kind = type(value)
+    if kind not in _EXACT:
+        if not isinstance(value, _BASES):
+            return _dumps(_encode(value), nl)
+        kind = next(base for base in _BASES if isinstance(value, base))
+    inner = nl + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + (
+                     _floats(float.__repr__(item)) if type(item) is float
+                     else _dumps(item, inner))
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if kind is np.ndarray or kind is Rv:
+        array = value.payoffs if kind is Rv else value
+        if array.dtype is not _F8 or array.ndim not in (1, 2) or not array.size:
+            return _dumps(_encode(value), nl)
+        if array.ndim == 1:
+            text = ("," + inner).join(map(float.__repr__, array.tolist()))
+        else:
+            text = _float_rows(array.tolist(), inner)
+        return "[" + inner + _floats(text) + nl + "]"
+    if kind is float or kind is np.float64:
+        return _floats(float.__repr__(value))
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if set(map(type, value)) == _RV:  # an Rv's payoffs are a float64 row
+            text = _floats(_float_rows([rv.payoffs.tolist() for rv in value], inner))
+        else:
+            text = ("," + inner).join([_dumps(item, inner) for item in value])
+        return "[" + inner + text + nl + "]"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is bool:
+        return "true" if value else "false"
+    return "null" if value is None else int.__repr__(value)
+
+
 # for a floating-point error in a command or a non-finite value in a report,
 # which is a result: the echoed market is finite by validation
 RESULTS_NOT_FINITE = ("a result is not finite; the market's payoffs or "
@@ -249,7 +367,7 @@ RESULTS_NOT_FINITE = ("a result is not finite; the market's payoffs or "
 def _report(command: str, loaded: dict, results: dict) -> str:
     body = {"command": command, "market": loaded["echo"], "results": results}
     try:
-        return json.dumps(body, indent=2, allow_nan=False, default=_encode)
+        return _dumps(body)
     except ValueError:  # NaN and Infinity are not JSON
         raise Failure("results", RESULTS_NOT_FINITE, EXIT_NUMERICAL) from None
 
@@ -352,11 +470,12 @@ def _results(args, loaded: dict) -> dict:
         raise Failure(f"agents[{exc.agent}].payoffs", exc) from None
 
 
-def cmd_experiment(experiment: str, seed: int) -> str:
+def cmd_experiment(experiment: str, seed: int):
+    """The experiment's table, whose `to_csv` is its output."""
     _require(experiment in EXPERIMENTS, "experiment",
              f"unknown experiment {experiment!r}")
     _require(seed >= 0, "--seed", "must be a non-negative integer")
-    return EXPERIMENTS[experiment](AgentSequenceSpec(seed=seed)).to_csv()
+    return EXPERIMENTS[experiment](AgentSequenceSpec(seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -383,26 +502,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed of the experiment command")
     parser.add_argument("--out", help="write the report to this path")
+    parser.add_argument("--profile", action="store_true",
+                        help="print the wall time of each stage to stderr")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    stages = ("solve", "encode", "write") if args.command == "experiment" else (
+        "ingest", "solve", "encode", "write")
+    ends = [time.perf_counter()]  # the start, then the end of each stage run
     try:
         # an overflow, invalid operation or division by zero raises where it
         # happens instead of printing a numpy warning; underflow is harmless
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
             if args.command == "experiment":
-                text = cmd_experiment(args.experiment, args.seed)
+                table = cmd_experiment(args.experiment, args.seed)
+                ends.append(time.perf_counter())
+                text = table.to_csv()
             else:
                 _require(bool(args.market), "market", "a --market file is required")
                 loaded = load_market_file(args.market)
-                text = _report(args.command, loaded, _results(args, loaded))
+                ends.append(time.perf_counter())
+                results = _results(args, loaded)
+                ends.append(time.perf_counter())
+                text = _report(args.command, loaded, results)
+            ends.append(time.perf_counter())
         _emit(text, args.out)
+        ends.append(time.perf_counter())
         return EXIT_OK
     except Failure as exc:
         print(f"{PREFIXES[exc.code]}: {exc}", file=sys.stderr)
         return exc.code
+    finally:
+        if args.profile:  # after a failure, the stages that completed
+            print("profile: " + ", ".join(
+                f"{stage} {(end - start) * 1e3:.3f} ms"
+                for stage, start, end in zip(stages, ends, ends[1:])), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -48,12 +48,11 @@ class SingularCovarianceError(ValueError):
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)  # a copy
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -68,7 +67,7 @@ class ProbSpace:
         probs = _as_float_array(self.probs, "probs")
         if probs.size < 1:
             raise ValueError("probability space needs at least one state")
-        if np.any(probs <= 0.0):
+        if (probs <= 0.0).any():
             raise ValueError("all state probabilities must be strictly positive")
         if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
@@ -98,7 +97,7 @@ class ProbSpace:
             matrix = None
         if matrix is None or matrix.ndim != 2 or matrix.shape[1] != self.n_states:
             return [Rv(self, row) for row in rows]
-        if not np.all(np.isfinite(matrix)):
+        if not np.isfinite(matrix).all():
             raise ValueError("payoffs contains non-finite entries")
         matrix.flags.writeable = False
         return [Rv._trusted(self, row) for row in matrix]
@@ -185,8 +184,10 @@ def _two_pass(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Corrected two-pass (Chan, Golub & LeVeque 1983; Higham 2002, 1.9): the
     second centering removes the first mean's rounding, eps times the cash.
     """
-    residual = centered(p, x)
-    means, rows = x @ p + residual @ p, centered(p, residual)
+    first = x @ p
+    residual = x - first[..., None]
+    correction = residual @ p
+    means, rows = first + correction, residual - correction[..., None]
     for arr in (means, rows):
         arr.flags.writeable = False
     return means, rows
@@ -381,7 +382,7 @@ class SecurityBasket:
         for s in securities[1:]:
             securities[0]._check_space(s)
         p = securities[0].space.probs
-        payoffs = np.stack([s.payoffs for s in securities])
+        payoffs = np.array([s.payoffs for s in securities])
         mu, rows = _two_pass(p, payoffs)
         V = require_invertible(p, rows, "covariance matrix of the security basket is singular")
         inv = np.linalg.inv(V)

@@ -44,10 +44,13 @@ _CURVATURE_FLOOR = 1e-10
 _DYNAMICS_TOL = 1e-12
 
 
-def _rows(reports) -> np.ndarray:
-    """A report profile as an n x m payoff matrix (arrays pass through)."""
+def _rows(market: Market, reports) -> np.ndarray:
+    """A report profile as an n x m payoff matrix. Arrays pass through
+    unchecked; an `Rv` on another space raises SpaceMismatchError."""
     if isinstance(reports, np.ndarray):
         return reports
+    for r in reports:
+        require_same_space(market.space, r.space, "report is not on the market's space")
     return np.stack([r.payoffs for r in reports])
 
 
@@ -152,12 +155,13 @@ def deviation_gain(market: Market, i: int, reports):
     """Agent i's utility when the sharing mechanism runs on `reports`.
 
     `reports` is a list of n `Rv`, the equal n x m payoff matrix (a float is
-    returned) or a q x n x m stack of profiles (q values). Composed from the
+    returned) or a q x n x m stack of profiles (q values); `Rv`s on another
+    space raise SpaceMismatchError, arrays are not checked. Composed from the
     mechanism's definition only: the aggregate of reports is reshared, agent
     i receives (gamma/gamma_i) aggregate - report_i, and pays its market
     price E[.] - 2 gamma Cov(., aggregate).
     """
-    reports = _rows(reports)
+    reports = _rows(market, reports)
     p = market.space.probs
     g = market.aggregate_gamma
     gi = market.gammas[i]
@@ -258,7 +262,7 @@ def best_response_dynamics(
     p = market.space.probs
     basis = _span_basis(market)
     origin = np.zeros(len(basis))
-    reports = centered(p, market.payoffs if init is None else _rows(init))
+    reports = centered(p, market.payoffs if init is None else _rows(market, init))
     trajectory = [market.space.rvs(reports)]
     converged = False
     rounds_run = rounds
@@ -289,8 +293,10 @@ def clearing_utility(market: Market, i: int, basket: SecurityBasket, schedules, 
 
     `schedules` are the other agents' demand schedules, any objects exposing
     quantities(basket, p), affine in p. A price vector gives a float, a q x k
-    stack of prices q values.
+    stack of prices q values. A basket on another space raises
+    SpaceMismatchError.
     """
+    require_same_space(market.space, basket.space, "basket is not on the market's space")
     p = np.asarray(p, dtype=float)
     supplied = sum(s.quantities(basket, p) for s in schedules)
     position = market.payoffs[i] - supplied @ basket.payoffs
@@ -305,8 +311,7 @@ def argmax_phi(
     schedules,
 ) -> np.ndarray:
     """Maximizer of the clearing utility over prices, searched from the
-    securities' means."""
-    require_same_space(market.space, basket.space, "basket is not on the market's space")
+    securities' means; a basket on another space raises in `clearing_utility`."""
 
     def objective(p):
         return clearing_utility(market, i, basket, schedules, p)

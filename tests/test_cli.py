@@ -1,10 +1,14 @@
+import collections
 import contextlib
+import enum
 import io
 import json
 import random
 import re
+import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from riskshare.cli import (
     load_market_file,
     main,
 )
-from riskshare import cli, core, nash
+from riskshare import cli, core, nash, pareto
 from riskshare.experiments import correlated_pair_market
 
 
@@ -1011,3 +1015,182 @@ def test_every_input_ends_in_a_documented_exit(tmp_path_factory, doc, agent):
         else:
             assert out == ""
             assert ADDRESSED.fullmatch(err), (argv, err)
+
+
+def _json_text(body):
+    """The report text of `body` as json's own encoder writes it."""
+    return json.dumps(body, indent=2, allow_nan=False, default=_encode)
+
+
+def _check_reports_are_json(path, agent):
+    """Every command's report on `path` is json.dumps of its body, byte for
+    byte; a body json rejects as not finite exits 3 addressed to results."""
+    bodies = []
+    report = cli._report
+
+    def recording(command, loaded, results):
+        bodies.append({"command": command, "market": loaded["echo"], "results": results})
+        return report(command, loaded, results)
+
+    with mock.patch.object(cli, "_report", recording):
+        for command in COMMANDS:
+            bodies.clear()
+            code, out, err = _run(list(command) + ["--agent", str(agent), "--market", str(path)])
+            if not bodies:  # failed before the report
+                continue
+            try:
+                want = _json_text(bodies[0]) + "\n"
+            except ValueError:
+                assert (code, out) == (EXIT_NUMERICAL, ""), command
+                assert err.startswith("numerical precondition violated: results: "), err
+                continue
+            assert (code, err) == (EXIT_OK, ""), command
+            assert out == want, command
+
+
+class TestReportWriter:
+    """`_dumps` writes the bytes of json.dumps(indent=2, allow_nan=False,
+    default=_encode)."""
+
+    @given(market_documents(), st.integers(-1, 4))
+    @settings(max_examples=60)
+    def test_fuzzed_documents_match_json(self, tmp_path_factory, doc, agent):
+        path = tmp_path_factory.getbasetemp() / "writer.json"
+        path.write_text(json.dumps(doc))
+        _check_reports_are_json(path, agent)
+
+    @given(dyadic_markets(), st.integers(0, 3))
+    @settings(max_examples=40)
+    def test_dyadic_markets_match_json(self, tmp_path_factory, doc, agent):
+        path = tmp_path_factory.getbasetemp() / "writer.json"
+        path.write_text(json.dumps(doc))
+        _check_reports_are_json(path, agent % len(doc["agents"]))
+
+    @pytest.mark.parametrize("value", [
+        [], {}, (), np.array([]), np.zeros((0, 3)), np.zeros((2, 0)), np.array(1.5),
+        -0.0, 5e-324, 1.7976931348623157e308, np.array([-0.0, 5e-324, -1.7976931348623157e308]),
+        np.float64(0.1), np.int64(-3), np.bool_(True), np.float32(0.1),
+        np.arange(4), np.array([[1, 2], [3, 4]]), np.array([True, False]),
+        np.arange(6.0).reshape(2, 3), np.arange(8.0).reshape(2, 2, 2),
+        np.arange(6.0).reshape(2, 3).T, np.arange(6.0)[::2],
+        "naïve ☃ \U0001f600 \"quoted\" \\ \n\t ", ["é", {"é": 1}],
+        {"a": [1, 2.5, None, True, False, "s", [], {}], "b": {"c": {"d": (1.0, [2.0])}}},
+        [[[]]], [{}], 10**30, -(2**63),
+        # subclasses take json's isinstance order
+        enum.IntEnum("Small", "ONE")(1), type("Sub", (float,), {})(0.25),
+        type("Text", (str,), {})("é"), collections.OrderedDict(b=1.0, a=[2.0]),
+        collections.namedtuple("Pair", "x y")(1.0, [np.float64(2.0)]),
+    ], ids=repr)
+    def test_values_match_json(self, value):
+        assert cli._dumps(value) == _json_text(value)
+
+    def test_outcome_objects_match_json(self):
+        space = core.ProbSpace([0.3, 0.3, 0.4])
+        rvs = space.rvs([[1.0, -1.0, 0.5], [-0.5, 1.5, -1.0]])
+        schedule = core.DemandSchedule(2.0, [0.25, -1.5])
+        value = {"rv": rvs[0], "rvs": rvs, "nested": [[rvs[1]]],
+                 "schedule": schedule, "schedules": [schedule] * 2,
+                 "outcome": nash.nash_endowment(core.Market.from_arrays(
+                     space, [1.0, 2.0], [r.payoffs for r in rvs]))}
+        assert cli._dumps(value) == _json_text(value)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["array", "scalar", "rv", "matrix", "float64"])
+    def test_non_finite_raises(self, bad, where):
+        space = core.ProbSpace([0.5, 0.5])
+        value = {
+            "array": np.array([1.0, bad]),
+            "scalar": [0.5, bad],
+            "rv": core.Rv._trusted(space, np.array([bad, 1.0])),
+            "matrix": np.array([[1.0, 2.0], [3.0, bad]]),
+            "float64": {"x": np.float64(bad)},
+        }[where]
+        with pytest.raises(ValueError):
+            _json_text(value)
+        with pytest.raises(ValueError):
+            cli._dumps(value)
+
+    @pytest.mark.parametrize("where", ["array", "scalar", "rv"])
+    def test_non_finite_result_exits_3(self, tmp_path, monkeypatch, where):
+        path = write_market(tmp_path)
+        market = ingest_market_document(json.loads(path.read_text()))["market"]
+        if where == "array":
+            monkeypatch.setattr(cli, "optimal_utility_levels",
+                                lambda market: np.array([1.0, np.inf]))
+        elif where == "scalar":
+            monkeypatch.setattr(cli, "aggregate_gain", lambda market: float("nan"))
+        else:
+            contracts = [core.Rv._trusted(market.space, np.array([1.0, -np.inf, 0.0]))] * 2
+            monkeypatch.setattr(cli, "optimal_sharing",
+                                lambda market: pareto.ParetoSharing(contracts))
+        code, out, err = _run(["pareto", "--market", str(path)])
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == f"numerical precondition violated: results: {cli.RESULTS_NOT_FINITE}\n"
+
+
+class TestIngestOrder:
+    def test_first_failure_in_file_order(self, tmp_path):
+        # a bad payoff of agent 0 comes before a bad gamma of agent 1
+        path = write_market(tmp_path, agents=[
+            {"gamma": 1.0, "payoffs": [1.0, float("nan"), 0.5]},
+            {"gamma": -2.0, "payoffs": [-0.5, 1.5, -1.0]},
+        ])
+        code, out, err = _run(["pareto", "--market", str(path)])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == "validation error: agents[0].payoffs[1]: must be a finite number\n"
+
+    def test_true_in_payoffs_addressed(self, tmp_path):
+        path = write_market(tmp_path, agents=[
+            {"gamma": 1.0, "payoffs": [1.0, -1.0, 0.5]},
+            {"gamma": 2.0, "payoffs": [-0.5, True, -1.0]},
+        ])
+        code, out, err = _run(["pareto", "--market", str(path)])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == "validation error: agents[1].payoffs[1]: must be a finite number\n"
+
+    def test_int_beyond_float_range_in_probs_addressed(self, tmp_path):
+        # as a float it would round to the float maximum, which is finite
+        path = write_market(tmp_path, probs=[0.3, int(sys.float_info.max) + 1, 0.4])
+        code, out, err = _run(["pareto", "--market", str(path)])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == "validation error: probs[1]: must be a finite number\n"
+
+    def test_int_payoffs_accepted(self, tmp_path):
+        ints = write_market(tmp_path, "ints.json", agents=[
+            {"gamma": 1.0, "payoffs": [1, -1, 2]},
+            {"gamma": 2, "payoffs": [-3, 4, -1]},
+        ], securities=[[1, 0, -1]])
+        floats = write_market(tmp_path, "floats.json", agents=[
+            {"gamma": 1.0, "payoffs": [1.0, -1.0, 2.0]},
+            {"gamma": 2.0, "payoffs": [-3.0, 4.0, -1.0]},
+        ], securities=[[1.0, 0.0, -1.0]])
+        for command in COMMANDS:
+            reports = [_run(list(command) + ["--market", str(path)]) for path in (ints, floats)]
+            assert reports[0] == reports[1], command
+            assert reports[0][0] == EXIT_OK, command
+
+
+class TestProfile:
+    @pytest.mark.parametrize("command", [["pareto"], ["nash", "--game", "price"],
+                                         ["experiment", "--experiment", "figure1"]])
+    def test_stages_on_stderr_only(self, tmp_path, command):
+        argv = command + ["--market", str(write_market(tmp_path))]
+        plain = _run(argv)
+        code, out, err = _run(argv + ["--profile"])
+        assert plain[0] == code == EXIT_OK and plain[2] == ""
+        assert out == plain[1]
+        stages = "solve, encode, write" if command[0] == "experiment" else \
+            "ingest, solve, encode, write"
+        pattern = ", ".join(rf"{stage} \d+\.\d{{3}} ms" for stage in stages.split(", "))
+        assert re.fullmatch(rf"profile: {pattern}\n", err), err
+        report = tmp_path / "report.out"
+        assert _run(argv + ["--profile", "--out", str(report)])[1] == ""
+        assert report.read_text() == plain[1]
+
+    def test_failure_then_completed_stages(self, tmp_path):
+        path = write_market(tmp_path, securities=[])
+        code, out, err = _run(["capm", "--market", str(path), "--profile"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        first, second = err.splitlines()
+        assert first == "validation error: securities: command capm needs securities"
+        assert re.fullmatch(r"profile: ingest \d+\.\d{3} ms", second), second

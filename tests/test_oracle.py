@@ -201,6 +201,22 @@ class TestBatchedObjectives:
                 assert type(single) is float
                 assert single == pytest.approx(value, rel=0.0, abs=1e-12)
 
+    def test_deviation_gain_reports_on_another_space_raise(self):
+        market, foreign, _ = _mismatched_basket_market()
+        reports = foreign.space.rvs(market.payoffs)
+        with pytest.raises(SpaceMismatchError):
+            deviation_gain(market, 0, reports)
+        # the same payoffs on the market's space, as Rvs or as the matrix
+        own = deviation_gain(market, 0, market.space.rvs(market.payoffs))
+        assert own == deviation_gain(market, 0, market.payoffs)
+
+    def test_clearing_utility_basket_on_another_space_raises(self):
+        market, foreign, own = _mismatched_basket_market()
+        others = truthful_schedules(market, own)[1:]
+        with pytest.raises(SpaceMismatchError):
+            clearing_utility(market, 0, foreign, others, own.mean_vector)
+        assert np.isfinite(clearing_utility(market, 0, own, others, own.mean_vector))
+
 
 class TestSearchSpec:
     def test_validation(self):
