@@ -391,8 +391,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_pareto(loaded: dict) -> dict:
     market = loaded["market"]
-    try:  # the prices test Var[E] before the n x n weights are built
-        sharing, prices = optimal_sharing(market), endowment_prices(market)
+    try:  # the prices test Var[E] before any contract is built
+        prices, sharing = endowment_prices(market), optimal_sharing(market)
     except SingularCovarianceError as exc:  # Var[E], tested by endowment_prices
         raise Failure("agents", exc, EXIT_NUMERICAL) from None
     return {

@@ -9,16 +9,18 @@ basket, which owns its own. The engines read only these and add cash (the
 means) last, so a cash shift of an endowment, however large, moves nothing
 else. No engine builds the n x n covariance matrix Var[E]: every engine works
 on the centered rows in O(nm), and `require_invertible` rejects n >= m
-endowments by rank before any product is formed. `cross_cov` (two-pass,
-weighting before it squares) serves `Rv` moments and the oracle. All objects
-are immutable after construction.
-`ProbSpace.rvs` builds many random variables at once: it copies and
-validates one payoff matrix, marks it read-only and hands each `Rv` a
-read-only view of its row; `demand_schedules` does the same for demand
-schedules. A market is built from agents or, with no object per agent, from
-its arrays (`Market.from_arrays`); only `Market.agents` builds `Agent`s from
-arrays, for a caller that reads it (`agent_pool`; no engine or CLI path).
-Two spaces agree as one object or by equal probabilities (`require_same_space`).
+endowments by rank before any product is formed. `cross_cov` centers once
+(weighting before it squares) for `Rv` moments and the oracle; `Market` and
+`SecurityBasket` center with the corrected `_two_pass`. All objects are
+immutable after construction. `ProbSpace.rvs` builds many random variables
+from one validated read-only matrix, each a view of its row (as
+`demand_schedules` builds schedules); its inverse `ProbSpace.rows` is the one
+way random variables become rows, naming the index of any on another space,
+and `Market.profile` takes a report profile as n `Rv`s or an n x m array. A
+market is built from agents or from arrays (`Market.from_arrays`, no object
+per agent); only `Market.agents` builds `Agent`s from arrays (for
+`agent_pool`). Two spaces agree as one object or by equal probabilities
+(`require_same_space`); a risk aversion is positive and finite (`_check_gamma`).
 """
 
 from __future__ import annotations
@@ -101,6 +103,14 @@ class ProbSpace:
             raise ValueError("payoffs contains non-finite entries")
         matrix.flags.writeable = False
         return [Rv._trusted(self, row) for row in matrix]
+
+    def rows(self, xs, what: str) -> np.ndarray:
+        """The payoffs of xs as the rows of a new matrix, the inverse of `rvs`;
+        xs[k] on another space raises SpaceMismatchError naming `what` k."""
+        for k, x in enumerate(xs):
+            if x.space is not self:  # the message is formatted only then
+                require_same_space(self, x.space, f"{what} {k} is on another probability space")
+        return np.array([x.payoffs for x in xs])
 
 
 def require_same_space(space: ProbSpace, other: ProbSpace, message: str) -> None:
@@ -226,6 +236,12 @@ def equal_up_to_constants(x: Rv, y: Rv, tol: float = CONST_VAR_TOL) -> bool:
     return var(x - y) < tol
 
 
+def _check_gamma(gamma) -> None:
+    """The one risk-aversion rule: a positive finite number."""
+    if not math.isfinite(gamma) or gamma <= 0.0:
+        raise ValueError(f"gamma must be a positive number, got {gamma!r}")
+
+
 def pricing(gamma, expectation, covariance):
     """The pricing functional E[X] - 2 gamma Cov(X, M), M the shared aggregate."""
     return expectation - 2.0 * gamma * covariance
@@ -233,8 +249,7 @@ def pricing(gamma, expectation, covariance):
 
 def mv_utility(agent_gamma: float, x: Rv) -> float:
     """Mean-variance utility E[x] - gamma * Var[x]."""
-    if not math.isfinite(agent_gamma) or agent_gamma <= 0.0:
-        raise ValueError(f"gamma must be a positive number, got {agent_gamma!r}")
+    _check_gamma(agent_gamma)
     return mean(x) - agent_gamma * var(x)
 
 
@@ -246,8 +261,7 @@ class Agent:
     endowment: Rv
 
     def __post_init__(self):
-        if not math.isfinite(self.gamma) or self.gamma <= 0.0:
-            raise ValueError(f"gamma must be a positive number, got {self.gamma!r}")
+        _check_gamma(self.gamma)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -269,11 +283,8 @@ class Market:
 
     def __init__(self, space: ProbSpace, agents):
         agents = tuple(agents)
-        for k, a in enumerate(agents):
-            require_same_space(space, a.endowment.space,
-                               f"endowment of agent {k} is not on the market's space")
         self._set_arrays(space, [a.gamma for a in agents],
-                         [a.endowment.payoffs for a in agents])
+                         space.rows([a.endowment for a in agents], "endowment of agent"))
         self.__dict__["agents"] = agents  # the cached value of `agents`
 
     @classmethod
@@ -291,8 +302,7 @@ class Market:
             raise ValueError("a market needs at least two agents")
         low = gammas.min()
         if not (low > 0.0 and gammas.max() < np.inf):  # a NaN fails both
-            bad = gammas[~(gammas > 0.0) | ~(gammas < np.inf)][0]
-            raise ValueError(f"gamma must be a positive number, got {float(bad)!r}")
+            _check_gamma(float(gammas[~(gammas > 0.0) | ~(gammas < np.inf)][0]))
         if payoffs.shape != (gammas.size, space.n_states):
             raise SpaceMismatchError(
                 f"payoffs of shape {payoffs.shape} are not one row per agent "
@@ -346,6 +356,14 @@ class Market:
         require_same_space(self.space, basket.space, "basket is not on the market's space")
         return (self.centered * self.space.probs) @ basket.centered.T
 
+    def profile(self, reports) -> np.ndarray:
+        """A full report profile: n `Rv`s, or an array (a stack) of trailing shape n x m."""
+        if not isinstance(reports, np.ndarray):
+            reports = self.space.rows(reports, "report")
+        if reports.shape[-2:] != self.payoffs.shape:
+            raise ValueError(f"reports of shape {reports.shape} are not a full profile")
+        return reports
+
     def combine(self, linear) -> np.ndarray:
         """A linear map of endowment rows, applied to the centered rows, cash last."""
         return linear(self.centered) + linear(self.means[:, None])  # means as a column
@@ -379,10 +397,8 @@ class SecurityBasket:
         securities = tuple(self.securities)
         if len(securities) < 1:
             raise ValueError("basket needs at least one security")
-        for s in securities[1:]:
-            securities[0]._check_space(s)
         p = securities[0].space.probs
-        payoffs = np.array([s.payoffs for s in securities])
+        payoffs = securities[0].space.rows(securities, "security")
         mu, rows = _two_pass(p, payoffs)
         V = require_invertible(p, rows, "covariance matrix of the security basket is singular")
         inv = np.linalg.inv(V)
@@ -432,8 +448,7 @@ class DemandSchedule:
     c: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.gamma) or self.gamma <= 0.0:
-            raise ValueError(f"gamma must be a positive number, got {self.gamma!r}")
+        _check_gamma(self.gamma)
         object.__setattr__(self, "c", _as_float_array(self.c, "c"))
 
     @classmethod

@@ -44,16 +44,6 @@ _CURVATURE_FLOOR = 1e-10
 _DYNAMICS_TOL = 1e-12
 
 
-def _rows(market: Market, reports) -> np.ndarray:
-    """A report profile as an n x m payoff matrix. Arrays pass through
-    unchecked; an `Rv` on another space raises SpaceMismatchError."""
-    if isinstance(reports, np.ndarray):
-        return reports
-    for r in reports:
-        require_same_space(market.space, r.space, "report is not on the market's space")
-    return np.stack([r.payoffs for r in reports])
-
-
 def _value(values):
     """A float for one point, the array of values for a stack of points."""
     return float(values) if np.ndim(values) == 0 else values
@@ -136,8 +126,8 @@ class CoefficientSearchSpec:
 
     @cached_property
     def payoffs(self) -> np.ndarray:
-        """The basis as a k x m payoff matrix."""
-        return np.stack([b.payoffs for b in self.basis])
+        """The basis as a k x m payoff matrix; a basis that mixes spaces raises."""
+        return self.basis[0].space.rows(self.basis, "report basis payoff")
 
     def combine(self, coefficients) -> Rv:
         """The payoff sum_j coefficients[j] basis[j]."""
@@ -155,13 +145,12 @@ def deviation_gain(market: Market, i: int, reports):
     """Agent i's utility when the sharing mechanism runs on `reports`.
 
     `reports` is a list of n `Rv`, the equal n x m payoff matrix (a float is
-    returned) or a q x n x m stack of profiles (q values); `Rv`s on another
-    space raise SpaceMismatchError, arrays are not checked. Composed from the
-    mechanism's definition only: the aggregate of reports is reshared, agent
-    i receives (gamma/gamma_i) aggregate - report_i, and pays its market
-    price E[.] - 2 gamma Cov(., aggregate).
+    returned) or a q x n x m stack of profiles (q values), as `Market.profile`
+    checks them. Composed from the mechanism's definition only: the aggregate
+    of reports is reshared, agent i receives (gamma/gamma_i) aggregate -
+    report_i, and pays its market price E[.] - 2 gamma Cov(., aggregate).
     """
-    reports = _rows(market, reports)
+    reports = market.profile(reports)
     p = market.space.probs
     g = market.aggregate_gamma
     gi = market.gammas[i]
@@ -194,9 +183,10 @@ def _report_gain(market: Market, i: int, reports: np.ndarray, basis: np.ndarray)
 def argmax_reported_utility(
     market: Market, i: int, spec: CoefficientSearchSpec
 ) -> SearchResult:
-    """Numerically best report of agent i, as coefficients on `spec.basis`,
-    while every other agent reports truthfully."""
-    gain = _report_gain(market, i, market.payoffs, spec.payoffs)
+    """Numerically best report of agent i, as coefficients on `spec.basis`
+    (on the market's space), while every other agent reports truthfully."""
+    basis = market.space.rows(spec.basis, "report basis payoff")
+    gain = _report_gain(market, i, market.payoffs, basis)
     coefficients = _quadratic_argmax(gain, np.zeros(len(spec.basis)))
     return SearchResult(coefficients=coefficients, value=gain(coefficients))
 
@@ -262,7 +252,7 @@ def best_response_dynamics(
     p = market.space.probs
     basis = _span_basis(market)
     origin = np.zeros(len(basis))
-    reports = centered(p, market.payoffs if init is None else _rows(market, init))
+    reports = centered(p, market.payoffs if init is None else market.profile(init))
     trajectory = [market.space.rvs(reports)]
     converged = False
     rounds_run = rounds

@@ -76,15 +76,10 @@ def _response_coefficients(market: Market) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _report_rows(market: Market, others: Sequence[Rv] | None) -> np.ndarray:
-    """Centered report rows: the true endowments, or the `others` profile."""
+    """Centered report rows: the true endowments, or the profile `others`."""
     if others is None:
         return market.centered.copy()
-    for r in others:
-        require_same_space(market.space, r.space, "reports are not on the market's space")
-    rows = np.stack([r.payoffs for r in others])
-    if len(rows) != market.n:
-        raise ValueError("reports must be a full-length profile (slot i is ignored)")
-    return centered(market.space.probs, rows)
+    return centered(market.space.probs, market.profile(others))
 
 
 def reported_utility(

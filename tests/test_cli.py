@@ -562,6 +562,57 @@ class TestCommands:
 
 
 class TestNoObjectPerAgent:
+    # `Rv` and `DemandSchedule` constructions per command, the same at every n:
+    # the basket's security, plus a best response's report and the truthful
+    # one it is compared with; pareto exits 3 on Var[E] before it builds a
+    # contract
+    OBJECTS = {
+        ("pareto",): 1,
+        ("capm",): 1,
+        ("nash", "--game", "percentage"): 1,
+        ("best-response", "--game", "endowment"): 3,
+        ("best-response", "--game", "percentage"): 3,
+    }
+    # ROADMAP item 2's remainder: these outcomes still hold one object per
+    # agent (the Nash reports and contracts, the price game's schedules, the
+    # truthful schedules the demand response pools), and the benchmark reads
+    # them as objects (`truthful_schedules`, `nash_endowment(...).reported`)
+    PER_AGENT = (
+        ("nash", "--game", "endowment"),
+        ("nash", "--game", "price"),
+        ("best-response", "--game", "demand"),
+    )
+
+    @staticmethod
+    def _market_file(tmp_path, n):
+        rng = np.random.default_rng(29)
+        agents = [{"gamma": float(g), "payoffs": row.tolist()}
+                  for g, row in zip(rng.uniform(0.5, 2.0, n), rng.normal(size=(n, 6)))]
+        return write_market(tmp_path, name=f"market-{n}.json", probs=[1.0 / 6] * 6,
+                            agents=agents, securities=[rng.normal(size=6).tolist()])
+
+    def test_objects_per_command_do_not_grow_with_n(self, tmp_path, monkeypatch):
+        built = []
+        for cls in (core.Rv, core.DemandSchedule):
+            post, trusted = cls.__post_init__, cls._trusted
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda obj, post=post: built.append(1) or post(obj))
+            monkeypatch.setattr(cls, "_trusted", classmethod(
+                lambda _, *args, trusted=trusted: built.append(1) or trusted(*args)))
+        counts = {}
+        for n in (10, 1000):
+            path = self._market_file(tmp_path, n)
+            for command in COMMANDS:
+                built.clear()
+                code = _run(list(command) + ["--market", str(path)])[0]
+                assert code == (EXIT_NUMERICAL if command == ["pareto"] else EXIT_OK)
+                counts[tuple(command), n] = len(built)
+        assert set(self.OBJECTS) | set(self.PER_AGENT) == set(map(tuple, COMMANDS))
+        for command, count in self.OBJECTS.items():
+            assert (counts[command, 10], counts[command, 1000]) == (count, count), command
+        for command in self.PER_AGENT:
+            assert counts[command, 1000] - counts[command, 10] >= 990, command
+
     def test_commands_build_no_agent(self, tmp_path, monkeypatch):
         # ingest builds the market from arrays, and no command reads its
         # per-agent objects: not one Agent is constructed in eight runs
@@ -576,11 +627,7 @@ class TestNoObjectPerAgent:
             return loaded[-1]
 
         monkeypatch.setattr(cli, "ingest_market_document", ingest)
-        rng = np.random.default_rng(29)
-        agents = [{"gamma": float(g), "payoffs": row.tolist()}
-                  for g, row in zip(rng.uniform(0.5, 2.0, 1000), rng.normal(size=(1000, 6)))]
-        path = write_market(tmp_path, probs=[1.0 / 6] * 6, agents=agents,
-                            securities=[rng.normal(size=6).tolist()])
+        path = self._market_file(tmp_path, 1000)
         codes = [_run(list(command) + ["--market", str(path)])[0] for command in COMMANDS]
         # 1000 endowments on 6 states are singular by rank, so pareto exits 3
         assert codes == [EXIT_NUMERICAL] + [EXIT_OK] * 7

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskshare import nash, pareto, strategic
+from riskshare import nash, oracle, pareto, strategic
 from riskshare.core import (
     Agent,
     DemandSchedule,
@@ -452,6 +452,14 @@ class TestForeignSpace:
             m, 0, m.space.rv(m.centered[0]), others=[m.space.rv(m.centered[0]), r, r]),
         "best_endowment_response-others": lambda m, r: strategic.best_endowment_response(
             m, 0, others=[m.space.rv(m.centered[0]), m.space.rv(m.centered[1]), r]).payoffs,
+        "deviation_gain": lambda m, r: oracle.deviation_gain(
+            m, 0, [m.space.rv(m.payoffs[0]), r, m.space.rv(m.payoffs[2])]),
+        "best_response_dynamics-init": lambda m, r: np.stack([
+            x.payoffs for x in oracle.best_response_dynamics(
+                m, init=[m.space.rv(m.payoffs[0]), m.space.rv(m.payoffs[1]), r],
+                rounds=2).trajectory[-1]]),
+        "argmax_reported_utility-basis": lambda m, r: oracle.argmax_reported_utility(
+            m, 0, oracle.CoefficientSearchSpec((m.space.rv(m.payoffs[1]), r))).coefficients,
     }
 
     def _market(self):
@@ -495,3 +503,45 @@ class TestForeignSpace:
         twin = ProbSpace(np.array(self.PROBS)).rv(payoffs)
         call = self.REPORT_CALLS[name]
         assert np.array_equal(call(market, twin), call(market, market.space.rv(payoffs)))
+
+    def test_messages_name_the_index(self):
+        space, foreign = ProbSpace(np.array(self.PROBS)), ProbSpace(np.array([0.5, 0.25, 0.25]))
+        rows = [[1.0, -1.0, 0.5], [-0.5, 1.5, -1.0], [0.2, 0.1, -0.4]]
+        agents = [Agent(g, on.rv(row))
+                  for g, on, row in zip([1.0, 2.0, 1.5], [space, space, foreign], rows)]
+        with pytest.raises(SpaceMismatchError, match="endowment of agent 2 "):
+            Market(space, agents)
+        with pytest.raises(SpaceMismatchError, match="security 1 "):
+            SecurityBasket((space.rv(rows[0]), foreign.rv(rows[1])))
+
+
+class TestReportProfileLength:
+    """A report profile is one row per agent: a short or empty one, as `Rv`s
+    or as an array, raises ValueError at every entry point that takes one."""
+
+    SPACE = ProbSpace(np.array([0.3, 0.3, 0.4]))
+    MARKET = Market.from_arrays(
+        SPACE, [1.0, 2.0, 1.5], [[1.0, -1.0, 0.5], [-0.5, 1.5, -1.0], [0.2, 0.1, -0.4]])
+
+    CALLS = {
+        "reported_utility": lambda m, r: strategic.reported_utility(
+            m, 0, m.space.rv(m.payoffs[0]), others=r),
+        "best_endowment_response": lambda m, r: strategic.best_endowment_response(
+            m, 0, others=r),
+        "deviation_gain": lambda m, r: oracle.deviation_gain(m, 0, r),
+        "best_response_dynamics": lambda m, r: oracle.best_response_dynamics(m, init=r),
+    }
+    PROFILES = {
+        "two-rvs": lambda m: m.space.rvs(m.payoffs[:2]),
+        "no-rvs": lambda m: [],
+        "two-rows": lambda m: m.payoffs[:2],
+        "no-rows": lambda m: m.payoffs[:0],
+        "one-row": lambda m: m.payoffs[0],
+    }
+
+    @pytest.mark.parametrize("profile", list(PROFILES))
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_short_or_empty_profile_raises(self, name, profile):
+        market = self.MARKET
+        with pytest.raises(ValueError, match="not a full profile"):
+            self.CALLS[name](market, self.PROFILES[profile](market))

@@ -223,6 +223,12 @@ class TestSearchSpec:
         with pytest.raises(ValueError):
             CoefficientSearchSpec(basis=())
 
+    def test_basis_mixing_spaces_raises(self):
+        space, other = ProbSpace([0.3, 0.3, 0.4]), ProbSpace([0.5, 0.25, 0.25])
+        spec = CoefficientSearchSpec(basis=(space.rv([1.0, 0.0, -1.0]), other.rv([0.0, 1.0, 2.0])))
+        with pytest.raises(SpaceMismatchError, match="report basis payoff 1 "):
+            spec.combine([1.0, 1.0])
+
 
 class TestArgmaxReportedUtility:
     def test_independent_pair_coefficients(self):
