@@ -20,7 +20,8 @@ and `Market.profile` takes a report profile as n `Rv`s or an n x m array. A
 market is built from agents or from arrays (`Market.from_arrays`, no object
 per agent); only `Market.agents` builds `Agent`s from arrays (for
 `agent_pool`). Two spaces agree as one object or by equal probabilities
-(`require_same_space`); a risk aversion is positive and finite (`_check_gamma`).
+(`require_same_space`); a risk aversion is positive and finite (`_check_gamma`),
+and an agent index is an integer in [0, n) (`_check_agent`).
 """
 
 from __future__ import annotations
@@ -240,6 +241,12 @@ def _check_gamma(gamma) -> None:
     """The one risk-aversion rule: a positive finite number."""
     if not math.isfinite(gamma) or gamma <= 0.0:
         raise ValueError(f"gamma must be a positive number, got {gamma!r}")
+
+
+def _check_agent(i, n: int) -> None:
+    """The one agent-index rule: an integer in [0, n), so -1 is no alias of n - 1."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+        raise ValueError(f"agent index must be an integer in [0, {n}), got {i!r}")
 
 
 def pricing(gamma, expectation, covariance):

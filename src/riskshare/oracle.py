@@ -7,24 +7,29 @@ affine in the searched report coefficients, basket position or clearing
 price, so it is a concave quadratic in them. One derivative-free search,
 `_quadratic_argmax`, serves all of them: central differences with unit steps
 give the exact gradient and Hessian of a quadratic, and one Newton step lands
-on the optimum. It raises when the measured curvature is not concave, so a
-wrong objective disagrees loudly instead of returning a saddle point. The
-search evaluates its whole stencil of q = 1 + 2k + k(k+1)/2 points in one
-call, so every objective takes a stack of points and returns one value per
-point, and it takes the gradient and the Hessian from one product of those
-q values with the stencil's fixed weight matrix. The objectives are
-evaluated on payoff arrays: a report search evaluates a q x n x m stack of
-profiles, q copies of the n x m profile with row i replaced by each trial
-report, in one `deviation_gain` call, and every moment goes through
-`core.cross_cov`.
+on the optimum. Its curvature half (`_concave_axes`) raises when the measured
+curvature is not concave, so a wrong objective disagrees loudly instead of
+returning a saddle point; its step half (`_newton_step`) moves along the
+kept axes. The search evaluates its whole stencil of q = 1 + 2k + k(k+1)/2
+points in one call, so every objective takes a stack of points and returns
+one value per point, and it takes the gradient and the Hessian from one
+product of those q values with the stencil's fixed weight matrix. The
+objectives are evaluated on payoff arrays: a report search evaluates a
+q x n x m stack of profiles, q copies of the n x m profile with row i
+replaced by each trial report, in one `deviation_gain` call, and every
+moment goes through `core.cross_cov`.
 
 Best responses live in the span of the basis payoffs (the objective strictly
 worsens in any orthogonal direction), so searches run over span coefficients.
 An orthogonal probe is kept in the tests rather than assumed here. The
 best-response dynamics search over an orthonormal basis of the centered
 endowments' span, so their Newton step stays well conditioned when the
-endowments are linearly dependent. They center the profile, measure its
-largest step and record it once per round.
+endowments are linearly dependent. They run the search's two halves apart:
+an agent's gain is quadratic in all reports jointly, so its Hessian in its
+own coefficients is the same at every profile, and each agent's curvature is
+measured and checked once per run, in its first step; its later steps
+evaluate only the 2k gradient points of the stencil. They center the
+profile, measure its largest step and record it once per round.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .core import (
-    SV_RATIO_MIN, Market, Rv, SecurityBasket, centered, cross_cov, require_same_space,
+    SV_RATIO_MIN, Market, Rv, SecurityBasket, _check_agent, _check_gamma, centered, cross_cov,
+    require_same_space,
 )
 
 # curvatures within this fraction of the largest are flat (rounding noise)
@@ -82,23 +88,14 @@ def _stencil(k: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, weights
 
 
-def _quadratic_argmax(f, center) -> np.ndarray:
-    """Maximizer of a concave quadratic f by one Newton step from `center`.
+def _concave_axes(hess) -> tuple[np.ndarray, np.ndarray]:
+    """The curvature half of the Newton step: the axes it moves along.
 
-    Central differences with unit steps give the exact gradient and Hessian
-    of a quadratic. f is called once, on the q x k stack of stencil points
-    (`_stencil`), and returns their q values; one product with the stencil's
-    weights gives both derivatives. Axes of negative curvature take the
-    Newton step; flat axes (within a relative `_CURVATURE_FLOOR`, as a
-    dependent basis gives) are left at the center, so the step is the
-    minimum-norm maximizer. A positive curvature beyond the floor raises
-    ValueError.
+    Axes of negative curvature (eigenvectors of the Hessian) are kept with
+    their curvatures; flat axes (within a relative `_CURVATURE_FLOOR`, as a
+    dependent basis gives) are dropped, so the step is the minimum-norm
+    maximizer. A positive curvature beyond the floor raises ValueError.
     """
-    center = np.asarray(center, dtype=float)
-    k = center.size
-    offsets, weights = _stencil(k)
-    derivatives = f(center + offsets) @ weights
-    grad, hess = derivatives[:k], derivatives[k:].reshape(k, k)
     curvatures, axes = np.linalg.eigh(hess)
     # eigh sorts ascending, so the largest magnitude is at one end
     floor = _CURVATURE_FLOOR * max(-curvatures[0], curvatures[-1])
@@ -108,8 +105,30 @@ def _quadratic_argmax(f, center) -> np.ndarray:
             f"exceeds the floor {floor:.3e}"
         )
     keep = curvatures < -floor
-    steps = axes[:, keep]
-    return center + steps @ ((grad @ steps) / -curvatures[keep])
+    return axes[:, keep], curvatures[keep]
+
+
+def _newton_step(grad, axes, curvatures) -> np.ndarray:
+    """The step half: the Newton step of `grad` along the kept axes."""
+    return axes @ ((grad @ axes) / -curvatures)
+
+
+def _quadratic_argmax(f, center) -> np.ndarray:
+    """Maximizer of a concave quadratic f by one Newton step from `center`.
+
+    Central differences with unit steps give the exact gradient and Hessian
+    of a quadratic. f is called once, on the q x k stack of stencil points
+    (`_stencil`), and returns their q values; one product with the stencil's
+    weights gives both derivatives. The step runs along the axes that
+    `_concave_axes` keeps, which raises ValueError for a curvature that is
+    not concave.
+    """
+    center = np.asarray(center, dtype=float)
+    k = center.size
+    offsets, weights = _stencil(k)
+    derivatives = f(center + offsets) @ weights
+    kept = _concave_axes(derivatives[k:].reshape(k, k))
+    return center + _newton_step(derivatives[:k], *kept)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +169,7 @@ def deviation_gain(market: Market, i: int, reports):
     of reports is reshared, agent i receives (gamma/gamma_i) aggregate -
     report_i, and pays its market price E[.] - 2 gamma Cov(., aggregate).
     """
+    _check_agent(i, market.n)
     reports = market.profile(reports)
     p = market.space.probs
     g = market.aggregate_gamma
@@ -185,6 +205,7 @@ def argmax_reported_utility(
 ) -> SearchResult:
     """Numerically best report of agent i, as coefficients on `spec.basis`
     (on the market's space), while every other agent reports truthfully."""
+    _check_agent(i, market.n)
     basis = market.space.rows(spec.basis, "report basis payoff")
     gain = _report_gain(market, i, market.payoffs, basis)
     coefficients = _quadratic_argmax(gain, np.zeros(len(spec.basis)))
@@ -198,6 +219,7 @@ def argmax_demand(
     p,
 ) -> np.ndarray:
     """Maximizer of U(a.C + endowment) - a.p over positions a."""
+    _check_gamma(agent_gamma)
     require_same_space(endowment.space, basket.space, "basket is not on the endowment's space")
     p = np.asarray(p, dtype=float)
     probs = basket.space.probs
@@ -243,15 +265,24 @@ def best_response_dynamics(
 ) -> DynamicsResult:
     """Round-robin best-response iteration on the reported endowments.
 
-    Each agent in turn takes its exact best response on the span basis.
-    A round converges when no report moved by a standard deviation of
-    `_DYNAMICS_TOL` or more. Convergence is an empirical observation, not a
-    guarantee; a non-convergent trajectory is returned as data with
-    `converged` false.
+    Each agent in turn takes its exact best response on the span basis, one
+    Newton step from the origin. An agent's gain is quadratic in all reports
+    jointly, so its Hessian in its own coefficients does not depend on the
+    others' reports: each agent's curvature is measured and checked once per
+    run, from the full stencil in its first step (`_concave_axes`), and its
+    later steps evaluate only the 2k gradient points +-e_a of the same
+    stencil and step along the kept axes. A round converges when no report
+    moved by a standard deviation of `_DYNAMICS_TOL` or more. Convergence is
+    an empirical observation, not a guarantee; a non-convergent trajectory
+    is returned as data with `converged` false.
     """
     p = market.space.probs
     basis = _span_basis(market)
-    origin = np.zeros(len(basis))
+    k = len(basis)
+    offsets, weights = _stencil(k)
+    # the points +-e_a, the only ones that weigh on the gradient
+    gradient_offsets, gradient_weights = offsets[1 : 2 * k + 1], weights[1 : 2 * k + 1, :k]
+    kept = []  # each agent's kept axes and curvatures, from its first step
     reports = centered(p, market.payoffs if init is None else market.profile(init))
     trajectory = [market.space.rvs(reports)]
     converged = False
@@ -260,7 +291,13 @@ def best_response_dynamics(
         previous = reports.copy()
         for i in range(market.n):
             gain = _report_gain(market, i, reports, basis)
-            reports[i] = _quadratic_argmax(gain, origin) @ basis
+            if r == 1:
+                derivatives = gain(offsets) @ weights
+                grad = derivatives[:k]
+                kept.append(_concave_axes(derivatives[k:].reshape(k, k)))
+            else:
+                grad = gain(gradient_offsets) @ gradient_weights
+            reports[i] = _newton_step(grad, *kept[i]) @ basis
         # the basis rows are centered, so this removes rounding only
         reports = centered(p, reports)
         trajectory.append(market.space.rvs(reports))
@@ -286,6 +323,7 @@ def clearing_utility(market: Market, i: int, basket: SecurityBasket, schedules, 
     stack of prices q values. A basket on another space raises
     SpaceMismatchError.
     """
+    _check_agent(i, market.n)
     require_same_space(market.space, basket.space, "basket is not on the market's space")
     p = np.asarray(p, dtype=float)
     supplied = sum(s.quantities(basket, p) for s in schedules)
@@ -302,6 +340,7 @@ def argmax_phi(
 ) -> np.ndarray:
     """Maximizer of the clearing utility over prices, searched from the
     securities' means; a basket on another space raises in `clearing_utility`."""
+    _check_agent(i, market.n)
 
     def objective(p):
         return clearing_utility(market, i, basket, schedules, p)

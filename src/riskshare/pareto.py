@@ -24,6 +24,7 @@ from .core import (
     Market,
     Rv,
     SecurityBasket,
+    _check_agent,
     autarky_utilities,
     pricing,
     require_invertible,
@@ -163,4 +164,5 @@ def reservation_prices(market: Market, basket: SecurityBasket, i: int) -> np.nda
     E[C] - 2 gamma_i Cov(C, E_i); at these prices the agent is indifferent
     between trading and not trading the basket.
     """
+    _check_agent(i, market.n)
     return pricing(market.gammas[i], basket.mean_vector, market.exposures(basket)[i])

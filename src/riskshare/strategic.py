@@ -21,6 +21,7 @@ from .core import (
     Market,
     Rv,
     SecurityBasket,
+    _check_agent,
     autarky_utilities,
     centered,
     cov_vector,
@@ -76,10 +77,13 @@ def _response_coefficients(market: Market) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _report_rows(market: Market, others: Sequence[Rv] | None) -> np.ndarray:
-    """Centered report rows: the true endowments, or the profile `others`."""
+    """Centered report rows: the true endowments, or the one profile `others`."""
     if others is None:
         return market.centered.copy()
-    return centered(market.space.probs, market.profile(others))
+    rows = market.profile(others)
+    if rows.ndim != 2:
+        raise ValueError(f"reports of shape {rows.shape} are not a full profile")
+    return centered(market.space.probs, rows)
 
 
 def reported_utility(
@@ -96,6 +100,7 @@ def reported_utility(
     `mechanism_gains` on the report profile. Cash in a report is priced at
     par, so only the centered reports matter.
     """
+    _check_agent(i, market.n)
     require_same_space(market.space, b.space, "report b is not on the market's space")
     reports = _report_rows(market, others)
     reports[i] = centered(market.space.probs, b.payoffs)
@@ -112,6 +117,7 @@ def best_endowment_response(
     B*_i = gamma_i/(gamma_i + gamma) E_i + gamma^2/(gamma_i^2 - gamma^2) R_{-i}
     where R_{-i} is the sum of the other agents' reports.
     """
+    _check_agent(i, market.n)
     rest = np.delete(_report_rows(market, others), i, axis=0).sum(axis=0)
     own, other = _response_coefficients(market)
     b = own[i] * market.centered[i] + other[i] * rest
@@ -125,6 +131,7 @@ def best_percentage_response(market: Market, i: int) -> float:
                + gamma^2/(gamma_i^2-gamma^2) * Cov(E_i, E_{-i}) / Var[E_i]),
     the covariance ratio being rho(E_i, E_{-i}) sqrt(Var[E_{-i}]/Var[E_i]).
     """
+    _check_agent(i, market.n)
     variance = endowment_variances(market, (i,))[i]
     own, other = _response_coefficients(market)
     rows = market.centered
@@ -166,6 +173,7 @@ def best_price_response(
                                    + gamma_i^2/(gamma_i^2-gamma^2) E_{-i}),
     the clearing price of agent i's best demand response.
     """
+    _check_agent(i, market.n)
     if len(other_schedules) != market.n - 1:
         raise ValueError("need one schedule per other agent")
     pool = DemandSchedule.pooled(other_schedules)
@@ -183,6 +191,7 @@ def best_demand_response(
     Same linear family as the truthful demand, with the covariance vector
     taken against the best endowment response instead of the true endowment.
     """
+    _check_agent(i, market.n)
     best = best_endowment_response(market, i)
     return DemandSchedule(market.gammas[i], cov_vector(basket, best))
 
@@ -206,6 +215,7 @@ def price_objective(
     agents' schedules, summed as one pooled schedule; agent i absorbs the
     residual supply.
     """
+    _check_agent(i, market.n)
     supplied = DemandSchedule.pooled(other_schedules).quantities(basket, p)
     return float(holding_utilities(market, basket, -supplied, p)[i])
 
@@ -216,11 +226,13 @@ def _response_report(market: Market, i: int, response, report: Rv) -> ResponseRe
 
 
 def endowment_response_report(market: Market, i: int) -> ResponseReport:
+    _check_agent(i, market.n)
     best = best_endowment_response(market, i)
     return _response_report(market, i, best, best)
 
 
 def percentage_response_report(market: Market, i: int) -> ResponseReport:
+    _check_agent(i, market.n)
     best = best_percentage_response(market, i)
     return _response_report(market, i, best, market.space.rv(best * market.centered[i]))
 
@@ -228,6 +240,7 @@ def percentage_response_report(market: Market, i: int) -> ResponseReport:
 def demand_response_report(
     market: Market, i: int, basket: SecurityBasket
 ) -> ResponseReport:
+    _check_agent(i, market.n)
     others = truthful_schedules(market, basket)
     truthful = others.pop(i)
     pool = [DemandSchedule.pooled(others)]

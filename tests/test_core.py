@@ -545,3 +545,57 @@ class TestReportProfileLength:
         market = self.MARKET
         with pytest.raises(ValueError, match="not a full profile"):
             self.CALLS[name](market, self.PROFILES[profile](market))
+
+    @pytest.mark.parametrize("name", ["reported_utility", "best_endowment_response"])
+    def test_stack_of_profiles_raises(self, name):
+        # the oracle's objectives take a stack of profiles; a single
+        # deviator's `others` is one profile
+        market = self.MARKET
+        stack = np.stack([market.payoffs, market.payoffs])
+        with pytest.raises(ValueError, match=r"\(2, 3, 3\) are not a full profile"):
+            self.CALLS[name](market, stack)
+
+
+class TestAgentIndex:
+    """An agent index is an integer in [0, n) at every public entry point that
+    takes one: -1 is no alias of agent n - 1."""
+
+    MARKET = TestReportProfileLength.MARKET
+    BASKET = SecurityBasket((MARKET.space.rv([1.0, 0.0, -1.0]),))
+    SCHEDULES = strategic.truthful_schedules(MARKET, BASKET)[1:]
+
+    CALLS = {
+        "reported_utility": lambda m, b, s, i: strategic.reported_utility(
+            m, i, m.space.rv(m.payoffs[0])),
+        "best_endowment_response": lambda m, b, s, i: strategic.best_endowment_response(m, i),
+        "best_percentage_response": lambda m, b, s, i: strategic.best_percentage_response(m, i),
+        "best_price_response": lambda m, b, s, i: strategic.best_price_response(m, i, b, s),
+        "best_demand_response": lambda m, b, s, i: strategic.best_demand_response(m, i, b),
+        "price_objective": lambda m, b, s, i: strategic.price_objective(
+            m, i, b, s, b.mean_vector),
+        "endowment_response_report": lambda m, b, s, i: strategic.endowment_response_report(
+            m, i),
+        "percentage_response_report": lambda m, b, s, i: strategic.percentage_response_report(
+            m, i),
+        "demand_response_report": lambda m, b, s, i: strategic.demand_response_report(m, i, b),
+        "reservation_prices": lambda m, b, s, i: pareto.reservation_prices(m, b, i),
+        "deviation_gain": lambda m, b, s, i: oracle.deviation_gain(m, i, m.payoffs),
+        "argmax_reported_utility": lambda m, b, s, i: oracle.argmax_reported_utility(
+            m, i, oracle.CoefficientSearchSpec(tuple(m.endowments()))),
+        "clearing_utility": lambda m, b, s, i: oracle.clearing_utility(
+            m, i, b, s, b.mean_vector),
+        "argmax_phi": lambda m, b, s, i: oracle.argmax_phi(m, i, b, s),
+    }
+
+    @pytest.mark.parametrize("i", [pytest.param(-1, id="minus-one"), pytest.param(3, id="n"),
+                                   pytest.param(1.0, id="float"), pytest.param(True, id="bool")])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_index_outside_range_raises(self, name, i):
+        with pytest.raises(ValueError, match=rf"integer in \[0, 3\), got {i!r}$"):
+            self.CALLS[name](self.MARKET, self.BASKET, self.SCHEDULES, i)
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_numpy_integer_is_an_index(self, name):
+        call = self.CALLS[name]
+        args = (self.MARKET, self.BASKET, self.SCHEDULES)
+        assert repr(call(*args, np.int64(0))) == repr(call(*args, 0))

@@ -345,12 +345,25 @@ class TestArgmaxDemand:
         )
 
     def test_convex_objective_raises(self):
-        # with a negative gamma the objective is convex: no maximizer
+        # with a negative gamma the demand objective is convex: no maximizer.
+        # argmax_demand rejects that gamma first, so the search is given the
+        # objective directly
         rng = np.random.default_rng(91)
         m = make_market(rng, m=5)
         basket = make_basket(rng, m.space, k=2)
+
+        def objective(a):
+            x = a @ basket.payoffs + m.payoffs[0]
+            return oracle_module._mv_value(-1.0, m.space.probs, x) - a @ basket.mean_vector
+
         with pytest.raises(ValueError, match="not concave"):
-            argmax_demand(-1.0, m.agents[0].endowment, basket, basket.mean_vector)
+            oracle_module._quadratic_argmax(objective, np.zeros(basket.k))
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        market, _, basket = _mismatched_basket_market()
+        with pytest.raises(ValueError, match="gamma must be a positive number"):
+            argmax_demand(gamma, market.endowments()[0], basket, basket.mean_vector)
 
 
 class TestBestResponseDynamics:
@@ -417,6 +430,51 @@ class TestBestResponseDynamics:
             result = best_response_dynamics(market)
             assert result.converged
             assert counted.calls == market.n * result.rounds_run
+
+    def test_curvature_is_the_same_at_every_profile(self):
+        # an agent's gain is quadratic in all reports jointly, so the Hessian
+        # the dynamics measure at the agent's first step is the Hessian at the
+        # final profile too
+        rng = np.random.default_rng(104)
+        for _ in range(60):
+            n, m = rng.integers(2, 5), rng.integers(2, 7)
+            market = make_market(rng, n=n, m=m)
+            result = best_response_dynamics(market)
+            basis = oracle_module._span_basis(market)
+            k = len(basis)
+            offsets, weights = oracle_module._stencil(k)
+            start, after, final = (market.space.rows(result.trajectory[r], "report")
+                                   for r in (0, 1, -1))
+            for i in range(market.n):
+                # agent i's first step sees the others' round-1 reports before it
+                first = np.concatenate([after[:i], start[i:]])
+                first_hess, final_hess = (
+                    (oracle_module._report_gain(market, i, profile, basis)(offsets)
+                     @ weights)[k:]
+                    for profile in (first, final))
+                gap = np.abs(final_hess - first_hess).max()
+                assert gap <= 1e-12 * np.abs(first_hess).max()
+
+    def test_full_stencil_in_first_round_only(self, monkeypatch):
+        # round 1 evaluates each agent's q stencil points, which measure its
+        # curvature; every later step evaluates the 2k gradient points only
+        rng = np.random.default_rng(95)
+        gain, stacks = oracle_module.deviation_gain, []
+
+        def recording(market, i, reports):
+            stacks.append(len(reports))
+            return gain(market, i, reports)
+
+        monkeypatch.setattr(oracle_module, "deviation_gain", recording)
+        for _ in range(5):
+            market = make_market(rng)
+            stacks.clear()
+            result = best_response_dynamics(market)
+            assert result.converged and result.rounds_run >= 2
+            k = len(oracle_module._span_basis(market))
+            q = 1 + 2 * k + k * (k + 1) // 2
+            later = market.n * (result.rounds_run - 1)
+            assert stacks == [q] * market.n + [2 * k] * later
 
     def test_random_markets_reach_closed_form(self):
         rng = np.random.default_rng(87)
