@@ -8,15 +8,18 @@ centered endowments, their `variances` and their `exposures` to a security
 basket, which owns its own. The engines read only these and add cash (the
 means) last, so a cash shift of an endowment, however large, moves nothing
 else. No engine builds the n x n covariance matrix Var[E]: every engine works
-on the centered rows in O(nm), and `require_invertible` rejects n >= m
-endowments by rank before any product is formed. `cross_cov` centers once
-(weighting before it squares) for `Rv` moments and the oracle; `Market` and
-`SecurityBasket` center with the corrected `_two_pass`. All objects are
-immutable after construction. `ProbSpace.rvs` builds many random variables
-from one validated read-only matrix, each a view of its row (as
-`demand_schedules` builds schedules); its inverse `ProbSpace.rows` is the one
-way random variables become rows, naming the index of any on another space,
-and `Market.profile` takes a report profile as n `Rv`s or an n x m array. A
+on the centered rows in O(nm) (the percentage solve adds one m x m matrix),
+and `require_invertible` rejects n >= m endowments by rank before any product
+is formed. `cross_cov` centers once (weighting before it squares) for `Rv`
+moments and the oracle; `Market` and `SecurityBasket` center with the
+corrected `_two_pass`. All objects are immutable after construction.
+`ProbSpace.rvs` builds many random variables from one validated read-only
+matrix, each a view of its row (as `demand_schedules` builds schedules); its
+inverse `ProbSpace.rows` is the one way random variables become rows, naming
+the index of any on another space, and `Market.profile` takes a report
+profile as n `Rv`s or an n x m array. `DemandSchedule.pooled` sums schedules
+from their gammas and covariance rows, so the others' demand is pooled from
+the exposure matrix with no schedule per agent. A
 market is built from agents or from arrays (`Market.from_arrays`, no object
 per agent); only `Market.agents` builds `Agent`s from arrays (for
 `agent_pool`). Two spaces agree as one object or by equal probabilities
@@ -73,7 +76,7 @@ class ProbSpace:
         if (probs <= 0.0).any():
             raise ValueError("all state probabilities must be strictly positive")
         if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(probs.sum())!r}, not 1")
         object.__setattr__(self, "probs", probs)
 
     @property
@@ -448,7 +451,8 @@ class DemandSchedule:
     """Linear mean-variance demand, identified by (gamma, covariance vector).
 
     Evaluates to ((E[C] - p) / (2 gamma) - c) . Var^{-1}[C]; affine in p.
-    The others' demand enters the price game as their one `pooled` schedule.
+    The others' demand enters the price game as their one `pooled` schedule,
+    summed from their gammas and covariance rows.
     """
 
     gamma: float
@@ -459,10 +463,14 @@ class DemandSchedule:
         object.__setattr__(self, "c", _as_float_array(self.c, "c"))
 
     @classmethod
-    def pooled(cls, schedules) -> "DemandSchedule":
-        """The schedule demanding their sum: harmonic aggregate gamma, summed c."""
-        gamma = 1.0 / np.sum([1.0 / s.gamma for s in schedules])
-        return cls(gamma, np.sum([s.c for s in schedules], axis=0))
+    def pooled(cls, gammas, c) -> "DemandSchedule":
+        """The schedule demanding the sum of the schedules (gammas[j], c[j]):
+        the harmonic aggregate of the gammas and the column sum of the rows c,
+        for example the gammas and `Market.exposures` rows of some agents."""
+        gammas, c = np.asarray(gammas, dtype=float), np.asarray(c, dtype=float)
+        if gammas.ndim != 1 or not gammas.size or c.shape[:1] != gammas.shape:
+            raise ValueError("pooling needs one covariance row per gamma, and at least one")
+        return cls(1.0 / np.sum(1.0 / gammas), np.sum(c, axis=0))
 
     @classmethod
     def _trusted(cls, gamma: float, c: np.ndarray) -> "DemandSchedule":

@@ -216,7 +216,7 @@ def percentage_best_response(market: Market, b: np.ndarray, kappa: float) -> np.
 def nash_percentage(
     market: Market, kappa: float = 10.0, max_iter: int = 10000
 ) -> NashPercentageOutcome:
-    """Exact percentage-game equilibrium by an active-set solve, in O(nm) memory.
+    """Exact percentage-game equilibrium by an active-set solve, in O(nm + m^2) memory.
 
     b = BR(b) = clamp(R(b), 0, kappa), with R the affine
     `strategic.percentage_responses`, is a box-constrained linear
@@ -229,12 +229,14 @@ def nash_percentage(
     L = centered * sqrt(p) and w = s^2 / Var[E],
     (I - diag(w_F) L_F L_F^T) b_F = (1 - s_F^2) R_F(b with b_F = 0),
     solved by Woodbury (Golub & Van Loan, section 2.1.4) through the m x m
-    matrix I - L_F^T diag(w_F) L_F. It is symmetric with eigenvalues in
-    [1 - sum_F s_i^2, 1], positive since `Market` requires sum_i s_i^2 < 1.
-    Near that bound, when one gamma_i dwarfs the others, the solve loses
-    digits, so once the split holds one step of iterative refinement against
-    R follows. A residual max |b - BR(b)| above RESIDUAL_TOL (1 + max |b|)
-    raises ConvergenceError.
+    matrix I - L_F^T diag(w_F) L_F, whatever the number of free agents: that
+    matrix is the m^2 term (ROADMAP.md item 3 plans the |F| x |F| side when
+    fewer agents are free than there are states). It is symmetric with
+    eigenvalues in [1 - sum_F s_i^2, 1], positive since `Market` requires
+    sum_i s_i^2 < 1. Near that bound, when one gamma_i dwarfs the others, the
+    solve loses digits, so once the split holds one step of iterative
+    refinement against R follows. A residual max |b - BR(b)| above
+    RESIDUAL_TOL (1 + max |b|) raises ConvergenceError.
     """
     if not (np.isfinite(kappa) and kappa > 0.0):
         raise ValueError("kappa must be finite and positive")

@@ -5,6 +5,9 @@ endowments, or their demand schedules, which enter the price game as one
 pooled schedule) and reports whatever maximizes their own utility once the
 sharing mechanism is applied; the utility of any report is the autarky
 utility plus the agent's `pareto.mechanism_gains` on the report profile.
+The demand response pools the truthful others straight from the rows of
+`Market.exposures`, so it builds no schedule per agent; the functions that
+take the others' schedules as a list pool them through `_pooled`.
 Best responses are returned zero-mean normalized; the deviator's utility is
 invariant to cash shifts of the report, so nothing is lost.
 """
@@ -60,6 +63,9 @@ def endowment_variances(market: Market, agents=None) -> np.ndarray:
 
 
 def truthful_schedules(market: Market, basket: SecurityBasket) -> list[DemandSchedule]:
+    """Every agent's truthful schedule, one object per agent, for callers that
+    pass the others' schedules as a list; `demand_response_report` pools the
+    truthful others from the exposure rows instead."""
     return demand_schedules(market, market.exposures(basket))
 
 
@@ -156,6 +162,11 @@ def percentage_responses(market: Market, b: np.ndarray) -> np.ndarray:
     return own + other * np.where(alone, ratios[:, 1], ratios[:, 0] - b)
 
 
+def _pooled(schedules: Sequence[DemandSchedule]) -> DemandSchedule:
+    """`DemandSchedule.pooled` of a list of schedule objects."""
+    return DemandSchedule.pooled([s.gamma for s in schedules], [s.c for s in schedules])
+
+
 def best_price_response(
     market: Market,
     i: int,
@@ -176,7 +187,7 @@ def best_price_response(
     _check_agent(i, market.n)
     if len(other_schedules) != market.n - 1:
         raise ValueError("need one schedule per other agent")
-    pool = DemandSchedule.pooled(other_schedules)
+    pool = _pooled(other_schedules)
     gi, go, cbar = market.gammas[i], pool.gamma, pool.c
     h = market.exposures(basket)[i]
     gap = 2.0 * (gi * go * h + go * (gi + go) * cbar) / (gi + 2.0 * go)
@@ -198,7 +209,7 @@ def best_demand_response(
 
 def clearing_price(basket: SecurityBasket, schedules: Sequence[DemandSchedule]) -> np.ndarray:
     """Price at which the given demand schedules sum to zero."""
-    pool = DemandSchedule.pooled(schedules)
+    pool = _pooled(schedules)
     return pricing(pool.gamma, basket.mean_vector, pool.c)
 
 
@@ -216,7 +227,7 @@ def price_objective(
     residual supply.
     """
     _check_agent(i, market.n)
-    supplied = DemandSchedule.pooled(other_schedules).quantities(basket, p)
+    supplied = _pooled(other_schedules).quantities(basket, p)
     return float(holding_utilities(market, basket, -supplied, p)[i])
 
 
@@ -241,12 +252,13 @@ def demand_response_report(
     market: Market, i: int, basket: SecurityBasket
 ) -> ResponseReport:
     _check_agent(i, market.n)
-    others = truthful_schedules(market, basket)
-    truthful = others.pop(i)
-    pool = [DemandSchedule.pooled(others)]
+    exposures = market.exposures(basket)
+    others = np.arange(market.n) != i
+    pool = [DemandSchedule.pooled(market.gammas[others], exposures[others])]
+    truthful = DemandSchedule(market.gammas[i], exposures[i])
     best = best_demand_response(market, i, basket)
     p_star = clearing_price(basket, pool + [truthful])
-    p_hat = clearing_price(basket, pool + [best])  # = best_price_response against `others`
+    p_hat = clearing_price(basket, pool + [best])  # = best_price_response against the others
     before = price_objective(market, i, basket, pool, p_star)
     after = price_objective(market, i, basket, pool, p_hat)
     return ResponseReport(best, before, after)

@@ -136,6 +136,25 @@ class TestValidation:
             assert (code, out) == (EXIT_VALIDATION, "")
             assert err == f"validation error: {line}\n"
 
+    @pytest.mark.parametrize("probs, line", [
+        ([0.3, 0.3, 0.5], "probabilities sum to 1.1, not 1"),  # a float, not its numpy repr
+        ([0.0, 0.6, 0.4], "all state probabilities must be strictly positive"),
+    ], ids=["sum", "zero"])
+    def test_rejected_probabilities_addressed(self, tmp_path, probs, line):
+        code, out, err = _run(["pareto", "--market", str(write_market(tmp_path, probs=probs))])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"validation error: probs: {line}\n"
+
+    @pytest.mark.parametrize("command, line", [
+        ("best-response", "unknown best-response mode 'bogus'"),
+        ("nash", "unknown nash game 'bogus'"),
+    ])
+    def test_unknown_game_addressed(self, tmp_path, command, line):
+        argv = [command, "--game", "bogus", "--market", str(write_market(tmp_path))]
+        code, out, err = _run(argv)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"validation error: game: {line}\n"
+
     def test_empty_optional_fields_mean_none(self, tmp_path, capsys):
         path = write_market(tmp_path, securities=[], parameters={})
         assert main(["pareto", "--market", str(path)]) == EXIT_OK
@@ -564,7 +583,10 @@ class TestCommands:
 class TestNoObjectPerAgent:
     # `Rv` and `DemandSchedule` constructions per command, the same at every n:
     # the basket's security, plus a best response's report and the truthful
-    # one it is compared with; pareto exits 3 on Var[E] before it builds a
+    # one it is compared with. The demand response builds the best report and
+    # its schedule, the truthful schedule, the others' schedule pooled from
+    # the exposure rows, and one pooled schedule for each of its two clearing
+    # prices and two objectives. pareto exits 3 on Var[E] before it builds a
     # contract
     OBJECTS = {
         ("pareto",): 1,
@@ -572,16 +594,16 @@ class TestNoObjectPerAgent:
         ("nash", "--game", "percentage"): 1,
         ("best-response", "--game", "endowment"): 3,
         ("best-response", "--game", "percentage"): 3,
+        ("best-response", "--game", "demand"): 9,
     }
     # ROADMAP item 2's remainder: these outcomes still hold one object per
-    # agent (the Nash reports and contracts, the price game's schedules, the
-    # truthful schedules the demand response pools), and the benchmark reads
-    # them as objects (`truthful_schedules`, `nash_endowment(...).reported`)
-    PER_AGENT = (
-        ("nash", "--game", "endowment"),
-        ("nash", "--game", "price"),
-        ("best-response", "--game", "demand"),
-    )
+    # agent, which their reports print (the Nash reports and contracts, the
+    # price game's schedules), and the benchmark reads them as objects
+    # (`nash_endowment(...).reported`); each grows by exactly those objects
+    PER_AGENT = {
+        ("nash", "--game", "endowment"): 2,
+        ("nash", "--game", "price"): 1,
+    }
 
     @staticmethod
     def _market_file(tmp_path, n):
@@ -610,8 +632,8 @@ class TestNoObjectPerAgent:
         assert set(self.OBJECTS) | set(self.PER_AGENT) == set(map(tuple, COMMANDS))
         for command, count in self.OBJECTS.items():
             assert (counts[command, 10], counts[command, 1000]) == (count, count), command
-        for command in self.PER_AGENT:
-            assert counts[command, 1000] - counts[command, 10] >= 990, command
+        for command, per_agent in self.PER_AGENT.items():
+            assert counts[command, 1000] - counts[command, 10] == per_agent * 990, command
 
     def test_commands_build_no_agent(self, tmp_path, monkeypatch):
         # ingest builds the market from arrays, and no command reads its

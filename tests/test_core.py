@@ -333,6 +333,10 @@ class TestSecurityBasket:
         with pytest.raises(SingularCovarianceError):
             SecurityBasket((sp.constant(1.0),))
 
+    def test_rejects_empty_basket(self):
+        with pytest.raises(ValueError, match="basket needs at least one security"):
+            SecurityBasket(())
+
     @pytest.mark.parametrize("k", [3, 4])
     def test_rejects_as_many_securities_as_states(self, k):
         # k centered rows on 3 states span at most 2 dimensions: singular by
@@ -415,9 +419,14 @@ class TestDemandSchedule:
 
     def test_pooled_is_validated(self):
         # a c sum that overflows where overflow does not raise
-        big = DemandSchedule(1.0, [1e308])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            DemandSchedule.pooled([big, big])
+            DemandSchedule.pooled([1.0, 1.0], [[1e308], [1e308]])
+
+    @pytest.mark.parametrize("gammas, c", [([], []), ([1.0, 2.0], [[1.0]]),
+                                           ([[1.0]], [[1.0]])])
+    def test_pooled_needs_one_row_per_gamma(self, gammas, c):
+        with pytest.raises(ValueError, match="one covariance row per gamma"):
+            DemandSchedule.pooled(gammas, c)
 
 
 class TestForeignSpace:

@@ -491,6 +491,21 @@ class TestExcessReturn:
                 continue
             assert excess_return_check(m, x) < 1e-12
 
+    def test_zero_price_raises(self):
+        m, _, _ = self._in_span_market(np.random.default_rng(72))
+        with pytest.raises(ValueError, match="zero equilibrium price"):
+            excess_return_check(m, m.space.constant(0.0))
+
+    def test_riskless_aggregate_raises(self):
+        # opposite risks of equal risk aversion cancel in the reported
+        # aggregate, which keeps only the shared cash and so has a price
+        space = ProbSpace([0.25, 0.25, 0.5])
+        risk = np.array([1.0, -2.0, 0.5])
+        m = Market.from_arrays(space, [1.5, 1.5], [3.0 + risk, 3.0 - risk])
+        x = space.rv(3.0 + risk)
+        with pytest.raises(ValueError, match="reported aggregate endowment is riskless"):
+            excess_return_check(m, x)
+
 
 class TestCashShift:
     """A cash shift of one endowment changes only the cash it carries."""

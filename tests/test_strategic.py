@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskshare.core import DemandSchedule, holding_utilities, mv_utility, var
+from riskshare.core import DemandSchedule, Market, holding_utilities, mv_utility, pricing, var
 from riskshare.oracle import argmax_phi
 from riskshare.pareto import capm_equilibrium, optimal_sharing
 from riskshare.strategic import (
@@ -267,7 +267,8 @@ class TestPooledSchedule:
                 basket = make_basket(rng, m.space, k=k)
                 schedules = _untruthful(rng, truthful_schedules(m, basket))
                 p = basket.mean_vector + rng.normal(size=k)
-                pooled = DemandSchedule.pooled(schedules).quantities(basket, p)
+                pooled = DemandSchedule.pooled([s.gamma for s in schedules],
+                                               [s.c for s in schedules]).quantities(basket, p)
                 summed = np.sum([s.quantities(basket, p) for s in schedules], axis=0)
                 assert np.all(np.abs(pooled - summed) <= 1e-12 * (1.0 + np.abs(summed)))
 
@@ -299,6 +300,44 @@ class TestPooledSchedule:
                 for got, want in ((rep.response.c, c), (rep.utility_before, phi(p_star)),
                                   (rep.utility_after, phi(p_hat))):
                     assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want)))
+
+    @staticmethod
+    def _pool(schedules):
+        return DemandSchedule(1.0 / np.sum([1.0 / s.gamma for s in schedules]),
+                              np.sum([s.c for s in schedules], axis=0))
+
+    def _per_schedule_report(self, m, i, basket):
+        # the report as it was computed before the others were pooled from
+        # the exposure rows: every truthful schedule built, agent i's taken
+        # out, the rest pooled schedule by schedule
+        others = truthful_schedules(m, basket)
+        truthful = others.pop(i)
+        pool = self._pool(others)
+
+        def utility_at_clearing(last):
+            both = self._pool([pool, last])
+            p = pricing(both.gamma, basket.mean_vector, both.c)
+            supplied = self._pool([pool]).quantities(basket, p)
+            return float(holding_utilities(m, basket, -supplied, p)[i])
+
+        best = best_demand_response(m, i, basket)
+        return utility_at_clearing(truthful), utility_at_clearing(best)
+
+    def test_report_is_the_per_schedule_report_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        for trial in range(240):
+            drawn = make_market(rng, n=int(rng.integers(2, 9)), m=int(rng.integers(4, 9)))
+            payoffs = drawn.payoffs.copy()
+            if trial % 3 == 1:  # one endowment shifted by cash
+                payoffs[rng.integers(drawn.n)] += 2.0 ** 40
+            elif trial % 3 == 2:  # all payoffs scaled
+                payoffs *= 10.0 ** rng.uniform(-6.0, 6.0)
+            m = Market.from_arrays(drawn.space, drawn.gammas, payoffs)
+            basket = make_basket(rng, m.space, k=int(rng.integers(1, 4)))
+            i = int(rng.integers(m.n))
+            rep = demand_response_report(m, i, basket)
+            want = self._per_schedule_report(m, i, basket)
+            assert (rep.utility_before, rep.utility_after) == want, trial
 
     @pytest.mark.parametrize("n", [5, 2000])
     def test_report_evaluates_demand_at_most_twice(self, n, monkeypatch):
