@@ -81,8 +81,8 @@ class NashPriceOutcome:
     pressure: np.ndarray  # Cov(C_j, E - aggregate reported endowment)
 
 
-def _nash_reports(market: Market):
-    """Aggregate weights w and the report map of the endowment game.
+def _nash_reports(market: Market, x: np.ndarray):
+    """The endowment game's aggregate and reports of rows x: (w . x, B*(x)).
 
     With shares s_i = gamma/gamma_i, the Nash aggregate is M = w . E,
     w_i = (1 - s_i) / (1 - sum_j s_j^2), and the reports B*_i = (1 - s_i) E_i
@@ -90,18 +90,26 @@ def _nash_reports(market: Market):
     with a basket.
     """
     share = market.aggregate_gamma / market.gammas
-    weights = (1.0 - share) / (1.0 - share @ share)
+    aggregate = ((1.0 - share) / (1.0 - share @ share)) @ x
+    return aggregate, (1.0 - share)[:, None] * x + (share**2)[:, None] * aggregate
 
-    def reported(x):
-        return (1.0 - share)[:, None] * x + (share**2)[:, None] * (weights @ x)
 
-    return weights, reported
+def _nash_pass(market: Market):
+    """The endowment game in one pass over the centered rows and the means.
+
+    Returns the Nash aggregate (cash included), the centered reports
+    B*(centered), the reports' cash B*(means) as a column, and the
+    inefficiency, the `pooling_gain` of what the reports hold back.
+    """
+    aggregate, reported = _nash_reports(market, market.centered)
+    cash_aggregate, cash = _nash_reports(market, market.means[:, None])
+    inefficiency = pooling_gain(market, market.centered - reported)
+    return aggregate + cash_aggregate, reported, cash, inefficiency
 
 
 def nash_aggregate_endowment(market: Market) -> Rv:
     """Aggregate shared endowment at the Nash fixed point of the reports."""
-    weights = _nash_reports(market)[0]
-    return Rv(market.space, market.combine(lambda x: weights @ x))
+    return Rv(market.space, _nash_pass(market)[0])
 
 
 def nash_endowment(market: Market) -> NashEndowmentOutcome:
@@ -113,23 +121,24 @@ def nash_endowment(market: Market) -> NashEndowmentOutcome:
     the contract received is (gamma/gamma_i) * aggregate - B*_i, and the
     inefficiency, the gain still available from pooling what the reports
     hold back, is sum gamma_i Var[E_i - B*_i] - gamma Var[E - aggregate].
+    Every field comes from one `_nash_pass`, the centered rows and the cash
+    apart, cash added last.
     """
-    reported = _nash_reports(market)[1]
+    aggregate, reported, cash, inefficiency = _nash_pass(market)
     rule = sharing_rule(market)
     return NashEndowmentOutcome(
-        reported=market.space.rvs(market.combine(reported)),
-        aggregate=nash_aggregate_endowment(market),
-        contracts=market.space.rvs(market.combine(lambda x: rule(reported(x)))),
-        inefficiency=nash_inefficiency(market),
-        per_agent_gain=mechanism_gains(market, reported(market.centered)),
+        reported=market.space.rvs(reported + cash),
+        aggregate=Rv(market.space, aggregate),
+        contracts=market.space.rvs(rule(reported) + rule(cash)),
+        inefficiency=inefficiency,
+        per_agent_gain=mechanism_gains(market, reported),
     )
 
 
 def nash_inefficiency(market: Market) -> float:
     """The endowment game's inefficiency: the `pooling_gain` of what the Nash
     reports hold back, sum gamma_i Var[E_i - B*_i] - gamma Var[E - aggregate]."""
-    reported = _nash_reports(market)[1]
-    return pooling_gain(market, market.centered - reported(market.centered))
+    return _nash_pass(market)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +292,9 @@ def nash_price(market: Market, basket: SecurityBasket) -> NashPriceOutcome:
     schedule carries the covariance vector of their endowment-game report and
     the allocation is Cov(C, C*_i(B*_i)) . Var^{-1}[C].
     """
-    weights, reported = _nash_reports(market)
     exposures = market.exposures(basket)
-    aggregate = weights @ exposures  # Cov(C, M)
-    exposures_reported = reported(exposures)
+    # Cov(C, M) and Cov(C, B*_i)
+    aggregate, exposures_reported = _nash_reports(market, exposures)
     return NashPriceOutcome(
         price=pricing(market.aggregate_gamma, basket.mean_vector, aggregate),
         schedules=demand_schedules(market, exposures_reported),

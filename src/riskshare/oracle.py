@@ -9,27 +9,30 @@ price, so it is a concave quadratic in them. One derivative-free search,
 give the exact gradient and Hessian of a quadratic, and one Newton step lands
 on the optimum. Its curvature half (`_concave_axes`) raises when the measured
 curvature is not concave, so a wrong objective disagrees loudly instead of
-returning a saddle point; its step half (`_newton_step`) moves along the
-kept axes. The search evaluates its whole stencil of q = 1 + 2k + k(k+1)/2
-points in one call, so every objective takes a stack of points and returns
-one value per point, and it takes the gradient and the Hessian from one
-product of those q values with the stencil's fixed weight matrix. The
-objectives are evaluated on payoff arrays: a report search evaluates a
-q x n x m stack of profiles, q copies of the n x m profile with row i
-replaced by each trial report, in one `deviation_gain` call, and every
-moment goes through `core.cross_cov`.
+returning a saddle point; the step moves along the axes it keeps. The search
+evaluates its whole stencil of q = 1 + 2k + k(k+1)/2 points in one call, so
+every objective takes a stack of points and returns one value per point, and
+it takes the gradient and the Hessian from one product of those q values with
+the stencil's fixed weight matrix. The objectives are evaluated on payoff
+arrays: a report search evaluates a q x n x m stack of profiles, q copies of
+the n x m profile with row i replaced by each trial report, in one
+`deviation_gain` call, and every moment goes through `core.cross_cov`, a
+deviation gain's two in one call.
 
 Best responses live in the span of the basis payoffs (the objective strictly
 worsens in any orthogonal direction), so searches run over span coefficients.
 An orthogonal probe is kept in the tests rather than assumed here. The
 best-response dynamics search over an orthonormal basis of the centered
 endowments' span, so their Newton step stays well conditioned when the
-endowments are linearly dependent. They run the search's two halves apart:
-an agent's gain is quadratic in all reports jointly, so its Hessian in its
-own coefficients is the same at every profile, and each agent's curvature is
-measured and checked once per run, in its first step; its later steps
-evaluate only the 2k gradient points of the stencil. They center the
-profile, measure its largest step and record it once per round.
+endowments are linearly dependent. They split the search at its curvature
+half: an agent's gain is quadratic in all reports jointly, so its Hessian in
+its own coefficients is the same at every profile, and each agent's curvature
+is measured and checked once per run, in its first step, and folded into one
+map from the values at the 2k gradient points of the stencil to the new
+report; its later steps evaluate only those points. A round works on one
+stack of trial profiles, and the run builds no object per step: its result
+holds the profiles as one array and each round's largest step std, and builds
+the trajectory's `Rv`s when it is read.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .core import (
-    SV_RATIO_MIN, Market, Rv, SecurityBasket, _check_agent, _check_gamma, centered, cross_cov,
-    require_same_space,
+    SV_RATIO_MIN, Market, ProbSpace, Rv, SecurityBasket, _check_agent, _check_gamma, centered,
+    cross_cov, require_same_space,
 )
 
 # curvatures within this fraction of the largest are flat (rounding noise)
@@ -108,11 +111,6 @@ def _concave_axes(hess) -> tuple[np.ndarray, np.ndarray]:
     return axes[:, keep], curvatures[keep]
 
 
-def _newton_step(grad, axes, curvatures) -> np.ndarray:
-    """The step half: the Newton step of `grad` along the kept axes."""
-    return axes @ ((grad @ axes) / -curvatures)
-
-
 def _quadratic_argmax(f, center) -> np.ndarray:
     """Maximizer of a concave quadratic f by one Newton step from `center`.
 
@@ -127,8 +125,8 @@ def _quadratic_argmax(f, center) -> np.ndarray:
     k = center.size
     offsets, weights = _stencil(k)
     derivatives = f(center + offsets) @ weights
-    kept = _concave_axes(derivatives[k:].reshape(k, k))
-    return center + _newton_step(derivatives[:k], *kept)
+    axes, curvatures = _concave_axes(derivatives[k:].reshape(k, k))
+    return center + axes @ ((derivatives[:k] @ axes) / -curvatures)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,18 +164,24 @@ def deviation_gain(market: Market, i: int, reports):
     `reports` is a list of n `Rv`, the equal n x m payoff matrix (a float is
     returned) or a q x n x m stack of profiles (q values), as `Market.profile`
     checks them. Composed from the mechanism's definition only: the aggregate
-    of reports is reshared, agent i receives (gamma/gamma_i) aggregate -
-    report_i, and pays its market price E[.] - 2 gamma Cov(., aggregate).
+    A of reports is reshared, agent i receives the contract C = (gamma/gamma_i)
+    A - report_i, and pays its market price E[C] - 2 gamma Cov(C, A). E[C]
+    enters the utility and the price alike, so the gain is
+    E[E_i] - gamma_i Var[E_i + C] + 2 gamma Cov(C, A), both moments from one
+    `cross_cov` call on the stacked pairs.
     """
     _check_agent(i, market.n)
     reports = market.profile(reports)
     p = market.space.probs
     g = market.aggregate_gamma
     gi = market.gammas[i]
+    own = market.payoffs[i]
     aggregate = reports.sum(axis=-2)
     contract = (g / gi) * aggregate - reports[..., i, :]
-    cash = contract @ p - 2.0 * g * cross_cov(p, contract, aggregate)
-    return _value(_mv_value(gi, p, market.payoffs[i] + contract) - cash)
+    held = own + contract
+    spread, with_aggregate = cross_cov(
+        p, np.array([held, contract]), np.array([held, aggregate]))
+    return _value(own @ p - gi * spread + 2.0 * g * with_aggregate)
 
 
 def _report_gain(market: Market, i: int, reports: np.ndarray, basis: np.ndarray):
@@ -237,9 +241,21 @@ def argmax_demand(
 
 @dataclass(frozen=True, eq=False)
 class DynamicsResult:
-    trajectory: list  # list of report profiles (lists of Rv)
-    rounds_run: int
+    """The report profiles of a dynamics run and the size of each round's step."""
+
+    space: ProbSpace
+    profiles: np.ndarray  # read-only (rounds_run + 1) x n x m, the start first
+    step_stds: np.ndarray  # read-only, each round's largest report step std
     converged: bool
+
+    @property
+    def rounds_run(self) -> int:
+        return len(self.step_stds)
+
+    @cached_property
+    def trajectory(self) -> list[list[Rv]]:
+        """The profiles as lists of n `Rv`s, built on first read."""
+        return [self.space.rvs(profile) for profile in self.profiles]
 
 
 def _span_basis(market: Market) -> np.ndarray:
@@ -269,46 +285,51 @@ def best_response_dynamics(
     Newton step from the origin. An agent's gain is quadratic in all reports
     jointly, so its Hessian in its own coefficients does not depend on the
     others' reports: each agent's curvature is measured and checked once per
-    run, from the full stencil in its first step (`_concave_axes`), and its
-    later steps evaluate only the 2k gradient points +-e_a of the same
-    stencil and step along the kept axes. A round converges when no report
-    moved by a standard deviation of `_DYNAMICS_TOL` or more. Convergence is
-    an empirical observation, not a guarantee; a non-convergent trajectory
-    is returned as data with `converged` false.
+    run, from the full stencil in its first step (`_concave_axes`), which
+    folds the gradient weights, the kept axes over their negated curvatures
+    and the basis into one 2k x m step map. Its later steps evaluate only the
+    2k gradient points +-e_a of the same stencil, and their values times the
+    map are its new report. A round copies the profile once into a stack of
+    trial profiles; each agent writes its trial reports into its row of the
+    stack, and then its new report, which the later agents of the round see.
+    A round converges when no report moved by a standard deviation of
+    `_DYNAMICS_TOL` or more. Convergence is an empirical observation, not a
+    guarantee; a non-convergent run is returned as data with `converged`
+    false. Each round's largest step std is kept in `step_stds`.
     """
     p = market.space.probs
     basis = _span_basis(market)
     k = len(basis)
     offsets, weights = _stencil(k)
-    # the points +-e_a, the only ones that weigh on the gradient
-    gradient_offsets, gradient_weights = offsets[1 : 2 * k + 1], weights[1 : 2 * k + 1, :k]
-    kept = []  # each agent's kept axes and curvatures, from its first step
+    trials = offsets @ basis  # rows 1 to 2k, the gradient points, are +-basis
+    gradient = slice(1, 2 * k + 1)
+    maps = []  # each agent's step map, from its first step
     reports = centered(p, market.payoffs if init is None else market.profile(init))
-    trajectory = [market.space.rvs(reports)]
+    profiles, step_vars = [reports], []
     converged = False
-    rounds_run = rounds
     for r in range(1, rounds + 1):
-        previous = reports.copy()
+        points = trials if r == 1 else trials[gradient]
+        stack = np.repeat(reports[None], len(points), axis=0)
         for i in range(market.n):
-            gain = _report_gain(market, i, reports, basis)
+            stack[:, i] = points
+            values = deviation_gain(market, i, stack)
             if r == 1:
-                derivatives = gain(offsets) @ weights
-                grad = derivatives[:k]
-                kept.append(_concave_axes(derivatives[k:].reshape(k, k)))
-            else:
-                grad = gain(gradient_offsets) @ gradient_weights
-            reports[i] = _newton_step(grad, *kept[i]) @ basis
+                axes, curvatures = _concave_axes((values @ weights)[k:].reshape(k, k))
+                maps.append(weights[gradient, :k] @ (axes / -curvatures) @ axes.T @ basis)
+                values = values[gradient]
+            stack[:, i] = values @ maps[i]
         # the basis rows are centered, so this removes rounding only
-        reports = centered(p, reports)
-        trajectory.append(market.space.rvs(reports))
-        steps = reports - previous
-        if cross_cov(p, steps, steps).max() < _DYNAMICS_TOL**2:
+        reports = centered(p, stack[0])
+        steps = reports - profiles[-1]
+        profiles.append(reports)
+        step_vars.append(cross_cov(p, steps, steps).max())
+        if step_vars[-1] < _DYNAMICS_TOL**2:
             converged = True
-            rounds_run = r
             break
-    return DynamicsResult(
-        trajectory=trajectory, rounds_run=rounds_run, converged=converged
-    )
+    profiles, step_stds = np.array(profiles), np.sqrt(step_vars)
+    for arr in (profiles, step_stds):
+        arr.flags.writeable = False
+    return DynamicsResult(market.space, profiles, step_stds, converged)
 
 
 # ---------------------------------------------------------------------------

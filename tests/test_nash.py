@@ -128,6 +128,21 @@ class TestNashEndowment:
         )
         assert nash_endowment(m).inefficiency == pytest.approx(0.0, abs=1e-12)
 
+    def test_outcome_is_its_standalone_parts(self):
+        # the outcome comes from one pass; each of its fields is bit for bit
+        # what the standalone function gives, on markets shifted by cash too
+        rng = np.random.default_rng(112)
+        for t in range(200):
+            m = make_market(rng, n=int(rng.integers(2, 8)), m=int(rng.integers(2, 9)))
+            if t % 2:
+                cash = rng.integers(-2**20, 2**20, size=m.n) * 2.0**20
+                m = Market.from_arrays(m.space, m.gammas, m.payoffs + cash[:, None])
+            out = nash_endowment(m)
+            assert out.inefficiency == nash.nash_inefficiency(m)
+            assert np.array_equal(out.aggregate.payoffs, nash_aggregate_endowment(m).payoffs)
+            reported = nash._nash_reports(m, m.centered)[1]
+            assert np.array_equal(out.per_agent_gain, pareto.mechanism_gains(m, reported))
+
 
 class TestTable1:
     def test_rejects_other_sizes(self):

@@ -11,14 +11,17 @@ from riskshare.core import (
     Agent,
     Market,
     ProbSpace,
+    Rv,
     SecurityBasket,
     SpaceMismatchError,
     cov,
+    cross_cov,
     demand,
     mean,
     var,
 )
-from riskshare.nash import nash_endowment
+from riskshare.experiments import correlated_pair_market
+from riskshare.nash import nash_endowment, nash_percentage
 from riskshare.oracle import (
     CoefficientSearchSpec,
     argmax_demand,
@@ -420,6 +423,57 @@ class TestBestResponseDynamics:
                 assert np.max(np.abs(diff - p @ diff)) < 1e-11
         assert total == 733
 
+    def test_contraction_fingerprint(self):
+        # a round is one Gauss-Seidel sweep on (I - A) B = own E, with
+        # A_ij = other_i = s_i^2 / (1 - s_i^2) off the diagonal, so the steps
+        # shrink at the spectral radius rho of (I - L)^-1 U (Varga 1962). The
+        # rounds to a step std of 1e-6 and the observed rate rest on that
+        # contraction, not on the rounding floor under the 733 rounds above:
+        # the nearest step std of these markets is 0.2% away from 1e-6
+        rng = np.random.default_rng(104)
+        total = 0
+        for _ in range(60):
+            n, m = rng.integers(2, 5), rng.integers(2, 7)
+            market = make_market(rng, n=n, m=m)
+            steps = best_response_dynamics(market).step_stds
+            total += int(np.argmax(steps < 1e-6)) + 1
+            # the geometric mean of the successive ratios above 1e-7
+            above = steps[steps > 1e-7]
+            rate = (above[-1] / above[0]) ** (1.0 / (len(above) - 1))
+            share = market.aggregate_gamma / market.gammas
+            sweep = np.repeat((share**2 / (1.0 - share**2))[:, None], n, axis=1)
+            iteration = np.linalg.solve(np.eye(n) - np.tril(sweep, -1), np.triu(sweep, 1))
+            rho = np.abs(np.linalg.eigvals(iteration)).max()
+            assert abs(rate - rho) < 0.05
+        assert total == 399
+
+    def test_no_object_per_step(self, monkeypatch):
+        # the dynamics run on arrays; reading the trajectory builds its Rvs,
+        # n per profile, of the profiles' values
+        built = []
+        post, trusted = Rv.__post_init__, Rv._trusted
+        monkeypatch.setattr(Rv, "__post_init__", lambda obj: built.append(1) or post(obj))
+        monkeypatch.setattr(Rv, "_trusted", classmethod(
+            lambda _, *args: built.append(1) or trusted(*args)))
+        rng = np.random.default_rng(96)
+        for _ in range(5):
+            market = make_market(rng)
+            built.clear()
+            result = best_response_dynamics(market)
+            assert not built
+            profiles = result.profiles
+            assert profiles.shape == (result.rounds_run + 1, *market.payoffs.shape)
+            assert not profiles.flags.writeable and not result.step_stds.flags.writeable
+            trajectory = result.trajectory
+            assert len(built) == profiles.shape[0] * market.n
+            assert result.trajectory is trajectory
+            rows = np.array([market.space.rows(profile, "report") for profile in trajectory])
+            assert rows.tobytes() == profiles.tobytes()
+            p = market.space.probs
+            for r, std in enumerate(result.step_stds):
+                steps = profiles[r + 1] - profiles[r]
+                assert std == np.sqrt(cross_cov(p, steps, steps).max())
+
     def test_one_objective_call_per_step(self, monkeypatch):
         rng = np.random.default_rng(94)
         counted = _counting(oracle_module.deviation_gain)
@@ -485,6 +539,32 @@ class TestBestResponseDynamics:
             out = nash_endowment(m)
             for i in range(m.n):
                 assert var(result.trajectory[-1][i] - out.reported[i]) < 1e-16
+
+
+class TestPercentageEquilibrium:
+    def test_each_agent_best_responds_by_search(self):
+        # the percentage game's equilibrium by its defining condition: against
+        # the others' reports b*_j E_j, agent i's best multiple of E_i, found by
+        # the oracle's search on deviation_gain and clamped to [0, kappa], is
+        # nash_percentage's b*_i; the correlated pairs clamp some agents
+        rng = np.random.default_rng(107)
+        kappa = 10.0
+        markets = [correlated_pair_market(
+            float(10 ** rng.uniform(-3, 3)), 1.0, float(10 ** rng.uniform(-1, 1)),
+            float(10 ** rng.uniform(-1, 1)), float(rng.uniform(-0.99, 0.99)))
+            for _ in range(150)]
+        markets += [make_market(rng) for _ in range(100)]
+        b_stars = []
+        for market in markets:
+            b = nash_percentage(market, kappa=kappa).b_star
+            profile = b[:, None] * market.payoffs
+            for i in range(market.n):
+                # a search over the one-row basis E_i
+                gain = oracle_module._report_gain(market, i, profile, market.payoffs[i : i + 1])
+                found = oracle_module._quadratic_argmax(gain, np.zeros(1))[0]
+                assert np.clip(found, 0.0, kappa) == pytest.approx(b[i], rel=1e-9, abs=0.0)
+            b_stars.extend(b)
+        assert 0.0 in b_stars and kappa in b_stars
 
 
 class TestArgmaxPhi:
