@@ -30,7 +30,6 @@ from .nash import (
 )
 from .pareto import (
     CapmEquilibrium,
-    ParetoSharing,
     aggregate_gain,
     capm_equilibrium,
     constrained_loss,

@@ -392,11 +392,11 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_pareto(loaded: dict) -> dict:
     market = loaded["market"]
     try:  # the prices test Var[E] before any contract is built
-        prices, sharing = endowment_prices(market), optimal_sharing(market)
+        prices, contracts = endowment_prices(market), optimal_sharing(market)
     except SingularCovarianceError as exc:  # Var[E], tested by endowment_prices
         raise Failure("agents", exc, EXIT_NUMERICAL) from None
     return {
-        **_fields(sharing),
+        "contracts": contracts,
         "weights": sharing_weights(market),
         "endowment_prices": prices,
         "utility_levels": optimal_utility_levels(market),

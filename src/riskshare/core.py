@@ -16,15 +16,15 @@ corrected `_two_pass`. All objects are immutable after construction.
 `ProbSpace.rvs` builds many random variables from one validated read-only
 matrix, each a view of its row (as `demand_schedules` builds schedules); its
 inverse `ProbSpace.rows` is the one way random variables become rows, naming
-the index of any on another space, and `Market.profile` takes a report
-profile as n `Rv`s or an n x m array. `DemandSchedule.pooled` sums schedules
-from their gammas and covariance rows, so the others' demand is pooled from
-the exposure matrix with no schedule per agent. A
-market is built from agents or from arrays (`Market.from_arrays`, no object
-per agent); only `Market.agents` builds `Agent`s from arrays (for
-`agent_pool`). Two spaces agree as one object or by equal probabilities
-(`require_same_space`); a risk aversion is positive and finite (`_check_gamma`),
-and an agent index is an integer in [0, n) (`_check_agent`).
+the index of any on another space; `Market.profile` takes a report profile (or
+a stack) as n `Rv`s or an array, `Market.centered_profile` just one.
+`DemandSchedule.pooled` sums schedules from their gammas and covariance rows,
+so the others' demand is pooled from the exposure matrix. A market is built
+from agents or from arrays (`Market.from_arrays`, no object per agent); only
+`Market.agents` builds `Agent`s from arrays (for `agent_pool`). Two spaces
+agree as one object or by equal probabilities (`require_same_space`); a risk
+aversion is positive and finite (`_check_gamma`), and an agent index is an
+integer in [0, n) (`_check_agent`).
 """
 
 from __future__ import annotations
@@ -373,6 +373,13 @@ class Market:
         if reports.shape[-2:] != self.payoffs.shape:
             raise ValueError(f"reports of shape {reports.shape} are not a full profile")
         return reports
+
+    def centered_profile(self, reports) -> np.ndarray:
+        """One report profile, n `Rv`s or an n x m array (no stack), centered."""
+        rows = self.profile(reports)
+        if rows.ndim != 2:
+            raise ValueError(f"reports of shape {rows.shape} are not a full profile")
+        return centered(self.space.probs, rows)
 
     def combine(self, linear) -> np.ndarray:
         """A linear map of endowment rows, applied to the centered rows, cash last."""

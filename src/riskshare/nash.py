@@ -21,6 +21,7 @@ from .core import (
     Rv,
     SecurityBasket,
     cov,
+    cross_cov,
     demand_schedules,
     holding_utilities,
     mean,
@@ -58,8 +59,8 @@ RESIDUAL_TOL = 1e-10
 @dataclass(frozen=True, eq=False)
 class NashEndowmentOutcome:
     reported: list[Rv]  # B*_i
-    aggregate: Rv  # sum of the reported endowments
-    contracts: list[Rv]  # contract each agent receives at the fixed point
+    aggregate: np.ndarray  # read-only m-vector, the sum of the reported endowments
+    contracts: np.ndarray  # read-only n x m, row i the contract agent i receives
     inefficiency: float
     per_agent_gain: np.ndarray
 
@@ -122,14 +123,17 @@ def nash_endowment(market: Market) -> NashEndowmentOutcome:
     inefficiency, the gain still available from pooling what the reports
     hold back, is sum gamma_i Var[E_i - B*_i] - gamma Var[E - aggregate].
     Every field comes from one `_nash_pass`, the centered rows and the cash
-    apart, cash added last.
+    apart, cash added last; only the reports are built as `Rv`s.
     """
     aggregate, reported, cash, inefficiency = _nash_pass(market)
     rule = sharing_rule(market)
+    contracts = rule(reported) + rule(cash)
+    for arr in (aggregate, contracts):
+        arr.flags.writeable = False
     return NashEndowmentOutcome(
         reported=market.space.rvs(reported + cash),
-        aggregate=Rv(market.space, aggregate),
-        contracts=market.space.rvs(rule(reported) + rule(cash)),
+        aggregate=aggregate,
+        contracts=contracts,
         inefficiency=inefficiency,
         per_agent_gain=mechanism_gains(market, reported),
     )
@@ -165,7 +169,7 @@ def table1_report(market: Market) -> list[Table1Row]:
     if market.n != 2:
         raise ValueError("the comparison table is defined for two agents only")
     g1, g2 = market.gammas
-    e1, e2 = market.space.rvs(market.payoffs)
+    e1, e2 = market.payoffs
     g = market.aggregate_gamma
 
     sharing = optimal_sharing(market)
@@ -176,8 +180,8 @@ def table1_report(market: Market) -> list[Table1Row]:
     return [
         Table1Row(
             "aggregate_shared_endowment",
-            market.total_endowment,
-            market.total_endowment,
+            market.payoffs.sum(axis=0),
+            market.payoffs.sum(axis=0),
             nash.aggregate,
             (1.0 / (2.0 * g)) * (g1 * e1 + g2 * e2),
         ),
@@ -191,7 +195,7 @@ def table1_report(market: Market) -> list[Table1Row]:
         ),
         Table1Row(
             "purchased_contract",
-            sharing.contracts[0],
+            sharing[0],
             -1.0 * diff,
             nash.contracts[0],
             -0.5 * diff,
@@ -339,8 +343,7 @@ def nash_vs_pareto_utilities(
     agent1_closed = None
     if market.n == 2 and basket.k == 1 and abs(basket.cov_matrix[0, 0] - 1.0) < 1e-12:
         g1, g2 = market.gammas
-        sharing = optimal_sharing(market)
-        t = cov(basket.securities[0], sharing.contracts[0])
+        t = float(cross_cov(basket.space.probs, basket.payoffs[0], optimal_sharing(market)[0]))
         agent1_closed = float((g2 / 2.0 - 0.75 * g1) * t**2)
     return UtilityComparison(
         pareto_utilities=pareto_u,

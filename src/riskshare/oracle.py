@@ -281,21 +281,22 @@ def best_response_dynamics(
 ) -> DynamicsResult:
     """Round-robin best-response iteration on the reported endowments.
 
-    Each agent in turn takes its exact best response on the span basis, one
-    Newton step from the origin. An agent's gain is quadratic in all reports
-    jointly, so its Hessian in its own coefficients does not depend on the
-    others' reports: each agent's curvature is measured and checked once per
-    run, from the full stencil in its first step (`_concave_axes`), which
-    folds the gradient weights, the kept axes over their negated curvatures
-    and the basis into one 2k x m step map. Its later steps evaluate only the
-    2k gradient points +-e_a of the same stencil, and their values times the
-    map are its new report. A round copies the profile once into a stack of
-    trial profiles; each agent writes its trial reports into its row of the
-    stack, and then its new report, which the later agents of the round see.
-    A round converges when no report moved by a standard deviation of
-    `_DYNAMICS_TOL` or more. Convergence is an empirical observation, not a
-    guarantee; a non-convergent run is returned as data with `converged`
-    false. Each round's largest step std is kept in `step_stds`.
+    From `init`, one profile (the truth by default), each agent in turn takes
+    its exact best response on the span basis, one Newton step from the
+    origin. An agent's gain is quadratic in all reports jointly, so its
+    Hessian in its own coefficients does not depend on the others' reports:
+    each agent's curvature is measured and checked once per run, from the full
+    stencil in its first step (`_concave_axes`), which folds the gradient
+    weights, the kept axes over their negated curvatures and the basis into
+    one 2k x m step map. Its later steps evaluate only the 2k gradient points
+    +-e_a of the same stencil, and their values times the map are its new
+    report. A round copies the profile once into a stack of trial profiles;
+    each agent writes its trial reports into its row of the stack, and then
+    its new report, which the later agents of the round see. A round converges
+    when no report moved by a standard deviation of `_DYNAMICS_TOL` or more.
+    Convergence is an empirical observation, not a guarantee; a non-convergent
+    run is returned as data with `converged` false. Each round's largest step
+    std is kept in `step_stds`.
     """
     p = market.space.probs
     basis = _span_basis(market)
@@ -304,7 +305,7 @@ def best_response_dynamics(
     trials = offsets @ basis  # rows 1 to 2k, the gradient points, are +-basis
     gradient = slice(1, 2 * k + 1)
     maps = []  # each agent's step map, from its first step
-    reports = centered(p, market.payoffs if init is None else market.profile(init))
+    reports = market.centered_profile(market.payoffs if init is None else init)
     profiles, step_vars = [reports], []
     converged = False
     for r in range(1, rounds + 1):

@@ -9,8 +9,9 @@ Pareto sharing runs the mechanism on the true endowments, the Nash games
 and allocations are linear maps of the market's exposures, and every engine
 here works on the centered rows in O(nm), building no n x n covariance;
 only `sharing_weights` returns an n x n array, because that array is its
-output. Of the freedom "up to constants", contracts keep the constants
-W @ means: C*_i = sum_j W_ij E_j, cash included, with W = `sharing_weights`.
+output. Of the freedom "up to constants", the n x m contracts
+(`optimal_sharing`) keep W @ means: C*_i = sum_j W_ij E_j, cash included,
+with W = `sharing_weights`.
 The constants sum to zero across agents, and no gain or price reads them.
 """
 
@@ -22,20 +23,12 @@ import numpy as np
 
 from .core import (
     Market,
-    Rv,
     SecurityBasket,
     _check_agent,
     autarky_utilities,
     pricing,
     require_invertible,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class ParetoSharing:
-    """Optimal contracts C*_i; their weights on the endowments are `sharing_weights`."""
-
-    contracts: list[Rv]
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +86,12 @@ def pooling_gain(market: Market, rows: np.ndarray) -> float:
                  - market.aggregate_gamma * ((total * p) @ total))
 
 
-def optimal_sharing(market: Market) -> ParetoSharing:
-    """Unique (up to constants) sum-of-utilities maximizing zero-sum contracts."""
-    return ParetoSharing(market.space.rvs(market.combine(sharing_rule(market))))
+def optimal_sharing(market: Market) -> np.ndarray:
+    """The unique (up to constants) sum-of-utilities maximizing zero-sum
+    contracts, a read-only n x m matrix: row i is C*_i, cash included."""
+    contracts = market.combine(sharing_rule(market))
+    contracts.flags.writeable = False
+    return contracts
 
 
 def aggregate_gain(market: Market) -> float:

@@ -82,16 +82,6 @@ def _response_coefficients(market: Market) -> tuple[np.ndarray, np.ndarray]:
     return gammas / (gammas + g), share**2 / (1.0 - share**2)
 
 
-def _report_rows(market: Market, others: Sequence[Rv] | None) -> np.ndarray:
-    """Centered report rows: the true endowments, or the one profile `others`."""
-    if others is None:
-        return market.centered.copy()
-    rows = market.profile(others)
-    if rows.ndim != 2:
-        raise ValueError(f"reports of shape {rows.shape} are not a full profile")
-    return centered(market.space.probs, rows)
-
-
 def reported_utility(
     market: Market,
     i: int,
@@ -108,7 +98,7 @@ def reported_utility(
     """
     _check_agent(i, market.n)
     require_same_space(market.space, b.space, "report b is not on the market's space")
-    reports = _report_rows(market, others)
+    reports = market.centered.copy() if others is None else market.centered_profile(others)
     reports[i] = centered(market.space.probs, b.payoffs)
     return float(autarky_utilities(market)[i] + mechanism_gains(market, reports)[i])
 
@@ -121,10 +111,12 @@ def best_endowment_response(
     """Report maximizing agent i's utility, zero-mean normalized.
 
     B*_i = gamma_i/(gamma_i + gamma) E_i + gamma^2/(gamma_i^2 - gamma^2) R_{-i}
-    where R_{-i} is the sum of the other agents' reports.
+    where R_{-i} is the sum of the other agents' reports (by default the
+    endowments, read in place; one mask copies the others' rows).
     """
     _check_agent(i, market.n)
-    rest = np.delete(_report_rows(market, others), i, axis=0).sum(axis=0)
+    rows = market.centered if others is None else market.centered_profile(others)
+    rest = rows[np.arange(market.n) != i].sum(axis=0)
     own, other = _response_coefficients(market)
     b = own[i] * market.centered[i] + other[i] * rest
     return Rv(market.space, centered(market.space.probs, b))

@@ -31,7 +31,7 @@ from riskshare.cli import (
     load_market_file,
     main,
 )
-from riskshare import cli, core, nash, pareto
+from riskshare import cli, core, nash, pareto, strategic
 from riskshare.experiments import correlated_pair_market
 
 
@@ -597,11 +597,11 @@ class TestNoObjectPerAgent:
         ("best-response", "--game", "demand"): 9,
     }
     # ROADMAP item 2's remainder: these outcomes still hold one object per
-    # agent, which their reports print (the Nash reports and contracts, the
-    # price game's schedules), and the benchmark reads them as objects
-    # (`nash_endowment(...).reported`); each grows by exactly those objects
+    # agent, which their reports print: the Nash reports, which the benchmark
+    # reads as `Rv`s (`nash_endowment(...).reported`), and the price game's
+    # schedules, printed as objects; each grows by exactly those objects
     PER_AGENT = {
-        ("nash", "--game", "endowment"): 2,
+        ("nash", "--game", "endowment"): 1,
         ("nash", "--game", "price"): 1,
     }
 
@@ -613,7 +613,9 @@ class TestNoObjectPerAgent:
         return write_market(tmp_path, name=f"market-{n}.json", probs=[1.0 / 6] * 6,
                             agents=agents, securities=[rng.normal(size=6).tolist()])
 
-    def test_objects_per_command_do_not_grow_with_n(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _count_built(monkeypatch) -> list:
+        """A list that grows by one for each `Rv` and `DemandSchedule` built."""
         built = []
         for cls in (core.Rv, core.DemandSchedule):
             post, trusted = cls.__post_init__, cls._trusted
@@ -621,6 +623,10 @@ class TestNoObjectPerAgent:
                                 lambda obj, post=post: built.append(1) or post(obj))
             monkeypatch.setattr(cls, "_trusted", classmethod(
                 lambda _, *args, trusted=trusted: built.append(1) or trusted(*args)))
+        return built
+
+    def test_objects_per_command_do_not_grow_with_n(self, tmp_path, monkeypatch):
+        built = self._count_built(monkeypatch)
         counts = {}
         for n in (10, 1000):
             path = self._market_file(tmp_path, n)
@@ -634,6 +640,22 @@ class TestNoObjectPerAgent:
             assert (counts[command, 10], counts[command, 1000]) == (count, count), command
         for command, per_agent in self.PER_AGENT.items():
             assert counts[command, 1000] - counts[command, 10] == per_agent * 990, command
+
+    def test_contract_matrices_build_no_object(self, monkeypatch):
+        # the pareto report exits 3 on Var[E] at n >= m before it builds a
+        # contract, so the engines are counted here: the Pareto and the Nash
+        # contracts and the Nash aggregate are arrays, and only the n Nash
+        # reports are built as `Rv`s
+        rng = np.random.default_rng(29)
+        market = core.Market.from_arrays(core.ProbSpace([1.0 / 6] * 6),
+                                         rng.uniform(0.5, 2.0, 1000),
+                                         rng.normal(size=(1000, 6)))
+        built = self._count_built(monkeypatch)
+        contracts = pareto.optimal_sharing(market)
+        assert (len(built), contracts.shape, contracts.flags.writeable) == (0, (1000, 6), False)
+        outcome = nash.nash_endowment(market)
+        assert len(built) == len(outcome.reported) == 1000
+        assert not (outcome.contracts.flags.writeable or outcome.aggregate.flags.writeable)
 
     def test_commands_build_no_agent(self, tmp_path, monkeypatch):
         # ingest builds the market from arrays, and no command reads its
@@ -869,6 +891,132 @@ class TestUnitScaling:
                 key = re.sub(r"\[\d+\]", "", where).replace("results", name)
                 want = x * 2.0 ** (UNIT_POWERS[key] * k)
                 assert fields[where].tobytes() == want.tobytes(), (name, where, k)
+
+
+# Result fields by their path without list indices: those with a state axis
+# (the last; a table1 cell has one when it is a payoff row), those with agent
+# axes (every axis of `pareto.weights`, the first of the others), and those
+# computed through Var^{-1}[C], whose rounding grows with its condition number
+STATE_AXIS = {"pareto.contracts", "nash endowment.reported", "nash endowment.aggregate",
+              "nash endowment.contracts", "best-response endowment.response"}
+AGENT_AXIS = {
+    "pareto.contracts", "pareto.weights", "pareto.endowment_prices", "pareto.utility_levels",
+    "capm.allocation", "capm.utility_levels", "capm.gains", "capm.constrained_loss",
+    "nash endowment.reported", "nash endowment.contracts", "nash endowment.per_agent_gain",
+    "nash percentage.b_star", "nash percentage.per_agent_gain", "nash price.allocation",
+}
+BASKET_INVERSE = {
+    "capm.allocation", "capm.gains", "capm.utility_levels", "capm.constrained_loss",
+    "capm.constrained_loss_total", "nash price.allocation",
+    "best-response demand.utility_before", "best-response demand.utility_after",
+}
+
+
+class TestInvariance:
+    """Splitting a state into two of half its probability with equal payoffs,
+    or relabeling the agents, changes no result beyond rounding.
+
+    A result of unit d (`UNIT_POWERS`) must agree within TOL times the scale
+    of that unit in the report: the largest magnitude among its fields of
+    unit d, the echoed market's included, and at least s^d, s the largest
+    payoff. So a result computed by cancellation, as a constrained loss near
+    zero or a price E[C] - 2 gamma Cov(C, M), is held to the scale of the
+    terms it is computed from. A result computed through Var^{-1}[C] is held
+    to that bound times cond(Var[C]). The echoed market is not compared.
+    """
+
+    TOL = 1e-14
+
+    @classmethod
+    def _assert_agree(cls, base, other, cond, expected):
+        """Every command exits as in `base`, and each result of `other` agrees
+        with `expected(key, path, value)`: the path and value of a base result
+        where the relation puts them, or None for a result it does not map."""
+        for name, (code, report) in base.items():
+            assert other[name][0] == code, name
+            if code != EXIT_OK:
+                continue
+            flat = {where: (re.sub(r"\[\d+\]", "", where).replace("results", name), x)
+                    for where, x in _flat(report)}
+            payoff = max(np.max(np.abs(x)) for key, x in flat.values()
+                         if UNIT_POWERS[key] == 1 and key.startswith("market."))
+            scale = collections.defaultdict(float)
+            for key, x in flat.values():
+                d = UNIT_POWERS[key]
+                scale[d] = max(scale[d], payoff**d, np.max(np.abs(x), initial=0.0))
+            got = dict(_flat(other[name][1]["results"]))
+            results = {where.removeprefix("results."): entry for where, entry in flat.items()
+                       if where.startswith("results.")}
+            assert set(got) == set(results), name
+            for path, (key, x) in results.items():
+                mapped = expected(key, path, x)
+                if mapped is None:
+                    continue
+                where, want = mapped
+                bound = cls.TOL * scale[UNIT_POWERS[key]] * (cond if key in BASKET_INVERSE else 1.0)
+                assert np.all(np.abs(got[where] - want) <= bound), (name, path, where)
+
+    @staticmethod
+    def _condition(doc):
+        """cond(Var[C]) of the document's basket."""
+        p, c = np.array(doc["probs"]), np.array(doc["securities"])
+        c = c - (c @ p)[:, None]
+        return np.linalg.cond((c * p) @ c.T)
+
+    @given(dyadic_markets(), st.integers(0, 3), st.data())
+    @settings(max_examples=100)
+    def test_split_state(self, tmp_path_factory, doc, agent, data):
+        path = tmp_path_factory.getbasetemp() / "split.json"
+        agent %= len(doc["agents"])
+        j = data.draw(st.integers(0, len(doc["probs"]) - 1))
+
+        def split(row):
+            return row[:j] + [row[j]] * 2 + row[j + 1:]
+
+        split_doc = {
+            **doc,
+            "probs": split([q / 2.0 if k == j else q for k, q in enumerate(doc["probs"])]),
+            "agents": [{"gamma": a["gamma"], "payoffs": split(a["payoffs"])}
+                       for a in doc["agents"]],
+            "securities": [split(c) for c in doc["securities"]],
+        }
+        repeats = np.where(np.arange(len(doc["probs"])) == j, 2, 1)
+
+        def expected(key, path, x):
+            state = key in STATE_AXIS or ("table1" in key and x.ndim == 1)
+            return path, np.repeat(x, repeats, axis=-1) if state else x
+
+        self._assert_agree(TestUnitScaling._reports(path, doc, agent),
+                           TestUnitScaling._reports(path, split_doc, agent),
+                           self._condition(doc), expected)
+
+    @given(dyadic_markets(), st.integers(0, 3), st.data())
+    @settings(max_examples=100)
+    def test_relabel_agents(self, tmp_path_factory, doc, agent, data):
+        path = tmp_path_factory.getbasetemp() / "relabeled.json"
+        n = len(doc["agents"])
+        agent %= n
+        perm = np.array(data.draw(st.permutations(range(n))))  # new agent j is old perm[j]
+        label = np.argsort(perm)  # old agent i is new label[i]
+        relabeled = {**doc, "agents": [doc["agents"][i] for i in perm]}
+
+        def expected(key, path, x):
+            schedule = re.fullmatch(r"schedules\[([0-9]+)\](.*)", path)
+            if schedule:
+                return f"schedules[{label[int(schedule[1])]}]{schedule[2]}", x
+            if key == "pareto.weights":
+                return path, x[np.ix_(perm, perm)]
+            if key in AGENT_AXIS:
+                return path, x[perm]
+            if key.endswith(".agent"):
+                return path, label[int(x)]
+            if "table1" in key and perm[0] != 0:  # agent 1's side of the table
+                return None
+            return path, x
+
+        self._assert_agree(TestUnitScaling._reports(path, doc, agent),
+                           TestUnitScaling._reports(path, relabeled, int(label[agent])),
+                           self._condition(doc), expected)
 
 
 class TestRoundTrip:
@@ -1188,11 +1336,12 @@ class TestReportWriter:
                                 lambda market: np.array([1.0, np.inf]))
         elif where == "scalar":
             monkeypatch.setattr(cli, "aggregate_gain", lambda market: float("nan"))
-        else:
-            contracts = [core.Rv._trusted(market.space, np.array([1.0, -np.inf, 0.0]))] * 2
-            monkeypatch.setattr(cli, "optimal_sharing",
-                                lambda market: pareto.ParetoSharing(contracts))
-        code, out, err = _run(["pareto", "--market", str(path)])
+        else:  # the endowment best response is an Rv
+            response = core.Rv._trusted(market.space, np.array([1.0, -np.inf, 0.0]))
+            monkeypatch.setattr(cli, "endowment_response_report", lambda market, agent:
+                                strategic.ResponseReport(response, 0.0, 0.0))
+        command = ["best-response", "--game", "endowment"] if where == "rv" else ["pareto"]
+        code, out, err = _run(command + ["--market", str(path)])
         assert (code, out) == (EXIT_NUMERICAL, "")
         assert err == f"numerical precondition violated: results: {cli.RESULTS_NOT_FINITE}\n"
 

@@ -555,10 +555,11 @@ class TestReportProfileLength:
         with pytest.raises(ValueError, match="not a full profile"):
             self.CALLS[name](market, self.PROFILES[profile](market))
 
-    @pytest.mark.parametrize("name", ["reported_utility", "best_endowment_response"])
+    @pytest.mark.parametrize("name", ["reported_utility", "best_endowment_response",
+                                      "best_response_dynamics"])
     def test_stack_of_profiles_raises(self, name):
         # the oracle's objectives take a stack of profiles; a single
-        # deviator's `others` is one profile
+        # deviator's `others` and the dynamics' `init` are one profile
         market = self.MARKET
         stack = np.stack([market.payoffs, market.payoffs])
         with pytest.raises(ValueError, match=r"\(2, 3, 3\) are not a full profile"):

@@ -272,4 +272,4 @@ class TestFigureData:
         out = nash_endowment(m)
         # percentage game: b=1 both, checked in the nash tests; here the
         # endowment-game aggregate also matches in the homogeneous case
-        assert var(out.aggregate - m.total_endowment) < 1e-18
+        assert var(m.space.rv(out.aggregate) - m.total_endowment) < 1e-18

@@ -50,7 +50,7 @@ class TestNashEndowment:
     def test_symmetric_example(self, symmetric_market):
         out = nash_endowment(symmetric_market)
         assert np.allclose(out.reported[0].payoffs, [0.5, -0.5])
-        assert np.allclose(out.contracts[0].payoffs, [-0.5, 0.5])
+        assert np.allclose(out.contracts[0], [-0.5, 0.5])
         assert out.inefficiency == pytest.approx(0.5)
         assert out.per_agent_gain[0] == pytest.approx(0.75)
 
@@ -81,7 +81,7 @@ class TestNashEndowment:
         for _ in range(20):
             m = make_market(rng)
             out = nash_endowment(m)
-            total = sum(c.payoffs for c in out.contracts)
+            total = sum(c for c in out.contracts)
             assert np.var(total) < 1e-18
 
     def test_inefficiency_nonnegative(self):
@@ -96,7 +96,7 @@ class TestNashEndowment:
             m = make_market(rng, n=n, m=5, homogeneous=True)
             out = nash_endowment(m)
             sharing = optimal_sharing(m)
-            assert var(out.aggregate - m.total_endowment) < 1e-18
+            assert var(m.space.rv(out.aggregate) - m.total_endowment) < 1e-18
             for i, a in enumerate(m.agents):
                 others = m.total_endowment - a.endowment
                 want = (1.0 / n**2) * others + (
@@ -104,7 +104,7 @@ class TestNashEndowment:
                 ) * a.endowment
                 assert var(out.reported[i] - want) < 1e-18
                 assert var(
-                    out.contracts[i] - ((n - 1) / n) * sharing.contracts[i]
+                    m.space.rv(out.contracts[i]) - ((n - 1) / n) * m.space.rv(sharing[i])
                 ) < 1e-18
 
     def test_aggregate_coincides_iff_homogeneous(self):
@@ -139,7 +139,7 @@ class TestNashEndowment:
                 m = Market.from_arrays(m.space, m.gammas, m.payoffs + cash[:, None])
             out = nash_endowment(m)
             assert out.inefficiency == nash.nash_inefficiency(m)
-            assert np.array_equal(out.aggregate.payoffs, nash_aggregate_endowment(m).payoffs)
+            assert np.array_equal(out.aggregate, nash_aggregate_endowment(m).payoffs)
             reported = nash._nash_reports(m, m.centered)[1]
             assert np.array_equal(out.per_agent_gain, pareto.mechanism_gains(m, reported))
 
@@ -162,12 +162,15 @@ class TestTable1:
         for _ in range(25):
             m = make_market(rng, n=2)
             for r in table1_report(m):
-                if hasattr(r.nash_engine, "payoffs"):
+                if np.ndim(r.nash_closed) == 1:  # payoff rows; the Nash report is an Rv
+                    nash_engine, nash_closed, pareto_engine, pareto_closed = (
+                        m.space.rv(getattr(cell, "payoffs", cell)) for cell in (
+                            r.nash_engine, r.nash_closed, r.pareto_engine, r.pareto_closed))
                     assert equal_up_to_constants(
-                        r.nash_engine, r.nash_closed, tol=1e-16
+                        nash_engine, nash_closed, tol=1e-16
                     )
                     assert equal_up_to_constants(
-                        r.pareto_engine, r.pareto_closed, tol=1e-16
+                        pareto_engine, pareto_closed, tol=1e-16
                     )
                 else:
                     assert r.nash_engine == pytest.approx(r.nash_closed, abs=1e-10)
@@ -540,7 +543,7 @@ class TestCashShift:
         percentage = nash_percentage(market)
         price = nash_price(market, basket)
         return {
-            "contracts": centered(sharing.contracts),
+            "contracts": centered(market.space.rvs(sharing)),
             "aggregate_gain": aggregate_gain(market),
             "endowment_prices": endowment_prices(market) - cash,
             "utility_levels": optimal_utility_levels(market) - cash,
@@ -549,8 +552,8 @@ class TestCashShift:
             "capm_utility_levels": capm.utility_levels - cash,
             "capm_gains": capm.gains,
             "reported": centered(nash.reported),
-            "aggregate": centered([nash.aggregate]),
-            "nash_contracts": centered(nash.contracts),
+            "aggregate": centered([market.space.rv(nash.aggregate)]),
+            "nash_contracts": centered(market.space.rvs(nash.contracts)),
             "inefficiency": nash.inefficiency,
             "nash_gain": nash.per_agent_gain,
             "b_star": percentage.b_star,

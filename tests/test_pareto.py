@@ -35,8 +35,8 @@ from conftest import make_basket, make_market, make_space
 class TestOptimalSharing:
     def test_symmetric_contracts(self, symmetric_market):
         sharing = optimal_sharing(symmetric_market)
-        assert np.allclose(sharing.contracts[0].payoffs, [-1.0, 1.0])
-        assert np.allclose(sharing.contracts[1].payoffs, [1.0, -1.0])
+        assert np.allclose(sharing[0], [-1.0, 1.0])
+        assert np.allclose(sharing[1], [1.0, -1.0])
         assert aggregate_gain(symmetric_market) == pytest.approx(2.0)
 
     def test_weights(self):
@@ -55,7 +55,7 @@ class TestOptimalSharing:
         for _ in range(20):
             m = make_market(rng)
             sharing = optimal_sharing(m)
-            total = sum(c.payoffs for c in sharing.contracts)
+            total = sum(c for c in sharing)
             assert np.allclose(total, 0.0, atol=1e-10)
 
     def test_post_trade_position_proportional_to_total(self):
@@ -67,7 +67,7 @@ class TestOptimalSharing:
             g = m.aggregate_gamma
             for i, a in enumerate(m.agents):
                 want = (g / a.gamma) * m.total_endowment
-                got = sharing.contracts[i] + a.endowment
+                got = m.space.rv(sharing[i]) + a.endowment
                 assert var(got - want) < 1e-18
 
     def test_aggregate_gain_formula_and_sign(self):
@@ -100,7 +100,7 @@ class TestOptimalSharing:
         sharing = optimal_sharing(m)
         levels = optimal_utility_levels(m)
         for i, a in enumerate(m.agents):
-            direct = a.gamma * var(sharing.contracts[i]) + mv_utility(
+            direct = a.gamma * var(m.space.rv(sharing[i])) + mv_utility(
                 a.gamma, a.endowment
             )
             assert levels[i] == pytest.approx(direct, abs=1e-12)

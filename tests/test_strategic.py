@@ -23,7 +23,7 @@ from riskshare.strategic import (
     truthful_schedules,
 )
 
-from conftest import make_basket, make_market
+from conftest import make_basket, make_market, make_space
 
 
 class TestReportedUtility:
@@ -34,7 +34,7 @@ class TestReportedUtility:
             m = make_market(rng)
             sharing = optimal_sharing(m)
             for i, a in enumerate(m.agents):
-                want = a.gamma * var(sharing.contracts[i]) + mv_utility(
+                want = a.gamma * var(m.space.rv(sharing[i])) + mv_utility(
                     a.gamma, a.endowment
                 )
                 got = reported_utility(m, i, a.endowment)
@@ -88,6 +88,21 @@ class TestBestEndowmentResponse:
             diff = (b - want).payoffs
             centered = diff - m.space.probs @ diff
             assert np.max(np.abs(centered)) < 1e-12
+
+    def test_reads_the_endowments_in_place(self):
+        # one n x m matrix is 4.8 MB at n = 10^5, m = 6: the others' rows are
+        # the only copy, where a copy of the reports and a second one without
+        # row i took two
+        rng = np.random.default_rng(35)
+        m = Market.from_arrays(make_space(rng, 6), rng.uniform(0.5, 2.0, 10**5),
+                               rng.normal(size=(10**5, 6)))
+        tracemalloc.start()
+        try:
+            best_endowment_response(m, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m.centered.nbytes, peak
 
     def test_respects_given_reports(self):
         rng = np.random.default_rng(34)
