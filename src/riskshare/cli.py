@@ -3,7 +3,8 @@
 Market files are JSON whose `schema` is the integer 1; reports are JSON with a
 stable field order and an echo of the ingested market, so a report can be
 re-run bit-for-bit. A report's results are the engine's outcome type, field
-by field in declaration order, plus the keys the type lacks; the echo holds
+by field in declaration order (the price game's schedule rows as
+`{"gamma", "c"}` objects), plus the keys the type lacks; the echo holds
 the ingested probabilities, risk aversions, payoff rows and securities as the
 validated arrays themselves. One writer, `_dumps`, serializes both: it writes
 the bytes of `json.dumps(body, indent=2, allow_nan=False, default=_encode)`,
@@ -450,7 +451,10 @@ def cmd_nash(loaded: dict, game: str) -> dict:
         }
     if game == "price":
         _require(basket is not None, "securities", "price game needs securities")
-        return _fields(nash_price(market, basket))
+        results = _fields(nash_price(market, basket))
+        results["schedules"] = [{"gamma": g, "c": c}  # row i as agent i's schedule
+                                for g, c in zip(market.gammas.tolist(), results["schedules"])]
+        return results
     raise Failure("game", f"unknown nash game {game!r}")
 
 

@@ -14,17 +14,18 @@ is formed. `cross_cov` centers once (weighting before it squares) for `Rv`
 moments and the oracle; `Market` and `SecurityBasket` center with the
 corrected `_two_pass`. All objects are immutable after construction.
 `ProbSpace.rvs` builds many random variables from one validated read-only
-matrix, each a view of its row (as `demand_schedules` builds schedules); its
-inverse `ProbSpace.rows` is the one way random variables become rows, naming
-the index of any on another space; `Market.profile` takes a report profile (or
-a stack) as n `Rv`s or an array, `Market.centered_profile` just one.
-`DemandSchedule.pooled` sums schedules from their gammas and covariance rows,
-so the others' demand is pooled from the exposure matrix. A market is built
-from agents or from arrays (`Market.from_arrays`, no object per agent); only
-`Market.agents` builds `Agent`s from arrays (for `agent_pool`). Two spaces
-agree as one object or by equal probabilities (`require_same_space`); a risk
-aversion is positive and finite (`_check_gamma`), and an agent index is an
-integer in [0, n) (`_check_agent`).
+matrix, each a view of its row; its inverse `ProbSpace.rows` is the one way
+random variables become rows, naming the index of any on another space;
+`Market.profile` takes a report profile (or a stack) as n `Rv`s or an array,
+`Market.centered_profile` just one. The agents' demand schedules are their
+gammas and the rows of an n x k covariance matrix, no object per agent;
+`DemandSchedule.pooled` sums schedules from those two arrays, so the others'
+demand is pooled from the exposure matrix. A market is built from agents or
+from arrays (`Market.from_arrays`, no object per agent); only `Market.agents`
+builds `Agent`s from arrays (for `agent_pool`). Two spaces agree as one
+object or by equal probabilities (`require_same_space`); a risk aversion is
+positive and finite (`_check_gamma`), and an agent index is an integer in
+[0, n) (`_check_agent`).
 """
 
 from __future__ import annotations
@@ -479,27 +480,11 @@ class DemandSchedule:
             raise ValueError("pooling needs one covariance row per gamma, and at least one")
         return cls(1.0 / np.sum(1.0 / gammas), np.sum(c, axis=0))
 
-    @classmethod
-    def _trusted(cls, gamma: float, c: np.ndarray) -> "DemandSchedule":
-        """A schedule of a validated gamma and a read-only row, not copied."""
-        schedule = object.__new__(cls)
-        object.__setattr__(schedule, "gamma", gamma)
-        object.__setattr__(schedule, "c", c)
-        return schedule
-
     def quantities(self, basket: SecurityBasket, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         return (
             (basket.mean_vector - p) / (2.0 * self.gamma) - self.c
         ) @ basket.cov_inverse
-
-
-def demand_schedules(market: Market, rows: np.ndarray) -> list[DemandSchedule]:
-    """One schedule per agent, of their gamma and their row of an n x k
-    covariance matrix. `rows` is marked read-only and each schedule holds a
-    view of its row, as `ProbSpace.rvs` does for random variables."""
-    rows.flags.writeable = False
-    return [DemandSchedule._trusted(g, c) for g, c in zip(market.gammas, rows)]
 
 
 def demand(

@@ -7,6 +7,7 @@ problem. The reports then run through `pareto`'s one sharing mechanism:
 contracts are its `sharing_rule`, per-agent gains its `mechanism_gains` and
 the inefficiency the `pooling_gain` of what the reports hold back. Price
 pressure and the Pareto-vs-Nash utility comparison are computed here too.
+The price game's schedules are one n x k matrix, agent i's (gamma_i, row i).
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DemandSchedule,
     Market,
     Rv,
     SecurityBasket,
     cov,
     cross_cov,
-    demand_schedules,
     holding_utilities,
     mean,
     pricing,
@@ -77,7 +76,7 @@ class NashPercentageOutcome:
 @dataclass(frozen=True, eq=False)
 class NashPriceOutcome:
     price: np.ndarray
-    schedules: list[DemandSchedule]
+    schedules: np.ndarray  # read-only n x k, agent i's schedule (gammas[i], row i)
     allocation: np.ndarray  # n x k, rows are the equilibrium quantities
     pressure: np.ndarray  # Cov(C_j, E - aggregate reported endowment)
 
@@ -292,16 +291,17 @@ def percentage_game_gains(market: Market, outcome: NashPercentageOutcome) -> np.
 def nash_price(market: Market, basket: SecurityBasket) -> NashPriceOutcome:
     """Nash equilibrium price, schedules and allocation of a security basket.
 
-    p_hat = E[C] - 2 gamma Cov(C, aggregate reported endowment); each agent's
-    schedule carries the covariance vector of their endowment-game report and
-    the allocation is Cov(C, C*_i(B*_i)) . Var^{-1}[C].
+    p_hat = E[C] - 2 gamma Cov(C, aggregate reported endowment); agent i's
+    schedule is (gamma_i, Cov(C, B*_i)), row i of the read-only n x k
+    `schedules`, and the allocation is Cov(C, C*_i(B*_i)) . Var^{-1}[C].
     """
     exposures = market.exposures(basket)
     # Cov(C, M) and Cov(C, B*_i)
     aggregate, exposures_reported = _nash_reports(market, exposures)
+    exposures_reported.flags.writeable = False
     return NashPriceOutcome(
         price=pricing(market.aggregate_gamma, basket.mean_vector, aggregate),
-        schedules=demand_schedules(market, exposures_reported),
+        schedules=exposures_reported,
         allocation=sharing_rule(market)(exposures_reported) @ basket.cov_inverse,
         pressure=exposures.sum(axis=0) - aggregate,
     )
@@ -363,15 +363,18 @@ def excess_return_check(market: Market, x: Rv) -> float:
 
     Returns |LHS - RHS| where R_Y = Y / pi(Y) - 1 and
     pi(Y) = E[Y] - 2 gamma Cov(Y, M) is the Nash pricing functional. Both
-    prices must be nonzero and M must be risky. Both sides equal
-    2 gamma Cov(X, M) / pi(X) for any X and any such M, so the residual is
-    rounding noise whatever M is: the check guards `core.pricing` and the
+    prices must be nonzero relative to their terms, |E[Y]| + 2 gamma
+    |Cov(Y, M)|, whatever the payoffs' unit, and M must be risky. Both sides
+    equal 2 gamma Cov(X, M) / pi(X) for any X and any such M, so the residual
+    is rounding noise whatever M is: the check guards `core.pricing` and the
     return algebra, not the Nash aggregate.
     """
-    m = nash_aggregate_endowment(market)
-    px, pm = (pricing(market.aggregate_gamma, mean(y), cov(y, m)) for y in (x, m))
-    if abs(px) < 1e-12 or abs(pm) < 1e-12:
+    m, g = nash_aggregate_endowment(market), market.aggregate_gamma
+    e, c = np.array([(mean(y), cov(y, m)) for y in (x, m)]).T  # of X, of M
+    prices = pricing(g, e, c)
+    if np.any(np.abs(prices) <= 1e-12 * (np.abs(e) + 2.0 * g * np.abs(c))):
         raise ValueError("zero equilibrium price; returns are undefined")
+    px, pm = prices.tolist()
     rx = (1.0 / px) * x - 1.0
     rm = (1.0 / pm) * m - 1.0
     vm = var(rm)

@@ -146,11 +146,15 @@ def constrained_loss(
 ) -> tuple[np.ndarray, float]:
     """Utility each agent forgoes when sharing only through `basket`.
 
-    Loss_i = gamma_i (Var[C*_i] - Cov(C,C*_i) Var^{-1}[C] Cov(C,C*_i)) >= 0,
-    zero exactly when the optimal contract lies in span{1, C_1..C_k}; the
-    subtracted term is agent i's gain in the basket equilibrium.
+    Loss_i = gamma_i (Var[C*_i] - Cov(C,C*_i) Var^{-1}[C] Cov(C,C*_i))
+    = gamma_i Var[C*_i - z_i.C], z_i the agent's basket allocation: zero
+    exactly when the optimal contract lies in span{1, C_1..C_k}. A p-weighted
+    product of the residual rows, it is >= 0 in floating point too, where a
+    difference of two gains would leave rounding noise of either sign.
     """
-    losses = mechanism_gains(market, market.centered) - capm_equilibrium(market, basket).gains
+    residual = (sharing_rule(market)(market.centered)
+                - capm_equilibrium(market, basket).allocation @ basket.centered)
+    losses = market.gammas * np.vecdot(residual * market.space.probs, residual)
     return losses, float(losses.sum())
 
 

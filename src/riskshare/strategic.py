@@ -7,7 +7,8 @@ sharing mechanism is applied; the utility of any report is the autarky
 utility plus the agent's `pareto.mechanism_gains` on the report profile.
 The demand response pools the truthful others straight from the rows of
 `Market.exposures`, so it builds no schedule per agent; the functions that
-take the others' schedules as a list pool them through `_pooled`.
+take the others' schedules as a list pool them through `_pooled`, and
+`truthful_schedules` builds such a list, one validated schedule per agent.
 Best responses are returned zero-mean normalized; the deviator's utility is
 invariant to cash shifts of the report, so nothing is lost.
 """
@@ -28,7 +29,6 @@ from .core import (
     autarky_utilities,
     centered,
     cov_vector,
-    demand_schedules,
     holding_utilities,
     pricing,
     require_same_space,
@@ -64,9 +64,9 @@ def endowment_variances(market: Market, agents=None) -> np.ndarray:
 
 def truthful_schedules(market: Market, basket: SecurityBasket) -> list[DemandSchedule]:
     """Every agent's truthful schedule, one object per agent, for callers that
-    pass the others' schedules as a list; `demand_response_report` pools the
-    truthful others from the exposure rows instead."""
-    return demand_schedules(market, market.exposures(basket))
+    pass the others' schedules as a list; no package path calls it, since
+    `demand_response_report` pools the truthful others from the exposure rows."""
+    return [DemandSchedule(g, c) for g, c in zip(market.gammas, market.exposures(basket))]
 
 
 def _response_coefficients(market: Market) -> tuple[np.ndarray, np.ndarray]:

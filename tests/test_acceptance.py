@@ -10,6 +10,7 @@ import pytest
 
 from riskshare.core import (
     Agent,
+    DemandSchedule,
     Market,
     ProbSpace,
     SecurityBasket,
@@ -89,7 +90,9 @@ def test_criterion_02_nash_contract_and_demand_scaling():
         eq = capm_equilibrium(m, basket)
         price_game = nash_price(m, basket)
         for i in range(n):
-            z_hat = price_game.schedules[i].quantities(basket, price_game.price)
+            z_hat = DemandSchedule(m.gammas[i], price_game.schedules[i]).quantities(
+                basket, price_game.price
+            )
             z_star = demand(
                 m.agents[i].gamma, m.agents[i].endowment, basket, eq.prices
             )
@@ -262,7 +265,8 @@ def test_criterion_07_capm_beta_identity():
         market = Market(space, agents)
         nash = nash_price(market, basket)
         for i in range(market.n):
-            others = nash.schedules[:i] + nash.schedules[i + 1:]
+            others = [DemandSchedule(market.gammas[j], nash.schedules[j])
+                      for j in range(market.n) if j != i]
             found = argmax_phi(market, i, basket, others)
             gap = np.abs(found - nash.price)
             assert np.all(gap <= 1e-9 * (1.0 + np.abs(nash.price))), (i, gap)

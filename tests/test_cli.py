@@ -595,14 +595,14 @@ class TestNoObjectPerAgent:
         ("best-response", "--game", "endowment"): 3,
         ("best-response", "--game", "percentage"): 3,
         ("best-response", "--game", "demand"): 9,
+        ("nash", "--game", "price"): 1,
     }
-    # ROADMAP item 2's remainder: these outcomes still hold one object per
-    # agent, which their reports print: the Nash reports, which the benchmark
-    # reads as `Rv`s (`nash_endowment(...).reported`), and the price game's
-    # schedules, printed as objects; each grows by exactly those objects
+    # ROADMAP item 2's remainder: this outcome still holds one object per
+    # agent, which its report prints: the Nash reports, which the benchmark
+    # reads as `Rv`s (`nash_endowment(...).reported`); it grows by exactly
+    # those objects
     PER_AGENT = {
         ("nash", "--game", "endowment"): 1,
-        ("nash", "--game", "price"): 1,
     }
 
     @staticmethod
@@ -618,11 +618,12 @@ class TestNoObjectPerAgent:
         """A list that grows by one for each `Rv` and `DemandSchedule` built."""
         built = []
         for cls in (core.Rv, core.DemandSchedule):
-            post, trusted = cls.__post_init__, cls._trusted
+            post = cls.__post_init__
             monkeypatch.setattr(cls, "__post_init__",
                                 lambda obj, post=post: built.append(1) or post(obj))
-            monkeypatch.setattr(cls, "_trusted", classmethod(
-                lambda _, *args, trusted=trusted: built.append(1) or trusted(*args)))
+        trusted = core.Rv._trusted
+        monkeypatch.setattr(core.Rv, "_trusted", classmethod(
+            lambda _, *args: built.append(1) or trusted(*args)))
         return built
 
     def test_objects_per_command_do_not_grow_with_n(self, tmp_path, monkeypatch):
@@ -656,6 +657,20 @@ class TestNoObjectPerAgent:
         outcome = nash.nash_endowment(market)
         assert len(built) == len(outcome.reported) == 1000
         assert not (outcome.contracts.flags.writeable or outcome.aggregate.flags.writeable)
+
+    def test_price_schedules_build_no_object(self, monkeypatch):
+        # the price game's schedules are the n x k matrix of the reports'
+        # covariances: agent i's schedule is (gamma_i, row i)
+        rng = np.random.default_rng(29)
+        space = core.ProbSpace([1.0 / 6] * 6)
+        market = core.Market.from_arrays(space, rng.uniform(0.5, 2.0, 1000),
+                                         rng.normal(size=(1000, 6)))
+        basket = core.SecurityBasket((space.rv(rng.normal(size=6)),))
+        built = self._count_built(monkeypatch)
+        schedules = nash.nash_price(market, basket).schedules
+        assert len(built) == 0
+        assert (schedules.shape, schedules.dtype, schedules.flags.writeable) == (
+            (1000, basket.k), np.dtype(float), False)
 
     def test_commands_build_no_agent(self, tmp_path, monkeypatch):
         # ingest builds the market from arrays, and no command reads its

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from riskshare.core import (
     Agent,
+    DemandSchedule,
     Market,
     ProbSpace,
     SecurityBasket,
@@ -356,6 +357,11 @@ class TestNashPercentage:
         assert np.all(gains >= -1e-10)
 
 
+def _schedule(m, out, i):
+    """Agent i's equilibrium schedule: their gamma and row i of `schedules`."""
+    return DemandSchedule(m.gammas[i], out.schedules[i])
+
+
 class TestNashPrice:
     def test_demands_clear(self):
         rng = np.random.default_rng(60)
@@ -363,17 +369,21 @@ class TestNashPrice:
             m = make_market(rng, m=5)
             basket = make_basket(rng, m.space, k=2)
             out = nash_price(m, basket)
-            total = sum(s.quantities(basket, out.price) for s in out.schedules)
+            total = sum(_schedule(m, out, i).quantities(basket, out.price) for i in range(m.n))
             assert np.allclose(total, 0.0, atol=1e-9)
 
     def test_schedules_view_one_read_only_matrix(self):
         rng = np.random.default_rng(64)
         m = make_market(rng, n=4, m=5)
-        out = nash_price(m, make_basket(rng, m.space, k=2))
-        rows = out.schedules[0].c.base
-        assert rows.shape == (4, 2) and not rows.flags.writeable
-        for i, s in enumerate(out.schedules):
-            assert s.c.base is rows and s.gamma == m.gammas[i]
+        basket = make_basket(rng, m.space, k=2)
+        out = nash_price(m, basket)
+        rows = out.schedules
+        assert rows.shape == (4, 2) and rows.dtype == float and not rows.flags.writeable
+        # the reports' covariances Cov(C, B*_i), as computed, not a copy per agent
+        np.testing.assert_array_equal(rows, nash._nash_reports(m, m.exposures(basket))[1])
+        for i in range(m.n):
+            s = _schedule(m, out, i)
+            assert s.gamma == m.gammas[i]
             np.testing.assert_array_equal(s.c, rows[i])
 
     def test_allocation_is_cleared_demand(self):
@@ -384,7 +394,7 @@ class TestNashPrice:
         for i in range(m.n):
             assert np.allclose(
                 out.allocation[i],
-                out.schedules[i].quantities(basket, out.price),
+                _schedule(m, out, i).quantities(basket, out.price),
                 atol=1e-9,
             )
 
@@ -395,7 +405,7 @@ class TestNashPrice:
             basket = make_basket(rng, m.space, k=2)
             out = nash_price(m, basket)
             for i in range(m.n):
-                others = [s for j, s in enumerate(out.schedules) if j != i]
+                others = [_schedule(m, out, j) for j in range(m.n) if j != i]
                 br = best_price_response(m, i, basket, others)
                 assert np.allclose(br, out.price, atol=1e-9)
 
@@ -509,6 +519,17 @@ class TestExcessReturn:
                 continue
             assert excess_return_check(m, x) < 1e-12
 
+    def test_residual_free_of_the_unit(self):
+        # payoffs times 2^k and gammas times 2^-k scale every price by 2^k
+        # exactly and leave every return as it is, so the residual is the
+        # same bits; the zero-price test is relative to the price's terms
+        m, _, c = self._in_span_market(np.random.default_rng(73))
+        x = 0.75 * c + 0.5
+        want = excess_return_check(m, x)
+        for k in range(-60, 61):
+            scaled = Market.from_arrays(m.space, m.gammas * 2.0**-k, m.payoffs * 2.0**k)
+            assert excess_return_check(scaled, 2.0**k * x) == want, k
+
     def test_zero_price_raises(self):
         m, _, _ = self._in_span_market(np.random.default_rng(72))
         with pytest.raises(ValueError, match="zero equilibrium price"):
@@ -559,7 +580,7 @@ class TestCashShift:
             "b_star": percentage.b_star,
             "percentage_gain": percentage_game_gains(market, percentage),
             "price": price.price,
-            "schedules": np.array([s.c for s in price.schedules]),
+            "schedules": price.schedules,
             "price_allocation": price.allocation,
             "pressure": price.pressure,
         }

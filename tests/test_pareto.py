@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from riskshare.core import (
     Market,
+    SecurityBasket,
     SingularCovarianceError,
     centered,
     cov,
@@ -215,6 +216,23 @@ class TestConstrainedLoss:
             losses, total = constrained_loss(m, basket)
             assert np.all(losses >= -1e-12)
             assert total == pytest.approx(losses.sum())
+
+    def test_nonnegative_with_complete_basket(self):
+        # m - 1 securities span every centered contract, so each loss is zero
+        # up to rounding, and rounding must not make one negative
+        rng = np.random.default_rng(25)
+        for _ in range(40):
+            n, m = int(rng.integers(2, 6)), int(rng.integers(3, 8))
+            space = make_space(rng, m)
+            market = Market.from_arrays(space, rng.integers(2, 9, n) / 4.0,
+                                        rng.integers(-1024, 1025, (n, m)) / 1024.0)
+            rows = rng.integers(-1024, 1025, (m - 1, m)) / 1024.0
+            basket = SecurityBasket(tuple(space.rvs(rows)))
+            losses, total = constrained_loss(market, basket)
+            gains = mechanism_gains(market, market.centered)
+            assert np.all(losses >= 0.0), losses
+            assert np.all(losses <= 1e-9 * gains), (losses, gains)
+            assert total == losses.sum()
 
 
 class TestReservationPrices:
