@@ -39,7 +39,8 @@ import numpy as np
 # Tolerances used across the package.
 PROB_SUM_TOL = 1e-12
 # Two payoffs are "equal up to constants" when the variance of their
-# difference is below this (centered versions coincide).
+# difference is at most this fraction of the sum of their variances
+# (centered versions coincide, in any unit).
 CONST_VAR_TOL = 1e-18
 # Relative eigenvalue floor below which a covariance matrix (a basket's
 # Var[C], the endowments' Var[E]) counts as singular.
@@ -237,8 +238,12 @@ def var(x: Rv) -> float:
 
 
 def equal_up_to_constants(x: Rv, y: Rv, tol: float = CONST_VAR_TOL) -> bool:
-    """Whether x and y differ only by a cash amount."""
-    return var(x - y) < tol
+    """Whether x and y differ only by a cash amount: Var[x - y] <= tol (Var[x] + Var[y]).
+
+    The tolerance is relative to the variances, so the verdict does not
+    depend on the payoffs' unit; two constants always agree.
+    """
+    return var(x - y) <= tol * (var(x) + var(y))
 
 
 def _check_gamma(gamma) -> None:

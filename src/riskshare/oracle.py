@@ -24,15 +24,21 @@ worsens in any orthogonal direction), so searches run over span coefficients.
 An orthogonal probe is kept in the tests rather than assumed here. The
 best-response dynamics search over an orthonormal basis of the centered
 endowments' span, so their Newton step stays well conditioned when the
-endowments are linearly dependent. They split the search at its curvature
-half: an agent's gain is quadratic in all reports jointly, so its Hessian in
-its own coefficients is the same at every profile, and each agent's curvature
-is measured and checked once per run, in its first step, and folded into one
-map from the values at the 2k gradient points of the stencil to the new
-report; its later steps evaluate only those points. A round works on one
-stack of trial profiles, and the run builds no object per step: its result
-holds the profiles as one array and each round's largest step std, and builds
-the trajectory's `Rv`s when it is read.
+endowments are linearly dependent. They measure each agent's best response
+once per run, as an affine map of the others' summed report O: the gain
+depends on the others only through O, since the aggregate is reshared, its
+Hessian in the agent's own coefficients is the same at every profile, and
+its gradient along a basis row b_a depends on O only through Cov(O, b_a),
+so cash and off-span parts of O do not move the step. One objective call
+per agent, on its stencil with O = 0 and its gradient points with O = b_a
+for each row, checks the curvature and gives the map, which is exact for
+every profile; the rounds apply the maps and make no objective call. One
+more call per agent, on its gradient points around the final profile,
+gives the run's residual, the largest move any agent would still make, so
+the final profile is checked against the objective itself. The run builds
+no object per step: its result holds the profiles as one array and each
+round's largest step std, and builds the trajectory's `Rv`s when it is
+read.
 """
 
 from __future__ import annotations
@@ -247,6 +253,7 @@ class DynamicsResult:
     profiles: np.ndarray  # read-only (rounds_run + 1) x n x m, the start first
     step_stds: np.ndarray  # read-only, each round's largest report step std
     converged: bool
+    residual: float  # the largest std of a best-response move from the final profile
 
     @property
     def rounds_run(self) -> int:
@@ -274,6 +281,45 @@ def _span_basis(market: Market) -> np.ndarray:
     return vt[keep] / root
 
 
+def _affine_responses(market: Market, basis: np.ndarray):
+    """Each agent's step map and its best response as an affine map of the others.
+
+    Agent i's gain depends on the others' reports only through their sum O,
+    as the mechanism reshares the aggregate, and it is quadratic in its own
+    coefficients and O jointly. So its Hessian in its own coefficients is the
+    same at every profile, and its gradient along a row b_a of the centered,
+    p-orthonormal `basis` is affine in Cov(O, b_a) alone: cash and off-span
+    parts of O do not move it. One `deviation_gain` call per agent measures
+    it all, on its full stencil with O = 0 and its 2k gradient points +-e_a
+    with O = b_a for each row. The stencil gives the curvature
+    (`_concave_axes`), folded with the gradient weights, the kept axes over
+    their negated curvatures and the basis into the 2k x m step map from the
+    values at the gradient points to the best report. The map gives the
+    response c_i to O = 0 and its change J_i[a] per unit of Cov(O, b_a), so
+    agent i's best response to any O is c_i + Cov(O, basis) J_i. Returns the
+    lists of step maps, c_i and J_i (k x m).
+    """
+    k = len(basis)
+    offsets, weights = _stencil(k)
+    trials = offsets @ basis  # rows 1 to 2k, the gradient points, are +-basis
+    gradient = slice(1, 2 * k + 1)
+    q = len(trials)
+    # agent i's trial reports and the others' sum, one row each per profile
+    points = np.concatenate([trials, np.tile(trials[gradient], (k, 1))])
+    others = np.concatenate([np.zeros_like(trials), np.repeat(basis, 2 * k, axis=0)])
+    maps, responses, slopes = [], [], []
+    for i in range(market.n):
+        stack = np.zeros((len(points), *market.payoffs.shape))
+        stack[:, i] = points
+        stack[:, (i + 1) % market.n] = others
+        values = deviation_gain(market, i, stack)
+        axes, curvatures = _concave_axes((values[:q] @ weights)[k:].reshape(k, k))
+        maps.append(weights[gradient, :k] @ (axes / -curvatures) @ axes.T @ basis)
+        responses.append(values[gradient] @ maps[i])
+        slopes.append(values[q:].reshape(k, 2 * k) @ maps[i] - responses[i])
+    return maps, responses, slopes
+
+
 def best_response_dynamics(
     market: Market,
     init=None,
@@ -282,55 +328,52 @@ def best_response_dynamics(
     """Round-robin best-response iteration on the reported endowments.
 
     From `init`, one profile (the truth by default), each agent in turn takes
-    its exact best response on the span basis, one Newton step from the
-    origin. An agent's gain is quadratic in all reports jointly, so its
-    Hessian in its own coefficients does not depend on the others' reports:
-    each agent's curvature is measured and checked once per run, from the full
-    stencil in its first step (`_concave_axes`), which folds the gradient
-    weights, the kept axes over their negated curvatures and the basis into
-    one 2k x m step map. Its later steps evaluate only the 2k gradient points
-    +-e_a of the same stencil, and their values times the map are its new
-    report. A round copies the profile once into a stack of trial profiles;
-    each agent writes its trial reports into its row of the stack, and then
-    its new report, which the later agents of the round see. A round converges
-    when no report moved by a standard deviation of `_DYNAMICS_TOL` or more.
-    Convergence is an empirical observation, not a guarantee; a non-convergent
-    run is returned as data with `converged` false. Each round's largest step
-    std is kept in `step_stds`.
+    its exact best response on the span basis, the Newton step from the
+    origin. Each agent's response is measured once, before round 1, as an
+    affine map of the others' summed report O (`_affine_responses`); a round
+    applies the maps in Gauss-Seidel order, so each agent sees the earlier
+    agents' new reports. A round converges when no report moved by a
+    standard deviation of `_DYNAMICS_TOL` or more. Convergence is an
+    empirical observation, not a guarantee; a non-convergent run is returned
+    as data with `converged` false. Each round's largest step std is kept in
+    `step_stds`. After the last round each agent searches once more from the
+    final profile, with one `deviation_gain` call on its 2k gradient points
+    times its step map, and the largest std of the move any agent would
+    still make is the `residual`: the final profile is checked against the
+    objective itself, not against the measured maps.
     """
     p = market.space.probs
     basis = _span_basis(market)
-    k = len(basis)
-    offsets, weights = _stencil(k)
-    trials = offsets @ basis  # rows 1 to 2k, the gradient points, are +-basis
-    gradient = slice(1, 2 * k + 1)
-    maps = []  # each agent's step map, from its first step
+    maps, responses, slopes = _affine_responses(market, basis)
+    covs = (basis * p).T  # O @ covs is Cov(O, basis): the basis rows are centered
     reports = market.centered_profile(market.payoffs if init is None else init)
     profiles, step_vars = [reports], []
     converged = False
-    for r in range(1, rounds + 1):
-        points = trials if r == 1 else trials[gradient]
-        stack = np.repeat(reports[None], len(points), axis=0)
+    for _ in range(rounds):
+        reports = reports.copy()
         for i in range(market.n):
-            stack[:, i] = points
-            values = deviation_gain(market, i, stack)
-            if r == 1:
-                axes, curvatures = _concave_axes((values @ weights)[k:].reshape(k, k))
-                maps.append(weights[gradient, :k] @ (axes / -curvatures) @ axes.T @ basis)
-                values = values[gradient]
-            stack[:, i] = values @ maps[i]
+            others = reports.sum(axis=0) - reports[i]
+            reports[i] = responses[i] + (others @ covs) @ slopes[i]
         # the basis rows are centered, so this removes rounding only
-        reports = centered(p, stack[0])
+        reports = centered(p, reports)
         steps = reports - profiles[-1]
         profiles.append(reports)
         step_vars.append(cross_cov(p, steps, steps).max())
         if step_vars[-1] < _DYNAMICS_TOL**2:
             converged = True
             break
+    points = np.concatenate([basis, -basis])  # the stencil's gradient points
+    stack = np.repeat(reports[None], len(points), axis=0)
+    moves = np.empty_like(reports)
+    for i in range(market.n):
+        stack[:, i] = points
+        moves[i] = deviation_gain(market, i, stack) @ maps[i] - reports[i]
+        stack[:, i] = reports[i]
     profiles, step_stds = np.array(profiles), np.sqrt(step_vars)
     for arr in (profiles, step_stds):
         arr.flags.writeable = False
-    return DynamicsResult(market.space, profiles, step_stds, converged)
+    residual = float(np.sqrt(cross_cov(p, moves, moves).max()))
+    return DynamicsResult(market.space, profiles, step_stds, converged, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,18 @@ class TestMoments:
         assert equal_up_to_constants(x, x + 7.5)
         assert not equal_up_to_constants(x, 2.0 * x)
 
+    def test_equal_up_to_constants_free_of_the_unit(self):
+        # x + 7.5 rounds, so at 2^40 the difference is not exactly cash
+        sp = _space(3)
+        x = sp.rv([0.1, 0.2, 0.3])
+        for scale in (2.0**-40, 2.0**40):
+            assert equal_up_to_constants(scale * x, scale * (x + 7.5))
+            assert not equal_up_to_constants(scale * x, scale * (2.0 * x))
+
+    def test_small_opposite_payoffs_differ(self):
+        sp = ProbSpace([0.5, 0.5])
+        assert not equal_up_to_constants(sp.rv([1e-10, -1e-10]), sp.rv([-1e-10, 1e-10]))
+
 
 class TestMarket:
     def test_needs_two_agents(self):

@@ -474,17 +474,6 @@ class TestBestResponseDynamics:
                 steps = profiles[r + 1] - profiles[r]
                 assert std == np.sqrt(cross_cov(p, steps, steps).max())
 
-    def test_one_objective_call_per_step(self, monkeypatch):
-        rng = np.random.default_rng(94)
-        counted = _counting(oracle_module.deviation_gain)
-        monkeypatch.setattr(oracle_module, "deviation_gain", counted)
-        for _ in range(5):
-            market = make_market(rng)
-            counted.calls = 0
-            result = best_response_dynamics(market)
-            assert result.converged
-            assert counted.calls == market.n * result.rounds_run
-
     def test_curvature_is_the_same_at_every_profile(self):
         # an agent's gain is quadratic in all reports jointly, so the Hessian
         # the dynamics measure at the agent's first step is the Hessian at the
@@ -509,9 +498,26 @@ class TestBestResponseDynamics:
                 gap = np.abs(final_hess - first_hess).max()
                 assert gap <= 1e-12 * np.abs(first_hess).max()
 
-    def test_full_stencil_in_first_round_only(self, monkeypatch):
-        # round 1 evaluates each agent's q stencil points, which measure its
-        # curvature; every later step evaluates the 2k gradient points only
+    def test_two_objective_calls_per_agent_per_run(self, monkeypatch):
+        # each agent's response is measured in one call before round 1 and
+        # checked in one call around the final profile; the rounds make no
+        # objective call, whatever their number
+        rng = np.random.default_rng(94)
+        counted = _counting(oracle_module.deviation_gain)
+        monkeypatch.setattr(oracle_module, "deviation_gain", counted)
+        for rounds in (0, 1, 200):
+            for _ in range(5):
+                market = make_market(rng)
+                counted.calls = 0
+                result = best_response_dynamics(market, rounds=rounds)
+                assert result.converged or result.rounds_run == rounds
+                assert counted.calls == 2 * market.n
+
+    def test_full_stencil_once_per_agent(self, monkeypatch):
+        # the measuring call evaluates the q stencil points with the others'
+        # sum O = 0 and the 2k gradient points with O = b_a for each of the k
+        # basis rows; the checking call evaluates the 2k gradient points
+        # around the final profile
         rng = np.random.default_rng(95)
         gain, stacks = oracle_module.deviation_gain, []
 
@@ -520,15 +526,65 @@ class TestBestResponseDynamics:
             return gain(market, i, reports)
 
         monkeypatch.setattr(oracle_module, "deviation_gain", recording)
-        for _ in range(5):
-            market = make_market(rng)
-            stacks.clear()
-            result = best_response_dynamics(market)
-            assert result.converged and result.rounds_run >= 2
-            k = len(oracle_module._span_basis(market))
-            q = 1 + 2 * k + k * (k + 1) // 2
-            later = market.n * (result.rounds_run - 1)
-            assert stacks == [q] * market.n + [2 * k] * later
+        for rounds in (0, 1, 200):
+            for _ in range(5):
+                market = make_market(rng)
+                stacks.clear()
+                result = best_response_dynamics(market, rounds=rounds)
+                assert result.converged or result.rounds_run == rounds
+                k = len(oracle_module._span_basis(market))
+                q = 1 + 2 * k + k * (k + 1) // 2
+                assert stacks == [q + 2 * k * k] * market.n + [2 * k] * market.n
+
+    def test_measured_response_is_the_direct_search(self):
+        # the affine map c_i + Cov(O, basis) J_i is agent i's best response to
+        # any profile: the others' reports carry cash and, where the span is
+        # smaller than the centered payoffs' space, parts off the span
+        rng = np.random.default_rng(97)
+        off_span = 0
+        for _ in range(40):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(2, 8))
+            market = make_market(rng, n=n, m=m)
+            p = market.space.probs
+            basis = oracle_module._span_basis(market)
+            k = len(basis)
+            off_span += k < m - 1
+            _, responses, slopes = oracle_module._affine_responses(market, basis)
+            profile = rng.normal(size=(n, m)) + rng.uniform(-10.0, 10.0, size=(n, 1))
+            scale = np.abs(profile).max()
+            for i in range(n):
+                gain = oracle_module._report_gain(market, i, profile, basis)
+                direct = oracle_module._quadratic_argmax(gain, np.zeros(k)) @ basis
+                others = profile.sum(axis=0) - profile[i]
+                measured = responses[i] + (others @ (basis * p).T) @ slopes[i]
+                assert np.abs(measured - direct).max() <= 1e-12 * scale
+        assert off_span >= 10
+
+    def test_residual_on_pinned_markets(self):
+        rng = np.random.default_rng(104)
+        for _ in range(60):
+            n, m = rng.integers(2, 5), rng.integers(2, 7)
+            market = make_market(rng, n=n, m=m)
+            assert best_response_dynamics(market).residual <= 1e-11
+
+    def test_residual_of_a_cut_run(self):
+        # cut after one round, the run is not converged and the residual is the
+        # largest std of the direct search's move from the final profile
+        rng = np.random.default_rng(104)
+        market = make_market(rng, n=rng.integers(2, 5), m=rng.integers(2, 7))
+        assert best_response_dynamics(market).rounds_run > 1
+        result = best_response_dynamics(market, rounds=1)
+        assert not result.converged and result.residual >= 1e-6
+        p = market.space.probs
+        basis = oracle_module._span_basis(market)
+        final = result.profiles[-1]
+        moves = np.array([
+            oracle_module._quadratic_argmax(
+                oracle_module._report_gain(market, i, final, basis), np.zeros(len(basis)))
+            @ basis - final[i]
+            for i in range(market.n)])
+        stds = np.sqrt(cross_cov(p, moves, moves))
+        assert result.residual == pytest.approx(stds.max(), rel=1e-9)
 
     def test_random_markets_reach_closed_form(self):
         rng = np.random.default_rng(87)
