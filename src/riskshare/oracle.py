@@ -22,27 +22,32 @@ deviation gain's two in one call.
 Best responses live in the span of the basis payoffs (the objective strictly
 worsens in any orthogonal direction), so searches run over span coefficients.
 An orthogonal probe is kept in the tests rather than assumed here. The
-best-response dynamics search over an orthonormal basis of the centered
-endowments' span, so their Newton step stays well conditioned when the
-endowments are linearly dependent. They measure each agent's best response
-once per run, as an affine map of the others' summed report O: the gain
-depends on the others only through O, since the aggregate is reshared, its
-Hessian in the agent's own coefficients is the same at every profile, and
-its gradient along a basis row b_a depends on O only through Cov(O, b_a),
-so cash and off-span parts of O do not move the step. One objective call
-per agent, on its stencil with O = 0 and its gradient points with O = b_a
-for each row, checks the curvature and gives the map, which is exact for
-every profile; the rounds apply the maps and make no objective call. One
-more call per agent, on its gradient points around the final profile,
-gives the run's residual, the largest move any agent would still make, so
-the final profile is checked against the objective itself. The run builds
-no object per step: its result holds the profiles as one array and each
-round's largest step std, and builds the trajectory's `Rv`s when it is
-read.
+best-response dynamics search over a p-orthogonal basis of the centered
+endowments' span, scaled to the market's payoff unit by a power of two, so
+their Newton step stays well conditioned when the endowments are linearly
+dependent, and a run takes the same steps and stops at the same round in
+any unit. They measure each agent's best response once per run, as an
+affine map of the others' summed report O: the gain depends on the others
+only through O, since the aggregate is reshared, its Hessian in the agent's
+own coefficients is the same at every profile, and its gradient along a
+basis row b_a depends on O only through Cov(O, b_a), so cash and off-span
+parts of O do not move the step. One objective call per agent, on its
+stencil with O = 0 and its gradient points with O = b_a for each row,
+checks the curvature and gives the map, which is exact for every profile.
+A round, a Gauss-Seidel sweep of the maps, is then affine in the agents'
+stacked span coefficients; it is folded once per run into one affine map,
+and the rounds apply it and make no objective call. One more call, on every
+agent's gradient points around the final profile, gives the run's
+residual, the largest move any agent would still make, so the final
+profile is checked against the objective itself: n + 1 calls per run. The
+run builds no object per step: its result holds the profiles as one array
+and each round's largest step std, and builds the trajectory's `Rv`s when
+it is read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -164,30 +169,51 @@ class SearchResult:
     value: float
 
 
-def deviation_gain(market: Market, i: int, reports):
+def deviation_gain(market: Market, i, reports):
     """Agent i's utility when the sharing mechanism runs on `reports`.
 
     `reports` is a list of n `Rv`, the equal n x m payoff matrix (a float is
     returned) or a q x n x m stack of profiles (q values), as `Market.profile`
-    checks them. Composed from the mechanism's definition only: the aggregate
-    A of reports is reshared, agent i receives the contract C = (gamma/gamma_i)
-    A - report_i, and pays its market price E[C] - 2 gamma Cov(C, A). E[C]
-    enters the utility and the price alike, so the gain is
+    checks them. `i` is one agent index, or an integer array of the stack's
+    shape that names the agent of each profile (`_agent_rows`). Composed
+    from the mechanism's definition only: the aggregate A of reports is
+    reshared, agent i receives the contract C = (gamma/gamma_i) A - report_i,
+    and pays its market price E[C] - 2 gamma Cov(C, A). E[C] enters the
+    utility and the price alike, so the gain is
     E[E_i] - gamma_i Var[E_i + C] + 2 gamma Cov(C, A), both moments from one
     `cross_cov` call on the stacked pairs.
     """
-    _check_agent(i, market.n)
     reports = market.profile(reports)
+    rows = _agent_rows(i, market.n, reports.shape[:-2])
     p = market.space.probs
     g = market.aggregate_gamma
     gi = market.gammas[i]
     own = market.payoffs[i]
     aggregate = reports.sum(axis=-2)
-    contract = (g / gi) * aggregate - reports[..., i, :]
+    contract = (g / gi)[..., None] * aggregate - reports[rows]
     held = own + contract
     spread, with_aggregate = cross_cov(
         p, np.array([held, contract]), np.array([held, aggregate]))
-    return _value(own @ p - gi * spread + 2.0 * g * with_aggregate)
+    return _value(np.vecdot(own, p) - gi * spread + 2.0 * g * with_aggregate)
+
+
+def _agent_rows(i, n: int, shape: tuple) -> tuple:
+    """The index of each profile's report row i in a stack of `shape`.
+
+    One index names the agent of every profile; an integer array of the
+    stack's shape names one per profile. Every index must pass
+    `_check_agent`, so bool, float and out-of-range entries raise ValueError.
+    """
+    if not (isinstance(i, np.ndarray) and i.ndim):
+        _check_agent(i, n)
+        return ..., i, slice(None)
+    if i.shape != shape:
+        raise ValueError(
+            f"agent indices of shape {i.shape} do not name one agent per "
+            f"profile of a stack of shape {shape}")
+    for j in set(i.tolist()):
+        _check_agent(j, n)
+    return *np.indices(shape, sparse=True), i
 
 
 def _report_gain(market: Market, i: int, reports: np.ndarray, basis: np.ndarray):
@@ -266,19 +292,23 @@ class DynamicsResult:
 
 
 def _span_basis(market: Market) -> np.ndarray:
-    """Orthonormal basis (rows) of the centered endowments' span.
+    """Basis (rows) of the centered endowments' span, in the market's unit.
 
-    Orthonormal under the probability inner product E[xy]: the rows are the
-    right singular vectors of centered * sqrt(p) with a singular value above
-    the relative floor SV_RATIO_MIN, divided back by sqrt(p). Dropping the
-    others discards the directions along which dependent endowments cancel.
+    The rows are the right singular vectors of centered * sqrt(p) with a
+    singular value above the relative floor SV_RATIO_MIN, divided back by
+    sqrt(p), so they are orthogonal under the probability inner product
+    E[xy]; dropping the others discards the directions along which dependent
+    endowments cancel. Each is scaled to the std 2^round(log2 s_1), s_1 the
+    largest singular value: a unit step in a coefficient is then a step of
+    the market's own size, and as a power of two the scale changes no bit of
+    the searches when the payoffs are scaled by one.
     """
     root = np.sqrt(market.space.probs)
     _, svals, vt = np.linalg.svd(
         centered(market.space.probs, market.payoffs) * root, full_matrices=False
     )
     keep = svals > SV_RATIO_MIN * svals[0]
-    return vt[keep] / root
+    return vt[keep] / root * 2.0 ** round(math.log2(svals[0]))
 
 
 def _affine_responses(market: Market, basis: np.ndarray):
@@ -288,18 +318,19 @@ def _affine_responses(market: Market, basis: np.ndarray):
     as the mechanism reshares the aggregate, and it is quadratic in its own
     coefficients and O jointly. So its Hessian in its own coefficients is the
     same at every profile, and its gradient along a row b_a of the centered,
-    p-orthonormal `basis` is affine in Cov(O, b_a) alone: cash and off-span
-    parts of O do not move it. One `deviation_gain` call per agent measures
-    it all, on its full stencil with O = 0 and its 2k gradient points +-e_a
-    with O = b_a for each row. The stencil gives the curvature
-    (`_concave_axes`), folded with the gradient weights, the kept axes over
-    their negated curvatures and the basis into the 2k x m step map from the
-    values at the gradient points to the best report. The map gives the
-    response c_i to O = 0 and its change J_i[a] per unit of Cov(O, b_a), so
-    agent i's best response to any O is c_i + Cov(O, basis) J_i. Returns the
-    lists of step maps, c_i and J_i (k x m).
+    p-orthogonal `basis` is affine in O's coefficient Cov(O, b_a) / Var[b_a]
+    alone: cash and off-span parts of O do not move it. One `deviation_gain`
+    call per agent measures it all, on its full stencil with O = 0 and its 2k
+    gradient points +-b_a with O = b_a for each row. The stencil gives the
+    curvature (`_concave_axes`), folded with the gradient weights and the
+    kept axes over their negated curvatures into the 2k x k step map from the
+    values at the gradient points to the best report's coefficients. The map
+    gives the response c_i to O = 0 and its change J_i[a] per unit of O's
+    coefficient a, so agent i's best response to others whose coefficients
+    sum to y is (c_i + y J_i) @ basis. Returns the step maps (n x 2k x k),
+    the c_i (n x k) and the J_i (n x k x k).
     """
-    k = len(basis)
+    n, k = market.n, len(basis)
     offsets, weights = _stencil(k)
     trials = offsets @ basis  # rows 1 to 2k, the gradient points, are +-basis
     gradient = slice(1, 2 * k + 1)
@@ -307,17 +338,37 @@ def _affine_responses(market: Market, basis: np.ndarray):
     # agent i's trial reports and the others' sum, one row each per profile
     points = np.concatenate([trials, np.tile(trials[gradient], (k, 1))])
     others = np.concatenate([np.zeros_like(trials), np.repeat(basis, 2 * k, axis=0)])
-    maps, responses, slopes = [], [], []
-    for i in range(market.n):
+    maps, responses, slopes = np.empty((n, 2 * k, k)), np.empty((n, k)), np.empty((n, k, k))
+    for i in range(n):
         stack = np.zeros((len(points), *market.payoffs.shape))
         stack[:, i] = points
-        stack[:, (i + 1) % market.n] = others
+        stack[:, (i + 1) % n] = others
         values = deviation_gain(market, i, stack)
         axes, curvatures = _concave_axes((values[:q] @ weights)[k:].reshape(k, k))
-        maps.append(weights[gradient, :k] @ (axes / -curvatures) @ axes.T @ basis)
-        responses.append(values[gradient] @ maps[i])
-        slopes.append(values[q:].reshape(k, 2 * k) @ maps[i] - responses[i])
+        maps[i] = weights[gradient, :k] @ (axes / -curvatures) @ axes.T
+        responses[i] = values[gradient] @ maps[i]
+        slopes[i] = values[q:].reshape(k, 2 * k) @ maps[i] - responses[i]
     return maps, responses, slopes
+
+
+def _folded_round(responses: np.ndarray, slopes: np.ndarray):
+    """A round of the dynamics as one affine map x -> h + x G.
+
+    x is the profile's n x k coefficients, flattened. A round is one
+    Gauss-Seidel sweep: each agent in turn takes c_i + (sum_(j != i) x_j) J_i,
+    seeing the earlier agents' new coefficients. The sweep is affine in x, so
+    one sweep over a stack of the zero state and the nk unit states gives h
+    (the zero state's result) and G (row j: unit state j's result minus h).
+    """
+    n, k = responses.shape
+    states = np.eye(n * k + 1, n * k, -1).reshape(-1, n, k)
+    total = states.sum(axis=1)  # each state's coefficient sum, kept current
+    for i in range(n):
+        others = total - states[:, i]
+        states[:, i] = responses[i] + others @ slopes[i]
+        total = others + states[:, i]
+    shift = states[0].ravel()
+    return shift, states[1:].reshape(n * k, n * k) - shift
 
 
 def best_response_dynamics(
@@ -328,47 +379,56 @@ def best_response_dynamics(
     """Round-robin best-response iteration on the reported endowments.
 
     From `init`, one profile (the truth by default), each agent in turn takes
-    its exact best response on the span basis, the Newton step from the
-    origin. Each agent's response is measured once, before round 1, as an
-    affine map of the others' summed report O (`_affine_responses`); a round
-    applies the maps in Gauss-Seidel order, so each agent sees the earlier
-    agents' new reports. A round converges when no report moved by a
-    standard deviation of `_DYNAMICS_TOL` or more. Convergence is an
-    empirical observation, not a guarantee; a non-convergent run is returned
-    as data with `converged` false. Each round's largest step std is kept in
-    `step_stds`. After the last round each agent searches once more from the
-    final profile, with one `deviation_gain` call on its 2k gradient points
-    times its step map, and the largest std of the move any agent would
-    still make is the `residual`: the final profile is checked against the
-    objective itself, not against the measured maps.
+    its exact best response on the span basis (`_span_basis`), the Newton
+    step from the origin. Each agent's response is measured once, before
+    round 1, as an affine map of the others' span coefficients
+    (`_affine_responses`): n objective calls. A round applies the maps in
+    Gauss-Seidel order, so each agent sees the earlier agents' new reports;
+    it is folded into one affine map of the stacked coefficients
+    (`_folded_round`), and runs as three array operations: that map, the
+    product with the basis that gives the round's payoff profile, and the
+    `cross_cov` of its steps. Round 1 reads `init` only through its
+    coefficients, so its cash and its parts off the span drop out. A round
+    converges when no report moved by a standard deviation of
+    `_DYNAMICS_TOL` times the basis rows' std or more, a stop in the
+    market's own unit. Convergence is an empirical observation, not a
+    guarantee; a non-convergent run is returned as data with `converged`
+    false. Each round's largest step std is kept in `step_stds`. After the
+    last round one more objective call, on every agent's 2k gradient points
+    around the final profile, gives through the step maps the move each
+    agent would still make, and the largest std of those moves is the
+    `residual`: the final profile is checked against the objective itself,
+    not against the measured maps. A run makes n + 1 objective calls,
+    whatever its round count.
     """
     p = market.space.probs
+    n, m = market.payoffs.shape
     basis = _span_basis(market)
+    k = len(basis)
     maps, responses, slopes = _affine_responses(market, basis)
-    covs = (basis * p).T  # O @ covs is Cov(O, basis): the basis rows are centered
+    shift, sweep = _folded_round(responses, slopes)
+    basis_vars = cross_cov(p, basis, basis)
     reports = market.centered_profile(market.payoffs if init is None else init)
+    # Cov(init, basis) / Var[basis]: reports and basis rows are centered
+    coefficients = (reports @ (basis * p).T / basis_vars).ravel()
     profiles, step_vars = [reports], []
+    tol = _DYNAMICS_TOL**2 * basis_vars.max()
     converged = False
     for _ in range(rounds):
-        reports = reports.copy()
-        for i in range(market.n):
-            others = reports.sum(axis=0) - reports[i]
-            reports[i] = responses[i] + (others @ covs) @ slopes[i]
-        # the basis rows are centered, so this removes rounding only
-        reports = centered(p, reports)
+        coefficients = shift + coefficients @ sweep
+        reports = coefficients.reshape(n, k) @ basis
         steps = reports - profiles[-1]
         profiles.append(reports)
         step_vars.append(cross_cov(p, steps, steps).max())
-        if step_vars[-1] < _DYNAMICS_TOL**2:
+        if step_vars[-1] < tol:
             converged = True
             break
-    points = np.concatenate([basis, -basis])  # the stencil's gradient points
-    stack = np.repeat(reports[None], len(points), axis=0)
-    moves = np.empty_like(reports)
-    for i in range(market.n):
-        stack[:, i] = points
-        moves[i] = deviation_gain(market, i, stack) @ maps[i] - reports[i]
-        stack[:, i] = reports[i]
+    # agent i's 2k gradient points +-basis in row i of the final profile
+    stack = np.repeat(reports[None], n * 2 * k, axis=0)
+    agents = np.arange(n)
+    stack.reshape(n, 2 * k, n, m)[agents, :, agents] = np.concatenate([basis, -basis])
+    values = deviation_gain(market, np.repeat(agents, 2 * k), stack)
+    moves = (values.reshape(n, 1, 2 * k) @ maps)[:, 0] @ basis - reports
     profiles, step_stds = np.array(profiles), np.sqrt(step_vars)
     for arr in (profiles, step_stds):
         arr.flags.writeable = False

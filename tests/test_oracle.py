@@ -220,6 +220,42 @@ class TestBatchedObjectives:
             clearing_utility(market, 0, foreign, others, own.mean_vector)
         assert np.isfinite(clearing_utility(market, 0, own, others, own.mean_vector))
 
+    def test_deviation_gain_index_array_is_the_per_agent_calls(self):
+        # an index array names the agent of each stacked profile: the values
+        # are the per-agent calls' values on the same stack, bit for bit
+        rng = np.random.default_rng(121)
+        for _ in range(30):
+            m = make_market(rng, m=int(rng.integers(2, 8)))
+            q = int(rng.integers(1, 40))
+            stack = (rng.normal(size=(q, m.n, m.space.n_states))
+                     + rng.uniform(-10.0, 10.0, size=(q, m.n, 1)))
+            agents = rng.integers(m.n, size=q)
+            gains = deviation_gain(m, agents, stack)
+            assert gains.shape == (q,)
+            for i in range(m.n):
+                mine = agents == i
+                assert gains[mine].tobytes() == deviation_gain(m, i, stack)[mine].tobytes()
+
+    @pytest.mark.parametrize("agents", [
+        pytest.param(np.array([0, 3, 1]), id="n"),
+        pytest.param(np.array([0, -1, 1]), id="minus-one"),
+        pytest.param(np.array([0.0, 1.0, 2.0]), id="float"),
+        pytest.param(np.array([True, False, True]), id="bool"),
+    ])
+    def test_deviation_gain_index_array_is_checked(self, agents):
+        market = make_market(np.random.default_rng(122), n=3, m=4)
+        with pytest.raises(ValueError, match=r"agent index must be an integer in \[0, 3\)"):
+            deviation_gain(market, agents, np.zeros((3, 3, 4)))
+
+    def test_deviation_gain_index_array_needs_one_index_per_profile(self):
+        market = make_market(np.random.default_rng(122), n=3, m=4)
+        for agents, reports in ((np.zeros(3, int), np.zeros((4, 3, 4))),
+                                (np.zeros(5, int), np.zeros((4, 3, 4))),
+                                (np.zeros((4, 1), int), np.zeros((4, 3, 4))),
+                                (np.zeros(1, int), market.payoffs)):
+            with pytest.raises(ValueError, match="do not name one agent per profile"):
+                deviation_gain(market, agents, reports)
+
 
 class TestSearchSpec:
     def test_validation(self):
@@ -498,10 +534,10 @@ class TestBestResponseDynamics:
                 gap = np.abs(final_hess - first_hess).max()
                 assert gap <= 1e-12 * np.abs(first_hess).max()
 
-    def test_two_objective_calls_per_agent_per_run(self, monkeypatch):
-        # each agent's response is measured in one call before round 1 and
-        # checked in one call around the final profile; the rounds make no
-        # objective call, whatever their number
+    def test_n_plus_one_objective_calls_per_run(self, monkeypatch):
+        # each agent's response is measured in one call before round 1, and
+        # one call checks all agents around the final profile; the rounds
+        # make no objective call, whatever their number
         rng = np.random.default_rng(94)
         counted = _counting(oracle_module.deviation_gain)
         monkeypatch.setattr(oracle_module, "deviation_gain", counted)
@@ -511,13 +547,13 @@ class TestBestResponseDynamics:
                 counted.calls = 0
                 result = best_response_dynamics(market, rounds=rounds)
                 assert result.converged or result.rounds_run == rounds
-                assert counted.calls == 2 * market.n
+                assert counted.calls == market.n + 1
 
-    def test_full_stencil_once_per_agent(self, monkeypatch):
-        # the measuring call evaluates the q stencil points with the others'
+    def test_full_stencil_once_per_agent_then_one_check(self, monkeypatch):
+        # each measuring call evaluates the q stencil points with the others'
         # sum O = 0 and the 2k gradient points with O = b_a for each of the k
-        # basis rows; the checking call evaluates the 2k gradient points
-        # around the final profile
+        # basis rows; the one checking call evaluates every agent's 2k
+        # gradient points around the final profile
         rng = np.random.default_rng(95)
         gain, stacks = oracle_module.deviation_gain, []
 
@@ -534,11 +570,12 @@ class TestBestResponseDynamics:
                 assert result.converged or result.rounds_run == rounds
                 k = len(oracle_module._span_basis(market))
                 q = 1 + 2 * k + k * (k + 1) // 2
-                assert stacks == [q + 2 * k * k] * market.n + [2 * k] * market.n
+                assert stacks == [q + 2 * k * k] * market.n + [2 * k * market.n]
 
     def test_measured_response_is_the_direct_search(self):
-        # the affine map c_i + Cov(O, basis) J_i is agent i's best response to
-        # any profile: the others' reports carry cash and, where the span is
+        # the affine map (c_i + y J_i) @ basis, y the others' coefficients
+        # Cov(O, basis) / Var[basis], is agent i's best response to any
+        # profile: the others' reports carry cash and, where the span is
         # smaller than the centered payoffs' space, parts off the span
         rng = np.random.default_rng(97)
         off_span = 0
@@ -556,7 +593,8 @@ class TestBestResponseDynamics:
                 gain = oracle_module._report_gain(market, i, profile, basis)
                 direct = oracle_module._quadratic_argmax(gain, np.zeros(k)) @ basis
                 others = profile.sum(axis=0) - profile[i]
-                measured = responses[i] + (others @ (basis * p).T) @ slopes[i]
+                coefficients = cross_cov(p, others, basis) / cross_cov(p, basis, basis)
+                measured = (responses[i] + coefficients @ slopes[i]) @ basis
                 assert np.abs(measured - direct).max() <= 1e-12 * scale
         assert off_span >= 10
 
@@ -595,6 +633,81 @@ class TestBestResponseDynamics:
             out = nash_endowment(m)
             for i in range(m.n):
                 assert var(result.trajectory[-1][i] - out.reported[i]) < 1e-16
+
+    def test_folded_round_is_the_sweep(self):
+        # one folded round, h + x G on the stacked coefficients, against the
+        # per-agent Gauss-Seidel sweep it replaces: agents 0 ... n - 1 in turn
+        # take their measured response to the others' payoff rows. The start
+        # carries cash and, where the span is smaller than the centered
+        # payoffs' space, parts off the span; both drop out of the
+        # coefficients Cov(report, basis) / Var[basis]
+        rng = np.random.default_rng(123)
+        off_span = 0
+        for _ in range(40):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(2, 8))
+            market = make_market(rng, n=n, m=m)
+            p = market.space.probs
+            basis = oracle_module._span_basis(market)
+            k = len(basis)
+            off_span += k < m - 1
+            _, responses, slopes = oracle_module._affine_responses(market, basis)
+            shift, sweep = oracle_module._folded_round(responses, slopes)
+            unit = cross_cov(p, basis, basis)
+            profile = rng.normal(size=(n, m)) + rng.uniform(-10.0, 10.0, size=(n, 1))
+            swept = profile.copy()
+            for i in range(n):
+                others = swept.sum(axis=0) - swept[i]
+                swept[i] = (responses[i] + cross_cov(p, others, basis) / unit @ slopes[i]) @ basis
+            start = cross_cov(p, profile[:, None], basis) / unit
+            folded = (shift + start.ravel() @ sweep).reshape(n, k) @ basis
+            assert np.abs(folded - swept).max() <= 1e-13 * np.abs(swept).max()
+        assert off_span >= 10
+
+    def test_start_off_the_span_reaches_the_truths_reports(self):
+        # a start with cash and parts off the span enters only through its
+        # coefficients, so the run ends at the reports of a run from the truth
+        rng = np.random.default_rng(124)
+        off_span = 0
+        for _ in range(30):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(2, 8))
+            market = make_market(rng, n=n, m=m)
+            off_span += len(oracle_module._span_basis(market)) < m - 1
+            init = rng.normal(size=(n, m)) + rng.uniform(-10.0, 10.0, size=(n, 1))
+            truth, moved = best_response_dynamics(market), best_response_dynamics(market, init)
+            assert truth.converged and moved.converged
+            gap = moved.profiles[-1] - truth.profiles[-1]
+            gap -= (gap @ market.space.probs)[:, None]
+            assert np.abs(gap).max() <= 1e-11 * np.abs(truth.profiles[-1]).max()
+        assert off_span >= 10
+
+
+def _dyadic_market(rng, c=1.0):
+    """A market whose gammas and payoffs are dyadic rationals, drawn as the
+    CLI's unit-scaling markets are, with payoffs times c and gammas over c."""
+    n = int(rng.integers(2, 5))
+    m = n + 1 + int(rng.integers(0, 3))
+    space = ProbSpace(rng.dirichlet(np.ones(m) * 5.0))
+    gammas = rng.integers(1, 33, size=n) / 16.0
+    payoffs = rng.integers(-512, 513, size=(n, m)) / 64.0
+    return Market(space, tuple(Agent(g / c, space.rv(e * c))
+                               for g, e in zip(gammas, payoffs)))
+
+
+class TestDynamicsUnitScaling:
+    """Payoffs times 2^k and gammas times 2^-k scale the dynamics exactly."""
+
+    @pytest.mark.parametrize("k", [-40, -20, 0, 10, 20, 30, 40])
+    def test_profiles_scale_bit_for_bit(self, k):
+        for seed in range(20):
+            base = best_response_dynamics(_dyadic_market(np.random.default_rng([125, seed])))
+            market = _dyadic_market(np.random.default_rng([125, seed]), 2.0**k)
+            result = best_response_dynamics(market)
+            assert result.converged
+            assert (result.profiles / 2.0**k).tobytes() == base.profiles.tobytes()
+            final = result.profiles[-1]
+            gap = final - market.space.rows(nash_endowment(market).reported, "report")
+            gap -= (gap @ market.space.probs)[:, None]
+            assert np.abs(gap).max() <= 1e-9 * np.abs(final).max()
 
 
 class TestPercentageEquilibrium:
