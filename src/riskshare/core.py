@@ -13,6 +13,8 @@ and `require_invertible` rejects n >= m endowments by rank before any product
 is formed. `cross_cov` centers once (weighting before it squares) for `Rv`
 moments and the oracle; `Market` and `SecurityBasket` center with the
 corrected `_two_pass`. All objects are immutable after construction.
+A market also forms the risk-aversion `shares` s_i = gamma/gamma_i, their
+`complements` 1 - s_i (each a sum, never a difference) and gamma itself.
 `ProbSpace.rvs` builds many random variables from one validated read-only
 matrix, each a view of its row; its inverse `ProbSpace.rows` is the one way
 random variables become rows, naming the index of any on another space;
@@ -287,7 +289,8 @@ class Market:
     Built from agents, `Market(space, agents)`, or from arrays,
     `Market.from_arrays(space, gammas, payoffs)`. Both run one validation of
     the arrays; a market built from arrays builds its `agents` on first read,
-    and no engine reads `agents` or `endowments()`.
+    and no engine reads `agents` or `endowments()`. Of positive finite risk
+    aversions it rejects only those so far apart that a complement underflows.
     """
 
     space: ProbSpace
@@ -296,6 +299,9 @@ class Market:
     payoffs: np.ndarray  # n x m, row i agent i's payoffs
     means: np.ndarray  # E[E_i]
     centered: np.ndarray  # the rows E_i - E[E_i], exactly
+    shares: np.ndarray  # s_i = gamma/gamma_i
+    complements: np.ndarray  # 1 - s_i, summed from the others' 1/gamma_j
+    aggregate_gamma: float  # gamma = 1 / sum_i 1/gamma_i
 
     def __init__(self, space: ProbSpace, agents):
         agents = tuple(agents)
@@ -316,8 +322,7 @@ class Market:
         payoffs = np.array(payoffs, dtype=float)
         if gammas.ndim != 1 or gammas.size < 2:
             raise ValueError("a market needs at least two agents")
-        low = gammas.min()
-        if not (low > 0.0 and gammas.max() < np.inf):  # a NaN fails both
+        if not (gammas.min() > 0.0 and gammas.max() < np.inf):  # a NaN fails both
             _check_gamma(float(gammas[~(gammas > 0.0) | ~(gammas < np.inf)][0]))
         if payoffs.shape != (gammas.size, space.n_states):
             raise SpaceMismatchError(
@@ -325,21 +330,23 @@ class Market:
                 f"and one column per state of the market's space")
         if not np.isfinite(payoffs).all():
             raise ValueError("payoffs contains non-finite entries")
-        for arr in (gammas, payoffs):
-            arr.flags.writeable = False
         means, rows = _two_pass(space.probs, payoffs)
+        # total - 1/gamma_i >= total/2 but for the largest 1/gamma_k: sum its others
+        inverse = 1.0 / gammas
+        total, k = inverse.sum(), inverse.argmax()
+        others = total - inverse
+        others[k] = inverse[:k].sum() + inverse[k + 1:].sum()
+        g = float(1.0 / total)
+        shares, complements = g / gammas, others / total
+        if not complements[k] > 0.0:  # also when total overflows
+            raise ValueError(f"risk aversions {gammas.tolist()} are too disparate: the "
+                             f"complement 1 - gamma/gamma_{k} underflows to 0")
+        for arr in (gammas, payoffs, shares, complements):
+            arr.flags.writeable = False
         for name, value in (("space", space), ("gammas", gammas), ("payoffs", payoffs),
-                            ("means", means), ("centered", rows)):
+                            ("means", means), ("centered", rows), ("shares", shares),
+                            ("complements", complements), ("aggregate_gamma", g)):
             object.__setattr__(self, name, value)
-        # for n >= 2, exactly, 0 < g < every gamma_i and sum (g/gamma_i)^2 < 1,
-        # which keep the gamma_i^2 - g^2 and Nash denominators positive; in
-        # floating point both fail when one gamma dwarfs another
-        g = self.aggregate_gamma
-        if not (0.0 < g < low and 1.0 - ((g / gammas) ** 2).sum() > 0.0):
-            raise ValueError(
-                f"risk aversions {gammas.tolist()} are too disparate: their "
-                f"harmonic aggregate {g!r} does not lie strictly below each of them"
-            )
 
     @cached_property
     def agents(self) -> tuple[Agent, ...]:
@@ -349,10 +356,6 @@ class Market:
     @property
     def n(self) -> int:
         return self.gammas.size
-
-    @cached_property
-    def aggregate_gamma(self) -> float:
-        return float(1.0 / (1.0 / self.gammas).sum())
 
     @cached_property
     def variances(self) -> np.ndarray:

@@ -84,14 +84,14 @@ class NashPriceOutcome:
 def _nash_reports(market: Market, x: np.ndarray):
     """The endowment game's aggregate and reports of rows x: (w . x, B*(x)).
 
-    With shares s_i = gamma/gamma_i, the Nash aggregate is M = w . E,
-    w_i = (1 - s_i) / (1 - sum_j s_j^2), and the reports B*_i = (1 - s_i) E_i
-    + s_i^2 M are a linear map of endowment rows, or of their covariances
-    with a basket.
+    With the market's shares s_i = gamma/gamma_i and complements c_i = 1 - s_i,
+    the Nash aggregate is M = w . E, w = c / (s . c) (1 - sum_j s_j^2 = s . c),
+    and the reports B*_i = c_i E_i + s_i^2 M are a linear map of endowment
+    rows, or of their covariances with a basket. No weight is a difference.
     """
-    share = market.aggregate_gamma / market.gammas
-    aggregate = ((1.0 - share) / (1.0 - share @ share)) @ x
-    return aggregate, (1.0 - share)[:, None] * x + (share**2)[:, None] * aggregate
+    share, complement = market.shares, market.complements
+    aggregate = (complement / (share @ complement)) @ x
+    return aggregate, complement[:, None] * x + (share**2)[:, None] * aggregate
 
 
 def _nash_pass(market: Market):
@@ -235,24 +235,23 @@ def nash_percentage(
     complementarity problem (Cottle, Pang & Stone 1992). From b = 1, split the
     agents by R(b) into those at 0, at kappa and free (F), solve for b_F with
     the others at their bounds, and repeat until the split holds, at most
-    `max_iter` solves. Times 1 - s_i^2, s = gamma/gamma_i, a free agent's
+    `max_iter` solves. Times 1 - s_i^2 = c_i (1 + s_i), with the market's
+    shares s_i = gamma/gamma_i and complements c_i = 1 - s_i, a free agent's
     condition b_i = R_i(b) is the endowment game's report rule on multiples of
-    E_i, b_i = 1 - s_i + s_i^2 Cov(sum_j b_j E_j, E_i) / Var[E_i]. So with
+    E_i, b_i = c_i + s_i^2 Cov(sum_j b_j E_j, E_i) / Var[E_i]. So with
     L = centered * sqrt(p) and w = s^2 / Var[E],
-    (I - diag(w_F) L_F L_F^T) b_F = (1 - s_F^2) R_F(b with b_F = 0),
+    (I - diag(w_F) L_F L_F^T) b_F = c_F (1 + s_F) R_F(b with b_F = 0),
     solved by Woodbury (Golub & Van Loan, section 2.1.4) through the m x m
-    matrix I - L_F^T diag(w_F) L_F, whatever the number of free agents: that
-    matrix is the m^2 term (ROADMAP.md item 3 plans the |F| x |F| side when
-    fewer agents are free than there are states). It is symmetric with
-    eigenvalues in [1 - sum_F s_i^2, 1], positive since `Market` requires
-    sum_i s_i^2 < 1. Near that bound, when one gamma_i dwarfs the others, the
-    solve loses digits, so once the split holds one step of iterative
-    refinement against R follows. A residual max |b - BR(b)| above
-    RESIDUAL_TOL (1 + max |b|) raises ConvergenceError.
+    matrix I - L_F^T diag(w_F) L_F, whatever the number of free agents. It is
+    symmetric with eigenvalues in [1 - sum_F s_i^2, 1], positive as
+    1 - sum_i s_i^2 = sum_i s_i c_i > 0. Near that bound, when one gamma_i
+    dwarfs the others, the solve loses digits, so once the split holds one
+    step of iterative refinement against R follows. A residual
+    max |b - BR(b)| above RESIDUAL_TOL (1 + max |b|) raises ConvergenceError.
     """
     if not (np.isfinite(kappa) and kappa > 0.0):
         raise ValueError("kappa must be finite and positive")
-    share = market.aggregate_gamma / market.gammas
+    share = market.shares
     rows = market.centered * np.sqrt(market.space.probs)  # L
     scaled = (share**2 / endowment_variances(market))[:, None] * rows  # diag(w) L
     b, split, iterations, stable = np.ones(market.n), None, 0, False
@@ -266,7 +265,7 @@ def nash_percentage(
             responses = percentage_responses(market, b)
             inner = np.eye(rows.shape[1]) - rows[free].T @ scaled[free]
         # the solve, or, once the split holds, one step of refinement
-        gap = ((1.0 - share**2) * (responses - b))[free]
+        gap = (market.complements * (1.0 + share) * (responses - b))[free]
         b[free] += gap + scaled[free] @ np.linalg.solve(inner, rows[free].T @ gap)
     residual = float(np.max(np.abs(b - percentage_best_response(market, b, kappa))))
     tolerance = RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b))))

@@ -301,12 +301,15 @@ def _span_basis(market: Market) -> np.ndarray:
     endowments cancel. Each is scaled to the std 2^round(log2 s_1), s_1 the
     largest singular value: a unit step in a coefficient is then a step of
     the market's own size, and as a power of two the scale changes no bit of
-    the searches when the payoffs are scaled by one.
+    the searches when the payoffs are scaled by one. A market whose every
+    endowment is constant has no span, and raises ValueError.
     """
     root = np.sqrt(market.space.probs)
     _, svals, vt = np.linalg.svd(
         centered(market.space.probs, market.payoffs) * root, full_matrices=False
     )
+    if not svals[0] > 0.0:
+        raise ValueError("every endowment is riskless: the reports have no span to search")
     keep = svals > SV_RATIO_MIN * svals[0]
     return vt[keep] / root * 2.0 ** round(math.log2(svals[0]))
 

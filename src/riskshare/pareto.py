@@ -42,19 +42,33 @@ class CapmEquilibrium:
 
 
 def sharing_rule(market: Market):
-    """x -> (gamma/gamma_i) sum_j x_j - x_i: the contracts for report rows x, in O(nm)."""
-    share = market.aggregate_gamma / market.gammas
-    return lambda x: share[:, None] * x.sum(axis=0) - x
+    """x -> s_i sum_j x_j - x_i: the contracts for report rows x, in O(nm).
+
+    Agent k, of the largest share, receives row k of `sharing_weights` times x,
+    s_k sum_{j != k} x_j - (1 - s_k) x_k with the market's complement: its own
+    row, which may dominate the total (a nearly risk-neutral agent's Nash
+    report does), is never taken back out of it. Every other 1 - s_i >= 1/2.
+    """
+    share, k = market.shares[:, None], market.shares.argmax()
+    weights = np.full(market.n, share[k, 0])
+    weights[k] = -market.complements[k]
+
+    def rule(x):
+        contracts = share * x.sum(axis=0) - x
+        contracts[k] = weights @ x
+        return contracts
+
+    return rule
 
 
 def sharing_weights(market: Market) -> np.ndarray:
     """The n x n weights of the contracts on the endowments, C*_i = sum_j W_ij E_j.
 
     W_ij is the number of units of endowment j that agent i holds in the
-    sharing transaction: (gamma - gamma_i)/gamma_i on the diagonal and
-    gamma/gamma_i off it. No engine reads it; the pareto report prints it.
+    sharing transaction: the market's share s_i = gamma/gamma_i off the diagonal
+    and its complement negated, s_i - 1, on it. The pareto report prints it.
     """
-    return sharing_rule(market)(np.eye(market.n))
+    return np.where(np.eye(market.n, dtype=bool), -market.complements, market.shares[:, None])
 
 
 def mechanism_gains(market: Market, reports: np.ndarray) -> np.ndarray:
@@ -76,14 +90,14 @@ def mechanism_gains(market: Market, reports: np.ndarray) -> np.ndarray:
 def pooling_gain(market: Market, rows: np.ndarray) -> float:
     """sum_i gamma_i Var[X_i] - gamma Var[sum_i X_i]: the gain of pooling centered rows X.
 
-    Each variance weights by p before it squares, (X_i p) X_i, as
-    `Market.variances` does: a deviation near 1e154 in a state of small
+    As gamma_i s_i = gamma and the shares sum to 1, it is sum_i gamma_i Var[c_i],
+    c_i = s_i sum_j X_j - X_i the `sharing_rule` contract: no difference of
+    two gains, so no rounding noise of either sign. Each variance weights by p
+    before it squares, (c_i p) c_i: a deviation near 1e154 in a state of small
     probability would overflow when squared although its variance is finite.
     """
-    p = market.space.probs
-    total = rows.sum(axis=0)
-    return float(market.gammas @ np.vecdot(rows * p, rows)
-                 - market.aggregate_gamma * ((total * p) @ total))
+    contracts = sharing_rule(market)(rows)
+    return float(market.gammas @ np.vecdot(contracts * market.space.probs, contracts))
 
 
 def optimal_sharing(market: Market) -> np.ndarray:

@@ -73,13 +73,12 @@ def _response_coefficients(market: Market) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent weights of a best report against the others' reports.
 
     gamma_i/(gamma_i + gamma) on the agent's own endowment and
-    gamma^2/(gamma_i^2 - gamma^2) = s_i^2/(1 - s_i^2), s_i = gamma/gamma_i, on
-    the sum of the other agents' reports; the ratio form cannot overflow.
+    gamma^2/(gamma_i^2 - gamma^2) = s_i^2/((1 - s_i)(1 + s_i)) on the sum of
+    the other agents' reports, with the market's `shares` s_i = gamma/gamma_i
+    and `complements` 1 - s_i: the ratio cannot overflow, and nothing cancels.
     """
-    g = market.aggregate_gamma
-    gammas = market.gammas
-    share = g / gammas
-    return gammas / (gammas + g), share**2 / (1.0 - share**2)
+    g, share = market.aggregate_gamma, market.shares
+    return market.gammas / (market.gammas + g), share**2 / (market.complements * (1.0 + share))
 
 
 def reported_utility(

@@ -301,19 +301,19 @@ class TestValidation:
         assert main(["capm", "--market", str(path)]) == EXIT_VALIDATION
 
     def test_disparate_gammas_addressed(self, tmp_path, capsys):
-        # the harmonic aggregate of (1e-20, 1) rounds to 1e-20 itself
+        # the complement 1 - gamma/gamma_0 of (1e-300, 1e300) underflows to 0
         path = write_market(
             tmp_path,
             agents=[
-                {"gamma": 1e-20, "payoffs": [1.0, -1.0, 0.5]},
-                {"gamma": 1.0, "payoffs": [-0.5, 1.5, -1.0]},
+                {"gamma": 1e-300, "payoffs": [1.0, -1.0, 0.5]},
+                {"gamma": 1e300, "payoffs": [-0.5, 1.5, -1.0]},
             ],
         )
         for command in ("pareto", "nash"):
             assert main([command, "--market", str(path)]) == EXIT_VALIDATION
             err = capsys.readouterr().err
             assert err.startswith("validation error: agents: risk aversions")
-            assert "1e-20" in err
+            assert "1e-300" in err
             assert "Traceback" not in err
 
 
@@ -1109,6 +1109,22 @@ def _run(argv):
 
 def _reject(constant):
     raise ValueError(f"{constant} is not strict JSON")
+
+
+class TestDisparateRiskAversions:
+    """Risk aversions far apart are valid: every command solves them."""
+
+    @pytest.mark.parametrize("gammas", [(1e-20, 1.0), (1.0, 1e17), (1.0, 2.0**60)])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_disparate_gammas_solved(self, tmp_path, gammas, command):
+        # valid markets that a test of 1 - sum_i s_i^2 > 0 in floating point rejected
+        path = write_market(tmp_path, agents=[
+            {"gamma": gammas[0], "payoffs": [1.0, -1.0, 0.5]},
+            {"gamma": gammas[1], "payoffs": [-0.5, 1.5, -1.0]},
+        ])
+        code, out, err = _run(list(command) + ["--market", str(path)])
+        assert (code, err) == (EXIT_OK, "")
+        json.loads(out, parse_constant=_reject)
 
 
 class TestFloatingPointAddressed:

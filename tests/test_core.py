@@ -254,7 +254,7 @@ class TestMarketFromArrays:
         ([-1.0, 1.0], "gamma must be a positive number, got -1.0"),
         ([1.0, float("inf")], "gamma must be a positive number, got inf"),
         ([1.0, float("nan")], "gamma must be a positive number, got nan"),
-        ([1e-20, 1.0], "too disparate"),
+        ([1e-300, 1e300], "too disparate"),
     ])
     def test_same_errors_as_market_of_agents(self, gammas, match):
         space = _space(2)

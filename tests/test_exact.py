@@ -1,0 +1,98 @@
+"""The engines against the exact rational reference of `exact`.
+
+Two groups of markets on dyadic probabilities: in "disparate" one agent's
+risk aversion is 10^3 to 10^15 times below the others', so its share
+gamma/gamma_i lies that close to 1, and in "moderate" every risk aversion is
+in 0.5-2. Every output the shares feed must lie within TOL of its scale: a
+share, complement or response coefficient of itself, a row of a report,
+contract or schedule matrix of that row's largest exact entry, a vector of
+its largest exact entry and a gain of itself.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from riskshare.core import Market, ProbSpace, SecurityBasket
+from riskshare.nash import nash_endowment, nash_percentage, nash_price
+from riskshare.pareto import aggregate_gain, sharing_weights
+from riskshare.strategic import _response_coefficients
+
+from exact import ExactMarket, dyadic_probs, relative_error
+
+TOL = 1e-14
+# large enough that the disparate agent is free in some percentage solves
+KAPPA = 1e9
+GROUPS = {"disparate": 1, "moderate": 2}  # the seed of each
+
+
+@functools.cache
+def _markets(group: str) -> list:
+    """40 markets (and a basket's payoffs) of n 2-4 agents and m 4-6 states."""
+    rng = np.random.default_rng(GROUPS[group])
+    markets = []
+    for _ in range(40):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(4, 7))
+        space = ProbSpace(dyadic_probs(rng, m))
+        gammas = rng.uniform(0.5, 2.0, n)
+        if group == "disparate":
+            gammas[rng.integers(n)] *= 10.0 ** -rng.uniform(3.0, 15.0)
+        market = Market.from_arrays(space, gammas, rng.normal(size=(n, m)))
+        markets.append((market, ExactMarket(market), rng.normal(size=(int(rng.integers(1, 3)), m))))
+    return markets
+
+
+def _each(got, want) -> float:
+    """The largest error of the entries (or rows) of got, each of its own scale."""
+    return max(relative_error(g, w) for g, w in zip(got, want))
+
+
+@pytest.fixture(params=GROUPS)
+def markets(request):
+    return _markets(request.param)
+
+
+def test_shares_and_complements(markets):
+    for market, exact, _ in markets:
+        assert _each(market.shares, exact.shares) <= TOL
+        assert _each(market.complements, exact.complements) <= TOL
+        assert relative_error(market.aggregate_gamma, exact.gamma) <= TOL
+
+
+def test_nash_endowment(markets):
+    for market, exact, _ in markets:
+        out = nash_endowment(market)
+        aggregate, reports, contracts, inefficiency = exact.nash_endowment()
+        assert relative_error(out.aggregate, aggregate) <= TOL
+        assert _each([b.payoffs for b in out.reported], reports) <= TOL
+        assert _each(out.contracts, contracts) <= TOL
+        assert relative_error(out.inefficiency, inefficiency) <= TOL
+        assert _each(out.per_agent_gain, exact.mechanism_gains(reports)) <= TOL
+
+
+def test_response_coefficients(markets):
+    for market, exact, _ in markets:
+        for got, want in zip(_response_coefficients(market), exact.response_coefficients()):
+            assert _each(got, want) <= TOL
+
+
+def test_percentage_on_active_set(markets):
+    for market, exact, _ in markets:
+        out = nash_percentage(market, kappa=KAPPA)
+        want = exact.percentage_on_active_set(out.b_star, out.kappa)
+        # the active set is the exact equilibrium's: its clamped responses are itself
+        assert [min(max(r, 0), KAPPA) for r in exact.percentage_responses(want)] == want
+        assert relative_error(out.b_star, want) <= TOL
+
+
+def test_aggregate_gain_and_sharing_weights(markets):
+    for market, exact, _ in markets:
+        assert relative_error(aggregate_gain(market), exact.aggregate_gain()) <= TOL
+        assert _each(sharing_weights(market).ravel(), sum(exact.sharing_weights(), [])) <= TOL
+
+
+def test_price_schedules(markets):
+    for market, exact, securities in markets:
+        basket = SecurityBasket(tuple(market.space.rvs(securities)))
+        assert _each(nash_price(market, basket).schedules, exact.price_schedules(securities)) <= TOL

@@ -1,5 +1,6 @@
 import inspect
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from riskshare.strategic import (
 )
 
 from conftest import make_basket, make_market
+from exact import ExactMarket
 
 
 class TestNashEndowment:
@@ -311,17 +313,14 @@ class TestNashPercentage:
         payoffs = rng.normal(size=(3, 5)) * np.exp(rng.uniform(-4.0, 4.0, 3))[:, None]
         market = Market.from_arrays(space, gammas, payoffs)
         out = nash_percentage(market, kappa=1e6)
-        # the clamped best responses with the dense coupling, diagonal zero
-        p = space.probs
-        endow = payoffs - (payoffs @ p)[:, None]
-        covariance = (endow * p) @ endow.T
-        var_i = np.diag(covariance).copy()
-        np.fill_diagonal(covariance, 0.0)
-        share = (1.0 / np.sum(1.0 / gammas)) / gammas
-        raw = 1.0 / (1.0 + share) + share**2 / (1.0 - share**2) * (
-            covariance @ out.b_star) / var_i
-        residual = np.max(np.abs(out.b_star - np.clip(raw, 0.0, out.kappa)))
-        assert residual <= 1e-10 * (1.0 + np.max(out.b_star)), residual
+        # the exact equilibrium on the solve's active set, whose clamped
+        # responses are itself: a float reference would itself take
+        # 1 - s_0^2 by subtraction and lose the digits under test
+        exact = ExactMarket(market)
+        want = exact.percentage_on_active_set(out.b_star, out.kappa)
+        assert [min(max(r, 0), out.kappa) for r in exact.percentage_responses(want)] == want
+        error = max(abs(Fraction(float(b)) - w) for b, w in zip(out.b_star, want))
+        assert error <= 1e-14 * (1.0 + np.max(out.b_star)), float(error)
 
     @given(
         st.integers(0, 2**32 - 1),

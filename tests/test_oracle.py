@@ -406,6 +406,14 @@ class TestArgmaxDemand:
 
 
 class TestBestResponseDynamics:
+    @pytest.mark.parametrize("probs", [[0.5, 0.5], [0.3, 0.3, 0.4]])
+    def test_riskless_market_addressed(self, probs):
+        # every endowment constant: no span to search, so no log2(0)
+        space = ProbSpace(probs)
+        market = Market.from_arrays(space, [1.0, 2.0], [[1.0] * len(probs), [3.0] * len(probs)])
+        with pytest.raises(ValueError, match="every endowment is riskless"):
+            best_response_dynamics(market)
+
     def test_symmetric_convergence(self, symmetric_market):
         result = best_response_dynamics(symmetric_market)
         assert result.converged
