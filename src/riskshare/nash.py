@@ -246,14 +246,24 @@ def nash_percentage(
     symmetric with eigenvalues in [1 - sum_F s_i^2, 1], positive as
     1 - sum_i s_i^2 = sum_i s_i c_i > 0. Near that bound, when one gamma_i
     dwarfs the others, the solve loses digits, so once the split holds one
-    step of iterative refinement against R follows. A residual
-    max |b - BR(b)| above RESIDUAL_TOL (1 + max |b|) raises ConvergenceError.
+    step of iterative refinement against R follows, and more while the
+    residual max |b - BR(b)| is above RESIDUAL_TOL (1 + max |b|) and falls.
+    A residual left above it raises ConvergenceError.
     """
     if not (np.isfinite(kappa) and kappa > 0.0):
         raise ValueError("kappa must be finite and positive")
     share = market.shares
     rows = market.centered * np.sqrt(market.space.probs)  # L
     scaled = (share**2 / endowment_variances(market))[:, None] * rows  # diag(w) L
+
+    def solve(b, responses):  # b_F moved by the solve of b_F = R_F(b), in place
+        gap = (market.complements * (1.0 + share) * (responses - b))[free]
+        b[free] += gap + scaled[free] @ np.linalg.solve(inner, rows[free].T @ gap)
+
+    def residual_of(b):  # max |b - BR(b)| and its bound RESIDUAL_TOL (1 + max |b|)
+        return (float(np.max(np.abs(b - percentage_best_response(market, b, kappa)))),
+                RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b)))))
+
     b, split, iterations, stable = np.ones(market.n), None, 0, False
     while iterations < max_iter and not stable:
         responses = percentage_responses(market, b)
@@ -264,11 +274,15 @@ def nash_percentage(
             b = np.where(split == 2, kappa, 0.0)  # split: 0 at zero, 1 free, 2 at kappa
             responses = percentage_responses(market, b)
             inner = np.eye(rows.shape[1]) - rows[free].T @ scaled[free]
-        # the solve, or, once the split holds, one step of refinement
-        gap = (market.complements * (1.0 + share) * (responses - b))[free]
-        b[free] += gap + scaled[free] @ np.linalg.solve(inner, rows[free].T @ gap)
-    residual = float(np.max(np.abs(b - percentage_best_response(market, b, kappa))))
-    tolerance = RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b))))
+        solve(b, responses)  # the solve, or, once the split holds, one step of refinement
+    residual, tolerance = residual_of(b)
+    while stable and not residual <= tolerance:  # refine on while the residual falls
+        refined = b.copy()
+        solve(refined, percentage_responses(market, refined))
+        check = residual_of(refined)
+        if not check[0] < residual:
+            break
+        b, (residual, tolerance) = refined, check
     if not residual <= tolerance:  # also when the residual is NaN
         cause = (f"the active set is stable after {iterations} solves, so the solve of "
                  f"the free agents is too ill-conditioned" if stable else

@@ -467,10 +467,16 @@ def argmax_phi(
     schedules,
 ) -> np.ndarray:
     """Maximizer of the clearing utility over prices, searched from the
-    securities' means; a basket on another space raises in `clearing_utility`."""
+    securities' means in steps of h = 2^round(log2 max_j std(C_j)), the
+    basket's own unit: a power of two, so the search changes no bit when the
+    payoffs are scaled by one. A basket on another space raises in
+    `clearing_utility`."""
     _check_agent(i, market.n)
+    means = basket.mean_vector
+    variances = cross_cov(basket.space.probs, basket.payoffs, basket.payoffs)
+    unit = 2.0 ** round(math.log2(math.sqrt(variances.max())))
 
-    def objective(p):
-        return clearing_utility(market, i, basket, schedules, p)
+    def objective(u):
+        return clearing_utility(market, i, basket, schedules, means + unit * u)
 
-    return _quadratic_argmax(objective, basket.mean_vector)
+    return means + unit * _quadratic_argmax(objective, np.zeros(basket.k))

@@ -9,8 +9,9 @@ The demand response pools the truthful others straight from the rows of
 `Market.exposures`, so it builds no schedule per agent; the functions that
 take the others' schedules as a list pool them through `_pooled`, and
 `truthful_schedules` builds such a list, one validated schedule per agent.
-Best responses are returned zero-mean normalized; the deviator's utility is
-invariant to cash shifts of the report, so nothing is lost.
+Every best response reads agent i's one best report B*_i (`_best_report`),
+returned zero-mean normalized: the deviator's utility is invariant to cash
+shifts of the report. A report's truthful utility is the engine's own level.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ from .core import (
     _check_agent,
     autarky_utilities,
     centered,
-    cov_vector,
     holding_utilities,
     pricing,
     require_same_space,
 )
-from .pareto import mechanism_gains
+from .pareto import capm_equilibrium, mechanism_gains, optimal_utility_levels
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,48 +102,49 @@ def reported_utility(
     return float(autarky_utilities(market)[i] + mechanism_gains(market, reports)[i])
 
 
+def _best_report(market: Market, i: int, rows: np.ndarray) -> np.ndarray:
+    """Agent i's best report against centered report rows, as a centered row:
+    B*_i = gamma_i/(gamma_i + gamma) E_i + gamma^2/(gamma_i^2 - gamma^2) R_{-i},
+    R_{-i} the sum of the other agents' rows (one mask copies them)."""
+    rest = rows[np.arange(market.n) != i].sum(axis=0)
+    own, other = _response_coefficients(market)
+    return centered(market.space.probs, own[i] * market.centered[i] + other[i] * rest)
+
+
 def best_endowment_response(
     market: Market,
     i: int,
     others: Sequence[Rv] | None = None,
 ) -> Rv:
-    """Report maximizing agent i's utility, zero-mean normalized.
-
-    B*_i = gamma_i/(gamma_i + gamma) E_i + gamma^2/(gamma_i^2 - gamma^2) R_{-i}
-    where R_{-i} is the sum of the other agents' reports (by default the
-    endowments, read in place; one mask copies the others' rows).
-    """
+    """Report maximizing agent i's utility, zero-mean normalized: `_best_report`
+    against the others' reports (by default the endowments, read in place)."""
     _check_agent(i, market.n)
     rows = market.centered if others is None else market.centered_profile(others)
-    rest = rows[np.arange(market.n) != i].sum(axis=0)
-    own, other = _response_coefficients(market)
-    b = own[i] * market.centered[i] + other[i] * rest
-    return Rv(market.space, centered(market.space.probs, b))
+    return Rv(market.space, _best_report(market, i, rows))
 
 
 def best_percentage_response(market: Market, i: int) -> float:
     """Optimal nonnegative multiple of agent i's true endowment to report.
 
-    b*_i = max(0, gamma_i/(gamma_i+gamma)
-               + gamma^2/(gamma_i^2-gamma^2) * Cov(E_i, E_{-i}) / Var[E_i]),
-    the covariance ratio being rho(E_i, E_{-i}) sqrt(Var[E_{-i}]/Var[E_i]).
+    b*_i = max(0, Cov(E_i, B*_i) / Var[E_i]), the projection of the best
+    report B*_i on E_i: the deviator's utility has curvature
+    -(1 - s_i)(2 gamma + gamma_i (1 - s_i)) Var[report] in any report, so its
+    best multiple of E_i is the one nearest B*_i. Only Var[E_i] must be positive.
     """
     _check_agent(i, market.n)
     variance = endowment_variances(market, (i,))[i]
-    own, other = _response_coefficients(market)
-    rows = market.centered
-    covariance = (rows[i] * market.space.probs) @ rows.sum(axis=0)  # Cov(E_i, E)
-    return float(max(0.0, own[i] + other[i] * (covariance - variance) / variance))
+    best = _best_report(market, i, market.centered)
+    return float(max(0.0, (market.centered[i] * market.space.probs) @ best / variance))
 
 
 def percentage_responses(market: Market, b: np.ndarray) -> np.ndarray:
     """Every agent's unclamped best multiple against the others' multiples b.
 
-    own_i + other_i (Cov(E_i, sum_j b_j E_j) / Var[E_i] - b_i), the terms of
-    `best_percentage_response` with b in place of 1, in O(nm); every variance
-    must be positive. Taking b_i back out of the ratio cancels when b_i E_i
-    dominates the sum, and other_i = s_i^2/(1 - s_i^2), s_i = gamma/gamma_i,
-    multiplies the lost digits. Since sum_i s_i^2 < 1, at most one agent has
+    own_i + other_i (Cov(E_i, sum_j b_j E_j) / Var[E_i] - b_i), the projection
+    on E_i of agent i's best report against the reports b_j E_j, in O(nm);
+    every variance must be positive. Taking b_i back out of the ratio cancels
+    when b_i E_i dominates the sum, and other_i = s_i^2/(1 - s_i^2), s_i =
+    gamma/gamma_i, multiplies the lost digits. Since sum_i s_i^2 < 1, at most one agent has
     other_i > 1, and for that agent the sum leaves b_i E_i out instead.
     """
     own, other = _response_coefficients(market)
@@ -191,11 +192,12 @@ def best_demand_response(
     """Schedule that clears the market at agent i's preferred price.
 
     Same linear family as the truthful demand, with the covariance vector
-    taken against the best endowment response instead of the true endowment.
+    taken against the best report B*_i instead of the true endowment.
     """
     _check_agent(i, market.n)
-    best = best_endowment_response(market, i)
-    return DemandSchedule(market.gammas[i], cov_vector(basket, best))
+    require_same_space(market.space, basket.space, "basket is not on the market's space")
+    best = _best_report(market, i, market.centered)
+    return DemandSchedule(market.gammas[i], (best * market.space.probs) @ basket.centered.T)
 
 
 def clearing_price(basket: SecurityBasket, schedules: Sequence[DemandSchedule]) -> np.ndarray:
@@ -223,7 +225,7 @@ def price_objective(
 
 
 def _response_report(market: Market, i: int, response, report: Rv) -> ResponseReport:
-    truthful = reported_utility(market, i, market.space.rv(market.payoffs[i]))
+    truthful = float(optimal_utility_levels(market)[i])
     return ResponseReport(response, truthful, reported_utility(market, i, report))
 
 
@@ -243,13 +245,9 @@ def demand_response_report(
     market: Market, i: int, basket: SecurityBasket
 ) -> ResponseReport:
     _check_agent(i, market.n)
-    exposures = market.exposures(basket)
     others = np.arange(market.n) != i
-    pool = [DemandSchedule.pooled(market.gammas[others], exposures[others])]
-    truthful = DemandSchedule(market.gammas[i], exposures[i])
+    pool = [DemandSchedule.pooled(market.gammas[others], market.exposures(basket)[others])]
     best = best_demand_response(market, i, basket)
-    p_star = clearing_price(basket, pool + [truthful])
     p_hat = clearing_price(basket, pool + [best])  # = best_price_response against the others
-    before = price_objective(market, i, basket, pool, p_star)
-    after = price_objective(market, i, basket, pool, p_hat)
-    return ResponseReport(best, before, after)
+    before = float(capm_equilibrium(market, basket).utility_levels[i])
+    return ResponseReport(best, before, price_objective(market, i, basket, pool, p_hat))

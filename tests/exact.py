@@ -1,4 +1,5 @@
-"""Exact rational evaluation of every output the risk-aversion shares feed.
+"""Exact rational evaluation of every output the risk-aversion shares feed,
+and of a single deviator's best report and the utility levels it is weighed against.
 
 Each function reads a market's float inputs (probabilities, risk aversions,
 payoffs, a basket's payoffs) as exact `fractions.Fraction`s and evaluates the
@@ -29,6 +30,19 @@ def relative_error(got, want) -> float:
     got = np.atleast_1d(np.asarray(got, dtype=float))
     error = max(abs(Fraction(float(g)) - w) for g, w in zip(got.ravel(), want.ravel()))
     return float(error / max(abs(w) for w in want.ravel()))
+
+
+def _solve(matrix, rhs) -> list:
+    """x with matrix x = rhs, by exact Gaussian elimination."""
+    system = [list(row) + [r] for row, r in zip(matrix, rhs)]
+    for col in range(len(system)):  # exact, so any nonzero pivot will do
+        pivot = next(r for r in range(col, len(system)) if system[r][col] != 0)
+        system[col], system[pivot] = system[pivot], system[col]
+        for r in range(len(system)):
+            if r != col and system[r][col] != 0:
+                factor = system[r][col] / system[col][col]
+                system[r] = [a - factor * c for a, c in zip(system[r], system[col])]
+    return [row[-1] / row[k] for k, row in enumerate(system)]
 
 
 class ExactMarket:
@@ -120,19 +134,57 @@ class ExactMarket:
         rhs = self.percentage_responses(base)
         shifted = {i: self.percentage_responses([v + (j == i) for j, v in enumerate(base)])
                    for i in free}  # R(base + e_i), R's column i added to rhs
-        system = [[(k == i) - (shifted[i][k] - rhs[k]) for i in free] + [rhs[k]] for k in free]
-        for col in range(len(free)):  # exact, so any nonzero pivot will do
-            pivot = next(r for r in range(col, len(free)) if system[r][col] != 0)
-            system[col], system[pivot] = system[pivot], system[col]
-            for r in range(len(free)):
-                if r != col and system[r][col] != 0:
-                    factor = system[r][col] / system[col][col]
-                    system[r] = [a - factor * c for a, c in zip(system[r], system[col])]
-        for k, i in enumerate(free):
-            base[i] = system[k][-1] / system[k][k]
+        matrix = [[(k == i) - (shifted[i][k] - rhs[k]) for i in free] for k in free]
+        for i, v in zip(free, _solve(matrix, [rhs[k] for k in free])):
+            base[i] = v
         return base
 
     def price_schedules(self, basket_payoffs):
         """The price game's schedules: the Nash report map of the exposures Cov(E_i, C_j)."""
         securities = _rows(basket_payoffs)
         return self.nash_reports([[self.cov(x, c) for c in securities] for x in self.payoffs])[1]
+
+    def best_report(self, i: int):
+        """B*_i = gamma_i/(gamma_i + gamma) E_i + gamma^2/(gamma_i^2 - gamma^2) sum_{j != i} E_j,
+        centered."""
+        own, other = self.response_coefficients()
+        rest = self.total([x for j, x in enumerate(self.payoffs) if j != i])
+        report = [own[i] * e + other[i] * r for e, r in zip(self.payoffs[i], rest)]
+        mean = self.mean(report)
+        return [v - mean for v in report]
+
+    def best_percentage(self, i: int):
+        """The projection Cov(E_i, B*_i) / Var[E_i] of the best report on E_i, unclamped."""
+        x = self.payoffs[i]
+        return self.cov(x, self.best_report(i)) / self.cov(x, x)
+
+    def best_demand(self, i: int, basket_payoffs):
+        """Cov(C_j, B*_i) for each security C_j: the best demand schedule's vector."""
+        best = self.best_report(i)
+        return [self.cov(c, best) for c in _rows(basket_payoffs)]
+
+    def autarky_scale(self, i: int):
+        """max(|E[E_i]|, gamma_i Var[E_i]): the size of the terms of agent i's utility."""
+        x = self.payoffs[i]
+        return max(abs(self.mean(x)), self.gammas[i] * self.cov(x, x))
+
+    def optimal_utility_levels(self):
+        """E[E_i] - gamma_i Var[E_i] plus the Pareto gain, the mechanism's gain on the truth."""
+        gains = self.mechanism_gains(self.payoffs)
+        return [self.mean(x) - g * self.cov(x, x) + d
+                for g, x, d in zip(self.gammas, self.payoffs, gains)]
+
+    def capm_utility_levels(self, basket_payoffs):
+        """E[E_i] + z_i.(E[C] - p) - gamma_i Var[E_i + z_i.C] at the clearing price
+        p = E[C] - 2 gamma Cov(C, sum_j E_j), z_i = ((E[C] - p)/(2 gamma_i) - Cov(C, E_i)) Var^-1[C]."""
+        securities = _rows(basket_payoffs)
+        total = self.total(self.payoffs)
+        excess = [2 * self.gamma * self.cov(c, total) for c in securities]  # E[C] - p
+        variance = [[self.cov(c, d) for d in securities] for c in securities]
+        levels = []
+        for g, x in zip(self.gammas, self.payoffs):
+            z = _solve(variance, [e / (2 * g) - self.cov(c, x) for e, c in zip(excess, securities)])
+            held = [v + sum(q * c[s] for q, c in zip(z, securities)) for s, v in enumerate(x)]
+            levels.append(self.mean(x) + sum(q * e for q, e in zip(z, excess))
+                          - g * self.cov(held, held))
+        return levels

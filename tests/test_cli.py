@@ -582,19 +582,18 @@ class TestCommands:
 
 class TestNoObjectPerAgent:
     # `Rv` and `DemandSchedule` constructions per command, the same at every n:
-    # the basket's security, plus a best response's report and the truthful
-    # one it is compared with. The demand response builds the best report and
-    # its schedule, the truthful schedule, the others' schedule pooled from
-    # the exposure rows, and one pooled schedule for each of its two clearing
-    # prices and two objectives. pareto exits 3 on Var[E] before it builds a
-    # contract
+    # the basket's security, plus a best response's report; its truthful
+    # utility is an engine's level, built from arrays. The demand response
+    # builds the best report's schedule, the others' schedule pooled from the
+    # exposure rows, and one pooled schedule for its clearing price and one
+    # for its objective. pareto exits 3 on Var[E] before it builds a contract
     OBJECTS = {
         ("pareto",): 1,
         ("capm",): 1,
         ("nash", "--game", "percentage"): 1,
-        ("best-response", "--game", "endowment"): 3,
-        ("best-response", "--game", "percentage"): 3,
-        ("best-response", "--game", "demand"): 9,
+        ("best-response", "--game", "endowment"): 2,
+        ("best-response", "--game", "percentage"): 2,
+        ("best-response", "--game", "demand"): 5,
         ("nash", "--game", "price"): 1,
     }
     # ROADMAP item 2's remainder: this outcome still holds one object per

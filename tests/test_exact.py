@@ -1,15 +1,20 @@
 """The engines against the exact rational reference of `exact`.
 
-Two groups of markets on dyadic probabilities: in "disparate" one agent's
+Groups of markets on dyadic probabilities: in "disparate" one agent's
 risk aversion is 10^3 to 10^15 times below the others', so its share
 gamma/gamma_i lies that close to 1, and in "moderate" every risk aversion is
-in 0.5-2. Every output the shares feed must lie within TOL of its scale: a
-share, complement or response coefficient of itself, a row of a report,
-contract or schedule matrix of that row's largest exact entry, a vector of
-its largest exact entry and a gain of itself.
+in 0.5-2; "scaled" is "disparate" with that agent's payoffs times 2^10 to
+2^30, which only the single deviator's outputs are run on. Every output must
+lie within TOL of its scale: a share, complement or response coefficient of
+itself, a row of a report, contract or schedule matrix of that row's largest
+exact entry, a vector of its largest exact entry, a gain of itself, a best
+multiple of its unclamped value and a utility level of the largest of itself,
+|E[E_i]| and gamma_i Var[E_i].
 """
 
 import functools
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +22,15 @@ import pytest
 from riskshare.core import Market, ProbSpace, SecurityBasket
 from riskshare.nash import nash_endowment, nash_percentage, nash_price
 from riskshare.pareto import aggregate_gain, sharing_weights
-from riskshare.strategic import _response_coefficients
+from riskshare.strategic import (
+    _response_coefficients,
+    best_demand_response,
+    best_endowment_response,
+    best_percentage_response,
+    demand_response_report,
+    endowment_response_report,
+    percentage_response_report,
+)
 
 from exact import ExactMarket, dyadic_probs, relative_error
 
@@ -25,20 +38,25 @@ TOL = 1e-14
 # large enough that the disparate agent is free in some percentage solves
 KAPPA = 1e9
 GROUPS = {"disparate": 1, "moderate": 2}  # the seed of each
+SCALED = "scaled"  # the disparate markets, that agent's payoffs times 2^10 to 2^30
 
 
 @functools.cache
 def _markets(group: str) -> list:
     """40 markets (and a basket's payoffs) of n 2-4 agents and m 4-6 states."""
-    rng = np.random.default_rng(GROUPS[group])
+    rng = np.random.default_rng(GROUPS["disparate" if group == SCALED else group])
     markets = []
-    for _ in range(40):
+    for index in range(40):
         n, m = int(rng.integers(2, 5)), int(rng.integers(4, 7))
         space = ProbSpace(dyadic_probs(rng, m))
         gammas = rng.uniform(0.5, 2.0, n)
-        if group == "disparate":
-            gammas[rng.integers(n)] *= 10.0 ** -rng.uniform(3.0, 15.0)
-        market = Market.from_arrays(space, gammas, rng.normal(size=(n, m)))
+        if group != "moderate":
+            agent = rng.integers(n)
+            gammas[agent] *= 10.0 ** -rng.uniform(3.0, 15.0)
+        payoffs = rng.normal(size=(n, m))
+        if group == SCALED:
+            payoffs[agent] *= 2.0 ** (10 + index % 21)
+        market = Market.from_arrays(space, gammas, payoffs)
         markets.append((market, ExactMarket(market), rng.normal(size=(int(rng.integers(1, 3)), m))))
     return markets
 
@@ -50,6 +68,11 @@ def _each(got, want) -> float:
 
 @pytest.fixture(params=GROUPS)
 def markets(request):
+    return _markets(request.param)
+
+
+@pytest.fixture(params=[*GROUPS, SCALED])
+def deviator_markets(request):
     return _markets(request.param)
 
 
@@ -78,12 +101,15 @@ def test_response_coefficients(markets):
 
 
 def test_percentage_on_active_set(markets):
-    for market, exact, _ in markets:
-        out = nash_percentage(market, kappa=KAPPA)
+    # at kappa = 1e12 the disparate agent's b reaches ~1e11, and each solve
+    # loses about eps / (1 - s_k) of it: the solver refines while that helps
+    for (market, exact, _), (kappa, tol) in itertools.product(
+            markets, [(KAPPA, TOL), (1e12, 1e-10)]):
+        out = nash_percentage(market, kappa=kappa)
         want = exact.percentage_on_active_set(out.b_star, out.kappa)
         # the active set is the exact equilibrium's: its clamped responses are itself
-        assert [min(max(r, 0), KAPPA) for r in exact.percentage_responses(want)] == want
-        assert relative_error(out.b_star, want) <= TOL
+        assert [min(max(r, 0), kappa) for r in exact.percentage_responses(want)] == want
+        assert relative_error(out.b_star, want) <= tol
 
 
 def test_aggregate_gain_and_sharing_weights(markets):
@@ -96,3 +122,30 @@ def test_price_schedules(markets):
     for market, exact, securities in markets:
         basket = SecurityBasket(tuple(market.space.rvs(securities)))
         assert _each(nash_price(market, basket).schedules, exact.price_schedules(securities)) <= TOL
+
+
+def test_single_deviator_responses(deviator_markets):
+    for market, exact, securities in deviator_markets:
+        basket = SecurityBasket(tuple(market.space.rvs(securities)))
+        for i in range(market.n):
+            assert relative_error(best_endowment_response(market, i).payoffs,
+                                  exact.best_report(i)) <= TOL
+            projection = exact.best_percentage(i)
+            got = Fraction(best_percentage_response(market, i))
+            assert abs(got - max(projection, 0)) <= TOL * abs(projection)
+            assert relative_error(best_demand_response(market, i, basket).c,
+                                  exact.best_demand(i, securities)) <= TOL
+
+
+def test_single_deviator_utility_before(deviator_markets):
+    # the truthful utility each report compares with: the Pareto level for
+    # the endowment and percentage reports, the CAPM level for the demand one
+    for market, exact, securities in deviator_markets:
+        basket = SecurityBasket(tuple(market.space.rvs(securities)))
+        pareto, capm = exact.optimal_utility_levels(), exact.capm_utility_levels(securities)
+        for i in range(market.n):
+            for report, want in ((endowment_response_report(market, i), pareto[i]),
+                                 (percentage_response_report(market, i), pareto[i]),
+                                 (demand_response_report(market, i, basket), capm[i])):
+                scale = max(abs(want), exact.autarky_scale(i))
+                assert abs(Fraction(report.utility_before) - want) <= TOL * scale

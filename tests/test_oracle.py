@@ -718,6 +718,48 @@ class TestDynamicsUnitScaling:
             assert np.abs(gap).max() <= 1e-9 * np.abs(final).max()
 
 
+class TestSearchUnitScaling:
+    """Payoffs and securities times 2^k and gammas times 2^-k scale the price
+    and report searches exactly, as they do the dynamics."""
+
+    @staticmethod
+    def _drawn(seed, c=1.0):
+        rng = np.random.default_rng([126, seed])
+        market = _dyadic_market(rng, c)
+        k = int(rng.integers(1, 3))
+        securities = rng.integers(-512, 513, size=(k, market.space.n_states)) / 64.0
+        return market, SecurityBasket(tuple(market.space.rvs(securities * c))), \
+            int(rng.integers(market.n))
+
+    @pytest.mark.parametrize("k", [-40, -20, 0, 10, 20, 30, 40])
+    def test_argmax_phi(self, k):
+        found = {}
+        for c in (1.0, 2.0**k):
+            for seed in range(20):
+                market, basket, i = self._drawn(seed, c)
+                others = [s for j, s in enumerate(truthful_schedules(market, basket)) if j != i]
+                found[c, seed] = argmax_phi(market, i, basket, others)
+                want = best_price_response(market, i, basket, others)
+                assert np.abs(found[c, seed] - want).max() <= 1e-9 * np.abs(basket.payoffs).max()
+        for seed in range(20):
+            assert (found[2.0**k, seed] / 2.0**k).tobytes() == found[1.0, seed].tobytes()
+
+    @pytest.mark.parametrize("k", [-40, -20, 0, 10, 20, 30, 40])
+    def test_argmax_reported_utility(self, k):
+        for seed in range(20):
+            base_market, _, i = self._drawn(seed)
+            market = self._drawn(seed, 2.0**k)[0]
+            spec = CoefficientSearchSpec(basis=tuple(market.endowments()))
+            found = argmax_reported_utility(market, i, spec).coefficients
+            base_spec = CoefficientSearchSpec(basis=tuple(base_market.endowments()))
+            base = argmax_reported_utility(base_market, i, base_spec).coefficients
+            assert found.tobytes() == base.tobytes()
+            want = best_endowment_response(market, i).payoffs
+            gap = spec.combine(found).payoffs - want
+            gap -= gap @ market.space.probs
+            assert np.abs(gap).max() <= 1e-9 * np.abs(want).max()
+
+
 class TestPercentageEquilibrium:
     def test_each_agent_best_responds_by_search(self):
         # the percentage game's equilibrium by its defining condition: against

@@ -324,19 +324,16 @@ class TestPooledSchedule:
     def _per_schedule_report(self, m, i, basket):
         # the report as it was computed before the others were pooled from
         # the exposure rows: every truthful schedule built, agent i's taken
-        # out, the rest pooled schedule by schedule
+        # out, the rest pooled schedule by schedule; the truthful utility is
+        # the CAPM level, which has no per-schedule route
         others = truthful_schedules(m, basket)
-        truthful = others.pop(i)
+        others.pop(i)
         pool = self._pool(others)
-
-        def utility_at_clearing(last):
-            both = self._pool([pool, last])
-            p = pricing(both.gamma, basket.mean_vector, both.c)
-            supplied = self._pool([pool]).quantities(basket, p)
-            return float(holding_utilities(m, basket, -supplied, p)[i])
-
-        best = best_demand_response(m, i, basket)
-        return utility_at_clearing(truthful), utility_at_clearing(best)
+        both = self._pool([pool, best_demand_response(m, i, basket)])
+        p = pricing(both.gamma, basket.mean_vector, both.c)
+        supplied = self._pool([pool]).quantities(basket, p)
+        return (float(capm_equilibrium(m, basket).utility_levels[i]),
+                float(holding_utilities(m, basket, -supplied, p)[i]))
 
     def test_report_is_the_per_schedule_report_bit_for_bit(self):
         rng = np.random.default_rng(47)
