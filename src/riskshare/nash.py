@@ -6,7 +6,8 @@ reports, is solved exactly as a box-constrained linear complementarity
 problem. The reports then run through `pareto`'s one sharing mechanism:
 contracts are its `sharing_rule`, per-agent gains its `mechanism_gains` and
 the inefficiency the `pooling_gain` of what the reports hold back. Price
-pressure and the Pareto-vs-Nash utility comparison are computed here too.
+pressure and the Pareto-vs-Nash utility comparison, the basket mechanism's
+levels on the truthful and on the Nash schedules, are computed here too.
 The price game's schedules are one n x k matrix, agent i's (gamma_i, row i).
 """
 
@@ -22,12 +23,12 @@ from .core import (
     SecurityBasket,
     cov,
     cross_cov,
-    holding_utilities,
     mean,
     pricing,
     var,
 )
 from .pareto import (
+    _basket_mechanism,
     capm_equilibrium,
     mechanism_gains,
     optimal_sharing,
@@ -337,8 +338,10 @@ def nash_vs_pareto_utilities(
 ) -> UtilityComparison:
     """Direct utility comparison of the two pricing regimes.
 
-    The aggregate decrease is evaluated both directly and through the
-    quadratic-form identity
+    Each regime's utilities are the basket mechanism's levels
+    (`pareto._basket_mechanism`), on the truthful exposure rows and on the
+    Nash schedules. The aggregate decrease is evaluated both directly and
+    through the quadratic-form identity
     sum_i gamma_i (Zhat_i - Z_i) . (Var[C] (Zhat_i + Z_i) + 2 Cov(E_i, C)),
     valid because the price terms net out across a cleared market. For the
     two-agent single-security unit-variance case the per-agent difference is
@@ -346,12 +349,13 @@ def nash_vs_pareto_utilities(
     """
     capm = capm_equilibrium(market, basket)
     nash = nash_price(market, basket)
-    pareto_u = holding_utilities(market, basket, capm.allocation, capm.prices)
-    nash_u = holding_utilities(market, basket, nash.allocation, nash.price)
+    exposures = market.exposures(basket)
+    reported = _basket_mechanism(market, basket, nash.schedules, nash.schedules - exposures)
+    pareto_u, nash_u = capm.utility_levels, reported.utility_levels
     decrease = float(np.sum(pareto_u - nash_u))
     zh, z = nash.allocation, capm.allocation
     closed = market.gammas @ np.sum(
-        (zh - z) * ((zh + z) @ basket.cov_matrix + 2.0 * market.exposures(basket)), axis=1
+        (zh - z) * ((zh + z) @ basket.cov_matrix + 2.0 * exposures), axis=1
     )
     agent1_closed = None
     if market.n == 2 and basket.k == 1 and abs(basket.cov_matrix[0, 0] - 1.0) < 1e-12:

@@ -2,8 +2,14 @@
 
 The mechanism is stated here once. Agents report centered payoff rows R;
 agent i receives c_i = (gamma/gamma_i) sum_j R_j - R_i (`sharing_rule`) at
-the price E[c_i] - 2 gamma Cov(c_i, sum_j R_j) and so gains
-`mechanism_gains`; `pooling_gain` is the gain left in pooling any rows.
+the price E[c_i] - 2 gamma Cov(c_i, sum_j R_j) and so gains one kernel,
+gamma_i <c_i, c_i + 2 (R_i - T_i)> with T_i the truth (`_spreads`), in one
+of two inner products. In the states, <x, y> = Cov(x, y), it gives
+`mechanism_gains` and `pooling_gain`, the gain left in pooling any rows. On
+a basket, the rows are the schedules Cov(C, R_i), <x, y> = x Var^-1[C] y and
+the mechanism clears at E[C] - 2 gamma sum_i Cov(C, R_i)
+(`_basket_mechanism`): `capm_equilibrium` on the truth, the demand deviator
+(`strategic`) and the price game's utilities (`nash`) on reports.
 Pareto sharing runs the mechanism on the true endowments, the Nash games
 (`nash`) and a single deviator (`strategic`) on their reports. Basket prices
 and allocations are linear maps of the market's exposures, and every engine
@@ -71,33 +77,46 @@ def sharing_weights(market: Market) -> np.ndarray:
     return np.where(np.eye(market.n, dtype=bool), -market.complements, market.shares[:, None])
 
 
+def _spreads(market: Market, reports: np.ndarray, misreport, weigh):
+    """The mechanism's one gain kernel: (w, <c_i, c_i + 2 D_i>) per agent.
+
+    c = `sharing_rule` of the report rows, w = weigh(c), <x, y> = weigh(x) . y
+    and D the misreport, reports - truth (0.0 when every row is the truth).
+    Agent i's gain is gamma_i times its entry: with A = sum_j R_j,
+    gamma A = gamma_i (c_i + R_i), so the textbook 2 gamma <A, c_i> -
+    gamma_i (2 <T_i, c_i> + <c_i, c_i>) reads gamma_i <c_i, c_i + 2 D_i>,
+    with no aggregate term to cancel. The states weigh by p, x * p; a basket's
+    exposure rows by Var^-1[C], x @ Var^-1[C], which makes w the allocation.
+    """
+    contracts = sharing_rule(market)(reports)
+    weighted = weigh(contracts)
+    return weighted, np.vecdot(weighted, contracts + 2.0 * misreport)
+
+
 def mechanism_gains(market: Market, reports: np.ndarray) -> np.ndarray:
     """Each agent's utility gain when the sharing rule runs on centered report rows.
 
-    With A = sum_j R_j, agent i keeps their true endowment E_i, receives
-    c_i = (gamma/gamma_i) A - R_i and pays its price E[c_i] - 2 gamma Cov(A, c_i):
-    gain_i = 2 gamma Cov(A, c_i) - gamma_i (2 Cov(E_i, c_i) + Var[c_i]),
-    each covariance a p-weighted product of centered rows. Truthful reports,
-    `market.centered`, give the Pareto gains gamma_i Var[C*_i].
+    Agent i keeps their true endowment E_i, receives c_i = (gamma/gamma_i) A - R_i,
+    A = sum_j R_j, and pays its price E[c_i] - 2 gamma Cov(A, c_i): the kernel
+    `_spreads` in the states, gamma_i Cov(c_i, c_i + 2 (R_i - E_i)). Truthful
+    reports, `market.centered`, give the Pareto gains gamma_i Var[C*_i].
     """
-    contracts = sharing_rule(market)(reports)
-    weighted = contracts * market.space.probs
-    with_aggregate = weighted @ reports.sum(axis=0)  # Cov(A, c_i)
-    spread = np.sum(weighted * (2.0 * market.centered + contracts), axis=1)
-    return 2.0 * market.aggregate_gamma * with_aggregate - market.gammas * spread
+    p = market.space.probs
+    return market.gammas * _spreads(market, reports, reports - market.centered, lambda x: x * p)[1]
 
 
 def pooling_gain(market: Market, rows: np.ndarray) -> float:
     """sum_i gamma_i Var[X_i] - gamma Var[sum_i X_i]: the gain of pooling centered rows X.
 
     As gamma_i s_i = gamma and the shares sum to 1, it is sum_i gamma_i Var[c_i],
-    c_i = s_i sum_j X_j - X_i the `sharing_rule` contract: no difference of
-    two gains, so no rounding noise of either sign. Each variance weights by p
-    before it squares, (c_i p) c_i: a deviation near 1e154 in a state of small
+    c_i = s_i sum_j X_j - X_i the `sharing_rule` contract: the kernel's gains
+    when each row is reported truthfully, so no difference of two gains and no
+    rounding noise of either sign. Each variance weights by p before it
+    squares, (c_i p) c_i: a deviation near 1e154 in a state of small
     probability would overflow when squared although its variance is finite.
     """
-    contracts = sharing_rule(market)(rows)
-    return float(market.gammas @ np.vecdot(contracts * market.space.probs, contracts))
+    p = market.space.probs
+    return float(market.gammas @ _spreads(market, rows, 0.0, lambda x: x * p)[1])
 
 
 def optimal_sharing(market: Market) -> np.ndarray:
@@ -113,25 +132,32 @@ def aggregate_gain(market: Market) -> float:
     return pooling_gain(market, market.centered)
 
 
+def _basket_mechanism(market: Market, basket: SecurityBasket, rows: np.ndarray,
+                      misreport) -> CapmEquilibrium:
+    """The mechanism on a basket's schedule rows Cov(C, R_i), misreport D = rows - truth.
+
+    The price clears the rows' schedules, E[C] - 2 gamma sum_i rows_i, agent i
+    buys w_i = c_i Var^-1[C] of the rule's contract rows c and gains the kernel
+    `_spreads` in the basket's inner product, gamma_i w_i . (c_i + 2 D_i).
+    """
+    allocation, spreads = _spreads(market, rows, misreport, lambda x: x @ basket.cov_inverse)
+    gains = market.gammas * spreads
+    return CapmEquilibrium(
+        prices=pricing(market.aggregate_gamma, basket.mean_vector, rows.sum(axis=0)),
+        allocation=allocation,
+        utility_levels=autarky_utilities(market) + gains,
+        gains=gains,
+    )
+
+
 def capm_equilibrium(market: Market, basket: SecurityBasket) -> CapmEquilibrium:
     """Price vector clearing all demand schedules, with the induced allocation.
 
     Prices depend on the securities only through their expectations and their
     covariances with the aggregate endowment; the allocation of agent i is
-    Cov(C, C*_i) . Var^{-1}[C].
+    Cov(C, C*_i) . Var^{-1}[C]: the mechanism on the truthful exposure rows.
     """
-    g = market.aggregate_gamma
-    exposures = market.exposures(basket)
-    total = exposures.sum(axis=0)  # Cov(C, sum_i E_i)
-    exposure = sharing_rule(market)(exposures)  # Cov(C*_i, C)
-    allocation = exposure @ basket.cov_inverse
-    gains = market.gammas * np.sum(allocation * exposure, axis=1)
-    return CapmEquilibrium(
-        prices=pricing(g, basket.mean_vector, total),
-        allocation=allocation,
-        utility_levels=autarky_utilities(market) + gains,
-        gains=gains,
-    )
+    return _basket_mechanism(market, basket, market.exposures(basket), 0.0)
 
 
 def endowment_prices(market: Market) -> np.ndarray:

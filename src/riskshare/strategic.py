@@ -5,10 +5,13 @@ endowments, or their demand schedules, which enter the price game as one
 pooled schedule) and reports whatever maximizes their own utility once the
 sharing mechanism is applied; the utility of any report is the autarky
 utility plus the agent's `pareto.mechanism_gains` on the report profile.
-The demand response pools the truthful others straight from the rows of
-`Market.exposures`, so it builds no schedule per agent; the functions that
-take the others' schedules as a list pool them through `_pooled`, and
-`truthful_schedules` builds such a list, one validated schedule per agent.
+The demand response reads the same mechanism on the basket
+(`pareto._basket_mechanism`): the rows of `Market.exposures` with row i
+replaced by the best schedule's, so it builds no schedule per agent and
+forms no price. The functions that take the others' schedules as a list
+pool them through `_pooled`, and `truthful_schedules` builds such a list,
+one validated schedule per agent; `price_objective` states a price's
+utility directly, by the agent's holding at that price.
 Every best response reads agent i's one best report B*_i (`_best_report`),
 returned zero-mean normalized: the deviator's utility is invariant to cash
 shifts of the report. A report's truthful utility is the engine's own level.
@@ -33,7 +36,7 @@ from .core import (
     pricing,
     require_same_space,
 )
-from .pareto import capm_equilibrium, mechanism_gains, optimal_utility_levels
+from .pareto import _basket_mechanism, mechanism_gains, optimal_utility_levels
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,10 +247,18 @@ def percentage_response_report(market: Market, i: int) -> ResponseReport:
 def demand_response_report(
     market: Market, i: int, basket: SecurityBasket
 ) -> ResponseReport:
+    """Agent i's best schedule and the CAPM level it improves on.
+
+    Both utilities are row i of the basket mechanism: on the truthful
+    exposure rows, and on those rows with row i replaced by the best
+    schedule's c, which clears at agent i's preferred price. No price is
+    formed and subtracted from E[C] again.
+    """
     _check_agent(i, market.n)
-    others = np.arange(market.n) != i
-    pool = [DemandSchedule.pooled(market.gammas[others], market.exposures(basket)[others])]
     best = best_demand_response(market, i, basket)
-    p_hat = clearing_price(basket, pool + [best])  # = best_price_response against the others
-    before = float(capm_equilibrium(market, basket).utility_levels[i])
-    return ResponseReport(best, before, price_objective(market, i, basket, pool, p_hat))
+    truthful = market.exposures(basket)
+    rows = truthful.copy()
+    rows[i] = best.c
+    before = _basket_mechanism(market, basket, truthful, 0.0).utility_levels[i]
+    after = _basket_mechanism(market, basket, rows, rows - truthful).utility_levels[i]
+    return ResponseReport(best, float(before), float(after))

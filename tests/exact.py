@@ -1,5 +1,6 @@
 """Exact rational evaluation of every output the risk-aversion shares feed,
-and of a single deviator's best report and the utility levels it is weighed against.
+of a single deviator's best report and of the utility levels at the clearing
+price of any schedule rows, the truthful ones included.
 
 Each function reads a market's float inputs (probabilities, risk aversions,
 payoffs, a basket's payoffs) as exact `fractions.Fraction`s and evaluates the
@@ -141,8 +142,7 @@ class ExactMarket:
 
     def price_schedules(self, basket_payoffs):
         """The price game's schedules: the Nash report map of the exposures Cov(E_i, C_j)."""
-        securities = _rows(basket_payoffs)
-        return self.nash_reports([[self.cov(x, c) for c in securities] for x in self.payoffs])[1]
+        return self.nash_reports(self.exposures(basket_payoffs))[1]
 
     def best_report(self, i: int):
         """B*_i = gamma_i/(gamma_i + gamma) E_i + gamma^2/(gamma_i^2 - gamma^2) sum_{j != i} E_j,
@@ -174,17 +174,26 @@ class ExactMarket:
         return [self.mean(x) - g * self.cov(x, x) + d
                 for g, x, d in zip(self.gammas, self.payoffs, gains)]
 
-    def capm_utility_levels(self, basket_payoffs):
-        """E[E_i] + z_i.(E[C] - p) - gamma_i Var[E_i + z_i.C] at the clearing price
-        p = E[C] - 2 gamma Cov(C, sum_j E_j), z_i = ((E[C] - p)/(2 gamma_i) - Cov(C, E_i)) Var^-1[C]."""
+    def clearing_levels(self, basket_payoffs, rows):
+        """E[E_i] + z_i.(E[C] - p) - gamma_i Var[E_i + z_i.C] at the clearing price of
+        schedule rows, p = E[C] - 2 gamma sum_j rows_j, agent i buying
+        z_i = ((E[C] - p)/(2 gamma_i) - rows_i) Var^-1[C]."""
         securities = _rows(basket_payoffs)
-        total = self.total(self.payoffs)
-        excess = [2 * self.gamma * self.cov(c, total) for c in securities]  # E[C] - p
+        excess = [2 * self.gamma * a for a in self.total(rows)]  # E[C] - p
         variance = [[self.cov(c, d) for d in securities] for c in securities]
         levels = []
-        for g, x in zip(self.gammas, self.payoffs):
-            z = _solve(variance, [e / (2 * g) - self.cov(c, x) for e, c in zip(excess, securities)])
+        for g, x, row in zip(self.gammas, self.payoffs, rows):
+            z = _solve(variance, [e / (2 * g) - r for e, r in zip(excess, row)])
             held = [v + sum(q * c[s] for q, c in zip(z, securities)) for s, v in enumerate(x)]
             levels.append(self.mean(x) + sum(q * e for q, e in zip(z, excess))
                           - g * self.cov(held, held))
         return levels
+
+    def exposures(self, basket_payoffs):
+        """Cov(E_i, C_j): the truthful schedule rows."""
+        return [[self.cov(x, c) for c in _rows(basket_payoffs)] for x in self.payoffs]
+
+    def capm_utility_levels(self, basket_payoffs):
+        """The clearing levels of the truthful schedules, at the CAPM price
+        p = E[C] - 2 gamma Cov(C, sum_j E_j)."""
+        return self.clearing_levels(basket_payoffs, self.exposures(basket_payoffs))

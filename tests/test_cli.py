@@ -584,16 +584,16 @@ class TestNoObjectPerAgent:
     # `Rv` and `DemandSchedule` constructions per command, the same at every n:
     # the basket's security, plus a best response's report; its truthful
     # utility is an engine's level, built from arrays. The demand response
-    # builds the best report's schedule, the others' schedule pooled from the
-    # exposure rows, and one pooled schedule for its clearing price and one
-    # for its objective. pareto exits 3 on Var[E] before it builds a contract
+    # builds only the best report's schedule: both its utilities are the
+    # basket mechanism's levels on exposure rows, with no pooled schedule and
+    # no price. pareto exits 3 on Var[E] before it builds a contract
     OBJECTS = {
         ("pareto",): 1,
         ("capm",): 1,
         ("nash", "--game", "percentage"): 1,
         ("best-response", "--game", "endowment"): 2,
         ("best-response", "--game", "percentage"): 2,
-        ("best-response", "--game", "demand"): 5,
+        ("best-response", "--game", "demand"): 2,
         ("nash", "--game", "price"): 1,
     }
     # ROADMAP item 2's remainder: this outcome still holds one object per

@@ -4,12 +4,12 @@ Groups of markets on dyadic probabilities: in "disparate" one agent's
 risk aversion is 10^3 to 10^15 times below the others', so its share
 gamma/gamma_i lies that close to 1, and in "moderate" every risk aversion is
 in 0.5-2; "scaled" is "disparate" with that agent's payoffs times 2^10 to
-2^30, which only the single deviator's outputs are run on. Every output must
-lie within TOL of its scale: a share, complement or response coefficient of
-itself, a row of a report, contract or schedule matrix of that row's largest
-exact entry, a vector of its largest exact entry, a gain of itself, a best
-multiple of its unclamped value and a utility level of the largest of itself,
-|E[E_i]| and gamma_i Var[E_i].
+2^30, which only the single deviator's outputs and the Pareto gains are run
+on. Every output must lie within TOL of its scale: a share, complement or
+response coefficient of itself, a row of a report, contract or schedule
+matrix of that row's largest exact entry, a vector of its largest exact
+entry, a gain of itself, a best multiple of its unclamped value and a
+utility level of the largest of itself, |E[E_i]| and gamma_i Var[E_i].
 """
 
 import functools
@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from riskshare.core import Market, ProbSpace, SecurityBasket
-from riskshare.nash import nash_endowment, nash_percentage, nash_price
-from riskshare.pareto import aggregate_gain, sharing_weights
+from riskshare.nash import nash_endowment, nash_percentage, nash_price, nash_vs_pareto_utilities
+from riskshare.pareto import aggregate_gain, mechanism_gains, sharing_weights
 from riskshare.strategic import (
     _response_coefficients,
     best_demand_response,
@@ -64,6 +64,11 @@ def _markets(group: str) -> list:
 def _each(got, want) -> float:
     """The largest error of the entries (or rows) of got, each of its own scale."""
     return max(relative_error(g, w) for g, w in zip(got, want))
+
+
+def _utility_error(got, want, exact, i) -> float:
+    """|got - want| over max(|want|, |E[E_i]|, gamma_i Var[E_i])."""
+    return float(abs(Fraction(float(got)) - want) / max(abs(want), exact.autarky_scale(i)))
 
 
 @pytest.fixture(params=GROUPS)
@@ -147,5 +152,35 @@ def test_single_deviator_utility_before(deviator_markets):
             for report, want in ((endowment_response_report(market, i), pareto[i]),
                                  (percentage_response_report(market, i), pareto[i]),
                                  (demand_response_report(market, i, basket), capm[i])):
-                scale = max(abs(want), exact.autarky_scale(i))
-                assert abs(Fraction(report.utility_before) - want) <= TOL * scale
+                assert _utility_error(report.utility_before, want, exact, i) <= TOL
+
+
+def test_pareto_gains(deviator_markets):
+    # the kernel gamma_i Var[C*_i] has no aggregate term to cancel, so each
+    # gain holds to itself, also where one agent's payoffs dwarf the others'
+    # (the scaled group) and next to a nearly risk-neutral agent
+    for market, exact, _ in deviator_markets:
+        assert _each(mechanism_gains(market, market.centered),
+                     exact.mechanism_gains(exact.payoffs)) <= TOL
+
+
+def test_demand_utility_after(deviator_markets):
+    # the utility at the clearing price of the others' truthful schedules and
+    # the best one: the basket mechanism forms no price to subtract from E[C]
+    for market, exact, securities in deviator_markets:
+        basket = SecurityBasket(tuple(market.space.rvs(securities)))
+        for i in range(market.n):
+            rows = exact.exposures(securities)
+            rows[i] = exact.best_demand(i, securities)
+            want = exact.clearing_levels(securities, rows)[i]
+            got = demand_response_report(market, i, basket).utility_after
+            assert _utility_error(got, want, exact, i) <= TOL
+
+
+def test_nash_price_utilities(markets):
+    for market, exact, securities in markets:
+        basket = SecurityBasket(tuple(market.space.rvs(securities)))
+        got = nash_vs_pareto_utilities(market, basket).nash_utilities
+        want = exact.clearing_levels(securities, exact.price_schedules(securities))
+        for i in range(market.n):
+            assert _utility_error(got[i], want[i], exact, i) <= TOL

@@ -22,6 +22,7 @@ from riskshare.core import (
 )
 from riskshare.experiments import correlated_pair_market
 from riskshare.nash import nash_endowment, nash_percentage
+from riskshare.pareto import capm_equilibrium
 from riskshare.oracle import (
     CoefficientSearchSpec,
     argmax_demand,
@@ -34,6 +35,7 @@ from riskshare.oracle import (
 from riskshare.strategic import (
     best_endowment_response,
     best_price_response,
+    demand_response_report,
     reported_utility,
     truthful_schedules,
 )
@@ -822,3 +824,26 @@ class TestArgmaxPhi:
         assert clearing_utility(m, 0, basket, others, p) == pytest.approx(
             price_objective(m, 0, basket, others, p), abs=1e-12
         )
+
+
+class TestBasketMechanism:
+    # the levels the CAPM engine and the demand report read off the basket
+    # mechanism's inner product Var^-1[C], against the oracle's own clearing
+    # utility (the agent's position and payment at a price, absorbing the
+    # truthful others' demand). Moderate risk aversions only: next to a
+    # nearly risk-neutral agent the oracle's `quantities` re-subtracts the
+    # price from E[C] and loses the digits of E[C] - p
+    def test_levels_are_the_clearing_utility(self):
+        rng = np.random.default_rng(94)
+        for _ in range(12):
+            m = make_market(rng, n=int(rng.integers(2, 6)), m=5)
+            basket = make_basket(rng, m.space, k=int(rng.integers(1, 3)))
+            capm = capm_equilibrium(m, basket)
+            for i in range(m.n):
+                others = [s for j, s in enumerate(truthful_schedules(m, basket)) if j != i]
+                after = demand_response_report(m, i, basket).utility_after
+                for got, p in ((capm.utility_levels[i], capm.prices),
+                               (after, argmax_phi(m, i, basket, others))):
+                    want = clearing_utility(m, i, basket, others, p)
+                    scale = max(abs(want), abs(m.means[i]), m.gammas[i] * m.variances[i])
+                    assert abs(got - want) <= 1e-12 * scale
