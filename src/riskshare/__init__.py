@@ -45,8 +45,6 @@ from .strategic import (
     best_endowment_response,
     best_percentage_response,
     best_price_response,
-    clearing_price,
-    price_objective,
     reported_utility,
     truthful_schedules,
 )

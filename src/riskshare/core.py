@@ -20,14 +20,14 @@ matrix, each a view of its row; its inverse `ProbSpace.rows` is the one way
 random variables become rows, naming the index of any on another space;
 `Market.profile` takes a report profile (or a stack) as n `Rv`s or an array,
 `Market.centered_profile` just one. The agents' demand schedules are their
-gammas and the rows of an n x k covariance matrix, no object per agent;
-`DemandSchedule.pooled` sums schedules from those two arrays, so the others'
-demand is pooled from the exposure matrix. A market is built from agents or
-from arrays (`Market.from_arrays`, no object per agent); only `Market.agents`
-builds `Agent`s from arrays (for `agent_pool`). Two spaces agree as one
-object or by equal probabilities (`require_same_space`); a risk aversion is
-positive and finite (`_check_gamma`), and an agent index is an integer in
-[0, n) (`_check_agent`).
+gammas and the rows of an n x k covariance matrix, no object per agent: the
+engines read the rows of `Market.exposures`, and a `DemandSchedule` is one
+schedule, for callers that hold schedules as objects. A market is built from
+agents or from arrays (`Market.from_arrays`, no object per agent); only
+`Market.agents` builds `Agent`s from arrays (for `agent_pool`). Two spaces
+agree as one object or by equal probabilities (`require_same_space`); a risk
+aversion is positive and finite (`_check_gamma`), and an agent index is an
+integer in [0, n) (`_check_agent`).
 """
 
 from __future__ import annotations
@@ -450,13 +450,6 @@ def cov_vector(basket: SecurityBasket, x: Rv) -> np.ndarray:
     return cross_cov(basket.space.probs, basket.payoffs, x.payoffs)
 
 
-def holding_utilities(market: Market, basket: SecurityBasket, z, prices) -> np.ndarray:
-    """E[E_i] + z_i.(E[C] - p) - gamma_i Var[E_i + z_i.C], agent i buying z_i of C."""
-    traded = z * (2.0 * market.exposures(basket) + z @ basket.cov_matrix)
-    var = market.variances + traded.sum(axis=-1)  # Var[E_i + z_i.C]
-    return market.means + z @ (basket.mean_vector - prices) - market.gammas * var
-
-
 def autarky_utilities(market: Market) -> np.ndarray:
     """E[E_i] - gamma_i Var[E_i]: each agent's utility of keeping their endowment."""
     return market.means - market.gammas * market.variances
@@ -467,8 +460,8 @@ class DemandSchedule:
     """Linear mean-variance demand, identified by (gamma, covariance vector).
 
     Evaluates to ((E[C] - p) / (2 gamma) - c) . Var^{-1}[C]; affine in p.
-    The others' demand enters the price game as their one `pooled` schedule,
-    summed from their gammas and covariance rows.
+    A sum of schedules is the schedule of the harmonic aggregate of their
+    gammas and the sum of their c.
     """
 
     gamma: float
@@ -477,16 +470,6 @@ class DemandSchedule:
     def __post_init__(self):
         _check_gamma(self.gamma)
         object.__setattr__(self, "c", _as_float_array(self.c, "c"))
-
-    @classmethod
-    def pooled(cls, gammas, c) -> "DemandSchedule":
-        """The schedule demanding the sum of the schedules (gammas[j], c[j]):
-        the harmonic aggregate of the gammas and the column sum of the rows c,
-        for example the gammas and `Market.exposures` rows of some agents."""
-        gammas, c = np.asarray(gammas, dtype=float), np.asarray(c, dtype=float)
-        if gammas.ndim != 1 or not gammas.size or c.shape[:1] != gammas.shape:
-            raise ValueError("pooling needs one covariance row per gamma, and at least one")
-        return cls(1.0 / np.sum(1.0 / gammas), np.sum(c, axis=0))
 
     def quantities(self, basket: SecurityBasket, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)

@@ -3,8 +3,11 @@
 Everything here recomputes optima by numeric search built directly on the
 moment primitives, without importing any closed-form engine code. Every
 objective is a mean-variance utility E[X] - gamma Var[X] of a payoff that is
-affine in the searched report coefficients, basket position or clearing
-price, so it is a concave quadratic in them. One derivative-free search,
+affine in the searched report coefficients or basket position, or, in the
+price search, of the position E_i - q.C that absorbs the others' summed
+demand q, less q.(E[C] - p), where p, the price that clears q, is affine in
+q: so it is a concave quadratic in them. The price search searches q and
+forms p only when it returns it. One derivative-free search,
 `_quadratic_argmax`, serves all of them: central differences with unit steps
 give the exact gradient and Hessian of a quadratic, and one Newton step lands
 on the optimum. Its curvature half (`_concave_axes`) raises when the measured
@@ -443,21 +446,54 @@ def best_response_dynamics(
 # Price-manipulation search
 
 
-def clearing_utility(market: Market, i: int, basket: SecurityBasket, schedules, p):
-    """Agent i's utility absorbing the others' demand at price p.
+def _clearing_excess(probs: np.ndarray, basket: SecurityBasket, schedules, supplied):
+    """u = E[C] - p at the price where the others' schedules demand q in sum,
+    given the payoff rows q.C: they pool to gamma_o = 1 / sum_j 1/gamma_j and
+    c_o = sum_j c_j, so u = 2 gamma_o (Cov(C, q.C) + c_o), no price formed."""
+    if not schedules:
+        raise ValueError("need the schedule of at least one other agent")
+    pooled = 1.0 / sum(1.0 / s.gamma for s in schedules)
+    exposure = cross_cov(probs, basket.payoffs, supplied[..., None, :])
+    return 2.0 * pooled * (exposure + sum(s.c for s in schedules))
 
-    `schedules` are the other agents' demand schedules, any objects exposing
-    quantities(basket, p), affine in p. A price vector gives a float, a q x k
-    stack of prices q values. A basket on another space raises
-    SpaceMismatchError.
+
+def clearing_utility(market: Market, i: int, basket: SecurityBasket, schedules, q):
+    """Agent i's utility when the others' summed demand is q, at the price
+    that clears it (`_clearing_excess`).
+
+    Agent i sells q.C for q.p, so its utility is
+    E[E_i] - q.u - gamma_i Var[E_i - q.C], u = E[C] - p: every moment comes
+    from `cross_cov` on payoff rows. `schedules` are the other agents' demand
+    schedules, at least one, any objects exposing `gamma` and `c`. A k-vector
+    q gives a float, a stack of them one value each. A basket on another
+    space raises SpaceMismatchError.
     """
     _check_agent(i, market.n)
     require_same_space(market.space, basket.space, "basket is not on the market's space")
-    p = np.asarray(p, dtype=float)
-    supplied = sum(s.quantities(basket, p) for s in schedules)
-    position = market.payoffs[i] - supplied @ basket.payoffs
-    utility = _mv_value(market.gammas[i], market.space.probs, position)
-    return _value(utility + np.vecdot(supplied, p))
+    probs = market.space.probs
+    q = np.asarray(q, dtype=float)
+    supplied = q @ basket.payoffs
+    excess = _clearing_excess(probs, basket, schedules, supplied)
+    position = market.payoffs[i] - supplied
+    spread = cross_cov(probs, position, position)
+    return _value(market.payoffs[i] @ probs - np.vecdot(q, excess) - market.gammas[i] * spread)
+
+
+def _searched_demand(market: Market, i: int, basket: SecurityBasket, schedules) -> np.ndarray:
+    """The others' summed demand at agent i's best clearing price, searched
+    from 0 in steps of h = 2^round(log2(max_i Var[E_i] / max_j Var[C_j]) / 2),
+    a quantity of the securities as risky as the largest endowment (1 when
+    every endowment is riskless): a power of two, so the search changes no
+    bit when the payoffs are scaled by one. The log is summed from the
+    variances' binary exponents and mantissas, so no ratio overflows."""
+    top, e = math.frexp(cross_cov(market.space.probs, market.payoffs, market.payoffs).max())
+    bottom, f = math.frexp(cross_cov(basket.space.probs, basket.payoffs, basket.payoffs).max())
+    unit = 2.0 ** round(0.5 * (e - f + math.log2(top / bottom))) if top else 1.0
+
+    def objective(x):
+        return clearing_utility(market, i, basket, schedules, unit * x)
+
+    return unit * _quadratic_argmax(objective, np.zeros(basket.k))
 
 
 def argmax_phi(
@@ -466,17 +502,8 @@ def argmax_phi(
     basket: SecurityBasket,
     schedules,
 ) -> np.ndarray:
-    """Maximizer of the clearing utility over prices, searched from the
-    securities' means in steps of h = 2^round(log2 max_j std(C_j)), the
-    basket's own unit: a power of two, so the search changes no bit when the
-    payoffs are scaled by one. A basket on another space raises in
-    `clearing_utility`."""
-    _check_agent(i, market.n)
-    means = basket.mean_vector
-    variances = cross_cov(basket.space.probs, basket.payoffs, basket.payoffs)
-    unit = 2.0 ** round(math.log2(math.sqrt(variances.max())))
-
-    def objective(u):
-        return clearing_utility(market, i, basket, schedules, means + unit * u)
-
-    return means + unit * _quadratic_argmax(objective, np.zeros(basket.k))
+    """Agent i's best clearing price against the others' schedules: E[C] - u
+    at the searched demand (`_searched_demand`). A basket on another space
+    raises in `clearing_utility`."""
+    supplied = _searched_demand(market, i, basket, schedules) @ basket.payoffs
+    return basket.mean_vector - _clearing_excess(market.space.probs, basket, schedules, supplied)

@@ -1,17 +1,17 @@
 """Single-deviator strategies in the risk-sharing and security markets.
 
 One agent learns what the others are going to share (their reported
-endowments, or their demand schedules, which enter the price game as one
-pooled schedule) and reports whatever maximizes their own utility once the
-sharing mechanism is applied; the utility of any report is the autarky
-utility plus the agent's `pareto.mechanism_gains` on the report profile.
-The demand response reads the same mechanism on the basket
+endowments, or their demand schedules) and reports whatever maximizes their
+own utility once the sharing mechanism is applied; the utility of any report
+is the autarky utility plus the agent's `pareto.mechanism_gains` on the
+report profile. The demand response reads the same mechanism on the basket
 (`pareto._basket_mechanism`): the rows of `Market.exposures` with row i
 replaced by the best schedule's, so it builds no schedule per agent and
-forms no price. The functions that take the others' schedules as a list
-pool them through `_pooled`, and `truthful_schedules` builds such a list,
-one validated schedule per agent; `price_objective` states a price's
-utility directly, by the agent's holding at that price.
+forms no price. `best_price_response` takes the others' schedules as a list
+and pools their gammas and covariance rows inline; `truthful_schedules`
+builds such a list, one validated schedule per agent. A price's utility is
+stated once, by the oracle (`oracle.clearing_utility`), which the engines
+are checked against.
 Every best response reads agent i's one best report B*_i (`_best_report`),
 returned zero-mean normalized: the deviator's utility is invariant to cash
 shifts of the report. A report's truthful utility is the engine's own level.
@@ -32,8 +32,6 @@ from .core import (
     _check_agent,
     autarky_utilities,
     centered,
-    holding_utilities,
-    pricing,
     require_same_space,
 )
 from .pareto import _basket_mechanism, mechanism_gains, optimal_utility_levels
@@ -67,8 +65,8 @@ def endowment_variances(market: Market, agents=None) -> np.ndarray:
 
 def truthful_schedules(market: Market, basket: SecurityBasket) -> list[DemandSchedule]:
     """Every agent's truthful schedule, one object per agent, for callers that
-    pass the others' schedules as a list; no package path calls it, since
-    `demand_response_report` pools the truthful others from the exposure rows."""
+    pass the others' schedules as a list to `best_price_response` or the
+    oracle's price search; no package path calls it."""
     return [DemandSchedule(g, c) for g, c in zip(market.gammas, market.exposures(basket))]
 
 
@@ -157,11 +155,6 @@ def percentage_responses(market: Market, b: np.ndarray) -> np.ndarray:
     return own + other * np.where(alone, ratios[:, 1], ratios[:, 0] - b)
 
 
-def _pooled(schedules: Sequence[DemandSchedule]) -> DemandSchedule:
-    """`DemandSchedule.pooled` of a list of schedule objects."""
-    return DemandSchedule.pooled([s.gamma for s in schedules], [s.c for s in schedules])
-
-
 def best_price_response(
     market: Market,
     i: int,
@@ -170,8 +163,9 @@ def best_price_response(
 ) -> np.ndarray:
     """Clearing price most preferable for agent i against the others' schedules.
 
-    First-order condition of `price_objective`: with gamma_o and cbar the
-    gamma and c of the others' pooled schedule and h_i = Cov(C, E_i),
+    First-order condition of `oracle.clearing_utility`: with gamma_o the
+    harmonic aggregate of the others' gammas, cbar the sum of their c and
+    h_i = Cov(C, E_i),
     E[C] - p_hat_i = 2 (gamma_i gamma_o h_i + gamma_o (gamma_i + gamma_o) cbar)
                      / (gamma_i + 2 gamma_o).
     The schedules may be any. Against truthful ones it reads
@@ -182,8 +176,9 @@ def best_price_response(
     _check_agent(i, market.n)
     if len(other_schedules) != market.n - 1:
         raise ValueError("need one schedule per other agent")
-    pool = _pooled(other_schedules)
-    gi, go, cbar = market.gammas[i], pool.gamma, pool.c
+    gi = market.gammas[i]
+    go = 1.0 / np.sum([1.0 / s.gamma for s in other_schedules])
+    cbar = np.sum([s.c for s in other_schedules], axis=0)
     h = market.exposures(basket)[i]
     gap = 2.0 * (gi * go * h + go * (gi + go) * cbar) / (gi + 2.0 * go)
     return basket.mean_vector - gap
@@ -201,30 +196,6 @@ def best_demand_response(
     require_same_space(market.space, basket.space, "basket is not on the market's space")
     best = _best_report(market, i, market.centered)
     return DemandSchedule(market.gammas[i], (best * market.space.probs) @ basket.centered.T)
-
-
-def clearing_price(basket: SecurityBasket, schedules: Sequence[DemandSchedule]) -> np.ndarray:
-    """Price at which the given demand schedules sum to zero."""
-    pool = _pooled(schedules)
-    return pricing(pool.gamma, basket.mean_vector, pool.c)
-
-
-def price_objective(
-    market: Market,
-    i: int,
-    basket: SecurityBasket,
-    other_schedules: Sequence[DemandSchedule],
-    p,
-) -> float:
-    """Utility of agent i when the market clears at price p.
-
-    phi_i(p) = U_i(E_i - sum_j Z_j(p) . C) + sum_j Z_j(p) . p over the other
-    agents' schedules, summed as one pooled schedule; agent i absorbs the
-    residual supply.
-    """
-    _check_agent(i, market.n)
-    supplied = _pooled(other_schedules).quantities(basket, p)
-    return float(holding_utilities(market, basket, -supplied, p)[i])
 
 
 def _response_report(market: Market, i: int, response, report: Rv) -> ResponseReport:

@@ -17,7 +17,6 @@ from riskshare.core import (
     cov_vector,
     demand,
     equal_up_to_constants,
-    holding_utilities,
     mean,
     mv_utility,
     require_invertible,
@@ -429,17 +428,6 @@ class TestDemandSchedule:
         assert schedule.c.tolist() == [1.0, -2.0]
         assert not schedule.c.flags.writeable
 
-    def test_pooled_is_validated(self):
-        # a c sum that overflows where overflow does not raise
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            DemandSchedule.pooled([1.0, 1.0], [[1e308], [1e308]])
-
-    @pytest.mark.parametrize("gammas, c", [([], []), ([1.0, 2.0], [[1.0]]),
-                                           ([[1.0]], [[1.0]])])
-    def test_pooled_needs_one_row_per_gamma(self, gammas, c):
-        with pytest.raises(ValueError, match="one covariance row per gamma"):
-            DemandSchedule.pooled(gammas, c)
-
 
 class TestForeignSpace:
     """A basket or a report must live on the market's space: the same object,
@@ -455,11 +443,9 @@ class TestForeignSpace:
         "capm_equilibrium": lambda m, b, s: pareto.capm_equilibrium(m, b).prices,
         "constrained_loss": lambda m, b, s: pareto.constrained_loss(m, b)[0],
         "reservation_prices": lambda m, b, s: pareto.reservation_prices(m, b, 0),
-        "holding_utilities": lambda m, b, s: holding_utilities(
-            m, b, np.full((m.n, 1), 0.5), np.array([0.1])),
         "best_price_response": lambda m, b, s: strategic.best_price_response(m, 0, b, s),
-        "price_objective": lambda m, b, s: strategic.price_objective(
-            m, 0, b, s, np.array([0.1])),
+        "clearing_utility": lambda m, b, s: oracle.clearing_utility(m, 0, b, s, np.array([0.1])),
+        "argmax_phi": lambda m, b, s: oracle.argmax_phi(m, 0, b, s),
         "demand_response_report": lambda m, b, s: strategic.demand_response_report(
             m, 0, b).utility_after,
         "nash_price": lambda m, b, s: nash.nash_price(m, b).price,
@@ -593,8 +579,6 @@ class TestAgentIndex:
         "best_percentage_response": lambda m, b, s, i: strategic.best_percentage_response(m, i),
         "best_price_response": lambda m, b, s, i: strategic.best_price_response(m, i, b, s),
         "best_demand_response": lambda m, b, s, i: strategic.best_demand_response(m, i, b),
-        "price_objective": lambda m, b, s, i: strategic.price_objective(
-            m, i, b, s, b.mean_vector),
         "endowment_response_report": lambda m, b, s, i: strategic.endowment_response_report(
             m, i),
         "percentage_response_report": lambda m, b, s, i: strategic.percentage_response_report(
@@ -605,7 +589,7 @@ class TestAgentIndex:
         "argmax_reported_utility": lambda m, b, s, i: oracle.argmax_reported_utility(
             m, i, oracle.CoefficientSearchSpec(tuple(m.endowments()))),
         "clearing_utility": lambda m, b, s, i: oracle.clearing_utility(
-            m, i, b, s, b.mean_vector),
+            m, i, b, s, np.zeros(b.k)),
         "argmax_phi": lambda m, b, s, i: oracle.argmax_phi(m, i, b, s),
     }
 

@@ -9,7 +9,9 @@ on. Every output must lie within TOL of its scale: a share, complement or
 response coefficient of itself, a row of a report, contract or schedule
 matrix of that row's largest exact entry, a vector of its largest exact
 entry, a gain of itself, a best multiple of its unclamped value and a
-utility level of the largest of itself, |E[E_i]| and gamma_i Var[E_i].
+utility level of the largest of itself, |E[E_i]| and gamma_i Var[E_i]. The
+oracle's price search is held to the exact levels and prices too, at looser
+bounds: it is a check of the engines, not one of them.
 """
 
 import functools
@@ -19,9 +21,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from riskshare import oracle
 from riskshare.core import Market, ProbSpace, SecurityBasket
 from riskshare.nash import nash_endowment, nash_percentage, nash_price, nash_vs_pareto_utilities
-from riskshare.pareto import aggregate_gain, mechanism_gains, sharing_weights
+from riskshare.pareto import aggregate_gain, capm_equilibrium, mechanism_gains, sharing_weights
 from riskshare.strategic import (
     _response_coefficients,
     best_demand_response,
@@ -30,11 +33,14 @@ from riskshare.strategic import (
     demand_response_report,
     endowment_response_report,
     percentage_response_report,
+    truthful_schedules,
 )
 
 from exact import ExactMarket, dyadic_probs, relative_error
 
 TOL = 1e-14
+# the oracle's clearing utility, of the utility scale
+ORACLE_TOL = 1e-12
 # large enough that the disparate agent is free in some percentage solves
 KAPPA = 1e9
 GROUPS = {"disparate": 1, "moderate": 2}  # the seed of each
@@ -184,3 +190,48 @@ def test_nash_price_utilities(markets):
         want = exact.clearing_levels(securities, exact.price_schedules(securities))
         for i in range(market.n):
             assert _utility_error(got[i], want[i], exact, i) <= TOL
+
+
+def _others(market, basket, i):
+    """The truthful schedules of every agent but i, as objects."""
+    schedules = truthful_schedules(market, basket)
+    return schedules[:i] + schedules[i + 1:]
+
+
+def test_oracle_clearing_levels(deviator_markets):
+    # the oracle's clearing utility at its searched best and at the CAPM
+    # allocation, and the engines' levels that it checks, against the exact
+    # levels: the oracle searches the others' demand and never subtracts a
+    # price from E[C], so it holds next to a nearly risk-neutral agent too
+    for market, exact, securities in deviator_markets:
+        basket = SecurityBasket(tuple(market.space.rvs(securities)))
+        capm, levels = capm_equilibrium(market, basket), exact.capm_utility_levels(securities)
+        for i in range(market.n):
+            others = _others(market, basket, i)
+            rows = exact.exposures(securities)
+            rows[i] = exact.best_demand(i, securities)
+            best = exact.clearing_levels(securities, rows)[i]
+            searched = oracle._searched_demand(market, i, basket, others)
+            for got, want in (
+                    (oracle.clearing_utility(market, i, basket, others, searched), best),
+                    (demand_response_report(market, i, basket).utility_after, best),
+                    (oracle.clearing_utility(market, i, basket, others, -capm.allocation[i]),
+                     levels[i]),
+                    (capm.utility_levels[i], levels[i])):
+                assert _utility_error(got, want, exact, i) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("group, tol", [("disparate", 1e-13), ("moderate", 1e-13),
+                                        (SCALED, 1e-6)])
+def test_oracle_best_price(group, tol):
+    # of max(|p_hat|, |E[C]|, |E[C] - p_hat|); on the scaled group the
+    # objective's terms are up to 2^60 times the others' utility, and the
+    # searched demand is located only to their rounding
+    for market, exact, securities in _markets(group):
+        basket = SecurityBasket(tuple(market.space.rvs(securities)))
+        means = [exact.mean([Fraction(float(v)) for v in row]) for row in securities]
+        for i in range(market.n):
+            want = exact.best_price(i, securities)
+            got = oracle.argmax_phi(market, i, basket, _others(market, basket, i))
+            scale = max(max(abs(w), abs(e), abs(e - w)) for w, e in zip(want, means))
+            assert max(abs(Fraction(float(g)) - w) for g, w in zip(got, want)) <= tol * scale

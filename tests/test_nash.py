@@ -633,10 +633,6 @@ ENGINES = {
     "best_price_response": lambda m, c: strategic.best_price_response(
         m, 17, c, _other_schedules(m, c)),
     "best_demand_response": lambda m, c: strategic.best_demand_response(m, 17, c),
-    "clearing_price": lambda m, c: strategic.clearing_price(
-        c, strategic.truthful_schedules(m, c)),
-    "price_objective": lambda m, c: strategic.price_objective(
-        m, 17, c, _other_schedules(m, c), c.mean_vector),
     "endowment_response_report": lambda m, c: strategic.endowment_response_report(m, 17),
     "percentage_response_report": lambda m, c: strategic.percentage_response_report(m, 17),
     "demand_response_report": lambda m, c: strategic.demand_response_report(m, 17, c),

@@ -9,6 +9,7 @@ import pytest
 import riskshare.oracle as oracle_module
 from riskshare.core import (
     Agent,
+    DemandSchedule,
     Market,
     ProbSpace,
     Rv,
@@ -22,7 +23,6 @@ from riskshare.core import (
 )
 from riskshare.experiments import correlated_pair_market
 from riskshare.nash import nash_endowment, nash_percentage
-from riskshare.pareto import capm_equilibrium
 from riskshare.oracle import (
     CoefficientSearchSpec,
     argmax_demand,
@@ -35,7 +35,6 @@ from riskshare.oracle import (
 from riskshare.strategic import (
     best_endowment_response,
     best_price_response,
-    demand_response_report,
     reported_utility,
     truthful_schedules,
 )
@@ -63,7 +62,8 @@ class TestStructuralIndependence:
         tree = ast.parse(pathlib.Path(oracle_module.__file__).read_text())
         attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        assert not attributes & {"gram", "exposures", "means", "centered"}
+        assert not attributes & {"gram", "exposures", "means", "centered", "variances",
+                                 "cov_matrix", "cov_inverse"}
         assert "cross_cov" in names
 
     def test_imports_without_scipy(self):
@@ -198,11 +198,11 @@ class TestBatchedObjectives:
             basket = make_basket(rng, m.space, k=int(rng.integers(1, 4)))
             i = int(rng.integers(m.n))
             others = [s for j, s in enumerate(truthful_schedules(m, basket)) if j != i]
-            prices = basket.mean_vector + rng.normal(scale=0.3, size=(6, basket.k))
-            values = clearing_utility(m, i, basket, others, prices)
+            demands = rng.normal(scale=0.3, size=(6, basket.k))
+            values = clearing_utility(m, i, basket, others, demands)
             assert values.shape == (6,)
-            for p, value in zip(prices, values):
-                single = clearing_utility(m, i, basket, others, p)
+            for q, value in zip(demands, values):
+                single = clearing_utility(m, i, basket, others, q)
                 assert type(single) is float
                 assert single == pytest.approx(value, rel=0.0, abs=1e-12)
 
@@ -219,8 +219,8 @@ class TestBatchedObjectives:
         market, foreign, own = _mismatched_basket_market()
         others = truthful_schedules(market, own)[1:]
         with pytest.raises(SpaceMismatchError):
-            clearing_utility(market, 0, foreign, others, own.mean_vector)
-        assert np.isfinite(clearing_utility(market, 0, own, others, own.mean_vector))
+            clearing_utility(market, 0, foreign, others, np.zeros(1))
+        assert np.isfinite(clearing_utility(market, 0, own, others, np.zeros(1)))
 
     def test_deviation_gain_index_array_is_the_per_agent_calls(self):
         # an index array names the agent of each stacked profile: the values
@@ -814,36 +814,44 @@ class TestArgmaxPhi:
         )
 
     def test_clearing_utility_definition(self):
+        # at the others' demand q at a price p, agent i holds E_i - q.C and is
+        # paid q.p: U(E_i - q.C) + q.p, with the price formed
         rng = np.random.default_rng(89)
         m = make_market(rng, m=4)
         basket = make_basket(rng, m.space, k=1)
         others = truthful_schedules(m, basket)[1:]
-        p = basket.mean_vector
-        from riskshare.strategic import price_objective
+        for p in basket.mean_vector + rng.normal(scale=0.5, size=(5, 1)):
+            q = np.sum([s.quantities(basket, p) for s in others], axis=0)
+            position = m.space.rv(m.payoffs[0] - q @ basket.payoffs)
+            want = mean(position) - m.gammas[0] * var(position) + q @ p
+            assert clearing_utility(m, 0, basket, others, q) == pytest.approx(want, abs=1e-12)
 
-        assert clearing_utility(m, 0, basket, others, p) == pytest.approx(
-            price_objective(m, 0, basket, others, p), abs=1e-12
-        )
+    def test_riskless_endowments(self):
+        # no endowment sets the search unit, so it steps in units of the
+        # securities; the others' schedules still move the best price
+        rng = np.random.default_rng(90)
+        m = make_market(rng, m=4)
+        m = Market.from_arrays(m.space, m.gammas, np.ones_like(m.payoffs))
+        basket = make_basket(rng, m.space, k=2)
+        others = [DemandSchedule(1.0, rng.normal(size=2)) for _ in range(m.n - 1)]
+        np.testing.assert_allclose(argmax_phi(m, 0, basket, others),
+                                   best_price_response(m, 0, basket, others),
+                                   rtol=0.0, atol=1e-9)
 
+    def test_far_apart_units(self):
+        # max Var[E_i] / max Var[C_j] overflows; the unit's log does not
+        rng = np.random.default_rng(91)
+        drawn = make_market(rng, m=5)
+        m = Market.from_arrays(drawn.space, drawn.gammas / 1e150, drawn.payoffs * 1e150)
+        basket = SecurityBasket(tuple(m.space.rvs(rng.normal(size=(2, 5)) * 1e-10)))
+        others = truthful_schedules(m, basket)[1:]
+        want = best_price_response(m, 0, basket, others)
+        found = argmax_phi(m, 0, basket, others)
+        assert np.abs(found - want).max() <= 1e-12 * np.abs(want).max()
 
-class TestBasketMechanism:
-    # the levels the CAPM engine and the demand report read off the basket
-    # mechanism's inner product Var^-1[C], against the oracle's own clearing
-    # utility (the agent's position and payment at a price, absorbing the
-    # truthful others' demand). Moderate risk aversions only: next to a
-    # nearly risk-neutral agent the oracle's `quantities` re-subtracts the
-    # price from E[C] and loses the digits of E[C] - p
-    def test_levels_are_the_clearing_utility(self):
-        rng = np.random.default_rng(94)
-        for _ in range(12):
-            m = make_market(rng, n=int(rng.integers(2, 6)), m=5)
-            basket = make_basket(rng, m.space, k=int(rng.integers(1, 3)))
-            capm = capm_equilibrium(m, basket)
-            for i in range(m.n):
-                others = [s for j, s in enumerate(truthful_schedules(m, basket)) if j != i]
-                after = demand_response_report(m, i, basket).utility_after
-                for got, p in ((capm.utility_levels[i], capm.prices),
-                               (after, argmax_phi(m, i, basket, others))):
-                    want = clearing_utility(m, i, basket, others, p)
-                    scale = max(abs(want), abs(m.means[i]), m.gammas[i] * m.variances[i])
-                    assert abs(got - want) <= 1e-12 * scale
+    def test_needs_another_schedule(self):
+        market, _, own = _mismatched_basket_market()
+        for search in (lambda: clearing_utility(market, 0, own, [], np.zeros(1)),
+                       lambda: argmax_phi(market, 0, own, [])):
+            with pytest.raises(ValueError, match="need the schedule of at least one other agent"):
+                search()

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskshare.core import DemandSchedule, Market, holding_utilities, mv_utility, var
-from riskshare.oracle import argmax_phi
+from riskshare.core import DemandSchedule, Market, mv_utility, var
+from riskshare.oracle import argmax_phi, clearing_utility
 from riskshare.pareto import capm_equilibrium, optimal_sharing
 from riskshare.strategic import (
     _response_coefficients,
@@ -14,16 +14,21 @@ from riskshare.strategic import (
     best_endowment_response,
     best_percentage_response,
     best_price_response,
-    clearing_price,
     demand_response_report,
     endowment_response_report,
     percentage_response_report,
-    price_objective,
     reported_utility,
     truthful_schedules,
 )
 
 from conftest import make_basket, make_market, make_space
+
+
+def _clearing_value(m, i, basket, others, p):
+    """The oracle's clearing utility of agent i at price p: at the others'
+    summed demand there, schedule by schedule."""
+    q = np.sum([s.quantities(basket, p) for s in others], axis=0)
+    return clearing_utility(m, i, basket, others, q)
 
 
 class TestReportedUtility:
@@ -205,32 +210,32 @@ class TestBestPriceResponse:
                 s for j, s in enumerate(truthful_schedules(m, basket)) if j != i
             ]
             p_hat = best_price_response(m, i, basket, others)
-            top = price_objective(m, i, basket, others, p_hat)
+            top = _clearing_value(m, i, basket, others, p_hat)
             for _ in range(100):
                 p = p_hat + rng.normal(scale=0.2, size=2)
-                assert price_objective(m, i, basket, others, p) <= top + 1e-10
+                assert _clearing_value(m, i, basket, others, p) <= top + 1e-10
 
     def test_preferred_price_beats_competitive(self):
         rng = np.random.default_rng(38)
         m = make_market(rng, m=4)
         basket = make_basket(rng, m.space, k=1)
-        schedules = truthful_schedules(m, basket)
-        p_star = clearing_price(basket, schedules)
-        others = schedules[1:]
+        p_star = capm_equilibrium(m, basket).prices
+        others = truthful_schedules(m, basket)[1:]
         p_hat = best_price_response(m, 0, basket, others)
-        assert price_objective(m, 0, basket, others, p_hat) >= price_objective(
+        assert _clearing_value(m, 0, basket, others, p_hat) >= _clearing_value(
             m, 0, basket, others, p_star
         ) - 1e-12
 
 
 class TestSchedules:
     def test_truthful_clearing_matches_capm(self):
+        # the truthful schedules' demand sums to 0 at the CAPM prices
         rng = np.random.default_rng(39)
         m = make_market(rng, m=5)
         basket = make_basket(rng, m.space, k=2)
-        p = clearing_price(basket, truthful_schedules(m, basket))
-        eq = capm_equilibrium(m, basket)
-        assert np.allclose(p, eq.prices, atol=1e-10)
+        p = capm_equilibrium(m, basket).prices
+        demands = [s.quantities(basket, p) for s in truthful_schedules(m, basket)]
+        assert np.allclose(np.sum(demands, axis=0), 0.0, atol=1e-10)
 
     def test_best_demand_clears_at_preferred_price(self):
         # swapping in the best schedule moves the clearing price to p_hat_i
@@ -239,12 +244,12 @@ class TestSchedules:
         basket = make_basket(rng, m.space, k=2)
         schedules = truthful_schedules(m, basket)
         i = 0
-        schedules[i] = best_demand_response(m, i, basket)
-        p = clearing_price(basket, schedules)
         p_hat = best_price_response(
-            m, i, basket, [s for j, s in enumerate(truthful_schedules(m, basket)) if j != i]
+            m, i, basket, [s for j, s in enumerate(schedules) if j != i]
         )
-        assert np.allclose(p, p_hat, atol=1e-10)
+        schedules[i] = best_demand_response(m, i, basket)
+        demands = [s.quantities(basket, p_hat) for s in schedules]
+        assert np.allclose(np.sum(demands, axis=0), 0.0, atol=1e-10)
 
 
 class TestResponseReports:
@@ -267,30 +272,12 @@ class TestResponseReports:
         assert rep.utility_after >= rep.utility_before - 1e-12
 
 
-def _untruthful(rng, schedules):
-    """The schedules with misstated risk aversions and exposures."""
-    return [DemandSchedule(s.gamma * rng.uniform(0.5, 2.0),
-                           s.c + rng.normal(scale=0.5, size=s.c.size)) for s in schedules]
-
-
 class TestPooledSchedule:
-    def test_demand_is_the_sum_of_demands(self):
-        rng = np.random.default_rng(44)
-        for k in (1, 2):
-            for _ in range(5):
-                m = make_market(rng, n=int(rng.integers(2, 7)), m=4)
-                basket = make_basket(rng, m.space, k=k)
-                schedules = _untruthful(rng, truthful_schedules(m, basket))
-                p = basket.mean_vector + rng.normal(size=k)
-                pooled = DemandSchedule.pooled([s.gamma for s in schedules],
-                                               [s.c for s in schedules]).quantities(basket, p)
-                summed = np.sum([s.quantities(basket, p) for s in schedules], axis=0)
-                assert np.all(np.abs(pooled - summed) <= 1e-12 * (1.0 + np.abs(summed)))
-
     def test_report_matches_per_agent_sums(self):
         # the report as it was stated schedule by schedule: the clearing price
         # of all truthful schedules, the n - 1 others' demand summed one by
-        # one, the best price response and the best report's exposures
+        # one and valued by the oracle's clearing utility, the best price
+        # response and the best report's exposures
         rng = np.random.default_rng(45)
         for k in (1, 2):
             for _ in range(5):
@@ -300,10 +287,6 @@ class TestPooledSchedule:
                 schedules = truthful_schedules(m, basket)
                 others = [s for j, s in enumerate(schedules) if j != i]
 
-                def phi(p):
-                    supplied = np.sum([s.quantities(basket, p) for s in others], axis=0)
-                    return holding_utilities(m, basket, -supplied, p)[i]
-
                 g = 1.0 / np.sum([1.0 / s.gamma for s in schedules])
                 p_star = basket.mean_vector - 2.0 * g * np.sum([s.c for s in schedules], axis=0)
                 p_hat = best_price_response(m, i, basket, others)
@@ -312,8 +295,10 @@ class TestPooledSchedule:
                 c = own[i] * exposures[i] + other[i] * (exposures.sum(axis=0) - exposures[i])
                 rep = demand_response_report(m, i, basket)
                 assert rep.response.gamma == m.gammas[i]
-                for got, want in ((rep.response.c, c), (rep.utility_before, phi(p_star)),
-                                  (rep.utility_after, phi(p_hat))):
+                before, after = (_clearing_value(m, i, basket, others, p)
+                                 for p in (p_star, p_hat))
+                for got, want in ((rep.response.c, c), (rep.utility_before, before),
+                                  (rep.utility_after, after)):
                     assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want)))
 
     def test_utility_before_is_the_capm_level_bit_for_bit(self):
