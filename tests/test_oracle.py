@@ -258,6 +258,21 @@ class TestBatchedObjectives:
             with pytest.raises(ValueError, match="do not name one agent per profile"):
                 deviation_gain(market, agents, reports)
 
+    def test_deviation_gain_index_array_of_a_stack_of_stacks(self):
+        # a 2 x 5 stack of profiles takes a 2 x 5 index array: its values are
+        # the flat call's, bit for bit, and every entry is checked
+        rng = np.random.default_rng(127)
+        market = make_market(rng, n=3, m=4)
+        stack = rng.normal(size=(2, 5, 3, 4)) + rng.uniform(-10.0, 10.0, size=(2, 5, 3, 1))
+        agents = rng.integers(3, size=(2, 5))
+        gains = deviation_gain(market, agents, stack)
+        assert gains.shape == (2, 5)
+        flat = deviation_gain(market, agents.ravel(), stack.reshape(10, 3, 4))
+        assert gains.tobytes() == flat.tobytes()
+        agents[1, 3] = 3
+        with pytest.raises(ValueError, match=r"agent index must be an integer in \[0, 3\)"):
+            deviation_gain(market, agents, stack)
+
 
 class TestSearchSpec:
     def test_validation(self):
@@ -544,8 +559,8 @@ class TestBestResponseDynamics:
                 gap = np.abs(final_hess - first_hess).max()
                 assert gap <= 1e-12 * np.abs(first_hess).max()
 
-    def test_n_plus_one_objective_calls_per_run(self, monkeypatch):
-        # each agent's response is measured in one call before round 1, and
+    def test_two_objective_calls_per_run(self, monkeypatch):
+        # every agent's response is measured in one call before round 1, and
         # one call checks all agents around the final profile; the rounds
         # make no objective call, whatever their number
         rng = np.random.default_rng(94)
@@ -557,18 +572,18 @@ class TestBestResponseDynamics:
                 counted.calls = 0
                 result = best_response_dynamics(market, rounds=rounds)
                 assert result.converged or result.rounds_run == rounds
-                assert counted.calls == market.n + 1
+                assert counted.calls == 2
 
-    def test_full_stencil_once_per_agent_then_one_check(self, monkeypatch):
-        # each measuring call evaluates the q stencil points with the others'
-        # sum O = 0 and the 2k gradient points with O = b_a for each of the k
-        # basis rows; the one checking call evaluates every agent's 2k
-        # gradient points around the final profile
+    def test_every_agents_stencil_in_one_call_then_one_check(self, monkeypatch):
+        # the measuring call evaluates, for each of the n agents, the q
+        # stencil points with the others' sum O = 0 and the 2k gradient
+        # points with O = b_a for each of the k basis rows; the checking call
+        # evaluates every agent's 2k gradient points around the final profile
         rng = np.random.default_rng(95)
         gain, stacks = oracle_module.deviation_gain, []
 
         def recording(market, i, reports):
-            stacks.append(len(reports))
+            stacks.append(int(np.prod(reports.shape[:-2])))
             return gain(market, i, reports)
 
         monkeypatch.setattr(oracle_module, "deviation_gain", recording)
@@ -580,7 +595,57 @@ class TestBestResponseDynamics:
                 assert result.converged or result.rounds_run == rounds
                 k = len(oracle_module._span_basis(market))
                 q = 1 + 2 * k + k * (k + 1) // 2
-                assert stacks == [q + 2 * k * k] * market.n + [2 * k * market.n]
+                assert stacks == [market.n * (q + 2 * k * k), 2 * k * market.n]
+
+    def test_measuring_call_is_the_per_agent_calls(self):
+        # the one measuring call gives each agent's step map, response and
+        # slopes bit for bit as a call of its own on its profiles would
+        rng = np.random.default_rng(104)
+        for _ in range(60):
+            n, m = rng.integers(2, 5), rng.integers(2, 7)
+            market = make_market(rng, n=n, m=m)
+            basis = oracle_module._span_basis(market)
+            for got, want in zip(oracle_module._affine_responses(market, basis),
+                                 _per_agent_responses(market, basis)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_blocks_are_the_round_by_round_loop(self):
+        # the rounds run in blocks, each block's profiles formed and its steps
+        # measured at once; the run is the loop of single rounds bit for bit,
+        # from the truth on the pinned markets, and from starts far off that
+        # need 17 to 40 rounds, cut before, at and after a block's end
+        rng = np.random.default_rng(104)
+        runs = [(make_market(rng, n=rng.integers(2, 5), m=rng.integers(2, 7)), None, 200)
+                for _ in range(60)]
+        rng = np.random.default_rng(126)
+        for _ in range(8):
+            market = make_market(rng)
+            init = 10.0 ** rng.choice([12, 20, 24]) * rng.normal(size=market.payoffs.shape)
+            runs += [(market, init, rounds) for rounds in (0, 1, 15, 16, 17, 33, 200)]
+        longest = 0
+        for market, init, rounds in runs:
+            result = best_response_dynamics(market, init, rounds)
+            profiles, step_stds, converged, residual = _round_by_round(market, init, rounds)
+            assert result.profiles.tobytes() == profiles.tobytes()
+            assert result.step_stds.tobytes() == step_stds.tobytes()
+            assert result.converged == converged
+            assert result.residual == residual
+            longest = max(longest, result.rounds_run)
+        assert longest > 33
+
+    @pytest.mark.parametrize("rounds", [2.5, True, -3, np.float64(2.0), "3", None])
+    def test_rounds_must_be_a_count(self, rounds):
+        market = make_market(np.random.default_rng(128), n=3, m=4)
+        with pytest.raises(ValueError, match="rounds must be an integer of at least 0"):
+            best_response_dynamics(market, rounds=rounds)
+
+    def test_rounds_of_numpy_integer(self):
+        market = make_market(np.random.default_rng(128), n=3, m=4)
+        for rounds in (0, 3):
+            got = best_response_dynamics(market, rounds=np.int64(rounds))
+            want = best_response_dynamics(market, rounds=rounds)
+            assert got.profiles.tobytes() == want.profiles.tobytes()
+            assert got.rounds_run == rounds and not got.converged
 
     def test_measured_response_is_the_direct_search(self):
         # the affine map (c_i + y J_i) @ basis, y the others' coefficients
@@ -689,6 +754,62 @@ class TestBestResponseDynamics:
             gap -= (gap @ market.space.probs)[:, None]
             assert np.abs(gap).max() <= 1e-11 * np.abs(truth.profiles[-1]).max()
         assert off_span >= 10
+
+
+def _per_agent_responses(market, basis):
+    """`oracle._affine_responses` with each agent measured in its own call."""
+    n, k = market.n, len(basis)
+    offsets, weights = oracle_module._stencil(k)
+    trials = offsets @ basis
+    gradient = slice(1, 2 * k + 1)
+    q = len(trials)
+    points = np.concatenate([trials, np.tile(trials[gradient], (k, 1))])
+    others = np.concatenate([np.zeros_like(trials), np.repeat(basis, 2 * k, axis=0)])
+    maps, responses, slopes = np.empty((n, 2 * k, k)), np.empty((n, k)), np.empty((n, k, k))
+    for i in range(n):
+        stack = np.zeros((len(points), *market.payoffs.shape))
+        stack[:, i] = points
+        stack[:, (i + 1) % n] = others
+        values = deviation_gain(market, i, stack)
+        axes, curvatures = oracle_module._concave_axes((values[:q] @ weights)[k:].reshape(k, k))
+        maps[i] = weights[gradient, :k] @ (axes / -curvatures) @ axes.T
+        responses[i] = values[gradient] @ maps[i]
+        slopes[i] = values[q:].reshape(k, 2 * k) @ maps[i] - responses[i]
+    return maps, responses, slopes
+
+
+def _round_by_round(market, init, rounds):
+    """`best_response_dynamics` one round at a time, each round's profile
+    formed and its steps measured on their own: (profiles, step_stds,
+    converged, residual)."""
+    p = market.space.probs
+    n, m = market.payoffs.shape
+    basis = oracle_module._span_basis(market)
+    k = len(basis)
+    maps, responses, slopes = _per_agent_responses(market, basis)
+    shift, sweep = oracle_module._folded_round(responses, slopes)
+    basis_vars = cross_cov(p, basis, basis)
+    reports = market.centered_profile(market.payoffs if init is None else init)
+    coefficients = (reports @ (basis * p).T / basis_vars).ravel()
+    profiles, step_vars = [reports], []
+    tol = oracle_module._DYNAMICS_TOL**2 * basis_vars.max()
+    converged = False
+    for _ in range(rounds):
+        coefficients = shift + coefficients @ sweep
+        reports = coefficients.reshape(n, k) @ basis
+        steps = reports - profiles[-1]
+        profiles.append(reports)
+        step_vars.append(cross_cov(p, steps, steps).max())
+        if step_vars[-1] < tol:
+            converged = True
+            break
+    stack = np.repeat(reports[None], n * 2 * k, axis=0)
+    agents = np.arange(n)
+    stack.reshape(n, 2 * k, n, m)[agents, :, agents] = np.concatenate([basis, -basis])
+    values = deviation_gain(market, np.repeat(agents, 2 * k), stack)
+    moves = (values.reshape(n, 1, 2 * k) @ maps)[:, 0] @ basis - reports
+    residual = float(np.sqrt(cross_cov(p, moves, moves).max()))
+    return np.array(profiles), np.sqrt(step_vars), converged, residual
 
 
 def _dyadic_market(rng, c=1.0):
