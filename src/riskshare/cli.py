@@ -27,8 +27,12 @@ and prints CSV. A report or table goes to stdout, or to `--out`. `--profile`
 adds one stderr line of the wall time of each stage that ran (ingest, solve,
 encode, write) and changes no output byte.
 
-Exit codes: 0 success, 2 validation error (also an `--out` that cannot be
-written), 3 numerical precondition violation, 4 non-convergence of the
+The command line is one command and the options, in any order, read in one
+pass (`_arguments`); -h or --help prints the usage on stdout and exits 0.
+
+Exit codes: 0 success, 2 validation error (also a command line that is not
+understood, addressed to its option or to `command`, and an `--out` that
+cannot be written), 3 numerical precondition violation, 4 non-convergence of the
 percentage-game solve (addressed to `parameters.max_iter` when the solve
 hit that limit, else to `agents`). A failure is one `Failure`,
 raised where its field is known, which `main` prints as one stderr line
@@ -41,7 +45,6 @@ not finite, 3 addressed to `results`.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -458,16 +461,17 @@ def cmd_nash(loaded: dict, game: str) -> dict:
     raise Failure("game", f"unknown nash game {game!r}")
 
 
-def _results(args, loaded: dict) -> dict:
+def _results(args: dict, loaded: dict) -> dict:
     """The results of the market command `args` names."""
+    command = args["command"]
     try:
-        if args.command == "pareto":
+        if command == "pareto":
             return cmd_pareto(loaded)
-        if args.command == "capm":
+        if command == "capm":
             return cmd_capm(loaded)
-        if args.command == "best-response":
-            return cmd_best_response(loaded, args.agent, args.game)
-        return cmd_nash(loaded, args.game)
+        if command == "best-response":
+            return cmd_best_response(loaded, args["--agent"], args["--game"])
+        return cmd_nash(loaded, args["--game"])
     except FloatingPointError:
         raise Failure("results", RESULTS_NOT_FINITE, EXIT_NUMERICAL) from None
     except ConstantEndowmentError as exc:  # the percentage game and response
@@ -486,60 +490,128 @@ def cmd_experiment(experiment: str, seed: int):
 # Dispatch
 
 
-@functools.cache  # parsing leaves the parser unchanged, so main reuses one
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="riskshare",
-        description="Pareto and Nash risk sharing among mean-variance agents",
-    )
-    parser.add_argument("command",
-                        choices=["pareto", "capm", "best-response", "nash",
-                                 "experiment"])
-    parser.add_argument("--market", help="path to a JSON market file")
-    parser.add_argument("--agent", type=int, default=0,
-                        help="agent index for best-response")
-    parser.add_argument("--game", default="endowment",
-                        help="game or response mode: endowment, percentage, "
-                             "demand or price")
-    parser.add_argument("--experiment", default="decay",
-                        help=f"experiment id: {', '.join(EXPERIMENTS)}")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed of the experiment command")
-    parser.add_argument("--out", help="write the report to this path")
-    parser.add_argument("--profile", action="store_true",
-                        help="print the wall time of each stage to stderr")
-    return parser
+_COMMANDS = ("pareto", "capm", "best-response", "nash", "experiment")
+
+# each option's default and kind: a str or int value, or a bool flag, which
+# takes none
+_OPTIONS = {
+    "--market": (None, str),
+    "--agent": (0, int),
+    "--game": ("endowment", str),
+    "--experiment": ("decay", str),
+    "--seed": (0, int),
+    "--out": (None, str),
+    "--profile": (False, bool),
+}
+
+_USAGE = """\
+usage: riskshare [-h] {{{commands}}}
+                 [--market PATH] [--agent I] [--game G] [--experiment ID]
+                 [--seed N] [--out PATH] [--profile]
+
+Pareto and Nash risk sharing among mean-variance agents
+
+options:
+  -h, --help       show this help message and exit
+  --market PATH    path to a JSON market file
+  --agent I        agent index for best-response
+  --game G         game or response mode: endowment, percentage, demand
+                   or price
+  --experiment ID  experiment id: {experiments}
+  --seed N         seed of the experiment command
+  --out PATH       write the report to this path
+  --profile        print the wall time of each stage to stderr
+"""
+
+
+def _is_option(token: str) -> bool:
+    """Whether `token` starts with "-" and is neither "-" alone nor a negative
+    number (a value, as in --seed -1): its second character, "" for "-"
+    alone, is not in the digits and point."""
+    return token[:1] == "-" and token[1:2] not in "0123456789."
+
+
+def _arguments(argv) -> dict | None:
+    """The command and each option's value in `argv`, keyed "command" and by
+    the option's name; None when `argv` holds -h or --help anywhere.
+
+    Options go before or after the command, as `--opt value` or
+    `--opt=value`, and the last of a repeated option wins. A usage error is a
+    `Failure` addressed to its option, or to `command`.
+    """
+    if "-h" in argv or "--help" in argv:
+        return None
+    args = {name: default for name, (default, _) in _OPTIONS.items()}
+    command = None
+    tokens = iter(argv)
+    for token in tokens:
+        if not _is_option(token):
+            if command is not None:
+                raise Failure("command", f"unexpected argument {token!r} after "
+                                         f"the command {command!r}")
+            if token not in _COMMANDS:
+                raise Failure("command", f"unknown command {token!r}, expected "
+                                         f"one of {', '.join(_COMMANDS)}")
+            command = token
+            continue
+        name, eq, value = token.partition("=")
+        if name not in _OPTIONS:
+            raise Failure(name, "unknown option")
+        kind = _OPTIONS[name][1]
+        if kind is bool:
+            _require(not eq, name, "takes no value")
+            args[name] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            _require(value is not None and not _is_option(value), name, "expected a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise Failure(name, f"must be an integer, got {value!r}") from None
+        args[name] = value
+    _require(command is not None, "command",
+             f"missing, expected one of {', '.join(_COMMANDS)}")
+    args["command"] = command
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    stages = ("solve", "encode", "write") if args.command == "experiment" else (
-        "ingest", "solve", "encode", "write")
-    ends = [time.perf_counter()]  # the start, then the end of each stage run
+    args = None
     try:
+        args = _arguments(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_USAGE.format(commands=",".join(_COMMANDS),
+                                           experiments=", ".join(EXPERIMENTS)))
+            return EXIT_OK
+        command = args["command"]
+        stages = ("solve", "encode", "write") if command == "experiment" else (
+            "ingest", "solve", "encode", "write")
+        ends = [time.perf_counter()]  # the start, then the end of each stage run
         # an overflow, invalid operation or division by zero raises where it
         # happens instead of printing a numpy warning; underflow is harmless
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-            if args.command == "experiment":
-                table = cmd_experiment(args.experiment, args.seed)
+            if command == "experiment":
+                table = cmd_experiment(args["--experiment"], args["--seed"])
                 ends.append(time.perf_counter())
                 text = table.to_csv()
             else:
-                _require(bool(args.market), "market", "a --market file is required")
-                loaded = load_market_file(args.market)
+                _require(bool(args["--market"]), "market", "a --market file is required")
+                loaded = load_market_file(args["--market"])
                 ends.append(time.perf_counter())
                 results = _results(args, loaded)
                 ends.append(time.perf_counter())
-                text = _report(args.command, loaded, results)
+                text = _report(command, loaded, results)
             ends.append(time.perf_counter())
-        _emit(text, args.out)
+        _emit(text, args["--out"])
         ends.append(time.perf_counter())
         return EXIT_OK
     except Failure as exc:
         print(f"{PREFIXES[exc.code]}: {exc}", file=sys.stderr)
         return exc.code
     finally:
-        if args.profile:  # after a failure, the stages that completed
+        if args and args["--profile"]:  # after a failure, the stages that completed
             print("profile: " + ", ".join(
                 f"{stage} {(end - start) * 1e3:.3f} ms"
                 for stage, start, end in zip(stages, ends, ends[1:])), file=sys.stderr)

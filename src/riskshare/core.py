@@ -26,8 +26,9 @@ schedule, for callers that hold schedules as objects. A market is built from
 agents or from arrays (`Market.from_arrays`, no object per agent); only
 `Market.agents` builds `Agent`s from arrays (for `agent_pool`). Two spaces
 agree as one object or by equal probabilities (`require_same_space`); a risk
-aversion is positive and finite (`_check_gamma`), and an agent index is an
-integer in [0, n) (`_check_agent`).
+aversion is positive and finite (`_check_gamma`), an agent index is an
+integer in [0, n) (`_check_agent`), and a count (of rounds, solves, states,
+agents or a seed) an integer of at least its floor (`_check_count`).
 """
 
 from __future__ import annotations
@@ -258,6 +259,16 @@ def _check_agent(i, n: int) -> None:
     """The one agent-index rule: an integer in [0, n), so -1 is no alias of n - 1."""
     if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
         raise ValueError(f"agent index must be an integer in [0, {n}), got {i!r}")
+
+
+def _is_count(value, low: int) -> bool:
+    """The one count rule: an int or numpy integer, not a bool, of at least `low`."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
+
+
+def _check_count(value, name: str, low: int) -> None:
+    if not _is_count(value, low):
+        raise ValueError(f"{name} must be an integer of at least {low}")
 
 
 def pricing(gamma, expectation, covariance):

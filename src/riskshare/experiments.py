@@ -21,11 +21,12 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Agent, Market, ProbSpace, Rv, SecurityBasket
+from .core import Agent, Market, ProbSpace, Rv, SecurityBasket, _check_count, _is_count
 from .nash import (
     nash_inefficiency,
     nash_percentage,
@@ -56,16 +57,15 @@ class AgentSequenceSpec:
     seed: int = 0
 
     def __post_init__(self):
-        def is_count(value, low=2):
-            return isinstance(value, int) and not isinstance(value, bool) and value >= low
-
         if not (isinstance(self.sizes, tuple) and self.sizes
-                and all(map(is_count, self.sizes))):
+                and all(_is_count(size, 2) for size in self.sizes)):
             raise ValueError("sizes must be a non-empty tuple of integers of at least 2")
         for name, low in (("n_states", 2), ("seed", 0)):
-            if not is_count(getattr(self, name), low):
-                raise ValueError(f"{name} must be an integer of at least {low}")
-        object.__setattr__(self, "sizes", tuple(sorted(self.sizes)))
+            _check_count(getattr(self, name), name, low)
+        # a numpy integer is held as an int, which a table prints alike
+        object.__setattr__(self, "sizes", tuple(sorted(map(int, self.sizes))))
+        object.__setattr__(self, "n_states", int(self.n_states))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,8 +242,8 @@ def correlated_pair_market(
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError("correlation must lie in [-1, 1]")
-    if var1 <= 0.0 or var2 <= 0.0:
-        raise ValueError("target variances must be positive")
+    if not all(math.isfinite(v) and v > 0.0 for v in (var1, var2)):
+        raise ValueError("target variances must be finite and positive")
     space = ProbSpace(np.array([0.3, 0.3, 0.4]))
     p = space.probs
     raw = [np.array([1.0, -1.0, 0.0]), np.array([0.0, 1.0, -1.0])]

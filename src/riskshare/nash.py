@@ -13,6 +13,8 @@ The price game's schedules are one n x k matrix, agent i's (gamma_i, row i).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,7 @@ from .core import (
     Market,
     Rv,
     SecurityBasket,
+    _check_count,
     cov,
     cross_cov,
     mean,
@@ -236,10 +239,12 @@ def nash_percentage(
     complementarity problem (Cottle, Pang & Stone 1992). From b = 1, split the
     agents by R(b) into those at 0, at kappa and free (F), solve for b_F with
     the others at their bounds, and repeat until the split holds, at most
-    `max_iter` solves. Times 1 - s_i^2 = c_i (1 + s_i), with the market's
-    shares s_i = gamma/gamma_i and complements c_i = 1 - s_i, a free agent's
-    condition b_i = R_i(b) is the endowment game's report rule on multiples of
-    E_i, b_i = c_i + s_i^2 Cov(sum_j b_j E_j, E_i) / Var[E_i]. So with
+    `max_iter` solves (`kappa` is a finite positive number and `max_iter` an
+    integer of at least 1, else ValueError). Times 1 - s_i^2 = c_i (1 + s_i),
+    with the market's shares s_i = gamma/gamma_i and complements
+    c_i = 1 - s_i, a free agent's condition b_i = R_i(b) is the endowment
+    game's report rule on multiples of E_i,
+    b_i = c_i + s_i^2 Cov(sum_j b_j E_j, E_i) / Var[E_i]. So with
     L = centered * sqrt(p) and w = s^2 / Var[E],
     (I - diag(w_F) L_F L_F^T) b_F = c_F (1 + s_F) R_F(b with b_F = 0),
     solved by Woodbury (Golub & Van Loan, section 2.1.4) through the m x m
@@ -251,8 +256,10 @@ def nash_percentage(
     residual max |b - BR(b)| is above RESIDUAL_TOL (1 + max |b|) and falls.
     A residual left above it raises ConvergenceError.
     """
-    if not (np.isfinite(kappa) and kappa > 0.0):
+    if not (isinstance(kappa, numbers.Real) and not isinstance(kappa, bool)
+            and math.isfinite(kappa) and kappa > 0.0):
         raise ValueError("kappa must be finite and positive")
+    _check_count(max_iter, "max_iter", 1)
     share = market.shares
     rows = market.centered * np.sqrt(market.space.probs)  # L
     scaled = (share**2 / endowment_variances(market))[:, None] * rows  # diag(w) L

@@ -60,8 +60,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .core import (
-    SV_RATIO_MIN, Market, ProbSpace, Rv, SecurityBasket, _check_agent, _check_gamma, centered,
-    cross_cov, require_same_space,
+    SV_RATIO_MIN, Market, ProbSpace, Rv, SecurityBasket, _check_agent, _check_count,
+    _check_gamma, centered, cross_cov, require_same_space,
 )
 
 # curvatures within this fraction of the largest are flat (rounding noise)
@@ -422,8 +422,7 @@ def best_response_dynamics(
     not against the measured maps. A run makes 2 objective calls, whatever
     its round count.
     """
-    if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or rounds < 0:
-        raise ValueError("rounds must be an integer of at least 0")
+    _check_count(rounds, "rounds", 0)
     p = market.space.probs
     n, m = market.payoffs.shape
     basis = _span_basis(market)

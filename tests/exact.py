@@ -163,13 +163,17 @@ class ExactMarket:
         best = self.best_report(i)
         return [self.cov(c, best) for c in _rows(basket_payoffs)]
 
-    def best_price(self, i: int, basket_payoffs):
-        """p_hat_i = E[C] - 2 gamma sum_j rows_j: the clearing price of the truthful
-        schedule rows with row i the best demand schedule's."""
-        rows = self.exposures(basket_payoffs)
-        rows[i] = self.best_demand(i, basket_payoffs)
+    def clearing_price(self, basket_payoffs, rows):
+        """E[C] - 2 gamma sum_j rows_j: the price that clears schedule rows."""
         return [self.mean(c) - 2 * self.gamma * a
                 for c, a in zip(_rows(basket_payoffs), self.total(rows))]
+
+    def best_price(self, i: int, basket_payoffs):
+        """p_hat_i: the clearing price of the truthful schedule rows with row i
+        the best demand schedule's."""
+        rows = self.exposures(basket_payoffs)
+        rows[i] = self.best_demand(i, basket_payoffs)
+        return self.clearing_price(basket_payoffs, rows)
 
     def autarky_scale(self, i: int):
         """max(|E[E_i]|, gamma_i Var[E_i]): the size of the terms of agent i's utility."""

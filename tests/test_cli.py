@@ -3,8 +3,11 @@ import contextlib
 import enum
 import io
 import json
+import os
+import pathlib
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -22,7 +25,6 @@ from riskshare.cli import (
     EXIT_VALIDATION,
     Failure,
     _encode,
-    build_parser,
     cmd_best_response,
     cmd_capm,
     cmd_nash,
@@ -32,7 +34,7 @@ from riskshare.cli import (
     main,
 )
 from riskshare import cli, core, nash, pareto, strategic
-from riskshare.experiments import correlated_pair_market
+from riskshare.experiments import EXPERIMENTS, correlated_pair_market
 
 
 def write_market(tmp_path, name="market.json", **overrides):
@@ -185,9 +187,8 @@ class TestValidation:
             path = write_market(tmp_path, parameters={name: 1})
             assert main(["nash", "--market", str(path)]) == EXIT_VALIDATION
             assert f"parameters.{name}: unknown parameter" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exited:
-            main(["nash", "--damping", "0.5", "--market", str(path)])
-        assert exited.value.code == EXIT_VALIDATION
+        assert main(["nash", "--damping", "0.5", "--market", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "validation error: --damping: unknown option\n")
 
     def test_parameter_values_validated(self, tmp_path, capsys):
         # raw JSON text: non-finite, out-of-range, fractional and non-number values
@@ -564,19 +565,14 @@ class TestCommands:
         assert printed == out.read_bytes()
         assert printed.endswith(b"\n") and not printed.endswith(b"\n\n")
 
-    def test_parser_reused_after_usage_error(self, tmp_path, capsys):
+    def test_usage_error_leaves_next_call_unchanged(self, tmp_path, capsys):
         path = write_market(tmp_path)
         argv = ["best-response", "--agent", "1", "--market", str(path)]
-        build_parser.cache_clear()
         assert main(argv) == EXIT_OK
         fresh = capsys.readouterr()
-        parser = build_parser()
-        with pytest.raises(SystemExit) as exited:
-            main(["best-response", "--agent", "x", "--market", str(path)])
-        assert exited.value.code == EXIT_VALIDATION
+        assert main(["best-response", "--agent", "x", "--market", str(path)]) == EXIT_VALIDATION
         assert "--agent" in capsys.readouterr().err
         assert main(argv) == EXIT_OK
-        assert build_parser() is parser
         assert capsys.readouterr() == fresh
 
 
@@ -1416,6 +1412,71 @@ class TestIngestOrder:
             reports = [_run(list(command) + ["--market", str(path)]) for path in (ints, floats)]
             assert reports[0] == reports[1], command
             assert reports[0][0] == EXIT_OK, command
+
+
+# a command line that is not understood, and its addressed stderr line
+USAGE_ERRORS = [
+    (["paretto"], "command: unknown command 'paretto', expected one of pareto, capm, "
+                  "best-response, nash, experiment"),
+    ([], "command: missing, expected one of pareto, capm, best-response, nash, experiment"),
+    (["--game", "price"], "command: missing, expected one of pareto, capm, best-response, "
+                          "nash, experiment"),
+    (["pareto", "capm"], "command: unexpected argument 'capm' after the command 'pareto'"),
+    (["pareto", "--bogus"], "--bogus: unknown option"),
+    (["--bogus=1", "pareto"], "--bogus: unknown option"),
+    (["pareto", "--mark", "m.json"], "--mark: unknown option"),  # no abbreviation
+    (["pareto", "-x"], "-x: unknown option"),
+    (["pareto", "--market"], "--market: expected a value"),
+    (["pareto", "--out", "--profile"], "--out: expected a value"),
+    (["nash", "--agent", "x"], "--agent: must be an integer, got 'x'"),
+    (["nash", "--agent=1.5"], "--agent: must be an integer, got '1.5'"),
+    (["experiment", "--seed", "one"], "--seed: must be an integer, got 'one'"),
+    (["pareto", "--profile=yes"], "--profile: takes no value"),
+]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv, line", USAGE_ERRORS,
+                             ids=[" ".join(argv) or "none" for argv, _ in USAGE_ERRORS])
+    def test_usage_error_is_one_addressed_line(self, argv, line):
+        assert _run(argv) == (EXIT_VALIDATION, "", f"validation error: {line}\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["pareto", "--help"],
+                                      ["--bogus", "-h", "--agent", "x"]])
+    def test_help_on_stdout(self, argv):
+        code, out, err = _run(argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("usage: riskshare [-h] "
+                              "{pareto,capm,best-response,nash,experiment}\n")
+        for name in ("--market", "--agent", "--game", "--experiment", "--seed", "--out",
+                     "--profile", *EXPERIMENTS):
+            assert name in out, name
+
+    def test_option_forms_and_order(self, tmp_path):
+        path = str(write_market(tmp_path))
+        expected = _run(["best-response", "--agent", "1", "--game", "percentage",
+                         "--market", path])
+        assert expected[0] == EXIT_OK
+        for argv in (["--agent=1", "--game=percentage", "--market=" + path, "best-response"],
+                     ["--market", "/no/such/file.json", "--agent", "0", "best-response",
+                      "--game", "demand", "--market", path, "--agent", "1",
+                      "--game", "percentage"]):
+            assert _run(argv) == expected, argv
+
+    def test_negative_values_are_values(self, tmp_path):
+        path = str(write_market(tmp_path))
+        assert _run(["best-response", "--agent", "-1", "--market", path]) == (
+            EXIT_VALIDATION, "", "validation error: agent: must be in [0, 1]\n")
+
+    def test_import_leaves_argparse_unloaded(self):
+        root = pathlib.Path(__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, riskshare.cli; "
+             "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert done.stdout == "[]\n"
 
 
 class TestProfile:

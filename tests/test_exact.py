@@ -130,9 +130,12 @@ def test_aggregate_gain_and_sharing_weights(markets):
 
 
 def test_price_schedules(markets):
+    # the Nash price, E[C] - 2 gamma sum_i schedules_i, of the exact schedules
     for market, exact, securities in markets:
         basket = SecurityBasket(tuple(market.space.rvs(securities)))
-        assert _each(nash_price(market, basket).schedules, exact.price_schedules(securities)) <= TOL
+        out, schedules = nash_price(market, basket), exact.price_schedules(securities)
+        assert _each(out.schedules, schedules) <= TOL
+        assert relative_error(out.price, exact.clearing_price(securities, schedules)) <= TOL
 
 
 def test_single_deviator_responses(deviator_markets):

@@ -36,11 +36,25 @@ class TestAgentSequenceSpec:
     @pytest.mark.parametrize("field, value", [
         ("n_states", 1), ("n_states", 0), ("n_states", 2.5), ("n_states", True),
         ("sizes", ()), ("sizes", (2, 5.5)), ("sizes", (2, True)), ("sizes", [2, 5]),
-        ("seed", -1), ("seed", 1.5), ("seed", True),
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", None), ("seed", "3"),
+        ("n_states", np.float64(6.0)), ("sizes", (np.int64(1),)),
     ])
     def test_invalid_field_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             AgentSequenceSpec(**{field: value})
+
+    @pytest.mark.parametrize("field, value, plain", [
+        ("n_states", np.int64(6), 6), ("sizes", (np.int64(10), np.int32(2)), (2, 10)),
+        ("seed", np.int64(3), 3),
+    ])
+    def test_numpy_integer_fields(self, field, value, plain):
+        # the count rule of `rounds` and `max_iter`; held as ints, so the
+        # tables are the same
+        spec = AgentSequenceSpec(**{field: value})
+        assert getattr(spec, field) == plain
+        assert repr(spec) == repr(AgentSequenceSpec(**{field: plain}))
+        assert (inefficiency_decay(spec).to_csv()
+                == inefficiency_decay(AgentSequenceSpec(**{field: plain})).to_csv())
 
     def test_script_rejects_negative_seed(self, tmp_path):
         # argparse's usage and one error line, exit 2; no traceback, no output
@@ -224,6 +238,14 @@ class TestCorrelatedPairMarket:
             correlated_pair_market(1.0, 1.0, 1.0, 1.0, 1.5)
         with pytest.raises(ValueError):
             correlated_pair_market(1.0, 1.0, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("var1, var2", [
+        (float("inf"), 1.0), (1.0, float("inf")), (float("nan"), 1.0), (1.0, float("nan")),
+        (-1.0, 1.0),
+    ])
+    def test_variance_targets_finite_and_positive(self, var1, var2):
+        with pytest.raises(ValueError, match="target variances must be finite and positive"):
+            correlated_pair_market(1.0, 1.0, var1, var2, 0.5)
 
 
 class TestFigureData:

@@ -255,9 +255,22 @@ class TestNashPercentage:
 
     def test_parameter_validation(self):
         m = correlated_pair_market(1.0, 1.0, 1.0, 1.0, 0.0)
-        for kappa in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+        for kappa in (0.0, float("nan"), float("inf"), True, "1"):
+            with pytest.raises(ValueError, match="kappa must be finite and positive"):
                 nash_percentage(m, kappa=kappa)
+
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.5, True, None, np.float64(3.0), "3"])
+    def test_max_iter_must_be_a_count(self, max_iter):
+        m = correlated_pair_market(1.0, 1.0, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+            nash_percentage(m, max_iter=max_iter)
+
+    def test_max_iter_of_numpy_integer(self):
+        m = correlated_pair_market(1.0, 1.0, 1.0, 10.0, -0.8)
+        got = nash_percentage(m, max_iter=np.int64(10))
+        want = nash_percentage(m, max_iter=10)
+        assert got.b_star.tobytes() == want.b_star.tobytes()
+        assert got.iterations == want.iterations
 
     @pytest.mark.parametrize("states", [6, 50])
     def test_growing_market_prefixes(self, states):
