@@ -9,9 +9,7 @@ from .core import (
     SingularCovarianceError,
     SpaceMismatchError,
     cov,
-    cov_vector,
     demand,
-    equal_up_to_constants,
     mean,
     mv_utility,
     var,
@@ -21,11 +19,9 @@ from .nash import (
     NashEndowmentOutcome,
     NashPercentageOutcome,
     NashPriceOutcome,
-    excess_return_check,
     nash_endowment,
     nash_percentage,
     nash_price,
-    nash_vs_pareto_utilities,
     table1_report,
 )
 from .pareto import (
@@ -36,7 +32,6 @@ from .pareto import (
     endowment_prices,
     optimal_sharing,
     optimal_utility_levels,
-    reservation_prices,
     sharing_weights,
 )
 from .strategic import (

@@ -26,7 +26,9 @@ schedule, for callers that hold schedules as objects. A market is built from
 agents or from arrays (`Market.from_arrays`, no object per agent); only
 `Market.agents` builds `Agent`s from arrays (for `agent_pool`). Two spaces
 agree as one object or by equal probabilities (`require_same_space`); a risk
-aversion is positive and finite (`_check_gamma`), an agent index is an
+aversion is a real number, not a bool or a string, positive and finite
+(`_is_positive_real`, `_check_gamma`; `Market` applies it to every entry of a
+list and only to the values of a real-dtype array), an agent index is an
 integer in [0, n) (`_check_agent`), and a count (of rounds, solves, states,
 agents or a seed) an integer of at least its floor (`_check_count`).
 """
@@ -34,6 +36,7 @@ agents or a seed) an integer of at least its floor (`_check_count`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,10 +44,6 @@ import numpy as np
 
 # Tolerances used across the package.
 PROB_SUM_TOL = 1e-12
-# Two payoffs are "equal up to constants" when the variance of their
-# difference is at most this fraction of the sum of their variances
-# (centered versions coincide, in any unit).
-CONST_VAR_TOL = 1e-18
 # Relative eigenvalue floor below which a covariance matrix (a basket's
 # Var[C], the endowments' Var[E]) counts as singular.
 SV_RATIO_MIN = 1e-10
@@ -240,18 +239,18 @@ def var(x: Rv) -> float:
     return cov(x, x)
 
 
-def equal_up_to_constants(x: Rv, y: Rv, tol: float = CONST_VAR_TOL) -> bool:
-    """Whether x and y differ only by a cash amount: Var[x - y] <= tol (Var[x] + Var[y]).
-
-    The tolerance is relative to the variances, so the verdict does not
-    depend on the payoffs' unit; two constants always agree.
-    """
-    return var(x - y) <= tol * (var(x) + var(y))
+def _is_positive_real(value) -> bool:
+    """The one number rule: a real number, not a bool (a str is no real),
+    positive and finite. A float, numpy's included, passes the type test at once."""
+    if not isinstance(value, float) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        return False
+    return math.isfinite(value) and value > 0.0
 
 
 def _check_gamma(gamma) -> None:
-    """The one risk-aversion rule: a positive finite number."""
-    if not math.isfinite(gamma) or gamma <= 0.0:
+    """The one risk-aversion rule, `_is_positive_real`."""
+    if not _is_positive_real(gamma):
         raise ValueError(f"gamma must be a positive number, got {gamma!r}")
 
 
@@ -328,7 +327,16 @@ class Market:
         return market
 
     def _set_arrays(self, space: ProbSpace, gammas, payoffs) -> None:
-        """Validate read-only copies of the arrays and derive the moments."""
+        """Validate read-only copies of the arrays and derive the moments.
+
+        Each entry of gammas meets `_check_gamma`; an array of a real dtype
+        holds no bool or string, so only its values are tested, in one pass.
+        """
+        if not (isinstance(gammas, np.ndarray) and gammas.dtype.kind in "fiu"):
+            gammas = np.array(gammas, dtype=object)  # the entries as given
+            if gammas.ndim == 1:
+                for gamma in gammas:
+                    _check_gamma(gamma)
         gammas = np.array(gammas, dtype=float)
         payoffs = np.array(payoffs, dtype=float)
         if gammas.ndim != 1 or gammas.size < 2:
@@ -455,12 +463,6 @@ class SecurityBasket:
         return self.securities[0].space
 
 
-def cov_vector(basket: SecurityBasket, x: Rv) -> np.ndarray:
-    """Vector of covariances of each basket security with x."""
-    basket.securities[0]._check_space(x)
-    return cross_cov(basket.space.probs, basket.payoffs, x.payoffs)
-
-
 def autarky_utilities(market: Market) -> np.ndarray:
     """E[E_i] - gamma_i Var[E_i]: each agent's utility of keeping their endowment."""
     return market.means - market.gammas * market.variances
@@ -498,8 +500,9 @@ def demand(
     """Quantity vector maximizing U(a.C + endowment) - a.p at price p.
 
     Closed form: ((E[C] - p) / (2 gamma) - Cov(C, endowment)) . Var^{-1}[C],
-    the schedule of the endowment's covariance vector evaluated at p.
+    the schedule of the endowment's covariance vector evaluated at p. An
+    endowment on another space raises SpaceMismatchError.
     """
-    return DemandSchedule(agent_gamma, cov_vector(basket, endowment)).quantities(
-        basket, p
-    )
+    basket.securities[0]._check_space(endowment)
+    exposure = cross_cov(basket.space.probs, basket.payoffs, endowment.payoffs)
+    return DemandSchedule(agent_gamma, exposure).quantities(basket, p)

@@ -1,4 +1,4 @@
-"""Nash equilibria of the three risk-sharing games and comparison metrics.
+"""Nash equilibria of the three risk-sharing games and their metrics.
 
 Closed forms exist for the endowment game and the price-demand game; the
 percentage game, whose clamped best responses are affine in the others'
@@ -6,38 +6,18 @@ reports, is solved exactly as a box-constrained linear complementarity
 problem. The reports then run through `pareto`'s one sharing mechanism:
 contracts are its `sharing_rule`, per-agent gains its `mechanism_gains` and
 the inefficiency the `pooling_gain` of what the reports hold back. Price
-pressure and the Pareto-vs-Nash utility comparison, the basket mechanism's
-levels on the truthful and on the Nash schedules, are computed here too.
-The price game's schedules are one n x k matrix, agent i's (gamma_i, row i).
+pressure is computed here too. The price game's schedules are one n x k
+matrix, agent i's (gamma_i, row i).
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Market,
-    Rv,
-    SecurityBasket,
-    _check_count,
-    cov,
-    cross_cov,
-    mean,
-    pricing,
-    var,
-)
-from .pareto import (
-    _basket_mechanism,
-    capm_equilibrium,
-    mechanism_gains,
-    optimal_sharing,
-    pooling_gain,
-    sharing_rule,
-)
+from .core import Market, Rv, SecurityBasket, _check_count, _is_positive_real, pricing
+from .pareto import mechanism_gains, optimal_sharing, pooling_gain, sharing_rule
 from .strategic import endowment_variances, percentage_responses
 
 
@@ -109,11 +89,6 @@ def _nash_pass(market: Market):
     cash_aggregate, cash = _nash_reports(market, market.means[:, None])
     inefficiency = pooling_gain(market, market.centered - reported)
     return aggregate + cash_aggregate, reported, cash, inefficiency
-
-
-def nash_aggregate_endowment(market: Market) -> Rv:
-    """Aggregate shared endowment at the Nash fixed point of the reports."""
-    return Rv(market.space, _nash_pass(market)[0])
 
 
 def nash_endowment(market: Market) -> NashEndowmentOutcome:
@@ -256,9 +231,9 @@ def nash_percentage(
     residual max |b - BR(b)| is above RESIDUAL_TOL (1 + max |b|) and falls.
     A residual left above it raises ConvergenceError.
     """
-    if not (isinstance(kappa, numbers.Real) and not isinstance(kappa, bool)
-            and math.isfinite(kappa) and kappa > 0.0):
+    if not _is_positive_real(kappa):
         raise ValueError("kappa must be finite and positive")
+    kappa = float(kappa)  # np.digitize takes no bound such as a Fraction
     _check_count(max_iter, "max_iter", 1)
     share = market.shares
     rows = market.centered * np.sqrt(market.space.probs)  # L
@@ -326,84 +301,3 @@ def nash_price(market: Market, basket: SecurityBasket) -> NashPriceOutcome:
         allocation=sharing_rule(market)(exposures_reported) @ basket.cov_inverse,
         pressure=exposures.sum(axis=0) - aggregate,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class UtilityComparison:
-    """Per-agent utilities of trading the basket, Pareto vs Nash regime."""
-
-    pareto_utilities: np.ndarray
-    nash_utilities: np.ndarray
-    aggregate_decrease: float
-    aggregate_decrease_closed: float
-    # only populated for n=2, k=1, Var[C]=1
-    agent1_nash_minus_pareto_closed: float | None = None
-
-
-def nash_vs_pareto_utilities(
-    market: Market, basket: SecurityBasket
-) -> UtilityComparison:
-    """Direct utility comparison of the two pricing regimes.
-
-    Each regime's utilities are the basket mechanism's levels
-    (`pareto._basket_mechanism`), on the truthful exposure rows and on the
-    Nash schedules. The aggregate decrease is evaluated both directly and
-    through the quadratic-form identity
-    sum_i gamma_i (Zhat_i - Z_i) . (Var[C] (Zhat_i + Z_i) + 2 Cov(E_i, C)),
-    valid because the price terms net out across a cleared market. For the
-    two-agent single-security unit-variance case the per-agent difference is
-    also returned in closed form.
-    """
-    capm = capm_equilibrium(market, basket)
-    nash = nash_price(market, basket)
-    exposures = market.exposures(basket)
-    reported = _basket_mechanism(market, basket, nash.schedules, nash.schedules - exposures)
-    pareto_u, nash_u = capm.utility_levels, reported.utility_levels
-    decrease = float(np.sum(pareto_u - nash_u))
-    zh, z = nash.allocation, capm.allocation
-    closed = market.gammas @ np.sum(
-        (zh - z) * ((zh + z) @ basket.cov_matrix + 2.0 * exposures), axis=1
-    )
-    agent1_closed = None
-    if market.n == 2 and basket.k == 1 and abs(basket.cov_matrix[0, 0] - 1.0) < 1e-12:
-        g1, g2 = market.gammas
-        t = float(cross_cov(basket.space.probs, basket.payoffs[0], optimal_sharing(market)[0]))
-        agent1_closed = float((g2 / 2.0 - 0.75 * g1) * t**2)
-    return UtilityComparison(
-        pareto_utilities=pareto_u,
-        nash_utilities=nash_u,
-        aggregate_decrease=decrease,
-        aggregate_decrease_closed=float(closed),
-        agent1_nash_minus_pareto_closed=agent1_closed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Excess-return pricing identity
-
-
-def excess_return_check(market: Market, x: Rv) -> float:
-    """Residual of E[R_X] = beta(X, M) E[R_M] with M the reported aggregate.
-
-    Returns |LHS - RHS| where R_Y = Y / pi(Y) - 1 and
-    pi(Y) = E[Y] - 2 gamma Cov(Y, M) is the Nash pricing functional. Both
-    prices must be nonzero relative to their terms, |E[Y]| + 2 gamma
-    |Cov(Y, M)|, whatever the payoffs' unit, and M must be risky. Both sides
-    equal 2 gamma Cov(X, M) / pi(X) for any X and any such M, so the residual
-    is rounding noise whatever M is: the check guards `core.pricing` and the
-    return algebra, not the Nash aggregate.
-    """
-    m, g = nash_aggregate_endowment(market), market.aggregate_gamma
-    e, c = np.array([(mean(y), cov(y, m)) for y in (x, m)]).T  # of X, of M
-    prices = pricing(g, e, c)
-    if np.any(np.abs(prices) <= 1e-12 * (np.abs(e) + 2.0 * g * np.abs(c))):
-        raise ValueError("zero equilibrium price; returns are undefined")
-    px, pm = prices.tolist()
-    rx = (1.0 / px) * x - 1.0
-    rm = (1.0 / pm) * m - 1.0
-    vm = var(rm)
-    if vm < 1e-18:
-        raise ValueError("reported aggregate endowment is riskless")
-    lhs = mean(rx)
-    rhs = cov(rx, rm) / vm * mean(rm)
-    return abs(lhs - rhs)

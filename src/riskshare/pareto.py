@@ -30,7 +30,6 @@ import numpy as np
 from .core import (
     Market,
     SecurityBasket,
-    _check_agent,
     autarky_utilities,
     pricing,
     require_invertible,
@@ -196,13 +195,3 @@ def constrained_loss(
                 - capm_equilibrium(market, basket).allocation @ basket.centered)
     losses = market.gammas * np.vecdot(residual * market.space.probs, residual)
     return losses, float(losses.sum())
-
-
-def reservation_prices(market: Market, basket: SecurityBasket, i: int) -> np.ndarray:
-    """Price vector at which agent i demands zero of every security.
-
-    E[C] - 2 gamma_i Cov(C, E_i); at these prices the agent is indifferent
-    between trading and not trading the basket.
-    """
-    _check_agent(i, market.n)
-    return pricing(market.gammas[i], basket.mean_vector, market.exposures(basket)[i])

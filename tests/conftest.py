@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from riskshare.core import Agent, Market, ProbSpace, SecurityBasket, SingularCovarianceError
+from riskshare.core import (
+    Agent, DemandSchedule, Market, ProbSpace, SecurityBasket, SingularCovarianceError,
+)
+from riskshare.nash import nash_price
+from riskshare.oracle import clearing_utility
 
 # property tests draw the same examples on every run, with no time limit
 settings.register_profile("riskshare", derandomize=True, deadline=None)
@@ -48,3 +52,15 @@ def symmetric_market():
         space,
         (Agent(1.0, space.rv([1.0, -1.0])), Agent(1.0, space.rv([-1.0, 1.0]))),
     )
+
+
+def nash_price_utilities(market, basket):
+    """Each agent's utility at the price game's Nash equilibrium, by the oracle:
+    the clearing value of the others' demand -allocation[i] against their Nash
+    schedules, which clears at the Nash price."""
+    nash = nash_price(market, basket)
+    schedules = [DemandSchedule(g, c) for g, c in zip(market.gammas, nash.schedules)]
+    return np.array([
+        clearing_utility(market, i, basket, schedules[:i] + schedules[i + 1:],
+                         -nash.allocation[i])
+        for i in range(market.n)])

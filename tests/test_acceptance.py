@@ -14,7 +14,6 @@ from riskshare.core import (
     Market,
     ProbSpace,
     SecurityBasket,
-    cov,
     cross_cov,
     demand,
     mv_utility,
@@ -30,8 +29,6 @@ from riskshare.experiments import (
     price_allocation_convergence,
 )
 from riskshare.nash import (
-    excess_return_check,
-    nash_aggregate_endowment,
     nash_endowment,
     nash_percentage,
     nash_price,
@@ -109,7 +106,7 @@ def test_criterion_03_coincidence_iff_homogeneous():
         if not homogeneous and np.ptp(m.gammas) < 1e-3:
             continue
         basket = make_basket(rng, m.space, k=1)
-        gap = var(nash_aggregate_endowment(m) - m.total_endowment)
+        gap = var(m.space.rv(nash_endowment(m).aggregate) - m.total_endowment)
         price_gap = np.abs(
             nash_price(m, basket).price - capm_equilibrium(m, basket).prices
         ).max()
@@ -230,14 +227,18 @@ def test_criterion_06_percentage_game_limits():
 
 
 def test_criterion_07_capm_beta_identity():
-    """Excess-return identity residual below 1e-12, and the Nash price a best
-    response of every agent, across random markets.
+    """E[R_X] = beta(X, M) E[R_M] at the Nash prices with M the Nash aggregate,
+    residual below 1e-12, and the Nash price a best response of every agent,
+    across random markets.
 
-    The identity holds for any aggregate M with nonzero prices and Var[M] > 0,
-    so it guards `core.pricing` and the return algebra, not the Nash
-    aggregate. The condition that defines the price game's equilibrium does:
-    against the other agents' Nash schedules, the oracle's best clearing
-    price for each agent is `nash_price`'s p-hat.
+    Every payoff lies in span{1, C}, and its price is the engine's,
+    pi(a.C + c) = a.p_hat + c; R_Y = Y / pi(Y) - 1. The identity holds when
+    p_hat is the pricing functional of M, so it fails for another M: with M
+    the true aggregate it fails on every two-security market here. (With one
+    security every centered payoff in the span is a multiple of C, and any M
+    in span{1, C} passes.) The oracle checks the equilibrium condition
+    itself: against the other agents' Nash schedules, each agent's best
+    clearing price is p_hat.
     """
     rng = np.random.default_rng(105)
     for _ in range(20):
@@ -270,18 +271,21 @@ def test_criterion_07_capm_beta_identity():
             found = argmax_phi(market, i, basket, others)
             gap = np.abs(found - nash.price)
             assert np.all(gap <= 1e-9 * (1.0 + np.abs(nash.price))), (i, gap)
-        aggregate = nash_aggregate_endowment(market)
-        g = market.aggregate_gamma
+        p = space.probs
+        # M lies in span{1, C}: pi(M) from its coefficients a_m on C
+        aggregate = nash_endowment(market).aggregate
+        a_m = cross_cov(p, basket.payoffs, aggregate) @ basket.cov_inverse
+        r_m = aggregate / (a_m @ nash.price + aggregate @ p - a_m @ basket.mean_vector) - 1.0
+        var_m = cross_cov(p, r_m, r_m)
         checked = 0
         while checked < 50:
-            x = sum(
-                (float(rng.normal()) * s for s in basket.securities),
-                space.constant(float(rng.normal())),
-            )
-            price = (space.probs @ x.payoffs) - 2.0 * g * cov(x, aggregate)
+            c, a = float(rng.normal()), rng.normal(size=basket.k)
+            price = a @ nash.price + c
             if abs(price) < 0.1:
                 continue
-            assert excess_return_check(market, x) < 1e-12
+            r_x = (a @ basket.payoffs + c) / price - 1.0
+            beta = cross_cov(p, r_x, r_m) / var_m
+            assert abs(r_x @ p - beta * (r_m @ p)) < 1e-12
             checked += 1
     _verdict(7, "beta identity residual < 1e-12, 50 payoffs x 20 markets; "
                 "p-hat each agent's oracle best price within 1e-9")

@@ -1503,3 +1503,22 @@ class TestProfile:
         first, second = err.splitlines()
         assert first == "validation error: securities: command capm needs securities"
         assert re.fullmatch(r"profile: ingest \d+\.\d{3} ms", second), second
+
+
+def test_report_digests_repeat():
+    # every market command on the seeded grid of 60 market files of
+    # scripts/report_digests.py (scaled, singular and malformed ones among
+    # them): two separate processes must write the same exit codes and the
+    # same report and stderr bytes
+    root = pathlib.Path(__file__).parents[1]
+    runs = [subprocess.run(
+        [sys.executable, str(root / "scripts" / "report_digests.py")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    ).stdout for _ in range(2)]
+    lines = runs[0].splitlines()
+    assert len(lines) == 480
+    # a report turned into a failure changes the exit classes, not the total
+    assert collections.Counter(line.split()[-3] for line in lines) == {
+        "0": 361, "2": 48, "3": 71}
+    assert runs[1] == runs[0]

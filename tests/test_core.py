@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskshare import nash, oracle, pareto, strategic
+from riskshare import core, nash, oracle, pareto, strategic
 from riskshare.core import (
     Agent,
     DemandSchedule,
@@ -14,9 +16,7 @@ from riskshare.core import (
     SingularCovarianceError,
     SpaceMismatchError,
     cov,
-    cov_vector,
     demand,
-    equal_up_to_constants,
     mean,
     mv_utility,
     require_invertible,
@@ -164,24 +164,6 @@ class TestMoments:
             assert var(x) == pytest.approx(0.01 * 0.99 * 2e154 * 2e154, rel=1e-14)
             assert cov(x, -x) == pytest.approx(-var(x), rel=1e-15)
 
-    def test_equal_up_to_constants(self):
-        sp = _space(3)
-        x = sp.rv([1.0, 2.0, 3.0])
-        assert equal_up_to_constants(x, x + 7.5)
-        assert not equal_up_to_constants(x, 2.0 * x)
-
-    def test_equal_up_to_constants_free_of_the_unit(self):
-        # x + 7.5 rounds, so at 2^40 the difference is not exactly cash
-        sp = _space(3)
-        x = sp.rv([0.1, 0.2, 0.3])
-        for scale in (2.0**-40, 2.0**40):
-            assert equal_up_to_constants(scale * x, scale * (x + 7.5))
-            assert not equal_up_to_constants(scale * x, scale * (2.0 * x))
-
-    def test_small_opposite_payoffs_differ(self):
-        sp = ProbSpace([0.5, 0.5])
-        assert not equal_up_to_constants(sp.rv([1e-10, -1e-10]), sp.rv([-1e-10, 1e-10]))
-
 
 class TestMarket:
     def test_needs_two_agents(self):
@@ -279,6 +261,69 @@ class TestMarketFromArrays:
             Market.from_arrays(space, [1.0, 2.0], [[1.0, float("nan")], [0.0, 1.0]])
 
 
+class TestOneNumberRule:
+    """A risk aversion is a real number, not a bool or a string, positive and
+    finite, wherever one enters: one ValueError for every other value."""
+
+    BAD = [pytest.param(True, id="true"), pytest.param(False, id="false"),
+           pytest.param(np.True_, id="numpy-bool"), pytest.param("1", id="str"),
+           pytest.param(None, id="none"), pytest.param([1.0], id="list"),
+           pytest.param(1j, id="complex")]
+    MATCH = "gamma must be a positive number, got "
+
+    @pytest.mark.parametrize("gamma", BAD)
+    def test_agent(self, gamma):
+        with pytest.raises(ValueError, match=self.MATCH):
+            Agent(gamma, _space(2).rv([1.0, -1.0]))
+
+    @pytest.mark.parametrize("gamma", BAD)
+    def test_demand_schedule(self, gamma):
+        with pytest.raises(ValueError, match=self.MATCH):
+            DemandSchedule(gamma, [1.0])
+
+    @pytest.mark.parametrize("gamma", BAD)
+    def test_mv_utility(self, gamma):
+        with pytest.raises(ValueError, match=self.MATCH):
+            mv_utility(gamma, _space(2).rv([1.0, -1.0]))
+
+    @pytest.mark.parametrize("gamma", BAD)
+    def test_market_entry(self, gamma):
+        payoffs = np.array([[1.0, -1.0], [0.5, 2.0]])
+        for gammas in ([gamma, 2.0], (2.0, gamma)):
+            with pytest.raises(ValueError, match=self.MATCH):
+                Market.from_arrays(_space(2), gammas, payoffs)
+
+    @pytest.mark.parametrize("gammas", [
+        pytest.param(np.array([True, True]), id="bool-array"),
+        pytest.param(np.array(["1", "2"]), id="str-array"),
+        pytest.param(np.array([1.0, "2"], dtype=object), id="object-array"),
+    ])
+    def test_market_array_of_no_real_dtype(self, gammas):
+        with pytest.raises(ValueError, match=self.MATCH):
+            Market.from_arrays(_space(2), gammas, [[1.0, -1.0], [0.5, 2.0]])
+
+    @pytest.mark.parametrize("gamma", [1, 2.5, np.float32(0.5), np.int64(3), Fraction(1, 3)])
+    def test_real_numbers_accepted(self, gamma):
+        space = _space(2)
+        assert Agent(gamma, space.rv([1.0, -1.0])).gamma == gamma
+        assert DemandSchedule(gamma, [1.0]).gamma == gamma
+        market = Market.from_arrays(space, [gamma, 2.0], [[1.0, -1.0], [0.5, 2.0]])
+        assert market.gammas.tolist() == [float(gamma), 2.0]
+
+    def test_real_dtype_array_checked_by_value_only(self, monkeypatch):
+        # growing markets build each prefix from one array: its entries are
+        # tested as one vector, with no call per entry, and only a list's
+        # entries each go through the rule
+        calls = []
+        monkeypatch.setattr(core, "_check_gamma", calls.append)
+        space = _space(2)
+        for gammas in (np.linspace(0.5, 2.0, 500), np.arange(1, 501), np.ones(500, np.float32)):
+            Market.from_arrays(space, gammas, np.ones((500, 2)))
+        assert calls == []
+        Market.from_arrays(space, [1.0, 2.0, 3.0], np.ones((3, 2)))
+        assert calls == [1.0, 2.0, 3.0]
+
+
 class TestMarketMoments:
     @pytest.mark.parametrize("scale", [1.0, 1e12])
     @pytest.mark.parametrize("n,m", [(3, 8), (4, 4), (6, 3)])
@@ -370,9 +415,7 @@ class TestDemand:
         m = make_market(rng, n=2, m=5)
         basket = make_basket(rng, m.space, k=2)
         agent = m.agents[0]
-        p0 = basket.mean_vector - 2.0 * agent.gamma * cov_vector(
-            basket, agent.endowment
-        )
+        p0 = basket.mean_vector - 2.0 * agent.gamma * m.exposures(basket)[0]
         assert np.allclose(demand(agent.gamma, agent.endowment, basket, p0), 0.0,
                            atol=1e-10)
 
@@ -442,15 +485,12 @@ class TestForeignSpace:
     BASKET_CALLS = {
         "capm_equilibrium": lambda m, b, s: pareto.capm_equilibrium(m, b).prices,
         "constrained_loss": lambda m, b, s: pareto.constrained_loss(m, b)[0],
-        "reservation_prices": lambda m, b, s: pareto.reservation_prices(m, b, 0),
         "best_price_response": lambda m, b, s: strategic.best_price_response(m, 0, b, s),
         "clearing_utility": lambda m, b, s: oracle.clearing_utility(m, 0, b, s, np.array([0.1])),
         "argmax_phi": lambda m, b, s: oracle.argmax_phi(m, 0, b, s),
         "demand_response_report": lambda m, b, s: strategic.demand_response_report(
             m, 0, b).utility_after,
         "nash_price": lambda m, b, s: nash.nash_price(m, b).price,
-        "nash_vs_pareto_utilities": lambda m, b, s: nash.nash_vs_pareto_utilities(
-            m, b).nash_utilities,
     }
     # every entry point that takes report Rvs, as f(market, report on the tested space)
     REPORT_CALLS = {
@@ -584,7 +624,6 @@ class TestAgentIndex:
         "percentage_response_report": lambda m, b, s, i: strategic.percentage_response_report(
             m, i),
         "demand_response_report": lambda m, b, s, i: strategic.demand_response_report(m, i, b),
-        "reservation_prices": lambda m, b, s, i: pareto.reservation_prices(m, b, i),
         "deviation_gain": lambda m, b, s, i: oracle.deviation_gain(m, i, m.payoffs),
         "argmax_reported_utility": lambda m, b, s, i: oracle.argmax_reported_utility(
             m, i, oracle.CoefficientSearchSpec(tuple(m.endowments()))),

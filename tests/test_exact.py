@@ -23,7 +23,7 @@ import pytest
 
 from riskshare import oracle
 from riskshare.core import Market, ProbSpace, SecurityBasket
-from riskshare.nash import nash_endowment, nash_percentage, nash_price, nash_vs_pareto_utilities
+from riskshare.nash import nash_endowment, nash_percentage, nash_price
 from riskshare.pareto import aggregate_gain, capm_equilibrium, mechanism_gains, sharing_weights
 from riskshare.strategic import (
     _response_coefficients,
@@ -36,6 +36,7 @@ from riskshare.strategic import (
     truthful_schedules,
 )
 
+from conftest import nash_price_utilities
 from exact import ExactMarket, dyadic_probs, relative_error
 
 TOL = 1e-14
@@ -187,9 +188,11 @@ def test_demand_utility_after(deviator_markets):
 
 
 def test_nash_price_utilities(markets):
+    # the oracle's clearing value of the others' Nash demand, -allocation[i],
+    # against their Nash schedules: agent i's utility at the Nash price
     for market, exact, securities in markets:
         basket = SecurityBasket(tuple(market.space.rvs(securities)))
-        got = nash_vs_pareto_utilities(market, basket).nash_utilities
+        got = nash_price_utilities(market, basket)
         want = exact.clearing_levels(securities, exact.price_schedules(securities))
         for i in range(market.n):
             assert _utility_error(got[i], want[i], exact, i) <= TOL

@@ -15,19 +15,16 @@ from riskshare.core import (
     SecurityBasket,
     SingularCovarianceError,
     cov,
-    equal_up_to_constants,
+    mv_utility,
     var,
 )
 from riskshare import nash, pareto, strategic
 from riskshare.experiments import AgentSequenceSpec, agent_pool, correlated_pair_market
 from riskshare.nash import (
     ConvergenceError,
-    excess_return_check,
-    nash_aggregate_endowment,
     nash_endowment,
     nash_percentage,
     nash_price,
-    nash_vs_pareto_utilities,
     percentage_best_response,
     percentage_game_gains,
     table1_report,
@@ -45,7 +42,7 @@ from riskshare.strategic import (
     reported_utility,
 )
 
-from conftest import make_basket, make_market
+from conftest import make_basket, make_market, nash_price_utilities
 from exact import ExactMarket
 
 
@@ -115,7 +112,7 @@ class TestNashEndowment:
         for _ in range(30):
             homogeneous = bool(rng.integers(2))
             m = make_market(rng, homogeneous=homogeneous)
-            gap = var(nash_aggregate_endowment(m) - m.total_endowment)
+            gap = var(m.space.rv(nash_endowment(m).aggregate) - m.total_endowment)
             spread = np.ptp(m.gammas)
             if homogeneous:
                 assert gap < 1e-18
@@ -142,7 +139,6 @@ class TestNashEndowment:
                 m = Market.from_arrays(m.space, m.gammas, m.payoffs + cash[:, None])
             out = nash_endowment(m)
             assert out.inefficiency == nash.nash_inefficiency(m)
-            assert np.array_equal(out.aggregate, nash_aggregate_endowment(m).payoffs)
             reported = nash._nash_reports(m, m.centered)[1]
             assert np.array_equal(out.per_agent_gain, pareto.mechanism_gains(m, reported))
 
@@ -169,12 +165,9 @@ class TestTable1:
                     nash_engine, nash_closed, pareto_engine, pareto_closed = (
                         m.space.rv(getattr(cell, "payoffs", cell)) for cell in (
                             r.nash_engine, r.nash_closed, r.pareto_engine, r.pareto_closed))
-                    assert equal_up_to_constants(
-                        nash_engine, nash_closed, tol=1e-16
-                    )
-                    assert equal_up_to_constants(
-                        pareto_engine, pareto_closed, tol=1e-16
-                    )
+                    # equal up to cash: Var[x - y] <= 1e-16 (Var[x] + Var[y])
+                    for x, y in ((nash_engine, nash_closed), (pareto_engine, pareto_closed)):
+                        assert var(x - y) <= 1e-16 * (var(x) + var(y))
                 else:
                     assert r.nash_engine == pytest.approx(r.nash_closed, abs=1e-10)
                     assert r.pareto_engine == pytest.approx(
@@ -264,6 +257,14 @@ class TestNashPercentage:
         m = correlated_pair_market(1.0, 1.0, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
             nash_percentage(m, max_iter=max_iter)
+
+    @pytest.mark.parametrize("kappa", [10, np.int64(10), np.float32(10.0), Fraction(10)])
+    def test_kappa_of_any_real_type(self, kappa):
+        # every real number the rule admits is the float bound it equals
+        m = correlated_pair_market(1.0, 1.0, 1.0, 10.0, -0.8)
+        got, want = nash_percentage(m, kappa=kappa), nash_percentage(m, kappa=10.0)
+        assert got.b_star.tobytes() == want.b_star.tobytes()
+        assert type(got.kappa) is float and got.kappa == 10.0
 
     def test_max_iter_of_numpy_integer(self):
         m = correlated_pair_market(1.0, 1.0, 1.0, 10.0, -0.8)
@@ -457,105 +458,49 @@ class TestNashPrice:
 
 
 class TestUtilityComparison:
+    """The price game's utilities, the oracle's clearing values at the Nash
+    allocation, against the CAPM levels of the same basket."""
+
     def test_aggregate_decrease_identity(self):
+        # the price terms net out across a cleared market, so the aggregate
+        # decrease is sum_i gamma_i (Zhat_i - Z_i) . (Var[C] (Zhat_i + Z_i)
+        # + 2 Cov(E_i, C)), Zhat the Nash and Z the CAPM allocation
         rng = np.random.default_rng(66)
         for _ in range(10):
             m = make_market(rng, m=5)
             basket = make_basket(rng, m.space, k=2)
-            cmp = nash_vs_pareto_utilities(m, basket)
-            assert cmp.aggregate_decrease == pytest.approx(
-                cmp.aggregate_decrease_closed, abs=1e-9
-            )
+            capm = capm_equilibrium(m, basket)
+            decrease = float(np.sum(capm.utility_levels - nash_price_utilities(m, basket)))
+            zh, z = nash_price(m, basket).allocation, capm.allocation
+            closed = m.gammas @ np.sum(
+                (zh - z) * ((zh + z) @ basket.cov_matrix + 2.0 * m.exposures(basket)), axis=1)
+            assert decrease == pytest.approx(closed, abs=1e-9)
 
     def test_homogeneous_gain_factor(self):
         rng = np.random.default_rng(67)
         for n in (2, 3, 5):
             m = make_market(rng, n=n, m=5, homogeneous=True)
             basket = make_basket(rng, m.space, k=2)
-            cmp = nash_vs_pareto_utilities(m, basket)
-            from riskshare.core import mv_utility
-
             base = np.array([mv_utility(a.gamma, a.endowment) for a in m.agents])
-            pareto_gain = cmp.pareto_utilities - base
-            nash_gain = cmp.nash_utilities - base
+            nash_gain = nash_price_utilities(m, basket) - base
             assert np.allclose(
-                nash_gain, ((n**2 - 1) / n**2) * pareto_gain, atol=1e-10
+                nash_gain, ((n**2 - 1) / n**2) * capm_equilibrium(m, basket).gains, atol=1e-10
             )
 
     def test_two_agent_unit_variance_closed_form(self):
+        # with one security of unit variance, agent 1's Nash utility minus its
+        # CAPM level is (gamma_2/2 - 3 gamma_1/4) Cov(C, C*_1)^2
         rng = np.random.default_rng(68)
         for _ in range(10):
             m = make_market(rng, n=2, m=5)
             c = m.space.rv(rng.normal(size=5))
             c = (1.0 / np.sqrt(var(c))) * c
             basket = SecurityBasket((c,))
-            cmp = nash_vs_pareto_utilities(m, basket)
-            assert cmp.agent1_nash_minus_pareto_closed == pytest.approx(
-                cmp.nash_utilities[0] - cmp.pareto_utilities[0], abs=1e-10
-            )
-
-    def test_closed_form_absent_outside_configuration(self):
-        rng = np.random.default_rng(69)
-        m = make_market(rng, n=3, m=5)
-        basket = make_basket(rng, m.space, k=2)
-        assert nash_vs_pareto_utilities(m, basket).agent1_nash_minus_pareto_closed is None
-
-
-class TestExcessReturn:
-    @staticmethod
-    def _in_span_market(rng, n=3, m=4):
-        space = ProbSpace(rng.dirichlet(np.ones(m) * 5.0))
-        c = space.rv(rng.normal(size=m))
-        basket = SecurityBasket((c,))
-        agents = tuple(
-            Agent(
-                float(rng.uniform(0.5, 2.0)),
-                float(rng.normal()) * c + float(rng.normal()),
-            )
-            for _ in range(n)
-        )
-        return Market(space, agents), basket, c
-
-    def test_market_portfolio_residual_zero(self):
-        rng = np.random.default_rng(70)
-        m, basket, c = self._in_span_market(rng)
-        b_star = nash_aggregate_endowment(m)
-        assert excess_return_check(m, b_star) < 1e-12
-
-    def test_random_in_span_payoffs(self):
-        rng = np.random.default_rng(71)
-        for _ in range(10):
-            m, basket, c = self._in_span_market(rng)
-            x = float(rng.normal()) * c + float(rng.normal())
-            if abs(cov(x, nash_aggregate_endowment(m))) < 1e-12:
-                continue
-            assert excess_return_check(m, x) < 1e-12
-
-    def test_residual_free_of_the_unit(self):
-        # payoffs times 2^k and gammas times 2^-k scale every price by 2^k
-        # exactly and leave every return as it is, so the residual is the
-        # same bits; the zero-price test is relative to the price's terms
-        m, _, c = self._in_span_market(np.random.default_rng(73))
-        x = 0.75 * c + 0.5
-        want = excess_return_check(m, x)
-        for k in range(-60, 61):
-            scaled = Market.from_arrays(m.space, m.gammas * 2.0**-k, m.payoffs * 2.0**k)
-            assert excess_return_check(scaled, 2.0**k * x) == want, k
-
-    def test_zero_price_raises(self):
-        m, _, _ = self._in_span_market(np.random.default_rng(72))
-        with pytest.raises(ValueError, match="zero equilibrium price"):
-            excess_return_check(m, m.space.constant(0.0))
-
-    def test_riskless_aggregate_raises(self):
-        # opposite risks of equal risk aversion cancel in the reported
-        # aggregate, which keeps only the shared cash and so has a price
-        space = ProbSpace([0.25, 0.25, 0.5])
-        risk = np.array([1.0, -2.0, 0.5])
-        m = Market.from_arrays(space, [1.5, 1.5], [3.0 + risk, 3.0 - risk])
-        x = space.rv(3.0 + risk)
-        with pytest.raises(ValueError, match="reported aggregate endowment is riskless"):
-            excess_return_check(m, x)
+            g1, g2 = m.gammas
+            t = cov(c, m.space.rv(optimal_sharing(m)[0]))
+            difference = (nash_price_utilities(m, basket)[0]
+                          - capm_equilibrium(m, basket).utility_levels[0])
+            assert (g2 / 2.0 - 0.75 * g1) * t**2 == pytest.approx(difference, abs=1e-10)
 
 
 class TestCashShift:
@@ -635,7 +580,6 @@ ENGINES = {
     "capm_equilibrium": lambda m, c: pareto.capm_equilibrium(m, c),
     "optimal_utility_levels": lambda m, c: pareto.optimal_utility_levels(m),
     "constrained_loss": lambda m, c: pareto.constrained_loss(m, c),
-    "reservation_prices": lambda m, c: pareto.reservation_prices(m, c, 17),
     "endowment_variances": lambda m, c: strategic.endowment_variances(m),
     "truthful_schedules": lambda m, c: strategic.truthful_schedules(m, c),
     "reported_utility": lambda m, c: strategic.reported_utility(
@@ -649,7 +593,6 @@ ENGINES = {
     "endowment_response_report": lambda m, c: strategic.endowment_response_report(m, 17),
     "percentage_response_report": lambda m, c: strategic.percentage_response_report(m, 17),
     "demand_response_report": lambda m, c: strategic.demand_response_report(m, 17, c),
-    "nash_aggregate_endowment": lambda m, c: nash.nash_aggregate_endowment(m),
     "nash_endowment": lambda m, c: nash.nash_endowment(m),
     "nash_inefficiency": lambda m, c: nash.nash_inefficiency(m),
     "percentage_best_response": lambda m, c: nash.percentage_best_response(
@@ -658,8 +601,6 @@ ENGINES = {
     "percentage_game_gains": lambda m, c: nash.percentage_game_gains(
         m, nash.nash_percentage(m)),
     "nash_price": lambda m, c: nash.nash_price(m, c),
-    "nash_vs_pareto_utilities": lambda m, c: nash.nash_vs_pareto_utilities(m, c),
-    "excess_return_check": lambda m, c: nash.excess_return_check(m, c.securities[0]),
 }
 N_BY_N = {"table1_report", "sharing_weights"}
 

@@ -14,6 +14,7 @@ from riskshare.core import (
     demand,
     mean,
     mv_utility,
+    pricing,
     var,
 )
 from riskshare.pareto import (
@@ -25,7 +26,6 @@ from riskshare.pareto import (
     optimal_sharing,
     optimal_utility_levels,
     pooling_gain,
-    reservation_prices,
     sharing_weights,
 )
 from riskshare.nash import nash_endowment
@@ -237,11 +237,13 @@ class TestConstrainedLoss:
 
 class TestReservationPrices:
     def test_zero_demand(self):
+        # at E[C] - 2 gamma_i Cov(C, E_i), agent i's reservation prices, the
+        # agent is indifferent between trading and not trading the basket
         rng = np.random.default_rng(23)
         m = make_market(rng, m=5)
         basket = make_basket(rng, m.space, k=2)
         for i, a in enumerate(m.agents):
-            p0 = reservation_prices(m, basket, i)
+            p0 = pricing(a.gamma, basket.mean_vector, m.exposures(basket)[i])
             assert np.allclose(
                 demand(a.gamma, a.endowment, basket, p0), 0.0, atol=1e-10
             )
