@@ -2,30 +2,34 @@
 
 Market files are JSON whose `schema` is the integer 1; reports are JSON with a
 stable field order and an echo of the ingested market, so a report can be
-re-run bit-for-bit. A report's results are the engine's outcome type, field
-by field in declaration order (the price game's schedule rows as
-`{"gamma", "c"}` objects), plus the keys the type lacks; the echo holds
-the ingested probabilities, risk aversions, payoff rows and securities as the
-validated arrays themselves. One writer, `_dumps`, serializes both: it writes
-the bytes of `json.dumps(body, indent=2, allow_nan=False, default=_encode)`,
-but a float array, and so a random variable, in one join over its entries'
-`float.__repr__`, and it hands `_encode` only what json cannot write itself:
-numpy scalars other than float64, arrays of other dtypes and dataclasses.
-Every gamma, probability and payoff is a finite JSON number, never a boolean
-or a string, and a rejected one is addressed by its index. Ingestion
-validates each value where it reads it, in file order, an array of floats in
-one pass in C, and builds the market once from the validated risk aversions
-and payoff rows with `Market.from_arrays`, and the basket from one
-`ProbSpace.rvs` batch: no object per agent is built, and the echo serializes
-the market's own rows. `securities` and `parameters`
-are optional; present, they must be an array (empty: no basket) and an object
-(empty: the defaults). The only parameters are the percentage game's `kappa`
-(a finite positive number) and `max_iter` (an integer cap on its active-set
-solves, at least 1). `--seed`, a non-negative integer, is read by the
-`experiment` command only, which looks the id up in `experiments.EXPERIMENTS`
-and prints CSV. A report or table goes to stdout, or to `--out`. `--profile`
-adds one stderr line of the wall time of each stage that ran (ingest, solve,
-encode, write) and changes no output byte.
+re-run bit-for-bit. A report's results are the engine's outcome type, field by
+field in declaration order (the price game's schedule rows as `{"gamma", "c"}`
+objects), plus the keys the type lacks; the echo holds the ingested
+probabilities, risk aversions, payoff rows and securities as the validated
+arrays themselves. One writer, `_dumps`, serializes both: it writes the bytes
+of `json.dumps(body, indent=2, allow_nan=False, default=_encode)`, a float
+array, and so a random variable, in one join over its entries'
+`float.__repr__`; it tells json's own types apart by one chain of isinstance
+tests (a bool before an int) and hands `_encode` only what json cannot write
+itself: numpy scalars other than float64, arrays of other dtypes and
+dataclasses. A market file has only the keys `schema`, `probs`, `agents`,
+`securities` and `parameters`, an agent only `gamma` and `payoffs`: any other
+is rejected by name once the schema is accepted. Every gamma, probability and
+payoff is a finite JSON number, never a boolean or a string, and a rejected
+one is addressed by its index; a gamma and `kappa` meet `core`'s number rule,
+and `max_iter` its count rule, once. Ingestion validates each value where it
+reads it, in file order, an array of floats in one pass in C, and builds the
+market once from a float array of the validated risk aversions and the payoff
+rows with `Market.from_arrays`, and the basket from one `ProbSpace.rvs` batch:
+no object per agent is built, and the echo serializes the market's own rows.
+`securities` and `parameters` are optional; present, they must be an array
+(empty: no basket) and an object (empty: the defaults). The only parameters
+are the percentage game's `kappa` (a finite positive number) and `max_iter`
+(an integer cap on its active-set solves, at least 1). `--seed`, a
+non-negative integer, is read by the `experiment` command only, which looks
+the id up in `experiments.EXPERIMENTS` and prints CSV. A report or table goes
+to stdout, or to `--out`. `--profile` adds one stderr line of the wall time of
+each stage that ran (ingest, solve, encode, write) and changes no output byte.
 
 The command line is one command and the options, in any order, read in one
 pass (`_arguments`); -h or --help prints the usage on stdout and exits 0.
@@ -61,6 +65,8 @@ from .core import (
     Rv,
     SecurityBasket,
     SingularCovarianceError,
+    _is_count,
+    _is_positive_real,
 )
 from .experiments import EXPERIMENTS, AgentSequenceSpec
 from .nash import (
@@ -132,13 +138,6 @@ def _finite(value) -> bool:
     return type(value) in (int, float) and -top <= value <= top
 
 
-def _number(value, field: str, positive: bool = False) -> float:
-    """`value` as a finite float, positive if asked."""
-    if not (_finite(value) and (value > 0 or not positive)):
-        raise Failure(field, f"must be a finite {'positive ' if positive else ''}number")
-    return float(value)
-
-
 _FLOAT = {float}
 
 
@@ -179,13 +178,20 @@ def _entries(items: list, field: str, read) -> list:
     return out
 
 
+def _known_keys(doc: dict, keys, field: str) -> None:
+    """Reject the first key of `doc`, in file order, that is not in `keys`."""
+    for key in doc:
+        _require(key in keys, field + key, "unknown key")
+
+
 def _agent(space: ProbSpace, doc) -> tuple[float, list]:
     """An agent object's gamma and payoff row, in that order."""
     _require(isinstance(doc, dict), "", "must be an object")
+    _known_keys(doc, ("gamma", "payoffs"), ".")
     _require("gamma" in doc, ".gamma", "missing")
     _require("payoffs" in doc, ".payoffs", "missing")
-    return (_number(doc["gamma"], ".gamma", positive=True),
-            _payoffs(space, doc["payoffs"], ".payoffs"))
+    _require(_is_positive_real(doc["gamma"]), ".gamma", "must be a finite positive number")
+    return float(doc["gamma"]), _payoffs(space, doc["payoffs"], ".payoffs")
 
 
 def load_market_file(path: str) -> dict:
@@ -210,6 +216,7 @@ def ingest_market_document(doc) -> dict:
     schema = doc.get("schema")
     _require(type(schema) is int and schema == SCHEMA_VERSION, "schema",
              f"unsupported schema version {schema!r}, expected {SCHEMA_VERSION}")
+    _known_keys(doc, ("schema", "probs", "agents", "securities", "parameters"), "")
 
     probs = _numbers(doc.get("probs"), "probs")
     _require(len(probs) > 0, "probs", "must be a non-empty array")
@@ -223,7 +230,7 @@ def ingest_market_document(doc) -> dict:
              "agents", "must be an array of at least two agents")
     gammas, rows = zip(*_entries(agents_doc, "agents", functools.partial(_agent, space)))
     try:
-        market = Market.from_arrays(space, gammas, rows)
+        market = Market.from_arrays(space, np.array(gammas), rows)
     except (ValueError, FloatingPointError) as exc:
         raise Failure("agents", exc) from None
 
@@ -245,11 +252,11 @@ def ingest_market_document(doc) -> dict:
         where = f"parameters.{key}"
         _require(key in DEFAULT_PARAMETERS, where, "unknown parameter")
         if key == "kappa":
-            parameters[key] = _number(value, where, positive=True)
+            _require(_is_positive_real(value), where, "must be a finite positive number")
+            value = float(value)
         else:
-            _require(type(value) is int and value >= 1, where,
-                     "must be an integer of at least 1")
-            parameters[key] = value
+            _require(_is_count(value, 1), where, "must be an integer of at least 1")
+        parameters[key] = value
 
     echo = {
         "schema": SCHEMA_VERSION,
@@ -287,13 +294,7 @@ def _encode(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-# the types `_dumps` writes without an isinstance test (np.float64 is a
-# float), and json's own, in the order it tests a subclass of one
-_EXACT = {float, np.float64, str, dict, list, tuple, np.ndarray, Rv, int, bool,
-          type(None)}
-_BASES = (str, int, float, list, tuple, dict)
 _F8 = np.dtype(float)
-_RV = {Rv}
 
 
 def _floats(text: str) -> str:
@@ -314,21 +315,15 @@ def _dumps(value, nl: str = "\n") -> str:
     """`json.dumps(value, indent=2, allow_nan=False, default=_encode)`, byte
     for byte; `nl` is the newline and indent of the level `value` is at.
 
-    A value is dispatched on its exact type, then by isinstance in json's
-    order (`_BASES`), and anything else goes through `_encode`, as json's
-    `default` would. A 1-D or 2-D float64 array, an `Rv` and a list of `Rv`s
-    (the rows of a matrix) are written with one join over their entries'
-    `float.__repr__`. A non-finite float raises ValueError. Every key in a
-    report is a str, so keys are written as strings only (any other key
-    raises TypeError).
+    json's own types, a subclass included, are told apart by isinstance (a bool,
+    the one value of two of them, before an int). A 1-D or 2-D float64 array, and
+    so an `Rv`'s payoffs, is written with one join over its entries'
+    `float.__repr__`; anything else goes through `_encode`, as json's `default`
+    would. A non-finite float raises ValueError. Every key in a report is a str,
+    so keys are written as strings only (any other key raises TypeError).
     """
-    kind = type(value)
-    if kind not in _EXACT:
-        if not isinstance(value, _BASES):
-            return _dumps(_encode(value), nl)
-        kind = next(base for base in _BASES if isinstance(value, base))
     inner = nl + "  "
-    if kind is dict:
+    if isinstance(value, dict):
         if not value:
             return "{}"
         items = [encode_basestring_ascii(key) + ": " + (
@@ -336,30 +331,29 @@ def _dumps(value, nl: str = "\n") -> str:
                      else _dumps(item, inner))
                  for key, item in value.items()]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if kind is np.ndarray or kind is Rv:
-        array = value.payoffs if kind is Rv else value
-        if array.dtype is not _F8 or array.ndim not in (1, 2) or not array.size:
+    if isinstance(value, Rv):
+        value = value.payoffs  # json writes an Rv as its payoffs, by `_encode`
+    if isinstance(value, np.ndarray):
+        if value.dtype is not _F8 or value.ndim not in (1, 2) or not value.size:
             return _dumps(_encode(value), nl)
-        if array.ndim == 1:
-            text = ("," + inner).join(map(float.__repr__, array.tolist()))
+        if value.ndim == 1:
+            text = ("," + inner).join(map(float.__repr__, value.tolist()))
         else:
-            text = _float_rows(array.tolist(), inner)
+            text = _float_rows(value.tolist(), inner)
         return "[" + inner + _floats(text) + nl + "]"
-    if kind is float or kind is np.float64:
+    if isinstance(value, float):  # np.float64 included
         return _floats(float.__repr__(value))
-    if kind is list or kind is tuple:
+    if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == _RV:  # an Rv's payoffs are a float64 row
-            text = _floats(_float_rows([rv.payoffs.tolist() for rv in value], inner))
-        else:
-            text = ("," + inner).join([_dumps(item, inner) for item in value])
-        return "[" + inner + text + nl + "]"
-    if kind is str:
+        return "[" + inner + ("," + inner).join([_dumps(item, inner) for item in value]) + nl + "]"
+    if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if kind is bool:
+    if isinstance(value, bool):
         return "true" if value else "false"
-    return "null" if value is None else int.__repr__(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return "null" if value is None else _dumps(_encode(value), nl)
 
 
 # for a floating-point error in a command or a non-finite value in a report,
@@ -482,7 +476,7 @@ def cmd_experiment(experiment: str, seed: int):
     """The experiment's table, whose `to_csv` is its output."""
     _require(experiment in EXPERIMENTS, "experiment",
              f"unknown experiment {experiment!r}")
-    _require(seed >= 0, "--seed", "must be a non-negative integer")
+    _require(_is_count(seed, 0), "--seed", "must be a non-negative integer")
     return EXPERIMENTS[experiment](AgentSequenceSpec(seed=seed))
 
 

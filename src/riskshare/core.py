@@ -240,12 +240,15 @@ def var(x: Rv) -> float:
 
 
 def _is_positive_real(value) -> bool:
-    """The one number rule: a real number, not a bool (a str is no real),
-    positive and finite. A float, numpy's included, passes the type test at once."""
+    """The one number rule: a real number, not a bool (a str is no real), positive
+    and finite as a float too. A float, numpy's included, passes the type test at once."""
     if not isinstance(value, float) and (
             isinstance(value, bool) or not isinstance(value, numbers.Real)):
         return False
-    return math.isfinite(value) and value > 0.0
+    try:
+        return math.isfinite(value) and value > 0.0
+    except OverflowError:  # an int, or a Fraction, too large for a float
+        return False
 
 
 def _check_gamma(gamma) -> None:
@@ -314,8 +317,8 @@ class Market:
     aggregate_gamma: float  # gamma = 1 / sum_i 1/gamma_i
 
     def __init__(self, space: ProbSpace, agents):
-        agents = tuple(agents)
-        self._set_arrays(space, [a.gamma for a in agents],
+        agents = tuple(agents)  # each gamma already checked by `Agent`
+        self._set_arrays(space, np.array([a.gamma for a in agents], dtype=float),
                          space.rows([a.endowment for a in agents], "endowment of agent"))
         self.__dict__["agents"] = agents  # the cached value of `agents`
 
@@ -329,8 +332,8 @@ class Market:
     def _set_arrays(self, space: ProbSpace, gammas, payoffs) -> None:
         """Validate read-only copies of the arrays and derive the moments.
 
-        Each entry of gammas meets `_check_gamma`; an array of a real dtype
-        holds no bool or string, so only its values are tested, in one pass.
+        An array of a real dtype holds no bool or string, so only its values are
+        tested, in one pass; each entry of other gammas (a list) meets `_check_gamma`.
         """
         if not (isinstance(gammas, np.ndarray) and gammas.dtype.kind in "fiu"):
             gammas = np.array(gammas, dtype=object)  # the entries as given

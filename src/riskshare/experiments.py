@@ -21,12 +21,13 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Agent, Market, ProbSpace, Rv, SecurityBasket, _check_count, _is_count
+from .core import (
+    Agent, Market, ProbSpace, Rv, SecurityBasket, _check_count, _is_count, _is_positive_real,
+)
 from .nash import (
     nash_inefficiency,
     nash_percentage,
@@ -242,7 +243,7 @@ def correlated_pair_market(
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError("correlation must lie in [-1, 1]")
-    if not all(math.isfinite(v) and v > 0.0 for v in (var1, var2)):
+    if not (_is_positive_real(var1) and _is_positive_real(var2)):
         raise ValueError("target variances must be finite and positive")
     space = ProbSpace(np.array([0.3, 0.3, 0.4]))
     p = space.probs

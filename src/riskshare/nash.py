@@ -169,7 +169,7 @@ def table1_report(market: Market) -> list[Table1Row]:
             e1,
             nash.reported[0],
             ((2 * g1 + g2) / (2 * (g1 + g2))) * e1
-            + ((g2 / g1) * g2 / (2 * (g1 + g2))) * e2,
+            + ((g2 / g1) * (g2 / (2 * (g1 + g2)))) * e2,  # no g2^2 to overflow
         ),
         Table1Row(
             "purchased_contract",

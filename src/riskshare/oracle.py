@@ -235,10 +235,7 @@ def _report_gain(market: Market, i: int, reports: np.ndarray, basis: np.ndarray)
 
     def gain(coefficients):
         trial = coefficients @ basis
-        if trial.ndim == 1:
-            profiles = reports.copy()
-        else:
-            profiles = np.repeat(reports[None], len(trial), axis=0)
+        profiles = np.broadcast_to(reports, trial.shape[:-1] + reports.shape).copy()
         profiles[..., i, :] = trial
         return deviation_gain(market, i, profiles)
 

@@ -182,6 +182,27 @@ class TestValidation:
         assert main(["pareto", "--market", str(path)]) == EXIT_VALIDATION
         assert "parameters.bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, line", [
+        # the percentage game would run at the default kappa
+        ({"paramters": {"kappa": 0.1}}, "paramters: unknown key"),
+        # the market would have no basket
+        ({"securites": [[1.0, 0.0, -1.0]]}, "securites: unknown key"),
+        ({"agents": [{"gamma": 1.0, "payoffs": [1.0, -1.0, 0.5], "name": "a"},
+                     {"gamma": 2.0, "payoffs": [-0.5, 1.5, -1.0]}]},
+         "agents[0].name: unknown key"),
+        # the key is named, not its missing correction
+        ({"agents": [{"gamma": 1.0, "payoffs": [1.0, -1.0, 0.5]},
+                     {"gama": 2.0, "payoffs": [-0.5, 1.5, -1.0]}]},
+         "agents[1].gama: unknown key"),
+        # a newer schema fails on its version, not on the keys it adds
+        ({"schema": 2, "comment": "v2"}, "schema: unsupported schema version 2, expected 1"),
+    ], ids=["parameters", "securities", "agent", "agent-misspelled", "newer-schema"])
+    def test_unknown_key_addressed(self, tmp_path, overrides, line):
+        path = write_market(tmp_path, **overrides)
+        code, out, err = _run(["nash", "--game", "percentage", "--market", str(path)])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"validation error: {line}\n"
+
     def test_removed_solver_knobs(self, tmp_path, capsys):
         for name in ("damping", "tol", "seed"):
             path = write_market(tmp_path, parameters={name: 1})
@@ -193,8 +214,8 @@ class TestValidation:
     def test_parameter_values_validated(self, tmp_path, capsys):
         # raw JSON text: non-finite, out-of-range, fractional and non-number values
         bad = {
-            "kappa": ["NaN", "Infinity", "-Infinity", "1e400", '"nan"', "-1", "0",
-                      "true", "null"],
+            "kappa": ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, '"nan"',
+                      "-1", "0", "true", "null"],
             "max_iter": ["2.7", "true", "0", "-5", '"10"', "1e3", "null"],
         }
         for name, values in bad.items():
@@ -215,6 +236,7 @@ class TestValidation:
         ("agents[0].gamma", "true"),
         ("agents[0].gamma", "Infinity"),
         ("agents[0].gamma", "1e400"),
+        pytest.param("agents[0].gamma", "1" + "0" * 400, id="agents[0].gamma-int-beyond-float"),
         ("agents[0].gamma", "NaN"),
         ("agents[0].gamma", "null"),
         ("probs[0]", '"0.3"'),
@@ -592,7 +614,7 @@ class TestNoObjectPerAgent:
         ("best-response", "--game", "demand"): 2,
         ("nash", "--game", "price"): 1,
     }
-    # ROADMAP item 2's remainder: this outcome still holds one object per
+    # ROADMAP item 6's remainder: this outcome still holds one object per
     # agent, which its report prints: the Nash reports, which the benchmark
     # reads as `Rv`s (`nash_endowment(...).reported`); it grows by exactly
     # those objects
@@ -1109,7 +1131,8 @@ def _reject(constant):
 class TestDisparateRiskAversions:
     """Risk aversions far apart are valid: every command solves them."""
 
-    @pytest.mark.parametrize("gammas", [(1e-20, 1.0), (1.0, 1e17), (1.0, 2.0**60)])
+    @pytest.mark.parametrize("gammas", [(1e-20, 1.0), (1.0, 1e17), (1.0, 2.0**60),
+                                        (1.0, 1e200), (1e-150, 1e150)])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_disparate_gammas_solved(self, tmp_path, gammas, command):
         # valid markets that a test of 1 - sum_i s_i^2 > 0 in floating point rejected
@@ -1120,6 +1143,20 @@ class TestDisparateRiskAversions:
         code, out, err = _run(list(command) + ["--market", str(path)])
         assert (code, err) == (EXIT_OK, "")
         json.loads(out, parse_constant=_reject)
+
+    @pytest.mark.parametrize("gammas", [(1.0, 1e200), (1e-150, 1e150)])
+    def test_table1_closed_cells_match_engines(self, tmp_path, gammas):
+        # the reported endowment's closed form overflowed in g2^2 / g1
+        path = write_market(tmp_path, agents=[
+            {"gamma": gammas[0], "payoffs": [1.0, -1.0, 0.5]},
+            {"gamma": gammas[1], "payoffs": [-0.5, 1.5, -1.0]},
+        ])
+        code, out, err = _run(["nash", "--game", "endowment", "--market", str(path)])
+        assert (code, err) == (EXIT_OK, "")
+        for row in json.loads(out, parse_constant=_reject)["results"]["table1"]:
+            for side in ("pareto", "nash"):
+                engine, closed = np.array(row[f"{side}_engine"]), np.array(row[f"{side}_closed"])
+                assert np.abs(closed - engine).max() <= 1e-12 * np.abs(engine).max(), row
 
 
 class TestFloatingPointAddressed:
@@ -1323,7 +1360,7 @@ class TestReportWriter:
         enum.IntEnum("Small", "ONE")(1), type("Sub", (float,), {})(0.25),
         type("Text", (str,), {})("é"), collections.OrderedDict(b=1.0, a=[2.0]),
         collections.namedtuple("Pair", "x y")(1.0, [np.float64(2.0)]),
-    ], ids=repr)
+    ], ids=lambda value: re.sub(r"\s*\n\s*", " ", repr(value)))  # one line each
     def test_values_match_json(self, value):
         assert cli._dumps(value) == _json_text(value)
 
@@ -1398,6 +1435,15 @@ class TestIngestOrder:
         code, out, err = _run(["pareto", "--market", str(path)])
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err == "validation error: probs[1]: must be a finite number\n"
+
+    def test_gammas_checked_once(self, tmp_path, monkeypatch):
+        # ingest checks each gamma as it reads it and hands the market one
+        # float array, whose entries the market does not check again
+        calls = []
+        monkeypatch.setattr(core, "_check_gamma", calls.append)
+        loaded = ingest_market_document(json.loads(write_market(tmp_path).read_text()))
+        assert loaded["market"].gammas.tolist() == [1.0, 2.0]
+        assert calls == []
 
     def test_int_payoffs_accepted(self, tmp_path):
         ints = write_market(tmp_path, "ints.json", agents=[

@@ -268,7 +268,8 @@ class TestOneNumberRule:
     BAD = [pytest.param(True, id="true"), pytest.param(False, id="false"),
            pytest.param(np.True_, id="numpy-bool"), pytest.param("1", id="str"),
            pytest.param(None, id="none"), pytest.param([1.0], id="list"),
-           pytest.param(1j, id="complex")]
+           pytest.param(1j, id="complex"),
+           pytest.param(10**400, id="int-beyond-float")]  # a ValueError, not OverflowError
     MATCH = "gamma must be a positive number, got "
 
     @pytest.mark.parametrize("gamma", BAD)
@@ -315,10 +316,12 @@ class TestOneNumberRule:
         # tested as one vector, with no call per entry, and only a list's
         # entries each go through the rule
         calls = []
-        monkeypatch.setattr(core, "_check_gamma", calls.append)
         space = _space(2)
+        agents = [Agent(g, space.rv([1.0, -1.0])) for g in (1.0, 2.0)]
+        monkeypatch.setattr(core, "_check_gamma", calls.append)
         for gammas in (np.linspace(0.5, 2.0, 500), np.arange(1, 501), np.ones(500, np.float32)):
             Market.from_arrays(space, gammas, np.ones((500, 2)))
+        Market(space, agents)  # each `Agent` checked its own gamma
         assert calls == []
         Market.from_arrays(space, [1.0, 2.0, 3.0], np.ones((3, 2)))
         assert calls == [1.0, 2.0, 3.0]

@@ -241,7 +241,8 @@ class TestCorrelatedPairMarket:
 
     @pytest.mark.parametrize("var1, var2", [
         (float("inf"), 1.0), (1.0, float("inf")), (float("nan"), 1.0), (1.0, float("nan")),
-        (-1.0, 1.0),
+        (-1.0, 1.0), pytest.param(10**400, 1.0, id="int-beyond-float-1.0"),
+        pytest.param(1.0, 10**400, id="1.0-int-beyond-float"),
     ])
     def test_variance_targets_finite_and_positive(self, var1, var2):
         with pytest.raises(ValueError, match="target variances must be finite and positive"):

@@ -248,7 +248,7 @@ class TestNashPercentage:
 
     def test_parameter_validation(self):
         m = correlated_pair_market(1.0, 1.0, 1.0, 1.0, 0.0)
-        for kappa in (0.0, float("nan"), float("inf"), True, "1"):
+        for kappa in (0.0, float("nan"), float("inf"), True, "1", 10**400):
             with pytest.raises(ValueError, match="kappa must be finite and positive"):
                 nash_percentage(m, kappa=kappa)
 

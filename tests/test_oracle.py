@@ -415,7 +415,8 @@ class TestArgmaxDemand:
         with pytest.raises(ValueError, match="not concave"):
             oracle_module._quadratic_argmax(objective, np.zeros(basket.k))
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("gamma", [
+        0.0, -1.0, np.nan, np.inf, pytest.param(10**400, id="int-beyond-float")])
     def test_gamma_must_be_positive_and_finite(self, gamma):
         market, _, basket = _mismatched_basket_market()
         with pytest.raises(ValueError, match="gamma must be a positive number"):
