@@ -240,13 +240,15 @@ def var(x: Rv) -> float:
 
 
 def _is_positive_real(value) -> bool:
-    """The one number rule: a real number, not a bool (a str is no real), positive
-    and finite as a float too. A float, numpy's included, passes the type test at once."""
+    """The one number rule: a real number, not a bool (a str is no real), whose
+    float, the value the engines compute with, is positive and finite (a Fraction
+    below the float range is 0.0). A float, numpy's included, passes the type
+    test at once."""
     if not isinstance(value, float) and (
             isinstance(value, bool) or not isinstance(value, numbers.Real)):
         return False
     try:
-        return math.isfinite(value) and value > 0.0
+        return 0.0 < float(value) < math.inf  # NaN fails both
     except OverflowError:  # an int, or a Fraction, too large for a float
         return False
 
@@ -281,7 +283,7 @@ def pricing(gamma, expectation, covariance):
 def mv_utility(agent_gamma: float, x: Rv) -> float:
     """Mean-variance utility E[x] - gamma * Var[x]."""
     _check_gamma(agent_gamma)
-    return mean(x) - agent_gamma * var(x)
+    return mean(x) - float(agent_gamma) * var(x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -255,8 +255,8 @@ def correlated_pair_market(
             v = v - (p @ (v * u)) * u
         basis.append(v / np.sqrt(p @ v**2))
     u, w = basis
-    e1 = np.sqrt(var1) * u
-    e2 = np.sqrt(var2) * (rho * u + np.sqrt(max(0.0, 1.0 - rho**2)) * w)
+    e1 = np.sqrt(float(var1)) * u
+    e2 = np.sqrt(float(var2)) * (rho * u + np.sqrt(max(0.0, 1.0 - rho**2)) * w)
     return Market.from_arrays(space, (gamma1, gamma2), (e1, e2))
 
 

@@ -1,13 +1,16 @@
 """Nash equilibria of the three risk-sharing games and their metrics.
 
-Closed forms exist for the endowment game and the price-demand game; the
-percentage game, whose clamped best responses are affine in the others'
-reports, is solved exactly as a box-constrained linear complementarity
-problem. The reports then run through `pareto`'s one sharing mechanism:
-contracts are its `sharing_rule`, per-agent gains its `mechanism_gains` and
-the inefficiency the `pooling_gain` of what the reports hold back. Price
-pressure is computed here too. The price game's schedules are one n x k
-matrix, agent i's (gamma_i, row i).
+The endowment game's reports B*_i are a closed-form linear map of the
+endowment rows (`_nash_reports`); the price-demand game's schedules are the
+same map of the exposure rows Cov(C, E_i), one n x k matrix, agent i's
+(gamma_i, row i). The percentage game, whose clamped best responses are
+affine in the others' reports, is solved exactly as a box-constrained linear
+complementarity problem. The reports then run through `pareto`'s one sharing
+mechanism: contracts are its `sharing_rule`, per-agent gains its
+`mechanism_gains`, the inefficiency the `pooling_gain` of what the reports
+hold back, and the price game's price and allocation its basket clearing
+step (`_basket_clearing`), the one that clears truthful schedules. The price
+pressure is what the schedules hold back, sum_i Cov(C, E_i - B*_i).
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Market, Rv, SecurityBasket, _check_count, _is_positive_real, pricing
-from .pareto import mechanism_gains, optimal_sharing, pooling_gain, sharing_rule
+from .core import Market, Rv, SecurityBasket, _check_count, _is_positive_real
+from .pareto import _basket_clearing, mechanism_gains, optimal_sharing, pooling_gain, sharing_rule
 from .strategic import endowment_variances, percentage_responses
 
 
@@ -62,7 +65,7 @@ class NashPriceOutcome:
     price: np.ndarray
     schedules: np.ndarray  # read-only n x k, agent i's schedule (gammas[i], row i)
     allocation: np.ndarray  # n x k, rows are the equilibrium quantities
-    pressure: np.ndarray  # Cov(C_j, E - aggregate reported endowment)
+    pressure: np.ndarray  # sum_i Cov(C, E_i - B*_i), what the reports hold back
 
 
 def _nash_reports(market: Market, x: np.ndarray):
@@ -287,17 +290,15 @@ def percentage_game_gains(market: Market, outcome: NashPercentageOutcome) -> np.
 def nash_price(market: Market, basket: SecurityBasket) -> NashPriceOutcome:
     """Nash equilibrium price, schedules and allocation of a security basket.
 
-    p_hat = E[C] - 2 gamma Cov(C, aggregate reported endowment); agent i's
-    schedule is (gamma_i, Cov(C, B*_i)), row i of the read-only n x k
-    `schedules`, and the allocation is Cov(C, C*_i(B*_i)) . Var^{-1}[C].
+    Agent i's schedule is (gamma_i, Cov(C, B*_i)), row i of the read-only
+    n x k `schedules`: the endowment game's report map of the exposure rows.
+    The price and the allocation are `pareto`'s basket clearing on them,
+    E[C] - 2 gamma sum_i Cov(C, B*_i) and Cov(C, C*_i(B*_i)) . Var^{-1}[C];
+    the pressure is what the reports hold back, sum_i Cov(C, E_i - B*_i).
     """
     exposures = market.exposures(basket)
-    # Cov(C, M) and Cov(C, B*_i)
-    aggregate, exposures_reported = _nash_reports(market, exposures)
-    exposures_reported.flags.writeable = False
-    return NashPriceOutcome(
-        price=pricing(market.aggregate_gamma, basket.mean_vector, aggregate),
-        schedules=exposures_reported,
-        allocation=sharing_rule(market)(exposures_reported) @ basket.cov_inverse,
-        pressure=exposures.sum(axis=0) - aggregate,
-    )
+    schedules = _nash_reports(market, exposures)[1]
+    schedules.flags.writeable = False
+    price, _, allocation = _basket_clearing(market, basket, schedules)
+    return NashPriceOutcome(price=price, schedules=schedules, allocation=allocation,
+                            pressure=(exposures - schedules).sum(axis=0))

@@ -263,12 +263,12 @@ def argmax_demand(
     """Maximizer of U(a.C + endowment) - a.p over positions a."""
     _check_gamma(agent_gamma)
     require_same_space(endowment.space, basket.space, "basket is not on the endowment's space")
-    p = np.asarray(p, dtype=float)
+    gamma, p = float(agent_gamma), np.asarray(p, dtype=float)
     probs = basket.space.probs
 
     def objective(a):
         x = a @ basket.payoffs + endowment.payoffs
-        return _mv_value(agent_gamma, probs, x) - a @ p
+        return _mv_value(gamma, probs, x) - a @ p
 
     return _quadratic_argmax(objective, np.zeros(basket.k))
 

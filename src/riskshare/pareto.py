@@ -8,8 +8,10 @@ of two inner products. In the states, <x, y> = Cov(x, y), it gives
 `mechanism_gains` and `pooling_gain`, the gain left in pooling any rows. On
 a basket, the rows are the schedules Cov(C, R_i), <x, y> = x Var^-1[C] y and
 the mechanism clears at E[C] - 2 gamma sum_i Cov(C, R_i)
-(`_basket_mechanism`): `capm_equilibrium` on the truth, the demand deviator
-(`strategic`) and the price game's utilities (`nash`) on reports.
+(`_basket_clearing`, which `_basket_mechanism` extends by the gains):
+`capm_equilibrium` on the truth and the demand deviator (`strategic`) on
+reports; the price game (`nash`) reads the clearing step alone, its price and
+allocation.
 Pareto sharing runs the mechanism on the true endowments, the Nash games
 (`nash`) and a single deviator (`strategic`) on their reports. Basket prices
 and allocations are linear maps of the market's exposures, and every engine
@@ -76,20 +78,19 @@ def sharing_weights(market: Market) -> np.ndarray:
     return np.where(np.eye(market.n, dtype=bool), -market.complements, market.shares[:, None])
 
 
-def _spreads(market: Market, reports: np.ndarray, misreport, weigh):
-    """The mechanism's one gain kernel: (w, <c_i, c_i + 2 D_i>) per agent.
+def _spreads(contracts: np.ndarray, weighted: np.ndarray, misreport) -> np.ndarray:
+    """The mechanism's one gain kernel: <c_i, c_i + 2 D_i> per agent.
 
-    c = `sharing_rule` of the report rows, w = weigh(c), <x, y> = weigh(x) . y
-    and D the misreport, reports - truth (0.0 when every row is the truth).
-    Agent i's gain is gamma_i times its entry: with A = sum_j R_j,
-    gamma A = gamma_i (c_i + R_i), so the textbook 2 gamma <A, c_i> -
-    gamma_i (2 <T_i, c_i> + <c_i, c_i>) reads gamma_i <c_i, c_i + 2 D_i>,
-    with no aggregate term to cancel. The states weigh by p, x * p; a basket's
-    exposure rows by Var^-1[C], x @ Var^-1[C], which makes w the allocation.
+    c = `sharing_rule` of the report rows, weighted = c weighed by the inner
+    product, so <c_i, y> = weighted_i . y, and D the misreport, reports - truth
+    (0.0 when every row is the truth). Agent i's gain is gamma_i times its
+    entry: with A = sum_j R_j, gamma A = gamma_i (c_i + R_i), so the textbook
+    2 gamma <A, c_i> - gamma_i (2 <T_i, c_i> + <c_i, c_i>) reads
+    gamma_i <c_i, c_i + 2 D_i>, with no aggregate term to cancel. The states
+    weigh by p, c * p; a basket's exposure rows by Var^-1[C], c @ Var^-1[C],
+    the allocation.
     """
-    contracts = sharing_rule(market)(reports)
-    weighted = weigh(contracts)
-    return weighted, np.vecdot(weighted, contracts + 2.0 * misreport)
+    return np.vecdot(weighted, contracts + 2.0 * misreport)
 
 
 def mechanism_gains(market: Market, reports: np.ndarray) -> np.ndarray:
@@ -100,8 +101,9 @@ def mechanism_gains(market: Market, reports: np.ndarray) -> np.ndarray:
     `_spreads` in the states, gamma_i Cov(c_i, c_i + 2 (R_i - E_i)). Truthful
     reports, `market.centered`, give the Pareto gains gamma_i Var[C*_i].
     """
-    p = market.space.probs
-    return market.gammas * _spreads(market, reports, reports - market.centered, lambda x: x * p)[1]
+    contracts = sharing_rule(market)(reports)
+    return market.gammas * _spreads(contracts, contracts * market.space.probs,
+                                    reports - market.centered)
 
 
 def pooling_gain(market: Market, rows: np.ndarray) -> float:
@@ -114,8 +116,8 @@ def pooling_gain(market: Market, rows: np.ndarray) -> float:
     squares, (c_i p) c_i: a deviation near 1e154 in a state of small
     probability would overflow when squared although its variance is finite.
     """
-    p = market.space.probs
-    return float(market.gammas @ _spreads(market, rows, 0.0, lambda x: x * p)[1])
+    contracts = sharing_rule(market)(rows)
+    return float(market.gammas @ _spreads(contracts, contracts * market.space.probs, 0.0))
 
 
 def optimal_sharing(market: Market) -> np.ndarray:
@@ -131,18 +133,30 @@ def aggregate_gain(market: Market) -> float:
     return pooling_gain(market, market.centered)
 
 
+def _basket_clearing(market: Market, basket: SecurityBasket, rows: np.ndarray):
+    """The basket's clearing step on schedule rows Cov(C, R_i): (price, c, w).
+
+    The price clears the rows' schedules, E[C] - 2 gamma sum_i rows_i, and
+    agent i buys w_i = c_i Var^-1[C] of the rule's contract rows c. It forms
+    no utility, so a price game whose price and allocation are finite reads
+    them even where the gains would overflow.
+    """
+    contracts = sharing_rule(market)(rows)
+    prices = pricing(market.aggregate_gamma, basket.mean_vector, rows.sum(axis=0))
+    return prices, contracts, contracts @ basket.cov_inverse
+
+
 def _basket_mechanism(market: Market, basket: SecurityBasket, rows: np.ndarray,
                       misreport) -> CapmEquilibrium:
     """The mechanism on a basket's schedule rows Cov(C, R_i), misreport D = rows - truth.
 
-    The price clears the rows' schedules, E[C] - 2 gamma sum_i rows_i, agent i
-    buys w_i = c_i Var^-1[C] of the rule's contract rows c and gains the kernel
+    It clears the rows (`_basket_clearing`), and agent i gains the kernel
     `_spreads` in the basket's inner product, gamma_i w_i . (c_i + 2 D_i).
     """
-    allocation, spreads = _spreads(market, rows, misreport, lambda x: x @ basket.cov_inverse)
-    gains = market.gammas * spreads
+    prices, contracts, allocation = _basket_clearing(market, basket, rows)
+    gains = market.gammas * _spreads(contracts, allocation, misreport)
     return CapmEquilibrium(
-        prices=pricing(market.aggregate_gamma, basket.mean_vector, rows.sum(axis=0)),
+        prices=prices,
         allocation=allocation,
         utility_levels=autarky_utilities(market) + gains,
         gains=gains,

@@ -186,13 +186,23 @@ class ExactMarket:
         return [self.mean(x) - g * self.cov(x, x) + d
                 for g, x, d in zip(self.gammas, self.payoffs, gains)]
 
+    def variance(self, securities):
+        """Var[C] of the securities' exact payoff rows."""
+        return [[self.cov(c, d) for d in securities] for c in securities]
+
+    def allocation(self, basket_payoffs, rows):
+        """The mechanism's allocation of schedule rows: agent i buys c_i Var^-1[C] of
+        the `sharing_rule` contract rows c."""
+        variance = self.variance(_rows(basket_payoffs))
+        return [_solve(variance, c) for c in self.sharing_rule(rows)]
+
     def clearing_levels(self, basket_payoffs, rows):
         """E[E_i] + z_i.(E[C] - p) - gamma_i Var[E_i + z_i.C] at the clearing price of
         schedule rows, p = E[C] - 2 gamma sum_j rows_j, agent i buying
         z_i = ((E[C] - p)/(2 gamma_i) - rows_i) Var^-1[C]."""
         securities = _rows(basket_payoffs)
         excess = [2 * self.gamma * a for a in self.total(rows)]  # E[C] - p
-        variance = [[self.cov(c, d) for d in securities] for c in securities]
+        variance = self.variance(securities)
         levels = []
         for g, x, row in zip(self.gammas, self.payoffs, rows):
             z = _solve(variance, [e / (2 * g) - r for e, r in zip(excess, row)])

@@ -269,7 +269,8 @@ class TestOneNumberRule:
            pytest.param(np.True_, id="numpy-bool"), pytest.param("1", id="str"),
            pytest.param(None, id="none"), pytest.param([1.0], id="list"),
            pytest.param(1j, id="complex"),
-           pytest.param(10**400, id="int-beyond-float")]  # a ValueError, not OverflowError
+           pytest.param(10**400, id="int-beyond-float"),  # a ValueError, not OverflowError
+           pytest.param(Fraction(1, 10**400), id="fraction-below-float")]  # its float is 0.0
     MATCH = "gamma must be a positive number, got "
 
     @pytest.mark.parametrize("gamma", BAD)
@@ -310,6 +311,12 @@ class TestOneNumberRule:
         assert DemandSchedule(gamma, [1.0]).gamma == gamma
         market = Market.from_arrays(space, [gamma, 2.0], [[1.0, -1.0], [0.5, 2.0]])
         assert market.gammas.tolist() == [float(gamma), 2.0]
+        # the functions compute with the float the rule checked, so a float32
+        # computes in float64 and a Fraction makes no object array
+        x, basket = space.rv([0.1, 0.7]), SecurityBasket((space.rv([1.0, 0.0]),))
+        assert mv_utility(gamma, x) == mv_utility(float(gamma), x)
+        demand = oracle.argmax_demand(gamma, x, basket, [0.3])
+        assert demand.tobytes() == oracle.argmax_demand(float(gamma), x, basket, [0.3]).tobytes()
 
     def test_real_dtype_array_checked_by_value_only(self, monkeypatch):
         # growing markets build each prefix from one array: its entries are

@@ -42,6 +42,8 @@ from exact import ExactMarket, dyadic_probs, relative_error
 TOL = 1e-14
 # the oracle's clearing utility, of the utility scale
 ORACLE_TOL = 1e-12
+# the price game's allocation rows and pressure, of their largest exact entries
+PRICE_GAME_TOL = 1e-13
 # large enough that the disparate agent is free in some percentage solves
 KAPPA = 1e9
 GROUPS = {"disparate": 1, "moderate": 2}  # the seed of each
@@ -131,12 +133,19 @@ def test_aggregate_gain_and_sharing_weights(markets):
 
 
 def test_price_schedules(markets):
-    # the Nash price, E[C] - 2 gamma sum_i schedules_i, of the exact schedules
+    # the Nash price, E[C] - 2 gamma sum_i schedules_i, of the exact schedules,
+    # their allocation and the pressure, what they hold back of the exposures;
+    # the allocation solves against Var[C] and the pressure is a difference of
+    # sums, so each holds to PRICE_GAME_TOL of its scale
     for market, exact, securities in markets:
         basket = SecurityBasket(tuple(market.space.rvs(securities)))
         out, schedules = nash_price(market, basket), exact.price_schedules(securities)
         assert _each(out.schedules, schedules) <= TOL
         assert relative_error(out.price, exact.clearing_price(securities, schedules)) <= TOL
+        assert _each(out.allocation, exact.allocation(securities, schedules)) <= PRICE_GAME_TOL
+        held = [[e - b for e, b in zip(x, row)]
+                for x, row in zip(exact.exposures(securities), schedules)]
+        assert relative_error(out.pressure, exact.total(held)) <= PRICE_GAME_TOL
 
 
 def test_single_deviator_responses(deviator_markets):

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -232,6 +233,10 @@ class TestCorrelatedPairMarket:
             assert cov(e1, e2) == pytest.approx(
                 rho * np.sqrt(v1 * v2), abs=1e-12
             )
+        # a target of another real type is the float it equals
+        want = correlated_pair_market(1.0, 1.0, 1.0, 1.0, 0.5).payoffs
+        got = correlated_pair_market(1.0, 1.0, Fraction(1), Fraction(1), 0.5).payoffs
+        assert got.tobytes() == want.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import tracemalloc
 from fractions import Fraction
@@ -248,7 +249,7 @@ class TestNashPercentage:
 
     def test_parameter_validation(self):
         m = correlated_pair_market(1.0, 1.0, 1.0, 1.0, 0.0)
-        for kappa in (0.0, float("nan"), float("inf"), True, "1", 10**400):
+        for kappa in (0.0, float("nan"), float("inf"), True, "1", 10**400, Fraction(1, 10**400)):
             with pytest.raises(ValueError, match="kappa must be finite and positive"):
                 nash_percentage(m, kappa=kappa)
 
@@ -384,6 +385,17 @@ class TestNashPrice:
             out = nash_price(m, basket)
             total = sum(_schedule(m, out, i).quantities(basket, out.price) for i in range(m.n))
             assert np.allclose(total, 0.0, atol=1e-9)
+
+    def test_one_clearing_rule(self):
+        # the price and the allocation are pareto's basket clearing step on
+        # the Nash schedules, the rule that clears truthful ones (test_exact holds
+        # both to the exact values): nash states no price formula and no
+        # Var^-1[C] product of its own
+        tree = ast.parse(inspect.getsource(nash))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert "pricing" not in names and "cov_inverse" not in attributes
 
     def test_schedules_view_one_read_only_matrix(self):
         rng = np.random.default_rng(64)

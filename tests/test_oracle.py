@@ -58,12 +58,13 @@ class TestStructuralIndependence:
 
     def test_own_moments(self):
         # the oracle computes its moments from payoff rows through cross_cov,
-        # never from the market's cached matrices that the engines read
+        # never from the market's cached matrices that the engines read, nor
+        # from the risk-aversion shares and complements that the closed forms use
         tree = ast.parse(pathlib.Path(oracle_module.__file__).read_text())
         attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         assert not attributes & {"gram", "exposures", "means", "centered", "variances",
-                                 "cov_matrix", "cov_inverse"}
+                                 "cov_matrix", "cov_inverse", "shares", "complements"}
         assert "cross_cov" in names
 
     def test_imports_without_scipy(self):
