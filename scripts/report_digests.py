@@ -4,10 +4,11 @@
 Usage: python scripts/report_digests.py
 
 Writes 60 market files into a temporary directory and runs each of the 8
-market commands on each file in-process, through `riskshare.cli.main`. Prints
-one line per run: the market, the command, its exit code and the sha256 of
-its stdout and of its stderr. Two builds that print the same lines write the
-same report bytes and the same failure messages on this grid.
+market reports of `riskshare.cli.REPORTS`, in the table's order, on each file
+in-process, through `riskshare.cli.main`. Prints one line per run: the market,
+the command, its exit code and the sha256 of its stdout and of its stderr.
+Two builds that print the same lines write the same report bytes and the
+same failure messages on this grid.
 
 The grid draws n from 2 to 9 agents, m from 3 to 8 states and k from 1 to 3
 securities (fewer than m) from one seed. Every third market scales its
@@ -27,16 +28,6 @@ import numpy as np
 
 from riskshare import cli
 
-COMMANDS = (
-    ["pareto"],
-    ["capm"],
-    ["nash", "--game", "endowment"],
-    ["nash", "--game", "percentage"],
-    ["nash", "--game", "price"],
-    ["best-response", "--game", "endowment"],
-    ["best-response", "--game", "percentage"],
-    ["best-response", "--game", "demand"],
-)
 MARKETS = 60
 SEED = 20240
 
@@ -90,11 +81,13 @@ def _digest(text: str) -> str:
 
 
 def main() -> None:
+    commands = [[command] + (["--game", game] if game else [])
+                for command, games in cli.REPORTS.items() for game in games]
     with tempfile.TemporaryDirectory() as tmp:
         for index, doc in enumerate(market_documents()):
             path = pathlib.Path(tmp) / f"market-{index:02d}.json"
             path.write_text(json.dumps(doc))
-            for command in COMMANDS:
+            for command in commands:
                 argv = command + ["--market", str(path)]
                 if command[0] == "best-response":
                     argv += ["--agent", str(index % len(doc["agents"]))]

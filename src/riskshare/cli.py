@@ -31,12 +31,23 @@ the id up in `experiments.EXPERIMENTS` and prints CSV. A report or table goes
 to stdout, or to `--out`. `--profile` adds one stderr line of the wall time of
 each stage that ran (ingest, solve, encode, write) and changes no output byte.
 
+The eight market reports are one table, `REPORTS`: a command and its
+`--game` (None for `pareto` and `capm`, which ignore `--game`, as `experiment`
+does) map to the function that builds the report's results from the loaded
+market file and the command line. The command list and the usage text's games
+come from it, and scripts/report_digests.py runs its reports. `_results` looks
+a report up and calls it; it is the one place where an engine's error becomes
+a `Failure`, and the reports that read the basket share one check for it
+(`_basket`).
+
 The command line is one command and the options, in any order, read in one
-pass (`_arguments`); -h or --help prints the usage on stdout and exits 0.
+pass (`_arguments`); -h or --help prints the usage on stdout and exits 0. A
+`--game` that the command's reports do not name is a command-line error,
+addressed to `game` and raised before the market file is read.
 
 Exit codes: 0 success, 2 validation error (also a command line that is not
-understood, addressed to its option or to `command`, and an `--out` that
-cannot be written), 3 numerical precondition violation, 4 non-convergence of the
+understood, addressed to its option, to `command` or to `game`, and an `--out`
+that cannot be written), 3 numerical precondition violation, 4 non-convergence of the
 percentage-game solve (addressed to `parameters.max_iter` when the solve
 hit that limit, else to `agents`). A failure is one `Failure`,
 raised where its field is known, which `main` prints as one stderr line
@@ -387,12 +398,16 @@ def _emit(text: str, out: str | None) -> None:
 # Commands
 
 
-def cmd_pareto(loaded: dict) -> dict:
+def _basket(loaded: dict, report: str) -> SecurityBasket:
+    """The market file's basket, which the report `report` reads."""
+    _require(loaded["basket"] is not None, "securities", f"command {report} needs securities")
+    return loaded["basket"]
+
+
+def cmd_pareto(loaded: dict, args: dict) -> dict:
     market = loaded["market"]
-    try:  # the prices test Var[E] before any contract is built
-        prices, contracts = endowment_prices(market), optimal_sharing(market)
-    except SingularCovarianceError as exc:  # Var[E], tested by endowment_prices
-        raise Failure("agents", exc, EXIT_NUMERICAL) from None
+    # the prices test Var[E] before any contract is built
+    prices, contracts = endowment_prices(market), optimal_sharing(market)
     return {
         "contracts": contracts,
         "weights": sharing_weights(market),
@@ -402,9 +417,8 @@ def cmd_pareto(loaded: dict) -> dict:
     }
 
 
-def cmd_capm(loaded: dict) -> dict:
-    market, basket = loaded["market"], loaded["basket"]
-    _require(basket is not None, "securities", "command capm needs securities")
+def cmd_capm(loaded: dict, args: dict) -> dict:
+    market, basket = loaded["market"], _basket(loaded, "capm")
     losses, total_loss = constrained_loss(market, basket)
     return {
         **_fields(capm_equilibrium(market, basket)),
@@ -413,63 +427,74 @@ def cmd_capm(loaded: dict) -> dict:
     }
 
 
-def cmd_best_response(loaded: dict, agent: int, mode: str) -> dict:
-    market, basket = loaded["market"], loaded["basket"]
+def cmd_best_response(loaded: dict, args: dict, report, reads_basket: bool = False) -> dict:
+    """The agent `--agent`'s best response by `report`, the engine of the
+    mode `--game`, which takes the market, the agent and, if it reads one,
+    the basket."""
+    market, agent, mode = loaded["market"], args["--agent"], args["--game"]
     _require(0 <= agent < market.n, "agent", f"must be in [0, {market.n - 1}]")
-    if mode == "endowment":
-        report = endowment_response_report(market, agent)
-    elif mode == "percentage":
-        report = percentage_response_report(market, agent)
-    elif mode == "demand":
-        _require(basket is not None, "securities",
-                 "demand best response needs securities")
-        report = demand_response_report(market, agent, basket)
-    else:
-        raise Failure("game", f"unknown best-response mode {mode!r}")
-    return {"agent": agent, "mode": mode, **_fields(report)}
+    basket = [_basket(loaded, f"best-response --game {mode}")] if reads_basket else []
+    return {"agent": agent, "mode": mode, **_fields(report(market, agent, *basket))}
 
 
-def cmd_nash(loaded: dict, game: str) -> dict:
-    market, basket = loaded["market"], loaded["basket"]
-    if game == "endowment":
-        results = _fields(nash_endowment(market))
-        if market.n == 2:
-            results["table1"] = table1_report(market)
-        return results
-    if game == "percentage":
-        try:  # the market-file parameters are the solver's keywords
-            outcome = nash_percentage(market, **loaded["parameters"])
-        except ConvergenceError as exc:  # a stable active set: max_iter is not the cause
-            field = "agents" if exc.stable else "parameters.max_iter"
-            raise Failure(field, exc, EXIT_NO_CONVERGENCE) from None
-        return {
-            **_fields(outcome),
-            "per_agent_gain": percentage_game_gains(market, outcome),
-        }
-    if game == "price":
-        _require(basket is not None, "securities", "price game needs securities")
-        results = _fields(nash_price(market, basket))
-        results["schedules"] = [{"gamma": g, "c": c}  # row i as agent i's schedule
-                                for g, c in zip(market.gammas.tolist(), results["schedules"])]
-        return results
-    raise Failure("game", f"unknown nash game {game!r}")
+def cmd_nash_endowment(loaded: dict, args: dict) -> dict:
+    market = loaded["market"]
+    results = _fields(nash_endowment(market))
+    if market.n == 2:
+        results["table1"] = table1_report(market)
+    return results
+
+
+def cmd_nash_percentage(loaded: dict, args: dict) -> dict:
+    market = loaded["market"]
+    outcome = nash_percentage(market, **loaded["parameters"])  # the file's are its keywords
+    return {**_fields(outcome), "per_agent_gain": percentage_game_gains(market, outcome)}
+
+
+def cmd_nash_price(loaded: dict, args: dict) -> dict:
+    market = loaded["market"]
+    results = _fields(nash_price(market, _basket(loaded, "nash --game price")))
+    results["schedules"] = [{"gamma": g, "c": c}  # row i as agent i's schedule
+                            for g, c in zip(market.gammas.tolist(), results["schedules"])]
+    return results
+
+
+# Each market report by its command and `--game`, None for a command of one
+# report: the function of the loaded market file and the parsed command line
+# that builds its results. The command line, the usage text, `_results` and
+# scripts/report_digests.py read it.
+REPORTS = {
+    "pareto": {None: cmd_pareto},
+    "capm": {None: cmd_capm},
+    "best-response": {  # the engine is looked up by name when the report runs
+        "endowment": lambda *run: cmd_best_response(*run, endowment_response_report),
+        "percentage": lambda *run: cmd_best_response(*run, percentage_response_report),
+        "demand": lambda *run: cmd_best_response(*run, demand_response_report, reads_basket=True),
+    },
+    "nash": {
+        "endowment": cmd_nash_endowment,
+        "percentage": cmd_nash_percentage,
+        "price": cmd_nash_price,
+    },
+}
 
 
 def _results(args: dict, loaded: dict) -> dict:
-    """The results of the market command `args` names."""
-    command = args["command"]
+    """The results of the report `args` names in `REPORTS`; the one place
+    where an engine's error becomes an addressed failure."""
+    reports = REPORTS[args["command"]]
+    report = reports[None] if None in reports else reports[args["--game"]]
     try:
-        if command == "pareto":
-            return cmd_pareto(loaded)
-        if command == "capm":
-            return cmd_capm(loaded)
-        if command == "best-response":
-            return cmd_best_response(loaded, args["--agent"], args["--game"])
-        return cmd_nash(loaded, args["--game"])
+        return report(loaded, args)
     except FloatingPointError:
         raise Failure("results", RESULTS_NOT_FINITE, EXIT_NUMERICAL) from None
     except ConstantEndowmentError as exc:  # the percentage game and response
         raise Failure(f"agents[{exc.agent}].payoffs", exc) from None
+    except SingularCovarianceError as exc:  # Var[E], which pareto tests first
+        raise Failure("agents", exc, EXIT_NUMERICAL) from None
+    except ConvergenceError as exc:  # a stable active set: max_iter is not the cause
+        field = "agents" if exc.stable else "parameters.max_iter"
+        raise Failure(field, exc, EXIT_NO_CONVERGENCE) from None
 
 
 def cmd_experiment(experiment: str, seed: int):
@@ -484,7 +509,7 @@ def cmd_experiment(experiment: str, seed: int):
 # Dispatch
 
 
-_COMMANDS = ("pareto", "capm", "best-response", "nash", "experiment")
+_COMMANDS = (*REPORTS, "experiment")
 
 # each option's default and kind: a str or int value, or a bool flag, which
 # takes none
@@ -509,8 +534,7 @@ options:
   -h, --help       show this help message and exit
   --market PATH    path to a JSON market file
   --agent I        agent index for best-response
-  --game G         game or response mode: endowment, percentage, demand
-                   or price
+  --game G         game or response mode: {games}
   --experiment ID  experiment id: {experiments}
   --seed N         seed of the experiment command
   --out PATH       write the report to this path
@@ -531,7 +555,8 @@ def _arguments(argv) -> dict | None:
 
     Options go before or after the command, as `--opt value` or
     `--opt=value`, and the last of a repeated option wins. A usage error is a
-    `Failure` addressed to its option, or to `command`.
+    `Failure` addressed to its option, to `command`, or to `game` for a
+    `--game` that the command's reports in `REPORTS` do not name.
     """
     if "-h" in argv or "--help" in argv:
         return None
@@ -567,6 +592,9 @@ def _arguments(argv) -> dict | None:
         args[name] = value
     _require(command is not None, "command",
              f"missing, expected one of {', '.join(_COMMANDS)}")
+    game = args["--game"]
+    if command in REPORTS and None not in REPORTS[command]:  # the others ignore --game
+        _require(game in REPORTS[command], "game", f"unknown {command} game {game!r}")
     args["command"] = command
     return args
 
@@ -576,7 +604,8 @@ def main(argv=None) -> int:
     try:
         args = _arguments(sys.argv[1:] if argv is None else argv)
         if args is None:
-            sys.stdout.write(_USAGE.format(commands=",".join(_COMMANDS),
+            games = dict.fromkeys(g for reports in REPORTS.values() for g in reports if g)
+            sys.stdout.write(_USAGE.format(commands=",".join(_COMMANDS), games=", ".join(games),
                                            experiments=", ".join(EXPERIMENTS)))
             return EXIT_OK
         command = args["command"]

@@ -245,6 +245,7 @@ def correlated_pair_market(
         raise ValueError("correlation must lie in [-1, 1]")
     if not (_is_positive_real(var1) and _is_positive_real(var2)):
         raise ValueError("target variances must be finite and positive")
+    rho = float(rho)  # a float32 would compute 1 - rho^2 in float32
     space = ProbSpace(np.array([0.3, 0.3, 0.4]))
     p = space.probs
     raw = [np.array([1.0, -1.0, 0.0]), np.array([0.0, 1.0, -1.0])]

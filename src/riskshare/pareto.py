@@ -200,12 +200,13 @@ def constrained_loss(
     """Utility each agent forgoes when sharing only through `basket`.
 
     Loss_i = gamma_i (Var[C*_i] - Cov(C,C*_i) Var^{-1}[C] Cov(C,C*_i))
-    = gamma_i Var[C*_i - z_i.C], z_i the agent's basket allocation: zero
+    = gamma_i Var[C*_i - z_i.C], z_i the agent's basket allocation (the
+    clearing step's on the truthful exposure rows, with no utility formed): zero
     exactly when the optimal contract lies in span{1, C_1..C_k}. A p-weighted
     product of the residual rows, it is >= 0 in floating point too, where a
     difference of two gains would leave rounding noise of either sign.
     """
-    residual = (sharing_rule(market)(market.centered)
-                - capm_equilibrium(market, basket).allocation @ basket.centered)
+    allocation = _basket_clearing(market, basket, market.exposures(basket))[2]
+    residual = sharing_rule(market)(market.centered) - allocation @ basket.centered
     losses = market.gammas * np.vecdot(residual * market.space.probs, residual)
     return losses, float(losses.sum())

@@ -25,10 +25,6 @@ from riskshare.cli import (
     EXIT_VALIDATION,
     Failure,
     _encode,
-    cmd_best_response,
-    cmd_capm,
-    cmd_nash,
-    cmd_pareto,
     ingest_market_document,
     load_market_file,
     main,
@@ -148,14 +144,29 @@ class TestValidation:
         assert err == f"validation error: probs: {line}\n"
 
     @pytest.mark.parametrize("command, line", [
-        ("best-response", "unknown best-response mode 'bogus'"),
+        ("best-response", "unknown best-response game 'bogus'"),
         ("nash", "unknown nash game 'bogus'"),
     ])
     def test_unknown_game_addressed(self, tmp_path, command, line):
-        argv = [command, "--game", "bogus", "--market", str(write_market(tmp_path))]
-        code, out, err = _run(argv)
-        assert (code, out) == (EXIT_VALIDATION, "")
-        assert err == f"validation error: game: {line}\n"
+        # a command-line error, raised before the market file is read: a
+        # missing file is not reported
+        for path in (write_market(tmp_path), tmp_path / "missing.json"):
+            code, out, err = _run([command, "--game", "bogus", "--market", str(path)])
+            assert (code, out) == (EXIT_VALIDATION, "")
+            assert err == f"validation error: game: {line}\n"
+
+    @pytest.mark.parametrize("command", [["capm"], ["best-response", "--game", "demand"],
+                                         ["nash", "--game", "price"]])
+    def test_basket_reports_need_securities(self, tmp_path, command):
+        # one message for every report that reads the basket; a best
+        # response checks its agent first
+        path = str(write_market(tmp_path, securities=[]))
+        assert _run(command + ["--market", path]) == (
+            EXIT_VALIDATION, "",
+            f"validation error: securities: command {' '.join(command)} needs securities\n")
+        if command[0] == "best-response":
+            assert _run(command + ["--market", path, "--agent", "2"]) == (
+                EXIT_VALIDATION, "", "validation error: agent: must be in [0, 1]\n")
 
     def test_empty_optional_fields_mean_none(self, tmp_path, capsys):
         path = write_market(tmp_path, securities=[], parameters={})
@@ -375,7 +386,7 @@ class TestCommands:
         try:
             with pytest.raises(Failure, match=r"^agents: endowment covariance matrix "
                                               r"Var\[E\] is singular; "):
-                cmd_pareto(loaded)
+                cli._results(cli._arguments(["pareto"]), loaded)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -774,11 +785,10 @@ class TestCashShift:
     @staticmethod
     def _results(doc, agent):
         loaded = ingest_market_document(doc)
-        results = {"pareto": cmd_pareto(loaded), "capm": cmd_capm(loaded)}
-        for mode in ("endowment", "percentage", "demand"):
-            results[f"best-response {mode}"] = cmd_best_response(loaded, agent, mode)
-        for game in ("endowment", "percentage", "price"):
-            results[f"nash {game}"] = cmd_nash(loaded, game)
+        results = {}
+        for command in COMMANDS:  # keyed by the command and its game: "nash price"
+            args = cli._arguments(command + ["--agent", str(agent)])
+            results[" ".join(command[::2])] = cli._results(args, loaded)
         return dict(_flat(json.loads(json.dumps(results, default=_encode))))
 
     @given(
@@ -1110,6 +1120,16 @@ COMMANDS = (
     ["best-response", "--game", "percentage"],
     ["best-response", "--game", "demand"],
 )
+
+
+def test_commands_are_the_report_table():
+    # COMMANDS drives the unit-scaling, per-command object and cash-shift
+    # tests: it holds each report of the table once
+    table = [[command] + (["--game", game] if game else [])
+             for command, games in cli.REPORTS.items() for game in games]
+    assert len(table) == len(COMMANDS) == 8
+    assert sorted(map(tuple, COMMANDS)) == sorted(map(tuple, table))
+
 
 # one stderr line, addressed to a field
 ADDRESSED = re.compile(r"(validation error|numerical precondition violated|"

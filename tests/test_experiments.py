@@ -237,6 +237,11 @@ class TestCorrelatedPairMarket:
         want = correlated_pair_market(1.0, 1.0, 1.0, 1.0, 0.5).payoffs
         got = correlated_pair_market(1.0, 1.0, Fraction(1), Fraction(1), 0.5).payoffs
         assert got.tobytes() == want.tobytes()
+        # a float32 correlation too: 1 - rho^2 is not computed in float32
+        rho = np.float32(1 / 3)
+        want = correlated_pair_market(1.0, 1.0, 1.0, 1.0, float(rho)).payoffs
+        got = correlated_pair_market(1.0, 1.0, 1.0, 1.0, rho).payoffs
+        assert got.tobytes() == want.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from riskshare.core import (
     Market,
+    ProbSpace,
     SecurityBasket,
     SingularCovarianceError,
     centered,
@@ -26,6 +27,7 @@ from riskshare.pareto import (
     optimal_sharing,
     optimal_utility_levels,
     pooling_gain,
+    sharing_rule,
     sharing_weights,
 )
 from riskshare.nash import nash_endowment
@@ -233,6 +235,26 @@ class TestConstrainedLoss:
             assert np.all(losses >= 0.0), losses
             assert np.all(losses <= 1e-9 * gains), (losses, gains)
             assert total == losses.sum()
+
+    def test_reads_only_the_allocation(self):
+        # a payoff of 1e160 overflows the utility levels and gains of the
+        # whole equilibrium, which the loss does not read: it forms the
+        # allocation alone, so no RuntimeWarning (an error under pytest) is
+        # raised, and that allocation is the equilibrium's, bit for bit
+        space = ProbSpace([0.3, 0.3, 0.4])
+        market = Market.from_arrays(space, [1.0, 2.0],
+                                    [[1e160, -1.0, 0.5], [-0.5, 1.5, -1.0]])
+        basket = SecurityBasket(tuple(space.rvs([[1.0, 0.0, 0.0]])))
+        losses, total = constrained_loss(market, basket)
+        assert losses.tolist() == [0.0, 0.0] and total == 0.0
+        rng = np.random.default_rng(26)
+        for _ in range(10):
+            market = make_market(rng, m=5)
+            basket = make_basket(rng, market.space, k=2)
+            residual = (sharing_rule(market)(market.centered)
+                        - capm_equilibrium(market, basket).allocation @ basket.centered)
+            want = market.gammas * np.vecdot(residual * market.space.probs, residual)
+            assert constrained_loss(market, basket)[0].tobytes() == want.tobytes()
 
 
 class TestReservationPrices:
