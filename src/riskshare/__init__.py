@@ -8,11 +8,7 @@ from .core import (
     SecurityBasket,
     SingularCovarianceError,
     SpaceMismatchError,
-    cov,
     demand,
-    mean,
-    mv_utility,
-    var,
 )
 from .nash import (
     ConvergenceError,

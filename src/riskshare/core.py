@@ -1,18 +1,19 @@
-"""Finite probability spaces, random-variable algebra and mean-variance markets.
+"""Finite probability spaces, random variables and mean-variance markets.
 
 Everything downstream (sharing rules, equilibrium prices, Nash games) is a
 function of first and second moments only, so random variables are stored as
-payoff vectors over a finite state space, and a market keeps its endowments
-as one n x m payoff matrix. A market owns its moments: the means, the exactly
-centered endowments, their `variances` and their `exposures` to a security
-basket, which owns its own. The engines read only these and add cash (the
-means) last, so a cash shift of an endowment, however large, moves nothing
-else. No engine builds the n x n covariance matrix Var[E]: every engine works
-on the centered rows in O(nm) (the percentage solve adds one m x m matrix),
-and `require_invertible` rejects n >= m endowments by rank before any product
-is formed. `cross_cov` centers once (weighting before it squares) for `Rv`
-moments and the oracle; `Market` and `SecurityBasket` center with the
-corrected `_two_pass`. All objects are immutable after construction.
+payoff vectors over a finite state space, with no arithmetic of their own, and
+a market keeps its endowments as one n x m payoff matrix. A market owns its
+moments: the means, the exactly centered endowments, their `variances` and
+their `exposures` to a security basket, which owns its own. The engines read
+only these and add cash (the means) last, so a cash shift of an endowment,
+however large, moves nothing else. No engine builds the n x n covariance
+matrix Var[E]: every engine works on the centered rows in O(nm) (the
+percentage solve adds one m x m matrix), and `require_invertible` rejects
+n >= m endowments by rank before any product is formed. `cross_cov` centers
+once (weighting before it squares) for the oracle; `Market`, its report
+profiles and `SecurityBasket` center with the corrected `_two_pass`. All
+objects are immutable after construction.
 A market also forms the risk-aversion `shares` s_i = gamma/gamma_i, their
 `complements` 1 - s_i (each a sum, never a difference) and gamma itself.
 `ProbSpace.rvs` builds many random variables from one validated read-only
@@ -90,9 +91,6 @@ class ProbSpace:
     def rv(self, payoffs) -> "Rv":
         return Rv(self, payoffs)
 
-    def constant(self, value: float) -> "Rv":
-        return Rv(self, np.full(self.n_states, float(value)))
-
     def rvs(self, rows) -> list["Rv"]:
         """One random variable per payoff row.
 
@@ -130,7 +128,8 @@ def require_same_space(space: ProbSpace, other: ProbSpace, message: str) -> None
 
 @dataclass(frozen=True, eq=False)
 class Rv:
-    """Random variable: a payoff vector over a finite probability space."""
+    """Random variable: a payoff vector over a finite probability space, with
+    no arithmetic; its moments are read from `Market` and `cross_cov`."""
 
     space: ProbSpace
     payoffs: np.ndarray
@@ -151,33 +150,6 @@ class Rv:
         object.__setattr__(rv, "space", space)
         object.__setattr__(rv, "payoffs", payoffs)
         return rv
-
-    def _check_space(self, other: "Rv") -> None:
-        require_same_space(self.space, other.space, "random variables live on different spaces")
-
-    def __add__(self, other):
-        if isinstance(other, Rv):
-            self._check_space(other)
-            return Rv(self.space, self.payoffs + other.payoffs)
-        return Rv(self.space, self.payoffs + float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Rv(self.space, -self.payoffs)
-
-    def __mul__(self, scalar):
-        return Rv(self.space, self.payoffs * float(scalar))
-
-    __rmul__ = __mul__
-
-
-def mean(x: Rv) -> float:
-    """Expectation under the state probabilities."""
-    return float(x.space.probs @ x.payoffs)
 
 
 def centered(p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -229,16 +201,6 @@ def require_invertible(p: np.ndarray, rows: np.ndarray, message: str) -> np.ndar
     return cov_matrix
 
 
-def cov(x: Rv, y: Rv) -> float:
-    """Covariance of two random variables; raises on a space mismatch."""
-    x._check_space(y)
-    return float(cross_cov(x.space.probs, x.payoffs, y.payoffs))
-
-
-def var(x: Rv) -> float:
-    return cov(x, x)
-
-
 def _is_positive_real(value) -> bool:
     """The one number rule: a real number, not a bool (a str is no real), whose
     float, the value the engines compute with, is positive and finite (a Fraction
@@ -278,12 +240,6 @@ def _check_count(value, name: str, low: int) -> None:
 def pricing(gamma, expectation, covariance):
     """The pricing functional E[X] - 2 gamma Cov(X, M), M the shared aggregate."""
     return expectation - 2.0 * gamma * covariance
-
-
-def mv_utility(agent_gamma: float, x: Rv) -> float:
-    """Mean-variance utility E[x] - gamma * Var[x]."""
-    _check_gamma(agent_gamma)
-    return mean(x) - float(agent_gamma) * var(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,19 +364,16 @@ class Market:
         return reports
 
     def centered_profile(self, reports) -> np.ndarray:
-        """One report profile, n `Rv`s or an n x m array (no stack), centered."""
+        """One report profile, n `Rv`s or an n x m array (no stack), centered
+        as `centered` is, so a cash shift of a report moves nothing else."""
         rows = self.profile(reports)
         if rows.ndim != 2:
             raise ValueError(f"reports of shape {rows.shape} are not a full profile")
-        return centered(self.space.probs, rows)
+        return _two_pass(self.space.probs, rows)[1]
 
     def combine(self, linear) -> np.ndarray:
         """A linear map of endowment rows, applied to the centered rows, cash last."""
         return linear(self.centered) + linear(self.means[:, None])  # means as a column
-
-    @property
-    def total_endowment(self) -> Rv:
-        return Rv(self.space, self.payoffs.sum(axis=0))
 
     def endowments(self) -> list[Rv]:
         return [a.endowment for a in self.agents]
@@ -505,9 +458,9 @@ def demand(
     """Quantity vector maximizing U(a.C + endowment) - a.p at price p.
 
     Closed form: ((E[C] - p) / (2 gamma) - Cov(C, endowment)) . Var^{-1}[C],
-    the schedule of the endowment's covariance vector evaluated at p. An
-    endowment on another space raises SpaceMismatchError.
+    the schedule of the endowment's covariance vector evaluated at p. A
+    basket on another space raises SpaceMismatchError.
     """
-    basket.securities[0]._check_space(endowment)
+    require_same_space(endowment.space, basket.space, "basket is not on the endowment's space")
     exposure = cross_cov(basket.space.probs, basket.payoffs, endowment.payoffs)
     return DemandSchedule(agent_gamma, exposure).quantities(basket, p)

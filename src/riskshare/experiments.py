@@ -86,10 +86,6 @@ class Table:
         writer.writerows(self.rows)
         return buf.getvalue()
 
-    def column(self, name: str) -> np.ndarray:
-        j = self.columns.index(name)
-        return np.array([row[j] for row in self.rows], dtype=float)
-
 
 def _uniform_space(spec: AgentSequenceSpec) -> ProbSpace:
     return ProbSpace(np.full(spec.n_states, 1.0 / spec.n_states))
@@ -181,19 +177,6 @@ def inefficiency_decay(spec: AgentSequenceSpec, homogeneous: bool = False) -> Ta
     """Risk-sharing inefficiency of the endowment game along growing markets."""
     return _growing_markets(spec, homogeneous, ("inefficiency",),
                             lambda market: (nash_inefficiency(market),))
-
-
-def homogeneous_inefficiency_closed_form(market: Market) -> float:
-    """(g/n^2)(sum Var[E_i] - Var[E]/n) for agents of one risk aversion g.
-
-    Raises ValueError when the risk aversions are not all equal.
-    """
-    g, n = market.gammas[0], market.n
-    if np.any(market.gammas != g):
-        raise ValueError("the closed form needs equal risk aversions")
-    total = market.centered.sum(axis=0)  # E - E[E]
-    total_var = (total * market.space.probs) @ total
-    return float(g * (market.variances.sum() - total_var / n)) / n**2
 
 
 def price_allocation_convergence(

@@ -30,6 +30,7 @@ from .core import (
     Rv,
     SecurityBasket,
     _check_agent,
+    _two_pass,
     autarky_utilities,
     centered,
     require_same_space,
@@ -94,12 +95,14 @@ def reported_utility(
     `others` elsewhere, truthful by default) while agent i's real exposure
     stays their true endowment: U_i is agent i's autarky utility plus their
     `mechanism_gains` on the report profile. Cash in a report is priced at
-    par, so only the centered reports matter.
+    par, so only the centered reports matter; they are centered as the
+    endowments are (`_two_pass`), so no cash shift of a report moves the
+    utility.
     """
     _check_agent(i, market.n)
     require_same_space(market.space, b.space, "report b is not on the market's space")
-    reports = market.centered.copy() if others is None else market.centered_profile(others)
-    reports[i] = centered(market.space.probs, b.payoffs)
+    reports = (market.centered if others is None else market.centered_profile(others)).copy()
+    reports[i] = _two_pass(market.space.probs, b.payoffs[None])[1][0]
     return float(autarky_utilities(market)[i] + mechanism_gains(market, reports)[i])
 
 
@@ -204,13 +207,11 @@ def _response_report(market: Market, i: int, response, report: Rv) -> ResponseRe
 
 
 def endowment_response_report(market: Market, i: int) -> ResponseReport:
-    _check_agent(i, market.n)
     best = best_endowment_response(market, i)
     return _response_report(market, i, best, best)
 
 
 def percentage_response_report(market: Market, i: int) -> ResponseReport:
-    _check_agent(i, market.n)
     best = best_percentage_response(market, i)
     return _response_report(market, i, best, market.space.rv(best * market.centered[i]))
 
@@ -225,7 +226,6 @@ def demand_response_report(
     schedule's c, which clears at agent i's preferred price. No price is
     formed and subtracted from E[C] again.
     """
-    _check_agent(i, market.n)
     best = best_demand_response(market, i, basket)
     truthful = market.exposures(basket)
     rows = truthful.copy()

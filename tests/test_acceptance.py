@@ -16,15 +16,12 @@ from riskshare.core import (
     SecurityBasket,
     cross_cov,
     demand,
-    mv_utility,
-    var,
 )
 from riskshare.experiments import (
     AgentSequenceSpec,
     agent_pool,
     correlated_pair_market,
     figure_data,
-    homogeneous_inefficiency_closed_form,
     inefficiency_decay,
     price_allocation_convergence,
 )
@@ -52,6 +49,7 @@ from riskshare.strategic import (
 )
 
 from conftest import make_basket, make_market
+from moments import column, homogeneous_inefficiency_closed_form, mv_utility, var
 
 
 def _verdict(number: int, description: str) -> None:
@@ -80,8 +78,8 @@ def test_criterion_02_nash_contract_and_demand_scaling():
         sharing = optimal_sharing(m)
         out = nash_endowment(m)
         for i in range(n):
-            diff = m.space.rv(out.contracts[i]) - ((n - 1) / n) * m.space.rv(sharing[i])
-            centered = diff.payoffs - m.space.probs @ diff.payoffs
+            diff = out.contracts[i] - ((n - 1) / n) * sharing[i]
+            centered = diff - m.space.probs @ diff
             assert np.max(np.abs(centered)) < 1e-12
         basket = make_basket(rng, m.space, k=2)
         eq = capm_equilibrium(m, basket)
@@ -106,7 +104,7 @@ def test_criterion_03_coincidence_iff_homogeneous():
         if not homogeneous and np.ptp(m.gammas) < 1e-3:
             continue
         basket = make_basket(rng, m.space, k=1)
-        gap = var(m.space.rv(nash_endowment(m).aggregate) - m.total_endowment)
+        gap = var(m.space.rv(nash_endowment(m).aggregate - m.payoffs.sum(axis=0)))
         price_gap = np.abs(
             nash_price(m, basket).price - capm_equilibrium(m, basket).prices
         ).max()
@@ -162,8 +160,8 @@ def test_criterion_05_oracle_equivalence():
         spec = CoefficientSearchSpec(basis=tuple(m.endowments()))
         res = argmax_reported_utility(m, i, spec)
         found = spec.combine(res.coefficients)
-        diff = found - best_endowment_response(m, i)
-        centered = diff.payoffs - m.space.probs @ diff.payoffs
+        diff = found.payoffs - best_endowment_response(m, i).payoffs
+        centered = diff - m.space.probs @ diff
         assert np.max(np.abs(centered)) < 1e-9
 
     done = 0
@@ -202,8 +200,8 @@ def test_criterion_05_oracle_equivalence():
         assert result.converged
         out = nash_endowment(m)
         for i in range(m.n):
-            diff = result.trajectory[-1][i] - out.reported[i]
-            centered = diff.payoffs - m.space.probs @ diff.payoffs
+            diff = result.trajectory[-1][i].payoffs - out.reported[i].payoffs
+            centered = diff - m.space.probs @ diff
             assert np.max(np.abs(centered)) < 1e-9
     _verdict(5, "oracle equivalence at 1e-9 on 100 randomized instances per operation")
 
@@ -256,10 +254,10 @@ def test_criterion_07_capm_beta_identity():
         agents = tuple(
             Agent(
                 float(rng.uniform(0.5, 2.0)),
-                sum(
-                    (float(rng.normal()) * s for s in basket.securities),
-                    space.constant(float(rng.normal())),
-                ),
+                space.rv(sum(
+                    (float(rng.normal()) * s.payoffs for s in basket.securities),
+                    float(rng.normal()),  # the cash, drawn first
+                )),
             )
             for _ in range(int(rng.integers(2, 5)))
         )
@@ -302,11 +300,11 @@ def test_criterion_08_asymptotic_decay():
             homogeneous_inefficiency_closed_form(market), abs=1e-12
         )
     hetero = inefficiency_decay(spec)
-    values = hetero.column("inefficiency")
+    values = column(hetero, "inefficiency")
     assert values[-1] < 1e-2
     assert np.all(np.diff(values) < 0.0)
     conv = price_allocation_convergence(spec)
-    gaps = conv.column("price_gap")
+    gaps = column(conv, "price_gap")
     assert gaps[-1] < 1e-2
     assert np.all(np.diff(gaps) < 0.0)
     assert hetero.metadata["verdict"] == "pass"
@@ -322,7 +320,7 @@ def test_criterion_09_pareto_perturbation_suite():
         m = make_market(rng, m=4)
         sharing = optimal_sharing(m)
         positions = [
-            a.endowment + m.space.rv(c) for a, c in zip(m.agents, sharing)
+            m.space.rv(a.endowment.payoffs + c) for a, c in zip(m.agents, sharing)
         ]
         best = sum(
             mv_utility(a.gamma, y) for a, y in zip(m.agents, positions)
@@ -331,7 +329,7 @@ def test_criterion_09_pareto_perturbation_suite():
             moves = rng.normal(scale=0.5, size=(m.n, 4))
             moves -= moves.mean(axis=0)  # zero net supply
             perturbed = sum(
-                mv_utility(a.gamma, y + m.space.rv(d))
+                mv_utility(a.gamma, m.space.rv(y.payoffs + d))
                 for a, y, d in zip(m.agents, positions, moves)
             )
             assert perturbed <= best + 1e-9
@@ -385,30 +383,30 @@ def test_criterion_10_figure_reconstruction():
     """Figure grids satisfy the documented qualitative orderings."""
     fig1 = figure_data(1)
     fig2 = figure_data(2)
-    rho = fig1.column("rho")
+    rho = column(fig1, "rho")
     # the safer agent's percentage rises with correlation everywhere; the
     # riskier agent's rises on the nonnegative half
-    assert np.all(np.diff(fig1.column("b1")) >= -1e-10)
-    assert np.all(np.diff(fig2.column("b2")) >= -1e-10)
+    assert np.all(np.diff(column(fig1, "b1")) >= -1e-10)
+    assert np.all(np.diff(column(fig2, "b2")) >= -1e-10)
     for col, fig in (("b2", fig1), ("b1", fig2)):
-        half = fig.column(col)[rho >= 0.0]
+        half = column(fig, col)[rho >= 0.0]
         assert np.all(np.diff(half) >= -1e-10)
     # the riskier endowment is shared at a lower rate when correlation is
     # positive and a higher rate when it is negative
-    b1_1, b2_1 = fig1.column("b1"), fig1.column("b2")
+    b1_1, b2_1 = column(fig1, "b1"), column(fig1, "b2")
     assert np.all(b2_1[rho > 0.01] < b1_1[rho > 0.01] + 1e-10)
     assert np.all(b2_1[rho < -0.01] > b1_1[rho < -0.01] - 1e-10)
 
     fig3 = figure_data(3)
-    r3, g3, d3 = fig3.column("rho"), fig3.column("gamma1"), fig3.column("difference")
+    r3, g3, d3 = column(fig3, "rho"), column(fig3, "gamma1"), column(fig3, "difference")
     # at rho = 0 the equilibrium decouples; recompute the gain independently
     for g1, grid_nash, grid_diff in zip(
-        g3[r3 == 0.0], fig3.column("nash_gain")[r3 == 0.0], d3[r3 == 0.0]
+        g3[r3 == 0.0], column(fig3, "nash_gain")[r3 == 0.0], d3[r3 == 0.0]
     ):
         m = correlated_pair_market(float(g1), 1.0, 1.0, 10.0, 0.0)
         g = m.aggregate_gamma
         reports = [
-            (a.gamma / (a.gamma + g)) * a.endowment for a in m.agents
+            m.space.rv((a.gamma / (a.gamma + g)) * a.endowment.payoffs) for a in m.agents
         ]
         direct = reported_utility(m, 0, reports[0], others=reports) - mv_utility(
             m.agents[0].gamma, m.agents[0].endowment
@@ -420,7 +418,7 @@ def test_criterion_10_figure_reconstruction():
     assert np.all(d3[(r3 > 0.99) & (g3 > 2.55)] < 0.0)
 
     fig4 = figure_data(4)
-    r4, g4, d4 = fig4.column("rho"), fig4.column("gamma1"), fig4.column("difference")
+    r4, g4, d4 = column(fig4, "rho"), column(fig4, "gamma1"), column(fig4, "difference")
     # holding the riskier endowment, a tolerant agent 1 prefers the strategic
     # outcome whenever correlation is nonpositive
     assert np.all(d4[(g4 < 0.25) & (r4 <= 0.0)] > 0.0)

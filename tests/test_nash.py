@@ -15,9 +15,6 @@ from riskshare.core import (
     ProbSpace,
     SecurityBasket,
     SingularCovarianceError,
-    cov,
-    mv_utility,
-    var,
 )
 from riskshare import nash, pareto, strategic
 from riskshare.experiments import AgentSequenceSpec, agent_pool, correlated_pair_market
@@ -45,6 +42,7 @@ from riskshare.strategic import (
 
 from conftest import make_basket, make_market, nash_price_utilities
 from exact import ExactMarket
+from moments import cov, mv_utility, var
 
 
 class TestNashEndowment:
@@ -62,7 +60,7 @@ class TestNashEndowment:
             out = nash_endowment(m)
             for i in range(m.n):
                 br = best_endowment_response(m, i, others=out.reported)
-                assert var(br - out.reported[i]) < 1e-14
+                assert var(m.space.rv(br.payoffs - out.reported[i].payoffs)) < 1e-14
 
     def test_no_profitable_deviation(self):
         rng = np.random.default_rng(51)
@@ -97,15 +95,16 @@ class TestNashEndowment:
             m = make_market(rng, n=n, m=5, homogeneous=True)
             out = nash_endowment(m)
             sharing = optimal_sharing(m)
-            assert var(m.space.rv(out.aggregate) - m.total_endowment) < 1e-18
+            total = m.payoffs.sum(axis=0)
+            assert var(m.space.rv(out.aggregate - total)) < 1e-18
             for i, a in enumerate(m.agents):
-                others = m.total_endowment - a.endowment
+                others = total - a.endowment.payoffs
                 want = (1.0 / n**2) * others + (
                     (n * (n - 1) + 1) / n**2
-                ) * a.endowment
-                assert var(out.reported[i] - want) < 1e-18
+                ) * a.endowment.payoffs
+                assert var(m.space.rv(out.reported[i].payoffs - want)) < 1e-18
                 assert var(
-                    m.space.rv(out.contracts[i]) - ((n - 1) / n) * m.space.rv(sharing[i])
+                    m.space.rv(out.contracts[i] - ((n - 1) / n) * sharing[i])
                 ) < 1e-18
 
     def test_aggregate_coincides_iff_homogeneous(self):
@@ -113,7 +112,7 @@ class TestNashEndowment:
         for _ in range(30):
             homogeneous = bool(rng.integers(2))
             m = make_market(rng, homogeneous=homogeneous)
-            gap = var(m.space.rv(nash_endowment(m).aggregate) - m.total_endowment)
+            gap = var(m.space.rv(nash_endowment(m).aggregate - m.payoffs.sum(axis=0)))
             spread = np.ptp(m.gammas)
             if homogeneous:
                 assert gap < 1e-18
@@ -125,7 +124,7 @@ class TestNashEndowment:
         base = space.rv([1.0, -2.0, 0.5])
         m = Market(
             space,
-            tuple(Agent(g, (1.0 / g) * base) for g in (0.6, 1.0, 1.7)),
+            tuple(Agent(g, space.rv((1.0 / g) * base.payoffs)) for g in (0.6, 1.0, 1.7)),
         )
         assert nash_endowment(m).inefficiency == pytest.approx(0.0, abs=1e-12)
 
@@ -168,7 +167,7 @@ class TestTable1:
                             r.nash_engine, r.nash_closed, r.pareto_engine, r.pareto_closed))
                     # equal up to cash: Var[x - y] <= 1e-16 (Var[x] + Var[y])
                     for x, y in ((nash_engine, nash_closed), (pareto_engine, pareto_closed)):
-                        assert var(x - y) <= 1e-16 * (var(x) + var(y))
+                        assert var(m.space.rv(x.payoffs - y.payoffs)) <= 1e-16 * (var(x) + var(y))
                 else:
                     assert r.nash_engine == pytest.approx(r.nash_closed, abs=1e-10)
                     assert r.pareto_engine == pytest.approx(
@@ -450,7 +449,7 @@ class TestNashPrice:
         out = nash_price(m, basket)
         g1, g2 = m.gammas
         e1, e2 = m.endowments()
-        diff = g1 * e1 - g2 * e2
+        diff = m.space.rv(g1 * e1.payoffs - g2 * e2.payoffs)
         for j, s in enumerate(basket.securities):
             want = (g2 - g1) / (2.0 * g1 * g2) * cov(s, diff)
             assert out.pressure[j] == pytest.approx(want, abs=1e-10)
@@ -506,7 +505,7 @@ class TestUtilityComparison:
         for _ in range(10):
             m = make_market(rng, n=2, m=5)
             c = m.space.rv(rng.normal(size=5))
-            c = (1.0 / np.sqrt(var(c))) * c
+            c = m.space.rv((1.0 / np.sqrt(var(c))) * c.payoffs)
             basket = SecurityBasket((c,))
             g1, g2 = m.gammas
             t = cov(c, m.space.rv(optimal_sharing(m)[0]))
@@ -559,7 +558,7 @@ class TestCashShift:
         e1, e2 = space.rv([1.0, -1.0, 0.5]), space.rv([-0.5, 1.5, -1.0])
         basket = SecurityBasket((space.rv([1.0, 0.0, -1.0]),))
         base = Market(space, (Agent(1.0, e1), Agent(2.0, e2)))
-        shifted = Market(space, (Agent(1.0, e1 + self.SHIFT), Agent(2.0, e2)))
+        shifted = Market(space, (Agent(1.0, space.rv(e1.payoffs + self.SHIFT)), Agent(2.0, e2)))
         want = self._outputs(base, basket, np.zeros(2))
         got = self._outputs(shifted, basket, np.array([self.SHIFT, 0.0]))
         for key in want:

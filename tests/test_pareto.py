@@ -11,12 +11,8 @@ from riskshare.core import (
     SecurityBasket,
     SingularCovarianceError,
     centered,
-    cov,
     demand,
-    mean,
-    mv_utility,
     pricing,
-    var,
 )
 from riskshare.pareto import (
     aggregate_gain,
@@ -33,6 +29,7 @@ from riskshare.pareto import (
 from riskshare.nash import nash_endowment
 
 from conftest import make_basket, make_market, make_space
+from moments import cov, mean, mv_utility, var
 
 
 class TestOptimalSharing:
@@ -69,9 +66,9 @@ class TestOptimalSharing:
             sharing = optimal_sharing(m)
             g = m.aggregate_gamma
             for i, a in enumerate(m.agents):
-                want = (g / a.gamma) * m.total_endowment
-                got = m.space.rv(sharing[i]) + a.endowment
-                assert var(got - want) < 1e-18
+                want = (g / a.gamma) * m.payoffs.sum(axis=0)
+                got = sharing[i] + a.endowment.payoffs
+                assert var(m.space.rv(got - want)) < 1e-18
 
     def test_aggregate_gain_formula_and_sign(self):
         rng = np.random.default_rng(13)
@@ -79,7 +76,7 @@ class TestOptimalSharing:
             m = make_market(rng)
             g = m.aggregate_gamma
             want = sum(a.gamma * var(a.endowment) for a in m.agents) - g * var(
-                m.total_endowment
+                m.space.rv(m.payoffs.sum(axis=0))
             )
             assert aggregate_gain(m) == pytest.approx(want, abs=1e-10)
             assert aggregate_gain(m) >= -1e-12
@@ -92,7 +89,7 @@ class TestOptimalSharing:
         from riskshare.core import Agent, Market
 
         agents = tuple(
-            Agent(g, (1.0 / g) * base) for g in (0.7, 1.1, 1.9)
+            Agent(g, m0.space.rv((1.0 / g) * base.payoffs)) for g in (0.7, 1.1, 1.9)
         )
         m = Market(m0.space, agents)
         assert aggregate_gain(m) == pytest.approx(0.0, abs=1e-12)
@@ -163,7 +160,7 @@ class TestCapm:
         eq = capm_equilibrium(m, basket)
         g = m.aggregate_gamma
         for j, s in enumerate(basket.securities):
-            want = mean(s) - 2.0 * g * cov(s, m.total_endowment)
+            want = mean(s) - 2.0 * g * cov(s, m.space.rv(m.payoffs.sum(axis=0)))
             assert eq.prices[j] == pytest.approx(want, abs=1e-12)
 
 

@@ -1,29 +1,31 @@
-"""Every public name of `riskshare` has a reader on a package path.
+"""Every definition of `riskshare` has a reader on a package path.
 
-A reader is a `Name` or `Attribute` node of that name in the package (outside
-the name's own definition and `__init__`), in `scripts/` or in `bench/`, or in
-`bench/` a string of that name too: the harness looks functions up by name
-(`bench/tracing.py`'s `MOMENTS`). An import alone reads nothing. A name that
-only tests read is not public.
+The definitions are the module-level functions and classes of
+`src/riskshare` and the methods and properties of those classes, dunders
+excluded, so every class and function of `riskshare.__all__` among them. A
+reader is a `Name` or `Attribute` node of that name in the package (outside
+the name's own definition and `__init__`), in `scripts/` or in `bench/`. An
+import alone reads nothing, and neither does a string: a definition that
+only the tests read belongs in the tests (`tests/moments.py` holds the
+textbook moments they compare against). `Rv` is a payoff row on a space with
+no arithmetic: moments come from `Market` and `core.cross_cov`.
 """
 
 import ast
 from pathlib import Path
 
-import pytest
-
-import riskshare
+from riskshare import core
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "riskshare"
+MODULES = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
 
 
 class _Readers(ast.NodeVisitor):
-    """The names that modules read, each outside the def or class of that name;
-    with `strings` set, string constants count as names."""
+    """The names that modules read, each outside the def or class of that name."""
 
     def __init__(self):
-        self.names, self.enclosing, self.strings = set(), [], False
+        self.names, self.enclosing = set(), []
 
     def _scope(self, node):
         self.enclosing.append(node.name)
@@ -43,26 +45,34 @@ class _Readers(ast.NodeVisitor):
         self._read(node.attr)
         self.generic_visit(node)
 
-    def visit_Constant(self, node):
-        if self.strings and isinstance(node.value, str):
-            self._read(node.value)
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
-def test_every_public_name_has_a_reader():
+def _definitions(path):
+    """`module.name` of each module-level function and class, and
+    `module.Class.name` of each of their methods and properties."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, defs):
+            yield f"{path.stem}.{node.name}"
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, defs) and not _is_dunder(member.name):
+                    yield f"{path.stem}.{node.name}.{member.name}"
+
+
+def test_every_definition_has_a_reader():
     readers = _Readers()
-    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
-    for paths, strings in ((modules, False), (sorted((ROOT / "scripts").glob("*.py")), False),
-                           (sorted((ROOT / "bench").glob("*.py")), True)):
-        readers.strings = strings
-        for path in paths:
-            readers.visit(ast.parse(path.read_text(), str(path)))
-    assert sorted(set(riskshare.__all__) - readers.names) == []
+    for path in MODULES + [path for folder in ("scripts", "bench")
+                           for path in sorted((ROOT / folder).glob("*.py"))]:
+        readers.visit(ast.parse(path.read_text(), str(path)))
+    definitions = [name for path in MODULES for name in _definitions(path)]
+    assert [name for name in definitions if name.rsplit(".", 1)[-1] not in readers.names] == []
 
 
-@pytest.mark.parametrize("module", ["nash", "pareto", "strategic"])
-def test_engines_import_no_rv_moments(module):
-    # the engines work on the market's centered rows, not on `Rv` moments
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
-    assert imported.isdisjoint({"mean", "var", "cov"})
+def test_rv_has_no_arithmetic():
+    binary = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "pow")
+    operators = {f"__{side}{op}__" for op in binary for side in ("", "r", "i")}
+    assert (operators | {"__neg__", "__pos__", "__abs__"}).isdisjoint(vars(core.Rv))

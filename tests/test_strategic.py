@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskshare.core import DemandSchedule, Market, mv_utility, var
+from riskshare.core import DemandSchedule, Market, ProbSpace
 from riskshare.oracle import argmax_phi, clearing_utility
 from riskshare.pareto import capm_equilibrium, optimal_sharing
 from riskshare.strategic import (
@@ -22,6 +22,8 @@ from riskshare.strategic import (
 )
 
 from conftest import make_basket, make_market, make_space
+from exact import dyadic_probs
+from moments import mv_utility, var
 
 
 def _clearing_value(m, i, basket, others, p):
@@ -46,7 +48,7 @@ class TestReportedUtility:
                 assert got == pytest.approx(want, abs=1e-10)
 
     def test_symmetric_half_report(self, symmetric_market):
-        half = 0.5 * symmetric_market.agents[0].endowment
+        half = symmetric_market.space.rv(0.5 * symmetric_market.agents[0].endowment.payoffs)
         assert reported_utility(symmetric_market, 0, half) == pytest.approx(5.0 / 16.0)
 
     @given(st.floats(-3, 3), st.floats(-100, 100))
@@ -54,11 +56,34 @@ class TestReportedUtility:
     def test_cash_shift_invariance(self, scale, shift):
         rng = np.random.default_rng(31)
         m = make_market(rng, n=2, m=3)
-        b = scale * m.agents[0].endowment + shift
-        base = scale * m.agents[0].endowment
+        e = m.agents[0].endowment.payoffs
+        b = m.space.rv(scale * e + shift)
+        base = m.space.rv(scale * e)
         assert reported_utility(m, 0, b) == pytest.approx(
             reported_utility(m, 0, base), abs=1e-7
         )
+
+    @pytest.mark.parametrize("shifted", ["b", "others"])
+    def test_cash_shift_of_2_40_moves_nothing(self, shifted):
+        # dyadic probabilities and payoffs that are multiples of 2^-10: a
+        # shift by 2^40 keeps every payoff an exact float, and the corrected
+        # two-pass centering removes it from b and from the others alike
+        rng = np.random.default_rng(37)
+        shift = 2.0**40
+        for _ in range(200):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+            market = Market.from_arrays(ProbSpace(dyadic_probs(rng, m)),
+                                        rng.uniform(0.5, 2.0, n),
+                                        rng.integers(-2**10, 2**10, size=(n, m)) / 2.0**10)
+            i = int(rng.integers(n))
+            b = rng.integers(-2**10, 2**10, size=m) / 2.0**10
+            others = rng.integers(-2**10, 2**10, size=(n, m)) / 2.0**10
+            want = reported_utility(market, i, market.space.rv(b), others=others)
+            if shifted == "b":
+                got = reported_utility(market, i, market.space.rv(b + shift), others=others)
+            else:
+                got = reported_utility(market, i, market.space.rv(b), others=others + shift)
+            assert abs(got - want) <= 1e-15 * abs(want), (got, want)
 
 
 class TestBestEndowmentResponse:
@@ -86,11 +111,11 @@ class TestBestEndowmentResponse:
         m = make_market(rng, n=3, m=5)
         g = m.aggregate_gamma
         for i, a in enumerate(m.agents):
-            b = best_endowment_response(m, i)
-            want = (a.gamma / (a.gamma + g)) * a.endowment + (
+            b, e = best_endowment_response(m, i), a.endowment.payoffs
+            want = (a.gamma / (a.gamma + g)) * e + (
                 g**2 / (a.gamma**2 - g**2)
-            ) * (m.total_endowment - a.endowment)
-            diff = (b - want).payoffs
+            ) * (m.payoffs.sum(axis=0) - e)
+            diff = b.payoffs - want
             centered = diff - m.space.probs @ diff
             assert np.max(np.abs(centered)) < 1e-12
 
@@ -112,7 +137,7 @@ class TestBestEndowmentResponse:
     def test_respects_given_reports(self):
         rng = np.random.default_rng(34)
         m = make_market(rng, n=3, m=5)
-        others = [0.5 * a.endowment for a in m.agents]
+        others = [m.space.rv(0.5 * a.endowment.payoffs) for a in m.agents]
         b = best_endowment_response(m, 1, others=others)
         top = reported_utility(m, 1, b, others=others)
         for _ in range(100):
@@ -163,10 +188,10 @@ class TestBestPercentageResponse:
             m = make_market(rng, m=4)
             i = int(rng.integers(m.n))
             b_star = best_percentage_response(m, i)
-            e = m.agents[i].endowment
-            top = reported_utility(m, i, b_star * e)
+            e = m.agents[i].endowment.payoffs
+            top = reported_utility(m, i, m.space.rv(b_star * e))
             for b in np.linspace(0.0, 3.0, 61):
-                assert reported_utility(m, i, float(b) * e) <= top + 1e-10
+                assert reported_utility(m, i, m.space.rv(float(b) * e)) <= top + 1e-10
 
 
 class TestBestPriceResponse:
