@@ -2,18 +2,22 @@
 
 Both growing-market tables come from `_growing_markets`: it draws one seeded
 pool within the paper's bounds (ENDOWMENT_NORM, GAMMA_RANGE) as arrays, risk
-aversions and an n x m payoff matrix, measures each prefix market, built by
-`Market.from_arrays` on row slices, so the tables are nested (and therefore
-smooth in n) and fully reproducible, and reads the verdict from the largest.
-No table row builds an object per agent; `agent_pool` hands callers that
-want agents the `Market.agents` of the same draw. The figures are fixed grids
-whose variance/correlation targets a three-state construction realizes,
-since every quantity in the model depends on the endowments only through
-first and second moments; `correlated_pair_market` builds each grid point's
-market from arrays, so no figure builds an object per agent either. One
-loop, `_figure`, builds all four: `FIGURES` maps each figure to its variance
-ratio, gamma1 grid, columns and cells function. `EXPERIMENTS` maps each
-standard experiment id to its table, for the CLI and the script.
+aversions and an n x m payoff matrix, each stream in one generator call (the
+payoffs from the seed, shared by both pool kinds, and a heterogeneous pool's
+risk aversions from the seed's spawned child stream). Each stream is read in
+order, so a smaller pool is the prefix of a larger one. It measures each
+prefix market, built by `Market.from_arrays` on row slices, so the tables
+are nested (and therefore smooth in n) and fully reproducible, and reads the
+verdict from the largest. No table row builds an object per agent;
+`agent_pool` hands callers that want agents the `Market.agents` of the same
+draw. The figures are fixed grids whose variance/correlation targets a
+three-state construction realizes, since every quantity in the model depends
+on the endowments only through first and second moments;
+`correlated_pair_market` builds each grid point's market from arrays, so no
+figure builds an object per agent either. One loop, `_figure`, builds all
+four: `FIGURES` maps each figure to its variance ratio, gamma1 grid, columns
+and cells function. `EXPERIMENTS` maps each standard experiment id to its
+table, for the CLI and the script.
 """
 
 from __future__ import annotations
@@ -96,31 +100,23 @@ def _draw_pool(
 ) -> tuple[ProbSpace, np.ndarray, np.ndarray]:
     """The space, risk aversions and n x m payoffs of `agent_pool`, read-only.
 
-    The bits are those of one `rng.normal(size=m)` and (heterogeneous pools)
-    one `rng.uniform(*GAMMA_RANGE)` per agent. A homogeneous pool draws all
-    payoffs at once, the same stream. A heterogeneous one interleaves each
-    agent's payoffs and risk aversion, so only its draws from the stream stay
-    per agent: each fills its row of one matrix in place, the risk aversions
-    are scaled from the uniform draws in one step, and the norms of all rows
-    are one row-wise dot product.
+    Each stream is drawn in one generator call and read in order. The
+    payoffs, the same for both pool kinds, are the rows of one
+    `default_rng(seed).normal(size=(count, m))`; a heterogeneous pool's risk
+    aversions are one `uniform(*GAMMA_RANGE, size=count)` from a stream of
+    their own, the seed's spawned child `SeedSequence(seed).spawn(1)[0]`,
+    independent of the payoffs and of every other integer seed.
     """
-    rng = np.random.default_rng(spec.seed)
     space = _uniform_space(spec)
     p = space.probs
     low, high = GAMMA_RANGE
     count = max(spec.sizes)
+    draws = np.random.default_rng(spec.seed).normal(size=(count, spec.n_states))
     if homogeneous:
-        draws = rng.normal(size=(count, spec.n_states))
         gammas = np.full(count, np.sqrt(low * high))
     else:
-        draws, u = np.empty((count, spec.n_states)), np.empty(count)
-        for k, row in enumerate(draws):
-            rng.standard_normal(out=row)
-            u[k] = rng.random()
-        # normal(0, 1) is 0.0 + 1.0 * standard_normal, which turns -0.0 into
-        # 0.0; uniform(low, high) is low + (high - low) * random()
-        draws += 0.0
-        gammas = low + (high - low) * u
+        child = np.random.SeedSequence(spec.seed).spawn(1)[0]
+        gammas = np.random.default_rng(child).uniform(low, high, size=count)
     # vecdot runs the same inner dot as one `p @ x**2` per row, so it sums in
     # the same order; a matrix-vector product sums in another, which would
     # move the payoffs' last bits and so the experiment tables
@@ -141,10 +137,13 @@ def agent_pool(
 ) -> tuple[ProbSpace, tuple[Agent, ...]]:
     """Seeded pool of max(sizes) agents; markets use its prefixes.
 
-    Each agent draws its payoffs, then (heterogeneous pools) its risk
-    aversion, so a pool's agents are the prefix of any larger pool's. Each
-    draw is scaled to L2 norm ENDOWMENT_NORM; both bounds are re-checked on
-    every pool emitted. The agents are the `Market.agents` of the whole pool.
+    Agent k's payoffs are row k of the seed's normal draws, scaled to L2
+    norm ENDOWMENT_NORM, and (heterogeneous pools) its risk aversion is entry
+    k of the child stream's uniform draws; both streams are read in order,
+    so a pool's agents are the prefix of any larger pool's, and the two
+    kinds of pool share their payoffs, differing only in the risk
+    aversions. Both bounds are re-checked on every pool emitted. The agents
+    are the `Market.agents` of the whole pool.
     """
     space, gammas, payoffs = _draw_pool(spec, homogeneous)
     return space, Market.from_arrays(space, gammas, payoffs).agents

@@ -12,6 +12,7 @@ from riskshare.experiments import (
     ENDOWMENT_NORM,
     GAMMA_RANGE,
     AgentSequenceSpec,
+    _draw_pool,
     agent_pool,
     correlated_pair_market,
     figure_data,
@@ -91,19 +92,65 @@ class TestAgentSequenceSpec:
     )
     @pytest.mark.parametrize("seed", [0, 7])
     def test_pool_matches_per_agent_draws(self, seed, m, count, homogeneous):
-        # the pool as built one agent at a time: payoffs drawn, rescaled to
-        # norm ENDOWMENT_NORM, then (heterogeneous) the risk aversion drawn
+        # agent k as defined one agent at a time: row k of the seed's normal
+        # draws, rescaled to norm ENDOWMENT_NORM, and (heterogeneous) entry k
+        # of the child stream's uniform draws
         spec = AgentSequenceSpec(sizes=(2, count), n_states=m, seed=seed)
         space, agents = agent_pool(spec, homogeneous)
-        rng = np.random.default_rng(seed)
-        for agent in agents:
-            x = rng.normal(size=m)
+        rows = np.random.default_rng(seed).normal(size=(count, m))
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        us = np.random.default_rng(child).uniform(*GAMMA_RANGE, size=count)
+        for agent, x, u in zip(agents, rows, us, strict=True):
             e = Rv(space, (ENDOWMENT_NORM / float(np.sqrt(space.probs @ x**2))) * x)
             gamma = (float(np.sqrt(GAMMA_RANGE[0] * GAMMA_RANGE[1])) if homogeneous
-                     else float(rng.uniform(*GAMMA_RANGE)))
+                     else float(u))
             expected = Agent(gamma, e)
             assert agent.gamma == expected.gamma
             assert agent.endowment.payoffs.tobytes() == expected.endowment.payoffs.tobytes()
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    @pytest.mark.parametrize("count", [3, 100, 1000])
+    def test_pool_is_prefix_of_larger_pool(self, count, homogeneous):
+        # each stream is read in order, so the first count agents of a pool
+        # twice as large are the same bits
+        _, small, small_payoffs = _draw_pool(AgentSequenceSpec(sizes=(2, count)), homogeneous)
+        _, large, large_payoffs = _draw_pool(
+            AgentSequenceSpec(sizes=(2, 2 * count)), homogeneous)
+        assert small.tobytes() == large[:count].tobytes()
+        assert small_payoffs.tobytes() == large_payoffs[:count].tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_pool_kinds_share_payoffs(self, seed):
+        # the two pool kinds differ only in their risk aversions
+        spec = AgentSequenceSpec(sizes=(2, 500), seed=seed)
+        _, mixed, payoffs = _draw_pool(spec, homogeneous=False)
+        _, equal, same_payoffs = _draw_pool(spec, homogeneous=True)
+        assert payoffs.tobytes() == same_payoffs.tobytes()
+        assert np.ptp(mixed) > 0.0 and np.ptp(equal) == 0.0
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_pool_draw_makes_constant_generator_calls(self, monkeypatch, homogeneous):
+        # each stream is one call, whatever the pool's size: 1 for a
+        # homogeneous pool, 2 for a heterogeneous one, not 2 per agent
+        calls = []
+        default_rng = np.random.default_rng
+
+        class Recorder:
+            def __init__(self, generator):
+                self._generator = generator
+
+            def __getattr__(self, name):
+                method = getattr(self._generator, name)
+
+                def record(*args, **kwargs):
+                    calls.append(name)
+                    return method(*args, **kwargs)
+                return record
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args, **kwargs: Recorder(default_rng(*args, **kwargs)))
+        _draw_pool(AgentSequenceSpec(sizes=(2, 10**4)), homogeneous)
+        assert 1 <= len(calls) <= 2, calls[:10]
 
     def test_deterministic_under_seed(self):
         spec = AgentSequenceSpec(sizes=(2, 5), seed=9)
