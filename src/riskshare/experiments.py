@@ -38,7 +38,7 @@ from .nash import (
     nash_price,
     percentage_game_gains,
 )
-from .pareto import capm_equilibrium, mechanism_gains
+from .pareto import _basket_clearing, mechanism_gains
 
 DEFAULT_SIZES = (2, 5, 10, 20, 50, 100, 200)
 # The paper's boundedness assumptions for the decay results: every endowment
@@ -100,23 +100,25 @@ def _draw_pool(
 ) -> tuple[ProbSpace, np.ndarray, np.ndarray]:
     """The space, risk aversions and n x m payoffs of `agent_pool`, read-only.
 
-    Each stream is drawn in one generator call and read in order. The
-    payoffs, the same for both pool kinds, are the rows of one
-    `default_rng(seed).normal(size=(count, m))`; a heterogeneous pool's risk
-    aversions are one `uniform(*GAMMA_RANGE, size=count)` from a stream of
-    their own, the seed's spawned child `SeedSequence(seed).spawn(1)[0]`,
-    independent of the payoffs and of every other integer seed.
+    Both streams are seeded from one `SeedSequence(seed)`, and each is drawn
+    in one generator call and read in order. The payoffs, the same for both
+    pool kinds, are the rows of one `standard_normal((count, m))` of the
+    sequence itself (the bytes of `default_rng(seed).normal(size=(count, m))`);
+    a heterogeneous pool's risk aversions are one
+    `uniform(*GAMMA_RANGE, size=count)` from a stream of their own, the
+    sequence's spawned child `.spawn(1)[0]`, independent of the payoffs and
+    of every other integer seed.
     """
     space = _uniform_space(spec)
     p = space.probs
     low, high = GAMMA_RANGE
     count = max(spec.sizes)
-    draws = np.random.default_rng(spec.seed).normal(size=(count, spec.n_states))
+    seeds = np.random.SeedSequence(spec.seed)
+    draws = np.random.default_rng(seeds).standard_normal((count, spec.n_states))
     if homogeneous:
         gammas = np.full(count, np.sqrt(low * high))
     else:
-        child = np.random.SeedSequence(spec.seed).spawn(1)[0]
-        gammas = np.random.default_rng(child).uniform(low, high, size=count)
+        gammas = np.random.default_rng(seeds.spawn(1)[0]).uniform(low, high, size=count)
     # vecdot runs the same inner dot as one `p @ x**2` per row, so it sums in
     # the same order; a matrix-vector product sums in another, which would
     # move the payoffs' last bits and so the experiment tables
@@ -186,7 +188,11 @@ def price_allocation_convergence(
     """Gap between competitive and Nash security prices along growing markets.
 
     `basket_family` maps a market size to the basket traded at that size; by
-    default one fixed seeded security is used throughout.
+    default one fixed seeded security is used throughout. Both sides are
+    `pareto`'s basket clearing step, price and allocation with no utility:
+    the competitive side on the truthful exposure rows (the prices and the
+    allocation of `capm_equilibrium`), the Nash side on the Nash schedules
+    (`nash_price`).
     """
     if basket_family is None:
         security = np.random.default_rng(spec.seed + 1).normal(size=spec.n_states)
@@ -197,10 +203,10 @@ def price_allocation_convergence(
 
     def gaps(market):
         basket = basket_family(market.n)
-        capm = capm_equilibrium(market, basket)
+        prices, _, allocation = _basket_clearing(market, basket, market.exposures(basket))
         nash = nash_price(market, basket)
-        return (float(np.linalg.norm(capm.prices - nash.price)),
-                float(np.linalg.norm(capm.allocation - nash.allocation, axis=1).max()))
+        return (float(np.linalg.norm(prices - nash.price)),
+                float(np.linalg.norm(allocation - nash.allocation, axis=1).max()))
 
     return _growing_markets(spec, homogeneous, ("price_gap", "allocation_gap"), gaps)
 

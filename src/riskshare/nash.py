@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import Market, Rv, SecurityBasket, _check_count, _is_positive_real
 from .pareto import _basket_clearing, mechanism_gains, optimal_sharing, pooling_gain, sharing_rule
-from .strategic import endowment_variances, percentage_responses
+from .strategic import percentage_responses
 
 
 class ConvergenceError(RuntimeError):
@@ -81,17 +81,21 @@ def _nash_reports(market: Market, x: np.ndarray):
     return aggregate, complement[:, None] * x + (share**2)[:, None] * aggregate
 
 
+def _inefficiency(market: Market, reported: np.ndarray) -> float:
+    """The `pooling_gain` of what the centered Nash reports hold back."""
+    return pooling_gain(market, market.centered - reported)
+
+
 def _nash_pass(market: Market):
     """The endowment game in one pass over the centered rows and the means.
 
     Returns the Nash aggregate (cash included), the centered reports
     B*(centered), the reports' cash B*(means) as a column, and the
-    inefficiency, the `pooling_gain` of what the reports hold back.
+    inefficiency (`_inefficiency`).
     """
     aggregate, reported = _nash_reports(market, market.centered)
     cash_aggregate, cash = _nash_reports(market, market.means[:, None])
-    inefficiency = pooling_gain(market, market.centered - reported)
-    return aggregate + cash_aggregate, reported, cash, inefficiency
+    return aggregate + cash_aggregate, reported, cash, _inefficiency(market, reported)
 
 
 def nash_endowment(market: Market) -> NashEndowmentOutcome:
@@ -122,8 +126,9 @@ def nash_endowment(market: Market) -> NashEndowmentOutcome:
 
 def nash_inefficiency(market: Market) -> float:
     """The endowment game's inefficiency: the `pooling_gain` of what the Nash
-    reports hold back, sum gamma_i Var[E_i - B*_i] - gamma Var[E - aggregate]."""
-    return _nash_pass(market)[3]
+    reports hold back, sum gamma_i Var[E_i - B*_i] - gamma Var[E - aggregate].
+    It reads the centered reports alone: the reports' cash moves no variance."""
+    return _inefficiency(market, _nash_reports(market, market.centered)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +207,14 @@ def table1_report(market: Market) -> list[Table1Row]:
 # Percentage game
 
 
-def percentage_best_response(market: Market, b: np.ndarray, kappa: float) -> np.ndarray:
-    """Clamped best percentage of every agent against reported multiples b."""
-    return np.clip(percentage_responses(market, b), 0.0, kappa)
-
-
 def nash_percentage(
     market: Market, kappa: float = 10.0, max_iter: int = 10000
 ) -> NashPercentageOutcome:
     """Exact percentage-game equilibrium by an active-set solve, in O(nm + m^2) memory.
 
-    b = BR(b) = clamp(R(b), 0, kappa), with R the affine
-    `strategic.percentage_responses`, is a box-constrained linear
+    b = BR(b) = clamp(R(b), 0, kappa), with R the affine map
+    `strategic.percentage_responses(market)`, built once per solve and
+    clamped here, is a box-constrained linear
     complementarity problem (Cottle, Pang & Stone 1992). From b = 1, split the
     agents by R(b) into those at 0, at kappa and free (F), solve for b_F with
     the others at their bounds, and repeat until the split holds, at most
@@ -226,7 +227,8 @@ def nash_percentage(
     L = centered * sqrt(p) and w = s^2 / Var[E],
     (I - diag(w_F) L_F L_F^T) b_F = c_F (1 + s_F) R_F(b with b_F = 0),
     solved by Woodbury (Golub & Van Loan, section 2.1.4) through the m x m
-    matrix I - L_F^T diag(w_F) L_F, whatever the number of free agents. It is
+    matrix I - L_F^T diag(w_F) L_F, whatever the number of free agents; L_F
+    and diag(w_F) L_F are taken once per split. It is
     symmetric with eigenvalues in [1 - sum_F s_i^2, 1], positive as
     1 - sum_i s_i^2 = sum_i s_i c_i > 0. Near that bound, when one gamma_i
     dwarfs the others, the solve loses digits, so once the split holds one
@@ -238,33 +240,36 @@ def nash_percentage(
         raise ValueError("kappa must be finite and positive")
     kappa = float(kappa)  # np.digitize takes no bound such as a Fraction
     _check_count(max_iter, "max_iter", 1)
+    respond = percentage_responses(market)  # R, which checks every Var[E_i] > 0
     share = market.shares
+    weights = market.complements * (1.0 + share)  # 1 - s_i^2
     rows = market.centered * np.sqrt(market.space.probs)  # L
-    scaled = (share**2 / endowment_variances(market))[:, None] * rows  # diag(w) L
+    scaled = (share**2 / market.variances)[:, None] * rows  # diag(w) L
 
     def solve(b, responses):  # b_F moved by the solve of b_F = R_F(b), in place
-        gap = (market.complements * (1.0 + share) * (responses - b))[free]
-        b[free] += gap + scaled[free] @ np.linalg.solve(inner, rows[free].T @ gap)
+        gap = (weights * (responses - b))[free]
+        b[free] += gap + scaled_free @ np.linalg.solve(inner, rows_free.T @ gap)
 
     def residual_of(b):  # max |b - BR(b)| and its bound RESIDUAL_TOL (1 + max |b|)
-        return (float(np.max(np.abs(b - percentage_best_response(market, b, kappa)))),
+        return (float(np.max(np.abs(b - np.clip(respond(b), 0.0, kappa)))),
                 RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b)))))
 
     b, split, iterations, stable = np.ones(market.n), None, 0, False
     while iterations < max_iter and not stable:
-        responses = percentage_responses(market, b)
+        responses = respond(b)
         new_split = np.digitize(responses, (0.0, kappa), right=True)
         stable = np.array_equal(new_split, split)
         if not stable:  # a new active set: solve from b_F = 0
             split, iterations, free = new_split, iterations + 1, new_split == 1
             b = np.where(split == 2, kappa, 0.0)  # split: 0 at zero, 1 free, 2 at kappa
-            responses = percentage_responses(market, b)
-            inner = np.eye(rows.shape[1]) - rows[free].T @ scaled[free]
+            responses = respond(b)
+            rows_free, scaled_free = rows[free], scaled[free]
+            inner = np.eye(rows.shape[1]) - rows_free.T @ scaled_free
         solve(b, responses)  # the solve, or, once the split holds, one step of refinement
     residual, tolerance = residual_of(b)
     while stable and not residual <= tolerance:  # refine on while the residual falls
         refined = b.copy()
-        solve(refined, percentage_responses(market, refined))
+        solve(refined, respond(refined))
         check = residual_of(refined)
         if not check[0] < residual:
             break

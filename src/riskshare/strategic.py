@@ -141,21 +141,30 @@ def best_percentage_response(market: Market, i: int) -> float:
     return float(max(0.0, (market.centered[i] * market.space.probs) @ best / variance))
 
 
-def percentage_responses(market: Market, b: np.ndarray) -> np.ndarray:
-    """Every agent's unclamped best multiple against the others' multiples b.
+def percentage_responses(market: Market):
+    """The map b -> R(b): every agent's unclamped best multiple against the
+    others' multiples b.
 
-    own_i + other_i (Cov(E_i, sum_j b_j E_j) / Var[E_i] - b_i), the projection
-    on E_i of agent i's best report against the reports b_j E_j, in O(nm);
-    every variance must be positive. Taking b_i back out of the ratio cancels
+    R_i(b) = own_i + other_i (Cov(E_i, sum_j b_j E_j) / Var[E_i] - b_i), the
+    projection on E_i of agent i's best report against the reports b_j E_j,
+    in O(nm) per call; every variance must be positive, which building the
+    map checks. Taking b_i back out of the ratio cancels
     when b_i E_i dominates the sum, and other_i = s_i^2/(1 - s_i^2), s_i =
     gamma/gamma_i, multiplies the lost digits. Since sum_i s_i^2 < 1, at most one agent has
-    other_i > 1, and for that agent the sum leaves b_i E_i out instead.
+    other_i > 1, and for that agent the sum leaves b_i E_i out instead. The
+    coefficients, the p-weighted rows and the variances are formed once, when
+    the map is built, so a solve that applies it many times forms them once.
     """
     own, other = _response_coefficients(market)
     rows, alone = market.centered, other > 1.0
-    sums = np.array([b, np.where(alone, 0.0, b)]) @ rows  # sum_j b_j E_j, and without `alone`
-    ratios = (rows * market.space.probs) @ sums.T / endowment_variances(market)[:, None]
-    return own + other * np.where(alone, ratios[:, 1], ratios[:, 0] - b)
+    weighted, variances = rows * market.space.probs, endowment_variances(market)[:, None]
+
+    def responses(b: np.ndarray) -> np.ndarray:
+        sums = np.array([b, np.where(alone, 0.0, b)]) @ rows  # sum_j b_j E_j, and without `alone`
+        ratios = weighted @ sums.T / variances
+        return own + other * np.where(alone, ratios[:, 1], ratios[:, 0] - b)
+
+    return responses
 
 
 def best_price_response(

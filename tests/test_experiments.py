@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from riskshare import nash, pareto
 from riskshare.core import Agent, Market, ProbSpace, Rv, SecurityBasket
 from riskshare.experiments import (
     ENDOWMENT_NORM,
@@ -263,6 +264,37 @@ class TestGrowingMarketsOnArrays:
         assert built == []
         agent_pool(AgentSequenceSpec(sizes=(3,)), homogeneous)  # the patches count
         assert len(built) == 6
+
+
+class TestTablesFormWhatTheyRead:
+    """The growing-market tables read a price, an allocation and the Nash
+    inefficiency: they form no utility level, and no report cash."""
+
+    def test_no_utility_level(self, monkeypatch):
+        def refuse(market):
+            raise AssertionError("a table formed utility levels")
+
+        monkeypatch.setattr(pareto, "autarky_utilities", refuse)
+        spec = AgentSequenceSpec(sizes=(2, 5, 10), seed=3)
+        for table in (price_allocation_convergence(spec), inefficiency_decay(spec)):
+            assert [row[0] for row in table.rows] == [2, 5, 10]
+
+    def test_one_report_map_per_inefficiency(self, monkeypatch):
+        # the centered reports only: the cash half of the endowment game is
+        # a second map of the means, which no variance reads
+        calls = []
+        reports = nash._nash_reports
+        monkeypatch.setattr(nash, "_nash_reports",
+                            lambda market, x: calls.append(x.shape) or reports(market, x))
+        _, agents = agent_pool(AgentSequenceSpec(sizes=(2, 20), seed=3), False)
+        for n in (2, 5, 20):
+            market = Market(agents[0].endowment.space, agents[:n])
+            calls.clear()
+            nash_inefficiency(market)
+            assert calls == [(n, 6)]
+        calls.clear()
+        inefficiency_decay(AgentSequenceSpec(sizes=(2, 5, 20), seed=3))
+        assert calls == [(2, 6), (5, 6), (20, 6)]
 
 
 class TestCorrelatedPairMarket:

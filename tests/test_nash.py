@@ -23,7 +23,6 @@ from riskshare.nash import (
     nash_endowment,
     nash_percentage,
     nash_price,
-    percentage_best_response,
     percentage_game_gains,
     table1_report,
 )
@@ -43,6 +42,7 @@ from riskshare.strategic import (
 from conftest import make_basket, make_market, nash_price_utilities
 from exact import ExactMarket
 from moments import cov, mv_utility, var
+from test_exact import _markets as exact_markets
 
 
 class TestNashEndowment:
@@ -208,7 +208,7 @@ class TestNashPercentage:
             )
             out = nash_percentage(m)
             assert out.converged
-            br = percentage_best_response(m, out.b_star, out.kappa)
+            br = np.clip(strategic.percentage_responses(m)(out.b_star), 0.0, out.kappa)
             assert np.max(np.abs(out.b_star - br)) < 1e-10
 
     def test_non_convergence_reported(self):
@@ -230,7 +230,7 @@ class TestNashPercentage:
         out = nash_percentage(m, kappa=1e15)
         assert 9e12 < out.b_star[0] < 1e13
         assert out.iterations == 1
-        br = percentage_best_response(m, out.b_star, out.kappa)
+        br = np.clip(strategic.percentage_responses(m)(out.b_star), 0.0, out.kappa)
         assert np.max(np.abs(out.b_star - br)) == out.residual
         assert out.residual <= 1e-10 * (1.0 + np.max(np.abs(out.b_star)))
 
@@ -368,6 +368,107 @@ class TestNashPercentage:
         out = nash_percentage(m)
         gains = percentage_game_gains(m, out)
         assert np.all(gains >= -1e-10)
+
+
+def _response_loop(market, kappa):
+    """`nash_percentage` with a freshly formed `percentage_responses(market)`
+    at every step and the free agents' rows taken at every solve:
+    (b_star, iterations, residual, refinement steps after the first)."""
+    def respond(b):
+        return strategic.percentage_responses(market)(b)
+
+    share = market.shares
+    rows = market.centered * np.sqrt(market.space.probs)
+    scaled = (share**2 / strategic.endowment_variances(market))[:, None] * rows
+
+    def solve(b, responses):
+        gap = (market.complements * (1.0 + share) * (responses - b))[free]
+        b[free] += gap + scaled[free] @ np.linalg.solve(inner, rows[free].T @ gap)
+
+    def residual_of(b):
+        return (float(np.max(np.abs(b - np.clip(respond(b), 0.0, kappa)))),
+                nash.RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b)))))
+
+    b, split, iterations, stable = np.ones(market.n), None, 0, False
+    while not stable:
+        new_split = np.digitize(respond(b), (0.0, kappa), right=True)
+        stable = np.array_equal(new_split, split)
+        if not stable:
+            split, iterations, free = new_split, iterations + 1, new_split == 1
+            b = np.where(split == 2, kappa, 0.0)
+            inner = np.eye(rows.shape[1]) - rows[free].T @ scaled[free]
+        solve(b, respond(b))
+    (residual, tolerance), refinements = residual_of(b), 0
+    while not residual <= tolerance:
+        refined = b.copy()
+        solve(refined, respond(refined))
+        check = residual_of(refined)
+        if not check[0] < residual:
+            break
+        b, (residual, tolerance), refinements = refined, check, refinements + 1
+    return b, iterations, residual, refinements
+
+
+def _clamped_markets():
+    """(market, kappa) at the growing-market benchmark's sizes, n 5-100 and
+    m 6 and 50: the pool's first endowment scaled up, so that the agents
+    against it respond below 0 and those with it far above 1, and kappa a
+    quantile of the solve at kappa = 1e9, so that some sit at kappa."""
+    rng = np.random.default_rng(48)
+    for m in (6, 50):
+        space, agents = agent_pool(AgentSequenceSpec(sizes=(100,), n_states=m, seed=48), False)
+        for n in (5, 10, 20, 50, 100):
+            for _ in range(3):
+                payoffs = np.array([a.endowment.payoffs for a in agents[:n]])
+                payoffs[0] *= n * 10.0 ** rng.uniform(1.0, 3.0)
+                market = Market.from_arrays(space, [a.gamma for a in agents[:n]], payoffs)
+                loose = nash_percentage(market, kappa=1e9).b_star
+                yield market, 1e9
+                yield market, float(np.quantile(loose[loose > 0], rng.uniform(0.5, 0.9)))
+
+
+class TestPercentageSolveIsTheResponseLoop:
+    """The solve forms the response map once, and the free agents' rows once
+    per split; a loop that forms both at every step gives the same bits."""
+
+    @staticmethod
+    def _same_bits(market, kappa):
+        out = nash_percentage(market, kappa=kappa)
+        b, iterations, residual, refinements = _response_loop(market, kappa)
+        assert out.b_star.tobytes() == b.tobytes()
+        assert out.iterations == iterations
+        assert float(out.residual).hex() == residual.hex()
+        return out, refinements
+
+    def test_random_markets(self):
+        rng = np.random.default_rng(104)
+        for _ in range(60):
+            self._same_bits(make_market(rng), 10.0)
+
+    def test_clamped_markets_at_benchmark_sizes(self):
+        at_zero = at_kappa = resolved = 0
+        for market, kappa in _clamped_markets():
+            out, _ = self._same_bits(market, kappa)
+            at_zero += np.any(out.b_star == 0.0)
+            at_kappa += np.any(out.b_star == kappa)
+            resolved += out.iterations >= 2
+        assert min(at_zero, at_kappa, resolved) >= 10, (at_zero, at_kappa, resolved)
+
+    def test_disparate_markets_at_large_kappa(self):
+        # kappa = 1e12 frees the disparate agent, whose b reaches ~1e11; 7 of
+        # the 40 solves refine more than once
+        refined = sum(self._same_bits(market, 1e12)[1] > 0
+                      for market, _, _ in exact_markets("disparate"))
+        assert refined == 7
+
+    def test_one_response_map_per_solve(self, monkeypatch):
+        formed = []
+        coefficients = strategic._response_coefficients
+        monkeypatch.setattr(strategic, "_response_coefficients",
+                            lambda market: formed.append(market) or coefficients(market))
+        market = correlated_pair_market(1.0, 1.0, 1.0, 10.0, -0.8)
+        assert nash_percentage(market).iterations == 2
+        assert len(formed) == 1
 
 
 def _schedule(m, out, i):
@@ -597,7 +698,7 @@ ENGINES = {
         m, 17, m.space.rv(m.payoffs[17])),
     "best_endowment_response": lambda m, c: strategic.best_endowment_response(m, 17),
     "best_percentage_response": lambda m, c: strategic.best_percentage_response(m, 17),
-    "percentage_responses": lambda m, c: strategic.percentage_responses(m, np.ones(m.n)),
+    "percentage_responses": lambda m, c: strategic.percentage_responses(m)(np.ones(m.n)),
     "best_price_response": lambda m, c: strategic.best_price_response(
         m, 17, c, _other_schedules(m, c)),
     "best_demand_response": lambda m, c: strategic.best_demand_response(m, 17, c),
@@ -606,8 +707,6 @@ ENGINES = {
     "demand_response_report": lambda m, c: strategic.demand_response_report(m, 17, c),
     "nash_endowment": lambda m, c: nash.nash_endowment(m),
     "nash_inefficiency": lambda m, c: nash.nash_inefficiency(m),
-    "percentage_best_response": lambda m, c: nash.percentage_best_response(
-        m, np.ones(m.n), 10.0),
     "nash_percentage": lambda m, c: nash.nash_percentage(m),
     "percentage_game_gains": lambda m, c: nash.percentage_game_gains(
         m, nash.nash_percentage(m)),
