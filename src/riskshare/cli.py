@@ -17,11 +17,17 @@ dataclasses. A market file has only the keys `schema`, `probs`, `agents`,
 is rejected by name once the schema is accepted. Every gamma, probability and
 payoff is a finite JSON number, never a boolean or a string, and a rejected
 one is addressed by its index; a gamma and `kappa` meet `core`'s number rule,
-and `max_iter` its count rule, once. Ingestion validates each value where it
-reads it, in file order, an array of floats in one pass in C, and builds the
-market once from a float array of the validated risk aversions and the payoff
-rows with `Market.from_arrays`, and the basket from one `ProbSpace.rvs` batch:
-no object per agent is built, and the echo serializes the market's own rows.
+and `max_iter` its count rule, once. A market file is read and a report
+written as bytes, with no text layer, and the file is decoded as UTF-8
+whatever the locale. Ingestion validates each value where it reads it, in
+file order, an array of floats in one pass in C, and an agents array of plain
+objects (a float gamma and float payoffs, nothing else) in one pass over all
+its gammas and payoffs; any other agents array is read agent by agent, so the
+first failure is the one in file order. It builds the market once from a
+float array of the validated risk aversions and the payoff rows with
+`Market.from_arrays`, and the basket from the validated rows with
+`SecurityBasket.from_arrays`: no object per agent is built, and the echo
+serializes the market's own rows.
 `securities` and `parameters` are optional; present, they must be an array
 (empty: no basket) and an object (empty: the defaults). The only parameters
 are the percentage game's `kappa` (a finite positive number) and `max_iter`
@@ -61,8 +67,11 @@ not finite, 3 addressed to `results`.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import operator
+import os
 import sys
 import time
 from dataclasses import fields, is_dataclass
@@ -149,7 +158,7 @@ def _finite(value) -> bool:
     return type(value) in (int, float) and -top <= value <= top
 
 
-_FLOAT = {float}
+_FLOAT, _LIST = {float}, {list}
 
 
 def _numbers(values, field: str) -> list:
@@ -195,6 +204,30 @@ def _known_keys(doc: dict, keys, field: str) -> None:
         _require(key in keys, field + key, "unknown key")
 
 
+_GAMMA_PAYOFFS = operator.itemgetter("gamma", "payoffs")
+
+
+def _plain_agents(space: ProbSpace, docs: list) -> tuple[tuple, tuple] | None:
+    """The gammas and payoff rows of an agents array whose every entry is an
+    object of just a positive finite float gamma and m finite float payoffs,
+    all checked at once, in C; None for any other array, which `_agent` reads
+    entry by entry, so that a failure is addressed as it always was."""
+    try:  # every entry of two keys, gamma and payoffs: only an object has them
+        if set(map(len, docs)) != {2}:
+            return None
+        gammas, rows = zip(*map(_GAMMA_PAYOFFS, docs))
+    except (TypeError, KeyError):
+        return None
+    if not (set(map(type, gammas)) == _FLOAT and all(map(math.isfinite, gammas))
+            and min(gammas) > 0.0 and set(map(type, rows)) == _LIST
+            and set(map(len, rows)) == {space.n_states}):
+        return None
+    entries = itertools.chain.from_iterable
+    if not (set(map(type, entries(rows))) == _FLOAT and all(map(math.isfinite, entries(rows)))):
+        return None
+    return gammas, rows
+
+
 def _agent(space: ProbSpace, doc) -> tuple[float, list]:
     """An agent object's gamma and payoff row, in that order."""
     _require(isinstance(doc, dict), "", "must be an object")
@@ -205,6 +238,42 @@ def _agent(space: ProbSpace, doc) -> tuple[float, list]:
     return float(doc["gamma"]), _payoffs(space, doc["payoffs"], ".payoffs")
 
 
+# a file of unknown size (a pipe's is 0) is read in chunks of at least this
+_CHUNK = 1 << 16
+
+
+def _read(path: str) -> bytes:
+    """The bytes of the file at `path`: a regular file in one read of its size
+    and one that finds its end, anything else in chunks of at least `_CHUNK`.
+    An error names the path, as `open`'s would."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size  # 0 for a pipe
+        chunks, want = [], size + 1 if size else _CHUNK
+        while chunk := os.read(fd, want):
+            chunks.append(chunk)
+            want = max(want, _CHUNK)
+    except IsADirectoryError as exc:  # open names the path; os.read does not
+        exc.filename = path
+        raise
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _parse(data: bytes):
+    """The JSON document of a file's bytes, decoded as UTF-8. A syntax error
+    in a file with a carriage return is raised from its text with each line
+    end made a line feed, so its position reads as text mode reports it."""
+    text = data.decode()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        if "\r" not in text:
+            raise
+    return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+
+
 def load_market_file(path: str) -> dict:
     """Parse and validate a market file into engine objects.
 
@@ -212,8 +281,7 @@ def load_market_file(path: str) -> dict:
     echo of the ingested market.
     """
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = _parse(_read(path))
     except OSError as exc:
         raise Failure("file", exc) from None
     # malformed, not UTF-8, an integer beyond the digit limit, or nested too deep
@@ -239,7 +307,8 @@ def ingest_market_document(doc) -> dict:
     agents_doc = doc.get("agents")
     _require(isinstance(agents_doc, list) and len(agents_doc) >= 2,
              "agents", "must be an array of at least two agents")
-    gammas, rows = zip(*_entries(agents_doc, "agents", functools.partial(_agent, space)))
+    gammas, rows = _plain_agents(space, agents_doc) or zip(
+        *_entries(agents_doc, "agents", functools.partial(_agent, space)))
     try:
         market = Market.from_arrays(space, np.array(gammas), rows)
     except (ValueError, FloatingPointError) as exc:
@@ -252,7 +321,7 @@ def ingest_market_document(doc) -> dict:
         securities = _entries(securities_doc, "securities",
                               functools.partial(_payoffs, space))
         try:
-            basket = SecurityBasket(space.rvs(securities))
+            basket = SecurityBasket.from_arrays(space, securities)
         except (SingularCovarianceError, FloatingPointError) as exc:
             raise Failure("securities", exc, EXIT_NUMERICAL) from None
 
@@ -388,8 +457,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w") as fh:
-            fh.write(text)
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            data = memoryview(text.encode())
+            while data:  # a write may be short
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise Failure("--out", exc) from None
 

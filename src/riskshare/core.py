@@ -25,7 +25,10 @@ gammas and the rows of an n x k covariance matrix, no object per agent: the
 engines read the rows of `Market.exposures`, and a `DemandSchedule` is one
 schedule, for callers that hold schedules as objects. A market is built from
 agents or from arrays (`Market.from_arrays`, no object per agent); only
-`Market.agents` builds `Agent`s from arrays (for `agent_pool`). Two spaces
+`Market.agents` builds `Agent`s from arrays (for `agent_pool`). A basket is
+built from random variables or from arrays (`SecurityBasket.from_arrays`,
+its securities views of the validated rows), and forms the inverse of its
+covariance matrix on first read. Two spaces
 agree as one object or by equal probabilities (`require_same_space`); a risk
 aversion is a real number, not a bool or a string, positive and finite
 (`_is_positive_real`, `_check_gamma`; `Market` applies it to every entry of a
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -99,16 +102,24 @@ class ProbSpace:
         view of its row. Any other input is built row by row, so it fails
         exactly as `Rv(space, row)` does.
         """
+        matrix = self._matrix(rows)
+        if matrix is None:
+            return [Rv(self, row) for row in rows]
+        return [Rv._trusted(self, row) for row in matrix]
+
+    def _matrix(self, rows) -> np.ndarray | None:
+        """rows as a read-only float matrix of width n_states, checked for
+        finiteness once; None for any other input."""
         try:
             matrix = np.array(rows, dtype=float)
         except (TypeError, ValueError):  # ragged or non-numeric rows
-            matrix = None
-        if matrix is None or matrix.ndim != 2 or matrix.shape[1] != self.n_states:
-            return [Rv(self, row) for row in rows]
+            return None
+        if matrix.ndim != 2 or matrix.shape[1] != self.n_states:
+            return None
         if not np.isfinite(matrix).all():
             raise ValueError("payoffs contains non-finite entries")
         matrix.flags.writeable = False
-        return [Rv._trusted(self, row) for row in matrix]
+        return matrix
 
     def rows(self, xs, what: str) -> np.ndarray:
         """The payoffs of xs as the rows of a new matrix, the inverse of `rvs`;
@@ -379,38 +390,59 @@ class Market:
         return [a.endowment for a in self.agents]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SecurityBasket:
     """A vector of k >= 1 tradeable securities with invertible covariance.
 
-    Near-singularity is rejected here once, at construction, instead of at
-    every pricing call.
+    Built from random variables, `SecurityBasket(securities)`, or from
+    arrays, `SecurityBasket.from_arrays(space, payoffs)`, whose securities
+    are read-only views of the validated rows. Near-singularity is rejected
+    here once, at construction, instead of at every pricing call; the
+    inverse `cov_inverse` is formed on first read.
     """
 
     securities: tuple[Rv, ...]
+    # read-only arrays
+    payoffs: np.ndarray  # k x m, row j security j's payoffs
+    mean_vector: np.ndarray
+    centered: np.ndarray
+    cov_matrix: np.ndarray
 
-    # derived, filled in __post_init__ (read-only arrays)
-    payoffs: np.ndarray = field(init=False)  # k x m, row j security j's payoffs
-    mean_vector: np.ndarray = field(init=False)
-    centered: np.ndarray = field(init=False)
-    cov_matrix: np.ndarray = field(init=False)
-    cov_inverse: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        securities = tuple(self.securities)
+    def __init__(self, securities):
+        securities = tuple(securities)
         if len(securities) < 1:
             raise ValueError("basket needs at least one security")
-        p = securities[0].space.probs
         payoffs = securities[0].space.rows(securities, "security")
+        payoffs.flags.writeable = False
+        self._set_arrays(securities, payoffs)
+
+    @classmethod
+    def from_arrays(cls, space: ProbSpace, payoffs) -> "SecurityBasket":
+        """A basket of the k x m payoff matrix `payoffs`, validated once. Any
+        other input goes through `ProbSpace.rvs`, so it fails as that route does."""
+        matrix = space._matrix(payoffs)
+        if matrix is None or not len(matrix):
+            return cls(space.rvs(payoffs))
+        basket = object.__new__(cls)
+        basket._set_arrays(tuple(Rv._trusted(space, row) for row in matrix), matrix)
+        return basket
+
+    def _set_arrays(self, securities: tuple, payoffs: np.ndarray) -> None:
+        """The moments of a validated read-only payoff matrix, required invertible."""
+        p = securities[0].space.probs
         mu, rows = _two_pass(p, payoffs)
         V = require_invertible(p, rows, "covariance matrix of the security basket is singular")
-        inv = np.linalg.inv(V)
-        for arr in (payoffs, V, inv):
-            arr.flags.writeable = False
+        V.flags.writeable = False
         for name, value in (("securities", securities), ("payoffs", payoffs),
-                            ("mean_vector", mu), ("centered", rows),
-                            ("cov_matrix", V), ("cov_inverse", inv)):
+                            ("mean_vector", mu), ("centered", rows), ("cov_matrix", V)):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def cov_inverse(self) -> np.ndarray:
+        """Var^-1[C], formed on first read: only an allocation reads it."""
+        inv = np.linalg.inv(self.cov_matrix)
+        inv.flags.writeable = False
+        return inv
 
     @property
     def k(self) -> int:

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Market, Rv, SecurityBasket, _check_count, _is_positive_real
-from .pareto import _basket_clearing, mechanism_gains, optimal_sharing, pooling_gain, sharing_rule
+from .pareto import (
+    _basket_clearing,
+    _spreads,
+    mechanism_gains,
+    optimal_sharing,
+    pooling_gain,
+    sharing_rule,
+)
 from .strategic import percentage_responses
 
 
@@ -108,11 +115,14 @@ def nash_endowment(market: Market) -> NashEndowmentOutcome:
     inefficiency, the gain still available from pooling what the reports
     hold back, is sum gamma_i Var[E_i - B*_i] - gamma Var[E - aggregate].
     Every field comes from one `_nash_pass`, the centered rows and the cash
-    apart, cash added last; only the reports are built as `Rv`s.
+    apart, cash added last; only the reports are built as `Rv`s. The rule
+    runs once on the centered reports: its contracts are also the gains'
+    (`mechanism_gains`, the `_spreads` kernel on them).
     """
     aggregate, reported, cash, inefficiency = _nash_pass(market)
     rule = sharing_rule(market)
-    contracts = rule(reported) + rule(cash)
+    centered = rule(reported)
+    contracts = centered + rule(cash)
     for arr in (aggregate, contracts):
         arr.flags.writeable = False
     return NashEndowmentOutcome(
@@ -120,7 +130,8 @@ def nash_endowment(market: Market) -> NashEndowmentOutcome:
         aggregate=aggregate,
         contracts=contracts,
         inefficiency=inefficiency,
-        per_agent_gain=mechanism_gains(market, reported),
+        per_agent_gain=market.gammas * _spreads(centered, centered * market.space.probs,
+                                                reported - market.centered),
     )
 
 

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -48,6 +49,18 @@ def write_market(tmp_path, name="market.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+COMMANDS = (
+    ["pareto"],
+    ["capm"],
+    ["nash", "--game", "endowment"],
+    ["nash", "--game", "percentage"],
+    ["nash", "--game", "price"],
+    ["best-response", "--game", "endowment"],
+    ["best-response", "--game", "percentage"],
+    ["best-response", "--game", "demand"],
+)
 
 
 class TestValidation:
@@ -312,8 +325,10 @@ class TestValidation:
         assert json.loads(out)["results"]["response"] >= 0.0
 
     def test_singular_basket_addressed(self, tmp_path, capsys):
+        # a singular basket is rejected as the file is read, so also by the
+        # reports that never read the basket (the benchmark runs pareto on three)
         path = write_market(tmp_path, securities=[[1.0, 0.0, -1.0], [2.0, 0.0, -2.0]])
-        for command in (["pareto"], ["nash", "--game", "price"]):
+        for command in COMMANDS:
             assert main(command + ["--market", str(path)]) == EXIT_NUMERICAL
             err = capsys.readouterr().err
             assert err.startswith("numerical precondition violated: securities: ")
@@ -591,7 +606,8 @@ class TestCommands:
         report = json.loads(out.read_text())
         assert report["command"] == "pareto"
 
-    @pytest.mark.parametrize("command", [["pareto"], ["experiment", "--experiment", "figure1"]])
+    @pytest.mark.parametrize("command", [["pareto"], ["experiment", "--experiment", "figure1"],
+                                         *COMMANDS[1:]])
     def test_stdout_bytes_equal_out_bytes(self, tmp_path, capsysbinary, command):
         argv = command + ["--market", str(write_market(tmp_path))]
         out = tmp_path / "out.txt"
@@ -1110,18 +1126,6 @@ class TestExperimentCommand:
         assert err == "validation error: --seed: must be a non-negative integer\n"
 
 
-COMMANDS = (
-    ["pareto"],
-    ["capm"],
-    ["nash", "--game", "endowment"],
-    ["nash", "--game", "percentage"],
-    ["nash", "--game", "price"],
-    ["best-response", "--game", "endowment"],
-    ["best-response", "--game", "percentage"],
-    ["best-response", "--game", "demand"],
-)
-
-
 def test_commands_are_the_report_table():
     # COMMANDS drives the unit-scaling, per-command object and cash-shift
     # tests: it holds each report of the table once
@@ -1481,6 +1485,184 @@ class TestIngestOrder:
             reports = [_run(list(command) + ["--market", str(path)]) for path in (ints, floats)]
             assert reports[0] == reports[1], command
             assert reports[0][0] == EXIT_OK, command
+
+
+# each defect of agent 1 that sends an agents array through `_agent`, and the
+# line it is addressed by; "OVER" is written as the literal 1e400
+_P = [-0.5, 1.5, -1.0]
+AGENT_DEFECTS = {
+    "gamma-true": ({"gamma": True, "payoffs": _P}, "agents[1].gamma: must be a finite positive number"),
+    "gamma-str": ({"gamma": "2.0", "payoffs": _P}, "agents[1].gamma: must be a finite positive number"),
+    "gamma-zero": ({"gamma": 0.0, "payoffs": _P}, "agents[1].gamma: must be a finite positive number"),
+    "gamma-negative": ({"gamma": -1.0, "payoffs": _P},
+                       "agents[1].gamma: must be a finite positive number"),
+    "gamma-1e400": ({"gamma": "OVER", "payoffs": _P},
+                    "agents[1].gamma: must be a finite positive number"),
+    "payoff-true": ({"gamma": 2.0, "payoffs": [-0.5, True, -1.0]},
+                    "agents[1].payoffs[1]: must be a finite number"),
+    "payoff-str": ({"gamma": 2.0, "payoffs": [-0.5, "1.5", -1.0]},
+                   "agents[1].payoffs[1]: must be a finite number"),
+    "payoff-null": ({"gamma": 2.0, "payoffs": [-0.5, None, -1.0]},
+                    "agents[1].payoffs[1]: must be a finite number"),
+    "payoff-list": ({"gamma": 2.0, "payoffs": [-0.5, [1.5], -1.0]},
+                    "agents[1].payoffs[1]: must be a finite number"),
+    "payoff-1e400": ({"gamma": 2.0, "payoffs": [-0.5, "OVER", -1.0]},
+                     "agents[1].payoffs[1]: must be a finite number"),
+    "row-short": ({"gamma": 2.0, "payoffs": [-0.5, 1.5]},
+                  "agents[1].payoffs: payoff length 2 does not match space dimension 3"),
+    "row-long": ({"gamma": 2.0, "payoffs": [-0.5, 1.5, -1.0, 0.0]},
+                 "agents[1].payoffs: payoff length 4 does not match space dimension 3"),
+    "extra-key": ({"gamma": 2.0, "payoffs": _P, "name": "b"}, "agents[1].name: unknown key"),
+    "no-gamma": ({"payoffs": _P}, "agents[1].gamma: missing"),
+    "no-payoffs": ({"gamma": 2.0}, "agents[1].payoffs: missing"),
+    "not-an-object": ([2.0, _P], "agents[1]: must be an object"),
+}
+
+
+class TestAgentsAtOnce:
+    """An agents array of plain float objects is checked in one pass; any
+    other goes agent by agent, and fails as it always has."""
+
+    @pytest.mark.parametrize("defect", AGENT_DEFECTS)
+    def test_defect_fails_as_read_agent_by_agent(self, tmp_path, defect):
+        agent, line = AGENT_DEFECTS[defect]
+        doc = json.loads(write_market(tmp_path).read_text())
+        doc["agents"][1] = agent
+        path = tmp_path / "defect.json"
+        path.write_text(json.dumps(doc).replace('"OVER"', "1e400"))
+        assert _run(["pareto", "--market", str(path)]) == (
+            EXIT_VALIDATION, "", f"validation error: {line}\n")
+
+    def test_plain_agents_read_at_once(self, tmp_path, monkeypatch):
+        read = []
+        agent = cli._agent
+        monkeypatch.setattr(cli, "_agent", lambda *args: read.append(args) or agent(*args))
+        floats = load_market_file(str(write_market(tmp_path)))
+        assert read == []
+        # one int payoff sends the whole array agent by agent, to the same market
+        ints = load_market_file(str(write_market(tmp_path, "ints.json", agents=[
+            {"gamma": 1.0, "payoffs": [1, -1.0, 0.5]},
+            {"gamma": 2.0, "payoffs": [-0.5, 1.5, -1.0]},
+        ])))
+        assert len(read) == 2
+        assert cli._dumps(ints["echo"]) == cli._dumps(floats["echo"])
+
+
+def _filled_pipe(data: bytes):
+    """The read end of a pipe that a thread fills with `data`, and the thread."""
+    read_end, write_end = os.pipe()
+
+    def fill():
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=fill)
+    writer.start()
+    return read_end, writer
+
+
+class TestByteIO:
+    """Market files are read and reports written as bytes, with no text layer."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_crlf_file_is_the_lf_file(self, tmp_path, command):
+        lf = tmp_path / "lf.json"
+        lf.write_bytes(json.dumps(json.loads(write_market(tmp_path).read_text()),
+                                  indent=2).encode())
+        crlf = tmp_path / "crlf.json"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        reports = [_run(command + ["--market", str(path)]) for path in (lf, crlf)]
+        assert reports[0][0] == EXIT_OK
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r", "\n"])
+    def test_syntax_error_position_counts_a_line_end_once(self, tmp_path, ending):
+        # as a text-mode read reports it, every line end one "\n"
+        text = json.dumps(json.loads(write_market(tmp_path).read_text()), indent=2)
+        path = tmp_path / "cut.json"
+        path.write_bytes(text[:200].replace("\n", ending).encode())
+        assert _run(["pareto", "--market", str(path)]) == (
+            EXIT_VALIDATION, "", "validation error: file: not valid JSON: Expecting property "
+                                 "name enclosed in double quotes: line 19 column 1 (char 200)\n")
+
+    @pytest.mark.parametrize("target,line", [
+        (".", "[Errno 21] Is a directory"),
+        ("missing.json", "[Errno 2] No such file or directory"),
+        ("missing/market.json", "[Errno 2] No such file or directory"),
+    ])
+    def test_unreadable_path_named(self, tmp_path, target, line):
+        path = str(tmp_path / target)
+        assert _run(["pareto", "--market", path]) == (
+            EXIT_VALIDATION, "", f"validation error: file: {line}: {path!r}\n")
+
+    @pytest.mark.parametrize("n", [2, 2000])
+    def test_pipe_is_the_file(self, tmp_path, monkeypatch, n):
+        # 2000 agents write a file of more than 64 KiB
+        rng = np.random.default_rng(n)
+        path = write_market(tmp_path, agents=[
+            {"gamma": float(g), "payoffs": row.tolist()}
+            for g, row in zip(rng.uniform(0.5, 2.0, n), rng.normal(size=(n, 3)))])
+        command = ["best-response", "--game", "endowment", "--market"]
+        expected = _run(command + [str(path)])
+        assert expected[0] == EXIT_OK
+        sizes = []
+        read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, size: sizes.append(size) or read(fd, size))
+        read_end, writer = _filled_pipe(path.read_bytes())
+        try:
+            assert _run(command + [f"/dev/fd/{read_end}"]) == expected
+        finally:
+            os.close(read_end)  # a writer still blocked on a full pipe fails and ends
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        # a pipe's size is 0: it is read in chunks of 64 KiB
+        assert set(sizes) == {1 << 16}
+
+    def test_regular_file_in_one_read(self, tmp_path, monkeypatch):
+        path = write_market(tmp_path)
+        sizes = []
+        read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, size: sizes.append(size) or read(fd, size))
+        load_market_file(str(path))
+        assert sizes == [path.stat().st_size + 1, 1 << 16]
+
+    @pytest.mark.parametrize("command", [COMMANDS[2], ["experiment", "--experiment", "figure1"]])
+    def test_short_reads_and_writes(self, tmp_path, monkeypatch, command):
+        argv = command + ["--market", str(write_market(tmp_path))]
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        whole = out.read_bytes()
+        out.unlink()
+        calls = collections.Counter()
+        read, write = os.read, os.write
+
+        def short_read(fd, size):
+            calls["read"] += 1
+            return read(fd, min(size, 100))
+
+        def short_write(fd, data):
+            calls["write"] += 1
+            return write(fd, data[:100])
+
+        monkeypatch.setattr(os, "read", short_read)
+        monkeypatch.setattr(os, "write", short_write)
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == whole
+        assert calls["write"] == -(-len(whole) // 100)
+        if command[0] != "experiment":
+            assert calls["read"] > 2
+
+
+class TestBasketInverse:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_inverse_formed_by_the_reports_that_read_it(self, tmp_path, monkeypatch, command):
+        inverses = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a) or inv(a))
+        assert _run(command + ["--market", str(write_market(tmp_path))])[0] == EXIT_OK
+        reads = command in (["capm"], ["nash", "--game", "price"],
+                            ["best-response", "--game", "demand"])
+        assert len(inverses) == reads
 
 
 # a command line that is not understood, and its addressed stderr line

@@ -377,6 +377,63 @@ class TestSecurityBasket:
         assert np.allclose(basket.cov_matrix @ basket.cov_inverse, np.eye(3), atol=1e-10)
 
 
+class TestSecurityBasketFromArrays:
+    """`SecurityBasket.from_arrays` is the basket of the `Rv` route, from one matrix."""
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_matches_rv_route(self, scale):
+        rng = np.random.default_rng(51)
+        for _ in range(20):
+            space = ProbSpace(rng.dirichlet(np.full(6, 5.0)))
+            k = int(rng.integers(1, 5))
+            rows = scale * (rng.normal(size=(k, 6)) + 1e3 * rng.normal(size=(k, 1)))
+            arrays, rvs = SecurityBasket.from_arrays(space, rows), SecurityBasket(space.rvs(rows))
+            for name in ("payoffs", "mean_vector", "centered", "cov_matrix", "cov_inverse"):
+                assert getattr(arrays, name).tobytes() == getattr(rvs, name).tobytes(), name
+            assert arrays.k == rvs.k and arrays.space is space
+
+    def test_securities_view_the_read_only_rows(self):
+        rows = np.random.default_rng(3).normal(size=(2, 4))
+        basket = SecurityBasket.from_arrays(_space(4), rows)
+        rows[:] = 0.0
+        for j, x in enumerate(basket.securities):
+            assert x.payoffs.base is basket.payoffs and x.payoffs is not basket.payoffs[j]
+            assert x.payoffs.tobytes() == basket.payoffs[j].tobytes()
+            with pytest.raises(ValueError):
+                x.payoffs[0] = 1.0
+        for arr in (basket.payoffs, basket.cov_matrix, basket.cov_inverse):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("rows", [
+        [[1.0, np.nan, 0.0], [0.0, 1.0, 2.0]],  # non-finite
+        [[1.0, 0.0, -1.0, 2.0]],  # too wide
+        [[1.0, 0.0]],  # too narrow
+        [[1.0, 0.0, -1.0], [1.0, 2.0]],  # ragged
+        [],  # k = 0
+        np.empty((0, 3)),
+    ])
+    def test_fails_as_rv_route(self, rows):
+        space = _space(3)
+        with pytest.raises(ValueError) as route:
+            SecurityBasket(space.rvs(rows))
+        with pytest.raises(type(route.value)) as arrays:
+            SecurityBasket.from_arrays(space, rows)
+        assert str(arrays.value) == str(route.value)
+
+    def test_singular_rejected_at_construction(self):
+        with pytest.raises(SingularCovarianceError):
+            SecurityBasket.from_arrays(_space(3), [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+
+    def test_inverse_formed_on_first_read(self, monkeypatch):
+        inverses = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a) or inv(a))
+        basket = SecurityBasket.from_arrays(_space(3), [[1.0, 0.0, -1.0]])
+        assert inverses == []
+        assert basket.cov_inverse is basket.cov_inverse
+        assert len(inverses) == 1
+
+
 class TestDemand:
     def test_zero_at_reservation_price(self):
         rng = np.random.default_rng(5)

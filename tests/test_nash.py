@@ -142,6 +142,30 @@ class TestNashEndowment:
             reported = nash._nash_reports(m, m.centered)[1]
             assert np.array_equal(out.per_agent_gain, pareto.mechanism_gains(m, reported))
 
+    def test_gains_are_the_mechanism_gains(self):
+        rng = np.random.default_rng(104)
+        for _ in range(60):
+            m = make_market(rng)
+            reported = nash._nash_reports(m, m.centered)[1]
+            assert (nash_endowment(m).per_agent_gain.tobytes()
+                    == pareto.mechanism_gains(m, reported).tobytes())
+
+    def test_one_rule_pass_on_the_reports(self, monkeypatch):
+        # the contracts on the centered reports are also the gains'
+        market = make_market(np.random.default_rng(104), n=4, m=6)
+        reported = nash._nash_reports(market, market.centered)[1]
+        passes = []
+        sharing_rule = pareto.sharing_rule
+
+        def recording(market):
+            rule = sharing_rule(market)
+            return lambda x: passes.append(np.array_equal(x, reported)) or rule(x)
+
+        monkeypatch.setattr(pareto, "sharing_rule", recording)
+        monkeypatch.setattr(nash, "sharing_rule", recording)
+        nash_endowment(market)
+        assert sum(passes) == 1
+
 
 class TestTable1:
     def test_rejects_other_sizes(self):
