@@ -243,16 +243,15 @@ _CHUNK = 1 << 16
 
 
 def _read(path: str) -> bytes:
-    """The bytes of the file at `path`: a regular file in one read of its size
-    and one that finds its end, anything else in chunks of at least `_CHUNK`.
-    An error names the path, as `open`'s would."""
+    """The bytes of the file at `path`: a regular file in reads of its size
+    plus one, the first of which reads it whole, anything else in chunks of
+    `_CHUNK`. An error names the path, as `open`'s would."""
     fd = os.open(path, os.O_RDONLY)
     try:
         size = os.fstat(fd).st_size  # 0 for a pipe
         chunks, want = [], size + 1 if size else _CHUNK
         while chunk := os.read(fd, want):
             chunks.append(chunk)
-            want = max(want, _CHUNK)
     except IsADirectoryError as exc:  # open names the path; os.read does not
         exc.filename = path
         raise
@@ -262,16 +261,13 @@ def _read(path: str) -> bytes:
 
 
 def _parse(data: bytes):
-    """The JSON document of a file's bytes, decoded as UTF-8. A syntax error
-    in a file with a carriage return is raised from its text with each line
-    end made a line feed, so its position reads as text mode reports it."""
+    """The JSON document of a file's bytes, decoded as UTF-8, each line end
+    made a line feed as text mode makes it, so an error's position reads the
+    same (strict JSON holds a carriage return only as whitespace)."""
     text = data.decode()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        if "\r" not in text:
-            raise
-    return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return json.loads(text)
 
 
 def load_market_file(path: str) -> dict:

@@ -22,7 +22,7 @@ import numpy as np
 from .core import Market, Rv, SecurityBasket, _check_count, _is_positive_real
 from .pareto import (
     _basket_clearing,
-    _spreads,
+    _gains,
     mechanism_gains,
     optimal_sharing,
     pooling_gain,
@@ -117,7 +117,7 @@ def nash_endowment(market: Market) -> NashEndowmentOutcome:
     Every field comes from one `_nash_pass`, the centered rows and the cash
     apart, cash added last; only the reports are built as `Rv`s. The rule
     runs once on the centered reports: its contracts are also the gains'
-    (`mechanism_gains`, the `_spreads` kernel on them).
+    (`pareto._gains`, as `mechanism_gains` reads them).
     """
     aggregate, reported, cash, inefficiency = _nash_pass(market)
     rule = sharing_rule(market)
@@ -130,8 +130,7 @@ def nash_endowment(market: Market) -> NashEndowmentOutcome:
         aggregate=aggregate,
         contracts=contracts,
         inefficiency=inefficiency,
-        per_agent_gain=market.gammas * _spreads(centered, centered * market.space.probs,
-                                                reported - market.centered),
+        per_agent_gain=_gains(market, centered, reported),
     )
 
 

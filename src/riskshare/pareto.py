@@ -101,7 +101,11 @@ def mechanism_gains(market: Market, reports: np.ndarray) -> np.ndarray:
     `_spreads` in the states, gamma_i Cov(c_i, c_i + 2 (R_i - E_i)). Truthful
     reports, `market.centered`, give the Pareto gains gamma_i Var[C*_i].
     """
-    contracts = sharing_rule(market)(reports)
+    return _gains(market, sharing_rule(market)(reports), reports)
+
+
+def _gains(market: Market, contracts: np.ndarray, reports: np.ndarray) -> np.ndarray:
+    """`mechanism_gains` of reports whose `sharing_rule` contracts are formed."""
     return market.gammas * _spreads(contracts, contracts * market.space.probs,
                                     reports - market.centered)
 
