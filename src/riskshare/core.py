@@ -51,6 +51,9 @@ PROB_SUM_TOL = 1e-12
 # Relative eigenvalue floor below which a covariance matrix (a basket's
 # Var[C], the endowments' Var[E]) counts as singular.
 SV_RATIO_MIN = 1e-10
+# The smallest normal float: a covariance matrix with a smaller eigenvalue
+# counts as singular too, since its inverse can overflow.
+_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 class SpaceMismatchError(ValueError):
@@ -201,13 +204,15 @@ def require_invertible(p: np.ndarray, rows: np.ndarray, message: str) -> np.ndar
     of states: centered rows span at most m - 1 dimensions, so no product is
     formed. Otherwise it raises unless every eigenvalue of the matrix exceeds
     SV_RATIO_MIN times the largest (a rounding-negative smallest eigenvalue
-    counts as singular).
+    counts as singular) and is a normal float (`_NORMAL_MIN`): a subnormal
+    one, as a basket of payoffs near 1e-155 gives, has an inverse that can
+    overflow.
     """
     if rows.shape[0] >= p.size:
         raise SingularCovarianceError(message)
     cov_matrix = (rows * p) @ rows.T
     eigenvalues = np.linalg.eigvalsh(cov_matrix)
-    if eigenvalues[0] <= SV_RATIO_MIN * eigenvalues[-1]:
+    if eigenvalues[0] <= SV_RATIO_MIN * eigenvalues[-1] or eigenvalues[0] < _NORMAL_MIN:
         raise SingularCovarianceError(message)
     return cov_matrix
 

@@ -17,10 +17,13 @@ evaluates its whole stencil of q = 1 + 2k + k(k+1)/2 points in one call, so
 every objective takes a stack of points and returns one value per point, and
 it takes the gradient and the Hessian from one product of those q values with
 the stencil's fixed weight matrix. The objectives are evaluated on payoff
-arrays: a report search evaluates a q x n x m stack of profiles, q copies of
-the n x m profile with row i replaced by each trial report, in one
-`deviation_gain` call, and every moment goes through `core.cross_cov`, a
-deviation gain's two in one call.
+arrays. The mechanism reads agent i's own report R_i and the others' sum O
+and nothing else, so one private kernel, `_gain`, gives agent i's gain from
+such pairs: a report search evaluates its q trial reports against one O, and
+`deviation_gain` forms each profile's O as a prefix plus a suffix sum of the
+others' rows (`_others`), never as A - R_i, which cancels when R_i
+dominates. Every moment goes through `core.cross_cov`, a gain's two in one
+call.
 
 Best responses live in the span of the basis payoffs (the objective strictly
 worsens in any orthogonal direction), so searches run over span coefficients.
@@ -34,21 +37,22 @@ affine map of the others' summed report O: the gain depends on the others
 only through O, since the aggregate is reshared, its Hessian in the agent's
 own coefficients is the same at every profile, and its gradient along a
 basis row b_a depends on O only through Cov(O, b_a), so cash and off-span
-parts of O do not move the step. One objective call measures every
-agent, on a stack of n (q + 2k^2) profiles that names the agent of each:
-per agent its stencil with O = 0 and its gradient points with O = b_a for
-each row, which check its curvature and give its map, exact for every
-profile. A round, a Gauss-Seidel sweep of the maps, is then affine in the
-agents' stacked span coefficients; it is folded once per run into one
-affine map, and the rounds apply it in blocks of up to 16, each block's
-profiles formed in one product with the basis and its steps measured in one
-`cross_cov` call, and make no objective call. One more call, on every
-agent's gradient points around the final profile, gives the run's
-residual, the largest move any agent would still make, so the final
-profile is checked against the objective itself: 2 calls per run. The run
-builds no object per step: its result holds the profiles as one array and
-each round's largest step std, and builds the trajectory's `Rv`s when it
-is read.
+parts of O do not move the step. One kernel call measures every
+agent, on n (q + 2k^2) pairs of m-vectors that name the agent of each: per
+agent its stencil with O = 0 and its gradient points with O = b_a for each
+row, which check its curvature and give its map, exact for every profile.
+All n curvatures come from one `eigh` on the stacked Hessians. A round, a
+Gauss-Seidel sweep of the maps, is then affine in the agents' stacked span
+coefficients; it is folded once per run into one affine map, and the rounds
+apply it in blocks of up to 16, each block's profiles formed in one product
+with the basis and its steps measured in one `cross_cov` call, and make no
+objective call. One more call, on every agent's gradient points with its own
+O from the final profile, gives the run's residual, the largest move any
+agent would still make, so the final profile is checked against the
+objective itself: 2 calls per run, and no stack of whole profiles, so a run
+holds O(nmk^2) values besides the folded round. The run builds no object per
+step: its result holds the profiles as one array and each round's largest
+step std, and builds the trajectory's `Rv`s when it is read.
 """
 
 from __future__ import annotations
@@ -114,21 +118,24 @@ def _stencil(k: int) -> tuple[np.ndarray, np.ndarray]:
 def _concave_axes(hess) -> tuple[np.ndarray, np.ndarray]:
     """The curvature half of the Newton step: the axes it moves along.
 
-    Axes of negative curvature (eigenvectors of the Hessian) are kept with
-    their curvatures; flat axes (within a relative `_CURVATURE_FLOOR`, as a
-    dependent basis gives) are dropped, so the step is the minimum-norm
-    maximizer. A positive curvature beyond the floor raises ValueError.
+    `hess` is one k x k Hessian or a stack of them, all taken by one `eigh`.
+    Axes of negative curvature (eigenvectors of the Hessian) keep their
+    curvatures; flat axes (within a relative `_CURVATURE_FLOOR`, as a
+    dependent basis gives) get the curvature -inf, so their column of
+    `axes / -curvatures` is 0 and the step is the minimum-norm maximizer.
+    A positive curvature beyond the floor raises ValueError.
     """
     curvatures, axes = np.linalg.eigh(hess)
     # eigh sorts ascending, so the largest magnitude is at one end
-    floor = _CURVATURE_FLOOR * max(-curvatures[0], curvatures[-1])
-    if curvatures[-1] > floor:
+    top = curvatures[..., -1]
+    floor = _CURVATURE_FLOOR * np.maximum(-curvatures[..., 0], top)
+    convex = top > floor
+    if convex.any():
         raise ValueError(
-            f"objective is not concave: curvature {curvatures[-1]:.3e} "
-            f"exceeds the floor {floor:.3e}"
+            f"objective is not concave: curvature {top[convex].flat[0]:.3e} "
+            f"exceeds the floor {floor[convex].flat[0]:.3e}"
         )
-    keep = curvatures < -floor
-    return axes[:, keep], curvatures[keep]
+    return axes, np.where(curvatures < -floor[..., None], curvatures, -np.inf)
 
 
 def _quadratic_argmax(f, center) -> np.ndarray:
@@ -184,26 +191,50 @@ def deviation_gain(market: Market, i, reports):
     `reports` is a list of n `Rv`, the equal n x m payoff matrix (a float is
     returned) or a q x n x m stack of profiles (q values), as `Market.profile`
     checks them. `i` is one agent index, or an integer array of the stack's
-    shape that names the agent of each profile (`_agent_rows`). Composed
-    from the mechanism's definition only: the aggregate A of reports is
-    reshared, agent i receives the contract C = (gamma/gamma_i) A - report_i,
-    and pays its market price E[C] - 2 gamma Cov(C, A). E[C] enters the
-    utility and the price alike, so the gain is
-    E[E_i] - gamma_i Var[E_i + C] + 2 gamma Cov(C, A), both moments from one
-    `cross_cov` call on the stacked pairs.
+    shape that names the agent of each profile (`_agent_rows`). The
+    mechanism reads a profile only through agent i's report R_i and the
+    others' sum O, so each profile's pair is formed, O by `_others`, and
+    valued by the kernel `_gain`.
     """
     reports = market.profile(reports)
     rows = _agent_rows(i, market.n, reports.shape[:-2])
+    return _gain(market, i, reports[rows], _others(reports)[rows])
+
+
+def _gain(market: Market, i, own, others):
+    """Agent i's gain from its own report `own` and the others' sum `others`.
+
+    Composed from the mechanism's definition only: the aggregate
+    A = own + others is reshared, agent i receives the contract
+    C = (gamma/gamma_i) A - own, and pays its market price
+    E[C] - 2 gamma Cov(C, A). E[C] enters the utility and the price alike,
+    so the gain is E[E_i] - gamma_i Var[E_i + C] + 2 gamma Cov(C, A), both
+    moments from one `cross_cov` call on the stacked pairs. `i`, an index or
+    an index array, broadcasts against the leading axes of `own` and
+    `others` (m-vectors on the state axis, last); one pair gives a float.
+    """
     p = market.space.probs
     g = market.aggregate_gamma
     gi = market.gammas[i]
-    own = market.payoffs[i]
-    aggregate = reports.sum(axis=-2)
-    contract = (g / gi)[..., None] * aggregate - reports[rows]
-    held = own + contract
-    spread, with_aggregate = cross_cov(
-        p, np.array([held, contract]), np.array([held, aggregate]))
-    return _value(np.vecdot(own, p) - gi * spread + 2.0 * g * with_aggregate)
+    endowment = market.payoffs[i]
+    aggregate = own + others
+    contract = (g / gi)[..., None] * aggregate - own
+    held = endowment + contract
+    rows = np.empty((3, *held.shape))
+    rows[0], rows[1], rows[2] = held, contract, aggregate
+    spread, with_aggregate = cross_cov(p, rows[:2], rows[::2])
+    return _value(np.vecdot(endowment, p) - gi * spread + 2.0 * g * with_aggregate)
+
+
+def _others(reports: np.ndarray) -> np.ndarray:
+    """Each row's others' sum: row i of the result is the sum of the rows
+    j != i of the n x m `reports` (or of each profile of a stack), a prefix
+    sum plus a suffix sum in O(nm). It is never the total less row i, which
+    loses O's digits when row i dominates."""
+    sums = np.zeros(reports.shape)
+    np.add.accumulate(reports[..., :-1, :], axis=-2, out=sums[..., 1:, :])
+    sums[..., :-1, :] += np.add.accumulate(reports[..., :0:-1, :], axis=-2)[..., ::-1, :]
+    return sums
 
 
 def _agent_rows(i, n: int, shape: tuple) -> tuple:
@@ -211,7 +242,8 @@ def _agent_rows(i, n: int, shape: tuple) -> tuple:
 
     One index names the agent of every profile; an integer array of the
     stack's shape names one per profile. Every index must pass
-    `_check_agent`, so bool, float and out-of-range entries raise ValueError.
+    `_check_agent`, so bool, float and out-of-range entries raise ValueError;
+    an array is tested at once, and entry by entry only to raise.
     """
     if not (isinstance(i, np.ndarray) and i.ndim):
         _check_agent(i, n)
@@ -220,24 +252,23 @@ def _agent_rows(i, n: int, shape: tuple) -> tuple:
         raise ValueError(
             f"agent indices of shape {i.shape} do not name one agent per "
             f"profile of a stack of shape {shape}")
-    for j in set(i.ravel().tolist()):
-        _check_agent(j, n)
+    if not np.issubdtype(i.dtype, np.integer) or ((i < 0) | (i >= n)).any():
+        for j in i.ravel().tolist():
+            _check_agent(j, n)
     return *np.indices(shape, sparse=True), i
 
 
 def _report_gain(market: Market, i: int, reports: np.ndarray, basis: np.ndarray):
-    """Agent i's gain as a function of its report's coefficients on `basis`.
+    """Agent i's gain as a function of its report's coefficients on `basis`,
+    the others reporting their rows of the profile `reports`.
 
-    A stack of q coefficient vectors gives q copies of the profile `reports`
-    with row i replaced by each trial report, evaluated in one
-    `deviation_gain` call; `reports` is not written.
+    A stack of q coefficient vectors gives q trial reports, valued against
+    the others' one sum O (`_others`) in one `_gain` call.
     """
+    others = _others(reports)[i]
 
     def gain(coefficients):
-        trial = coefficients @ basis
-        profiles = np.broadcast_to(reports, trial.shape[:-1] + reports.shape).copy()
-        profiles[..., i, :] = trial
-        return deviation_gain(market, i, profiles)
+        return _gain(market, i, coefficients @ basis, others)
 
     return gain
 
@@ -246,12 +277,16 @@ def argmax_reported_utility(
     market: Market, i: int, spec: CoefficientSearchSpec
 ) -> SearchResult:
     """Numerically best report of agent i, as coefficients on `spec.basis`
-    (on the market's space), while every other agent reports truthfully."""
+    (on the market's space), while every other agent reports truthfully.
+    Its value is `deviation_gain` on the truthful profile with row i
+    replaced by the best report."""
     _check_agent(i, market.n)
     basis = market.space.rows(spec.basis, "report basis payoff")
-    gain = _report_gain(market, i, market.payoffs, basis)
-    coefficients = _quadratic_argmax(gain, np.zeros(len(spec.basis)))
-    return SearchResult(coefficients=coefficients, value=gain(coefficients))
+    coefficients = _quadratic_argmax(
+        _report_gain(market, i, market.payoffs, basis), np.zeros(len(spec.basis)))
+    profile = market.payoffs.copy()
+    profile[i] = coefficients @ basis
+    return SearchResult(coefficients=coefficients, value=deviation_gain(market, i, profile))
 
 
 def argmax_demand(
@@ -328,14 +363,14 @@ def _affine_responses(market: Market, basis: np.ndarray):
     coefficients and O jointly. So its Hessian in its own coefficients is the
     same at every profile, and its gradient along a row b_a of the centered,
     p-orthogonal `basis` is affine in O's coefficient Cov(O, b_a) / Var[b_a]
-    alone: cash and off-span parts of O do not move it. One `deviation_gain`
-    call measures every agent, on a stack of n (q + 2k^2) profiles with one
-    agent index per profile: agent i's are its full stencil with O = 0
-    and its 2k gradient points +-b_a with O = b_a for each row, so the call
-    holds n times one agent's stack. Per agent, the stencil gives the
-    curvature (`_concave_axes`), folded with the gradient weights and the
-    kept axes over their negated curvatures into the 2k x k step map from the
-    values at the gradient points to the best report's coefficients. The map
+    alone: cash and off-span parts of O do not move it. One `_gain` call
+    measures every agent, on n (q + 2k^2) pairs of the agent's report and O:
+    agent i's are its full stencil with O = 0 and its 2k gradient points
+    +-b_a with O = b_a for each row, the same pairs for every agent. The
+    stencils give the n curvatures in one `_concave_axes` call, folded with
+    the gradient weights and the kept axes over their negated curvatures
+    into each agent's 2k x k step map from the values at the gradient points
+    to the best report's coefficients, all agents' in stacked products. The map
     gives the response c_i to O = 0 and its change J_i[a] per unit of O's
     coefficient a, so agent i's best response to others whose coefficients
     sum to y is (c_i + y J_i) @ basis. Returns the step maps (n x 2k x k),
@@ -346,23 +381,16 @@ def _affine_responses(market: Market, basis: np.ndarray):
     trials = offsets @ basis  # rows 1 to 2k, the gradient points, are +-basis
     gradient = slice(1, 2 * k + 1)
     q = len(trials)
-    # agent i's trial reports and the others' sum, one row each per profile
-    points = np.concatenate([trials, np.tile(trials[gradient], (k, 1))])
-    others = np.concatenate([np.zeros_like(trials), np.repeat(basis, 2 * k, axis=0)])
-    # agent i's profiles are stack[i], with the others' sum in row i + 1
-    agents = np.arange(n)
-    stack = np.zeros((n, len(points), *market.payoffs.shape))
-    stack[agents, :, agents] = points
-    stack[agents, :, (agents + 1) % n] = others
-    values = deviation_gain(
-        market, np.repeat(agents, len(points)), stack.reshape(-1, *market.payoffs.shape)
-    ).reshape(n, len(points))
-    maps, responses, slopes = np.empty((n, 2 * k, k)), np.empty((n, k)), np.empty((n, k, k))
-    for i in range(n):
-        axes, curvatures = _concave_axes((values[i, :q] @ weights)[k:].reshape(k, k))
-        maps[i] = weights[gradient, :k] @ (axes / -curvatures) @ axes.T
-        responses[i] = values[i, gradient] @ maps[i]
-        slopes[i] = values[i, q:].reshape(k, 2 * k) @ maps[i] - responses[i]
+    # the trial reports and the others' sums, one row each per pair
+    points = np.concatenate([trials, *[trials[gradient]] * k])
+    others = np.concatenate([np.zeros_like(trials), basis.repeat(2 * k, axis=0)])
+    values = _gain(market, np.arange(n)[:, None], points, others)
+    # (n, 1, .) @ (., .): per agent a vector-matrix product, a lone agent's bits
+    axes, curvatures = _concave_axes(
+        (values[:, None, :q] @ weights)[:, 0, k:].reshape(n, k, k))
+    maps = weights[gradient, :k] @ (axes / -curvatures[:, None]) @ axes.mT
+    responses = (values[:, None, gradient] @ maps)[:, 0]
+    slopes = values[:, q:].reshape(n, k, 2 * k) @ maps - responses[:, None]
     return maps, responses, slopes
 
 
@@ -397,7 +425,7 @@ def best_response_dynamics(
     its exact best response on the span basis (`_span_basis`), the Newton
     step from the origin, for at most `rounds` rounds, an integer of at
     least 0 (ValueError otherwise). Every agent's response is measured
-    before round 1, in one objective call on n (q + 2k^2) profiles, as an
+    before round 1, in one objective call on n (q + 2k^2) pairs, as an
     affine map of the others' span coefficients (`_affine_responses`). A
     round applies the maps in Gauss-Seidel order, so each agent sees the
     earlier agents' new reports; it is folded into one affine map of the
@@ -413,15 +441,15 @@ def best_response_dynamics(
     a guarantee; a non-convergent run is returned as data with `converged`
     false. Each round's largest step std is kept in `step_stds`. After the
     last round one more objective call, on every agent's 2k gradient points
-    around the final profile, gives through the step maps the move each
-    agent would still make, and the largest std of those moves is the
-    `residual`: the final profile is checked against the objective itself,
-    not against the measured maps. A run makes 2 objective calls, whatever
-    its round count.
+    against its others' sum in the final profile, gives through the step maps
+    the move each agent would still make, and the largest std of those moves
+    is the `residual`: the final profile is checked against the objective
+    itself, not against the measured maps. A run makes 2 objective calls,
+    whatever its round count.
     """
     _check_count(rounds, "rounds", 0)
     p = market.space.probs
-    n, m = market.payoffs.shape
+    n = market.n
     basis = _span_basis(market)
     k = len(basis)
     maps, responses, slopes = _affine_responses(market, basis)
@@ -436,26 +464,25 @@ def best_response_dynamics(
     left = rounds
     while left and not converged:
         stepped = np.empty((min(_BLOCK_ROUNDS, left), n * k))
-        for r in range(len(stepped)):
-            coefficients = shift + coefficients @ sweep
-            stepped[r] = coefficients
+        for row in stepped:
+            np.dot(coefficients, sweep, out=row)
+            row += shift
+            coefficients = row
         block = stepped.reshape(-1, n, k) @ basis
         # each round's steps from the profile before it, taken on the payoffs
         steps = block - np.concatenate([profiles[-1][-1:], block[:-1]])
         block_vars = cross_cov(p, steps, steps).max(axis=1)
-        below = np.flatnonzero(block_vars < tol)
-        converged = below.size > 0
-        cut = below[0] + 1 if converged else len(block)
+        below = block_vars < tol
+        converged = bool(below.any())
+        cut = below.argmax() + 1 if converged else len(block)
         profiles.append(block[:cut])
         step_vars.append(block_vars[:cut])
         left -= cut
     reports = profiles[-1][-1]
-    # agent i's 2k gradient points +-basis in row i of the final profile
-    stack = np.repeat(reports[None], n * 2 * k, axis=0)
-    agents = np.arange(n)
-    stack.reshape(n, 2 * k, n, m)[agents, :, agents] = np.concatenate([basis, -basis])
-    values = deviation_gain(market, np.repeat(agents, 2 * k), stack)
-    moves = (values.reshape(n, 1, 2 * k) @ maps)[:, 0] @ basis - reports
+    # agent i's 2k gradient points +-basis, against its others' sum
+    values = _gain(market, np.arange(n)[:, None], np.concatenate([basis, -basis]),
+                   _others(reports)[:, None])
+    moves = (values[:, None] @ maps)[:, 0] @ basis - reports
     profiles, step_stds = np.concatenate(profiles), np.sqrt(np.concatenate(step_vars))
     for arr in (profiles, step_stds):
         arr.flags.writeable = False

@@ -333,6 +333,24 @@ class TestValidation:
             err = capsys.readouterr().err
             assert err.startswith("numerical precondition violated: securities: ")
 
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160])
+    def test_subnormal_basket_addressed(self, tmp_path, scale):
+        # Var[C] of the security [s, 0, -s] is subnormal: its inverse would
+        # overflow, so the basket is singular, for every report
+        path = write_market(tmp_path, securities=[[scale, 0.0, -scale]])
+        for command in COMMANDS:
+            code, out, err = _run(list(command) + ["--market", str(path)])
+            assert (code, out) == (EXIT_NUMERICAL, ""), command
+            assert err.startswith("numerical precondition violated: securities: "), err
+
+    def test_small_normal_basket_solved(self, tmp_path):
+        # at s = 1e-150 Var[C] is a normal float, and every report succeeds
+        path = write_market(tmp_path, securities=[[1e-150, 0.0, -1e-150]])
+        for command in COMMANDS:
+            code, out, err = _run(list(command) + ["--market", str(path)])
+            assert (code, err) == (EXIT_OK, ""), command
+            json.loads(out, parse_constant=_reject)
+
     def test_singular_endowments_addressed(self, tmp_path, capsys):
         # three endowments on three states span at most two centered directions
         path = write_market(tmp_path, agents=[

@@ -1,7 +1,9 @@
 import ast
+import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +239,45 @@ class TestBatchedObjectives:
                 mine = agents == i
                 assert gains[mine].tobytes() == deviation_gain(m, i, stack)[mine].tobytes()
 
+    def test_deviation_gain_is_the_kernel_on_pairs(self):
+        # the mechanism reads a profile only through agent i's report R_i and
+        # the others' sum O: on a stack, deviation_gain is the kernel on each
+        # profile's pair, bit for bit, O summed in order before i, then after
+        rng = np.random.default_rng(129)
+        for _ in range(20):
+            m = make_market(rng, m=int(rng.integers(2, 8)))
+            q = int(rng.integers(1, 12))
+            stack = (rng.normal(size=(q, m.n, m.space.n_states))
+                     + rng.uniform(-10.0, 10.0, size=(q, m.n, 1)))
+            agents = rng.integers(m.n, size=q)
+            own = stack[np.arange(q), agents]
+            others = np.array([_prefix_plus_suffix(profile, i)
+                               for profile, i in zip(stack, agents)])
+            assert (deviation_gain(m, agents, stack).tobytes()
+                    == oracle_module._gain(m, agents, own, others).tobytes())
+            i = int(rng.integers(m.n))
+            others = np.array([_prefix_plus_suffix(profile, i) for profile in stack])
+            assert (deviation_gain(m, i, stack).tobytes()
+                    == oracle_module._gain(m, i, stack[:, i], others).tobytes())
+
+    def test_others_sum_keeps_its_digits_beside_a_dominant_report(self):
+        # one report 1e12 times the others: every O is within
+        # 4 eps sum_(j != i) |R_j| of the others' rows summed exactly, which
+        # the total less R_i, off by about eps |R_i|, is not
+        rng = np.random.default_rng(130)
+        eps = np.finfo(float).eps
+        for _ in range(30):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+            profile = rng.normal(size=(n, m))
+            profile[rng.integers(n)] *= 1e12
+            sums = oracle_module._others(np.array([profile, -profile]))
+            for i in range(n):
+                rest = np.delete(profile, i, axis=0)
+                exact = np.array([math.fsum(column) for column in rest.T])
+                bound = 4 * eps * np.abs(rest).sum(axis=0)
+                assert np.all(np.abs(sums[0, i] - exact) <= bound)
+                assert np.all(np.abs(sums[1, i] + exact) <= bound)
+
     @pytest.mark.parametrize("agents", [
         pytest.param(np.array([0, 3, 1]), id="n"),
         pytest.param(np.array([0, -1, 1]), id="minus-one"),
@@ -342,11 +383,11 @@ class TestArgmaxReportedUtility:
 
     def test_two_objective_calls(self, monkeypatch):
         # one for the whole stencil, one for the returned value, both through
-        # the module's deviation_gain
+        # the module's gain kernel
         rng = np.random.default_rng(93)
         m = make_market(rng)
-        counted = _counting(oracle_module.deviation_gain)
-        monkeypatch.setattr(oracle_module, "deviation_gain", counted)
+        counted = _counting(oracle_module._gain)
+        monkeypatch.setattr(oracle_module, "_gain", counted)
         argmax_reported_utility(m, 0, CoefficientSearchSpec(basis=tuple(m.endowments())))
         assert counted.calls == 2
 
@@ -566,8 +607,8 @@ class TestBestResponseDynamics:
         # one call checks all agents around the final profile; the rounds
         # make no objective call, whatever their number
         rng = np.random.default_rng(94)
-        counted = _counting(oracle_module.deviation_gain)
-        monkeypatch.setattr(oracle_module, "deviation_gain", counted)
+        counted = _counting(oracle_module._gain)
+        monkeypatch.setattr(oracle_module, "_gain", counted)
         for rounds in (0, 1, 200):
             for _ in range(5):
                 market = make_market(rng)
@@ -582,13 +623,14 @@ class TestBestResponseDynamics:
         # points with O = b_a for each of the k basis rows; the checking call
         # evaluates every agent's 2k gradient points around the final profile
         rng = np.random.default_rng(95)
-        gain, stacks = oracle_module.deviation_gain, []
+        gain, stacks = oracle_module._gain, []
 
-        def recording(market, i, reports):
-            stacks.append(int(np.prod(reports.shape[:-2])))
-            return gain(market, i, reports)
+        def recording(market, i, own, others):
+            pairs = np.broadcast_shapes(np.shape(i), own.shape[:-1], others.shape[:-1])
+            stacks.append(int(np.prod(pairs)))
+            return gain(market, i, own, others)
 
-        monkeypatch.setattr(oracle_module, "deviation_gain", recording)
+        monkeypatch.setattr(oracle_module, "_gain", recording)
         for rounds in (0, 1, 200):
             for _ in range(5):
                 market = make_market(rng)
@@ -741,6 +783,24 @@ class TestBestResponseDynamics:
             assert np.abs(folded - swept).max() <= 1e-13 * np.abs(swept).max()
         assert off_span >= 10
 
+    @pytest.mark.parametrize("n,m,peak_mib", [(400, 6, 128), (2000, 3, 400)])
+    def test_large_market_in_bounded_memory(self, n, m, peak_mib):
+        # a run holds no stack of whole profiles, so its memory grows with n
+        # through the folded round alone: at n = 400, m = 6, stacks of
+        # n (q + 2k^2) profiles of n x m peaked at 577 MiB
+        market = make_market(np.random.default_rng(131), n=n, m=m)
+        tracemalloc.start()
+        try:
+            result = best_response_dynamics(market)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < peak_mib * 2**20
+        assert result.converged and result.residual <= 1e-11
+        gap = result.profiles[-1] - market.space.rows(nash_endowment(market).reported, "report")
+        gap -= (gap @ market.space.probs)[:, None]
+        assert np.abs(gap).max() <= 1e-11
+
     def test_start_off_the_span_reaches_the_truths_reports(self):
         # a start with cash and parts off the span enters only through its
         # coefficients, so the run ends at the reports of a run from the truth
@@ -781,12 +841,23 @@ def _per_agent_responses(market, basis):
     return maps, responses, slopes
 
 
+def _prefix_plus_suffix(reports, i):
+    """The others' sum of row i of a profile: the rows before it summed in
+    order, plus the rows after it summed from the last."""
+    before, after = np.zeros_like(reports[0]), np.zeros_like(reports[0])
+    for row in reports[:i]:
+        before = before + row
+    for row in reports[:i:-1]:
+        after = row + after
+    return before + after
+
+
 def _round_by_round(market, init, rounds):
     """`best_response_dynamics` one round at a time, each round's profile
     formed and its steps measured on their own: (profiles, step_stds,
     converged, residual)."""
     p = market.space.probs
-    n, m = market.payoffs.shape
+    n = market.n
     basis = oracle_module._span_basis(market)
     k = len(basis)
     maps, responses, slopes = _per_agent_responses(market, basis)
@@ -806,10 +877,12 @@ def _round_by_round(market, init, rounds):
         if step_vars[-1] < tol:
             converged = True
             break
-    stack = np.repeat(reports[None], n * 2 * k, axis=0)
-    agents = np.arange(n)
-    stack.reshape(n, 2 * k, n, m)[agents, :, agents] = np.concatenate([basis, -basis])
-    values = deviation_gain(market, np.repeat(agents, 2 * k), stack)
+    # each agent's gradient points against the others' rows summed in order
+    # before it, then after it, as the oracle forms O
+    points = np.concatenate([basis, -basis])
+    values = np.array([
+        oracle_module._gain(market, i, points, _prefix_plus_suffix(reports, i))
+        for i in range(n)])
     moves = (values.reshape(n, 1, 2 * k) @ maps)[:, 0] @ basis - reports
     residual = float(np.sqrt(cross_cov(p, moves, moves).max()))
     return np.array(profiles), np.sqrt(step_vars), converged, residual
