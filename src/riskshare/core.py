@@ -10,10 +10,11 @@ only these and add cash (the means) last, so a cash shift of an endowment,
 however large, moves nothing else. No engine builds the n x n covariance
 matrix Var[E]: every engine works on the centered rows in O(nm) (the
 percentage solve adds one m x m matrix), and `require_invertible` rejects
-n >= m endowments by rank before any product is formed. `cross_cov` centers
-once (weighting before it squares) for the oracle; `Market`, its report
-profiles and `SecurityBasket` center with the corrected `_two_pass`. All
-objects are immutable after construction.
+n >= m endowments by rank before any product is formed. Payoff rows are
+centered by one rule, `centered` (the corrected two-pass, a riskless row
+exactly 0): `Market`, its report profiles, `SecurityBasket`, `cross_cov`
+and the oracle read it, each centering its input once. All objects are
+immutable after construction.
 A market also forms the risk-aversion `shares` s_i = gamma/gamma_i, their
 `complements` 1 - s_i (each a sum, never a difference) and gamma itself.
 `ProbSpace.rvs` builds many random variables from one validated read-only
@@ -33,8 +34,9 @@ agree as one object or by equal probabilities (`require_same_space`); a risk
 aversion is a real number, not a bool or a string, positive and finite
 (`_is_positive_real`, `_check_gamma`; `Market` applies it to every entry of a
 list and only to the values of a real-dtype array), an agent index is an
-integer in [0, n) (`_check_agent`), and a count (of rounds, solves, states,
-agents or a seed) an integer of at least its floor (`_check_count`).
+integer in [0, n) (`_check_agent`), a count (of rounds, solves, states,
+agents or a seed) an integer of at least its floor (`_check_count`), and a
+demand schedule's c one entry per security of the basket (`_check_schedules`).
 """
 
 from __future__ import annotations
@@ -166,35 +168,42 @@ class Rv:
         return rv
 
 
-def centered(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Payoff rows (state axis last) minus their means under p."""
-    return x - (x @ p)[..., None]
+def centered(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means and centered payoff rows (state axis last), both read-only: the
+    package's one centering rule.
+
+    Corrected two-pass (Chan, Golub & LeVeque 1983; Higham 2002, 1.9): the
+    second centering removes the first mean's rounding, eps times the cash.
+    A row whose payoffs are all equal is its own mean and centers to exactly
+    0, whatever fl(sum p) is: the second pass alone leaves a riskless row
+    about cash (1 - sum p)^2. `experiments.correlated_pair_market` keeps its
+    own x - p @ x for its basis rows, so the figure tables keep
+    their bytes: this rule there moves 554 of their cells.
+    """
+    first = x @ p
+    rows = x - first[..., None]
+    correction = rows @ p
+    rows -= correction[..., None]
+    means = np.asarray(first + correction)
+    constant = x[..., 0] == x[..., -1]  # O(n): only such rows can be riskless
+    if constant.any():
+        constant &= (x == x[..., :1]).all(axis=-1)
+        means = np.where(constant, x[..., 0], means)
+        rows[constant] = 0.0
+    for arr in (means, rows):
+        arr.flags.writeable = False
+    return means, rows
 
 
 def cross_cov(p: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Covariances of payoff rows, each centered first (two-pass).
+    """Covariances of payoff rows, each centered first by `centered`.
 
     Rows pair by broadcasting: equal shapes pair row i of x with row i of y,
     and a single row is paired with every row. Each product weights by p
     before it squares, (X p) Y, so no finite variance overflows in a square.
     """
-    xc = centered(p, x)
-    return np.vecdot(xc * p, xc if y is x else centered(p, y))
-
-
-def _two_pass(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means and exactly centered rows of a payoff matrix, both read-only.
-
-    Corrected two-pass (Chan, Golub & LeVeque 1983; Higham 2002, 1.9): the
-    second centering removes the first mean's rounding, eps times the cash.
-    """
-    first = x @ p
-    residual = x - first[..., None]
-    correction = residual @ p
-    means, rows = first + correction, residual - correction[..., None]
-    for arr in (means, rows):
-        arr.flags.writeable = False
-    return means, rows
+    xc = centered(p, x)[1]
+    return np.vecdot(xc * p, xc if y is x else centered(p, y)[1])
 
 
 def require_invertible(p: np.ndarray, rows: np.ndarray, message: str) -> np.ndarray:
@@ -251,6 +260,15 @@ def _is_count(value, low: int) -> bool:
 def _check_count(value, name: str, low: int) -> None:
     if not _is_count(value, low):
         raise ValueError(f"{name} must be an integer of at least {low}")
+
+
+def _check_schedules(schedules, k: int) -> None:
+    """The one schedule rule: each demand schedule's c has one entry per
+    security of a k-security basket, so none is broadcast against it."""
+    for j, schedule in enumerate(schedules):
+        if np.shape(schedule.c) != (k,):
+            raise ValueError(f"schedule {j} has c of shape {np.shape(schedule.c)}, "
+                             f"not one entry per security of the basket ({k})")
 
 
 def pricing(gamma, expectation, covariance):
@@ -326,7 +344,7 @@ class Market:
                 f"and one column per state of the market's space")
         if not np.isfinite(payoffs).all():
             raise ValueError("payoffs contains non-finite entries")
-        means, rows = _two_pass(space.probs, payoffs)
+        means, rows = centered(space.probs, payoffs)
         # total - 1/gamma_i >= total/2 but for the largest 1/gamma_k: sum its others
         inverse = 1.0 / gammas
         total, k = inverse.sum(), inverse.argmax()
@@ -385,7 +403,7 @@ class Market:
         rows = self.profile(reports)
         if rows.ndim != 2:
             raise ValueError(f"reports of shape {rows.shape} are not a full profile")
-        return _two_pass(self.space.probs, rows)[1]
+        return centered(self.space.probs, rows)[1]
 
     def combine(self, linear) -> np.ndarray:
         """A linear map of endowment rows, applied to the centered rows, cash last."""
@@ -435,7 +453,7 @@ class SecurityBasket:
     def _set_arrays(self, securities: tuple, payoffs: np.ndarray) -> None:
         """The moments of a validated read-only payoff matrix, required invertible."""
         p = securities[0].space.probs
-        mu, rows = _two_pass(p, payoffs)
+        mu, rows = centered(p, payoffs)
         V = require_invertible(p, rows, "covariance matrix of the security basket is singular")
         V.flags.writeable = False
         for name, value in (("securities", securities), ("payoffs", payoffs),

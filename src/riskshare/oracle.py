@@ -22,8 +22,18 @@ and nothing else, so one private kernel, `_gain`, gives agent i's gain from
 such pairs: a report search evaluates its q trial reports against one O, and
 `deviation_gain` forms each profile's O as a prefix plus a suffix sum of the
 others' rows (`_others`), never as A - R_i, which cancels when R_i
-dominates. Every moment goes through `core.cross_cov`, a gain's two in one
-call.
+dominates. Each public call centers each of its inputs once with
+`core.centered`, the package's one rule: the market's payoffs once per run
+or search, a profile stack once in `deviation_gain`, a search basis once,
+a basket once per demand search or `clearing_utility` call. The kernels
+(`_gain`, the demand objective, `_clearing_excess`, the dynamics' step,
+basis and residual variances) take their moments as p-weighted products of
+rows that are already centered, (X p) Y, a gain's two in one product, and
+center nothing. Two searches value through a public definition, which
+centers its own inputs once: the report search values its best report with
+`deviation_gain`, and the price search's one stencil call is
+`clearing_utility`, so each search makes a fixed number of `centered` calls
+whatever its stencil size.
 
 Best responses live in the span of the basis payoffs (the objective strictly
 worsens in any orthogonal direction), so searches run over span coefficients.
@@ -45,7 +55,7 @@ All n curvatures come from one `eigh` on the stacked Hessians. A round, a
 Gauss-Seidel sweep of the maps, is then affine in the agents' stacked span
 coefficients; it is folded once per run into one affine map, and the rounds
 apply it in blocks of up to 16, each block's profiles formed in one product
-with the basis and its steps measured in one `cross_cov` call, and make no
+with the basis and its steps measured in one product, and make no
 objective call. One more call, on every agent's gradient points with its own
 O from the final profile, gives the run's residual, the largest move any
 agent would still make, so the final profile is checked against the
@@ -65,7 +75,7 @@ import numpy as np
 
 from .core import (
     SV_RATIO_MIN, Market, ProbSpace, Rv, SecurityBasket, _check_agent, _check_count,
-    _check_gamma, centered, cross_cov, require_same_space,
+    _check_gamma, _check_schedules, centered, cross_cov, require_same_space,
 )
 
 # curvatures within this fraction of the largest are flat (rounding noise)
@@ -80,11 +90,6 @@ _BLOCK_ROUNDS = 16
 def _value(values):
     """A float for one point, the array of values for a stack of points."""
     return float(values) if np.ndim(values) == 0 else values
-
-
-def _mv_value(gamma: float, probs: np.ndarray, x: np.ndarray):
-    """E[x] - gamma Var[x] of each payoff row (state axis last)."""
-    return x @ probs - gamma * cross_cov(probs, x, x)
 
 
 @cache
@@ -193,37 +198,37 @@ def deviation_gain(market: Market, i, reports):
     checks them. `i` is one agent index, or an integer array of the stack's
     shape that names the agent of each profile (`_agent_rows`). The
     mechanism reads a profile only through agent i's report R_i and the
-    others' sum O, so each profile's pair is formed, O by `_others`, and
-    valued by the kernel `_gain`.
+    others' sum O, so the stack is centered once, each profile's pair is
+    formed, O by `_others`, and valued by the kernel `_gain`.
     """
-    reports = market.profile(reports)
+    p = market.space.probs
+    reports = centered(p, market.profile(reports))[1]
     rows = _agent_rows(i, market.n, reports.shape[:-2])
-    return _gain(market, i, reports[rows], _others(reports)[rows])
+    return _gain(market, centered(p, market.payoffs), i, reports[rows], _others(reports)[rows])
 
 
-def _gain(market: Market, i, own, others):
-    """Agent i's gain from its own report `own` and the others' sum `others`.
+def _gain(market: Market, truth, i, own, others):
+    """Agent i's gain from its own report `own` and the others' sum `others`,
+    both centered; `truth` is the market's means and centered payoff rows, as
+    `core.centered` gives them.
 
     Composed from the mechanism's definition only: the aggregate
     A = own + others is reshared, agent i receives the contract
     C = (gamma/gamma_i) A - own, and pays its market price
     E[C] - 2 gamma Cov(C, A). E[C] enters the utility and the price alike,
     so the gain is E[E_i] - gamma_i Var[E_i + C] + 2 gamma Cov(C, A), both
-    moments from one `cross_cov` call on the stacked pairs. `i`, an index or
-    an index array, broadcasts against the leading axes of `own` and
-    `others` (m-vectors on the state axis, last); one pair gives a float.
+    moments from one p-weighted product of the stacked centered rows. `i`,
+    an index or an index array, broadcasts against the leading axes of `own`
+    and `others` (m-vectors on the state axis, last); one pair gives a float.
     """
-    p = market.space.probs
-    g = market.aggregate_gamma
-    gi = market.gammas[i]
-    endowment = market.payoffs[i]
+    p, g, gi = market.space.probs, market.aggregate_gamma, market.gammas[i]
+    cash, endowments = truth
     aggregate = own + others
     contract = (g / gi)[..., None] * aggregate - own
-    held = endowment + contract
-    rows = np.empty((3, *held.shape))
-    rows[0], rows[1], rows[2] = held, contract, aggregate
-    spread, with_aggregate = cross_cov(p, rows[:2], rows[::2])
-    return _value(np.vecdot(endowment, p) - gi * spread + 2.0 * g * with_aggregate)
+    rows = np.empty((3, *contract.shape))
+    rows[0], rows[1], rows[2] = endowments[i] + contract, contract, aggregate
+    spread, with_aggregate = np.vecdot(rows[:2] * p, rows[::2])
+    return _value(cash[i] - gi * spread + 2.0 * g * with_aggregate)
 
 
 def _others(reports: np.ndarray) -> np.ndarray:
@@ -258,9 +263,10 @@ def _agent_rows(i, n: int, shape: tuple) -> tuple:
     return *np.indices(shape, sparse=True), i
 
 
-def _report_gain(market: Market, i: int, reports: np.ndarray, basis: np.ndarray):
+def _report_gain(market: Market, truth, i: int, reports: np.ndarray, basis: np.ndarray):
     """Agent i's gain as a function of its report's coefficients on `basis`,
-    the others reporting their rows of the profile `reports`.
+    the others reporting their rows of the profile `reports`; `truth` is as
+    `_gain` takes it, and the basis rows and the profile are centered.
 
     A stack of q coefficient vectors gives q trial reports, valued against
     the others' one sum O (`_others`) in one `_gain` call.
@@ -268,7 +274,7 @@ def _report_gain(market: Market, i: int, reports: np.ndarray, basis: np.ndarray)
     others = _others(reports)[i]
 
     def gain(coefficients):
-        return _gain(market, i, coefficients @ basis, others)
+        return _gain(market, truth, i, coefficients @ basis, others)
 
     return gain
 
@@ -278,14 +284,16 @@ def argmax_reported_utility(
 ) -> SearchResult:
     """Numerically best report of agent i, as coefficients on `spec.basis`
     (on the market's space), while every other agent reports truthfully.
-    Its value is `deviation_gain` on the truthful profile with row i
-    replaced by the best report."""
+    The search centers the market's payoffs and the basis once. Its value is
+    `deviation_gain` on the truthful profile with row i replaced by the best
+    report."""
     _check_agent(i, market.n)
-    basis = market.space.rows(spec.basis, "report basis payoff")
-    coefficients = _quadratic_argmax(
-        _report_gain(market, i, market.payoffs, basis), np.zeros(len(spec.basis)))
+    p, payoffs = market.space.probs, market.space.rows(spec.basis, "report basis payoff")
+    truth = centered(p, market.payoffs)
+    coefficients = _quadratic_argmax(_report_gain(
+        market, truth, i, truth[1], centered(p, payoffs)[1]), np.zeros(len(payoffs)))
     profile = market.payoffs.copy()
-    profile[i] = coefficients @ basis
+    profile[i] = coefficients @ payoffs
     return SearchResult(coefficients=coefficients, value=deviation_gain(market, i, profile))
 
 
@@ -295,15 +303,18 @@ def argmax_demand(
     basket: SecurityBasket,
     p,
 ) -> np.ndarray:
-    """Maximizer of U(a.C + endowment) - a.p over positions a."""
+    """Maximizer of U(a.C + endowment) - a.p over positions a, the utility
+    E[x] - gamma Var[x] of x = a.C + endowment, from the securities' and the
+    endowment's rows centered once."""
     _check_gamma(agent_gamma)
     require_same_space(endowment.space, basket.space, "basket is not on the endowment's space")
     gamma, p = float(agent_gamma), np.asarray(p, dtype=float)
     probs = basket.space.probs
+    means, rows = centered(probs, np.concatenate([basket.payoffs, endowment.payoffs[None]]))
 
     def objective(a):
-        x = a @ basket.payoffs + endowment.payoffs
-        return _mv_value(gamma, probs, x) - a @ p
+        x = a @ rows[:-1] + rows[-1]
+        return a @ (means[:-1] - p) + means[-1] - gamma * np.vecdot(x * probs, x)
 
     return _quadratic_argmax(objective, np.zeros(basket.k))
 
@@ -332,8 +343,8 @@ class DynamicsResult:
         return [self.space.rvs(profile) for profile in self.profiles]
 
 
-def _span_basis(market: Market) -> np.ndarray:
-    """Basis (rows) of the centered endowments' span, in the market's unit.
+def _span_basis(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Basis (rows) of the span of the centered endowment rows, in the market's unit.
 
     The rows are the right singular vectors of centered * sqrt(p) with a
     singular value above the relative floor SV_RATIO_MIN, divided back by
@@ -345,17 +356,15 @@ def _span_basis(market: Market) -> np.ndarray:
     the searches when the payoffs are scaled by one. A market whose every
     endowment is constant has no span, and raises ValueError.
     """
-    root = np.sqrt(market.space.probs)
-    _, svals, vt = np.linalg.svd(
-        centered(market.space.probs, market.payoffs) * root, full_matrices=False
-    )
+    root = np.sqrt(p)
+    _, svals, vt = np.linalg.svd(rows * root, full_matrices=False)
     if not svals[0] > 0.0:
         raise ValueError("every endowment is riskless: the reports have no span to search")
     keep = svals > SV_RATIO_MIN * svals[0]
     return vt[keep] / root * 2.0 ** round(math.log2(svals[0]))
 
 
-def _affine_responses(market: Market, basis: np.ndarray):
+def _affine_responses(market: Market, truth, basis: np.ndarray):
     """Each agent's step map and its best response as an affine map of the others.
 
     Agent i's gain depends on the others' reports only through their sum O,
@@ -384,7 +393,7 @@ def _affine_responses(market: Market, basis: np.ndarray):
     # the trial reports and the others' sums, one row each per pair
     points = np.concatenate([trials, *[trials[gradient]] * k])
     others = np.concatenate([np.zeros_like(trials), basis.repeat(2 * k, axis=0)])
-    values = _gain(market, np.arange(n)[:, None], points, others)
+    values = _gain(market, truth, np.arange(n)[:, None], points, others)
     # (n, 1, .) @ (., .): per agent a vector-matrix product, a lone agent's bits
     axes, curvatures = _concave_axes(
         (values[:, None, :q] @ weights)[:, 0, k:].reshape(n, k, k))
@@ -432,7 +441,7 @@ def best_response_dynamics(
     stacked coefficients (`_folded_round`). The rounds run in blocks of up
     to `_BLOCK_ROUNDS`: the map steps the coefficients round by round, one
     product with the basis gives the block's payoff profiles, one
-    `cross_cov` call the std of each round's steps between those profiles,
+    p-weighted product the std of each round's steps between those profiles,
     and the run stops at the block's first converged round. Round 1 reads
     `init` only through its coefficients, so its cash and its parts off the
     span drop out. A round converges when no report moved by a standard
@@ -450,12 +459,13 @@ def best_response_dynamics(
     _check_count(rounds, "rounds", 0)
     p = market.space.probs
     n = market.n
-    basis = _span_basis(market)
+    truth = centered(p, market.payoffs)
+    basis = _span_basis(p, truth[1])
     k = len(basis)
-    maps, responses, slopes = _affine_responses(market, basis)
+    maps, responses, slopes = _affine_responses(market, truth, basis)
     shift, sweep = _folded_round(responses, slopes)
-    basis_vars = cross_cov(p, basis, basis)
-    reports = market.centered_profile(market.payoffs if init is None else init)
+    basis_vars = np.vecdot(basis * p, basis)
+    reports = truth[1] if init is None else market.centered_profile(init)
     # Cov(init, basis) / Var[basis]: reports and basis rows are centered
     coefficients = (reports @ (basis * p).T / basis_vars).ravel()
     profiles, step_vars = [reports[None]], [np.empty(0)]
@@ -471,7 +481,7 @@ def best_response_dynamics(
         block = stepped.reshape(-1, n, k) @ basis
         # each round's steps from the profile before it, taken on the payoffs
         steps = block - np.concatenate([profiles[-1][-1:], block[:-1]])
-        block_vars = cross_cov(p, steps, steps).max(axis=1)
+        block_vars = np.vecdot(steps * p, steps).max(axis=1)
         below = block_vars < tol
         converged = bool(below.any())
         cut = below.argmax() + 1 if converged else len(block)
@@ -480,13 +490,13 @@ def best_response_dynamics(
         left -= cut
     reports = profiles[-1][-1]
     # agent i's 2k gradient points +-basis, against its others' sum
-    values = _gain(market, np.arange(n)[:, None], np.concatenate([basis, -basis]),
+    values = _gain(market, truth, np.arange(n)[:, None], np.concatenate([basis, -basis]),
                    _others(reports)[:, None])
     moves = (values[:, None] @ maps)[:, 0] @ basis - reports
     profiles, step_stds = np.concatenate(profiles), np.sqrt(np.concatenate(step_vars))
     for arr in (profiles, step_stds):
         arr.flags.writeable = False
-    residual = float(np.sqrt(cross_cov(p, moves, moves).max()))
+    residual = float(np.sqrt(np.vecdot(moves * p, moves).max()))
     return DynamicsResult(market.space, profiles, step_stds, converged, residual)
 
 
@@ -494,14 +504,18 @@ def best_response_dynamics(
 # Price-manipulation search
 
 
-def _clearing_excess(probs: np.ndarray, basket: SecurityBasket, schedules, supplied):
+def _clearing_excess(probs: np.ndarray, securities: np.ndarray, schedules, supplied):
     """u = E[C] - p at the price where the others' schedules demand q in sum,
-    given the payoff rows q.C: they pool to gamma_o = 1 / sum_j 1/gamma_j and
-    c_o = sum_j c_j, so u = 2 gamma_o (Cov(C, q.C) + c_o), no price formed."""
+    given the centered securities rows and the payoff rows q.C: they pool to
+    gamma_o = 1 / sum_j 1/gamma_j and c_o = sum_j c_j, so
+    u = 2 gamma_o (Cov(C, q.C) + c_o), no price formed. The schedules are
+    any objects exposing `gamma` and `c`, at least one, each c one entry per
+    security (`core._check_schedules`)."""
     if not schedules:
         raise ValueError("need the schedule of at least one other agent")
+    _check_schedules(schedules, len(securities))
     pooled = 1.0 / sum(1.0 / s.gamma for s in schedules)
-    exposure = cross_cov(probs, basket.payoffs, supplied[..., None, :])
+    exposure = np.vecdot(securities * probs, supplied[..., None, :])
     return 2.0 * pooled * (exposure + sum(s.c for s in schedules))
 
 
@@ -511,20 +525,21 @@ def clearing_utility(market: Market, i: int, basket: SecurityBasket, schedules, 
 
     Agent i sells q.C for q.p, so its utility is
     E[E_i] - q.u - gamma_i Var[E_i - q.C], u = E[C] - p: every moment comes
-    from `cross_cov` on payoff rows. `schedules` are the other agents' demand
-    schedules, at least one, any objects exposing `gamma` and `c`. A k-vector
-    q gives a float, a stack of them one value each. A basket on another
-    space raises SpaceMismatchError.
+    from the securities' rows and agent i's, centered in one call.
+    `schedules` are the other agents' demand schedules. A k-vector q gives a
+    float, a stack of them one value each. A basket on another space raises
+    SpaceMismatchError.
     """
     _check_agent(i, market.n)
     require_same_space(market.space, basket.space, "basket is not on the market's space")
     probs = market.space.probs
+    means, rows = centered(probs, np.concatenate([basket.payoffs, market.payoffs[i : i + 1]]))
     q = np.asarray(q, dtype=float)
-    supplied = q @ basket.payoffs
-    excess = _clearing_excess(probs, basket, schedules, supplied)
-    position = market.payoffs[i] - supplied
-    spread = cross_cov(probs, position, position)
-    return _value(market.payoffs[i] @ probs - np.vecdot(q, excess) - market.gammas[i] * spread)
+    supplied = q @ rows[:-1]
+    excess = _clearing_excess(probs, rows[:-1], schedules, supplied)
+    position = rows[-1] - supplied
+    spread = np.vecdot(position * probs, position)
+    return _value(means[-1] - np.vecdot(q, excess) - market.gammas[i] * spread)
 
 
 def _searched_demand(market: Market, i: int, basket: SecurityBasket, schedules) -> np.ndarray:
@@ -533,7 +548,8 @@ def _searched_demand(market: Market, i: int, basket: SecurityBasket, schedules) 
     a quantity of the securities as risky as the largest endowment (1 when
     every endowment is riskless): a power of two, so the search changes no
     bit when the payoffs are scaled by one. The log is summed from the
-    variances' binary exponents and mantissas, so no ratio overflows."""
+    variances' binary exponents and mantissas, so no ratio overflows. The
+    search's one objective call is `clearing_utility` on its whole stencil."""
     top, e = math.frexp(cross_cov(market.space.probs, market.payoffs, market.payoffs).max())
     bottom, f = math.frexp(cross_cov(basket.space.probs, basket.payoffs, basket.payoffs).max())
     unit = 2.0 ** round(0.5 * (e - f + math.log2(top / bottom))) if top else 1.0
@@ -553,5 +569,6 @@ def argmax_phi(
     """Agent i's best clearing price against the others' schedules: E[C] - u
     at the searched demand (`_searched_demand`). A basket on another space
     raises in `clearing_utility`."""
-    supplied = _searched_demand(market, i, basket, schedules) @ basket.payoffs
-    return basket.mean_vector - _clearing_excess(market.space.probs, basket, schedules, supplied)
+    demand = _searched_demand(market, i, basket, schedules)
+    means, securities = centered(market.space.probs, basket.payoffs)
+    return means - _clearing_excess(market.space.probs, securities, schedules, demand @ securities)

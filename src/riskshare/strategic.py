@@ -30,7 +30,7 @@ from .core import (
     Rv,
     SecurityBasket,
     _check_agent,
-    _two_pass,
+    _check_schedules,
     autarky_utilities,
     centered,
     require_same_space,
@@ -96,13 +96,13 @@ def reported_utility(
     stays their true endowment: U_i is agent i's autarky utility plus their
     `mechanism_gains` on the report profile. Cash in a report is priced at
     par, so only the centered reports matter; they are centered as the
-    endowments are (`_two_pass`), so no cash shift of a report moves the
+    endowments are (`core.centered`), so no cash shift of a report moves the
     utility.
     """
     _check_agent(i, market.n)
     require_same_space(market.space, b.space, "report b is not on the market's space")
     reports = (market.centered if others is None else market.centered_profile(others)).copy()
-    reports[i] = _two_pass(market.space.probs, b.payoffs[None])[1][0]
+    reports[i] = centered(market.space.probs, b.payoffs)[1]
     return float(autarky_utilities(market)[i] + mechanism_gains(market, reports)[i])
 
 
@@ -112,7 +112,7 @@ def _best_report(market: Market, i: int, rows: np.ndarray) -> np.ndarray:
     R_{-i} the sum of the other agents' rows (one mask copies them)."""
     rest = rows[np.arange(market.n) != i].sum(axis=0)
     own, other = _response_coefficients(market)
-    return centered(market.space.probs, own[i] * market.centered[i] + other[i] * rest)
+    return centered(market.space.probs, own[i] * market.centered[i] + other[i] * rest)[1]
 
 
 def best_endowment_response(
@@ -180,7 +180,8 @@ def best_price_response(
     h_i = Cov(C, E_i),
     E[C] - p_hat_i = 2 (gamma_i gamma_o h_i + gamma_o (gamma_i + gamma_o) cbar)
                      / (gamma_i + 2 gamma_o).
-    The schedules may be any. Against truthful ones it reads
+    The schedules may be any, one per other agent, each c one entry per
+    security (`core._check_schedules`). Against truthful ones it reads
     p_hat_i = E[C] - 2 gamma Cov(C, gamma_i/(gamma_i+gamma) E_i
                                    + gamma_i^2/(gamma_i^2-gamma^2) E_{-i}),
     the clearing price of agent i's best demand response.
@@ -188,6 +189,7 @@ def best_price_response(
     _check_agent(i, market.n)
     if len(other_schedules) != market.n - 1:
         raise ValueError("need one schedule per other agent")
+    _check_schedules(other_schedules, basket.k)
     gi = market.gammas[i]
     go = 1.0 / np.sum([1.0 / s.gamma for s in other_schedules])
     cbar = np.sum([s.c for s in other_schedules], axis=0)

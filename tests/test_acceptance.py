@@ -345,7 +345,7 @@ def _best_zero_sum_move(m, contracts):
     optimum. The move is returned as an n x m matrix.
     """
     p = m.space.probs
-    basis = _span_basis(m)
+    basis = _span_basis(p, m.centered)
     positions = m.payoffs + contracts
 
     def moves(coefficients):  # q x (n-1)k coefficients -> q x n x m moves

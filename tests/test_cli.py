@@ -309,6 +309,30 @@ class TestValidation:
         assert err.startswith("validation error: agents[1].payoffs: "), err
         assert "non-constant" in err
 
+    @pytest.mark.parametrize("command", [
+        ["nash", "--game", "percentage"],
+        ["best-response", "--game", "percentage", "--agent", "0"],
+    ])
+    def test_riskless_cash_addressed_when_probabilities_miss_one(self, tmp_path, capsys,
+                                                                command):
+        # 5 states whose probabilities sum to 1 + 2^-52 in floating point: a
+        # riskless agent of cash 6.62e29 still has no risk to scale
+        path = write_market(
+            tmp_path,
+            probs=[0.03637607882021685, 0.29962885118462723, 0.3746409298516763,
+                   0.08593558124337788, 0.20341855890010202],
+            agents=[
+                {"gamma": 1.0, "payoffs": [6.62e29] * 5},
+                {"gamma": 2.0, "payoffs": np.random.default_rng(45).normal(size=5).tolist()},
+            ],
+            securities=[[1.0, 0.0, -1.0, 0.5, 0.0]],
+        )
+        assert main(command + ["--market", str(path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("validation error: agents[0].payoffs: "), err
+        assert "non-constant" in err
+
     def test_percentage_response_ignores_other_riskless_agents(self, tmp_path, capsys):
         # the single-deviator response checks only its own agent's variance
         path = write_market(

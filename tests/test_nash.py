@@ -691,6 +691,24 @@ class TestCashShift:
                 np.abs(got[key] - want[key]) <= 1e-6 * (1.0 + np.abs(want[key]))
             ), key
 
+    # a 5-state Dirichlet draw whose probabilities sum to 1 + 2^-52 in floating point
+    UNEVEN = [0.03637607882021685, 0.29962885118462723, 0.3746409298516763,
+              0.08593558124337788, 0.20341855890010202]
+
+    def test_riskless_rows_exact_when_probabilities_miss_one(self):
+        # a riskless endowment is its own mean and centers to exactly 0 at
+        # any cash, whatever fl(sum p) is: the second pass alone left the
+        # row cash (1 - sum p)^2, 0.0625 at 6.62e29 and 6.6e268 at 1e300
+        space = ProbSpace(self.UNEVEN)
+        assert space.probs.sum() != 1.0
+        risky = np.random.default_rng(45).normal(size=5)
+        market = Market.from_arrays(space, [1.0, 2.0, 0.5],
+                                    [[6.62e29] * 5, [1e300] * 5, risky])
+        assert not market.centered[:2].any()
+        assert market.variances[0] == 0.0 and market.variances[1] == 0.0
+        assert market.means.tolist()[:2] == [6.62e29, 1e300]
+        assert market.variances[2] > 0.0
+
 
 def _other_schedules(market, basket):
     schedules = strategic.truthful_schedules(market, basket)

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import riskshare.core as core_module
 import riskshare.oracle as oracle_module
 from riskshare.core import (
     Agent,
@@ -17,6 +18,7 @@ from riskshare.core import (
     Rv,
     SecurityBasket,
     SpaceMismatchError,
+    centered,
     cross_cov,
     demand,
 )
@@ -242,23 +244,26 @@ class TestBatchedObjectives:
     def test_deviation_gain_is_the_kernel_on_pairs(self):
         # the mechanism reads a profile only through agent i's report R_i and
         # the others' sum O: on a stack, deviation_gain is the kernel on each
-        # profile's pair, bit for bit, O summed in order before i, then after
+        # profile's pair, bit for bit, the stack and the market's payoffs
+        # centered once and O summed in order before i, then after
         rng = np.random.default_rng(129)
         for _ in range(20):
             m = make_market(rng, m=int(rng.integers(2, 8)))
             q = int(rng.integers(1, 12))
             stack = (rng.normal(size=(q, m.n, m.space.n_states))
                      + rng.uniform(-10.0, 10.0, size=(q, m.n, 1)))
+            truth = centered(m.space.probs, m.payoffs)
+            rows = centered(m.space.probs, stack)[1]
             agents = rng.integers(m.n, size=q)
-            own = stack[np.arange(q), agents]
+            own = rows[np.arange(q), agents]
             others = np.array([_prefix_plus_suffix(profile, i)
-                               for profile, i in zip(stack, agents)])
+                               for profile, i in zip(rows, agents)])
             assert (deviation_gain(m, agents, stack).tobytes()
-                    == oracle_module._gain(m, agents, own, others).tobytes())
+                    == oracle_module._gain(m, truth, agents, own, others).tobytes())
             i = int(rng.integers(m.n))
-            others = np.array([_prefix_plus_suffix(profile, i) for profile in stack])
+            others = np.array([_prefix_plus_suffix(profile, i) for profile in rows])
             assert (deviation_gain(m, i, stack).tobytes()
-                    == oracle_module._gain(m, i, stack[:, i], others).tobytes())
+                    == oracle_module._gain(m, truth, i, rows[:, i], others).tobytes())
 
     def test_others_sum_keeps_its_digits_beside_a_dominant_report(self):
         # one report 1e12 times the others: every O is within
@@ -452,7 +457,7 @@ class TestArgmaxDemand:
 
         def objective(a):
             x = a @ basket.payoffs + m.payoffs[0]
-            return oracle_module._mv_value(-1.0, m.space.probs, x) - a @ basket.mean_vector
+            return x @ m.space.probs + cross_cov(m.space.probs, x, x) - a @ basket.mean_vector
 
         with pytest.raises(ValueError, match="not concave"):
             oracle_module._quadratic_argmax(objective, np.zeros(basket.k))
@@ -576,7 +581,7 @@ class TestBestResponseDynamics:
             p = market.space.probs
             for r, std in enumerate(result.step_stds):
                 steps = profiles[r + 1] - profiles[r]
-                assert std == np.sqrt(cross_cov(p, steps, steps).max())
+                assert std == np.sqrt(np.vecdot(steps * p, steps).max())
 
     def test_curvature_is_the_same_at_every_profile(self):
         # an agent's gain is quadratic in all reports jointly, so the Hessian
@@ -587,7 +592,7 @@ class TestBestResponseDynamics:
             n, m = rng.integers(2, 5), rng.integers(2, 7)
             market = make_market(rng, n=n, m=m)
             result = best_response_dynamics(market)
-            basis = oracle_module._span_basis(market)
+            basis = _span_basis(market)
             k = len(basis)
             offsets, weights = oracle_module._stencil(k)
             start, after, final = (market.space.rows(result.trajectory[r], "report")
@@ -596,7 +601,7 @@ class TestBestResponseDynamics:
                 # agent i's first step sees the others' round-1 reports before it
                 first = np.concatenate([after[:i], start[i:]])
                 first_hess, final_hess = (
-                    (oracle_module._report_gain(market, i, profile, basis)(offsets)
+                    (_search_gain(market, i, profile, basis)(offsets)
                      @ weights)[k:]
                     for profile in (first, final))
                 gap = np.abs(final_hess - first_hess).max()
@@ -625,10 +630,10 @@ class TestBestResponseDynamics:
         rng = np.random.default_rng(95)
         gain, stacks = oracle_module._gain, []
 
-        def recording(market, i, own, others):
+        def recording(market, truth, i, own, others):
             pairs = np.broadcast_shapes(np.shape(i), own.shape[:-1], others.shape[:-1])
             stacks.append(int(np.prod(pairs)))
-            return gain(market, i, own, others)
+            return gain(market, truth, i, own, others)
 
         monkeypatch.setattr(oracle_module, "_gain", recording)
         for rounds in (0, 1, 200):
@@ -637,7 +642,7 @@ class TestBestResponseDynamics:
                 stacks.clear()
                 result = best_response_dynamics(market, rounds=rounds)
                 assert result.converged or result.rounds_run == rounds
-                k = len(oracle_module._span_basis(market))
+                k = len(_span_basis(market))
                 q = 1 + 2 * k + k * (k + 1) // 2
                 assert stacks == [market.n * (q + 2 * k * k), 2 * k * market.n]
 
@@ -648,8 +653,9 @@ class TestBestResponseDynamics:
         for _ in range(60):
             n, m = rng.integers(2, 5), rng.integers(2, 7)
             market = make_market(rng, n=n, m=m)
-            basis = oracle_module._span_basis(market)
-            for got, want in zip(oracle_module._affine_responses(market, basis),
+            basis = _span_basis(market)
+            for got, want in zip(oracle_module._affine_responses(
+                    market, centered(market.space.probs, market.payoffs), basis),
                                  _per_agent_responses(market, basis)):
                 assert got.tobytes() == want.tobytes()
 
@@ -702,14 +708,15 @@ class TestBestResponseDynamics:
             n, m = int(rng.integers(2, 5)), int(rng.integers(2, 8))
             market = make_market(rng, n=n, m=m)
             p = market.space.probs
-            basis = oracle_module._span_basis(market)
+            basis = _span_basis(market)
             k = len(basis)
             off_span += k < m - 1
-            _, responses, slopes = oracle_module._affine_responses(market, basis)
+            _, responses, slopes = oracle_module._affine_responses(
+                market, centered(p, market.payoffs), basis)
             profile = rng.normal(size=(n, m)) + rng.uniform(-10.0, 10.0, size=(n, 1))
             scale = np.abs(profile).max()
             for i in range(n):
-                gain = oracle_module._report_gain(market, i, profile, basis)
+                gain = _search_gain(market, i, profile, basis)
                 direct = oracle_module._quadratic_argmax(gain, np.zeros(k)) @ basis
                 others = profile.sum(axis=0) - profile[i]
                 coefficients = cross_cov(p, others, basis) / cross_cov(p, basis, basis)
@@ -733,11 +740,11 @@ class TestBestResponseDynamics:
         result = best_response_dynamics(market, rounds=1)
         assert not result.converged and result.residual >= 1e-6
         p = market.space.probs
-        basis = oracle_module._span_basis(market)
+        basis = _span_basis(market)
         final = result.profiles[-1]
         moves = np.array([
             oracle_module._quadratic_argmax(
-                oracle_module._report_gain(market, i, final, basis), np.zeros(len(basis)))
+                _search_gain(market, i, final, basis), np.zeros(len(basis)))
             @ basis - final[i]
             for i in range(market.n)])
         stds = np.sqrt(cross_cov(p, moves, moves))
@@ -767,10 +774,11 @@ class TestBestResponseDynamics:
             n, m = int(rng.integers(2, 5)), int(rng.integers(2, 8))
             market = make_market(rng, n=n, m=m)
             p = market.space.probs
-            basis = oracle_module._span_basis(market)
+            basis = _span_basis(market)
             k = len(basis)
             off_span += k < m - 1
-            _, responses, slopes = oracle_module._affine_responses(market, basis)
+            _, responses, slopes = oracle_module._affine_responses(
+                market, centered(p, market.payoffs), basis)
             shift, sweep = oracle_module._folded_round(responses, slopes)
             unit = cross_cov(p, basis, basis)
             profile = rng.normal(size=(n, m)) + rng.uniform(-10.0, 10.0, size=(n, 1))
@@ -809,7 +817,7 @@ class TestBestResponseDynamics:
         for _ in range(30):
             n, m = int(rng.integers(2, 5)), int(rng.integers(2, 8))
             market = make_market(rng, n=n, m=m)
-            off_span += len(oracle_module._span_basis(market)) < m - 1
+            off_span += len(_span_basis(market)) < m - 1
             init = rng.normal(size=(n, m)) + rng.uniform(-10.0, 10.0, size=(n, 1))
             truth, moved = best_response_dynamics(market), best_response_dynamics(market, init)
             assert truth.converged and moved.converged
@@ -819,9 +827,24 @@ class TestBestResponseDynamics:
         assert off_span >= 10
 
 
+def _span_basis(market):
+    """`oracle._span_basis` of the market's payoffs centered as the oracle centers them."""
+    p = market.space.probs
+    return oracle_module._span_basis(p, centered(p, market.payoffs)[1])
+
+
+def _search_gain(market, i, profile, basis):
+    """`oracle._report_gain` on the profile and the basis rows, each centered
+    once as the oracle centers its inputs."""
+    p = market.space.probs
+    return oracle_module._report_gain(market, centered(p, market.payoffs), i,
+                                      centered(p, profile)[1], centered(p, basis)[1])
+
+
 def _per_agent_responses(market, basis):
     """`oracle._affine_responses` with each agent measured in its own call."""
     n, k = market.n, len(basis)
+    truth = centered(market.space.probs, market.payoffs)
     offsets, weights = oracle_module._stencil(k)
     trials = offsets @ basis
     gradient = slice(1, 2 * k + 1)
@@ -830,10 +853,7 @@ def _per_agent_responses(market, basis):
     others = np.concatenate([np.zeros_like(trials), np.repeat(basis, 2 * k, axis=0)])
     maps, responses, slopes = np.empty((n, 2 * k, k)), np.empty((n, k)), np.empty((n, k, k))
     for i in range(n):
-        stack = np.zeros((len(points), *market.payoffs.shape))
-        stack[:, i] = points
-        stack[:, (i + 1) % n] = others
-        values = deviation_gain(market, i, stack)
+        values = oracle_module._gain(market, truth, i, points, others)
         axes, curvatures = oracle_module._concave_axes((values[:q] @ weights)[k:].reshape(k, k))
         maps[i] = weights[gradient, :k] @ (axes / -curvatures) @ axes.T
         responses[i] = values[gradient] @ maps[i]
@@ -858,11 +878,12 @@ def _round_by_round(market, init, rounds):
     converged, residual)."""
     p = market.space.probs
     n = market.n
-    basis = oracle_module._span_basis(market)
+    truth = centered(p, market.payoffs)
+    basis = _span_basis(market)
     k = len(basis)
     maps, responses, slopes = _per_agent_responses(market, basis)
     shift, sweep = oracle_module._folded_round(responses, slopes)
-    basis_vars = cross_cov(p, basis, basis)
+    basis_vars = np.vecdot(basis * p, basis)
     reports = market.centered_profile(market.payoffs if init is None else init)
     coefficients = (reports @ (basis * p).T / basis_vars).ravel()
     profiles, step_vars = [reports], []
@@ -873,7 +894,7 @@ def _round_by_round(market, init, rounds):
         reports = coefficients.reshape(n, k) @ basis
         steps = reports - profiles[-1]
         profiles.append(reports)
-        step_vars.append(cross_cov(p, steps, steps).max())
+        step_vars.append(np.vecdot(steps * p, steps).max())
         if step_vars[-1] < tol:
             converged = True
             break
@@ -881,10 +902,10 @@ def _round_by_round(market, init, rounds):
     # before it, then after it, as the oracle forms O
     points = np.concatenate([basis, -basis])
     values = np.array([
-        oracle_module._gain(market, i, points, _prefix_plus_suffix(reports, i))
+        oracle_module._gain(market, truth, i, points, _prefix_plus_suffix(reports, i))
         for i in range(n)])
     moves = (values.reshape(n, 1, 2 * k) @ maps)[:, 0] @ basis - reports
-    residual = float(np.sqrt(cross_cov(p, moves, moves).max()))
+    residual = float(np.sqrt(np.vecdot(moves * p, moves).max()))
     return np.array(profiles), np.sqrt(step_vars), converged, residual
 
 
@@ -898,6 +919,97 @@ def _dyadic_market(rng, c=1.0):
     payoffs = rng.integers(-512, 513, size=(n, m)) / 64.0
     return Market(space, tuple(Agent(g / c, space.rv(e * c))
                                for g, e in zip(gammas, payoffs)))
+
+
+class TestCentersEachInputOnce:
+    """A public call makes a fixed number of `core.centered` calls, whatever
+    its rounds, stencil points or stack size: the kernels take rows that are
+    already centered, so a run's rounds and a search's stencil center
+    nothing beyond the inputs of the public call."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        counted = _counting(core_module.centered)
+        monkeypatch.setattr(core_module, "centered", counted)
+        monkeypatch.setattr(oracle_module, "centered", counted)
+        return counted
+
+    @staticmethod
+    def _calls(counted, run):
+        counted.calls = 0
+        run()
+        return counted.calls
+
+    def test_dynamics(self, counted):
+        # the payoffs once, and a given start once more
+        rng = np.random.default_rng(132)
+        for n, m in ((2, 3), (3, 5), (4, 7), (6, 4)):
+            market = make_market(rng, n=n, m=m)
+            init = rng.normal(size=(n, m))
+            for rounds in (0, 1, 17, 200):
+                assert self._calls(counted, lambda: best_response_dynamics(
+                    market, rounds=rounds)) == 1
+                assert self._calls(counted, lambda: best_response_dynamics(
+                    market, init, rounds)) == 2
+
+    def test_searches(self, counted):
+        # a report search: the payoffs and the basis, then its value, one
+        # deviation_gain call (the profile and the payoffs); a demand search:
+        # the basket over the endowment; a price search: the payoffs' and the
+        # basket's variances for its unit, its one stencil call to
+        # clearing_utility and the price's securities
+        rng = np.random.default_rng(133)
+        for k in (1, 2, 3):
+            market = make_market(rng, n=4, m=5)
+            basket = make_basket(rng, market.space, k=k)
+            spec = CoefficientSearchSpec(basis=tuple(market.endowments()[:k]))
+            others = truthful_schedules(market, basket)[1:]
+            endowment = market.endowments()[0]
+            assert self._calls(counted, lambda: argmax_reported_utility(market, 0, spec)) == 4
+            assert self._calls(counted, lambda: argmax_demand(
+                1.0, endowment, basket, basket.mean_vector)) == 1
+            assert self._calls(counted, lambda: argmax_phi(market, 0, basket, others)) == 4
+
+    def test_objectives(self, counted):
+        # a stack of any size: the profiles and the payoffs; the basket over
+        # agent i's endowment
+        rng = np.random.default_rng(134)
+        market = make_market(rng, n=3, m=4)
+        basket = make_basket(rng, market.space, k=2)
+        others = truthful_schedules(market, basket)[1:]
+        for q in (1, 7, 40):
+            stack = rng.normal(size=(q, 3, 4))
+            assert self._calls(counted, lambda: deviation_gain(market, 1, stack)) == 2
+            assert self._calls(counted, lambda: clearing_utility(
+                market, 0, basket, others, rng.normal(size=(q, 2)))) == 1
+
+
+class TestDynamicsCashShift:
+    """A cash shift of every endowment enters no step of the dynamics: the
+    span basis and the rows the objectives read are centered once, by the
+    rule that centers a riskless row to 0."""
+
+    @staticmethod
+    def _markets():
+        # dyadic payoffs (multiples of 2^-10), so each shift is exact
+        rng = np.random.default_rng(107)
+        for _ in range(100):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(3, 7))
+            weights = rng.integers(1, 8, size=m)
+            space = ProbSpace(weights / weights.sum())
+            gammas = rng.uniform(0.5, 2.0, size=n)
+            yield space, gammas, rng.integers(-1024, 1025, size=(n, m)) / 1024.0
+
+    @pytest.mark.parametrize("shift", [pytest.param(2.0**30, id="2^30"),
+                                       pytest.param(2.0**40, id="2^40")])
+    def test_shifted_runs_converge(self, shift):
+        # the one-pass basis raised "objective is not concave" on 10 of these
+        # runs at 2^30 and 20 at 2^40. The shifted profiles still move, by up
+        # to 1.2e-5 (2^30) and 9.3e-3 (2^40) of the largest report, since
+        # each objective value carries the cash E[E_i]
+        for space, gammas, payoffs in self._markets():
+            result = best_response_dynamics(Market.from_arrays(space, gammas, payoffs + shift))
+            assert result.converged
 
 
 class TestDynamicsUnitScaling:
@@ -978,7 +1090,7 @@ class TestPercentageEquilibrium:
             profile = b[:, None] * market.payoffs
             for i in range(market.n):
                 # a search over the one-row basis E_i
-                gain = oracle_module._report_gain(market, i, profile, market.payoffs[i : i + 1])
+                gain = _search_gain(market, i, profile, market.payoffs[i : i + 1])
                 found = oracle_module._quadratic_argmax(gain, np.zeros(1))[0]
                 assert np.clip(found, 0.0, kappa) == pytest.approx(b[i], rel=1e-9, abs=0.0)
             b_stars.extend(b)
@@ -1045,6 +1157,22 @@ class TestArgmaxPhi:
         want = best_price_response(m, 0, basket, others)
         found = argmax_phi(m, 0, basket, others)
         assert np.abs(found - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("entries", [1, 3])
+    def test_schedule_needs_one_entry_per_security(self, entries):
+        # a c of 1 entry was broadcast against the 2-security basket into a
+        # finite wrong price, and a c of 3 entries raised a bare numpy error
+        rng = np.random.default_rng(55)
+        m = make_market(rng, n=3, m=4)
+        basket = make_basket(rng, m.space, k=2)
+        others = truthful_schedules(m, basket)[1:]
+        others[1] = DemandSchedule(others[1].gamma, rng.normal(size=entries))
+        message = (rf"schedule 1 has c of shape \({entries},\), "
+                   r"not one entry per security of the basket \(2\)")
+        with pytest.raises(ValueError, match=message):
+            clearing_utility(m, 0, basket, others, np.zeros(2))
+        with pytest.raises(ValueError, match=message):
+            argmax_phi(m, 0, basket, others)
 
     def test_needs_another_schedule(self):
         market, _, own = _mismatched_basket_market()

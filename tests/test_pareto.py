@@ -279,7 +279,7 @@ class TestWelfareIdentity:
         market = make_market(rng, n=n, m=m)
         # in-span mixtures of the endowments plus rows off their span
         raw = rng.normal(size=(n, n)) @ market.centered + rng.normal(size=(n, m))
-        reports = centered(market.space.probs, raw)
+        reports = centered(market.space.probs, raw)[1]
         gains = mechanism_gains(market, reports)
         unpooled = pooling_gain(market, market.centered - reports)
         total = aggregate_gain(market)

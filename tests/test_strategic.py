@@ -225,6 +225,19 @@ class TestBestPriceResponse:
         with pytest.raises(ValueError, match="need one schedule per other agent"):
             best_price_response(m, 0, basket, truthful_schedules(m, basket))
 
+    @pytest.mark.parametrize("entries", [1, 3])
+    def test_schedule_needs_one_entry_per_security(self, entries):
+        # a c of 1 entry was broadcast against the 2-security basket into a
+        # finite wrong price, and a c of 3 entries raised a bare numpy error
+        rng = np.random.default_rng(55)
+        m = make_market(rng, n=3, m=4)
+        basket = make_basket(rng, m.space, k=2)
+        others = truthful_schedules(m, basket)[1:]
+        others[1] = DemandSchedule(others[1].gamma, rng.normal(size=entries))
+        with pytest.raises(ValueError, match=rf"schedule 1 has c of shape \({entries},\), "
+                                             r"not one entry per security of the basket \(2\)"):
+            best_price_response(m, 0, basket, others)
+
     def test_maximizes_clearing_utility(self):
         rng = np.random.default_rng(37)
         for _ in range(5):
